@@ -1,12 +1,23 @@
 GO ?= go
 
-.PHONY: all vet build test race chaos obs exec reconcile systables serving check bench bench-all
+.PHONY: all vet build test race chaos obs exec reconcile systables serving check bench bench-all bench-smoke repo-bench
 
 all: check
 
+# bench-summary prints one "BenchmarkName ... ns/op ..." line per result
+# out of the raw `go test -json` event stream in file $(1) (the stream
+# splits a result across Output events; the awk rejoins name and numbers).
+define bench-summary
+	@grep -oE '"Output":"[^"]*"' $(1) \
+		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
+		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
+	@echo "wrote $(1)"
+endef
+
 # Default gate: vet + build + tests, then the full suite under the race
-# detector (the scan pipeline is concurrent; races are tier-1 failures).
-check: vet build test race
+# detector (the scan pipeline is concurrent; races are tier-1 failures),
+# then the repository benchmark's own tests.
+check: vet build test race bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,10 +52,13 @@ obs:
 # over the full workload, the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation leak check — all
 # race-checked (the pipeline is goroutines connected by channels) —
-# plus the operator and fan-out helper unit tests.
+# plus the operator and fan-out helper unit tests, then the hash
+# operators' steady-state allocation guard without the race detector
+# (it skips under -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
+	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
 
 # Reconciler gate: the spare lifecycle and RemoveNode regression tests,
 # the membership-churn soak, the full reconcile package (all
@@ -69,10 +83,7 @@ systables:
 	$(GO) test -race -count=1 -run 'TestSystemTables' -timeout 300s ./internal/experiments/
 	EON_DC_GATE=1 $(GO) test -count=1 -run 'TestDCOverheadGate' .
 	$(GO) test -json -bench 'BenchmarkDCOverhead' -benchmem -benchtime=20x -run '^$$' . > BENCH_systables.json
-	@grep -oE '"Output":"[^"]*"' BENCH_systables.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_systables.json"
+	$(call bench-summary,BENCH_systables.json)
 
 # Serving-path gate: the staged-lifecycle unit tests (plan cache,
 # prepared statements, result-cache invalidation, admission control,
@@ -88,10 +99,7 @@ serving:
 	$(GO) test -race -count=1 -run 'TestServingCachesDifferential' -timeout 600s ./internal/experiments/
 	EON_SERVING_GATE=1 $(GO) test -count=1 -run 'TestServingGate' -timeout 300s .
 	$(GO) test -json -bench 'BenchmarkServingThroughput' -benchtime=1x -run '^$$' . > BENCH_serving.json
-	@grep -oE '"Output":"[^"]*"' BENCH_serving.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_serving.json"
+	$(call bench-summary,BENCH_serving.json)
 
 # Fig-10 plus the ScanConcurrency sweep (cold/warm caches), with
 # allocation stats; the raw `go test -json` event stream is kept in
@@ -99,31 +107,34 @@ serving:
 # comparison runs separately into BENCH_query.json.
 bench:
 	$(GO) test -json -bench 'BenchmarkFig10_TPCH|BenchmarkScanParallelism' -benchmem -benchtime=1x -run '^$$' . > BENCH_scan.json
-	@grep -oE '"Output":"[^"]*"' BENCH_scan.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_scan.json"
+	$(call bench-summary,BENCH_scan.json)
 	$(GO) test -json -bench 'BenchmarkQueryKernels' -benchmem -benchtime=10x -run '^$$' . > BENCH_query.json
-	@grep -oE '"Output":"[^"]*"' BENCH_query.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_query.json"
+	$(call bench-summary,BENCH_query.json)
 	$(GO) test -json -bench 'BenchmarkTracingOverhead' -benchmem -benchtime=10x -run '^$$' . > BENCH_obs.json
-	@grep -oE '"Output":"[^"]*"' BENCH_obs.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_obs.json"
+	$(call bench-summary,BENCH_obs.json)
 	$(GO) test -json -bench 'BenchmarkStreamingExec' -benchmem -benchtime=5x -run '^$$' . > BENCH_exec.json
-	@grep -oE '"Output":"[^"]*"' BENCH_exec.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_exec.json"
+	$(call bench-summary,BENCH_exec.json)
 	$(GO) test -json -bench 'BenchmarkReconcileRecovery' -benchtime=1x -run '^$$' -timeout 600s . > BENCH_reconcile.json
-	@grep -oE '"Output":"[^"]*"' BENCH_reconcile.json \
-		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
-		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
-	@echo "wrote BENCH_reconcile.json"
+	$(call bench-summary,BENCH_reconcile.json)
 
 # Every benchmark in the repository (figures + ablations).
 bench-all:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# The repository benchmark (BENCHMARK.json, bench/README.md) is a nested
+# module that root `go test ./...` does not reach: its unit tests plus a
+# quick smoke run of every workload, ~10 s. The sources are tested from
+# a sibling copy because the tree carries a built binary, bench/bench,
+# that makes the traced smoke runs resolve their output directory to a
+# path under that file when run from bench/ itself; files under bench/
+# are the benchmark's and are not this Makefile's to remove.
+bench-smoke:
+	rm -rf .bench_smoke && mkdir .bench_smoke
+	cp bench/*.go bench/go.mod .bench_smoke/
+	cd .bench_smoke && $(GO) test ./...
+	rm -rf .bench_smoke
+
+# One run of one benchmark workload, exactly as the driver runs it:
+#   make repo-bench W=tpch_warm [SEED=1] [TRACE=0]
+repo-bench:
+	bash bench/run.sh --workload $(W) --seed $(or $(SEED),1) --seconds 15 --trace $(or $(TRACE),0)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"eon/internal/types"
 )
@@ -301,6 +302,46 @@ func TestJoinReshuffle(t *testing.T) {
 				t.Errorf("reshuffle join count = %v", res.Rows())
 			}
 		})
+	}
+}
+
+// TestJoinReshuffleEmptyPartition covers reshuffle joins where a node's
+// partition of one side is empty while the other side sends it more
+// batches than an exchange edge holds: the join that ends early there
+// must still drain its edge, or the exchange drivers block on it and
+// starve every other node. A hang shows up as the session timeout.
+func TestJoinReshuffleEmptyPartition(t *testing.T) {
+	db := newTestDB(t, ModeEon, 3, 3)
+	s := db.NewSession()
+	for _, tbl := range []string{"a", "b"} {
+		mustExec(t, s, fmt.Sprintf(`CREATE TABLE %s (id INTEGER, k INTEGER)`, tbl))
+		mustExec(t, s, fmt.Sprintf(`CREATE PROJECTION %s_p AS SELECT * FROM %s ORDER BY id SEGMENTED BY HASH(id) ALL NODES`, tbl, tbl))
+	}
+	mustExec(t, s, `INSERT INTO a VALUES (1, 3)`)
+	// Single-row inserts: many small containers, so many small batches
+	// cross every exchange edge.
+	for i := 1; i <= 200; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO b VALUES (%d, %d)`, i, i%7))
+	}
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM a JOIN b ON a.k = b.k`,
+		`SELECT COUNT(*) FROM b JOIN a ON b.k = a.k`,
+	} {
+		ref := db.NewSession()
+		ref.MaterializedExec = true
+		want := mustQuery(t, ref, q).Row(t, 0)[0].I
+		st := db.NewSession()
+		st.Timeout = 20 * time.Second
+		res, err := st.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := res.Row(t, 0)[0].I; got != want || got == 0 {
+			t.Errorf("%s = %d, materialized executor says %d", q, got, want)
+		}
+	}
+	if g := db.Metrics().Gauges["exec.mem_bytes"]; g != 0 {
+		t.Errorf("exec.mem_bytes = %d after the queries, want 0", g)
 	}
 }
 

@@ -228,6 +228,7 @@ func (db *DB) execJoin(env *queryEnv, j *planner.Join, sp *obs.Span) (*distResul
 			exec.NewSource(j.Right.Schema(), rb...),
 			j.LeftKeys, j.RightKeys)
 		op.Eng = env.eng()
+		op.Span = sp
 		var post exec.Operator = op
 		if j.ResidualPred != nil {
 			f := exec.NewFilter(op, j.ResidualPred)
@@ -413,6 +414,7 @@ func (db *DB) execAggregate(env *queryEnv, a *planner.Aggregate, sp *obs.Span) (
 	finalOver := func(batches []*types.Batch, partial bool) (*types.Batch, error) {
 		op := exec.NewHashAggregate(exec.NewSource(inSchema, batches...), a.Keys, a.KeyNames, a.Aggs, partial)
 		op.Eng = env.eng()
+		op.Span = sp
 		return exec.Collect(op)
 	}
 
@@ -459,6 +461,7 @@ func (db *DB) execAggregate(env *queryEnv, a *planner.Aggregate, sp *obs.Span) (
 		if err := db.runPerNode(env, in, func(name string, bs []*types.Batch) ([]*types.Batch, error) {
 			op := exec.NewHashAggregate(exec.NewSource(inSchema, bs...), a.Keys, a.KeyNames, a.Aggs, true)
 			op.Eng = env.eng()
+			op.Span = sp
 			out, err := exec.Collect(op)
 			if err != nil {
 				return nil, err
@@ -479,6 +482,7 @@ func (db *DB) execAggregate(env *queryEnv, a *planner.Aggregate, sp *obs.Span) (
 		}
 		op := exec.NewHashAggregate(exec.NewSource(partialSchema, gathered), mergeKeys, a.KeyNames, mergeAggs, false)
 		op.Eng = env.eng()
+		op.Span = sp
 		out, err := exec.Collect(op)
 		if err != nil {
 			return nil, err
@@ -551,6 +555,7 @@ func (db *DB) execDistinct(env *queryEnv, d *planner.DistinctNode, sp *obs.Span)
 	if err := db.runPerNode(env, in, func(name string, bs []*types.Batch) ([]*types.Batch, error) {
 		op := exec.NewDistinct(exec.NewSource(in.schema, bs...))
 		op.Eng = env.eng()
+		op.Span = sp
 		out, err := exec.Collect(op)
 		if err != nil {
 			return nil, err

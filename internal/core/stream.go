@@ -66,7 +66,11 @@ type streamResult struct {
 	replicated bool
 	// needGlobalDistinct defers duplicate elimination to gather time.
 	needGlobalDistinct bool
-	schema             types.Schema
+	// exchanged marks per-node streams that pull from a reshuffle exchange
+	// somewhere below: a node that stopped pulling its stream would stall
+	// the exchange for every other node (see exec.HashJoin.Exchanged).
+	exchanged bool
+	schema    types.Schema
 	// sp is the producing plan node's span; consumers count the rows
 	// they pull from this result as its rows-out.
 	sp *obs.Span
@@ -623,6 +627,7 @@ func (sc *streamCtx) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 		schema: schema, sp: sp,
 		replicated:         in.replicated,
 		needGlobalDistinct: in.needGlobalDistinct,
+		exchanged:          in.exchanged,
 	}
 	initiator := sc.env.initiator.name
 	switch {
@@ -890,13 +895,18 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		return nil, err
 	}
 	eng := env.eng()
+	var onInitiator [2]bool
 
-	// joinOn builds one node's join: the build side is charged to that
-	// node's governor for the lifetime of the probe.
-	joinOn := func(node string, lop, rop exec.Operator) exec.Operator {
+	// joinOn builds one node's join: what it holds is charged to that
+	// node's governor. exchanged says which inputs are per-node streams
+	// over a reshuffle; a join on the initiator is the one consumer of
+	// whatever it gathers, so there it is onInitiator.
+	joinOn := func(node string, lop, rop exec.Operator, exchanged [2]bool) exec.Operator {
 		op := exec.NewHashJoin(lop, rop, j.LeftKeys, j.RightKeys)
 		op.Eng = eng
 		op.Mem = sc.gov(node)
+		op.Span = sp
+		op.Exchanged = exchanged
 		var post exec.Operator = op
 		if j.ResidualPred != nil {
 			f := exec.NewFilter(op, j.ResidualPred)
@@ -910,7 +920,7 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 	// two replicated sides stays replicated (shared, multi-consumer).
 	if left.gathered() && right.gathered() {
 		mk := func() exec.Operator {
-			return joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp))
+			return joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp), onInitiator)
 		}
 		if left.replicated && right.replicated {
 			res := &streamResult{replicated: true, schema: j.Schema(), sp: sp}
@@ -932,24 +942,25 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		fallthrough
 
 	case planner.JoinLocal:
+		local := [2]bool{left.exchanged, right.exchanged}
 		if right.gathered() && right.replicated {
 			// Join each left fragment against the full right copy.
 			if left.gathered() {
 				return &streamResult{
-					single: joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp)),
+					single: joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp), onInitiator),
 					schema: j.Schema(), sp: sp,
 				}, nil
 			}
-			out := &streamResult{perNode: map[string]exec.Operator{}, schema: j.Schema(), sp: sp}
+			out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: left.exchanged, schema: j.Schema(), sp: sp}
 			for name, lop := range left.perNode {
-				out.perNode[name] = joinOn(name, edge(lop, left.sp, sp), edge(right.op(), right.sp, sp))
+				out.perNode[name] = joinOn(name, edge(lop, left.sp, sp), edge(right.op(), right.sp, sp), local)
 			}
 			return out, nil
 		}
 		if left.gathered() && left.replicated {
-			out := &streamResult{perNode: map[string]exec.Operator{}, schema: j.Schema(), sp: sp}
+			out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: right.exchanged, schema: j.Schema(), sp: sp}
 			for name, rop := range right.perNode {
-				out.perNode[name] = joinOn(name, edge(left.op(), left.sp, sp), edge(rop, right.sp, sp))
+				out.perNode[name] = joinOn(name, edge(left.op(), left.sp, sp), edge(rop, right.sp, sp), local)
 			}
 			return out, nil
 		}
@@ -957,7 +968,7 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		// the join on the initiator.
 		if left.gathered() || right.gathered() {
 			return &streamResult{
-				single: joinOn(env.initiator.name, sc.gatherTo(left, sp), sc.gatherTo(right, sp)),
+				single: joinOn(env.initiator.name, sc.gatherTo(left, sp), sc.gatherTo(right, sp), onInitiator),
 				schema: j.Schema(), sp: sp,
 			}, nil
 		}
@@ -968,7 +979,10 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		for name := range right.perNode {
 			names[name] = true
 		}
-		out := &streamResult{perNode: map[string]exec.Operator{}, schema: j.Schema(), sp: sp}
+		out := &streamResult{
+			perNode: map[string]exec.Operator{}, exchanged: left.exchanged || right.exchanged,
+			schema: j.Schema(), sp: sp,
+		}
 		for name := range names {
 			lop, rop := left.perNode[name], right.perNode[name]
 			if lop == nil {
@@ -977,16 +991,16 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 			if rop == nil {
 				rop = exec.NewSource(j.Right.Schema())
 			}
-			out.perNode[name] = joinOn(name, edge(lop, left.sp, sp), edge(rop, right.sp, sp))
+			out.perNode[name] = joinOn(name, edge(lop, left.sp, sp), edge(rop, right.sp, sp), local)
 		}
 		return out, nil
 
 	case planner.JoinReshuffleBoth:
 		lsh := sc.exchange(left, j.Left.Schema(), j.LeftKeys)
 		rsh := sc.exchange(right, j.Right.Schema(), j.RightKeys)
-		out := &streamResult{perNode: map[string]exec.Operator{}, schema: j.Schema(), sp: sp}
+		out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: true, schema: j.Schema(), sp: sp}
 		for _, name := range env.nodes {
-			out.perNode[name] = joinOn(name, edge(lsh[name], left.sp, sp), edge(rsh[name], right.sp, sp))
+			out.perNode[name] = joinOn(name, edge(lsh[name], left.sp, sp), edge(rsh[name], right.sp, sp), [2]bool{true, true})
 		}
 		return out, nil
 	}
@@ -1009,6 +1023,7 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 		h.Eng = eng
 		h.Mem = sc.gov(node)
 		h.Spill = sc.spillFor(node)
+		h.Span = sp
 		return h
 	}
 
@@ -1051,6 +1066,7 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 		h.Eng = eng
 		h.Mem = sc.gov(env.initiator.name)
 		h.Spill = sc.spillFor(env.initiator.name)
+		h.Span = sp
 		return &streamResult{single: h, schema: a.Schema(), sp: sp}, nil
 	}
 	return nil, fmt.Errorf("core: unknown aggregate mode %v", a.Mode)
@@ -1065,6 +1081,7 @@ func (sc *streamCtx) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*stre
 	out := sc.mapResult(in, d.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		dd := exec.NewDistinct(edge(op, in.sp, sp))
 		dd.Eng = eng
+		dd.Span = sp
 		return dd
 	})
 	// Local dedupe per node; the global pass happens at gather (same

@@ -13,11 +13,16 @@ import (
 	"math"
 
 	"eon/internal/expr"
+	"eon/internal/obs"
 	"eon/internal/types"
 )
 
 // Operator is a pull-based batch iterator. Next returns nil when the
-// stream is exhausted.
+// stream is exhausted. The batches it returns are read-only: operators
+// hand on what they received or hold without copying (Source replays its
+// batches, Filter returns a batch whose every row survives, HashJoin the
+// probe columns of a batch whose every row matches once, Distinct views
+// of its key table), so a consumer that wants to change one copies it.
 type Operator interface {
 	Schema() types.Schema
 	Next() (*types.Batch, error)
@@ -171,10 +176,19 @@ func Collect(op Operator) (*types.Batch, error) {
 }
 
 // rowKey builds a hashable, collision-free composite key from the given
-// columns of row i: each field is type-tagged and length-prefixed.
+// columns of row i (nil = every column): each field is type-tagged and
+// length-prefixed.
 func rowKey(buf []byte, b *types.Batch, i int, cols []int) []byte {
 	buf = buf[:0]
-	for _, c := range cols {
+	n := len(cols)
+	if cols == nil {
+		n = len(b.Cols)
+	}
+	for k := 0; k < n; k++ {
+		c := k
+		if cols != nil {
+			c = cols[k]
+		}
 		v := b.Cols[c]
 		if v.IsNull(i) {
 			buf = append(buf, 0)
@@ -205,17 +219,22 @@ func rowKey(buf []byte, b *types.Batch, i int, cols []int) []byte {
 // Distinct removes duplicate rows (over all columns).
 type Distinct struct {
 	input Operator
-	seen  map[string]struct{}
 	done  bool
 	Eng   Engine
+	// Span, when set, receives the number of distinct rows seen.
+	Span *obs.Span
 
-	seenInt  map[int64]struct{} // typed path: single Int64-physical column
-	seenNull bool
+	table keyTable            // vectorized engine
+	seen  map[string]struct{} // row engine: rowKey of every row seen
+
+	// Scratch reused across batches.
+	ids []int32
+	key []byte
 }
 
 // NewDistinct wraps input with duplicate elimination.
 func NewDistinct(input Operator) *Distinct {
-	return &Distinct{input: input, seen: map[string]struct{}{}}
+	return &Distinct{input: input}
 }
 
 // Schema implements Operator.
@@ -223,92 +242,61 @@ func (d *Distinct) Schema() types.Schema { return d.input.Schema() }
 
 // Next implements Operator.
 func (d *Distinct) Next() (*types.Batch, error) {
-	if d.done {
-		return nil, nil
-	}
-	if d.Eng.Row {
-		return d.nextRow()
-	}
-	schema := d.input.Schema()
-	intKey := len(schema) == 1 && schema[0].Type.Physical() == types.Int64
-	if intKey && d.seenInt == nil {
-		d.seenInt = map[int64]struct{}{}
-	}
-	allCols := make([]int, len(schema))
-	for i := range allCols {
-		allCols[i] = i
-	}
-	var key []byte
-	for {
-		b, sel, err := pullSel(d.input)
+	for !d.done {
+		b, sel, err := pullSel(d.input) // a row-engine input yields no selection
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			d.done = true
-			return nil, nil
+			break
 		}
-		m := selLen(b, sel)
-		var keep []int
-		if intKey {
-			col := b.Cols[0]
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if col.IsNull(i) {
-					if !d.seenNull {
-						d.seenNull = true
-						keep = append(keep, i)
-					}
-					continue
-				}
-				v := col.Ints[i]
-				if _, ok := d.seenInt[v]; !ok {
-					d.seenInt[v] = struct{}{}
-					keep = append(keep, i)
-				}
-			}
+		var out *types.Batch
+		if d.Eng.Row {
+			out = d.newRowsRef(b)
 		} else {
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				key = rowKey(key, b, i, allCols)
-				if _, ok := d.seen[string(key)]; !ok {
-					d.seen[string(key)] = struct{}{}
-					keep = append(keep, i)
-				}
-			}
+			out = d.newRows(b, sel)
 		}
-		if len(keep) > 0 {
-			return b.Gather(keep), nil
+		if out != nil && out.NumRows() > 0 {
+			d.Span.AddAttr("groups", int64(out.NumRows()))
+			return out, nil
 		}
 	}
+	return nil, nil
 }
 
-// nextRow is the original row-engine path.
-func (d *Distinct) nextRow() (*types.Batch, error) {
-	allCols := make([]int, len(d.input.Schema()))
-	for i := range allCols {
-		allCols[i] = i
+// newRows runs one input batch through the key table and returns the
+// rows it had not seen. The key is the whole row and ids are handed out
+// in first-seen order, so those rows are exactly the tail the batch
+// added to the table's key vectors: the output is a view of it, not a
+// copy.
+func (d *Distinct) newRows(b *types.Batch, sel []int) *types.Batch {
+	m := selLen(b, sel)
+	d.ids = growIDs(d.ids, m)
+	before := d.table.len()
+	d.table.insert(d.table.hash(b.Cols, sel, m), b.Cols, sel, 0, d.ids, nil)
+	if d.table.len() == before {
+		return nil
 	}
-	var key []byte
-	for {
-		b, err := d.input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			d.done = true
-			return nil, nil
-		}
-		var keep []int
-		for i := 0; i < b.NumRows(); i++ {
-			key = rowKey(key, b, i, allCols)
-			if _, ok := d.seen[string(key)]; !ok {
-				d.seen[string(key)] = struct{}{}
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) > 0 {
-			return b.Gather(keep), nil
+	out := &types.Batch{Cols: make([]*types.Vector, len(b.Cols))}
+	for c, k := range d.table.cols {
+		out.Cols[c] = k.Slice(before, d.table.len())
+	}
+	return out
+}
+
+// newRowsRef is the row-engine reference for newRows.
+func (d *Distinct) newRowsRef(b *types.Batch) *types.Batch {
+	if d.seen == nil {
+		d.seen = map[string]struct{}{}
+	}
+	var keep []int
+	for i := 0; i < b.NumRows(); i++ {
+		d.key = rowKey(d.key, b, i, nil)
+		if _, ok := d.seen[string(d.key)]; !ok {
+			d.seen[string(d.key)] = struct{}{}
+			keep = append(keep, i)
 		}
 	}
+	return b.Gather(keep)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"eon/internal/expr"
@@ -98,6 +99,42 @@ func TestDistinct(t *testing.T) {
 	got, _ := Collect(NewDistinct(NewSource(s, b)))
 	if got.NumRows() != 3 { // a, b, NULL
 		t.Errorf("distinct = %d rows: %v", got.NumRows(), got.Rows())
+	}
+}
+
+// TestDistinctOutputAppendSafe: Distinct returns views of its key table.
+// A consumer that keeps one and appends to it in place must not overwrite
+// keys the table has taken in since.
+func TestDistinctOutputAppendSafe(t *testing.T) {
+	s := types.Schema{{Name: "k", Type: types.Int64}, {Name: "r", Type: types.Varchar}}
+	row := func(k int64) types.Row { return types.Row{types.NewInt(k), types.NewString(fmt.Sprint("r", k))} }
+	d := NewDistinct(NewSource(s,
+		types.BatchFromRows(s, []types.Row{row(1), row(2), row(1)}),
+		types.BatchFromRows(s, []types.Row{row(2), row(3), row(4)}),
+		types.BatchFromRows(s, []types.Row{row(3), row(4), row(5)}),
+	))
+	var got []string
+	var kept *types.Batch
+	for {
+		b, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		for i := 0; i < b.NumRows(); i++ {
+			got = append(got, b.Row(i).String())
+		}
+		if kept == nil {
+			kept = b
+		} else {
+			kept.AppendRow(row(-7)) // a careless consumer
+		}
+	}
+	want := []string{row(1).String(), row(2).String(), row(3).String(), row(4).String(), row(5).String()}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("distinct rows = %v, want %v", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eon/internal/expr"
+	"eon/internal/obs"
 	"eon/internal/types"
 )
 
@@ -52,13 +53,13 @@ func (a AggDef) resultType() types.Type {
 	}
 }
 
-// partial state per group per aggregate.
+// partial state per group per aggregate. ext is the running extreme of
+// an AggMin or AggMax (the aggregate's kind says which).
 type aggState struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	min   types.Datum
-	max   types.Datum
+	ext   types.Datum
 	init  bool
 }
 
@@ -86,6 +87,8 @@ type HashAggregate struct {
 	// Configured by the executor, like Eng.
 	Mem   *MemGovernor
 	Spill SpillStore
+	// Span, when set, receives the number of groups produced.
+	Span *obs.Span
 
 	done bool
 }
@@ -119,45 +122,92 @@ func (h *HashAggregate) Next() (*types.Batch, error) {
 		return nil, nil
 	}
 	h.done = true
+	next := h.nextVec
 	if h.Eng.Row {
-		return h.nextRow()
+		next = h.nextRow
 	}
-	// The spill path needs encoded key bytes per group (the run sort
-	// order), so it replaces the typed-map fast paths. Global aggregates
-	// (no keys) hold one group and never need it.
-	if h.Mem.Limited() && h.Spill != nil && len(h.keys) > 0 {
-		return h.nextSpill()
+	out, err := next()
+	if err == nil {
+		h.Span.AddAttr("groups", int64(out.NumRows()))
 	}
-	return h.nextVec()
+	return out, err
+}
+
+// evalInputs evaluates the key and argument expressions of one batch
+// into the given per-operator scratch slices.
+func (h *HashAggregate) evalInputs(b *types.Batch, sel []int, keyVals, argVals, cntVals []*types.Vector) error {
+	eval := func(e expr.Expr) (*types.Vector, error) {
+		if e == nil {
+			return nil, nil
+		}
+		if h.Eng.Row {
+			return expr.EvalBatch(e, b)
+		}
+		return expr.EvalVec(e, b, sel, h.Eng.Stats)
+	}
+	var err error
+	for i, k := range h.keys {
+		if keyVals[i], err = eval(k); err != nil {
+			return err
+		}
+	}
+	for i, a := range h.aggs {
+		if argVals[i], err = eval(a.Arg); err != nil {
+			return err
+		}
+		if cntVals[i], err = eval(a.ArgCount); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // nextVec is the vectorized aggregation path: key and argument
-// expressions evaluate densely over the upstream selection, group
-// indexes resolve through typed maps where the key shape allows, and
-// accumulation runs column-at-a-time per aggregate. Group output order
-// (first-seen) is identical to the row path.
+// expressions evaluate densely over the upstream selection, group ids
+// resolve through the key table, and accumulation runs column-at-a-time
+// per aggregate into one flat state array (stride len(aggs)). Group
+// output order (first-seen) is identical to the row path.
+//
+// Under a finite budget with a spill store the same loop asks the
+// governor before admitting each new group; a refusal flushes the table
+// as a key-sorted run and resumes at that row. Global aggregates (no
+// keys) hold one group and never spill.
 func (h *HashAggregate) nextVec() (*types.Batch, error) {
-	var keyRows []types.Row
-	var states [][]aggState
-	var keyBuf []byte
+	na := len(h.aggs)
+	var table keyTable
+	var states []aggState
+	var gis []int32
+	keyVals := make([]*types.Vector, len(h.keys))
+	argVals := make([]*types.Vector, na)
+	cntVals := make([]*types.Vector, na)
 
-	singleInt := len(h.keys) == 1 && h.keys[0].Type().Physical() == types.Int64
-	singleStr := len(h.keys) == 1 && h.keys[0].Type().Physical() == types.Varchar
-	var intGroups map[int64]int
-	var strGroups map[string]int
-	var groups map[string]int
-	nullGroup := -1
-	switch {
-	case singleInt:
-		intGroups = map[int64]int{}
-	case singleStr:
-		strGroups = map[string]int{}
-	default:
-		groups = map[string]int{}
+	var runs []SpillHandle
+	var charged int64
+	defer func() { h.Mem.Release(charged) }()
+	var admit func(j int) bool
+	if h.Mem.Limited() && h.Spill != nil && len(h.keys) > 0 {
+		admit = func(j int) bool {
+			cost := groupMemBytes(keyVals, j, na)
+			if table.len() > 0 && h.Mem.WouldExceed(cost) {
+				return false
+			}
+			h.Mem.Charge(cost)
+			charged += cost
+			return true
+		}
 	}
-	allKeyCols := make([]int, len(h.keys))
-	for i := range allKeyCols {
-		allKeyCols[i] = i
+	flush := func() error {
+		hd, err := writeAggRun(h.Spill, table.cols, states, na)
+		if err != nil {
+			return err
+		}
+		h.Mem.NoteSpill(hd.Size)
+		runs = append(runs, hd)
+		h.Mem.Release(charged)
+		charged = 0
+		table.reset()
+		states = states[:0]
+		return nil
 	}
 
 	for {
@@ -172,201 +222,167 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		if m == 0 {
 			continue
 		}
-		keyVals := make([]*types.Vector, len(h.keys))
-		for i, k := range h.keys {
-			v, err := expr.EvalVec(k, b, sel, h.Eng.Stats)
-			if err != nil {
+		if err := h.evalInputs(b, sel, keyVals, argVals, cntVals); err != nil {
+			return nil, err
+		}
+		gis = growIDs(gis, m)
+		if len(h.keys) == 0 {
+			clear(gis)
+			states = growStates(states, na)
+			if err := h.accumulate(states, gis, 0, m, argVals, cntVals); err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
-		}
-		argVals := make([]*types.Vector, len(h.aggs))
-		cntVals := make([]*types.Vector, len(h.aggs))
-		for i, a := range h.aggs {
-			if a.Arg != nil {
-				v, err := expr.EvalVec(a.Arg, b, sel, h.Eng.Stats)
-				if err != nil {
-					return nil, err
-				}
-				argVals[i] = v
-			}
-			if a.ArgCount != nil {
-				v, err := expr.EvalVec(a.ArgCount, b, sel, h.Eng.Stats)
-				if err != nil {
-					return nil, err
-				}
-				cntVals[i] = v
-			}
-		}
-		keyBatch := &types.Batch{Cols: keyVals}
-
-		// Resolve every row's group index for this batch.
-		gis := make([]int, m)
-		newGroup := func(j int) int {
-			gi := len(keyRows)
-			if len(h.keys) > 0 {
-				keyRows = append(keyRows, keyBatch.Row(j))
-			} else {
-				keyRows = append(keyRows, nil)
-			}
-			states = append(states, make([]aggState, len(h.aggs)))
-			return gi
-		}
-		switch {
-		case len(h.keys) == 0:
-			if len(states) == 0 {
-				newGroup(0)
-			}
-			// gis are all zero already.
-		case singleInt:
-			kv := keyVals[0]
-			ints := kv.Ints
-			for j := 0; j < m; j++ {
-				if kv.IsNull(j) {
-					if nullGroup < 0 {
-						nullGroup = newGroup(j)
-					}
-					gis[j] = nullGroup
-					continue
-				}
-				gi, ok := intGroups[ints[j]]
-				if !ok {
-					gi = newGroup(j)
-					intGroups[ints[j]] = gi
-				}
-				gis[j] = gi
-			}
-		case singleStr:
-			kv := keyVals[0]
-			strs := kv.Strs
-			for j := 0; j < m; j++ {
-				if kv.IsNull(j) {
-					if nullGroup < 0 {
-						nullGroup = newGroup(j)
-					}
-					gis[j] = nullGroup
-					continue
-				}
-				gi, ok := strGroups[strs[j]]
-				if !ok {
-					gi = newGroup(j)
-					strGroups[strs[j]] = gi
-				}
-				gis[j] = gi
-			}
-		default:
-			for j := 0; j < m; j++ {
-				keyBuf = rowKey(keyBuf, keyBatch, j, allKeyCols)
-				gi, ok := groups[string(keyBuf)]
-				if !ok {
-					gi = newGroup(j)
-					groups[string(keyBuf)] = gi
-				}
-				gis[j] = gi
-			}
-		}
-
-		// Columnar accumulation: one pass per aggregate over the batch,
-		// with typed fast paths for the count/sum/avg family.
-		for ai := range h.aggs {
-			a := h.aggs[ai]
-			argv, cntv := argVals[ai], cntVals[ai]
-			switch a.Kind {
-			case AggCountStar:
-				for _, gi := range gis {
-					states[gi][ai].count++
-				}
-			case AggCount:
-				for j, gi := range gis {
-					if !argv.IsNull(j) {
-						states[gi][ai].count++
-					}
-				}
-			case AggSum, AggAvg:
-				if argv.Typ.Physical() == types.Float64 {
-					fs := argv.Floats
-					for j, gi := range gis {
-						if argv.IsNull(j) {
-							continue
-						}
-						st := &states[gi][ai]
-						st.count++
-						st.sumF += fs[j]
-						st.init = true
-					}
-				} else {
-					is := argv.Ints // nil for non-numeric args, which sum as 0
-					for j, gi := range gis {
-						if argv.IsNull(j) {
-							continue
-						}
-						var v int64
-						if is != nil {
-							v = is[j]
-						}
-						st := &states[gi][ai]
-						st.count++
-						st.sumI += v
-						st.sumF += float64(v)
-						st.init = true
-					}
-				}
-			default:
-				// Min/Max and the merge kinds keep the Datum-based
-				// update, whose semantics are shared with the row path.
-				for j, gi := range gis {
-					var arg, cnt types.Datum
-					if argv != nil {
-						arg = argv.Datum(j)
-					}
-					if cntv != nil {
-						cnt = cntv.Datum(j)
-					}
-					if err := states[gi][ai].update(a.Kind, arg, cnt); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-
-	return h.assemble(keyRows, states)
-}
-
-// assemble renders the accumulated groups in first-seen order, adding
-// the implicit single group for a global aggregate over no rows.
-func (h *HashAggregate) assemble(keyRows []types.Row, states [][]aggState) (*types.Batch, error) {
-	if len(h.keys) == 0 && len(states) == 0 {
-		keyRows = append(keyRows, nil)
-		states = append(states, make([]aggState, len(h.aggs)))
-	}
-	out := types.NewBatch(h.schema, len(keyRows))
-	for gi := range keyRows {
-		out.AppendRow(h.renderGroup(keyRows[gi], states[gi]))
-	}
-	return out, nil
-}
-
-// renderGroup finalizes one group into an output row.
-func (h *HashAggregate) renderGroup(keyRow types.Row, states []aggState) types.Row {
-	r := make(types.Row, 0, len(h.schema))
-	r = append(r, keyRow...)
-	for ai, a := range h.aggs {
-		st := &states[ai]
-		if h.partial && a.Kind == AggAvg {
-			r = append(r, types.NewFloat(st.avgSum()), types.NewInt(st.count))
 			continue
 		}
-		r = append(r, st.result(a))
+		hs := table.hash(keyVals, nil, m)
+		for from := 0; from < m; {
+			next := table.insert(hs, keyVals, nil, from, gis, admit)
+			states = growStates(states, table.len()*na)
+			if err := h.accumulate(states, gis, from, next, argVals, cntVals); err != nil {
+				return nil, err
+			}
+			if next < m {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			}
+			from = next
+		}
 	}
-	return r
+
+	if len(runs) == 0 {
+		return h.assemble(table.cols, states, table.len()), nil
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	return h.mergeAggRuns(runs)
 }
 
-// nextRow is the original row-engine aggregation path.
+// growStates extends the flat state array to n zeroed entries.
+func growStates(states []aggState, n int) []aggState {
+	if n <= len(states) {
+		return states
+	}
+	if n > cap(states) {
+		grown := make([]aggState, n, max(n, 2*cap(states)))
+		copy(grown, states)
+		return grown
+	}
+	clear(states[len(states):n]) // storage reused after a flush
+	return states[:n]
+}
+
+// accumulate folds rows [lo, hi) of one batch into the flat state array:
+// gis[j] is the group of row j of the (dense) argument vectors. One pass
+// per aggregate, with typed fast paths for the count/sum/avg family.
+func (h *HashAggregate) accumulate(states []aggState, gis []int32, lo, hi int, argVals, cntVals []*types.Vector) error {
+	na := len(h.aggs)
+	for ai, a := range h.aggs {
+		argv, cntv := argVals[ai], cntVals[ai]
+		switch a.Kind {
+		case AggCountStar:
+			for j := lo; j < hi; j++ {
+				states[int(gis[j])*na+ai].count++
+			}
+		case AggCount:
+			for j := lo; j < hi; j++ {
+				if !argv.IsNull(j) {
+					states[int(gis[j])*na+ai].count++
+				}
+			}
+		case AggSum, AggAvg:
+			if argv.Typ.Physical() == types.Float64 {
+				fs := argv.Floats
+				for j := lo; j < hi; j++ {
+					if argv.IsNull(j) {
+						continue
+					}
+					st := &states[int(gis[j])*na+ai]
+					st.count++
+					st.sumF += fs[j]
+					st.init = true
+				}
+			} else {
+				is := argv.Ints // nil for non-numeric args, which sum as 0
+				for j := lo; j < hi; j++ {
+					if argv.IsNull(j) {
+						continue
+					}
+					var v int64
+					if is != nil {
+						v = is[j]
+					}
+					st := &states[int(gis[j])*na+ai]
+					st.count++
+					st.sumI += v
+					st.sumF += float64(v)
+					st.init = true
+				}
+			}
+		default:
+			// Min/Max and the merge kinds keep the Datum-based
+			// update, whose semantics are shared with the row path.
+			for j := lo; j < hi; j++ {
+				if err := states[int(gis[j])*na+ai].updateAt(a.Kind, argv, cntv, j); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// assemble renders the accumulated groups in id order: keyCols hold one
+// value per group and become the key output columns as they are; states
+// is the flat per-group state array. A global aggregate always has its
+// one group, even over no rows.
+func (h *HashAggregate) assemble(keyCols []*types.Vector, states []aggState, groups int) *types.Batch {
+	na := len(h.aggs)
+	if len(h.keys) == 0 {
+		states, groups = growStates(states, na), 1
+	}
+	out := &types.Batch{Cols: make([]*types.Vector, 0, len(h.schema))}
+	for c := range h.keys {
+		if keyCols == nil { // grouped aggregate over no rows
+			out.Cols = append(out.Cols, types.NewVector(h.schema[c].Type, 0))
+			continue
+		}
+		v := *keyCols[c]
+		v.Typ = h.schema[c].Type
+		out.Cols = append(out.Cols, &v)
+	}
+	for ai, a := range h.aggs {
+		if h.partial && a.Kind == AggAvg {
+			sum, cnt := types.NewVector(types.Float64, groups), types.NewVector(types.Int64, groups)
+			for g := 0; g < groups; g++ {
+				st := &states[g*na+ai]
+				sum.Floats = append(sum.Floats, st.avgSum())
+				cnt.Ints = append(cnt.Ints, st.count)
+			}
+			out.Cols = append(out.Cols, sum, cnt)
+			continue
+		}
+		col := types.NewVector(h.schema[len(out.Cols)].Type, groups)
+		for g := 0; g < groups; g++ {
+			col.Append(states[g*na+ai].result(a))
+		}
+		out.Cols = append(out.Cols, col)
+	}
+	return out
+}
+
+// nextRow is the row-engine aggregation path and the reference the
+// vectorized one is tested against: groups resolve row at a time through
+// rowKey and a string-keyed map.
 func (h *HashAggregate) nextRow() (*types.Batch, error) {
+	na := len(h.aggs)
 	groups := map[string]int{} // key -> group index
-	var keyRows []types.Row    // materialized group key values
-	var states [][]aggState
+	keys := types.NewBatch(h.schema[:len(h.keys)], 0)
+	var states []aggState
+	keyVals := make([]*types.Vector, len(h.keys))
+	argVals := make([]*types.Vector, na)
+	cntVals := make([]*types.Vector, na)
 
 	var keyBuf []byte
 	for {
@@ -377,74 +393,44 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 		if b == nil {
 			break
 		}
-		// Evaluate key expressions and aggregate arguments per batch.
-		keyVals := make([]*types.Vector, len(h.keys))
-		for i, k := range h.keys {
-			v, err := expr.EvalBatch(k, b)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		argVals := make([]*types.Vector, len(h.aggs))
-		cntVals := make([]*types.Vector, len(h.aggs))
-		for i, a := range h.aggs {
-			if a.Arg != nil {
-				v, err := expr.EvalBatch(a.Arg, b)
-				if err != nil {
-					return nil, err
-				}
-				argVals[i] = v
-			}
-			if a.ArgCount != nil {
-				v, err := expr.EvalBatch(a.ArgCount, b)
-				if err != nil {
-					return nil, err
-				}
-				cntVals[i] = v
-			}
+		if err := h.evalInputs(b, nil, keyVals, argVals, cntVals); err != nil {
+			return nil, err
 		}
 		keyBatch := &types.Batch{Cols: keyVals}
-		allKeyCols := make([]int, len(h.keys))
-		for i := range allKeyCols {
-			allKeyCols[i] = i
-		}
 		n := b.NumRows()
 		for i := 0; i < n; i++ {
-			var gi int
+			gi := 0
 			if len(h.keys) > 0 {
-				keyBuf = rowKey(keyBuf, keyBatch, i, allKeyCols)
-				idx, ok := groups[string(keyBuf)]
-				if !ok {
-					idx = len(keyRows)
-					groups[string(keyBuf)] = idx
-					keyRows = append(keyRows, keyBatch.Row(i))
-					states = append(states, make([]aggState, len(h.aggs)))
+				keyBuf = rowKey(keyBuf, keyBatch, i, nil)
+				var ok bool
+				if gi, ok = groups[string(keyBuf)]; !ok {
+					gi = len(groups)
+					groups[string(keyBuf)] = gi
+					keys.AppendRow(keyBatch.Row(i))
 				}
-				gi = idx
-			} else {
-				if len(states) == 0 {
-					keyRows = append(keyRows, nil)
-					states = append(states, make([]aggState, len(h.aggs)))
-				}
-				gi = 0
 			}
-			for ai := range h.aggs {
-				var arg, cnt types.Datum
-				if argVals[ai] != nil {
-					arg = argVals[ai].Datum(i)
-				}
-				if cntVals[ai] != nil {
-					cnt = cntVals[ai].Datum(i)
-				}
-				if err := states[gi][ai].update(h.aggs[ai].Kind, arg, cnt); err != nil {
+			states = growStates(states, (gi+1)*na)
+			for ai, a := range h.aggs {
+				if err := states[gi*na+ai].updateAt(a.Kind, argVals[ai], cntVals[ai], i); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
+	return h.assemble(keys.Cols, states, keys.NumRows()), nil
+}
 
-	return h.assemble(keyRows, states)
+// updateAt folds row j of the argument vectors (nil for an aggregate
+// without that argument) into s.
+func (s *aggState) updateAt(kind AggKind, argv, cntv *types.Vector, j int) error {
+	var arg, cnt types.Datum
+	if argv != nil {
+		arg = argv.Datum(j)
+	}
+	if cntv != nil {
+		cnt = cntv.Datum(j)
+	}
+	return s.update(kind, arg, cnt)
 }
 
 func (s *aggState) update(kind AggKind, arg, cnt types.Datum) error {
@@ -482,22 +468,16 @@ func (s *aggState) update(kind AggKind, arg, cnt types.Datum) error {
 		if arg.Null {
 			return nil
 		}
-		if !s.init || arg.Compare(s.min) < 0 {
-			s.min = arg
-		}
-		if !s.init || arg.Compare(s.max) > 0 {
-			s.max = arg
+		if !s.init || arg.Compare(s.ext) < 0 {
+			s.ext = arg
 		}
 		s.init = true
 	case AggMax:
 		if arg.Null {
 			return nil
 		}
-		if !s.init || arg.Compare(s.max) > 0 {
-			s.max = arg
-		}
-		if !s.init || arg.Compare(s.min) < 0 {
-			s.min = arg
+		if !s.init || arg.Compare(s.ext) > 0 {
+			s.ext = arg
 		}
 		s.init = true
 	default:
@@ -525,16 +505,11 @@ func (s *aggState) result(a AggDef) types.Datum {
 			return types.NullDatum(types.Float64)
 		}
 		return types.NewFloat(s.sumF / float64(s.count))
-	case AggMin:
+	case AggMin, AggMax:
 		if !s.init {
 			return types.NullDatum(a.resultType())
 		}
-		return s.min
-	case AggMax:
-		if !s.init {
-			return types.NullDatum(a.resultType())
-		}
-		return s.max
+		return s.ext
 	}
 	return types.Datum{}
 }

@@ -5,188 +5,69 @@ import (
 	"container/heap"
 	"sort"
 
-	"eon/internal/expr"
 	"eon/internal/types"
 )
 
-// groupMemBytes estimates the resident cost of one hash-table group: map
-// entry and slice headers, the encoded key, the materialized key row and
-// the aggregate state array.
-func groupMemBytes(keyLen, nKeys, nAggs int) int64 {
-	return int64(64 + 2*keyLen + 56*nKeys + 80*nAggs)
+// groupMemBytes estimates the resident cost of the group row j of
+// keyVals would open: its share of the table's slots, its key values and
+// its aggregate states.
+func groupMemBytes(keyVals []*types.Vector, j, nAggs int) int64 {
+	const stateBytes = 80 // one aggState
+	n := int64(32 + 24*len(keyVals) + stateBytes*nAggs)
+	for _, v := range keyVals {
+		if v.Typ.Physical() == types.Varchar {
+			n += int64(len(v.Strs[j]))
+		}
+	}
+	return n
 }
 
 // merge folds another partial state for the same group and aggregate
-// into s. The fields update maintains are all mergeable independent of
-// kind: counts and sums add, min/max compare, init ors.
-func (s *aggState) merge(o *aggState) {
+// into s. Counts and sums add whatever the kind (an aggregate that does
+// not use them leaves them zero); the extreme compares the way kind says.
+func (s *aggState) merge(o *aggState, kind AggKind) {
 	s.count += o.count
 	s.sumI += o.sumI
 	s.sumF += o.sumF
 	if o.init {
-		if !s.init {
-			s.min, s.max = o.min, o.max
-		} else {
-			if o.min.Compare(s.min) < 0 {
-				s.min = o.min
-			}
-			if o.max.Compare(s.max) > 0 {
-				s.max = o.max
-			}
+		c := 0
+		if s.init {
+			c = o.ext.Compare(s.ext)
+		}
+		if !s.init || (kind == AggMin && c < 0) || (kind == AggMax && c > 0) {
+			s.ext = o.ext
 		}
 		s.init = true
 	}
 }
 
-// nextSpill is the budget-governed aggregation path: expressions still
-// evaluate vectorized, but group resolution runs row-at-a-time against a
-// generic byte-key table so any prefix of it can spill as a key-sorted
-// run the moment the governor reports the budget exhausted.
-func (h *HashAggregate) nextSpill() (*types.Batch, error) {
-	groups := map[string]int{}
-	var groupKeys [][]byte
-	var keyRows []types.Row
-	var states [][]aggState
-	var keyBuf []byte
-	var runs []SpillHandle
-	var charged int64
-
-	allKeyCols := make([]int, len(h.keys))
-	for i := range allKeyCols {
-		allKeyCols[i] = i
-	}
-
-	flush := func() error {
-		if len(keyRows) == 0 {
-			return nil
-		}
-		hd, err := writeAggRun(h.Spill, groupKeys, keyRows, states)
-		if err != nil {
-			return err
-		}
-		h.Mem.NoteSpill(hd.Size)
-		runs = append(runs, hd)
-		h.Mem.Release(charged)
-		charged = 0
-		groups = map[string]int{}
-		groupKeys, keyRows, states = nil, nil, nil
-		return nil
-	}
-
-	for {
-		b, sel, err := pullSel(h.input)
-		if err != nil {
-			h.Mem.Release(charged)
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		m := selLen(b, sel)
-		if m == 0 {
-			continue
-		}
-		keyVals := make([]*types.Vector, len(h.keys))
-		for i, k := range h.keys {
-			v, err := expr.EvalVec(k, b, sel, h.Eng.Stats)
-			if err != nil {
-				h.Mem.Release(charged)
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		argVals := make([]*types.Vector, len(h.aggs))
-		cntVals := make([]*types.Vector, len(h.aggs))
-		for i, a := range h.aggs {
-			if a.Arg != nil {
-				v, err := expr.EvalVec(a.Arg, b, sel, h.Eng.Stats)
-				if err != nil {
-					h.Mem.Release(charged)
-					return nil, err
-				}
-				argVals[i] = v
-			}
-			if a.ArgCount != nil {
-				v, err := expr.EvalVec(a.ArgCount, b, sel, h.Eng.Stats)
-				if err != nil {
-					h.Mem.Release(charged)
-					return nil, err
-				}
-				cntVals[i] = v
-			}
-		}
-		keyBatch := &types.Batch{Cols: keyVals}
-
-		for j := 0; j < m; j++ {
-			keyBuf = rowKey(keyBuf, keyBatch, j, allKeyCols)
-			gi, ok := groups[string(keyBuf)]
-			if !ok {
-				cost := groupMemBytes(len(keyBuf), len(h.keys), len(h.aggs))
-				if len(keyRows) > 0 && h.Mem.WouldExceed(cost) {
-					if err := flush(); err != nil {
-						h.Mem.Release(charged)
-						return nil, err
-					}
-				}
-				gi = len(keyRows)
-				groups[string(keyBuf)] = gi
-				groupKeys = append(groupKeys, append([]byte(nil), keyBuf...))
-				keyRows = append(keyRows, keyBatch.Row(j))
-				states = append(states, make([]aggState, len(h.aggs)))
-				h.Mem.Charge(cost)
-				charged += cost
-			}
-			for ai := range h.aggs {
-				var arg, cnt types.Datum
-				if argVals[ai] != nil {
-					arg = argVals[ai].Datum(j)
-				}
-				if cntVals[ai] != nil {
-					cnt = cntVals[ai].Datum(j)
-				}
-				if err := states[gi][ai].update(h.aggs[ai].Kind, arg, cnt); err != nil {
-					h.Mem.Release(charged)
-					return nil, err
-				}
-			}
-		}
-	}
-
-	if len(runs) == 0 {
-		// Budget never tripped: output identical to the ungoverned path
-		// (first-seen group order).
-		defer func() { h.Mem.Release(charged) }()
-		return h.assemble(keyRows, states)
-	}
-	if err := flush(); err != nil {
-		h.Mem.Release(charged)
-		return nil, err
-	}
-	return h.mergeAggRuns(runs)
-}
-
-// writeAggRun spills the current group table as one run, sorted by
-// encoded key bytes so runs can merge with a heap.
-func writeAggRun(st SpillStore, keys [][]byte, keyRows []types.Row, states [][]aggState) (SpillHandle, error) {
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
+// writeAggRun spills the group table as one run, sorted by the rowKey
+// encoding of each group's key (rendered here, the only place the
+// vectorized path needs it) so runs can merge with a heap.
+func writeAggRun(st SpillStore, keyCols []*types.Vector, states []aggState, na int) (SpillHandle, error) {
+	keyBatch := &types.Batch{Cols: keyCols}
+	n := keyBatch.NumRows()
+	keys := make([][]byte, n)
+	order := make([]int, n)
+	for gi := range keys {
+		keys[gi] = rowKey(nil, keyBatch, gi, nil)
+		order[gi] = gi
 	}
 	sort.Slice(order, func(a, b int) bool {
 		return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
 	})
 	var buf, frame []byte
-	n := 0
+	recs := 0
 	for _, gi := range order {
-		frame = appendAggRecord(frame, keys[gi], keyRows[gi], states[gi])
-		n++
-		if n == aggRecsPerFrame {
+		frame = appendAggRecord(frame, keys[gi], keyBatch.Row(gi), states[gi*na:(gi+1)*na])
+		recs++
+		if recs == aggRecsPerFrame {
 			buf = appendFrame(buf, frame)
 			frame = frame[:0]
-			n = 0
+			recs = 0
 		}
 	}
-	if n > 0 {
+	if recs > 0 {
 		buf = appendFrame(buf, frame)
 	}
 	return st.Put("aggrun", buf)
@@ -233,7 +114,8 @@ func (h *HashAggregate) mergeAggRuns(runs []SpillHandle) (*types.Batch, error) {
 	}
 	heap.Init(m)
 
-	out := types.NewBatch(h.schema, 0)
+	keys := types.NewBatch(h.schema[:len(h.keys)], 0)
+	var states []aggState
 	advance := func() error {
 		c := m.cursors[m.idx[0]]
 		c.pos++
@@ -255,13 +137,14 @@ func (h *HashAggregate) mergeAggRuns(runs []SpillHandle) (*types.Batch, error) {
 		for len(m.idx) > 0 && bytes.Equal(m.cursors[m.idx[0]].head().key, cur.key) {
 			next := m.cursors[m.idx[0]].head()
 			for ai := range cur.states {
-				cur.states[ai].merge(&next.states[ai])
+				cur.states[ai].merge(&next.states[ai], h.aggs[ai].Kind)
 			}
 			if err := advance(); err != nil {
 				return nil, err
 			}
 		}
-		out.AppendRow(h.renderGroup(cur.row, cur.states))
+		keys.AppendRow(cur.row)
+		states = append(states, cur.states...)
 	}
-	return out, nil
+	return h.assemble(keys.Cols, states, keys.NumRows()), nil
 }

@@ -1,41 +1,85 @@
 package exec
 
 import (
+	"eon/internal/obs"
 	"eon/internal/types"
 )
 
-// HashJoin is an inner equi-join: the left (build) input is fully
-// materialized into a hash table keyed on the build columns, then the
-// right (probe) input streams through. The output schema is the left
-// schema followed by the right schema.
+// HashJoin is an inner equi-join that picks its build side while it runs:
+// it pulls from whichever input has fewer rows buffered (ties: the first)
+// until one ends, and hashes that one. The lesser side is always the one
+// pulled, so the larger can never end first: the input with fewer rows
+// builds (the first on a tie) whatever the batch sizes, and at most the
+// smaller input plus one batch of the other is held. The other side's
+// buffered batches are probed first, then the rest of it streams. An
+// empty input ends the join without draining the other, unless the other
+// is marked Exchanged.
+//
+// The output is the first input's columns then the second's, whichever
+// built, in probe-side stream order; the matches of one probe row come
+// in build-side stream order. A probe batch whose every row matches
+// exactly once passes its columns through: like Filter's, the output may
+// share vectors with the input (Operator.Next: batches are read-only).
 type HashJoin struct {
-	build     Operator
-	probe     Operator
-	buildKeys []int
-	probeKeys []int
-	schema    types.Schema
-	Eng       Engine
+	in     [2]Operator
+	keys   [2][]int
+	schema types.Schema
+	Eng    Engine
 
-	// Mem, when set, is charged for the materialized build side and the
-	// hash table for the lifetime of the probe (released when the probe
-	// exhausts). The build side does not spill — grace hash join is an
-	// open roadmap item — so the charge documents rather than bounds it.
+	// Mem, when set, is charged for every batch buffered while the side
+	// is chosen, then for the concatenated build side and its table until
+	// the probe ends. The build side does not spill (grace hash join is an
+	// open roadmap item), so the charge documents rather than bounds it.
 	Mem *MemGovernor
+	// Span, when set, receives build_rows, probe_rows and build_second
+	// (1 when the second input built).
+	Span *obs.Span
+	// Exchanged marks an input fed through a cross-node exchange: bounded
+	// edges whose producers serve every node's join and stall all of them
+	// while one node does not pull. Such an input is never abandoned (an
+	// early end drains and discards the rest of it), and when both inputs
+	// are exchanged the first is taken whole before the second is touched,
+	// so every node pulls the two exchanges in the same order and none
+	// waits on a producer that is stuck on another node's idle edge. The
+	// side is still chosen by size; the join then holds the whole first
+	// input plus at most as many rows of the second, and one batch.
+	Exchanged [2]bool
 
-	built    bool
-	table    map[string][]int // key -> build row indexes
-	tableInt map[int64][]int  // typed path: single Int64-physical key
-	intKey   bool
-	buildAll *types.Batch
-	charged  int64
+	done    bool
+	ended   [2]bool       // the input has returned end-of-stream
+	build   int           // index of the build input, valid once all is set
+	buf     [2][]selBatch // batches pulled while choosing the side
+	rows    [2]int        // rows buffered per side
+	charged int64
+
+	all   *types.Batch     // the build side, concatenated
+	table keyTable         // vectorized engine: key -> id
+	byKey map[string]int32 // row engine, the reference: rowKey -> id
+	first []int32          // per id: first build row with that key, +1
+	next  []int32          // per build row: next row with that key, +1; 0 ends
+
+	// Scratch reused across probe batches.
+	sel      []int
+	ids      []int32
+	keyCols  []*types.Vector
+	buildIdx []int
+	probeIdx []int
+	rowKey   []byte
 }
 
-// NewHashJoin creates an inner hash join on build.cols == probe.cols.
-func NewHashJoin(build, probe Operator, buildKeys, probeKeys []int) *HashJoin {
-	schema := append(append(types.Schema{}, build.Schema()...), probe.Schema()...)
+// selBatch is a held batch: its live rows (nil = all), the bytes charged.
+type selBatch struct {
+	b   *types.Batch
+	sel []int
+	mem int64
+}
+
+// NewHashJoin creates an inner hash join on first.cols == second.cols.
+func NewHashJoin(first, second Operator, firstKeys, secondKeys []int) *HashJoin {
+	schema := append(append(types.Schema{}, first.Schema()...), second.Schema()...)
 	return &HashJoin{
-		build: build, probe: probe,
-		buildKeys: buildKeys, probeKeys: probeKeys,
+		in:     [2]Operator{first, second},
+		keys:   [2][]int{firstKeys, secondKeys},
 		schema: schema,
 	}
 }
@@ -43,45 +87,189 @@ func NewHashJoin(build, probe Operator, buildKeys, probeKeys []int) *HashJoin {
 // Schema implements Operator.
 func (h *HashJoin) Schema() types.Schema { return h.schema }
 
-func (h *HashJoin) buildTable() error {
-	all, err := Collect(h.build)
-	if err != nil {
-		return err
+// charge moves the governor by n bytes, up or down.
+func (h *HashJoin) charge(n int64) {
+	if n > 0 {
+		h.Mem.Charge(n)
+	} else {
+		h.Mem.Release(-n)
 	}
-	h.buildAll = all
-	// Batch bytes plus per-row hash-table entry overhead.
-	h.charged = BatchMemBytes(all) + 16*int64(all.NumRows())
-	h.Mem.Charge(h.charged)
-	// A single Int64-physical key pair hashes on the raw int64 instead
-	// of an encoded byte string. (Mismatched physical classes keep the
-	// tagged encoding, which correctly never matches across classes.)
-	h.intKey = !h.Eng.Row && len(h.buildKeys) == 1 &&
-		h.build.Schema()[h.buildKeys[0]].Type.Physical() == types.Int64 &&
-		h.probe.Schema()[h.probeKeys[0]].Type.Physical() == types.Int64
-	if h.intKey {
-		h.tableInt = make(map[int64][]int, all.NumRows())
-		col := all.Cols[h.buildKeys[0]]
-		for i := 0; i < all.NumRows(); i++ {
-			// SQL join semantics: NULL keys never match.
-			if col.IsNull(i) {
-				continue
+	h.charged += n
+}
+
+// finish ends the join on every exit path: nothing stays charged or held,
+// and an exchanged input is read to its end (a failing query is torn down
+// as a whole instead).
+func (h *HashJoin) finish(err error) (*types.Batch, error) {
+	h.charge(-h.charged)
+	h.done = true
+	h.buf, h.all, h.table, h.byKey, h.first, h.next = [2][]selBatch{}, nil, keyTable{}, nil, nil, nil
+	for side := range h.in {
+		for h.Exchanged[side] && !h.ended[side] && err == nil {
+			_, _, err = h.fetch(side)
+		}
+	}
+	return nil, err
+}
+
+// fetch returns a side's next batch that holds a live row, nil at (and
+// after) its end.
+func (h *HashJoin) fetch(side int) (*types.Batch, []int, error) {
+	for !h.ended[side] {
+		b, sel, err := pullSel(h.in[side])
+		if b == nil {
+			h.ended[side] = true
+			return nil, nil, err
+		}
+		if selLen(b, sel) > 0 {
+			return b, sel, nil
+		}
+	}
+	return nil, nil, nil
+}
+
+// pull buffers a side's next batch; false is the side's end.
+func (h *HashJoin) pull(side int) (bool, error) {
+	b, sel, err := h.fetch(side)
+	if b == nil {
+		return false, err
+	}
+	sb := selBatch{b: b, sel: sel, mem: BatchMemBytes(b) + 8*int64(len(sel))}
+	h.charge(sb.mem)
+	h.buf[side] = append(h.buf[side], sb)
+	h.rows[side] += selLen(b, sel)
+	return true, nil
+}
+
+// pop takes the oldest buffered batch of a side and stops charging for it.
+func (h *HashJoin) pop(side int) selBatch {
+	sb := h.buf[side][0]
+	h.buf[side][0] = selBatch{}
+	h.buf[side] = h.buf[side][1:]
+	h.charge(-sb.mem)
+	return sb
+}
+
+// choose buffers both inputs, always pulling the side with fewer rows,
+// until one ends; that side builds. Two exchanged inputs are pulled first
+// to its end, then second: the second then builds if it ends with fewer
+// rows, the first as soon as the second has as many. It reports false
+// when the build side is empty.
+func (h *HashJoin) choose() (bool, error) {
+	for h.Exchanged[0] && h.Exchanged[1] && !h.ended[0] {
+		if _, err := h.pull(0); err != nil {
+			return false, err
+		}
+	}
+	for {
+		side := 0
+		if h.rows[1] < h.rows[0] {
+			side = 1
+		}
+		if more, err := h.pull(side); err != nil {
+			return false, err
+		} else if !more {
+			h.build = side
+			return h.rows[side] > 0, nil
+		}
+	}
+}
+
+// keyIDs resolves the selected rows of b to key ids by side's key
+// columns: the vectorized engine through the key table, the row engine
+// through rowKey and a map. Rows with a NULL key are dropped first (SQL:
+// NULL keys never match). An unseen key draws the next id if add is set,
+// else -1. Both results are scratch: the narrowed selection and its ids.
+func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int, []int32) {
+	keys := h.keys[side]
+	h.keyCols = h.keyCols[:0]
+	hasNulls := false
+	for _, c := range keys {
+		h.keyCols = append(h.keyCols, b.Cols[c])
+		hasNulls = hasNulls || b.Cols[c].Nulls != nil
+	}
+	if hasNulls {
+		m := selLen(b, sel)
+		if cap(h.sel) < m {
+			h.sel = make([]int, 0, m)
+		}
+		h.sel = h.sel[:0]
+		for j := 0; j < m; j++ {
+			if i := selRow(sel, j); !anyNull(b, i, keys) {
+				h.sel = append(h.sel, i)
 			}
-			h.tableInt[col.Ints[i]] = append(h.tableInt[col.Ints[i]], i)
 		}
-		h.built = true
-		return nil
+		sel = h.sel
 	}
-	h.table = make(map[string][]int, all.NumRows())
-	var key []byte
-	for i := 0; i < all.NumRows(); i++ {
-		if anyNull(all, i, h.buildKeys) {
-			continue
+	m := selLen(b, sel)
+	h.ids = growIDs(h.ids, m)
+	if !h.Eng.Row {
+		hs := h.table.hash(h.keyCols, sel, m)
+		if add {
+			h.table.reserve(m)
+			h.table.insert(hs, h.keyCols, sel, 0, h.ids, nil)
+		} else {
+			h.table.find(hs, h.keyCols, sel, h.ids)
 		}
-		key = rowKey(key, all, i, h.buildKeys)
-		h.table[string(key)] = append(h.table[string(key)], i)
+		return sel, h.ids
 	}
-	h.built = true
-	return nil
+	if h.byKey == nil {
+		h.byKey = map[string]int32{}
+	}
+	for j := range h.ids {
+		h.rowKey = rowKey(h.rowKey, b, selRow(sel, j), keys)
+		id, ok := h.byKey[string(h.rowKey)]
+		if !ok {
+			id = -1
+			if add {
+				id = int32(len(h.byKey))
+				h.byKey[string(h.rowKey)] = id
+			}
+		}
+		h.ids[j] = id
+	}
+	return sel, h.ids
+}
+
+// buildTable concatenates the build side at its exact size and indexes
+// it, replacing the buffered batches' charge with the real one.
+func (h *HashJoin) buildTable() {
+	side := h.build
+	all := types.NewBatch(h.in[side].Schema(), h.rows[side])
+	for len(h.buf[side]) > 0 {
+		if sb := h.pop(side); sb.sel == nil {
+			all.AppendBatch(sb.b)
+		} else {
+			all.AppendBatch(sb.b.Gather(sb.sel))
+		}
+	}
+	h.all = all
+	sel, ids := h.keyIDs(all, nil, side, true)
+	// Chain the rows of one key in build order: walking backwards and
+	// pushing at the head leaves every chain ascending.
+	h.first = make([]int32, max(h.table.len(), len(h.byKey)))
+	h.next = make([]int32, all.NumRows())
+	for j := len(ids) - 1; j >= 0; j-- {
+		i := selRow(sel, j)
+		h.next[i] = h.first[ids[j]]
+		h.first[ids[j]] = int32(i) + 1
+	}
+	h.charge(BatchMemBytes(all) + h.table.memBytes() + 4*int64(len(h.first)+len(h.next)))
+	h.Span.AddAttr("build_rows", int64(all.NumRows()))
+	h.Span.AddAttr("build_second", int64(side))
+}
+
+// isIdentity reports whether idx is exactly 0..n-1.
+func isIdentity(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for j, i := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 func anyNull(b *types.Batch, i int, cols []int) bool {
@@ -95,59 +283,72 @@ func anyNull(b *types.Batch, i int, cols []int) bool {
 
 // Next implements Operator.
 func (h *HashJoin) Next() (*types.Batch, error) {
-	if !h.built {
-		if err := h.buildTable(); err != nil {
-			return nil, err
-		}
+	if h.done {
+		return nil, nil
 	}
-	var key []byte
+	if h.all == nil {
+		ok, err := h.choose()
+		if err != nil || !ok {
+			return h.finish(err)
+		}
+		h.buildTable()
+	}
+	probe := 1 - h.build
 	for {
+		// The batches buffered while the side was chosen go first, then
+		// the rest of the stream.
 		var pb *types.Batch
 		var sel []int
-		var err error
-		if h.Eng.Row {
-			pb, err = h.probe.Next()
+		if len(h.buf[probe]) > 0 {
+			sb := h.pop(probe)
+			pb, sel = sb.b, sb.sel
+		} else if b, s, err := h.fetch(probe); b == nil {
+			return h.finish(err)
 		} else {
-			pb, sel, err = pullSel(h.probe)
+			pb, sel = b, s
 		}
-		if err != nil || pb == nil {
-			h.Mem.Release(h.charged)
-			h.charged = 0
-			return nil, err
+		h.Span.AddAttr("probe_rows", int64(selLen(pb, sel)))
+
+		// Matching row pairs in probe order and, per probe row, build
+		// order. One match per probe row is the common case (a key joined
+		// to its foreign keys); duplicates grow the scratch from there.
+		sel, ids := h.keyIDs(pb, sel, probe, false)
+		if cap(h.buildIdx) < len(ids) {
+			h.buildIdx, h.probeIdx = make([]int, 0, len(ids)), make([]int, 0, len(ids))
 		}
-		var leftIdx, rightIdx []int
-		m := selLen(pb, sel)
-		if h.intKey {
-			col := pb.Cols[h.probeKeys[0]]
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if col.IsNull(i) {
-					continue
-				}
-				for _, bi := range h.tableInt[col.Ints[i]] {
-					leftIdx = append(leftIdx, bi)
-					rightIdx = append(rightIdx, i)
-				}
+		h.buildIdx, h.probeIdx = h.buildIdx[:0], h.probeIdx[:0]
+		for j, id := range ids {
+			if id < 0 {
+				continue
 			}
-		} else {
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if anyNull(pb, i, h.probeKeys) {
-					continue
-				}
-				key = rowKey(key, pb, i, h.probeKeys)
-				for _, bi := range h.table[string(key)] {
-					leftIdx = append(leftIdx, bi)
-					rightIdx = append(rightIdx, i)
-				}
+			for bi := h.first[id]; bi > 0; bi = h.next[bi-1] {
+				h.buildIdx = append(h.buildIdx, int(bi-1))
+				h.probeIdx = append(h.probeIdx, selRow(sel, j))
 			}
 		}
-		if len(leftIdx) == 0 {
+		if len(h.buildIdx) == 0 {
 			continue
 		}
-		left := h.buildAll.Gather(leftIdx)
-		right := pb.Gather(rightIdx)
-		out := &types.Batch{Cols: append(left.Cols, right.Cols...)}
+
+		idx := [2][]int{h.probeIdx, h.probeIdx}
+		src := [2]*types.Batch{pb, pb}
+		idx[h.build], src[h.build] = h.buildIdx, h.all
+		if isIdentity(h.probeIdx, pb.NumRows()) {
+			// Every probe row matched exactly once, in order (an
+			// unfiltered fact table against its dimension): its columns
+			// pass through uncopied. Worth 0.7 MB/op of tpch_warm's 12.4
+			// (EXPERIMENTS.md).
+			idx[probe] = nil
+		}
+		out := &types.Batch{Cols: make([]*types.Vector, 0, len(h.schema))}
+		for side := range src {
+			for _, c := range src[side].Cols {
+				if idx[side] != nil {
+					c = c.Gather(idx[side])
+				}
+				out.Cols = append(out.Cols, c)
+			}
+		}
 		return out, nil
 	}
 }

@@ -370,9 +370,7 @@ func appendAggState(dst []byte, s *aggState) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = appendDatum(dst, s.min)
-	dst = appendDatum(dst, s.max)
-	return dst
+	return appendDatum(dst, s.ext)
 }
 
 func (r *byteReader) aggState() aggState {
@@ -381,8 +379,7 @@ func (r *byteReader) aggState() aggState {
 	s.sumI = int64(r.u64())
 	s.sumF = math.Float64frombits(r.u64())
 	s.init = r.u8() == 1
-	s.min = r.datum()
-	s.max = r.datum()
+	s.ext = r.datum()
 	return s
 }
 

@@ -48,6 +48,17 @@ func randOpBatch(r *rand.Rand, n int, nullProb float64) *types.Batch {
 	return b
 }
 
+// trickyOpBatch is a diffOpSchema batch over the values hash equality
+// gets wrong first (NULL vs "", +0.0 vs -0.0, NaN bit patterns), with
+// few enough distinct values that keys repeat.
+func trickyOpBatch(r *rand.Rand, n int) *types.Batch {
+	b := &types.Batch{}
+	for _, col := range diffOpSchema {
+		b.Cols = append(b.Cols, trickyVector(r, col.Type, n, 5, 0.2))
+	}
+	return b
+}
+
 func mustBind(t *testing.T, e expr.Expr, s types.Schema) expr.Expr {
 	t.Helper()
 	if err := expr.Bind(e, s); err != nil {
@@ -165,12 +176,14 @@ func TestHashAggregateDifferential(t *testing.T) {
 		{&expr.ColumnRef{Name: "s"}},
 		{&expr.ColumnRef{Name: "k"}, &expr.ColumnRef{Name: "s"}},
 		{&expr.ColumnRef{Name: "k"}, &expr.ColumnRef{Name: "d"}},
+		{&expr.ColumnRef{Name: "v"}},
+		{&expr.ColumnRef{Name: "s"}, &expr.ColumnRef{Name: "v"}, &expr.ColumnRef{Name: "k"}},
 	}
-	for iter := 0; iter < 100; iter++ {
+	for iter := 0; iter < 140; iter++ {
 		ks := keySets[iter%len(keySets)]
 		n := []int{0, 1, 13, 90}[r.Intn(4)]
 		nullProb := []float64{0, 0.25, 1}[r.Intn(3)]
-		batches := []*types.Batch{randOpBatch(r, n, nullProb), randOpBatch(r, r.Intn(40), nullProb)}
+		batches := []*types.Batch{randOpBatch(r, n, nullProb), randOpBatch(r, r.Intn(40), nullProb), trickyOpBatch(r, r.Intn(60))}
 		partial := r.Intn(2) == 0
 		label := fmt.Sprintf("iter %d keys=%d n=%d null=%.2f partial=%v", iter, len(ks), n, nullProb, partial)
 		runBoth(t, label, func(eng Engine) Operator {
@@ -198,18 +211,29 @@ func TestHashAggregateDifferential(t *testing.T) {
 
 func TestHashJoinDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 60; iter++ {
+	keySets := [][2][]int{
+		{{0}, {0}},
+		{{0, 2}, {0, 2}},
+		{{1}, {1}},       // float keys: -0.0, +0.0 and NaNs
+		{{2, 1}, {2, 1}}, // "" vs NULL, then floats
+		{{0}, {1}},       // int against float: classes differ, nothing joins
+	}
+	for iter := 0; iter < 150; iter++ {
 		nullProb := []float64{0, 0.2}[r.Intn(2)]
-		buildB := randOpBatch(r, r.Intn(40), nullProb)
-		probeB := []*types.Batch{randOpBatch(r, r.Intn(60), nullProb), randOpBatch(r, r.Intn(20), nullProb)}
-		multi := r.Intn(2) == 0
-		label := fmt.Sprintf("iter %d multi=%v", iter, multi)
+		// Either side may be the smaller one, and both arrive in several
+		// batches, so both build directions and the buffered-probe path
+		// are exercised on both engines.
+		side := func(max int) []*types.Batch {
+			return []*types.Batch{randOpBatch(r, r.Intn(max), nullProb), trickyOpBatch(r, r.Intn(max/2)), randOpBatch(r, r.Intn(max/3), nullProb)}
+		}
+		first, second := side(40), side(60)
+		if iter%3 == 0 {
+			first, second = second, first
+		}
+		keys := keySets[iter%len(keySets)]
+		label := fmt.Sprintf("iter %d keys=%v", iter, keys)
 		runBoth(t, label, func(eng Engine) Operator {
-			bk, pk := []int{0}, []int{0}
-			if multi {
-				bk, pk = []int{0, 2}, []int{0, 2}
-			}
-			j := NewHashJoin(NewSource(diffOpSchema, buildB), NewSource(diffOpSchema, probeB...), bk, pk)
+			j := NewHashJoin(NewSource(diffOpSchema, first...), NewSource(diffOpSchema, second...), keys[0], keys[1])
 			j.Eng = eng
 			return j
 		})
@@ -221,8 +245,8 @@ func TestDistinctDifferential(t *testing.T) {
 	oneCol := types.Schema{{Name: "k", Type: types.Int64}}
 	for iter := 0; iter < 60; iter++ {
 		nullProb := []float64{0, 0.3, 1}[r.Intn(3)]
-		full := []*types.Batch{randOpBatch(r, r.Intn(50), nullProb), randOpBatch(r, r.Intn(50), nullProb)}
-		// Single-column batches exercise the typed int64 fast path.
+		full := []*types.Batch{randOpBatch(r, r.Intn(50), nullProb), trickyOpBatch(r, r.Intn(80)), randOpBatch(r, r.Intn(50), nullProb)}
+		// Single-column batches: the narrowest key the table takes.
 		narrow := make([]*types.Batch, len(full))
 		for i, b := range full {
 			narrow[i] = &types.Batch{Cols: b.Cols[:1]}

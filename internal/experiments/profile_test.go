@@ -69,6 +69,7 @@ func TestProfileMatchesScanStats(t *testing.T) {
 	s := db.NewSession()
 	s.Trace = true
 
+	joins := 0
 	for _, q := range workload.TPCHQueries() {
 		if _, err := s.Query(q.SQL); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
@@ -113,6 +114,24 @@ func TestProfileMatchesScanStats(t *testing.T) {
 			}
 		}
 
+		// Hash operators report their tables: every join built on the
+		// input that turned out smaller, whichever way the query spells
+		// it, and every aggregate says how many groups it produced.
+		prof.Visit(func(n *obs.Profile) {
+			switch n.Name {
+			case "join":
+				joins++
+				build, probe := n.Attrs["build_rows"], n.Attrs["probe_rows"]
+				if build == 0 || build > probe {
+					t.Errorf("%s: join built on %d rows and probed %d: want 0 < build <= probe", q.Name, build, probe)
+				}
+			case "aggregate", "distinct":
+				if n.RowsOut > 0 && n.Attrs["groups"] == 0 {
+					t.Errorf("%s: %s emitted %d rows but reports no groups", q.Name, n.Name, n.RowsOut)
+				}
+			}
+		})
+
 		// Differential: span-tree totals vs the scanTally snapshot.
 		st := s.LastScanStats()
 		got := sumProfile(prof)
@@ -153,5 +172,8 @@ func TestProfileMatchesScanStats(t *testing.T) {
 		if st.Wall > 0 && prof.Wall < st.Wall {
 			t.Errorf("%s: root span wall %v below query wall %v", q.Name, prof.Wall, st.Wall)
 		}
+	}
+	if joins != 11 {
+		t.Errorf("saw %d join spans over the workload, want the 11 join queries", joins)
 	}
 }

@@ -384,16 +384,17 @@ func evalVecBinary(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.V
 	if !stableExpr(n.L) || !stableExpr(n.R) {
 		return fallbackVec(n, b, sel, st)
 	}
-	l, err := evalVec(n.L, b, sel, st)
+	l, err := evalOperand(n.L, b, sel, st)
 	if err != nil {
 		return nil, err
 	}
-	r, err := evalVec(n.R, b, sel, st)
+	r, err := evalOperand(n.R, b, sel, st)
 	if err != nil {
 		return nil, err
 	}
+	m := selCount(b, sel)
 	if n.Op.IsComparison() {
-		out, ok := compareKernel(n.Op, l, r)
+		out, ok := compareKernel(n.Op, l, r, m)
 		if ok {
 			return out, nil
 		}
@@ -401,7 +402,23 @@ func evalVecBinary(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.V
 		// the row engine resolves by rendered-string comparison).
 		return fallbackVec(n, b, sel, st)
 	}
-	return arithKernel(n.Op, n.Typ, l, r)
+	return arithKernel(n.Op, n.Typ, l, r, m)
+}
+
+// operand is one side of a comparison or arithmetic kernel: a dense
+// vector (mask -1), or a literal held once instead of broadcast (mask
+// 0). Either way the value for output row j is at v's position j&mask.
+type operand struct {
+	v    *types.Vector
+	mask int
+}
+
+func evalOperand(e Expr, b *types.Batch, sel []int, st *VecStats) (operand, error) {
+	if lit, ok := e.(*Literal); ok {
+		return operand{constVec(lit.Value, 1), 0}, nil
+	}
+	v, err := evalVec(e, b, sel, st)
+	return operand{v, -1}, err
 }
 
 // cmpTruth maps a three-way comparison (shifted to 0,1,2) to the
@@ -423,10 +440,10 @@ func cmpTruth(op Op) [3]bool {
 	}
 }
 
-// compareKernel evaluates a comparison over two dense vectors. ok is
-// false when the physical class combination has no typed kernel.
-func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
-	m := l.Len()
+// compareKernel evaluates a comparison over two operands of m rows. ok
+// is false when the physical class combination has no typed kernel.
+func compareKernel(op Op, lo, ro operand, m int) (*types.Vector, bool) {
+	l, r, lm, rm := lo.v, ro.v, lo.mask, ro.mask
 	lp, rp := l.Typ.Physical(), r.Typ.Physical()
 	numeric := func(p types.Type) bool { return p == types.Int64 || p == types.Float64 }
 	if lp != rp && !(numeric(lp) && numeric(rp)) {
@@ -437,7 +454,7 @@ func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
 	ob := out.v.Bools
 	anyLeftNull, anyRightNull := l.Nulls != nil, r.Nulls != nil
 	isNull := func(j int) bool {
-		return (anyLeftNull && l.IsNull(j)) || (anyRightNull && r.IsNull(j))
+		return (anyLeftNull && l.IsNull(j&lm)) || (anyRightNull && r.IsNull(j&rm))
 	}
 	switch {
 	case lp == types.Int64 && rp == types.Int64:
@@ -447,13 +464,14 @@ func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
 				out.setNull(j)
 				continue
 			}
-			c := 1
-			if li[j] < ri[j] {
-				c = 0
-			} else if li[j] > ri[j] {
-				c = 2
+			a, c := li[j&lm], ri[j&rm]
+			t := 1
+			if a < c {
+				t = 0
+			} else if a > c {
+				t = 2
 			}
-			ob[j] = truth[c]
+			ob[j] = truth[t]
 		}
 	case numeric(lp) && numeric(rp):
 		lf := floatsOf(l)
@@ -463,13 +481,14 @@ func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
 				out.setNull(j)
 				continue
 			}
-			c := 1
-			if lf(j) < rf(j) {
-				c = 0
-			} else if lf(j) > rf(j) {
-				c = 2
+			a, c := lf(j&lm), rf(j&rm)
+			t := 1
+			if a < c {
+				t = 0
+			} else if a > c {
+				t = 2
 			}
-			ob[j] = truth[c]
+			ob[j] = truth[t]
 		}
 	case lp == types.Varchar:
 		ls, rs := l.Strs, r.Strs
@@ -478,8 +497,7 @@ func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
 				out.setNull(j)
 				continue
 			}
-			c := strings.Compare(ls[j], rs[j]) + 1
-			ob[j] = truth[c]
+			ob[j] = truth[strings.Compare(ls[j&lm], rs[j&rm])+1]
 		}
 	case lp == types.Bool:
 		lb, rb := l.Bools, r.Bools
@@ -488,13 +506,14 @@ func compareKernel(op Op, l, r *types.Vector) (*types.Vector, bool) {
 				out.setNull(j)
 				continue
 			}
-			c := 1
-			if !lb[j] && rb[j] {
-				c = 0
-			} else if lb[j] && !rb[j] {
-				c = 2
+			a, c := lb[j&lm], rb[j&rm]
+			t := 1
+			if !a && c {
+				t = 0
+			} else if a && !c {
+				t = 2
 			}
-			ob[j] = truth[c]
+			ob[j] = truth[t]
 		}
 	default:
 		return nil, false
@@ -542,16 +561,16 @@ func boolsAt(v *types.Vector) func(int) bool {
 	return func(int) bool { return false }
 }
 
-// arithKernel evaluates +,-,*,/,% over two dense vectors with the row
+// arithKernel evaluates +,-,*,/,% over two operands of m rows with the row
 // engine's numeric rules: the float path when the bound result type is
 // Float64, the int path otherwise; division (and modulo) by zero is
 // NULL, not an error.
-func arithKernel(op Op, typ types.Type, l, r *types.Vector) (*types.Vector, error) {
-	m := l.Len()
+func arithKernel(op Op, typ types.Type, lo, ro operand, m int) (*types.Vector, error) {
+	l, r, lm, rm := lo.v, ro.v, lo.mask, ro.mask
 	out := newDense(typ, m)
 	anyLeftNull, anyRightNull := l.Nulls != nil, r.Nulls != nil
 	isNull := func(j int) bool {
-		return (anyLeftNull && l.IsNull(j)) || (anyRightNull && r.IsNull(j))
+		return (anyLeftNull && l.IsNull(j&lm)) || (anyRightNull && r.IsNull(j&rm))
 	}
 	if typ.Physical() == types.Float64 {
 		lf, rf := floatsOf(l), floatsOf(r)
@@ -561,7 +580,7 @@ func arithKernel(op Op, typ types.Type, l, r *types.Vector) (*types.Vector, erro
 				out.setNull(j)
 				continue
 			}
-			a, c := lf(j), rf(j)
+			a, c := lf(j&lm), rf(j&rm)
 			switch op {
 			case OpAdd:
 				of[j] = a + c
@@ -591,7 +610,7 @@ func arithKernel(op Op, typ types.Type, l, r *types.Vector) (*types.Vector, erro
 			out.setNull(j)
 			continue
 		}
-		a, c := li(j), ri(j)
+		a, c := li(j&lm), ri(j&rm)
 		switch op {
 		case OpAdd:
 			oi[j] = a + c

@@ -252,10 +252,16 @@ func sortedKeys[V any](m map[string]V) []string {
 // ProfileRows flattens a span-profile tree into rows for
 // v_monitor.query_profiles: one row per span, with the materialized
 // path ("query/scan:lineitem/fragment:n1/fetch") identifying its place
-// in the tree.
+// in the tree. The span's counter attributes (a join's build_rows,
+// probe_rows and build_second, an aggregate's groups, a fragment's
+// cache hits, ...) render as one "k=v k=v" string in key order.
 func ProfileRows(b *types.Batch, origin string, seq int64, p *obs.Profile) {
 	var walk func(path string, depth int64, n *obs.Profile)
 	walk = func(path string, depth int64, n *obs.Profile) {
+		var attrs []string
+		for _, k := range sortedKeys(n.Attrs) {
+			attrs = append(attrs, fmt.Sprintf("%s=%d", k, n.Attrs[k]))
+		}
 		b.AppendRow(types.Row{
 			types.NewString(origin),
 			types.NewInt(seq),
@@ -266,6 +272,7 @@ func ProfileRows(b *types.Batch, origin string, seq int64, p *obs.Profile) {
 			types.NewInt(n.RowsIn),
 			types.NewInt(n.RowsOut),
 			types.NewInt(n.Bytes),
+			types.NewString(strings.Join(attrs, " ")),
 		})
 		for _, c := range n.Children {
 			walk(path+"/"+c.Name, depth+1, c)
@@ -289,5 +296,6 @@ func ProfileSchema() types.Schema {
 		{Name: "rows_in", Type: types.Int64},
 		{Name: "rows_out", Type: types.Int64},
 		{Name: "bytes", Type: types.Int64},
+		{Name: "attrs", Type: types.Varchar},
 	}
 }

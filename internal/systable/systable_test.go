@@ -172,7 +172,7 @@ func TestProfileRows(t *testing.T) {
 			{Name: "scan:t", Wall: 60, RowsOut: 5, Children: []*obs.Profile{
 				{Name: "fragment:n1", Wall: 50, Bytes: 640},
 			}},
-			{Name: "plan", Wall: 10},
+			{Name: "join", Wall: 10, Attrs: map[string]int64{"probe_rows": 40, "build_rows": 8, "build_second": 1}},
 		},
 	}
 	b := types.NewBatch(ProfileSchema(), 0)
@@ -180,7 +180,7 @@ func TestProfileRows(t *testing.T) {
 	if b.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4", b.NumRows())
 	}
-	paths := []string{"query", "query/scan:t", "query/scan:t/fragment:n1", "query/plan"}
+	paths := []string{"query", "query/scan:t", "query/scan:t/fragment:n1", "query/join"}
 	depths := []int64{0, 1, 2, 1}
 	for i := 0; i < b.NumRows(); i++ {
 		row := b.Row(i)
@@ -193,6 +193,12 @@ func TestProfileRows(t *testing.T) {
 		if !strings.HasSuffix(row[2].S, row[3].S) {
 			t.Errorf("row %d path %q does not end in operator %q", i, row[2].S, row[3].S)
 		}
+	}
+	if got := b.Row(3)[9].S; got != "build_rows=8 build_second=1 probe_rows=40" {
+		t.Errorf("join attrs = %q", got)
+	}
+	if got := b.Row(0)[9].S; got != "" {
+		t.Errorf("span without attributes renders %q", got)
 	}
 	// A nil profile appends nothing.
 	ProfileRows(b, "x", 0, nil)

@@ -135,6 +135,11 @@ func TestVectorGatherSlice(t *testing.T) {
 	if s.Len() != 3 || s.Ints[0] != 20 {
 		t.Errorf("slice = %v", s.Ints)
 	}
+	// A slice is a view, but appending to it must not write into v.
+	s.Append(NewInt(-1))
+	if v.Ints[5] != 50 || s.Ints[3] != -1 {
+		t.Errorf("append to a slice wrote into its source: v=%v s=%v", v.Ints, s.Ints)
+	}
 }
 
 func TestVectorAppendVectorWithNulls(t *testing.T) {

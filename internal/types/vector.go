@@ -157,18 +157,20 @@ func (v *Vector) Gather(idx []int) *Vector {
 	return out
 }
 
-// Slice returns a new vector holding positions [lo, hi).
+// Slice returns a view of positions [lo, hi). The view shares v's storage
+// but its capacity ends at hi: appending to it reallocates and never
+// writes into what v holds or later appends past hi.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	out := &Vector{Typ: v.Typ}
 	switch v.Typ.Physical() {
 	case Int64:
-		out.Ints = v.Ints[lo:hi]
+		out.Ints = v.Ints[lo:hi:hi]
 	case Float64:
-		out.Floats = v.Floats[lo:hi]
+		out.Floats = v.Floats[lo:hi:hi]
 	case Varchar:
-		out.Strs = v.Strs[lo:hi]
+		out.Strs = v.Strs[lo:hi:hi]
 	case Bool:
-		out.Bools = v.Bools[lo:hi]
+		out.Bools = v.Bools[lo:hi:hi]
 	}
 	if v.Nulls != nil && lo < len(v.Nulls) {
 		// The bitmap may be shorter than the vector; positions beyond it
@@ -177,7 +179,7 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 		if end > len(v.Nulls) {
 			end = len(v.Nulls)
 		}
-		out.Nulls = v.Nulls[lo:end]
+		out.Nulls = v.Nulls[lo:end:end]
 	}
 	return out
 }

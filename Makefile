@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race chaos obs exec reconcile systables serving check bench bench-all bench-smoke repo-bench
+.PHONY: all fmt vet build test race chaos obs exec reconcile systables serving check bench bench-all bench-smoke repo-bench
 
 all: check
 
@@ -14,10 +14,16 @@ define bench-summary
 	@echo "wrote $(1)"
 endef
 
-# Default gate: vet + build + tests, then the full suite under the race
-# detector (the scan pipeline is concurrent; races are tier-1 failures),
-# then the repository benchmark's own tests.
-check: vet build test race bench-smoke
+# Default gate: formatting + vet + build + tests, then the full suite
+# under the race detector (the scan pipeline is concurrent; races are
+# tier-1 failures), then the repository benchmark's own tests.
+check: fmt vet build test race bench-smoke
+
+# Fails, listing them, if any Go file outside the dot-directories (build
+# caches) is not gofmt-clean.
+fmt:
+	@out="$$(find . -name '*.go' -not -path './.*' | xargs gofmt -l)"; \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

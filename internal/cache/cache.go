@@ -176,13 +176,19 @@ func (c *Cache) local(path string) string { return c.dir + "/" + path }
 // Get returns the file contents, reading through the cache. bypass forces
 // PolicyBypass for this call regardless of the shaping policy ("don't use
 // the cache for this query").
+//
+// The returned bytes are read-only and may be shared: a hit hands out the
+// local filesystem's view of the file and coalesced misses share the
+// leader's buffer. Files are immutable, so the bytes stay valid, with
+// their original contents, after the file is evicted or dropped.
 func (c *Cache) Get(ctx context.Context, path string, fetch Fetcher, bypass bool) ([]byte, error) {
 	data, _, err := c.GetTracked(ctx, path, fetch, bypass)
 	return data, err
 }
 
-// GetTracked is Get plus the outcome classification (hit, miss,
-// coalesced miss), which scan statistics record per query.
+// GetTracked is Get (same read-only contract) plus the outcome
+// classification (hit, miss, coalesced miss), which scan statistics
+// record per query.
 //
 // Concurrent misses on one path are single-flighted: the first caller
 // issues the shared-storage fetch; later callers wait on it and share

@@ -286,3 +286,54 @@ func TestImmutableReAdmitIsNoop(t *testing.T) {
 		t.Error("file contents must never change")
 	}
 }
+
+// TestReadsSurviveEvictionAndDrop: Get hands out the local filesystem's
+// view of an immutable file, so bytes read on a hit stay what they were
+// after the entry is evicted, dropped or the cache cleared; a miss and the
+// hit that follows return equal bytes; and the cache keeps its own copy,
+// whatever the fetcher's buffer does afterwards.
+func TestReadsSurviveEvictionAndDrop(t *testing.T) {
+	ctx := context.Background()
+	c := newTestCache(10)
+	src := []byte("aaaaaa")
+	f := &countingFetcher{data: map[string][]byte{"a": src, "b": []byte("bbbbbb"), "c": []byte("cccc")}}
+
+	miss, err := c.Get(ctx, "a", f.fetch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, outcome, err := c.GetTracked(ctx, "a", f.fetch, false)
+	if err != nil || outcome != OutcomeHit {
+		t.Fatalf("second get: outcome %v, err %v", outcome, err)
+	}
+	if string(miss) != "aaaaaa" || string(hit) != string(miss) {
+		t.Fatalf("miss read %q, hit read %q", miss, hit)
+	}
+	src[0] = 'z' // the fetcher's buffer is not the cached file
+	if again, _ := c.Get(ctx, "a", f.fetch, false); string(again) != "aaaaaa" {
+		t.Errorf("cached file follows the fetcher's buffer: %q", again)
+	}
+	src[0] = 'a'
+
+	if _, err := c.Get(ctx, "b", f.fetch, false); err != nil { // 6+6 > 10: evicts a
+		t.Fatal(err)
+	}
+	if c.Contains("a") {
+		t.Fatal("a should have been evicted")
+	}
+	if string(hit) != "aaaaaa" {
+		t.Errorf("bytes read before eviction changed: %q", hit)
+	}
+	hitB, _ := c.Get(ctx, "b", f.fetch, false)
+	c.Drop(ctx, "b")
+	hitC, _ := c.Get(ctx, "c", f.fetch, false)
+	hitC, _ = c.Get(ctx, "c", f.fetch, false)
+	c.Clear(ctx)
+	if string(hitB) != "bbbbbb" || string(hitC) != "cccc" {
+		t.Errorf("bytes read before Drop/Clear changed: %q, %q", hitB, hitC)
+	}
+	// Evicted files are read again from shared storage, with the same bytes.
+	if again, _ := c.Get(ctx, "a", f.fetch, false); string(again) != "aaaaaa" {
+		t.Errorf("re-fetched a reads %q", again)
+	}
+}

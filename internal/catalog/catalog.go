@@ -236,15 +236,7 @@ func (c *Catalog) commit(t *Txn, validate func(*Snapshot) error) (*LogRecord, er
 	}
 
 	version := cur.version + 1
-	next := &Snapshot{
-		version:    version,
-		objects:    make(map[OID]Object, len(cur.objects)+len(t.writes)),
-		modVersion: make(map[OID]uint64, len(cur.modVersion)+len(t.writes)),
-	}
-	for oid, o := range cur.objects {
-		next.objects[oid] = o
-		next.modVersion[oid] = cur.modVersion[oid]
-	}
+	next := cur.mutableCopy(version, len(t.writes))
 
 	rec := &LogRecord{Version: version}
 	shardSet := map[int]struct{}{}
@@ -319,15 +311,7 @@ func (c *Catalog) Apply(rec *LogRecord, keep KeepFunc) error {
 	if rec.Version != cur.version+1 {
 		return fmt.Errorf("%w: have v%d, record v%d", ErrStale, cur.version, rec.Version)
 	}
-	next := &Snapshot{
-		version:    rec.Version,
-		objects:    make(map[OID]Object, len(cur.objects)+len(rec.Ops)),
-		modVersion: make(map[OID]uint64, len(cur.modVersion)+len(rec.Ops)),
-	}
-	for oid, o := range cur.objects {
-		next.objects[oid] = o
-		next.modVersion[oid] = cur.modVersion[oid]
-	}
+	next := cur.mutableCopy(rec.Version, len(rec.Ops))
 	decoded, err := rec.DecodedOps()
 	if err != nil {
 		return err
@@ -377,15 +361,7 @@ func (c *Catalog) InstallObjects(objs []Object) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.cur.Load()
-	next := &Snapshot{
-		version:    cur.version,
-		objects:    make(map[OID]Object, len(cur.objects)+len(objs)),
-		modVersion: make(map[OID]uint64, len(cur.modVersion)+len(objs)),
-	}
-	for oid, o := range cur.objects {
-		next.objects[oid] = o
-		next.modVersion[oid] = cur.modVersion[oid]
-	}
+	next := cur.mutableCopy(cur.version, len(objs))
 	for _, o := range objs {
 		if _, exists := next.objects[o.GetOID()]; exists {
 			continue

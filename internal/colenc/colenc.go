@@ -166,12 +166,15 @@ func writeNulls(w *buf, v *types.Vector) {
 	}
 }
 
-func readNulls(r *rd, n int) []bool {
+// readNulls returns the block's null bitmap (nil when no value is NULL),
+// in spare's storage when that is large enough.
+func readNulls(r *rd, n int, spare []bool) []bool {
 	cnt := r.uvarint()
 	if r.err != nil || cnt == 0 {
 		return nil
 	}
-	nulls := make([]bool, n)
+	nulls := room(spare, n)[:n]
+	clear(nulls)
 	pos := 0
 	for i := uint64(0); i < cnt; i++ {
 		pos += int(r.uvarint())
@@ -288,39 +291,70 @@ func Encode(v *types.Vector, enc Encoding) []byte {
 	return w.b
 }
 
-// Decode deserializes a block produced by Encode into a vector of logical
-// type t.
+// Decode deserializes a block produced by Encode into a new vector of
+// logical type t.
 func Decode(data []byte, t types.Type) (*types.Vector, error) {
+	v := &types.Vector{}
+	if err := DecodeInto(v, data, t); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// room returns an empty slice with capacity for n values: s's own storage
+// when it is large enough, new storage otherwise.
+func room[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// DecodeInto is Decode into dst: dst's previous contents are discarded
+// and its storage is reused where it fits, so a caller decoding block
+// after block into one vector allocates only when a block outgrows it.
+// The result equals a fresh Decode; it never aliases data. After an
+// error dst's contents are unspecified.
+func DecodeInto(dst *types.Vector, data []byte, t types.Type) error {
 	r := &rd{b: data}
 	enc := Encoding(r.byte())
 	n := int(r.uvarint())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	nulls := readNulls(r, n)
-	v := types.NewVector(t, n)
-	v.Nulls = nulls
+	v := types.Vector{Typ: t, Nulls: readNulls(r, n, dst.Nulls)}
+	switch t.Physical() {
+	case types.Int64:
+		v.Ints = room(dst.Ints, n)
+	case types.Float64:
+		v.Floats = room(dst.Floats, n)
+	case types.Varchar:
+		v.Strs = room(dst.Strs, n)
+	case types.Bool:
+		v.Bools = room(dst.Bools, n)
+	}
+	*dst = v
 	switch enc {
 	case Plain:
-		decodePlain(r, v, n)
+		decodePlain(r, dst, n)
 	case RLE:
-		decodeRLE(r, v, n)
+		decodeRLE(r, dst, n)
 	case Dict:
-		decodeDict(r, v, n)
+		decodeDict(r, dst, n)
 	case Delta:
-		decodeDelta(r, v, n)
+		decodeDelta(r, dst, n)
 	case FOR:
-		decodeFOR(r, v, n)
+		decodeFOR(r, dst, n)
 	default:
-		return nil, fmt.Errorf("colenc: unknown encoding tag %d: %w", enc, ErrCorrupt)
+		return fmt.Errorf("colenc: unknown encoding tag %d: %w", enc, ErrCorrupt)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	if v.Len() != n {
-		return nil, ErrCorrupt
+	if dst.Len() != n {
+		return ErrCorrupt
 	}
-	return v, nil
+	return nil
 }
 
 func encodePlain(w *buf, v *types.Vector) {

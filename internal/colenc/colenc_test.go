@@ -226,3 +226,76 @@ func TestEncodingString(t *testing.T) {
 		t.Error("encoding names")
 	}
 }
+
+// TestDecodeIntoReuse decodes a random sequence of blocks — every
+// encoding, every type class, different lengths, with and without NULLs —
+// into one vector and requires each result to be exactly what a fresh
+// Decode returns: nothing of the previous block (values, a longer null
+// bitmap, another class's slice) may show through. The payload is wiped
+// afterwards, so a result aliasing it would change.
+func TestDecodeIntoReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	classes := []struct {
+		typ  types.Type
+		encs []Encoding
+		gen  func(i int) types.Datum
+	}{
+		{types.Int64, []Encoding{Plain, RLE, Delta, FOR}, func(i int) types.Datum { return types.NewInt(int64(i/3) - 5) }},
+		{types.Timestamp, []Encoding{Plain, Delta}, func(i int) types.Datum { return types.Datum{K: types.Timestamp, I: int64(i) * 1000} }},
+		{types.Float64, []Encoding{Plain, RLE}, func(i int) types.Datum { return types.NewFloat(float64(i%4) / 2) }},
+		{types.Varchar, []Encoding{Plain, RLE, Dict}, func(i int) types.Datum { return types.NewString(string(rune('a' + i%5))) }},
+		{types.Bool, []Encoding{Plain, RLE}, func(i int) types.Datum { return types.NewBool(i%3 == 0) }},
+	}
+	dst := &types.Vector{}
+	for step := 0; step < 400; step++ {
+		c := classes[rng.Intn(len(classes))]
+		n, nullEvery := rng.Intn(300), 0
+		if rng.Intn(2) == 0 {
+			nullEvery = 2 + rng.Intn(9)
+		}
+		v := types.NewVector(c.typ, n)
+		for i := 0; i < n; i++ {
+			if nullEvery > 0 && i%nullEvery == 1 {
+				v.Append(types.NullDatum(c.typ))
+			} else {
+				v.Append(c.gen(i))
+			}
+		}
+		data := Encode(v, c.encs[rng.Intn(len(c.encs))])
+		want, err := Decode(data, c.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(dst, data, c.typ); err != nil {
+			t.Fatal(err)
+		}
+		clear(data)
+		vecEqual(t, v, dst)
+		if dst.Typ != want.Typ || (dst.Nulls == nil) != (want.Nulls == nil) || len(dst.Nulls) != len(want.Nulls) ||
+			len(dst.Ints) != len(want.Ints) || len(dst.Floats) != len(want.Floats) ||
+			len(dst.Strs) != len(want.Strs) || len(dst.Bools) != len(want.Bools) {
+			t.Fatalf("step %d (%v, %d rows): reused vector is shaped differently from a fresh decode:\n got %+v\nwant %+v", step, c.typ, n, dst, want)
+		}
+	}
+}
+
+// TestDecodeIntoKeepsStorage: decoding same-sized blocks into one vector
+// allocates nothing per block once it has grown.
+func TestDecodeIntoKeepsStorage(t *testing.T) {
+	v := types.NewVector(types.Int64, 4096)
+	for i := 0; i < 4096; i++ {
+		v.Append(types.NewInt(int64(i * 3)))
+	}
+	data := Encode(v, Delta)
+	dst := &types.Vector{}
+	if err := DecodeInto(dst, data, types.Int64); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := DecodeInto(dst, data, types.Int64); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 { // the reader cursor may escape; the 32 KB of values must not
+		t.Errorf("DecodeInto into a grown vector allocates %.0f times per block", avg)
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -371,11 +370,4 @@ func (db *DB) nodeForStorage(sc *catalog.StorageContainer) *Node {
 		}
 	}
 	return nil
-}
-
-// openContainerColumns opens the requested columns of a container
-// (storage handles per-column files, bundles and mixes of both),
-// fetching at most concurrency files at once.
-func openContainerColumns(ctx context.Context, sc *catalog.StorageContainer, cols []string, fetch storage.FetchFunc, concurrency int) (map[string]*rosfile.Reader, error) {
-	return storage.OpenColumns(ctx, sc, cols, fetch, concurrency)
 }

@@ -33,9 +33,9 @@ type scanSpans struct {
 func newScanSpans(frag *obs.Span) scanSpans {
 	return scanSpans{
 		frag:   frag,
-		fetch:  frag.StartSpan("fetch"),
-		decode: frag.StartSpan("decode"),
-		filter: frag.StartSpan("filter"),
+		fetch:  frag.StartAccum("fetch"),
+		decode: frag.StartAccum("decode"),
+		filter: frag.StartAccum("filter"),
 	}
 }
 
@@ -104,11 +104,9 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 		snap = node.catalog.Snapshot()
 	}
 	wosProjs := map[catalog.OID]bool{}
-	var shards []int
 	var work []containerWork
 	for _, task := range tasks {
 		shardIdx := task.Shard
-		shards = append(shards, shardIdx)
 		// Enterprise: a node serving a shard it does not own in the base
 		// projection reads the buddy copy instead — "the global query
 		// plan does not change when a node is down, merely a different
@@ -148,19 +146,21 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 	}
 
 	// Scan the containers through a bounded streaming window. Each worker
-	// keeps its own hash-filter scratch state (ring + hash buffer) so
-	// crunch hash-filtering allocates once per worker, not once per batch.
+	// keeps its own scratch (decode vectors, hash-filter ring and buffers),
+	// so a fragment allocates it once per worker, not once per block.
+	fs := &fragmentScan{db: db, node: node, scan: scan, snap: snap, bypassCache: bypassCache, rowEngine: rowEngine, st: st, sps: sps}
+	fs.firstCols, fs.allCols = scanColSets(scan, rowEngine)
 	conc := db.scanConc()
-	filters := make([]hashFilterState, conc)
+	workers := make([]scanWorker, max(conc, 1))
 	err := parallel.StreamOrdered(ctx, len(work), conc,
 		func(ctx context.Context, worker, i int) ([]*types.Batch, error) {
 			w := work[i]
-			batches, err := db.scanContainer(ctx, node, scan, snap, w.sc, bypassCache, rowEngine, st, sps)
+			batches, err := fs.scanContainer(ctx, w.sc, &workers[worker])
 			if err != nil {
 				return nil, err
 			}
 			if w.hashFilter {
-				batches = filters[worker].filter(batches, scan.SegmentCols, w.task.Part, w.task.Of)
+				batches = workers[worker].hash.filter(batches, scan.SegmentCols, w.task.Part, w.task.Of)
 			}
 			return batches, nil
 		},
@@ -189,7 +189,7 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 			if wb == nil || wb.NumRows() == 0 {
 				continue
 			}
-			b, err := db.filterWOSRows(node, scan, wb, shards, rowEngine, st)
+			b, err := filterWOSRows(scan, wb, rowEngine, st)
 			if err != nil {
 				return err
 			}
@@ -273,36 +273,71 @@ func containerStats(scan *planner.Scan, sc *catalog.StorageContainer) expr.Stats
 	}
 }
 
-// decodedBlock is one block decoded by the scan pipeline's producer,
-// awaiting delete-vector and predicate filtering by the consumer.
-type decodedBlock struct {
-	blk   rosfile.BlockMeta
-	batch *types.Batch
-	err   error
+// fragmentScan is what the container scans of one fragment share.
+type fragmentScan struct {
+	db          *DB
+	node        *Node
+	scan        *planner.Scan
+	snap        *catalog.Snapshot
+	bypassCache bool
+	rowEngine   bool
+	st          *scanTally // the query's tally; never nil
+	sps         scanSpans
+	// firstCols are the scan columns a block decodes before selection;
+	// the others (allCols is every index) only if a row survives it.
+	firstCols, allCols []int
 }
 
-// scanContainer reads the needed columns of one container. Column files
-// and delete vectors are fetched with a bounded concurrent fan-out, and
-// block decode is pipelined with filtering: block i+1 decodes while the
-// delete-vector and predicate evaluation of block i runs.
-func (db *DB) scanContainer(ctx context.Context, node *Node, scan *planner.Scan, snap *catalog.Snapshot, sc *catalog.StorageContainer, bypassCache, rowEngine bool, st *scanTally, sps scanSpans) ([]*types.Batch, error) {
+// scanColSets returns the columns selection needs — the predicate's on
+// the vectorized engine, all of them on the row engine, which stays the
+// decode-everything reference the differential tests compare against —
+// and the indexes of all scan columns.
+func scanColSets(scan *planner.Scan, rowEngine bool) (first, all []int) {
+	all = make([]int, len(scan.Cols))
+	for i := range all {
+		all[i] = i
+	}
+	if rowEngine {
+		return all, all
+	}
+	if scan.Pred != nil {
+		first = expr.Columns(scan.Pred)
+	}
+	if len(first) == 0 {
+		first = all[:1] // a predicate over no column still needs the block's row count
+	}
+	return first, all
+}
+
+// scanWorker is one scan worker's scratch. decoded[i] is the storage scan
+// column i decodes into, reused from block to block. A batch leaves the
+// scan either gathered out of it (a copy) or taking the vectors with it,
+// and then the slots are emptied: no vector that left the scan is ever
+// decoded into again.
+type scanWorker struct {
+	decoded []*types.Vector
+	hash    hashFilterState
+}
+
+// scanContainer reads the needed columns of one container, block by
+// block. Column files and delete vectors are fetched with a bounded
+// concurrent fan-out; containers already run ScanConcurrency wide, so the
+// blocks of one container are decoded and filtered in turn.
+func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageContainer, w *scanWorker) ([]*types.Batch, error) {
+	db, scan, st, sps := fs.db, fs.scan, fs.st, fs.sps
 	// Container-level pruning from catalog stats — no file access
 	// needed (§2.1).
 	if scan.Pred != nil && !expr.CouldMatch(scan.Pred, containerStats(scan, sc)) {
-		if st != nil {
-			st.containersPruned.Add(1)
-		}
+		st.containersPruned.Add(1)
 		sps.frag.AddAttr("containers_pruned", 1)
 		return nil, nil
 	}
 
 	// Per-table shaping policy (§5.2): never-cache tables bypass.
-	if db.neverCacheTable(scan.Table.Name) {
-		bypassCache = true
-	}
+	bypassCache := fs.bypassCache || db.neverCacheTable(scan.Table.Name)
 	conc := db.scanConc()
-	fetch := db.trackedFetch(node, bypassCache, st, sps.fetch)
-	readers, err := openContainerColumns(ctx, sc, scan.Cols, fetch, conc)
+	fetch := db.trackedFetch(fs.node, bypassCache, st, sps.fetch)
+	readers, err := storage.OpenColumns(ctx, sc, scan.Cols, fetch, conc)
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +345,8 @@ func (db *DB) scanContainer(ctx context.Context, node *Node, scan *planner.Scan,
 	// Fetch and merge the delete vectors covering this container,
 	// concurrently — cold containers often carry several.
 	var dvFiles []string
-	for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-		if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
+	for _, dv := range fs.snap.DeleteVectorsOf(sc.OID) {
+		if db.mode == ModeEnterprise && dv.OwnerNode != fs.node.name {
 			continue
 		}
 		dvFiles = append(dvFiles, dv.File.Path)
@@ -332,76 +367,30 @@ func (db *DB) scanContainer(ctx context.Context, node *Node, scan *planner.Scan,
 		return nil, err
 	}
 	deletes := storage.NewDeleteSet(dvLists...)
-	if st != nil {
-		st.containersScanned.Add(1)
-	}
+	st.containersScanned.Add(1)
 	sps.frag.AddAttr("containers_scanned", 1)
 
-	// Read block by block with footer min/max pruning on the scanned
-	// columns' readers (block boundaries are aligned across a
-	// container's columns). The producer goroutine decodes blocks in
-	// order into a small channel; this goroutine filters them, so decode
-	// and filter overlap.
-	first := readers[scan.Cols[0]]
-	nBlocks := len(first.Footer().Blocks)
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	blocks := make(chan decodedBlock, 2)
-	go func() {
-		defer close(blocks)
-		for bi := 0; bi < nBlocks; bi++ {
-			if scan.Pred != nil && !blockCouldMatch(scan, readers, bi) {
-				if st != nil {
-					st.blocksPruned.Add(1)
-				}
-				sps.frag.AddAttr("blocks_pruned", 1)
-				continue
-			}
-			start := time.Now()
-			batch := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
-			var decodeErr error
-			for ci, col := range scan.Cols {
-				v, err := readers[col].ReadBlock(bi)
-				if err != nil {
-					decodeErr = err
-					break
-				}
-				v.Typ = scan.OutSchema[ci].Type
-				batch.Cols[ci] = v
-			}
-			if st != nil {
-				st.addDecode(time.Since(start))
-			}
-			sps.decode.AddTime(time.Since(start))
-			d := decodedBlock{blk: first.Footer().Blocks[bi], batch: batch, err: decodeErr}
-			select {
-			case blocks <- d:
-			case <-pctx.Done():
-				return
-			}
-			if decodeErr != nil {
-				return
-			}
-		}
-	}()
-
+	// Footer min/max pruning looks at the scanned columns' readers (block
+	// boundaries are aligned across a container's columns).
+	cols := make([]*rosfile.Reader, len(scan.Cols))
+	for ci, name := range scan.Cols {
+		cols[ci] = readers[name]
+	}
+	if w.decoded == nil {
+		w.decoded = make([]*types.Vector, len(cols))
+	}
 	var out []*types.Batch
-	for d := range blocks {
-		if d.err != nil {
-			return nil, d.err
+	var bt blockTally
+	defer fs.record(&bt)
+	for bi, blk := range cols[0].Footer().Blocks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if st != nil {
-			st.blocksScanned.Add(1)
-			st.rowsScanned.Add(int64(d.batch.NumRows()))
+		if scan.Pred != nil && !blockCouldMatch(scan, cols, bi) {
+			bt.pruned++
+			continue
 		}
-		sps.frag.AddAttr("blocks_scanned", 1)
-		sps.frag.AddAttr("rows_scanned", int64(d.batch.NumRows()))
-		start := time.Now()
-		batch, err := filterScanBatch(scan, deletes, d, rowEngine, st)
-		if st != nil {
-			st.addFilter(time.Since(start))
-		}
-		sps.filter.AddTime(time.Since(start))
+		batch, err := fs.scanBlock(cols, bi, blk, deletes, w, &bt)
 		if err != nil {
 			return nil, err
 		}
@@ -409,69 +398,126 @@ func (db *DB) scanContainer(ctx context.Context, node *Node, scan *planner.Scan,
 			out = append(out, batch)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
-// filterScanBatch applies delete-vector and predicate filtering to one
-// decoded block. On the vectorized engine the delete vector's live
-// positions feed the predicate kernels as the initial selection vector,
-// so the surviving rows are materialized with a single Gather at the
-// end; the row engine gathers after each stage (the reference path).
-// Returns a nil batch when no rows survive.
-func filterScanBatch(scan *planner.Scan, deletes *storage.DeleteSet, d decodedBlock, rowEngine bool, st *scanTally) (*types.Batch, error) {
-	batch := d.batch
-	if rowEngine {
-		if deletes.Len() > 0 {
-			live := deletes.LivePositions(d.blk.RowStart, batch.NumRows())
-			if len(live) == 0 {
-				return nil, nil
-			}
-			if len(live) < batch.NumRows() {
-				batch = batch.Gather(live)
-			}
-		}
-		if scan.Pred != nil {
-			sel, err := expr.FilterBatch(scan.Pred, batch)
-			if err != nil {
-				return nil, err
-			}
-			if len(sel) == 0 {
-				return nil, nil
-			}
-			if len(sel) < batch.NumRows() {
-				batch = batch.Gather(sel)
-			}
-		}
-		return batch, nil
+// blockTally sums what the blocks of one container cost, so the scan
+// touches the shared tally and the spans once per container.
+type blockTally struct {
+	scanned, pruned, rows int64
+	// colsDecoded counts (column, block) pairs decoded; colsSkipped those
+	// of scanned blocks left undecoded because no row survived.
+	colsDecoded, colsSkipped int64
+	decode, filter           time.Duration
+}
+
+func (fs *fragmentScan) record(bt *blockTally) {
+	st, frag := fs.st, fs.sps.frag
+	st.blocksScanned.Add(bt.scanned)
+	st.blocksPruned.Add(bt.pruned)
+	st.rowsScanned.Add(bt.rows)
+	st.colBlocksDecoded.Add(bt.colsDecoded)
+	st.colBlocksSkipped.Add(bt.colsSkipped)
+	st.decodeNanos.Add(int64(bt.decode))
+	st.filterNanos.Add(int64(bt.filter))
+	frag.AddAttr("blocks_scanned", bt.scanned)
+	frag.AddAttr("blocks_pruned", bt.pruned)
+	frag.AddAttr("rows_scanned", bt.rows)
+	frag.AddAttr("column_blocks_decoded", bt.colsDecoded)
+	frag.AddAttr("column_blocks_skipped", bt.colsSkipped)
+	fs.sps.decode.AddTime(bt.decode)
+	fs.sps.filter.AddTime(bt.filter)
+}
+
+// scanBlock reads block bi: it drops deleted rows, decodes fs.firstCols,
+// applies the predicate, and decodes the remaining columns only if a row
+// survives, so a block with no survivor costs its predicate columns and
+// nothing else. On the vectorized engine the live positions feed the
+// predicate kernels as the initial selection and survivors are
+// materialized by one Gather at the end; the row engine gathers after
+// each stage. Returns a nil batch when no row survives. The block's time
+// is split into laps charged to bt.decode or bt.filter.
+func (fs *fragmentScan) scanBlock(cols []*rosfile.Reader, bi int, blk rosfile.BlockMeta, deletes *storage.DeleteSet, w *scanWorker, bt *blockTally) (*types.Batch, error) {
+	scan := fs.scan
+	n := int(blk.RowCount)
+	bt.scanned++
+	bt.rows += int64(n)
+	batch := &types.Batch{Cols: make([]*types.Vector, len(cols))}
+	t := time.Now()
+	lap := func(acc *time.Duration) {
+		now := time.Now()
+		*acc += now.Sub(t)
+		t = now
 	}
+	undecoded := int64(len(cols)) // what a block with no survivor skips
+	decode := func(which []int) error {
+		defer lap(&bt.decode)
+		for _, ci := range which {
+			if batch.Cols[ci] != nil {
+				continue
+			}
+			if w.decoded[ci] == nil {
+				w.decoded[ci] = &types.Vector{}
+			}
+			v := w.decoded[ci]
+			if err := cols[ci].ReadBlockInto(v, bi); err != nil {
+				return err
+			}
+			v.Typ = scan.OutSchema[ci].Type
+			batch.Cols[ci] = v
+			bt.colsDecoded++
+			undecoded--
+		}
+		return nil
+	}
+
 	// sel == nil means every row is selected; hasSel distinguishes a real
 	// (possibly shorter) selection that still needs gathering.
 	var sel []int
 	hasSel := false
 	if deletes.Len() > 0 {
-		live := deletes.LivePositions(d.blk.RowStart, batch.NumRows())
+		live := deletes.LivePositions(blk.RowStart, n)
+		lap(&bt.filter)
 		if len(live) == 0 {
+			bt.colsSkipped += undecoded
 			return nil, nil
 		}
-		if len(live) < batch.NumRows() {
+		if len(live) < n {
 			sel, hasSel = live, true
 		}
 	}
 	if scan.Pred != nil {
-		s, err := expr.FilterVec(scan.Pred, batch, sel, st.vecStats())
+		if err := decode(fs.firstCols); err != nil {
+			return nil, err
+		}
+		var s []int
+		var err error
+		if fs.rowEngine {
+			if hasSel {
+				batch, n, sel, hasSel = batch.Gather(sel), len(sel), nil, false
+			}
+			s, err = expr.FilterBatch(scan.Pred, batch)
+		} else {
+			s, err = expr.FilterVec(scan.Pred, batch, sel, fs.st.vecStats())
+		}
+		lap(&bt.filter)
 		if err != nil {
 			return nil, err
 		}
 		if len(s) == 0 {
+			bt.colsSkipped += undecoded
 			return nil, nil
 		}
-		sel, hasSel = s, len(s) < batch.NumRows()
+		sel, hasSel = s, len(s) < n
+	}
+	if err := decode(fs.allCols); err != nil {
+		return nil, err
 	}
 	if hasSel {
 		batch = batch.Gather(sel)
+		lap(&bt.filter)
+	} else {
+		clear(w.decoded) // the vectors leave with the batch
 	}
 	return batch, nil
 }
@@ -479,29 +525,26 @@ func filterScanBatch(scan *planner.Scan, deletes *storage.DeleteSet, d decodedBl
 // blockCouldMatch applies min/max pruning using the footers of every
 // scanned column at block index bi (the position index of §2.3 stores
 // per-block minimum and maximum values).
-func blockCouldMatch(scan *planner.Scan, readers map[string]*rosfile.Reader, bi int) bool {
-	stats := func(col int) (types.ColumnStats, bool) {
-		if col < 0 || col >= len(scan.Cols) {
+func blockCouldMatch(scan *planner.Scan, cols []*rosfile.Reader, bi int) bool {
+	return expr.CouldMatch(scan.Pred, func(col int) (types.ColumnStats, bool) {
+		if col < 0 || col >= len(cols) || bi >= len(cols[col].Footer().Blocks) {
 			return types.ColumnStats{}, false
 		}
-		r := readers[scan.Cols[col]]
-		if r == nil || bi >= len(r.Footer().Blocks) {
-			return types.ColumnStats{}, false
-		}
-		blk := r.Footer().Blocks[bi]
+		blk := cols[col].Footer().Blocks[bi]
 		return types.ColumnStats{
 			Min:      blk.Min,
 			Max:      blk.Max,
 			HasNulls: blk.NullCount > 0,
 			AllNull:  blk.NullCount == blk.RowCount,
 		}, true
-	}
-	return expr.CouldMatch(scan.Pred, stats)
+	})
 }
 
-// filterWOSRows projects WOS rows to the scan's columns, restricts them
-// to the node's shards, and applies the predicate.
-func (db *DB) filterWOSRows(node *Node, scan *planner.Scan, wb *types.Batch, shards []int, rowEngine bool, st *scanTally) (*types.Batch, error) {
+// filterWOSRows projects WOS rows to the scan's columns and applies the
+// predicate. WOS rows were routed to this node per shard at load time:
+// every buffered row of the projection copy belongs to a shard the node
+// owns, so there is no shard filtering to do.
+func filterWOSRows(scan *planner.Scan, wb *types.Batch, rowEngine bool, st *scanTally) (*types.Batch, error) {
 	projSchema := make(types.Schema, len(scan.Proj.Columns))
 	// WOS batches are stored in projection column order.
 	for i, c := range scan.Proj.Columns {
@@ -516,10 +559,6 @@ func (db *DB) filterWOSRows(node *Node, scan *planner.Scan, wb *types.Batch, sha
 		}
 		sel.Cols[i] = wb.Cols[idx]
 	}
-	// WOS rows were already routed to this node per shard at load time;
-	// every buffered row of this projection copy belongs to a shard the
-	// node owns, so no further shard filtering is needed.
-	_ = shards
 	if scan.Pred != nil {
 		var idx []int
 		var err error

@@ -23,8 +23,14 @@ type ScanStats struct {
 	// the position index's per-block min/max (§2.3).
 	BlocksScanned int64
 	BlocksPruned  int64
-	// RowsScanned counts rows decoded before delete/predicate filtering.
+	// RowsScanned counts the rows of scanned blocks, before delete and
+	// predicate filtering.
 	RowsScanned int64
+	// ColumnBlocksDecoded counts (column, block) pairs decoded;
+	// ColumnBlocksSkipped those of scanned blocks never decoded because
+	// no row of the block survived the delete vector and the predicate.
+	ColumnBlocksDecoded int64
+	ColumnBlocksSkipped int64
 	// Fetches and BytesFetched count storage-file reads issued by the
 	// scan (through the cache or directly) and the bytes they returned.
 	Fetches      int64
@@ -53,24 +59,37 @@ type ScanStats struct {
 	Wall time.Duration
 }
 
+// scanCounters names every ScanStats counter as the metrics registry
+// knows it (under the "scan." prefix) and locates it in a ScanStats.
+var scanCounters = []struct {
+	name string
+	of   func(*ScanStats) *int64
+}{
+	{"containers_scanned", func(s *ScanStats) *int64 { return &s.ContainersScanned }},
+	{"containers_pruned", func(s *ScanStats) *int64 { return &s.ContainersPruned }},
+	{"blocks_scanned", func(s *ScanStats) *int64 { return &s.BlocksScanned }},
+	{"blocks_pruned", func(s *ScanStats) *int64 { return &s.BlocksPruned }},
+	{"rows_scanned", func(s *ScanStats) *int64 { return &s.RowsScanned }},
+	{"column_blocks_decoded", func(s *ScanStats) *int64 { return &s.ColumnBlocksDecoded }},
+	{"column_blocks_skipped", func(s *ScanStats) *int64 { return &s.ColumnBlocksSkipped }},
+	{"fetches", func(s *ScanStats) *int64 { return &s.Fetches }},
+	{"bytes_fetched", func(s *ScanStats) *int64 { return &s.BytesFetched }},
+	{"cache_hits", func(s *ScanStats) *int64 { return &s.CacheHits }},
+	{"cache_misses", func(s *ScanStats) *int64 { return &s.CacheMisses }},
+	{"coalesced_fetches", func(s *ScanStats) *int64 { return &s.CoalescedFetches }},
+	{"rows_vectorized", func(s *ScanStats) *int64 { return &s.RowsVectorized }},
+	{"rows_fallback", func(s *ScanStats) *int64 { return &s.RowsFallback }},
+	{"io_wait_ns", func(s *ScanStats) *int64 { return (*int64)(&s.IOWait) }},
+	{"decode_ns", func(s *ScanStats) *int64 { return (*int64)(&s.Decode) }},
+	{"filter_ns", func(s *ScanStats) *int64 { return (*int64)(&s.Filter) }},
+	{"wall_ns", func(s *ScanStats) *int64 { return (*int64)(&s.Wall) }},
+}
+
 // Add accumulates other into s.
 func (s *ScanStats) Add(other ScanStats) {
-	s.ContainersScanned += other.ContainersScanned
-	s.ContainersPruned += other.ContainersPruned
-	s.BlocksScanned += other.BlocksScanned
-	s.BlocksPruned += other.BlocksPruned
-	s.RowsScanned += other.RowsScanned
-	s.Fetches += other.Fetches
-	s.BytesFetched += other.BytesFetched
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.CoalescedFetches += other.CoalescedFetches
-	s.RowsVectorized += other.RowsVectorized
-	s.RowsFallback += other.RowsFallback
-	s.IOWait += other.IOWait
-	s.Decode += other.Decode
-	s.Filter += other.Filter
-	s.Wall += other.Wall
+	for _, c := range scanCounters {
+		*c.of(s) += *c.of(&other)
+	}
 }
 
 // scanTally is the mutable, concurrency-safe accumulator behind a
@@ -89,6 +108,8 @@ type scanTally struct {
 	blocksScanned     atomic.Int64
 	blocksPruned      atomic.Int64
 	rowsScanned       atomic.Int64
+	colBlocksDecoded  atomic.Int64
+	colBlocksSkipped  atomic.Int64
 	fetches           atomic.Int64
 	bytesFetched      atomic.Int64
 	cacheHits         atomic.Int64
@@ -110,113 +131,60 @@ func (t *scanTally) vecStats() *expr.VecStats {
 }
 
 func (t *scanTally) addIOWait(d time.Duration) { t.ioWaitNanos.Add(int64(d)) }
-func (t *scanTally) addDecode(d time.Duration) { t.decodeNanos.Add(int64(d)) }
-func (t *scanTally) addFilter(d time.Duration) { t.filterNanos.Add(int64(d)) }
 
 // snapshot converts the tally into a ScanStats value.
 func (t *scanTally) snapshot() ScanStats {
 	return ScanStats{
-		ContainersScanned: t.containersScanned.Load(),
-		ContainersPruned:  t.containersPruned.Load(),
-		BlocksScanned:     t.blocksScanned.Load(),
-		BlocksPruned:      t.blocksPruned.Load(),
-		RowsScanned:       t.rowsScanned.Load(),
-		Fetches:           t.fetches.Load(),
-		BytesFetched:      t.bytesFetched.Load(),
-		CacheHits:         t.cacheHits.Load(),
-		CacheMisses:       t.cacheMisses.Load(),
-		CoalescedFetches:  t.coalescedFetches.Load(),
-		RowsVectorized:    t.vec.Vectorized.Load(),
-		RowsFallback:      t.vec.Fallback.Load(),
-		IOWait:            time.Duration(t.ioWaitNanos.Load()),
-		Decode:            time.Duration(t.decodeNanos.Load()),
-		Filter:            time.Duration(t.filterNanos.Load()),
-		Wall:              time.Duration(t.wallNanos.Load()),
+		ContainersScanned:   t.containersScanned.Load(),
+		ContainersPruned:    t.containersPruned.Load(),
+		BlocksScanned:       t.blocksScanned.Load(),
+		BlocksPruned:        t.blocksPruned.Load(),
+		RowsScanned:         t.rowsScanned.Load(),
+		ColumnBlocksDecoded: t.colBlocksDecoded.Load(),
+		ColumnBlocksSkipped: t.colBlocksSkipped.Load(),
+		Fetches:             t.fetches.Load(),
+		BytesFetched:        t.bytesFetched.Load(),
+		CacheHits:           t.cacheHits.Load(),
+		CacheMisses:         t.cacheMisses.Load(),
+		CoalescedFetches:    t.coalescedFetches.Load(),
+		RowsVectorized:      t.vec.Vectorized.Load(),
+		RowsFallback:        t.vec.Fallback.Load(),
+		IOWait:              time.Duration(t.ioWaitNanos.Load()),
+		Decode:              time.Duration(t.decodeNanos.Load()),
+		Filter:              time.Duration(t.filterNanos.Load()),
+		Wall:                time.Duration(t.wallNanos.Load()),
 	}
 }
 
-// scanMetrics is the database's cumulative scan instrumentation, held as
-// registry counters under the "scan." prefix — DB.ScanStats() is a
-// derived snapshot over the registry, not a parallel accumulator.
-type scanMetrics struct {
-	containersScanned *obs.Counter
-	containersPruned  *obs.Counter
-	blocksScanned     *obs.Counter
-	blocksPruned      *obs.Counter
-	rowsScanned       *obs.Counter
-	fetches           *obs.Counter
-	bytesFetched      *obs.Counter
-	cacheHits         *obs.Counter
-	cacheMisses       *obs.Counter
-	coalescedFetches  *obs.Counter
-	rowsVectorized    *obs.Counter
-	rowsFallback      *obs.Counter
-	ioWaitNanos       *obs.Counter
-	decodeNanos       *obs.Counter
-	filterNanos       *obs.Counter
-	wallNanos         *obs.Counter
-}
+// scanMetrics is the database's cumulative scan instrumentation: one
+// registry counter per scanCounters entry, under the "scan." prefix —
+// DB.ScanStats() is a derived snapshot over the registry, not a parallel
+// accumulator.
+type scanMetrics []*obs.Counter
 
 // init creates the counters in reg. A nil registry yields nil counters,
 // which drop adds.
 func (m *scanMetrics) init(reg *obs.Registry) {
-	m.containersScanned = reg.Counter("scan.containers_scanned")
-	m.containersPruned = reg.Counter("scan.containers_pruned")
-	m.blocksScanned = reg.Counter("scan.blocks_scanned")
-	m.blocksPruned = reg.Counter("scan.blocks_pruned")
-	m.rowsScanned = reg.Counter("scan.rows_scanned")
-	m.fetches = reg.Counter("scan.fetches")
-	m.bytesFetched = reg.Counter("scan.bytes_fetched")
-	m.cacheHits = reg.Counter("scan.cache_hits")
-	m.cacheMisses = reg.Counter("scan.cache_misses")
-	m.coalescedFetches = reg.Counter("scan.coalesced_fetches")
-	m.rowsVectorized = reg.Counter("scan.rows_vectorized")
-	m.rowsFallback = reg.Counter("scan.rows_fallback")
-	m.ioWaitNanos = reg.Counter("scan.io_wait_ns")
-	m.decodeNanos = reg.Counter("scan.decode_ns")
-	m.filterNanos = reg.Counter("scan.filter_ns")
-	m.wallNanos = reg.Counter("scan.wall_ns")
+	*m = make(scanMetrics, len(scanCounters))
+	for i, c := range scanCounters {
+		(*m)[i] = reg.Counter("scan." + c.name)
+	}
 }
 
-// add folds a per-query snapshot into the cumulative registry counters.
-func (m *scanMetrics) add(s ScanStats) {
-	m.containersScanned.Add(s.ContainersScanned)
-	m.containersPruned.Add(s.ContainersPruned)
-	m.blocksScanned.Add(s.BlocksScanned)
-	m.blocksPruned.Add(s.BlocksPruned)
-	m.rowsScanned.Add(s.RowsScanned)
-	m.fetches.Add(s.Fetches)
-	m.bytesFetched.Add(s.BytesFetched)
-	m.cacheHits.Add(s.CacheHits)
-	m.cacheMisses.Add(s.CacheMisses)
-	m.coalescedFetches.Add(s.CoalescedFetches)
-	m.rowsVectorized.Add(s.RowsVectorized)
-	m.rowsFallback.Add(s.RowsFallback)
-	m.ioWaitNanos.Add(int64(s.IOWait))
-	m.decodeNanos.Add(int64(s.Decode))
-	m.filterNanos.Add(int64(s.Filter))
-	m.wallNanos.Add(int64(s.Wall))
+// add folds a per-query snapshot into the cumulative registry counters
+// (none when the database runs without a registry).
+func (m scanMetrics) add(s ScanStats) {
+	for i, c := range m {
+		c.Add(*scanCounters[i].of(&s))
+	}
 }
 
 // snapshot derives the cumulative ScanStats view from the registry
 // counters.
-func (m *scanMetrics) snapshot() ScanStats {
-	return ScanStats{
-		ContainersScanned: m.containersScanned.Value(),
-		ContainersPruned:  m.containersPruned.Value(),
-		BlocksScanned:     m.blocksScanned.Value(),
-		BlocksPruned:      m.blocksPruned.Value(),
-		RowsScanned:       m.rowsScanned.Value(),
-		Fetches:           m.fetches.Value(),
-		BytesFetched:      m.bytesFetched.Value(),
-		CacheHits:         m.cacheHits.Value(),
-		CacheMisses:       m.cacheMisses.Value(),
-		CoalescedFetches:  m.coalescedFetches.Value(),
-		RowsVectorized:    m.rowsVectorized.Value(),
-		RowsFallback:      m.rowsFallback.Value(),
-		IOWait:            time.Duration(m.ioWaitNanos.Value()),
-		Decode:            time.Duration(m.decodeNanos.Value()),
-		Filter:            time.Duration(m.filterNanos.Value()),
-		Wall:              time.Duration(m.wallNanos.Value()),
+func (m scanMetrics) snapshot() ScanStats {
+	var s ScanStats
+	for i, c := range m {
+		*scanCounters[i].of(&s) = c.Value()
 	}
+	return s
 }

@@ -18,6 +18,8 @@ type profileTotals struct {
 	blocksScanned     int64
 	blocksPruned      int64
 	rowsScanned       int64
+	colBlocksDecoded  int64
+	colBlocksSkipped  int64
 	fetches           int64
 	cacheHits         int64
 	cacheMisses       int64
@@ -36,6 +38,8 @@ func sumProfile(p *obs.Profile) profileTotals {
 		t.blocksScanned += n.Attrs["blocks_scanned"]
 		t.blocksPruned += n.Attrs["blocks_pruned"]
 		t.rowsScanned += n.Attrs["rows_scanned"]
+		t.colBlocksDecoded += n.Attrs["column_blocks_decoded"]
+		t.colBlocksSkipped += n.Attrs["column_blocks_skipped"]
 		t.fetches += n.Attrs["fetches"]
 		t.cacheHits += n.Attrs["cache_hits"]
 		t.cacheMisses += n.Attrs["cache_misses"]
@@ -144,6 +148,8 @@ func TestProfileMatchesScanStats(t *testing.T) {
 			{"blocks_scanned", got.blocksScanned, st.BlocksScanned},
 			{"blocks_pruned", got.blocksPruned, st.BlocksPruned},
 			{"rows_scanned", got.rowsScanned, st.RowsScanned},
+			{"column_blocks_decoded", got.colBlocksDecoded, st.ColumnBlocksDecoded},
+			{"column_blocks_skipped", got.colBlocksSkipped, st.ColumnBlocksSkipped},
 			{"fetches", got.fetches, st.Fetches},
 			{"cache_hits", got.cacheHits, st.CacheHits},
 			{"cache_misses", got.cacheMisses, st.CacheMisses},
@@ -175,5 +181,37 @@ func TestProfileMatchesScanStats(t *testing.T) {
 	}
 	if joins != 11 {
 		t.Errorf("saw %d join spans over the workload, want the 11 join queries", joins)
+	}
+
+}
+
+// TestPointLookupSkipsColumnBlocks: a point lookup on a column the
+// projection is not sorted by cannot prune by block min/max, but the scan
+// decodes the summed column only in the blocks that hold a matching row
+// (each part key has ~80 line items, so some of the 42 blocks have none).
+func TestPointLookupSkipsColumnBlocks(t *testing.T) {
+	db, _, err := NewEonCluster(3, 3, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadTPCH(db, 4); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	s.Trace = true
+	if _, err := s.Query("SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_partkey = 1234"); err != nil {
+		t.Fatal(err)
+	}
+	st, got := s.LastScanStats(), sumProfile(s.LastProfile())
+	if st.ColumnBlocksSkipped == 0 || st.ColumnBlocksDecoded < st.BlocksScanned {
+		t.Errorf("decoded %d column blocks and skipped %d over %d blocks: want every predicate column decoded and some others skipped",
+			st.ColumnBlocksDecoded, st.ColumnBlocksSkipped, st.BlocksScanned)
+	}
+	if st.ColumnBlocksDecoded+st.ColumnBlocksSkipped != 2*st.BlocksScanned {
+		t.Errorf("decoded %d + skipped %d column blocks, want 2 columns x %d blocks", st.ColumnBlocksDecoded, st.ColumnBlocksSkipped, st.BlocksScanned)
+	}
+	if got.colBlocksDecoded != st.ColumnBlocksDecoded || got.colBlocksSkipped != st.ColumnBlocksSkipped {
+		t.Errorf("profile says %d decoded / %d skipped, ScanStats %d / %d",
+			got.colBlocksDecoded, got.colBlocksSkipped, st.ColumnBlocksDecoded, st.ColumnBlocksSkipped)
 	}
 }

@@ -120,39 +120,66 @@ func filterVec(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
 	return pickTrue(v, sel), nil
 }
 
+// rowCols returns the columns of b a row-engine fallback has to load to
+// evaluate e: only those e reads, so a batch whose other columns are not
+// decoded yet (nil, see Batch.NumRows) can still be filtered.
+func rowCols(e Expr, b *types.Batch) []int {
+	cols := Columns(e)
+	in := cols[:0]
+	for _, c := range cols {
+		if c >= 0 && c < len(b.Cols) { // EvalRow reports a reference out of range
+			in = append(in, c)
+		}
+	}
+	return in
+}
+
 // fallbackSel selects with the row engine, for predicates whose raw .B
 // cannot be read off a coerced vector.
 func fallbackSel(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
 	m := selCount(b, sel)
-	out := make([]int, 0, m)
-	row := make(types.Row, b.NumCols())
+	pass, n := make([]bool, m), 0
+	row, cols := make(types.Row, b.NumCols()), rowCols(e, b)
 	for j := 0; j < m; j++ {
 		i := rowAt(sel, j)
-		for c, col := range b.Cols {
-			row[c] = col.Datum(i)
+		for _, c := range cols {
+			row[c] = b.Cols[c].Datum(i)
 		}
 		d, err := EvalRow(e, row)
 		if err != nil {
 			return nil, err
 		}
 		if !d.Null && d.B {
-			out = append(out, i)
+			pass[j] = true
+			n++
 		}
 	}
 	st.addFallback(m)
+	out := make([]int, 0, n)
+	for j, ok := range pass {
+		if ok {
+			out = append(out, rowAt(sel, j))
+		}
+	}
 	return out, nil
 }
 
-// pickTrue returns the batch row indexes whose dense result is TRUE.
+// pickTrue returns the batch row indexes whose dense result is TRUE. The
+// result is sized by counting first: a selective predicate keeps a few
+// rows of a block, not a block-sized slice.
 func pickTrue(v *types.Vector, sel []int) []int {
-	m := v.Len()
-	out := make([]int, 0, m)
 	bools := v.Bools // nil when the expression is not Bool-physical
-	for j := 0; j < m; j++ {
-		if bools == nil || !bools[j] || v.IsNull(j) {
-			continue
+	n := 0
+	for j, b := range bools {
+		if b && !v.IsNull(j) {
+			n++
 		}
-		out = append(out, rowAt(sel, j))
+	}
+	out := make([]int, 0, n)
+	for j, b := range bools {
+		if b && !v.IsNull(j) {
+			out = append(out, rowAt(sel, j))
+		}
 	}
 	return out
 }
@@ -291,11 +318,11 @@ func evalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, er
 func fallbackVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
 	m := selCount(b, sel)
 	out := types.NewVector(e.Type(), m)
-	row := make(types.Row, b.NumCols())
+	row, cols := make(types.Row, b.NumCols()), rowCols(e, b)
 	for j := 0; j < m; j++ {
 		i := rowAt(sel, j)
-		for c, col := range b.Cols {
-			row[c] = col.Datum(i)
+		for _, c := range cols {
+			row[c] = b.Cols[c].Datum(i)
 		}
 		d, err := EvalRow(e, row)
 		if err != nil {

@@ -88,7 +88,7 @@ func genNum(r *rand.Rand, depth int) Expr {
 	default:
 		return &Case{
 			Whens: []When{{Cond: genBool(r, depth-1), Then: genNum(r, depth-1)}},
-			Else:  genNum(r, depth - 1),
+			Else:  genNum(r, depth-1),
 		}
 	}
 }
@@ -115,7 +115,7 @@ func genStr(r *rand.Rand, depth int) Expr {
 	default:
 		return &Case{
 			Whens: []When{{Cond: genBool(r, depth-1), Then: genStr(r, depth-1)}},
-			Else:  genStr(r, depth - 1),
+			Else:  genStr(r, depth-1),
 		}
 	}
 }

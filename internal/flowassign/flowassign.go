@@ -22,7 +22,7 @@ package flowassign
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -60,7 +60,9 @@ func Assign(in Input) (map[int]string, error) {
 	sink := s + n + 1
 	g := newGraph(sink + 1)
 
-	rng := rand.New(rand.NewSource(in.Seed))
+	// PCG, because Assign runs once per query: seeding math/rand's
+	// 607-word source costs more than the rest of a small assignment.
+	rng := rand.New(rand.NewPCG(uint64(in.Seed), 0))
 
 	for i := range in.Shards {
 		g.addEdge(source, 1+i, 1)

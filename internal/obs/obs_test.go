@@ -265,6 +265,31 @@ func TestSpanDoubleEndIsNoop(t *testing.T) {
 	}
 }
 
+// TestAccumulatorSpanReportsOnlyAddedTime: an accumulator's wall is the
+// sum of what AddTime gave it — zero when nothing did (a scan fragment
+// with no predicate never laps its filter span) — not its own lifetime.
+func TestAccumulatorSpanReportsOnlyAddedTime(t *testing.T) {
+	clock := time.Unix(0, 0)
+	now := func() time.Time { clock = clock.Add(time.Millisecond); return clock }
+	tr := NewTrace("q", now)
+	idle, busy := tr.Root().StartAccum("filter"), tr.Root().StartAccum("decode")
+	busy.AddTime(3 * time.Microsecond)
+	busy.AddTime(0)
+	idle.End()
+	busy.End()
+	p := tr.Finish()
+	if w := p.Find("filter").Wall; w != 0 {
+		t.Errorf("idle accumulator reports %v, want 0", w)
+	}
+	if w := p.Find("decode").Wall; w != 3*time.Microsecond {
+		t.Errorf("accumulator reports %v, want 3µs", w)
+	}
+	var off *Span
+	if off.StartAccum("x") != nil {
+		t.Error("StartAccum on a nil span must return nil")
+	}
+}
+
 func TestSpanContextCarry(t *testing.T) {
 	tr := NewTrace("q", nil)
 	sp := tr.Root().StartSpan("op")

@@ -75,6 +75,19 @@ func (s *Span) StartSpan(name string) *Span {
 	return child
 }
 
+// StartAccum is StartSpan for an accumulator span: its wall time is what
+// AddTime adds — zero if nothing does — never its own start-to-end
+// interval.
+func (s *Span) StartAccum(name string) *Span {
+	child := s.StartSpan(name)
+	if child != nil {
+		child.tr.mu.Lock()
+		child.accum = true
+		child.tr.mu.Unlock()
+	}
+	return child
+}
+
 // End closes the span, fixing its wall time. Ending twice is a no-op, so
 // `defer sp.End()` composes with early explicit ends on error paths.
 func (s *Span) End() {

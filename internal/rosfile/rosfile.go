@@ -284,27 +284,37 @@ func (r *Reader) RowCount() int64 { return r.footer.RowCount }
 // Type returns the column's logical type.
 func (r *Reader) Type() types.Type { return r.footer.Type }
 
-// ReadBlock decodes block i into a vector.
+// ReadBlock decodes block i into a new vector.
 func (r *Reader) ReadBlock(i int) (*types.Vector, error) {
+	v := &types.Vector{}
+	if err := r.ReadBlockInto(v, i); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// ReadBlockInto decodes block i into dst, reusing dst's storage (see
+// colenc.DecodeInto).
+func (r *Reader) ReadBlockInto(dst *types.Vector, i int) error {
 	if i < 0 || i >= len(r.footer.Blocks) {
-		return nil, fmt.Errorf("rosfile: block %d out of range", i)
+		return fmt.Errorf("rosfile: block %d out of range", i)
 	}
 	blk := r.footer.Blocks[i]
 	if blk.Offset < 0 || blk.Offset+blk.Length > int64(len(r.data)) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return colenc.Decode(r.data[blk.Offset:blk.Offset+blk.Length], r.footer.Type)
+	return colenc.DecodeInto(dst, r.data[blk.Offset:blk.Offset+blk.Length], r.footer.Type)
 }
 
 // ReadAll decodes the entire column into one vector.
 func (r *Reader) ReadAll() (*types.Vector, error) {
 	out := types.NewVector(r.footer.Type, int(r.footer.RowCount))
+	block := &types.Vector{}
 	for i := range r.footer.Blocks {
-		v, err := r.ReadBlock(i)
-		if err != nil {
+		if err := r.ReadBlockInto(block, i); err != nil {
 			return nil, err
 		}
-		out.AppendVector(v)
+		out.AppendVector(block)
 	}
 	return out, nil
 }

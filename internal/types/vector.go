@@ -227,12 +227,16 @@ func NewBatch(s Schema, capHint int) *Batch {
 	return b
 }
 
-// NumRows returns the row count of the batch.
+// NumRows returns the row count of the batch: the length of its first
+// column that is present (a scan leaves the columns it has not decoded
+// yet nil while it selects rows).
 func (b *Batch) NumRows() int {
-	if len(b.Cols) == 0 {
-		return 0
+	for _, c := range b.Cols {
+		if c != nil {
+			return c.Len()
+		}
 	}
-	return b.Cols[0].Len()
+	return 0
 }
 
 // NumCols returns the column count of the batch.

@@ -31,6 +31,11 @@ type FileInfo struct {
 // FileSystem is the UDFS API. Paths are slash-separated and relative to
 // the filesystem root. Files are written whole and never modified — the
 // lowest common denominator the shared-storage backends support.
+//
+// Bytes returned by ReadFile and ReadAt are read-only: a backend may hand
+// out a view of the stored image rather than a copy. Because files never
+// change, a view stays valid, with its original contents, after the file
+// is removed.
 type FileSystem interface {
 	// WriteFile creates a file with the given contents. Overwrite of an
 	// existing path is an error.
@@ -61,7 +66,9 @@ func Exists(ctx context.Context, fs FileSystem, path string) (bool, error) {
 }
 
 // MemFS is an in-memory FileSystem, used as the simulated local disk of
-// cluster nodes. Safe for concurrent use.
+// cluster nodes. Safe for concurrent use. WriteFile stores a private copy
+// of its argument and reads return views of that copy — the in-memory
+// stand-in for reading a local file through the page cache.
 type MemFS struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -109,9 +116,9 @@ func (m *MemFS) ReadAt(ctx context.Context, path string, offset, length int64) (
 	if length >= 0 && offset+length < end {
 		end = offset + length
 	}
-	cp := make([]byte, end-offset)
-	copy(cp, data[offset:end])
-	return cp, nil
+	// Capped, so appending to the view reallocates instead of writing
+	// into the stored image.
+	return data[offset:end:end], nil
 }
 
 // Remove implements FileSystem.

@@ -134,6 +134,46 @@ func TestMemFSCopySemantics(t *testing.T) {
 	}
 }
 
+// TestMemFSReadsAreStableViews: reads hand out views of the stored image,
+// which files being immutable makes safe — a view keeps its bytes after
+// the file is removed (or removed and written again), and appending to
+// one cannot reach the stored image.
+func TestMemFSReadsAreStableViews(t *testing.T) {
+	ctx := context.Background()
+	fs := NewMemFS()
+	if err := fs.WriteFile(ctx, "f", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := fs.ReadFile(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := fs.ReadAt(ctx, "f", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(whole) != len(whole) || cap(part) != len(part) {
+		t.Errorf("views have spare capacity (%d/%d, %d/%d): append would write into the file", len(whole), cap(whole), len(part), cap(part))
+	}
+	_ = append(part, 'X') // must reallocate, not overwrite byte 6
+	if again, _ := fs.ReadFile(ctx, "f"); string(again) != "0123456789" {
+		t.Errorf("appending to a view changed the file: %q", again)
+	}
+
+	if err := fs.Remove(ctx, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(ctx, "f", []byte("abcdefghij")); err != nil {
+		t.Fatal(err)
+	}
+	if string(whole) != "0123456789" || string(part) != "2345" {
+		t.Errorf("views changed after Remove and rewrite: %q, %q", whole, part)
+	}
+	if now, _ := fs.ReadFile(ctx, "f"); string(now) != "abcdefghij" {
+		t.Errorf("rewritten file reads %q", now)
+	}
+}
+
 func TestObjectFSNotFoundMapping(t *testing.T) {
 	fs := NewObjectFS(objstore.NewMem())
 	_, err := fs.ReadFile(context.Background(), "missing")

@@ -58,11 +58,15 @@ obs:
 # over the full workload, the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation leak check — all
 # race-checked (the pipeline is goroutines connected by channels) —
-# plus the operator and fan-out helper unit tests, then the hash
-# operators' steady-state allocation guard without the race detector
-# (it skips under -race, which inflates allocation counts).
+# the fetch rule (a cold query's GETs all in flight before one returns;
+# a LIMIT and the fetch-ahead window bound them), plus the operator and
+# fan-out helper unit tests, then the hash operators' steady-state
+# allocation guard without the race detector (it skips under -race,
+# which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestPrefetch' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
 

@@ -72,11 +72,11 @@ type Config struct {
 	ReplicationFactor int
 	// ExecSlots is the per-node concurrent query slot count E (§4.2).
 	ExecSlots int
-	// ScanConcurrency bounds the intra-node scan fan-out: containers of a
-	// fragment scanned in parallel, column files and delete vectors of a
-	// container fetched in parallel, and files uploaded in parallel on
-	// the write path. <= 0 derives the default from runtime.GOMAXPROCS.
-	// 1 reproduces the fully serial pipeline.
+	// ScanConcurrency is the number of decode/filter workers (CPU-bound)
+	// of one scan fragment: containers scanned in parallel. <= 0 derives
+	// the default from runtime.GOMAXPROCS. Shared-storage reads and
+	// uploads wait rather than compute and fan out ioWidth wide instead —
+	// except that 1 reproduces the fully serial pipeline, I/O included.
 	ScanConcurrency int
 	// CacheBytes is the per-node cache capacity (Eon).
 	CacheBytes int64
@@ -518,8 +518,19 @@ func (db *DB) Registry() *obs.Registry { return db.reg }
 // Metrics snapshots every metric in the database's registry.
 func (db *DB) Metrics() obs.Snapshot { return db.reg.Snapshot() }
 
-// scanConc returns the configured intra-node scan/upload fan-out bound.
-func (db *DB) scanConc() int { return db.cfg.ScanConcurrency }
+// ioWidth is how many shared-storage or peer requests one scan fragment,
+// load or maintenance read keeps in flight. Shared storage is high-latency
+// and parallel (§5.3): the width hides round trips, so it belongs to the
+// store, not to the CPU count or the workload, and is not a knob.
+const ioWidth = 32
+
+// ioConc is ioWidth, or 1 under the fully serial ScanConcurrency 1.
+func (db *DB) ioConc() int {
+	if db.cfg.ScanConcurrency == 1 {
+		return 1
+	}
+	return ioWidth
+}
 
 // ScanStats returns the cumulative scan statistics across all queries
 // run against this database; Wall sums the wall time of every query. It

@@ -278,7 +278,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 				if node == nil {
 					return fmt.Errorf("core: no node can read container %d", sc.OID)
 				}
-				rows, err := storage.ReadColumns(ctx, sc, projSchema, db.fetchFunc(node, false), db.scanConc())
+				rows, err := storage.ReadColumns(ctx, sc, projSchema, db.fetchFunc(node, false), db.ioConc())
 				if err != nil {
 					return err
 				}

@@ -153,7 +153,7 @@ func (db *DB) deleteWhere(tableName string, where expr.Expr, onRow func(types.Ro
 				return 0, fmt.Errorf("core: no node can read container %d", sc.OID)
 			}
 			fetch := db.fetchFunc(node, false)
-			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.scanConc())
+			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
 			if err != nil {
 				return 0, err
 			}

@@ -93,7 +93,6 @@ func (db *DB) executePlan(env *queryEnv, node planner.Node, parent *obs.Span) (*
 }
 
 func (db *DB) execScan(env *queryEnv, scan *planner.Scan, sp *obs.Span) (*distResult, error) {
-	bypass := env.session.BypassCache
 	if scan.Virtual {
 		// System-table scan: materialized once on the initiator from live
 		// monitoring state and treated as replicated downstream.
@@ -113,7 +112,7 @@ func (db *DB) execScan(env *queryEnv, scan *planner.Scan, sp *obs.Span) (*distRe
 		node := env.initiator
 		fragSp := sp.StartSpan("fragment:" + node.name)
 		ctx := obs.WithSpan(env.ctx, fragSp)
-		batches, err := db.scanFragment(ctx, node, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, env.snapshotFor(node.name), bypass, CrunchOff, env.session.RowEngine, env.stats)
+		batches, err := env.fragment(db, node, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, CrunchOff).collect(ctx)
 		fragSp.End()
 		if err != nil {
 			return nil, err
@@ -141,7 +140,7 @@ func (db *DB) execScan(env *queryEnv, scan *planner.Scan, sp *obs.Span) (*distRe
 		fragSp := sp.StartSpan("fragment:" + name)
 		defer fragSp.End()
 		ctx := obs.WithSpan(env.ctx, fragSp)
-		return db.scanFragment(ctx, n, scan, env.nodeTasks(name), env.snapshotFor(name), bypass, env.session.Crunch, env.session.RowEngine, env.stats)
+		return env.fragment(db, n, scan, env.nodeTasks(name), env.session.Crunch).collect(ctx)
 	})
 	if err != nil {
 		return nil, err

@@ -76,7 +76,7 @@ func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.
 			return nil, fmt.Errorf("core: no node can read container %d", sc.OID)
 		}
 		fetch := db.fetchFunc(node, false)
-		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.scanConc())
+		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 				return rewritten, fmt.Errorf("core: no node can read container %d", sc.OID)
 			}
 			fetch := db.fetchFunc(node, false)
-			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.scanConc())
+			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
 			if err != nil {
 				return rewritten, err
 			}
@@ -375,10 +375,8 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		if err != nil {
 			return rewritten, err
 		}
-		for _, s := range ships {
-			if err := db.persistFiles(ctx, s.writer, s.files, s.shard, db.neverCacheTable(tbl.Name)); err != nil {
-				return rewritten, err
-			}
+		if err := db.persistShips(ctx, ships, db.neverCacheTable(tbl.Name)); err != nil {
+			return rewritten, err
 		}
 	}
 

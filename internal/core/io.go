@@ -18,10 +18,10 @@ import (
 // storage, and ship to peer subscribers' caches so node-down performance
 // stays warm. Enterprise: write to the owner's local disk.
 //
-// Uploads fan out across the node's scan worker pool (ScanConcurrency):
-// a wide container's per-column files upload concurrently instead of
-// paying one shared-storage round trip per file. Paths are walked in
-// sorted order so cache admission order stays deterministic.
+// Uploads, and the ships to each peer, fan out ioWidth wide: they wait on
+// round trips rather than compute, so a container's files (and, from
+// persistShips, a load's containers) cost one round trip, not one each.
+// Sorted paths keep cache admission order deterministic when serial.
 //
 // Shared-storage writes go through the resilient store view (retries
 // with jittered backoff, breaker; §5.3), so no extra retry loop wraps
@@ -34,7 +34,7 @@ func (db *DB) persistFiles(ctx context.Context, writer *Node, files map[string][
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	conc := db.scanConc()
+	conc := db.ioConc()
 
 	if db.mode == ModeEnterprise {
 		return parallel.ForEach(ctx, len(paths), conc, func(ctx context.Context, _, i int) error {
@@ -100,6 +100,14 @@ func (db *DB) persistFiles(ctx context.Context, writer *Node, files map[string][
 	}
 	wg.Wait()
 	return nil
+}
+
+// persistShips persists the containers a load built, all at once; the
+// first failure cancels the rest, so the caller never reaches its commit.
+func (db *DB) persistShips(ctx context.Context, ships []pendingShip, noCache bool) error {
+	return parallel.ForEach(ctx, len(ships), db.ioConc(), func(ctx context.Context, _, i int) error {
+		return db.persistFiles(ctx, ships[i].writer, ships[i].files, ships[i].shard, noCache)
+	})
 }
 
 // subscriberNodes returns the nodes subscribed to a shard in states that

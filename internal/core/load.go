@@ -91,10 +91,8 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 
 	// Persist all files before commit — "for a committed transaction all
 	// the data has been successfully uploaded to shared storage" (§4.5).
-	for _, s := range ships {
-		if err := db.persistFiles(ctx, s.writer, s.files, s.shard, db.neverCacheTable(tbl.Name)); err != nil {
-			return err
-		}
+	if err := db.persistShips(ctx, ships, db.neverCacheTable(tbl.Name)); err != nil {
+		return err
 	}
 
 	// Commit with the subscription-stability check: if a participating

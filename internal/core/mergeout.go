@@ -243,7 +243,7 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 			return 0, fmt.Errorf("core: container %d vanished before mergeout", sc.OID)
 		}
 		sc = cur.(*catalog.StorageContainer)
-		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.scanConc())
+		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
 		if err != nil {
 			return 0, err
 		}

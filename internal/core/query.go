@@ -223,6 +223,12 @@ func (env *queryEnv) snapshotFor(node string) *catalog.Snapshot {
 	return env.snapshots[node]
 }
 
+// fragment describes node n's share of scan for this query.
+func (env *queryEnv) fragment(db *DB, n *Node, scan *planner.Scan, tasks []scanTask, mode CrunchMode) *fragmentScan {
+	return &fragmentScan{db: db, node: n, scan: scan, tasks: tasks, mode: mode, snap: env.snapshotFor(n.name),
+		bypassCache: env.session.BypassCache, rowEngine: env.session.RowEngine, st: env.stats}
+}
+
 // nodeTasks returns the scan tasks a node serves, in shard order.
 func (env *queryEnv) nodeTasks(node string) []scanTask {
 	var out []scanTask

@@ -47,8 +47,8 @@ func (s scanSpans) end() {
 	s.filter.End()
 }
 
-// containerWork is one unit of scan work: a container of one scan task,
-// tagged with its position in the fragment's deterministic output order.
+// containerWork is one unit of scan work: an unpruned container of one
+// scan task, in the fragment's deterministic output order.
 type containerWork struct {
 	task scanTask
 	sc   *catalog.StorageContainer
@@ -56,42 +56,28 @@ type containerWork struct {
 	hashFilter bool
 }
 
-// scanFragment reads one node's share of a scan into a batch slice (the
-// materialized executor's entry point); it is a collecting wrapper over
-// scanFragmentStream.
-func (db *DB) scanFragment(ctx context.Context, node *Node, scan *planner.Scan, tasks []scanTask, snap *catalog.Snapshot, bypassCache bool, mode CrunchMode, rowEngine bool, st *scanTally) ([]*types.Batch, error) {
-	var out []*types.Batch
-	err := db.scanFragmentStream(ctx, node, scan, tasks, snap, bypassCache, mode, rowEngine, st, func(b *types.Batch) error {
-		out = append(out, b)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// collect reads the fragment into a batch slice (the materialized
+// executor's entry point).
+func (fs *fragmentScan) collect(ctx context.Context) (out []*types.Batch, err error) {
+	defer func() { fs.sps.end() }() // run's own, unless plan failed
+	if err = fs.plan(ctx); err == nil {
+		err = fs.run(ctx, func(b *types.Batch) error { out = append(out, b); return nil })
 	}
-	return out, nil
+	return out, err
 }
 
-// scanFragmentStream reads one node's share of a scan and hands each
-// surviving batch to emit as it is produced: the containers of the
-// chosen projection whose shards (or shard sub-partitions, under crunch
-// scaling) the session assigned to this node, with container- and
-// block-level min/max pruning, delete-vector filtering and predicate
-// evaluation. The executor "attaches storage for the shards the session
-// has instructed it to serve" from its own catalog (§4).
-//
-// Containers are scanned through a bounded worker window
-// (ScanConcurrency) so cold scans overlap their shared-storage fetches
-// instead of paying containers x columns round trips serially, but —
-// unlike a materializing pool — at most that window of container
-// results exists at once: emit runs on the caller's goroutine in strict
-// (task, container) order (exactly the serial pipeline's order), and a
-// slow or early-terminating consumer backpressures the workers through
-// the window.
-func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.Scan, tasks []scanTask, snap *catalog.Snapshot, bypassCache bool, mode CrunchMode, rowEngine bool, st *scanTally, emit func(*types.Batch) error) error {
-	// The fragment span arrives via the context (set by execScan); the
+// plan is the first step of reading one node's share of a scan: it lists
+// the containers of the chosen projection whose shards (or shard
+// sub-partitions, under crunch scaling) the session assigned to this node
+// and that survive catalog min/max pruning — the executor "attaches
+// storage for the shards the session has instructed it to serve" from its
+// own catalog (§4) — and starts the reads of their files (prefetch). It
+// does not block, so a pipeline plans every fragment while it is built.
+func (fs *fragmentScan) plan(ctx context.Context) error {
+	db, node, scan, st := fs.db, fs.node, fs.scan, fs.st
+	// The fragment span arrives via the context (set by the caller); the
 	// fetch/decode/filter accumulator children aggregate worker time.
-	sps := newScanSpans(obs.SpanFrom(ctx))
-	defer sps.end()
+	fs.sps = newScanSpans(obs.SpanFrom(ctx))
 	// The scan reads from the query's captured catalog cut, not a fresh
 	// snapshot: a concurrent drain (RemoveNode → unsubscribe) deletes the
 	// subscription and then prunes the node's local shard metadata via
@@ -100,12 +86,11 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 	// containers for an assigned shard — a silent short read. The captured
 	// cut is immutable (copy-on-write), so the containers it references
 	// remain scannable; dropped depot files fall back to shared storage.
-	if snap == nil {
-		snap = node.catalog.Snapshot()
+	if fs.snap == nil {
+		fs.snap = node.catalog.Snapshot()
 	}
-	wosProjs := map[catalog.OID]bool{}
-	var work []containerWork
-	for _, task := range tasks {
+	fs.wosProjs = map[catalog.OID]bool{}
+	for _, task := range fs.tasks {
 		shardIdx := task.Shard
 		// Enterprise: a node serving a shard it does not own in the base
 		// projection reads the buddy copy instead — "the global query
@@ -113,19 +98,19 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 		// node serves the underlying data" (§6.1).
 		proj := scan.Proj
 		if db.mode == ModeEnterprise && shardIdx != catalog.ReplicaShard && !scan.Replicated {
-			p, err := db.projectionCopyFor(snap, scan.Proj, shardIdx, node.name)
+			p, err := db.projectionCopyFor(fs.snap, scan.Proj, shardIdx, node.name)
 			if err != nil {
 				return err
 			}
 			proj = p
 		}
-		wosProjs[proj.OID] = true
+		fs.wosProjs[proj.OID] = true
 
-		containers := snap.ContainersOf(proj.OID, shardIdx)
+		containers := fs.snap.ContainersOf(proj.OID, shardIdx)
 		// Container split (§4.4): "each node sharing a segment scans a
 		// distinct subset of the containers".
 		useContainerSplit := task.Of > 1 &&
-			(mode == CrunchContainerSplit || len(scan.SegmentCols) == 0)
+			(fs.mode == CrunchContainerSplit || len(scan.SegmentCols) == 0)
 		for ci, sc := range containers {
 			if db.mode == ModeEnterprise && sc.OwnerNode != node.name {
 				continue
@@ -133,7 +118,13 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 			if useContainerSplit && ci%task.Of != task.Part {
 				continue
 			}
-			work = append(work, containerWork{
+			// Container-level pruning from catalog stats: no file access (§2.1).
+			if scan.Pred != nil && !expr.CouldMatch(scan.Pred, containerStats(scan, sc)) {
+				st.containersPruned.Add(1)
+				fs.sps.frag.AddAttr("containers_pruned", 1)
+				continue
+			}
+			fs.work = append(fs.work, containerWork{
 				task: task,
 				sc:   sc,
 				// Hash filter (§4.4): "applying a new hash segmentation
@@ -144,13 +135,28 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 			})
 		}
 	}
+	fs.firstCols, fs.allCols = scanColSets(scan, fs.rowEngine)
+	// Per-table shaping policy (§5.2): never-cache tables bypass.
+	fs.file = db.trackedFetch(node, fs.bypassCache || db.neverCacheTable(scan.Table.Name), st, fs.sps.fetch)
+	return fs.prefetch(ctx)
+}
 
+// run hands each surviving batch of a planned fragment to emit as it is
+// produced, after block-level min/max pruning, delete-vector filtering
+// and predicate evaluation. Containers are scanned through a bounded
+// worker window (ScanConcurrency), and — unlike a materializing pool — at
+// most that window of container results exists at once: emit runs on the
+// caller's goroutine in strict (task, container) order (exactly the
+// serial pipeline's order), and a slow or early-terminating consumer
+// backpressures the workers, and through them the reads.
+func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) error {
+	db, node, scan, st, work := fs.db, fs.node, fs.scan, fs.st, fs.work
+	defer fs.sps.end()
+	defer func() { fs.sps.frag.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
 	// Scan the containers through a bounded streaming window. Each worker
 	// keeps its own scratch (decode vectors, hash-filter ring and buffers),
 	// so a fragment allocates it once per worker, not once per block.
-	fs := &fragmentScan{db: db, node: node, scan: scan, snap: snap, bypassCache: bypassCache, rowEngine: rowEngine, st: st, sps: sps}
-	fs.firstCols, fs.allCols = scanColSets(scan, rowEngine)
-	conc := db.scanConc()
+	conc := db.cfg.ScanConcurrency
 	workers := make([]scanWorker, max(conc, 1))
 	err := parallel.StreamOrdered(ctx, len(work), conc,
 		func(ctx context.Context, worker, i int) ([]*types.Batch, error) {
@@ -178,18 +184,17 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 	if err != nil {
 		return err
 	}
-
 	if scan.Replicated {
-		wosProjs = map[catalog.OID]bool{scan.Proj.OID: true}
+		fs.wosProjs = map[catalog.OID]bool{scan.Proj.OID: true}
 	}
 	// Enterprise: merge WOS rows of the projection copies this node read.
 	if db.mode == ModeEnterprise && node.wos != nil {
-		for projOID := range wosProjs {
+		for projOID := range fs.wosProjs {
 			wb := node.wos.Rows(projOID)
 			if wb == nil || wb.NumRows() == 0 {
 				continue
 			}
-			b, err := filterWOSRows(scan, wb, rowEngine, st)
+			b, err := filterWOSRows(scan, wb, fs.rowEngine, st)
 			if err != nil {
 				return err
 			}
@@ -199,6 +204,40 @@ func (db *DB) scanFragmentStream(ctx context.Context, node *Node, scan *planner.
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// prefetch lists, in (task, container, column) order, the files of work
+// this node's depot does not hold — each container's column files or
+// bundle, then its delete vectors — and starts a fetcher that keeps
+// ioWidth of them in flight ahead of the workers, which take them from it
+// (fs.file) instead of reading them: a cold fragment costs one round
+// trip whatever ScanConcurrency is, each file read and counted once, and
+// not by way of the depot. A file the depot holds is not listed, so a
+// warm scan lists nothing, starts nothing and allocates nothing here; nor
+// does Enterprise (local disk) or the serial reference.
+func (fs *fragmentScan) prefetch(ctx context.Context) error {
+	if fs.db.mode != ModeEon || fs.db.ioConc() == 1 {
+		return nil
+	}
+	var paths []string
+	miss := func(path string) {
+		if !fs.node.cache.Contains(path) {
+			paths = append(paths, path)
+		}
+	}
+	for _, w := range fs.work {
+		if err := storage.ColumnFiles(w.sc, fs.scan.Cols, miss); err != nil {
+			return err
+		}
+		for _, dv := range fs.snap.DeleteVectorsOf(w.sc.OID) {
+			miss(dv.File.Path)
+		}
+	}
+	if len(paths) > 0 {
+		fs.pre = storage.StartPrefetch(ctx, paths, ioWidth, fs.file)
+		fs.file = fs.pre.Fetch
 	}
 	return nil
 }
@@ -273,19 +312,29 @@ func containerStats(scan *planner.Scan, sc *catalog.StorageContainer) expr.Stats
 	}
 }
 
-// fragmentScan is what the container scans of one fragment share.
+// fragmentScan is one node's share of a scan (see queryEnv.fragment) and
+// what its container scans share.
 type fragmentScan struct {
 	db          *DB
 	node        *Node
 	scan        *planner.Scan
+	tasks       []scanTask
 	snap        *catalog.Snapshot
 	bypassCache bool
+	mode        CrunchMode
 	rowEngine   bool
 	st          *scanTally // the query's tally; never nil
-	sps         scanSpans
+	// plan's results: unpruned containers in output order; projections read.
+	work     []containerWork
+	wosProjs map[catalog.OID]bool
+	sps      scanSpans
 	// firstCols are the scan columns a block decodes before selection;
 	// the others (allCols is every index) only if a row survives it.
 	firstCols, allCols []int
+	// file reads a file for a container worker: through the depot, counting
+	// it, or from the fetcher pre (nil if it listed nothing), which did.
+	file storage.FetchFunc
+	pre  *storage.Prefetch
 }
 
 // scanColSets returns the columns selection needs — the predicate's on
@@ -320,51 +369,32 @@ type scanWorker struct {
 }
 
 // scanContainer reads the needed columns of one container, block by
-// block. Column files and delete vectors are fetched with a bounded
-// concurrent fan-out; containers already run ScanConcurrency wide, so the
+// block. Its files come through fs.file — in the depot or already in
+// flight — and containers already run ScanConcurrency wide, so the
 // blocks of one container are decoded and filtered in turn.
 func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageContainer, w *scanWorker) ([]*types.Batch, error) {
-	db, scan, st, sps := fs.db, fs.scan, fs.st, fs.sps
-	// Container-level pruning from catalog stats — no file access
-	// needed (§2.1).
-	if scan.Pred != nil && !expr.CouldMatch(scan.Pred, containerStats(scan, sc)) {
-		st.containersPruned.Add(1)
-		sps.frag.AddAttr("containers_pruned", 1)
-		return nil, nil
-	}
-
-	// Per-table shaping policy (§5.2): never-cache tables bypass.
-	bypassCache := fs.bypassCache || db.neverCacheTable(scan.Table.Name)
-	conc := db.scanConc()
-	fetch := db.trackedFetch(fs.node, bypassCache, st, sps.fetch)
-	readers, err := storage.OpenColumns(ctx, sc, scan.Cols, fetch, conc)
+	scan, st, sps := fs.scan, fs.st, fs.sps
+	readers, err := storage.OpenColumns(ctx, sc, scan.Cols, fs.file)
 	if err != nil {
 		return nil, err
 	}
 
-	// Fetch and merge the delete vectors covering this container,
-	// concurrently — cold containers often carry several.
-	var dvFiles []string
+	// Merge the delete vectors covering this container — cold containers
+	// often carry several.
+	var dvLists [][]int64
 	for _, dv := range fs.snap.DeleteVectorsOf(sc.OID) {
-		if db.mode == ModeEnterprise && dv.OwnerNode != fs.node.name {
+		if fs.db.mode == ModeEnterprise && dv.OwnerNode != fs.node.name {
 			continue
 		}
-		dvFiles = append(dvFiles, dv.File.Path)
-	}
-	dvLists := make([][]int64, len(dvFiles))
-	if err := parallel.ForEach(ctx, len(dvFiles), conc, func(ctx context.Context, _, i int) error {
-		data, err := fetch(ctx, dvFiles[i])
+		data, err := fs.file(ctx, dv.File.Path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		positions, err := storage.ReadDeleteVector(data)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dvLists[i] = positions
-		return nil
-	}); err != nil {
-		return nil, err
+		dvLists = append(dvLists, positions)
 	}
 	deletes := storage.NewDeleteSet(dvLists...)
 	st.containersScanned.Add(1)

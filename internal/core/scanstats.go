@@ -49,8 +49,9 @@ type ScanStats struct {
 	// kernel. RowsFallback == 0 means full kernel coverage.
 	RowsVectorized int64
 	RowsFallback   int64
-	// IOWait / Decode / Filter split the scan's working time: blocked on
-	// file reads, decoding blocks, and evaluating deletes + predicates.
+	// IOWait / Decode / Filter split the scan's working time: file reads,
+	// decoding blocks, and evaluating deletes + predicates. IOWait sums the
+	// duration of every read, and reads overlap, so it exceeds Wall.
 	IOWait time.Duration
 	Decode time.Duration
 	Filter time.Duration

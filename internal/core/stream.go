@@ -399,13 +399,14 @@ func (sc *streamCtx) spawn(fn func()) {
 	}()
 }
 
-// addSpan registers a plan-node span for closing at shutdown.
-func (sc *streamCtx) addSpan(sp *obs.Span) {
-	if sp == nil {
+// addSpan registers a plan-node span and any children for closing at
+// shutdown (all nil when tracing is off).
+func (sc *streamCtx) addSpan(sps ...*obs.Span) {
+	if sps[0] == nil {
 		return
 	}
 	sc.mu.Lock()
-	sc.spans = append(sc.spans, sp)
+	sc.spans = append(sc.spans, sps...)
 	sc.mu.Unlock()
 }
 
@@ -651,26 +652,33 @@ func (sc *streamCtx) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 }
 
 // scanOp returns the streaming scan of one node's fragment: a driver
-// goroutine runs the scan pipeline (container pruning, bounded-fan-out
-// fetch, decode, filter) and feeds surviving batches through the edge
-// channel, so downstream operators consume rows while later containers
-// are still being fetched, and a canceled query stops the scan
-// mid-container.
+// goroutine runs the scan pipeline (fetch, decode, filter) and feeds
+// surviving batches through the edge channel, so downstream operators
+// consume rows while later containers are still being fetched, and a
+// canceled query stops the scan mid-container. The driver starts on the
+// first pull, but the fragment is planned here, while the pipeline is
+// built: its shared-storage reads go out at once — a join's second side
+// and a replicated dimension fetch while the first side is being read.
 func (sc *streamCtx) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, mode CrunchMode, sp *obs.Span) exec.Operator {
-	env := sc.env
 	ch := newChanOp(sc.ctx, scan.OutSchema)
+	fragSp := sp.StartSpan("fragment:" + n.name)
+	ctx := obs.WithSpan(sc.ctx, fragSp)
+	fs := sc.env.fragment(sc.db, n, scan, tasks, mode)
+	err := fs.plan(ctx)
+	// A fragment that is never pulled still ends its spans and its fetcher.
+	sc.addSpan(fragSp, fs.sps.fetch, fs.sps.decode, fs.sps.filter)
+	if fs.pre != nil {
+		sc.spawn(fs.pre.Wait)
+	}
 	ch.begin = func() {
 		sc.spawn(func() {
-			if !n.Up() {
-				ch.finish(fmt.Errorf("%w: %s", errNodeDown, n.name))
-				return
-			}
-			fragSp := sp.StartSpan("fragment:" + n.name)
 			defer fragSp.End()
-			ctx := obs.WithSpan(sc.ctx, fragSp)
-			err := sc.db.scanFragmentStream(ctx, n, scan, tasks, env.snapshotFor(n.name),
-				env.session.BypassCache, mode, env.session.RowEngine, env.stats,
-				func(b *types.Batch) error { return ch.push(b) })
+			if err == nil && !n.Up() {
+				err = fmt.Errorf("%w: %s", errNodeDown, n.name)
+			}
+			if err == nil {
+				err = fs.run(ctx, ch.push)
+			}
 			ch.finish(err)
 		})
 	}

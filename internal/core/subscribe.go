@@ -330,5 +330,5 @@ func warmFromPeer(db *DB, n *Node, peer *Node, list []string) int {
 	}
 	// Warm through the node's scan worker pool: the per-file transfers
 	// overlap, which matters when a takeover warms a large MRU list.
-	return n.cache.Warm(db.Context(), list, warm, db.scanConc())
+	return n.cache.Warm(db.Context(), list, warm, db.cfg.ScanConcurrency)
 }

@@ -11,7 +11,6 @@ import (
 
 	"eon/internal/catalog"
 	"eon/internal/cluster"
-	"eon/internal/parallel"
 	"eon/internal/rosfile"
 	"eon/internal/types"
 )
@@ -163,68 +162,59 @@ func BuildContainer(alloc OIDAllocator, inst cluster.InstanceID, spec WriteSpec,
 // from local disk in Enterprise mode).
 type FetchFunc func(ctx context.Context, path string) ([]byte, error)
 
-// OpenColumns returns a rosfile reader per requested column of the
-// container. Columns may live in per-column files, a bundle, or a mix
-// (side files appear when ALTER TABLE ADD COLUMN extends a bundled
-// container). The per-column file fetches (plus the bundle fetch, when
-// one is needed) fan out across at most concurrency concurrent requests,
-// hiding shared-storage latency on cold scans; concurrency <= 1 fetches
-// serially.
-func OpenColumns(ctx context.Context, sc *catalog.StorageContainer, cols []string, fetch FetchFunc, concurrency int) (map[string]*rosfile.Reader, error) {
-	var perFile []string // column names with their own files, in cols order
-	var fromBundle []string
+// ColumnFiles calls visit with the path of every file that holds one of
+// the container's requested columns — the files OpenColumns reads, each
+// once: per-column files in cols order, the bundle at its first column.
+// Columns may live in per-column files, a bundle, or a mix (side files
+// appear when ALTER TABLE ADD COLUMN extends a bundled container).
+func ColumnFiles(sc *catalog.StorageContainer, cols []string, visit func(path string)) error {
+	bundled := false
 	for _, c := range cols {
-		if _, ok := sc.Files[c]; ok {
-			perFile = append(perFile, c)
+		if ref, ok := sc.Files[c]; ok {
+			visit(ref.Path)
+			continue
+		}
+		if sc.Bundle.Path == "" {
+			return fmt.Errorf("storage: container %d has no column %q", sc.OID, c)
+		}
+		if !bundled {
+			bundled = true
+			visit(sc.Bundle.Path)
+		}
+	}
+	return nil
+}
+
+// OpenColumns returns a rosfile reader per requested column of the
+// container, reading the files ColumnFiles lists through fetch, one call
+// after another: a caller that wants the reads to overlap starts them
+// beforehand and hands in a fetch that waits for them (Prefetch.Fetch).
+func OpenColumns(ctx context.Context, sc *catalog.StorageContainer, cols []string, fetch FetchFunc) (map[string]*rosfile.Reader, error) {
+	out := make(map[string]*rosfile.Reader, len(cols))
+	var bundle *rosfile.Bundle
+	for _, c := range cols {
+		if ref, ok := sc.Files[c]; ok {
+			data, err := fetch(ctx, ref.Path)
+			if err != nil {
+				return nil, fmt.Errorf("storage: fetch %s: %w", ref.Path, err)
+			}
+			if out[c], err = rosfile.NewReader(data); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if sc.Bundle.Path == "" {
 			return nil, fmt.Errorf("storage: container %d has no column %q", sc.OID, c)
 		}
-		fromBundle = append(fromBundle, c)
-	}
-
-	// One fetch job per column file, plus one for the bundle if needed.
-	jobs := len(perFile)
-	if len(fromBundle) > 0 {
-		jobs++
-	}
-	readers := make([]*rosfile.Reader, len(perFile))
-	var bundle *rosfile.Bundle
-	err := parallel.ForEach(ctx, jobs, concurrency, func(ctx context.Context, _, i int) error {
-		if i == len(perFile) { // the bundle job
+		if bundle == nil {
 			data, err := fetch(ctx, sc.Bundle.Path)
 			if err != nil {
-				return fmt.Errorf("storage: fetch bundle %s: %w", sc.Bundle.Path, err)
+				return nil, fmt.Errorf("storage: fetch bundle %s: %w", sc.Bundle.Path, err)
 			}
-			b, err := rosfile.OpenBundle(data)
-			if err != nil {
-				return err
+			if bundle, err = rosfile.OpenBundle(data); err != nil {
+				return nil, err
 			}
-			bundle = b
-			return nil
 		}
-		ref := sc.Files[perFile[i]]
-		data, err := fetch(ctx, ref.Path)
-		if err != nil {
-			return fmt.Errorf("storage: fetch %s: %w", ref.Path, err)
-		}
-		r, err := rosfile.NewReader(data)
-		if err != nil {
-			return err
-		}
-		readers[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make(map[string]*rosfile.Reader, len(cols))
-	for i, c := range perFile {
-		out[c] = readers[i]
-	}
-	for _, c := range fromBundle {
 		r, err := bundle.Open(c)
 		if err != nil {
 			return nil, err
@@ -235,11 +225,20 @@ func OpenColumns(ctx context.Context, sc *catalog.StorageContainer, cols []strin
 }
 
 // ReadColumns materializes whole columns of a container as a batch in the
-// given column order, fetching column files with at most concurrency
-// concurrent requests.
+// given column order, reading its files with at most concurrency
+// concurrent requests (serially, on the caller's goroutine, at 1).
 func ReadColumns(ctx context.Context, sc *catalog.StorageContainer, schema types.Schema, fetch FetchFunc, concurrency int) (*types.Batch, error) {
 	names := schema.Names()
-	readers, err := OpenColumns(ctx, sc, names, fetch, concurrency)
+	if concurrency > 1 {
+		var paths []string
+		if err := ColumnFiles(sc, names, func(p string) { paths = append(paths, p) }); err != nil {
+			return nil, err
+		}
+		pre := StartPrefetch(ctx, paths, concurrency, fetch)
+		defer pre.Stop()
+		fetch = pre.Fetch
+	}
+	readers, err := OpenColumns(ctx, sc, names, fetch)
 	if err != nil {
 		return nil, err
 	}

@@ -151,11 +151,11 @@ func TestOpenColumnsSubset(t *testing.T) {
 	fetch := func(ctx context.Context, path string) ([]byte, error) {
 		return built.Files[path], nil
 	}
-	readers, err := OpenColumns(context.Background(), built.Meta, []string{"amount"}, fetch, 2)
+	readers, err := OpenColumns(context.Background(), built.Meta, []string{"amount"}, fetch)
 	if err != nil || len(readers) != 1 {
 		t.Fatalf("open subset: %v", err)
 	}
-	if _, err := OpenColumns(context.Background(), built.Meta, []string{"bogus"}, fetch, 2); err == nil {
+	if _, err := OpenColumns(context.Background(), built.Meta, []string{"bogus"}, fetch); err == nil {
 		t.Error("unknown column should fail")
 	}
 }

@@ -39,11 +39,14 @@ race:
 	$(GO) test -race ./...
 
 # Chaos smoke: the deterministic fault drill (load + query stream +
-# node kill + revive under injected shared-storage faults) plus the
-# resilience layer's unit tests, race-checked.
+# node kill + revive under injected shared-storage faults), revive's and
+# sync's I/O shape (round trips, fallback, the crash-point sweep over
+# sync -> shutdown -> revive), plus the resilience layer's and the
+# simulators' unit tests with the wait helper's, race-checked.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage' ./internal/core/
-	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/
+	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
+	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
 # Observability gate: the metrics/tracing package under the race
 # detector (registry and span counters are written concurrently), then
@@ -74,11 +77,12 @@ exec:
 # the membership-churn soak, the full reconcile package (all
 # race-checked — membership changes race the query stream by design),
 # then the chaos-recovery experiment without the race detector so its
-# recovery timings stay meaningful.
+# recovery timings stay meaningful, three times over because each run
+# is one kill per path.
 reconcile:
 	$(GO) test -race -count=1 -run 'TestSpare|TestRemoveNode|TestSoakMembershipChurn' ./internal/core/
 	$(GO) test -race -count=1 ./internal/reconcile/
-	$(GO) test -count=1 -run 'TestChaosRecovery' -timeout 300s ./internal/experiments/
+	$(GO) test -count=3 -run 'TestChaosRecovery' -timeout 300s ./internal/experiments/
 
 # System-table gate: the virtual-table layer and Data Collector unit
 # tests, the v_monitor fill/differential tests, and the chaos liveness

@@ -30,8 +30,8 @@ func main() {
 	mustExec(s, `INSERT INTO events VALUES (1, 'signup'), (2, 'login'), (3, 'purchase')`)
 
 	// Catalog sync: transaction logs upload, the leader computes the
-	// consensus truncation version (Figure 5) and writes
-	// cluster_info.json.
+	// consensus truncation version (Figure 5) and writes the next
+	// cluster_info_<seq>.json commit point.
 	if err := db.SyncMetadata(); err != nil {
 		log.Fatal(err)
 	}

@@ -121,7 +121,6 @@ type Persister struct {
 
 	mu            sync.Mutex
 	bytesSinceCkp int64
-	ckptVersions  []uint64 // ascending
 }
 
 // NewPersister returns a persister rooted at dir on fs.
@@ -181,8 +180,6 @@ func (p *Persister) Checkpoint(s *Snapshot, nextOID OID) error {
 	}
 	p.mu.Lock()
 	p.bytesSinceCkp = 0
-	p.ckptVersions = append(p.ckptVersions, s.version)
-	sort.Slice(p.ckptVersions, func(i, j int) bool { return p.ckptVersions[i] < p.ckptVersions[j] })
 	p.mu.Unlock()
 	return p.prune()
 }
@@ -237,73 +234,113 @@ func (p *Persister) ListFiles(ctx context.Context) ([]udfs.FileInfo, error) {
 	return out, nil
 }
 
+// Replay rebuilds the newest catalog version at or below limit that the
+// named files (a directory or prefix listing; foreign names are ignored)
+// can reach: the newest checkpoint at or below limit that decodes, then
+// the contiguous logs after it (paper §2.4). read is handed, in one call,
+// every file a candidate checkpoint needs — the checkpoint first, then
+// its log tail in version order — so a remote reader can have them all
+// in flight together; it returns their contents in the same order, nil
+// for a file it could not read, and an error only to abandon the replay.
+// A checkpoint that is unreadable or does not decode falls back to the
+// next older one and a longer tail, and finally to the empty catalog and
+// the logs from version 1; replay stops at the first missing, unreadable
+// or undecodable log. The caller checks the version it got.
+func Replay(names []string, limit uint64, read func(names []string) ([][]byte, error)) (*Snapshot, OID, error) {
+	ckpts := map[uint64]string{}
+	txns := map[uint64]string{}
+	var newestFirst []uint64
+	for _, name := range names {
+		kind, v, ok := ParseCatalogFile(name)
+		if !ok || v > limit {
+			continue
+		}
+		if kind == "ckpt" {
+			ckpts[v] = name
+			newestFirst = append(newestFirst, v)
+		} else {
+			txns[v] = name
+		}
+	}
+	sort.Slice(newestFirst, func(i, j int) bool { return newestFirst[i] > newestFirst[j] })
+
+	// from replays one candidate: the checkpoint file ckpt ("" for the
+	// empty catalog) at version cv plus its log tail; ok is false when the
+	// checkpoint is unusable.
+	from := func(ckpt string, cv uint64) (snap *Snapshot, next OID, ok bool, err error) {
+		var need []string
+		if ckpt != "" {
+			need = append(need, ckpt)
+		}
+		for v := cv + 1; txns[v] != ""; v++ {
+			need = append(need, txns[v])
+		}
+		data, err := read(need)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		snap, next = emptySnapshot(), OID(1)
+		if ckpt != "" {
+			if data[0] == nil {
+				return nil, 0, false, nil
+			}
+			if snap, next, err = DecodeCheckpoint(data[0]); err != nil {
+				return nil, 0, false, nil
+			}
+			data = data[1:]
+		}
+		for _, d := range data {
+			var rec LogRecord
+			if d == nil || json.Unmarshal(d, &rec) != nil {
+				break
+			}
+			if err := applyToSnapshot(snap, &rec); err != nil {
+				return nil, 0, false, err
+			}
+			if rec.NextOID > next {
+				next = rec.NextOID
+			}
+		}
+		if m := MaxOID(snap); m > next {
+			next = m
+		}
+		return snap, next, true, nil
+	}
+	for _, cv := range newestFirst {
+		if snap, next, ok, err := from(ckpts[cv], cv); ok || err != nil {
+			return snap, next, err
+		}
+	}
+	snap, next, _, err := from("", 0)
+	return snap, next, err
+}
+
+// replayDir is Replay over a local catalog directory.
+func replayDir(ctx context.Context, fs udfs.FileSystem, dir string, limit uint64) (*Snapshot, OID, []udfs.FileInfo, error) {
+	infos, err := fs.List(ctx, dir+"/")
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	paths := make([]string, len(infos))
+	for i, in := range infos {
+		paths[i] = in.Path
+	}
+	snap, next, err := Replay(paths, limit, func(paths []string) ([][]byte, error) {
+		out := make([][]byte, len(paths))
+		for i, p := range paths {
+			out[i], _ = fs.ReadFile(ctx, p) // unreadable: nil, Replay falls back or stops
+		}
+		return out, nil
+	})
+	return snap, next, infos, err
+}
+
 // Load reconstructs the catalog state from dir: the most recent valid
 // checkpoint plus all subsequent transaction logs (paper §2.4). A missing
 // directory yields an empty version-0 snapshot.
 func Load(ctx context.Context, fs udfs.FileSystem, dir string) (*Snapshot, OID, error) {
-	infos, err := fs.List(ctx, dir+"/")
-	if err != nil {
-		return nil, 0, err
-	}
-	var ckpts []uint64
-	txns := map[uint64]string{}
-	var txnVersions []uint64
-	for _, in := range infos {
-		kind, v, ok := ParseCatalogFile(in.Path)
-		if !ok {
-			continue
-		}
-		switch kind {
-		case "ckpt":
-			ckpts = append(ckpts, v)
-		case "txn":
-			txns[v] = in.Path
-			txnVersions = append(txnVersions, v)
-		}
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	sort.Slice(txnVersions, func(i, j int) bool { return txnVersions[i] < txnVersions[j] })
-
-	snap := emptySnapshot()
-	next := OID(1)
-	for _, cv := range ckpts {
-		data, err := fs.ReadFile(ctx, dir+"/"+CkptFileName(cv))
-		if err != nil {
-			continue
-		}
-		s, n, err := DecodeCheckpoint(data)
-		if err != nil {
-			continue // skip invalid checkpoint, try the older one
-		}
-		snap, next = s, n
-		break
-	}
-	for _, v := range txnVersions {
-		if v <= snap.version {
-			continue
-		}
-		if v != snap.version+1 {
-			break // gap in the log; stop at the last contiguous version
-		}
-		data, err := fs.ReadFile(ctx, txns[v])
-		if err != nil {
-			break
-		}
-		var rec LogRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			break
-		}
-		if err := applyToSnapshot(snap, &rec); err != nil {
-			return nil, 0, err
-		}
-		if rec.NextOID > next {
-			next = rec.NextOID
-		}
-	}
-	if m := MaxOID(snap); m > next {
-		next = m
-	}
-	return snap, next, nil
+	snap, next, _, err := replayDir(ctx, fs, dir, ^uint64(0))
+	return snap, next, err
 }
 
 // applyToSnapshot mutates snap in place with the record's operations.
@@ -369,84 +406,18 @@ func RecordsAfter(ctx context.Context, fs udfs.FileSystem, dir string, after uin
 // files, and writes a fresh checkpoint at the truncation version (paper
 // §3.5). It returns the truncated snapshot.
 func TruncateTo(ctx context.Context, fs udfs.FileSystem, dir string, version uint64) (*Snapshot, OID, error) {
-	infos, err := fs.List(ctx, dir+"/")
+	snap, next, infos, err := replayDir(ctx, fs, dir, version)
 	if err != nil {
 		return nil, 0, err
-	}
-	var ckpts []uint64
-	txns := map[uint64]string{}
-	var txnVersions []uint64
-	for _, in := range infos {
-		kind, v, ok := ParseCatalogFile(in.Path)
-		if !ok {
-			continue
-		}
-		switch kind {
-		case "ckpt":
-			if v <= version {
-				ckpts = append(ckpts, v)
-			}
-		case "txn":
-			txns[v] = in.Path
-			if v <= version {
-				txnVersions = append(txnVersions, v)
-			}
-		}
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	sort.Slice(txnVersions, func(i, j int) bool { return txnVersions[i] < txnVersions[j] })
-
-	snap := emptySnapshot()
-	next := OID(1)
-	for _, cv := range ckpts {
-		data, err := fs.ReadFile(ctx, dir+"/"+CkptFileName(cv))
-		if err != nil {
-			continue
-		}
-		s, n, err := DecodeCheckpoint(data)
-		if err != nil {
-			continue
-		}
-		snap, next = s, n
-		break
-	}
-	for _, v := range txnVersions {
-		if v <= snap.version {
-			continue
-		}
-		if v != snap.version+1 {
-			break
-		}
-		data, err := fs.ReadFile(ctx, txns[v])
-		if err != nil {
-			break
-		}
-		var rec LogRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			break
-		}
-		if err := applyToSnapshot(snap, &rec); err != nil {
-			return nil, 0, err
-		}
-		if rec.NextOID > next {
-			next = rec.NextOID
-		}
 	}
 	if snap.version != version {
 		return nil, 0, fmt.Errorf("catalog: cannot truncate to v%d, best reachable is v%d", version, snap.version)
 	}
-	// Remove everything after the truncation version.
 	for _, in := range infos {
-		kind, v, ok := ParseCatalogFile(in.Path)
-		if ok && v > version {
-			_ = fs.Remove(ctx, in.Path)
-			_ = kind
+		if _, v, ok := ParseCatalogFile(in.Path); ok && v > version {
+			_ = fs.Remove(ctx, in.Path) // a leftover is beyond every later replay's limit
 		}
 	}
-	if m := MaxOID(snap); m > next {
-		next = m
-	}
-	// Write the post-truncation checkpoint.
 	data, err := EncodeCheckpoint(snap, next)
 	if err != nil {
 		return nil, 0, err

@@ -1,17 +1,23 @@
 // Package cluster implements the Eon-mode durability and revive machinery
 // of paper §3.5: node instance identifiers (the 120-bit random component
-// of storage IDs), cluster incarnation UUIDs, the cluster_info.json
-// commit-point file with its lease, per-node catalog sync intervals, and
+// of storage IDs), cluster incarnation UUIDs, the cluster_info_<seq>.json
+// commit-point objects with their lease, per-node catalog sync intervals, and
 // the consensus truncation-version computation of Figure 5.
 package cluster
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+
+	"eon/internal/objstore"
 )
 
 // InstanceID is the 120-bit strongly random identifier generated when a
@@ -46,9 +52,66 @@ func NewIncarnationID() IncarnationID {
 	return IncarnationID(u[0:8] + "-" + u[8:12] + "-" + u[12:16] + "-" + u[16:20] + "-" + u[20:32])
 }
 
-// InfoFileName is the shared-storage object holding the cluster's revive
-// commit point.
-const InfoFileName = "cluster_info.json"
+// The revive commit point is a sequence of immutable objects,
+// cluster_info_<seq>.json: each write PUTs the next sequence number and
+// only then deletes the one before, so a crash between the two leaves
+// two commit points and never none, and the highest that parses is the
+// current one. InfoFileName is the key older clusters rewrote in place
+// (delete, then put); it reads as sequence 0.
+const (
+	InfoFileName = "cluster_info.json"
+	infoPrefix   = "cluster_info"
+)
+
+// InfoKey returns the commit-point key for a write sequence number.
+func InfoKey(seq uint64) string { return fmt.Sprintf("%s_%016d.json", infoPrefix, seq) }
+
+// InfoSeq returns the write sequence number of a commit-point key.
+func InfoSeq(key string) (seq uint64, ok bool) {
+	if key == InfoFileName {
+		return 0, true
+	}
+	num, ok := strings.CutPrefix(key, infoPrefix+"_")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(strings.TrimSuffix(num, ".json"), 10, 64)
+	return seq, err == nil
+}
+
+// ReadInfo finds the commit point on shared storage with one LIST and,
+// unless the newest object is damaged, one GET. It returns the
+// highest-sequence commit point that parses and every commit-point key
+// listed, in ascending sequence order: the next write's sequence number
+// is one past the last of them, and all of them are superseded by it.
+func ReadInfo(ctx context.Context, st objstore.Store) (*Info, []string, error) {
+	listed, err := st.List(ctx, infoPrefix)
+	if err != nil {
+		return nil, nil, err
+	}
+	seqs := map[string]uint64{}
+	var keys []string
+	for _, o := range listed {
+		if seq, ok := InfoSeq(o.Key); ok {
+			seqs[o.Key] = seq
+			keys = append(keys, o.Key)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return seqs[keys[i]] < seqs[keys[j]] })
+	err = fmt.Errorf("cluster: no %s* on shared storage", infoPrefix)
+	for i := len(keys) - 1; i >= 0; i-- {
+		data, gerr := st.Get(ctx, keys[i])
+		if gerr != nil {
+			return nil, nil, gerr
+		}
+		info, perr := ParseInfo(data)
+		if perr == nil {
+			return info, keys, nil
+		}
+		err = perr
+	}
+	return nil, nil, err
+}
 
 // Info is the contents of cluster_info.json: "in addition to the
 // truncation version, the file also contains a timestamp, node and

@@ -144,18 +144,14 @@ func TestChaos(t *testing.T) {
 	if err := db.Shutdown(); err != nil {
 		t.Fatalf("shutdown under faults: %v", err)
 	}
-	var raw []byte
+	var info *cluster.Info
 	err = objstore.WithRetry(context.Background(), 8, time.Millisecond, func() error {
 		var e error
-		raw, e = sim.Get(context.Background(), cluster.InfoFileName)
+		info, _, e = cluster.ReadInfo(context.Background(), sim)
 		return e
 	})
 	if err != nil {
-		t.Fatalf("read %s: %v", cluster.InfoFileName, err)
-	}
-	info, err := cluster.ParseInfo(raw)
-	if err != nil {
-		t.Fatalf("corrupted %s: %v", cluster.InfoFileName, err)
+		t.Fatalf("read the commit point: %v", err)
 	}
 	if info.TruncationVersion == 0 {
 		t.Error("truncation version never advanced")

@@ -123,38 +123,14 @@ func (db *DB) AddNode(spec NodeSpec) error {
 	if db.mode == ModeEnterprise {
 		return fmt.Errorf("core: Enterprise node addition requires full data redistribution; not supported in this reproduction")
 	}
-	db.nodesMu.Lock()
-	if _, dup := db.nodes[spec.Name]; dup {
-		db.nodesMu.Unlock()
-		return fmt.Errorf("core: node %q already exists", spec.Name)
-	}
-	n := newNode(spec, &db.cfg)
-	n.up.Store(false) // joins the commit fan-out only once caught up
-	db.nodes[spec.Name] = n
-	db.order = append(db.order, spec.Name)
-	db.nodesMu.Unlock()
-	db.slots.register(spec.Name, db.cfg.ExecSlots)
-	if spec.Rack != "" {
-		db.net.SetRack(spec.Name, spec.Rack)
-	}
-	db.hookCacheEvictions(n)
-	db.ensureSubclusterGauges(spec.Subcluster)
-
-	init, err := db.anyUpNode()
+	init, err := db.anyUpNode() // before the join: never the newcomer
 	if err != nil {
 		return err
 	}
-	// Bring the new node's catalog up to the cluster version, atomically
-	// with joining the commit fan-out.
-	db.commitMu.Lock()
-	for _, rec := range db.recordsAfter(n.catalog.Version()) {
-		if err := n.catalog.Apply(rec, db.keepFuncFor(n)); err != nil {
-			db.commitMu.Unlock()
-			return fmt.Errorf("core: new node %s catch-up failed: %w", n.name, err)
-		}
+	if err := db.joinNode(spec, false); err != nil {
+		return err
 	}
-	n.up.Store(true)
-	db.commitMu.Unlock()
+	db.ensureSubclusterGauges(spec.Subcluster)
 	// Register the node object.
 	txn := init.catalog.Begin()
 	txn.Put(&catalog.Node{OID: init.catalog.NewOID(), Name: spec.Name, Subcluster: spec.Subcluster})
@@ -162,6 +138,28 @@ func (db *DB) AddNode(spec NodeSpec) error {
 		return err
 	}
 	return db.Rebalance()
+}
+
+// joinNode brings a new node, or a new warm spare, into a running
+// cluster: it attaches down, and comes up with its catalog caught up to
+// the cluster version, atomically with joining the commit fan-out.
+func (db *DB) joinNode(spec NodeSpec, spare bool) error {
+	n := newNode(spec, &db.cfg)
+	n.spare = spare
+	n.up.Store(false)
+	if err := db.attach(n, spec.Rack); err != nil {
+		return err
+	}
+	db.hookCacheEvictions(n)
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	for _, rec := range db.recordsAfter(n.catalog.Version()) {
+		if err := n.catalog.Apply(rec, db.keepFuncFor(n)); err != nil {
+			return fmt.Errorf("core: new node %s catch-up failed: %w", n.name, err)
+		}
+	}
+	n.up.Store(true)
+	return nil
 }
 
 // RemoveNode drains a node's subscriptions and removes it (§6.4:

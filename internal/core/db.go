@@ -405,9 +405,13 @@ type DB struct {
 	deferred []pendingDelete
 
 	truncation atomic.Uint64
-	seedCtr    atomic.Int64
-	shutdown   atomic.Bool
-	clockSkew  atomic.Int64 // test hook: artificial now() offset in ns
+	// infoMu orders commit-point writes; infoSeq and infoKey name the
+	// newest commit point written or revived from (sync.go).
+	infoMu   sync.Mutex
+	infoSeq  uint64
+	infoKey  string
+	seedCtr  atomic.Int64
+	shutdown atomic.Bool
 
 	// cache shaping (§5.2): tables whose files bypass node caches, both
 	// at load (write-through off) and at scan.
@@ -590,9 +594,6 @@ func (db *DB) SharedStore() objstore.Store { return db.shared }
 // degradation fallbacks.
 func (db *DB) ResilienceStats() resilience.Stats { return db.resilient.Stats() }
 
-// SharedBreaker returns the shared-storage circuit breaker.
-func (db *DB) SharedBreaker() *resilience.Breaker { return db.resilient.Breaker() }
-
 // Net returns the simulated network.
 func (db *DB) Net() *netsim.Network { return db.net }
 
@@ -674,19 +675,12 @@ func (db *DB) anyUpNode() (*Node, error) {
 	return best, nil
 }
 
-// now returns the simulated current time (wall clock or test hook, plus
-// any test skew).
+// now returns the simulated current time (wall clock or test hook).
 func (db *DB) now() time.Time {
-	base := time.Now()
 	if db.cfg.Now != nil {
-		base = db.cfg.Now()
+		return db.cfg.Now()
 	}
-	return base.Add(time.Duration(db.clockSkew.Load()))
-}
-
-// AdvanceClock shifts the database's notion of now, for lease tests.
-func (db *DB) AdvanceClock(d time.Duration) {
-	db.clockSkew.Add(int64(d))
+	return time.Now()
 }
 
 func newNode(spec NodeSpec, cfg *Config) *Node {
@@ -709,38 +703,59 @@ func newNode(spec NodeSpec, cfg *Config) *Node {
 	return n
 }
 
-// Create initializes a new database cluster.
-func Create(cfg Config) (*DB, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
+// newDB builds the parts of a DB that Create and Revive share: the
+// resilient view of shared storage, the serving-path controllers and the
+// nodes, each with an empty local disk. cfg has its defaults filled.
+func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config) (*DB, error) {
 	db := &DB{
 		cfg:         cfg,
 		mode:        cfg.Mode,
 		nodes:       map[string]*Node{},
 		net:         cfg.Net,
-		ring:        hashring.NewRing(cfg.ShardCount),
-		incarnation: cluster.NewIncarnationID(),
+		incarnation: cluster.NewIncarnationID(), // a new one per create and per revive
 	}
-	rc := cfg.resilienceConfig()
-	db.installResilience(resilience.Wrap[objstore.Info](cfg.Shared, rc), rc)
+	db.installResilience(rs, rc)
 	db.sharedFS = udfs.NewObjectFS(db.shared)
 	db.slots = newSlotManager()
 	db.admission = newAdmissionController(cfg.SubclusterConcurrency, cfg.AdmissionMemoryLimit)
 	db.planCache = newPlanCache(cfg.PlanCacheSize)
 	db.resultCache = newResultCache(cfg.ResultCacheBytes)
 	for _, spec := range cfg.Nodes {
-		if _, dup := db.nodes[spec.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate node name %q", spec.Name)
-		}
-		n := newNode(spec, &cfg)
-		db.nodes[spec.Name] = n
-		db.order = append(db.order, spec.Name)
-		db.slots.register(spec.Name, cfg.ExecSlots)
-		if spec.Rack != "" {
-			db.net.SetRack(spec.Name, spec.Rack)
+		if err := db.attach(newNode(spec, &db.cfg), spec.Rack); err != nil {
+			return nil, err
 		}
 	}
+	return db, nil
+}
+
+// attach enters a constructed node into the cluster's tables: the node
+// map and creation order, its execution slots and its rack.
+func (db *DB) attach(n *Node, rack string) error {
+	db.nodesMu.Lock()
+	defer db.nodesMu.Unlock()
+	if _, dup := db.nodes[n.name]; dup {
+		return fmt.Errorf("core: node %q already exists", n.name)
+	}
+	db.nodes[n.name] = n
+	db.order = append(db.order, n.name)
+	db.slots.register(n.name, db.cfg.ExecSlots)
+	if rack != "" {
+		db.net.SetRack(n.name, rack)
+	}
+	return nil
+}
+
+// Create initializes a new database cluster.
+func Create(cfg Config) (*DB, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
+	rc := cfg.resilienceConfig()
+	db, err := newDB(cfg, resilience.Wrap[objstore.Info](cfg.Shared, rc), rc)
+	if err != nil {
+		return nil, err
+	}
+	db.ring = hashring.NewRing(cfg.ShardCount)
 	db.installMetrics()
 	db.installDataCollector()
 	if err := db.installSystemTables(); err != nil {
@@ -872,12 +887,6 @@ func (db *DB) bootstrapCatalog() error {
 				})
 			}
 		}
-		for _, name := range db.order {
-			txn.Put(&catalog.Subscription{
-				OID: init.catalog.NewOID(), Node: name,
-				ShardIndex: catalog.ReplicaShard, State: catalog.SubActive,
-			})
-		}
 	} else {
 		// Enterprise: node i serves segment i (base) and its buddy
 		// segment — the rotated ring (§2.2).
@@ -890,12 +899,12 @@ func (db *DB) bootstrapCatalog() error {
 				txn.Put(&catalog.Subscription{OID: init.catalog.NewOID(), Node: buddy, ShardIndex: i, State: catalog.SubActive})
 			}
 		}
-		for _, name := range db.order {
-			txn.Put(&catalog.Subscription{
-				OID: init.catalog.NewOID(), Node: name,
-				ShardIndex: catalog.ReplicaShard, State: catalog.SubActive,
-			})
-		}
+	}
+	for _, name := range db.order {
+		txn.Put(&catalog.Subscription{
+			OID: init.catalog.NewOID(), Node: name,
+			ShardIndex: catalog.ReplicaShard, State: catalog.SubActive,
+		})
 	}
 	_, err = db.commit(init, txn, nil)
 	return err

@@ -184,19 +184,10 @@ func (db *DB) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", name)
 	}
-	type droppedC struct {
-		sc  *catalog.StorageContainer
-		dvs []*catalog.DeleteVector
-	}
-	var dropped []droppedC
+	var dropped []droppedContainer
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
 		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
-			d := droppedC{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
-			for _, dv := range d.dvs {
-				txn.Delete(dv.OID)
-			}
-			txn.Delete(sc.OID)
-			dropped = append(dropped, d)
+			dropped = append(dropped, stageDrop(txn, sc))
 		}
 		txn.Delete(p.OID)
 	}
@@ -207,10 +198,7 @@ func (db *DB) DropTable(name string) error {
 	}
 	// Files free only when no surviving container references them — a
 	// copied table may share them (§5.1, §6.5).
-	after := init.catalog.Snapshot()
-	for _, d := range dropped {
-		db.queueContainerFilesIfUnreferenced(after, d.sc, d.dvs, rec.Version)
-	}
+	db.queueDropped(init.catalog.Snapshot(), rec.Version, dropped...)
 	return nil
 }
 

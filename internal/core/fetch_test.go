@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,33 +15,33 @@ import (
 	"eon/internal/types"
 )
 
-// barrierStore decorates shared storage for the cold-scan tests: it
-// counts GETs per key and, once armed with n, parks every GET until n
-// distinct keys have been requested — so a scan that issues its reads in
-// more than one round cannot finish and fails on the deadline instead.
-type barrierStore struct {
-	objstore.Store
+// barrier counts requests per key and, once armed with n, parks every
+// request until n distinct keys have been requested — so an operation
+// that issues its requests in more than one round cannot finish and
+// fails on the deadline instead.
+type barrier struct {
 	mu      sync.Mutex
 	want    int
-	gets    map[string]int
+	seen    map[string]int
 	release chan struct{}
 	// atFirstReturn is how many distinct keys had been requested when the
-	// first GET returned.
+	// first request returned.
 	atFirstReturn int
 }
 
-// arm forgets the GETs seen so far and parks the coming ones until n
+// arm forgets the requests seen so far and parks the coming ones until n
 // distinct keys are requested (0: count only).
-func (b *barrierStore) arm(n int) {
+func (b *barrier) arm(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.want, b.gets, b.release, b.atFirstReturn = n, map[string]int{}, make(chan struct{}), 0
+	b.want, b.seen, b.release, b.atFirstReturn = n, map[string]int{}, make(chan struct{}), 0
 }
 
-func (b *barrierStore) Get(ctx context.Context, key string) ([]byte, error) {
+// enter counts a request and parks it while the barrier is armed.
+func (b *barrier) enter(ctx context.Context, key string) error {
 	b.mu.Lock()
-	b.gets[key]++
-	if b.want > 0 && len(b.gets) == b.want && b.gets[key] == 1 {
+	b.seen[key]++
+	if b.want > 0 && len(b.seen) == b.want && b.seen[key] == 1 {
 		close(b.release)
 	}
 	parked, release := b.want > 0, b.release
@@ -49,29 +50,71 @@ func (b *barrierStore) Get(ctx context.Context, key string) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(10 * time.Second):
-			return nil, errors.New("barrier: the scan did not request all its files in one round")
+			return errors.New("barrier: not every request was issued in one round")
 		}
 	}
-	data, err := b.Store.Get(ctx, key)
-	b.mu.Lock()
-	if b.atFirstReturn == 0 {
-		b.atFirstReturn = len(b.gets)
-	}
-	b.mu.Unlock()
-	return data, err
+	return nil
 }
 
-// counts returns the distinct keys and the total GETs since arm, and how
-// many keys had been requested when the first GET returned.
-func (b *barrierStore) counts() (distinct, total, atFirstReturn int) {
+// leave marks a request's return.
+func (b *barrier) leave() {
+	b.mu.Lock()
+	if b.atFirstReturn == 0 {
+		b.atFirstReturn = len(b.seen)
+	}
+	b.mu.Unlock()
+}
+
+// counts returns the distinct keys and the total requests since arm, and
+// how many keys had been requested when the first request returned.
+func (b *barrier) counts() (distinct, total, atFirstReturn int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, n := range b.gets {
+	for _, n := range b.seen {
 		total += n
 	}
-	return len(b.gets), total, b.atFirstReturn
+	return len(b.seen), total, b.atFirstReturn
+}
+
+// barrierStore decorates shared storage with a barrier on its GETs (the
+// embedded one) and one on its PUTs. When only is set, requests for keys
+// outside that prefix pass straight through, uncounted.
+type barrierStore struct {
+	objstore.Store
+	barrier
+	puts barrier
+	only string
+}
+
+func newBarrierStore(inner objstore.Store) *barrierStore {
+	b := &barrierStore{Store: inner}
+	b.arm(0)
+	b.puts.arm(0)
+	return b
+}
+
+func (b *barrierStore) Get(ctx context.Context, key string) ([]byte, error) {
+	if !strings.HasPrefix(key, b.only) {
+		return b.Store.Get(ctx, key)
+	}
+	if err := b.enter(ctx, key); err != nil {
+		return nil, err
+	}
+	defer b.leave()
+	return b.Store.Get(ctx, key)
+}
+
+func (b *barrierStore) Put(ctx context.Context, key string, data []byte) error {
+	if !strings.HasPrefix(key, b.only) {
+		return b.Store.Put(ctx, key, data)
+	}
+	if err := b.puts.enter(ctx, key); err != nil {
+		return err
+	}
+	defer b.puts.leave()
+	return b.Store.Put(ctx, key, data)
 }
 
 // newFetchTestDB builds an Eon cluster over a barrierStore, with one
@@ -79,8 +122,7 @@ func (b *barrierStore) counts() (distinct, total, atFirstReturn int) {
 // file the scan asked for.
 func newFetchTestDB(t *testing.T, nodes, shards int) (*DB, *barrierStore) {
 	t.Helper()
-	store := &barrierStore{Store: objstore.NewMem()}
-	store.arm(0)
+	store := newBarrierStore(objstore.NewMem())
 	rc := resilience.DefaultConfig(objstore.IsRetryable)
 	rc.HedgeDelay = 0
 	rc.Policy.OpTimeout = time.Minute // the barrier's own deadline reports a stuck scan

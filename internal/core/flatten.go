@@ -237,11 +237,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		return nil
 	}
 
-	type droppedC struct {
-		sc  *catalog.StorageContainer
-		dvs []*catalog.DeleteVector
-	}
-	var dropped []droppedC
+	var dropped []droppedContainer
 	rewritten := 0
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
 		if p.IsLiveAggregate() {
@@ -270,7 +266,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 			if err != nil {
 				return rewritten, err
 			}
-			d := droppedC{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
+			d := droppedContainer{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
 			var dvLists [][]int64
 			for _, dv := range d.dvs {
 				if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
@@ -345,12 +341,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		}
 		// Drop the stale partial containers.
 		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
-			d := droppedC{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
-			for _, dv := range d.dvs {
-				txn.Delete(dv.OID)
-			}
-			txn.Delete(sc.OID)
-			dropped = append(dropped, d)
+			dropped = append(dropped, stageDrop(txn, sc))
 			rewritten++
 		}
 		// Rebuild from the refreshed base rows. The base containers are
@@ -413,9 +404,6 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	after := init.catalog.Snapshot()
-	for _, d := range dropped {
-		db.queueContainerFilesIfUnreferenced(after, d.sc, d.dvs, rec.Version)
-	}
+	db.queueDropped(init.catalog.Snapshot(), rec.Version, dropped...)
 	return rewritten, nil
 }

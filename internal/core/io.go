@@ -237,8 +237,16 @@ func (db *DB) deleteDataFile(ctx context.Context, path string, dropVersion uint6
 		}
 	}
 	if db.mode == ModeEon {
-		db.gcMu.Lock()
+		db.deferDelete(dropVersion, path)
+	}
+}
+
+// deferDelete queues shared-storage objects for RunGC, deletable once the
+// running queries and the truncation version have passed dropVersion.
+func (db *DB) deferDelete(dropVersion uint64, paths ...string) {
+	db.gcMu.Lock()
+	defer db.gcMu.Unlock()
+	for _, path := range paths {
 		db.deferred = append(db.deferred, pendingDelete{path: path, dropVersion: dropVersion})
-		db.gcMu.Unlock()
 	}
 }

@@ -309,8 +309,10 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	// Dropped inputs free their files only when unreferenced (copied
 	// tables share files, §6.5).
 	after := init.catalog.Snapshot()
-	for _, sc := range job.Containers {
-		db.queueContainerFilesIfUnreferenced(after, sc, snap.DeleteVectorsOf(sc.OID), rec.Version)
+	dropped := make([]droppedContainer, len(job.Containers))
+	for i, sc := range job.Containers {
+		dropped[i] = droppedContainer{sc, snap.DeleteVectorsOf(sc.OID)}
 	}
+	db.queueDropped(after, rec.Version, dropped...)
 	return purged, nil
 }

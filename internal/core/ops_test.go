@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eon/internal/catalog"
+	"eon/internal/cluster"
 	"eon/internal/objstore"
 	"eon/internal/sql"
 	"eon/internal/types"
@@ -420,13 +421,13 @@ func TestSyncAndTruncationVersion(t *testing.T) {
 	if db.TruncationVersion() != init.catalog.Version() {
 		t.Errorf("truncation = %d, cluster version = %d", db.TruncationVersion(), init.catalog.Version())
 	}
-	// cluster_info.json exists with the right content.
-	data, err := db.SharedStore().Get(db.Context(), "cluster_info.json")
+	// The commit point exists with the right content.
+	info, _, err := cluster.ReadInfo(db.Context(), db.SharedStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Error("empty cluster_info.json")
+	if info.TruncationVersion != db.TruncationVersion() || info.Incarnation != db.Incarnation() {
+		t.Errorf("commit point = %+v, want truncation %d of incarnation %s", info, db.TruncationVersion(), db.Incarnation())
 	}
 }
 

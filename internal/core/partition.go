@@ -25,21 +25,40 @@ func fileReferenceCount(snap *catalog.Snapshot) map[string]int {
 	return refs
 }
 
-// queueContainerFilesIfUnreferenced queues a dropped container's files
-// for deletion only when the post-drop snapshot holds no remaining
-// references (the file may be shared with a copied table or another
-// partition's clone).
-func (db *DB) queueContainerFilesIfUnreferenced(snap *catalog.Snapshot, sc *catalog.StorageContainer, dvs []*catalog.DeleteVector, dropVersion uint64) {
-	ctx := db.Context()
-	refs := fileReferenceCount(snap)
-	for _, f := range sc.AllFiles() {
-		if refs[f.Path] == 0 {
-			db.deleteDataFile(ctx, f.Path, dropVersion)
-		}
+// droppedContainer is a container a transaction deletes, with its
+// delete vectors.
+type droppedContainer struct {
+	sc  *catalog.StorageContainer
+	dvs []*catalog.DeleteVector
+}
+
+// stageDrop deletes sc and its delete vectors in txn and returns what
+// queueDropped needs once the transaction has committed.
+func stageDrop(txn *catalog.Txn, sc *catalog.StorageContainer) droppedContainer {
+	d := droppedContainer{sc: sc, dvs: txn.Base().DeleteVectorsOf(sc.OID)}
+	for _, dv := range d.dvs {
+		txn.Delete(dv.OID)
 	}
-	for _, dv := range dvs {
-		if refs[dv.File.Path] == 0 {
-			db.deleteDataFile(ctx, dv.File.Path, dropVersion)
+	txn.Delete(sc.OID)
+	return d
+}
+
+// queueDropped queues dropped containers' files for deletion, each only
+// when the post-drop snapshot holds no remaining reference to it (the
+// file may be shared with a copied table or another partition's clone).
+func (db *DB) queueDropped(after *catalog.Snapshot, dropVersion uint64, dropped ...droppedContainer) {
+	ctx := db.Context()
+	refs := fileReferenceCount(after)
+	for _, d := range dropped {
+		for _, f := range d.sc.AllFiles() {
+			if refs[f.Path] == 0 {
+				db.deleteDataFile(ctx, f.Path, dropVersion)
+			}
+		}
+		for _, dv := range d.dvs {
+			if refs[dv.File.Path] == 0 {
+				db.deleteDataFile(ctx, dv.File.Path, dropVersion)
+			}
 		}
 	}
 }
@@ -116,22 +135,12 @@ func (db *DB) DropPartition(table, partitionKey string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown table %q", table)
 	}
-	type droppedC struct {
-		sc  *catalog.StorageContainer
-		dvs []*catalog.DeleteVector
-	}
-	var dropped []droppedC
+	var dropped []droppedContainer
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
 		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
-			if sc.PartitionKey != partitionKey {
-				continue
+			if sc.PartitionKey == partitionKey {
+				dropped = append(dropped, stageDrop(txn, sc))
 			}
-			d := droppedC{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
-			for _, dv := range d.dvs {
-				txn.Delete(dv.OID)
-			}
-			txn.Delete(sc.OID)
-			dropped = append(dropped, d)
 		}
 	}
 	if len(dropped) == 0 {
@@ -141,10 +150,7 @@ func (db *DB) DropPartition(table, partitionKey string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	after := init.catalog.Snapshot()
-	for _, d := range dropped {
-		db.queueContainerFilesIfUnreferenced(after, d.sc, d.dvs, rec.Version)
-	}
+	db.queueDropped(init.catalog.Snapshot(), rec.Version, dropped...)
 	return len(dropped), nil
 }
 

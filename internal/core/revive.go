@@ -4,31 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"eon/internal/catalog"
 	"eon/internal/cluster"
 	"eon/internal/hashring"
 	"eon/internal/objstore"
+	"eon/internal/parallel"
 	"eon/internal/resilience"
-	"eon/internal/udfs"
 )
 
 // ErrLeaseHeld is returned when revive finds an unexpired lease — another
 // cluster is likely running on the same shared storage (§3.5).
 var ErrLeaseHeld = errors.New("core: revive aborted, shared-storage lease still held")
 
-// Revive starts a cluster from shared storage (§3.5): commission nodes
-// with empty local storage, download catalogs, read cluster_info.json,
-// check the lease, truncate every catalog to the consensus truncation
-// version, adopt a new incarnation, and upload a new cluster_info.json
-// as the commit point.
+// Revive starts a cluster from shared storage (§3.5) at a cost set by
+// what changed since each node's last checkpoint, not by the history:
+// read the commit point and check the lease; per node, side by side, LIST
+// the old incarnation's uploads once, GET the newest checkpoint at or
+// below the truncation version with the logs after it in one round, and
+// replay them in memory; repair nodes whose uploads fall short from a
+// donor; PUT every node's truncation checkpoint under the new
+// incarnation's prefix; and only then write the new commit point — a
+// crash at any step leaves a commit point whose prefix revives. The old
+// incarnation's objects go on the deferred-delete list for RunGC.
 func Revive(cfg Config) (*DB, error) {
 	if cfg.Shared == nil {
 		return nil, fmt.Errorf("core: revive requires the shared storage")
 	}
 	cfg.Mode = ModeEon
-	ctx := contextBackground()
+	ctx := context.Background()
 
 	// Revive is all shared-storage I/O, the paper's "any filesystem
 	// access can and will fail" case (§5.3): wrap the store before the
@@ -36,14 +40,9 @@ func Revive(cfg Config) (*DB, error) {
 	rc := cfg.resilienceConfig()
 	rs := resilience.Wrap[objstore.Info](cfg.Shared, rc)
 
-	// Read the commit-point file.
-	data, err := rs.Get(ctx, cluster.InfoFileName)
+	info, infoKeys, err := cluster.ReadInfo(ctx, rs)
 	if err != nil {
-		return nil, fmt.Errorf("core: no %s on shared storage: %w", cluster.InfoFileName, err)
-	}
-	info, err := cluster.ParseInfo(data)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: reading the revive commit point: %w", err)
 	}
 
 	// Node set defaults to the previous cluster's membership.
@@ -55,80 +54,64 @@ func Revive(cfg Config) (*DB, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if info.LeaseValid(nowFor(cfg)) {
+	db, err := newDB(cfg, rs, rc)
+	if err != nil {
+		return nil, err
+	}
+	if info.LeaseValid(db.now()) {
 		return nil, fmt.Errorf("%w (expires %s)", ErrLeaseHeld, info.LeaseExpiry)
 	}
+	version := info.TruncationVersion
+	db.truncation.Store(version)
+	db.infoKey = infoKeys[len(infoKeys)-1]
+	db.infoSeq, _ = cluster.InfoSeq(db.infoKey)
 
-	db := &DB{
-		cfg:         cfg,
-		mode:        ModeEon,
-		nodes:       map[string]*Node{},
-		net:         cfg.Net,
-		incarnation: cluster.NewIncarnationID(), // new incarnation per revive
-	}
-	db.installResilience(rs, rc)
-	db.sharedFS = udfs.NewObjectFS(db.shared)
-	db.slots = newSlotManager()
-	db.admission = newAdmissionController(cfg.SubclusterConcurrency, cfg.AdmissionMemoryLimit)
-	db.planCache = newPlanCache(cfg.PlanCacheSize)
-	db.resultCache = newResultCache(cfg.ResultCacheBytes)
-	for _, spec := range cfg.Nodes {
-		n := newNode(spec, &cfg)
-		db.nodes[spec.Name] = n
-		db.order = append(db.order, spec.Name)
-		db.slots.register(spec.Name, cfg.ExecSlots)
-	}
-	db.truncation.Store(info.TruncationVersion)
-
-	// Download each node's uploaded catalog into its (empty) local disk.
+	// Each node's catalog at the truncation version, from its own uploads.
 	oldPrefix := fmt.Sprintf("metadata/%s/", info.Incarnation)
-	for _, name := range db.order {
-		n := db.nodes[name]
-		infos, err := db.shared.List(ctx, oldPrefix+name+"/")
-		if err != nil {
-			return nil, err
-		}
-		for _, fi := range infos {
-			body, err := db.shared.Get(ctx, fi.Key)
-			if err != nil {
-				return nil, err
+	snaps := make([]*catalog.Snapshot, len(db.order))
+	nexts := make([]catalog.OID, len(db.order))
+	err = parallel.ForEach(ctx, len(db.order), db.ioConc(), func(ctx context.Context, _, i int) (err error) {
+		snaps[i], nexts[i], err = db.replayUploads(ctx, oldPrefix+db.order[i]+"/", version)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Nodes whose uploads fall short of the consensus version are repaired
+	// from a donor that reached it (re-subscription repair: the donor
+	// snapshot filtered to the node's subscriptions).
+	d := 0
+	for d < len(snaps) && snaps[d].Version() != version {
+		d++
+	}
+	if d == len(snaps) {
+		return nil, fmt.Errorf("core: no node's uploads reach truncation version %d", version)
+	}
+	donor := snaps[d]
+	for i, name := range db.order {
+		if snaps[i].Version() != version {
+			keep := map[int]bool{}
+			for _, s := range donor.Subscriptions(name) {
+				keep[s.ShardIndex] = true
 			}
-			base := fi.Key[len(oldPrefix+name+"/"):]
-			if err := n.fs.WriteFile(ctx, "catalog/"+base, body); err != nil {
-				return nil, err
-			}
+			snaps[i], nexts[i] = donor.FilterShards(keep), nexts[d]
 		}
 	}
 
-	// Truncate each node to the consensus version; nodes whose uploads
-	// fall short are repaired from a donor that reached it.
-	var donor *catalog.Snapshot
-	var donorNext catalog.OID
-	type pendingRepair struct{ n *Node }
-	var repairs []pendingRepair
-	for _, name := range db.order {
-		n := db.nodes[name]
-		snap, next, err := catalog.TruncateTo(ctx, n.fs, "catalog", info.TruncationVersion)
-		if err != nil {
-			repairs = append(repairs, pendingRepair{n})
-			continue
+	// Each node checkpoints at the truncation version and syncs: that one
+	// file is all its disk and the new incarnation's prefix hold, and the
+	// prefix holds it before the commit point names the incarnation.
+	err = parallel.ForEach(ctx, len(db.order), db.ioConc(), func(ctx context.Context, _, i int) error {
+		n := db.nodes[db.order[i]]
+		n.catalog.Install(snaps[i], nexts[i])
+		if err := n.catalog.Persister().Checkpoint(snaps[i], nexts[i]); err != nil {
+			return err
 		}
-		n.catalog.Install(snap, next)
-		if donor == nil {
-			donor, donorNext = snap, next
-		}
-	}
-	if donor == nil {
-		return nil, fmt.Errorf("core: no node's uploads reach truncation version %d", info.TruncationVersion)
-	}
-	for _, r := range repairs {
-		// Re-subscription repair: install the donor snapshot filtered to
-		// the node's subscriptions.
-		keep := map[int]bool{}
-		for _, s := range donor.Subscriptions(r.n.name) {
-			keep[s.ShardIndex] = true
-		}
-		r.n.catalog.Install(donor.FilterShards(keep), donorNext)
+		return db.syncNode(ctx, n)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Restore each node's membership attributes (subcluster, spare flag)
@@ -152,19 +135,35 @@ func Revive(cfg Config) (*DB, error) {
 	// the truncation version; nodes listed in the catalog but absent
 	// from the new node set would need a rebalance (same set here).
 
-	// Commit point: upload the new incarnation's cluster_info.json.
-	if err := db.writeClusterInfo(ctx, info.TruncationVersion, cfg.LeaseDuration); err != nil {
+	// Commit point. It supersedes the newest old one, which it deletes;
+	// older strays, like the old incarnation's uploads, wait for RunGC.
+	if err := db.writeClusterInfo(ctx, cfg.LeaseDuration); err != nil {
 		return nil, err
 	}
+	db.deferDelete(0, infoKeys[:len(infoKeys)-1]...)
 	return db, nil
 }
 
-func contextBackground() context.Context { return context.Background() }
-
-// nowFor returns the revive-time clock, honoring the test hook.
-func nowFor(cfg Config) time.Time {
-	if cfg.Now != nil {
-		return cfg.Now()
+// replayUploads rebuilds one node's catalog at the newest version at or
+// below limit that its uploads under prefix reach: one LIST, then the
+// files of the checkpoint tried — of an older one only if that does not
+// decode — fetched ioConc at a time. Everything listed is queued for
+// RunGC, which only a DB that Revive returns will ever run.
+func (db *DB) replayUploads(ctx context.Context, prefix string, limit uint64) (*catalog.Snapshot, catalog.OID, error) {
+	listed, err := db.shared.List(ctx, prefix)
+	if err != nil {
+		return nil, 0, err
 	}
-	return time.Now()
+	keys := make([]string, len(listed))
+	for i, o := range listed {
+		keys[i] = o.Key
+	}
+	db.deferDelete(0, keys...)
+	return catalog.Replay(keys, limit, func(need []string) ([][]byte, error) {
+		out := make([][]byte, len(need))
+		return out, parallel.ForEach(ctx, len(need), db.ioConc(), func(ctx context.Context, _, i int) (err error) {
+			out[i], err = db.shared.Get(ctx, need[i])
+			return err
+		})
+	})
 }

@@ -58,28 +58,8 @@ func (db *DB) AddSpare(spec NodeSpec) error {
 		if !existing.Up() {
 			return fmt.Errorf("core: spare %q is down; recover it instead", spec.Name)
 		}
-	} else {
-		db.nodesMu.Lock()
-		n := newNode(spec, &db.cfg)
-		n.spare = true
-		n.up.Store(false) // joins the commit fan-out only once caught up
-		db.nodes[spec.Name] = n
-		db.order = append(db.order, spec.Name)
-		db.nodesMu.Unlock()
-		db.slots.register(spec.Name, db.cfg.ExecSlots)
-		if spec.Rack != "" {
-			db.net.SetRack(spec.Name, spec.Rack)
-		}
-		db.hookCacheEvictions(n)
-		db.commitMu.Lock()
-		for _, rec := range db.recordsAfter(n.catalog.Version()) {
-			if err := n.catalog.Apply(rec, db.keepFuncFor(n)); err != nil {
-				db.commitMu.Unlock()
-				return fmt.Errorf("core: spare %s catch-up failed: %w", n.name, err)
-			}
-		}
-		n.up.Store(true)
-		db.commitMu.Unlock()
+	} else if err := db.joinNode(spec, true); err != nil {
+		return err
 	}
 	init, err := db.anyUpNode()
 	if err != nil {

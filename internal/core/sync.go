@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"eon/internal/catalog"
 	"eon/internal/cluster"
+	"eon/internal/objstore"
+	"eon/internal/parallel"
 )
 
 // metadataPrefix is the shared-storage namespace for catalog uploads,
@@ -18,29 +21,35 @@ func (db *DB) metadataPrefix(node string) string {
 }
 
 // SyncMetadata uploads each node's new catalog files (transaction logs
-// and checkpoints) to shared storage, advances per-node sync intervals,
-// recomputes the consensus truncation version (Figure 5) and rewrites
-// cluster_info.json. In the paper this runs on a regular configurable
-// interval; the simulation invokes it explicitly (and on shutdown).
+// and checkpoints) to shared storage, all nodes side by side, advances
+// per-node sync intervals, recomputes the consensus truncation version
+// (Figure 5) and writes the next commit point. In the paper this runs on
+// a regular configurable interval; the simulation invokes it explicitly
+// (and on shutdown).
 func (db *DB) SyncMetadata() error {
 	if db.mode != ModeEon {
 		return nil
 	}
 	ctx := db.Context()
-	for _, n := range db.Nodes() {
-		if !n.Up() {
-			continue
+	nodes := db.Nodes()
+	err := parallel.ForEach(ctx, len(nodes), db.ioConc(), func(ctx context.Context, _, i int) error {
+		if !nodes[i].Up() {
+			return nil
 		}
-		if err := db.syncNode(ctx, n); err != nil {
-			return err
-		}
+		return db.syncNode(ctx, nodes[i])
+	})
+	if err != nil {
+		return err
 	}
 	return db.updateTruncationVersion(ctx)
 }
 
-// syncNode uploads a node's unsynced catalog files and updates its sync
-// interval: checkpoints raise the lower bound, transaction logs the
-// upper bound.
+// syncNode uploads a node's unsynced catalog files, ioConc of them in
+// flight, and then updates its sync interval: checkpoints raise the
+// lower bound, transaction logs the upper bound. syncMu is held around
+// the bookkeeping only, never across a PUT. A failed round records
+// nothing — an interval must not claim a log whose predecessor did not
+// arrive — and the retry re-PUTs what did arrive, which is success.
 func (db *DB) syncNode(ctx context.Context, n *Node) error {
 	p := n.catalog.Persister()
 	if p == nil {
@@ -50,44 +59,43 @@ func (db *DB) syncNode(ctx context.Context, n *Node) error {
 	if err != nil {
 		return err
 	}
+	var todo []string // base names
 	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	iv := n.syncIv
 	for _, f := range files {
 		base := f.Path[strings.LastIndexByte(f.Path, '/')+1:]
-		if n.syncSeen[base] {
-			continue
+		if _, _, ok := catalog.ParseCatalogFile(base); ok && !n.syncSeen[base] {
+			todo = append(todo, base)
 		}
-		kind, version, ok := catalog.ParseCatalogFile(base)
-		if !ok {
-			continue
-		}
-		data, err := n.fs.ReadFile(ctx, f.Path)
+	}
+	n.syncMu.Unlock()
+	err = parallel.ForEach(ctx, len(todo), db.ioConc(), func(ctx context.Context, _, i int) error {
+		data, err := n.fs.ReadFile(ctx, p.Dir()+"/"+todo[i])
 		if err != nil {
 			return err
 		}
-		key := db.metadataPrefix(n.name) + base
 		// db.shared already retries transient failures; a duplicate upload
 		// from an earlier partially-failed sync round is success.
-		if e := db.shared.Put(ctx, key, data); e != nil && !strings.Contains(e.Error(), "already exists") {
-			return e
+		err = db.shared.Put(ctx, db.metadataPrefix(n.name)+todo[i], data)
+		if errors.Is(err, objstore.ErrExists) {
+			return nil
 		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	for _, base := range todo {
+		kind, version, _ := catalog.ParseCatalogFile(base)
 		n.syncSeen[base] = true
-		switch kind {
-		case "txn":
-			if version > iv.Upper {
-				iv.Upper = version
-			}
-		case "ckpt":
-			if version > iv.Lower {
-				iv.Lower = version
-			}
-			if version > iv.Upper {
-				iv.Upper = version
-			}
+		if kind == "ckpt" && version > n.syncIv.Lower {
+			n.syncIv.Lower = version
+		}
+		if version > n.syncIv.Upper {
+			n.syncIv.Upper = version
 		}
 	}
-	n.syncIv = iv
 	return nil
 }
 
@@ -100,7 +108,7 @@ func (n *Node) SyncInterval() cluster.SyncInterval {
 
 // updateTruncationVersion computes the consensus truncation version —
 // the minimum across shards of the best subscriber upload (Figure 5) —
-// and persists it to cluster_info.json, the revive commit point.
+// and persists it in the next commit point.
 func (db *DB) updateTruncationVersion(ctx context.Context) error {
 	leader, err := db.anyUpNode()
 	if err != nil {
@@ -126,22 +134,28 @@ func (db *DB) updateTruncationVersion(ctx context.Context) error {
 		return nil // never move the durability point backwards
 	}
 	db.truncation.Store(v)
-	return db.writeClusterInfo(ctx, v, db.cfg.LeaseDuration)
+	return db.writeClusterInfo(ctx, db.cfg.LeaseDuration)
 }
 
-// writeClusterInfo rewrites cluster_info.json (delete-then-put: it is the
-// one logically mutable object on shared storage). A zero lease writes an
-// already-expired lease, releasing the storage for immediate revive.
-func (db *DB) writeClusterInfo(ctx context.Context, truncation uint64, lease time.Duration) error {
+// writeClusterInfo writes the next commit point, carrying the current
+// truncation version, and then deletes the one it supersedes: PUT before
+// DELETE, so a crash between the two leaves both and revive takes the
+// newer (cluster.ReadInfo). A zero lease writes an already-expired
+// lease, releasing the storage for immediate revive. infoMu orders
+// concurrent writers, so a higher sequence never carries an older
+// truncation version.
+func (db *DB) writeClusterInfo(ctx context.Context, lease time.Duration) error {
 	var nodes []string
 	for _, n := range db.Nodes() {
 		nodes = append(nodes, n.name)
 	}
+	db.infoMu.Lock()
+	defer db.infoMu.Unlock()
 	now := db.now()
 	info := &cluster.Info{
 		Database:          db.cfg.Name,
 		Incarnation:       db.incarnation,
-		TruncationVersion: truncation,
+		TruncationVersion: db.truncation.Load(),
 		Nodes:             nodes,
 		Timestamp:         now,
 		LeaseExpiry:       now.Add(lease),
@@ -150,10 +164,16 @@ func (db *DB) writeClusterInfo(ctx context.Context, truncation uint64, lease tim
 	if err != nil {
 		return err
 	}
-	if err := db.shared.Delete(ctx, cluster.InfoFileName); err != nil && !isNotFound(err) {
+	key := cluster.InfoKey(db.infoSeq + 1)
+	if err := db.shared.Put(ctx, key, data); err != nil {
 		return err
 	}
-	return db.shared.Put(ctx, cluster.InfoFileName, data)
+	prev := db.infoKey
+	db.infoSeq, db.infoKey = db.infoSeq+1, key
+	if prev != "" && db.shared.Delete(ctx, prev) != nil {
+		db.deferDelete(0, prev) // superseded either way; the next RunGC retries
+	}
+	return nil
 }
 
 // TruncationVersion returns the current durable truncation version.
@@ -173,7 +193,7 @@ func (db *DB) Shutdown() error {
 			return err
 		}
 		// Release the lease so a revive can start immediately.
-		if err := db.writeClusterInfo(ctx, db.truncation.Load(), 0); err != nil {
+		if err := db.writeClusterInfo(ctx, 0); err != nil {
 			return err
 		}
 	}
@@ -182,8 +202,4 @@ func (db *DB) Shutdown() error {
 		n.up.Store(false)
 	}
 	return nil
-}
-
-func isNotFound(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "not found")
 }

@@ -55,6 +55,18 @@ type RecoveryResult struct {
 	TimeToRestored time.Duration
 	// TimeToConverged is kill-to-Converged as reported by the reconciler.
 	TimeToConverged time.Duration
+	// RepairTime is TimeToRestored without the wait for the reconciler's
+	// next tick: it runs from the start of the first round that acted on
+	// the kill. Two runs' TimeToRestored differ by up to one tick interval
+	// for no other reason than where in the interval the kill fell.
+	RepairTime time.Duration
+	// RepairDepotBytes is the data the repair moved between the kill and
+	// full service: the bytes the replacing member — the promoted spare,
+	// or the revived node — took into its depot, by peer warm or from
+	// shared storage. (Cluster-wide GET counts over that interval do not
+	// separate the paths: in both, the survivors read what they lack of
+	// the dead node's shards.)
+	RepairDepotBytes int64
 	// Queries/Failed/Wrong count worker outcomes; Wrong must be 0.
 	Queries, Failed, Wrong int64
 	// Promotions and Revives are the reconciler's repair actions.
@@ -143,10 +155,7 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	if opts.Spare {
 		spec.Spares = 1
 	}
-	rec := reconcile.New(db, reconcile.Config{
-		Spec:     spec,
-		Interval: 5 * time.Millisecond,
-	})
+	rec := reconcile.New(db, reconcile.Config{Spec: spec})
 	// Converge before the chaos starts (provisions the warm spare).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -157,7 +166,27 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	if !preOK {
 		return nil, fmt.Errorf("experiments: reconciler did not converge pre-kill: %v", rec.Status().Reasons)
 	}
-	go rec.Run(ctx)
+	// The reconciler's loop (rec.Run at a 5 ms interval) runs here, to know
+	// when each round started.
+	var killed atomic.Bool
+	var repairStart atomic.Int64 // UnixNano of the first round that acted after the kill
+	ticksDone := make(chan struct{})
+	go func() {
+		defer close(ticksDone)
+		t := time.NewTicker(5 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+			}
+			start := time.Now()
+			if st := rec.Tick(ctx); killed.Load() && len(st.Actions) > 0 {
+				repairStart.CompareAndSwap(0, start.UnixNano())
+			}
+		}
+	}()
 
 	// Sustained workload; every completion is timestamped and verified.
 	var mu sync.Mutex
@@ -195,13 +224,24 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	}
 
 	time.Sleep(opts.Warmup)
+	// The member that will stand in for node2: the spare, or node2 itself
+	// once revived (its depot is wiped with it).
+	replacement, _ := db.Node("node2")
+	for _, n := range db.Nodes() {
+		if n.Spare() {
+			replacement = n
+		}
+	}
 	kill := time.Now()
 	killRound := rec.Status().Round
+	killVersion := replacement.Catalog().Version() // the workload commits nothing; only the repair will
+	killed.Store(true)
 	if err := db.WipeNode("node2"); err != nil {
 		close(stop)
 		wg.Wait()
 		return nil, err
 	}
+	depotAtKill := replacement.Cache().Stats().BytesCached
 
 	// Watch for full service: subcluster back to size with every up
 	// member's subscriptions ACTIVE. A promoted spare gets there in one
@@ -216,8 +256,9 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			if serviceRestored(db, 3) {
+			if serviceRestored(db, 3, killVersion) {
 				restoredAt.Store(int64(time.Since(kill)))
+				res.RepairDepotBytes = replacement.Cache().Stats().BytesCached - depotAtKill
 				return
 			}
 		}
@@ -250,11 +291,17 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	close(stop)
 	wg.Wait()
 	cancel()
+	<-ticksDone
 
 	res.Queries = int64(len(completions))
 	res.Failed = failed.Load()
 	res.Wrong = wrong.Load()
 	res.TimeToRestored = time.Duration(restoredAt.Load())
+	// The acting round is known only once its Tick has returned, which can
+	// be after the service it restored was seen.
+	if from := repairStart.Load(); from != 0 && res.TimeToRestored != 0 {
+		res.RepairTime = kill.Add(res.TimeToRestored).Sub(time.Unix(0, from))
+	}
 	res.TimeToConverged = time.Duration(convergedAt.Load())
 	res.Promotions = db.Registry().Counter("reconcile.promotions").Value()
 	res.Revives = db.Registry().Counter("reconcile.revives").Value()
@@ -294,8 +341,11 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 }
 
 // serviceRestored reports whether `size` non-spare members are up with
-// every subscription ACTIVE (none pending re-subscription).
-func serviceRestored(db *core.DB, size int) bool {
+// every subscription ACTIVE (none pending re-subscription) in a catalog
+// newer than `after`, the version at the kill: a recovering node is up
+// for an instant before the repair's first commit turns its stale ACTIVE
+// subscriptions PENDING, and that instant is not restored service.
+func serviceRestored(db *core.DB, size int, after uint64) bool {
 	var snap *catalog.Snapshot
 	members := 0
 	for _, n := range db.Nodes() {
@@ -304,7 +354,9 @@ func serviceRestored(db *core.DB, size int) bool {
 		}
 		members++
 		if snap == nil {
-			snap = n.Catalog().Snapshot()
+			if snap = n.Catalog().Snapshot(); snap.Version() <= after {
+				return false
+			}
 		}
 		subs := snap.Subscriptions(n.Name())
 		if len(subs) == 0 {

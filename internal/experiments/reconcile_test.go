@@ -6,10 +6,14 @@ import (
 )
 
 // TestChaosRecovery is the acceptance measurement: kill a node (with
-// its depot) mid-workload and compare time-to-recovered-throughput with
-// a warm spare against a cold revive. Absolute times are host-noisy;
-// the asserted shape is that both paths recover with exact results, the
-// right repair action fires, and the pre-warmed spare path is faster.
+// its depot) mid-workload and compare a warm spare against a cold
+// revive. The asserted shape is that both paths recover with exact
+// results, the right repair action fires, and the pre-warmed spare is
+// the cheaper repair: between the kill and full service it takes nothing
+// into its depot, from peers or from shared storage, where the revived
+// node must refill its own. Times are host-noisy and a kill
+// lands anywhere in the reconciler's 5 ms tick, so the two runs' times
+// are compared from the start of the round that acted on the kill.
 func TestChaosRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -31,15 +35,16 @@ func TestChaosRecovery(t *testing.T) {
 	}
 
 	for _, r := range []*RecoveryResult{spare, cold} {
-		t.Logf("%s: baseline=%.0f qps ttr=%s restore=%s converge=%s queries=%d failed=%d",
-			r.Mode, r.BaselineQPS, r.TimeToRecovered, r.TimeToRestored, r.TimeToConverged, r.Queries, r.Failed)
+		t.Logf("%s: baseline=%.0f qps ttr=%s restore=%s (repair %s, %d depot bytes) converge=%s queries=%d failed=%d",
+			r.Mode, r.BaselineQPS, r.TimeToRecovered, r.TimeToRestored, r.RepairTime, r.RepairDepotBytes,
+			r.TimeToConverged, r.Queries, r.Failed)
 		if r.Wrong != 0 {
 			t.Fatalf("%s: %d queries returned wrong results", r.Mode, r.Wrong)
 		}
 		if !r.Recovered {
 			t.Fatalf("%s: throughput never recovered", r.Mode)
 		}
-		if r.TimeToRestored == 0 {
+		if r.TimeToRestored == 0 || r.RepairTime == 0 {
 			t.Fatalf("%s: full service never restored after the kill", r.Mode)
 		}
 		if r.TimeToConverged == 0 {
@@ -56,10 +61,16 @@ func TestChaosRecovery(t *testing.T) {
 		t.Fatal("cold run unexpectedly promoted a spare")
 	}
 	// The paper's point: flipping subscriptions onto a pre-warmed depot
-	// restores full service faster than reviving a node that must
-	// catch up and re-warm its depot from shared storage.
-	if spare.TimeToRestored >= cold.TimeToRestored {
-		t.Errorf("spare promotion restored service in %s, not faster than cold revive (%s)",
-			spare.TimeToRestored, cold.TimeToRestored)
+	// restores full service without moving data, where a revived node
+	// must catch up and re-warm its depot from peers and shared storage.
+	if spare.RepairDepotBytes != 0 {
+		t.Errorf("spare promotion took %d bytes into the spare's depot, want none", spare.RepairDepotBytes)
+	}
+	if cold.RepairDepotBytes <= 0 {
+		t.Errorf("cold revive restored service with %d bytes in the revived depot, want it re-warmed", cold.RepairDepotBytes)
+	}
+	if spare.RepairTime >= cold.RepairTime {
+		t.Errorf("spare promotion took %s from the round that saw the kill, not faster than cold revive (%s)",
+			spare.RepairTime, cold.RepairTime)
 	}
 }

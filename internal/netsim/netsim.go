@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"eon/internal/obs"
+	"eon/internal/simwait"
 )
 
 // ErrUnreachable is returned when an endpoint is down or partitioned.
@@ -236,10 +237,8 @@ func (n *Network) send(ctx context.Context, from, to string, size int64, include
 		d += time.Duration(float64(size) / c.Bandwidth * float64(time.Second))
 	}
 	if d > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(d):
+		if err := simwait.Sleep(ctx, d); err != nil {
+			return err
 		}
 	}
 	// Re-check after the transfer time: a node killed mid-transfer fails

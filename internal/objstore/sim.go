@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eon/internal/obs"
+	"eon/internal/simwait"
 )
 
 // SimConfig tunes the shared-storage simulator. Zero values disable each
@@ -209,15 +210,7 @@ func (s *Sim) wait(ctx context.Context, base time.Duration, n int64) error {
 	if s.cfg.BytesPerSecond > 0 && n > 0 {
 		d += time.Duration(float64(n) / s.cfg.BytesPerSecond * float64(time.Second))
 	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(d):
-		return nil
-	}
+	return simwait.Sleep(ctx, d)
 }
 
 // Put implements Store. The request and its payload bytes are counted at

@@ -63,15 +63,18 @@ obs:
 # race-checked (the pipeline is goroutines connected by channels) —
 # the fetch rule (a cold query's GETs all in flight before one returns;
 # a LIMIT and the fetch-ahead window bound them), plus the operator and
-# fan-out helper unit tests, then the hash operators' steady-state
-# allocation guard without the race detector (it skips under -race,
-# which inflates allocation counts).
+# fan-out helper unit tests, the typed write kernels against their
+# Datum-based references and the container digests recorded before them,
+# the hash operators' steady-state and the write path's allocation guards
+# without the race detector (they skip under -race, which inflates
+# allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestPrefetch' ./internal/storage/
+	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
+	$(GO) test -count=1 -run 'TestWritePathAllocs' ./internal/storage/
 
 # Reconciler gate: the spare lifecycle and RemoveNode regression tests,
 # the membership-churn soak, the full reconcile package (all

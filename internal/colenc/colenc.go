@@ -52,22 +52,11 @@ var ErrCorrupt = errors.New("colenc: corrupt block")
 
 type buf struct{ b []byte }
 
-func (w *buf) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.b = append(w.b, tmp[:n]...)
-}
-
-func (w *buf) varint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	w.b = append(w.b, tmp[:n]...)
-}
-
-func (w *buf) bytes(p []byte) { w.b = append(w.b, p...) }
-func (w *buf) byte(c byte)    { w.b = append(w.b, c) }
-func (w *buf) f64(f float64)  { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(f)) }
-func (w *buf) str(s string)   { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
+func (w *buf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *buf) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
+func (w *buf) byte(c byte)      { w.b = append(w.b, c) }
+func (w *buf) f64(f float64)    { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(f)) }
+func (w *buf) str(s string)     { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
 
 type rd struct {
 	b   []byte
@@ -150,19 +139,19 @@ func (r *rd) str() string {
 // writeNulls serializes the null positions of v: uvarint count followed by
 // delta-encoded positions.
 func writeNulls(w *buf, v *types.Vector) {
-	var positions []int
-	if v.Nulls != nil {
-		for i, isNull := range v.Nulls {
-			if isNull {
-				positions = append(positions, i)
-			}
+	cnt := 0
+	for _, isNull := range v.Nulls {
+		if isNull {
+			cnt++
 		}
 	}
-	w.uvarint(uint64(len(positions)))
+	w.uvarint(uint64(cnt))
 	prev := 0
-	for _, p := range positions {
-		w.uvarint(uint64(p - prev))
-		prev = p
+	for p, isNull := range v.Nulls {
+		if isNull {
+			w.uvarint(uint64(p - prev))
+			prev = p
+		}
 	}
 }
 
@@ -226,26 +215,51 @@ func Choose(v *types.Vector, sorted bool) Encoding {
 	}
 }
 
-// runFraction estimates the fraction of adjacent pairs that are equal.
+// runFraction estimates the fraction of adjacent pairs that are equal
+// under Datum.Equal: NULL equals NULL, -0 equals +0, and a NaN equals
+// every number.
 func runFraction(v *types.Vector) float64 {
 	n := v.Len()
 	if n < 2 {
 		return 0
 	}
-	eq := 0
-	for i := 1; i < n; i++ {
-		if v.Datum(i).Equal(v.Datum(i - 1)) {
-			eq++
-		}
+	var eq int
+	switch v.Typ.Physical() {
+	case types.Int64:
+		eq = adjacentEqual(v.Ints, v.Nulls, func(a, b int64) bool { return a == b })
+	case types.Float64:
+		eq = adjacentEqual(v.Floats, v.Nulls, func(a, b float64) bool { return !(a < b || a > b) })
+	case types.Varchar:
+		eq = adjacentEqual(v.Strs, v.Nulls, func(a, b string) bool { return a == b })
+	case types.Bool:
+		eq = adjacentEqual(v.Bools, v.Nulls, func(a, b bool) bool { return a == b })
 	}
 	return float64(eq) / float64(n-1)
 }
 
-// distinctCap counts distinct values up to a cap (then returns cap+1).
+func adjacentEqual[T any](xs []T, nulls []bool, equal func(a, b T) bool) int {
+	eq := 0
+	prevNull := len(nulls) > 0 && nulls[0]
+	for i := 1; i < len(xs); i++ {
+		null := i < len(nulls) && nulls[i]
+		if null == prevNull && (null || equal(xs[i], xs[i-1])) {
+			eq++
+		}
+		prevNull = null
+	}
+	return eq
+}
+
+// distinctCap counts the distinct strings of a Varchar vector up to a cap
+// (then returns cap+1). NULL counts as the text "NULL", as Datum.String
+// renders it.
 func distinctCap(v *types.Vector, cap int) int {
 	seen := make(map[string]struct{}, cap)
-	for i := 0; i < v.Len(); i++ {
-		seen[v.Datum(i).String()] = struct{}{}
+	for i, s := range v.Strs {
+		if v.IsNull(i) {
+			s = "NULL"
+		}
+		seen[s] = struct{}{}
 		if len(seen) > cap {
 			return cap + 1
 		}
@@ -255,7 +269,10 @@ func distinctCap(v *types.Vector, cap int) int {
 
 // Encode serializes the vector with the given encoding. Encodings that do
 // not apply to the vector's type fall back to Plain.
-func Encode(v *types.Vector, enc Encoding) []byte {
+func Encode(v *types.Vector, enc Encoding) []byte { return AppendEncode(nil, v, enc) }
+
+// AppendEncode is Encode appending the block to dst.
+func AppendEncode(dst []byte, v *types.Vector, enc Encoding) []byte {
 	phys := v.Typ.Physical()
 	switch enc {
 	case Delta, FOR:
@@ -272,7 +289,7 @@ func Encode(v *types.Vector, enc Encoding) []byte {
 	if enc == FOR && forWidth(v.Ints) > 56 {
 		enc = Plain
 	}
-	w := &buf{}
+	w := &buf{b: dst}
 	w.byte(byte(enc))
 	w.uvarint(uint64(v.Len()))
 	writeNulls(w, v)

@@ -704,8 +704,10 @@ func newNode(spec NodeSpec, cfg *Config) *Node {
 }
 
 // newDB builds the parts of a DB that Create and Revive share: the
-// resilient view of shared storage, the serving-path controllers and the
-// nodes, each with an empty local disk. cfg has its defaults filled.
+// resilient view of shared storage, the serving-path controllers, the
+// nodes, each with an empty local disk, and the observability surfaces —
+// metrics, Data Collector and system tables — so a revived cluster is as
+// observable as a created one. cfg has its defaults filled.
 func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config) (*DB, error) {
 	db := &DB{
 		cfg:         cfg,
@@ -724,6 +726,11 @@ func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config
 		if err := db.attach(newNode(spec, &db.cfg), spec.Rack); err != nil {
 			return nil, err
 		}
+	}
+	db.installMetrics()
+	db.installDataCollector()
+	if err := db.installSystemTables(); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
@@ -756,11 +763,6 @@ func Create(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db.ring = hashring.NewRing(cfg.ShardCount)
-	db.installMetrics()
-	db.installDataCollector()
-	if err := db.installSystemTables(); err != nil {
-		return nil, err
-	}
 	if err := db.bootstrapCatalog(); err != nil {
 		return nil, err
 	}
@@ -808,9 +810,8 @@ func (db *DB) installMetrics() {
 		if n.cache != nil {
 			n.cache.Register(reg, prefix+"cache.")
 		}
-		cat := n.catalog
 		reg.GaugeFunc(prefix+"catalog.version", func() int64 {
-			return int64(cat.Version())
+			return int64(n.catalog.Version()) // revive replays into it after install
 		})
 		if n.wos != nil {
 			w := n.wos

@@ -291,7 +291,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 					colVec.Append(v)
 				}
 			}
-			img := rosfile.WriteColumn(colVec, rosfile.WriteOptions{})
+			img, stats := rosfile.WriteColumn(colVec, rosfile.WriteOptions{})
 			sid := storage.SID(init.inst, sc.OID) // reuse container SID namespace
 			path := storage.DataPath(sid, stmt.Col.Name)
 			newFiles[path] = img
@@ -305,7 +305,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			}
 			updated.Files[stmt.Col.Name] = catalog.FileRef{Path: path, Size: int64(len(img))}
 			updated.SizeBytes += int64(len(img))
-			updated.ColStats[stmt.Col.Name] = types.StatsOf(colVec)
+			updated.ColStats[stmt.Col.Name] = stats
 			txn.Put(updated)
 			// Persist the new column file before commit.
 			writer := db.nodeForStorage(sc)

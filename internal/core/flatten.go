@@ -354,7 +354,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		if err := recomputeProj(tbl.Columns, baseRows); err != nil {
 			return rewritten, err
 		}
-		partitions, err := db.splitByPartition(tbl, baseRows)
+		partitions, err := splitByPartition(tbl, tbl.Columns, baseRows)
 		if err != nil {
 			return rewritten, err
 		}

@@ -57,7 +57,7 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 	}
 
 	// Split by table partition, then per projection by segment shard.
-	partitions, err := db.splitByPartition(tbl, batch)
+	partitions, err := splitByPartition(tbl, tbl.Columns, batch)
 	if err != nil {
 		return err
 	}
@@ -343,9 +343,13 @@ func (db *DB) loadIntoWOS(tbl *catalog.Table, projs []*catalog.Projection, batch
 	return nil
 }
 
-// splitByPartition groups rows by the table's partition expression
-// (paper §2.1: any given file contains data from only one partition).
-func (db *DB) splitByPartition(tbl *catalog.Table, batch *types.Batch) (map[string]*types.Batch, error) {
+// splitByPartition groups a batch's rows by the table's partition
+// expression (paper §2.1: any given file contains data from only one
+// partition), keyed by the value's text. The expression is bound against
+// schema, the batch's own column order, and evaluated once over the
+// whole batch; a schema without the partition columns — a projection
+// that leaves them out — keeps its rows unpartitioned.
+func splitByPartition(tbl *catalog.Table, schema types.Schema, batch *types.Batch) (map[string]*types.Batch, error) {
 	if tbl.PartitionExpr == "" {
 		return map[string]*types.Batch{"": batch}, nil
 	}
@@ -353,17 +357,16 @@ func (db *DB) splitByPartition(tbl *catalog.Table, batch *types.Batch) (map[stri
 	if err != nil {
 		return nil, fmt.Errorf("core: partition expression: %w", err)
 	}
-	if err := expr.Bind(pe, tbl.Columns); err != nil {
+	if err := expr.Bind(pe, schema); err != nil {
+		return map[string]*types.Batch{"": batch}, nil
+	}
+	vals, err := expr.EvalVec(pe, batch, nil, nil)
+	if err != nil {
 		return nil, err
 	}
 	groups := map[string][]int{}
-	n := batch.NumRows()
-	for i := 0; i < n; i++ {
-		v, err := expr.EvalRow(pe, batch.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		key := v.String()
+	for i := 0; i < vals.Len(); i++ {
+		key := vals.Datum(i).String()
 		groups[key] = append(groups[key], i)
 	}
 	out := make(map[string]*types.Batch, len(groups))

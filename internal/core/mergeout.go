@@ -6,10 +6,8 @@ import (
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
-	"eon/internal/expr"
 	"eon/internal/obs"
 	"eon/internal/shard"
-	"eon/internal/sql"
 	"eon/internal/storage"
 	"eon/internal/tuplemover"
 	"eon/internal/types"
@@ -50,7 +48,7 @@ func (db *DB) RunMoveout() (int, error) {
 			}
 			projSchema := physicalSchema(tbl, proj)
 			txn := init.catalog.Begin()
-			parts, err := db.splitProjBatchByPartition(tbl, projSchema, batch)
+			parts, err := splitByPartition(tbl, projSchema, batch)
 			if err != nil {
 				return moved, err
 			}
@@ -97,35 +95,6 @@ func (db *DB) RunMoveout() (int, error) {
 		}
 	}
 	return moved, nil
-}
-
-// splitProjBatchByPartition groups a projection-ordered batch by the
-// table partition expression (bound against the projection schema).
-func (db *DB) splitProjBatchByPartition(tbl *catalog.Table, projSchema types.Schema, batch *types.Batch) (map[string]*types.Batch, error) {
-	if tbl.PartitionExpr == "" {
-		return map[string]*types.Batch{"": batch}, nil
-	}
-	pe, err := sql.ParseExpr(tbl.PartitionExpr)
-	if err != nil {
-		return nil, err
-	}
-	if err := expr.Bind(pe, projSchema); err != nil {
-		// Projection lacks the partition columns; treat as unpartitioned.
-		return map[string]*types.Batch{"": batch}, nil
-	}
-	groups := map[string][]int{}
-	for i := 0; i < batch.NumRows(); i++ {
-		v, err := expr.EvalRow(pe, batch.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		groups[v.String()] = append(groups[v.String()], i)
-	}
-	out := make(map[string]*types.Batch, len(groups))
-	for k, idx := range groups {
-		out[k] = batch.Gather(idx)
-	}
-	return out, nil
 }
 
 // MergeoutStats reports one mergeout pass.

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"eon/internal/catalog"
+	"eon/internal/expr"
+	"eon/internal/sql"
 	"eon/internal/types"
 )
 
@@ -188,5 +193,133 @@ func TestMergeoutRespectsPartitions(t *testing.T) {
 	// Data intact.
 	if n := mustQuery(t, s, `SELECT COUNT(*) FROM ev`).Row(t, 0)[0].I; n != 200 {
 		t.Errorf("count = %d", n)
+	}
+}
+
+// refSplitKeys is the row-at-a-time partition split splitByPartition
+// replaced: each row boxed and evaluated alone, keyed by the value's text.
+func refSplitKeys(t *testing.T, partExpr string, schema types.Schema, b *types.Batch) map[string][]int {
+	t.Helper()
+	pe, err := sql.ParseExpr(partExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := expr.Bind(pe, schema); err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string][]int{}
+	for i := 0; i < b.NumRows(); i++ {
+		v, err := expr.EvalRow(pe, b.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[v.String()] = append(groups[v.String()], i)
+	}
+	return groups
+}
+
+// TestSplitByPartitionMatchesRowEval: the vectorized split groups every
+// row under the same key text as evaluating it alone, for every kind of
+// partition expression, NULLs included.
+func TestSplitByPartitionMatchesRowEval(t *testing.T) {
+	schema := types.Schema{
+		{Name: "id", Type: types.Int64}, {Name: "d", Type: types.Date},
+		{Name: "ts", Type: types.Timestamp}, {Name: "s", Type: types.Varchar},
+		{Name: "f", Type: types.Float64},
+	}
+	rng := rand.New(rand.NewSource(3))
+	b := types.NewBatch(schema, 300)
+	for i := 0; i < 300; i++ {
+		row := types.Row{
+			types.NewInt(int64(rng.Intn(20) - 5)), types.NewDate(int64(17000 + rng.Intn(400))),
+			types.NewTimestamp(int64(rng.Intn(1<<20)) * 1e6), types.NewString([]string{"ab", "Cd", "e"}[rng.Intn(3)]),
+			types.NewFloat(float64(rng.Intn(7)) / 2),
+		}
+		if rng.Intn(10) == 0 {
+			c := rng.Intn(len(row))
+			row[c] = types.NullDatum(schema[c].Type)
+		}
+		b.AppendRow(row)
+	}
+	for _, pe := range []string{
+		"id", "d", "s", "f", "id % 3", "id * 2 + 1", "EXTRACT(MONTH FROM d)", "YEAR(d)",
+		"EXTRACT(HOUR FROM ts)", "UPPER(s)", "SUBSTR(s, 1, 1)", "COALESCE(s, 'none')",
+		"CASE WHEN id > 5 THEN 'hi' ELSE 'lo' END", "f * 2",
+	} {
+		tbl := &catalog.Table{Name: "t", Columns: schema, PartitionExpr: pe}
+		parts, err := splitByPartition(tbl, schema, b)
+		if err != nil {
+			t.Fatalf("%s: %v", pe, err)
+		}
+		want := refSplitKeys(t, pe, schema, b)
+		if len(parts) != len(want) {
+			t.Errorf("%s: %d partitions, row evaluation finds %d", pe, len(parts), len(want))
+		}
+		for key, idx := range want {
+			got, ok := parts[key]
+			if !ok || fmt.Sprint(got.Rows()) != fmt.Sprint(b.Gather(idx).Rows()) {
+				t.Errorf("%s: partition %q differs from row evaluation", pe, key)
+			}
+		}
+	}
+}
+
+// TestPartitionKeysOnEveryWritePath: a table partitioned by month keeps
+// one month per container through COPY, Enterprise WOS moveout and
+// mergeout, and every month loaded appears as a partition key.
+func TestPartitionKeysOnEveryWritePath(t *testing.T) {
+	for _, mode := range []Mode{ModeEon, ModeEnterprise} {
+		t.Run(mode.String(), func(t *testing.T) {
+			db := newTestDB(t, mode, 2, 2)
+			s := db.NewSession()
+			mustExec(t, s, `CREATE TABLE ev (id INTEGER, d DATE) PARTITION BY EXTRACT(MONTH FROM d)`)
+			mustExec(t, s, `CREATE PROJECTION ev_p AS SELECT * FROM ev ORDER BY id SEGMENTED BY HASH(id) ALL NODES`)
+			schema := types.Schema{{Name: "id", Type: types.Int64}, {Name: "d", Type: types.Date}}
+			base := int64(17532) // 2018-01-01
+			rows := 0
+			// Large loads go straight to ROS; 3-row loads sit in the
+			// Enterprise WOS until moveout.
+			for l, size := range []int{40, 3, 3, 40, 3} {
+				b := types.NewBatch(schema, size)
+				for i := 0; i < size; i++ {
+					b.AppendRow(types.Row{types.NewInt(int64(rows)), types.NewDate(base + int64((l*17+i*5)%120))})
+					rows++
+				}
+				if err := db.LoadRows("ev", b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.RunMoveout(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				t.Helper()
+				init, _ := db.anyUpNode()
+				snap := init.catalog.Snapshot()
+				tbl, _ := snap.TableByName("ev")
+				keys := map[string]bool{}
+				for _, p := range snap.ProjectionsOf(tbl.OID) {
+					for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+						st := sc.ColStats["d"]
+						lo, hi := types.NewDate(st.Min.I), types.NewDate(st.Max.I)
+						if m := lo.String()[5:7]; m != hi.String()[5:7] || strings.TrimPrefix(m, "0") != sc.PartitionKey {
+							t.Errorf("%s: container %d has key %q and dates %s..%s", stage, sc.OID, sc.PartitionKey, lo, hi)
+						}
+						keys[sc.PartitionKey] = true
+					}
+				}
+				if len(keys) != 4 {
+					t.Errorf("%s: partition keys %v, want the four months loaded", stage, keys)
+				}
+				if n := mustQuery(t, s, `SELECT COUNT(*) FROM ev`).Row(t, 0)[0].I; n != int64(rows) {
+					t.Errorf("%s: count = %d, want %d", stage, n, rows)
+				}
+			}
+			check("load")
+			if _, err := db.RunMergeout(); err != nil {
+				t.Fatal(err)
+			}
+			check("mergeout")
+		})
 	}
 }

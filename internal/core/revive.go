@@ -120,6 +120,7 @@ func Revive(cfg Config) (*DB, error) {
 	for _, cn := range donor.Nodes() {
 		if n, ok := db.nodes[cn.Name]; ok {
 			n.setMembership(cn.Subcluster, cn.Spare)
+			db.ensureSubclusterGauges(cn.Subcluster)
 		}
 	}
 

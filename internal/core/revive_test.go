@@ -435,3 +435,50 @@ func TestCommitPointCrashSweep(t *testing.T) {
 		t.Fatalf("the script issued %d requests; the sweep is vacuous", script)
 	}
 }
+
+// TestReviveObservable: a revived cluster has what a created one has —
+// every v_monitor table answers, every metric name registered after
+// Create is registered again, and the per-node catalog.version gauges read
+// the replayed catalogs.
+func TestReviveObservable(t *testing.T) {
+	mem := objstore.NewMem()
+	db := reviveHistory(t, mem, 45)
+	created := db.Metrics()
+	tables := db.sysTables.Names()
+	if len(tables) == 0 {
+		t.Fatal("a created cluster lists no v_monitor tables")
+	}
+	if err := db.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, err := Revive(Config{Shared: mem, Resilience: plainResilience()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rdb.Metrics()
+	if len(got.Counters) == 0 || len(got.Gauges) == 0 {
+		t.Fatalf("revived Metrics() = %d counters, %d gauges", len(got.Counters), len(got.Gauges))
+	}
+	for name := range created.Counters {
+		if _, ok := got.Counters[name]; !ok {
+			t.Errorf("counter %s missing after revive", name)
+		}
+	}
+	for name := range created.Gauges {
+		if _, ok := got.Gauges[name]; !ok {
+			t.Errorf("gauge %s missing after revive", name)
+		}
+	}
+	for _, n := range rdb.Nodes() {
+		want := int64(n.catalog.Version())
+		if v := got.Gauges["node."+n.name+".catalog.version"]; want == 0 || v != want {
+			t.Errorf("%s catalog.version gauge = %d, catalog at %d", n.name, v, want)
+		}
+	}
+	s := rdb.NewSession()
+	for _, name := range tables {
+		if _, err := s.Query("SELECT COUNT(*) FROM " + name); err != nil {
+			t.Errorf("%s after revive: %v", name, err)
+		}
+	}
+}

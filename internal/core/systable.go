@@ -185,7 +185,7 @@ func (db *DB) recentSessions() []*Session {
 	return out
 }
 
-// installSystemTables registers every v_monitor table. Runs at Create
+// installSystemTables registers every v_monitor table. Runs in newDB
 // after the metrics registry and Data Collector are installed.
 func (db *DB) installSystemTables() error {
 	reg := systable.NewRegistry()

@@ -2,17 +2,13 @@ package exec
 
 import (
 	"container/heap"
-	"sort"
 
 	"eon/internal/types"
 )
 
 // SortSpec is one sort key: a column index of the input schema and a
 // direction.
-type SortSpec struct {
-	Col  int
-	Desc bool
-}
+type SortSpec = types.SortKey
 
 // Sort materializes its input and emits it ordered by the keys. NULLs
 // sort first ascending (last descending). When a limited memory governor
@@ -42,37 +38,6 @@ func NewSort(input Operator, keys []SortSpec) *Sort {
 
 // Schema implements Operator.
 func (s *Sort) Schema() types.Schema { return s.input.Schema() }
-
-// compareRowsAcross orders row ai of batch a against row bi of batch b
-// under the sort keys.
-func compareRowsAcross(a *types.Batch, ai int, b *types.Batch, bi int, keys []SortSpec) int {
-	for _, k := range keys {
-		c := a.Cols[k.Col].Datum(ai).Compare(b.Cols[k.Col].Datum(bi))
-		if c != 0 {
-			if k.Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
-}
-
-func compareRows(b *types.Batch, i, j int, keys []SortSpec) int {
-	return compareRowsAcross(b, i, b, j, keys)
-}
-
-// sortBatch returns b's rows in stable key order.
-func sortBatch(b *types.Batch, keys []SortSpec) *types.Batch {
-	perm := make([]int, b.NumRows())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		return compareRows(b, perm[x], perm[y], keys) < 0
-	})
-	return b.Gather(perm)
-}
 
 // Next implements Operator.
 func (s *Sort) Next() (*types.Batch, error) {
@@ -108,7 +73,7 @@ func (s *Sort) run() error {
 		if acc.NumRows() == 0 {
 			return nil
 		}
-		h, err := writeBatchRun(s.Spill, "sortrun", sortBatch(acc, s.keys))
+		h, err := writeBatchRun(s.Spill, "sortrun", types.SortBatch(acc, s.keys))
 		if err != nil {
 			return err
 		}
@@ -146,7 +111,7 @@ func (s *Sort) run() error {
 			s.Mem.Release(accBytes)
 			return nil
 		}
-		s.emit = sortBatch(acc, s.keys)
+		s.emit = types.SortBatch(acc, s.keys)
 		s.charged = accBytes
 		return nil
 	}
@@ -191,7 +156,7 @@ func newSortMerger(st SpillStore, schema types.Schema, keys []SortSpec, runs []S
 func (m *sortMerger) Len() int { return len(m.idx) }
 func (m *sortMerger) Less(i, j int) bool {
 	a, b := m.cursors[m.idx[i]], m.cursors[m.idx[j]]
-	c := compareRowsAcross(a.cur, a.row, b.cur, b.row, m.keys)
+	c := types.CompareAt(a.cur, a.row, b.cur, b.row, m.keys)
 	if c != 0 {
 		return c < 0
 	}
@@ -214,9 +179,18 @@ func (m *sortMerger) next() (*types.Batch, error) {
 		return nil, nil
 	}
 	out := types.NewBatch(m.schema, spillChunkRows)
-	for len(m.idx) > 0 && out.NumRows() < spillChunkRows {
+	// Rows taken one after another from one frame are copied as one slice.
+	var src *types.Batch
+	lo, hi := 0, 0
+	for rows := 0; len(m.idx) > 0 && rows < spillChunkRows; rows++ {
 		c := m.cursors[m.idx[0]]
-		out.AppendRow(c.cur.Row(c.row))
+		if c.cur != src || c.row != hi {
+			if src != nil {
+				out.AppendBatch(src.Slice(lo, hi))
+			}
+			src, lo, hi = c.cur, c.row, c.row
+		}
+		hi++
 		c.row++
 		if err := c.load(); err != nil {
 			return nil, err
@@ -227,6 +201,7 @@ func (m *sortMerger) next() (*types.Batch, error) {
 			heap.Fix(m, 0)
 		}
 	}
+	out.AppendBatch(src.Slice(lo, hi))
 	return out, nil
 }
 
@@ -250,14 +225,13 @@ func (t *TopK) Schema() types.Schema { return t.input.Schema() }
 // rowHeap is a max-heap of row indexes under the sort keys, so the
 // largest retained row is evictable at the top.
 type rowHeap struct {
-	batch *types.Batch
-	keys  []SortSpec
-	idx   []int
+	cmp func(i, j int) int
+	idx []int
 }
 
 func (h *rowHeap) Len() int { return len(h.idx) }
 func (h *rowHeap) Less(i, j int) bool {
-	return compareRows(h.batch, h.idx[i], h.idx[j], h.keys) > 0
+	return h.cmp(h.idx[i], h.idx[j]) > 0
 }
 func (h *rowHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
 func (h *rowHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
@@ -282,13 +256,13 @@ func (t *TopK) Next() (*types.Batch, error) {
 	if all.NumRows() == 0 {
 		return nil, nil
 	}
-	h := &rowHeap{batch: all, keys: t.keys}
+	h := &rowHeap{cmp: types.Comparator(all, t.keys)}
 	for i := 0; i < all.NumRows(); i++ {
 		if h.Len() < t.k {
 			heap.Push(h, i)
 			continue
 		}
-		if compareRows(all, i, h.idx[0], t.keys) < 0 {
+		if h.cmp(i, h.idx[0]) < 0 {
 			h.idx[0] = i
 			heap.Fix(h, 0)
 		}

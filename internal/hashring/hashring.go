@@ -10,9 +10,8 @@
 package hashring
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"slices"
 
 	"eon/internal/types"
 )
@@ -22,67 +21,100 @@ const SpaceSize = uint64(1) << 32
 
 // HashDatum hashes a single datum into the 32-bit space. The hash is
 // deterministic across processes so that segmentation is stable.
-func HashDatum(d types.Datum) uint32 {
-	h := fnv.New32a()
-	writeDatum(h, d)
-	return h.Sum32()
-}
+func HashDatum(d types.Datum) uint32 { return foldDatum(fnvOffset32, d) }
 
 // HashRowCols hashes the given column positions of a row, in order. This is
 // the SEGMENTED BY HASH(col, ...) function.
 func HashRowCols(r types.Row, cols []int) uint32 {
-	h := fnv.New32a()
+	h := uint32(fnvOffset32)
 	for _, c := range cols {
-		writeDatum(h, r[c])
+		h = foldDatum(h, r[c])
 	}
-	return h.Sum32()
+	return h
 }
 
+// The hash is 32-bit FNV-1a, as hash/fnv's New32a computes it.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
 // HashBatchCols hashes the given column positions for every row of a batch,
-// appending the hashes to dst and returning it.
+// appending the hashes to dst and returning it. Each equals HashRowCols of
+// the row, folded column by column over the typed slices.
 func HashBatchCols(b *types.Batch, cols []int, dst []uint32) []uint32 {
 	n := b.NumRows()
-	for i := 0; i < n; i++ {
-		h := fnv.New32a()
-		for _, c := range cols {
-			writeDatum(h, b.Cols[c].Datum(i))
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	hs := dst[base:]
+	for i := range hs {
+		hs[i] = fnvOffset32
+	}
+	for _, c := range cols {
+		v := b.Cols[c]
+		for i := range hs {
+			h := hs[i]
+			if v.IsNull(i) {
+				hs[i] = fnvByte(h, 0)
+				continue
+			}
+			switch v.Typ.Physical() {
+			case types.Int64:
+				h = fnvUint64(fnvByte(h, 1), uint64(v.Ints[i]))
+			case types.Float64:
+				h = fnvUint64(fnvByte(h, 2), math.Float64bits(v.Floats[i]))
+			case types.Varchar:
+				h = fnvString(fnvByte(h, 3), v.Strs[i])
+			case types.Bool:
+				h = fnvByte(fnvByte(h, 4), b2byte(v.Bools[i]))
+			}
+			hs[i] = h
 		}
-		dst = append(dst, h.Sum32())
 	}
 	return dst
 }
 
-type hashWriter interface {
-	Write(p []byte) (int, error)
+func fnvByte(h uint32, c byte) uint32 { return (h ^ uint32(c)) * fnvPrime32 }
+
+// fnvUint64 folds x's eight little-endian bytes into h.
+func fnvUint64(h uint32, x uint64) uint32 {
+	for k := 0; k < 8; k++ {
+		h = fnvByte(h, byte(x>>(8*k)))
+	}
+	return h
 }
 
-func writeDatum(h hashWriter, d types.Datum) {
-	var buf [9]byte
+func fnvString(h uint32, s string) uint32 {
+	for k := 0; k < len(s); k++ {
+		h = fnvByte(h, s[k])
+	}
+	return h
+}
+
+func b2byte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// foldDatum folds a datum's hash bytes into h: a tag byte per physical
+// class (0 for NULL), then the value's little-endian or string bytes.
+func foldDatum(h uint32, d types.Datum) uint32 {
 	if d.Null {
-		buf[0] = 0
-		h.Write(buf[:1])
-		return
+		return fnvByte(h, 0)
 	}
 	switch d.K.Physical() {
 	case types.Int64:
-		buf[0] = 1
-		binary.LittleEndian.PutUint64(buf[1:], uint64(d.I))
-		h.Write(buf[:9])
+		return fnvUint64(fnvByte(h, 1), uint64(d.I))
 	case types.Float64:
-		buf[0] = 2
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(d.F))
-		h.Write(buf[:9])
+		return fnvUint64(fnvByte(h, 2), math.Float64bits(d.F))
 	case types.Varchar:
-		buf[0] = 3
-		h.Write(buf[:1])
-		h.Write([]byte(d.S))
+		return fnvString(fnvByte(h, 3), d.S)
 	case types.Bool:
-		buf[0] = 4
-		if d.B {
-			buf[1] = 1
-		}
-		h.Write(buf[:2])
+		return fnvByte(fnvByte(h, 4), b2byte(d.B))
 	}
+	return h
 }
 
 // Segment is a contiguous half-open region [Start, End) of the hash space.

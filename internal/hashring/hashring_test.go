@@ -132,3 +132,16 @@ func TestSegmentForRow(t *testing.T) {
 		t.Errorf("SegmentForRow = %d, want %d", got, want)
 	}
 }
+
+func BenchmarkHashBatchCols(b *testing.B) {
+	s := types.Schema{{Name: "id", Type: types.Int64}, {Name: "name", Type: types.Varchar}, {Name: "v", Type: types.Float64}}
+	batch := types.NewBatch(s, 2000)
+	for i := 0; i < 2000; i++ {
+		batch.AppendRow(types.Row{types.NewInt(int64(i * 7919)), types.NewString("device-" + string(rune('a'+i%26))), types.NewFloat(float64(i) / 3)})
+	}
+	dst := make([]uint32, 0, 2000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = HashBatchCols(batch, []int{0, 1, 2}, dst[:0])
+	}
+}

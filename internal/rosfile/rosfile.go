@@ -127,14 +127,17 @@ type WriteOptions struct {
 }
 
 // WriteColumn serializes a whole column into the ROS column-file format
-// and returns the file image.
-func WriteColumn(v *types.Vector, opts WriteOptions) []byte {
+// and returns the file image with the column's stats, merged from the
+// per-block stats the footer records rather than taken in a second pass.
+func WriteColumn(v *types.Vector, opts WriteOptions) ([]byte, types.ColumnStats) {
 	blockRows := opts.BlockRows
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
 	var out []byte
 	var blocks []BlockMeta
+	stats := types.ColumnStats{AllNull: true}
+	nan := false
 	n := v.Len()
 	for lo := 0; lo < n; lo += blockRows {
 		hi := lo + blockRows
@@ -146,48 +149,31 @@ func WriteColumn(v *types.Vector, opts WriteOptions) []byte {
 		if opts.Encoding != nil {
 			enc = *opts.Encoding
 		}
-		payload := colenc.Encode(part, enc)
 		meta := BlockMeta{
 			Offset:   int64(len(out)),
-			Length:   int64(len(payload)),
 			RowStart: int64(lo),
 			RowCount: int64(hi - lo),
 		}
-		meta.Min, meta.Max, meta.NullCount = blockStats(part)
-		out = append(out, payload...)
+		out = colenc.AppendEncode(out, part, enc)
+		meta.Length = int64(len(out)) - meta.Offset
+		var nulls int
+		meta.Min, meta.Max, nulls = types.MinMax(part)
+		meta.NullCount = int64(nulls)
 		blocks = append(blocks, meta)
+		stats.Merge(types.ColumnStats{Min: meta.Min, Max: meta.Max, HasNulls: nulls > 0, AllNull: nulls == hi-lo})
+		nan = nan || math.IsNaN(meta.Min.F)
+	}
+	if nan {
+		// A block that starts with NaN hides its other values from the
+		// merge, which a single fold over the column would see.
+		stats = types.StatsOf(v)
 	}
 	footer := Footer{Type: v.Typ, RowCount: int64(n), Blocks: blocks}
 	fb := encodeFooter(footer)
 	out = append(out, fb...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(fb)))
 	out = binary.LittleEndian.AppendUint32(out, Magic)
-	return out
-}
-
-func blockStats(v *types.Vector) (min, max types.Datum, nulls int64) {
-	min = types.NullDatum(v.Typ)
-	max = types.NullDatum(v.Typ)
-	first := true
-	for i := 0; i < v.Len(); i++ {
-		d := v.Datum(i)
-		if d.Null {
-			nulls++
-			continue
-		}
-		if first {
-			min, max = d, d
-			first = false
-			continue
-		}
-		if d.Compare(min) < 0 {
-			min = d
-		}
-		if d.Compare(max) > 0 {
-			max = d
-		}
-	}
-	return min, max, nulls
+	return out, stats
 }
 
 func encodeFooter(f Footer) []byte {

@@ -17,7 +17,7 @@ func intVec(xs ...int64) *types.Vector {
 
 func TestWriteReadColumn(t *testing.T) {
 	v := intVec(1, 2, 3, 4, 5, 6, 7, 8)
-	img := WriteColumn(v, WriteOptions{BlockRows: 3, Sorted: true})
+	img, _ := WriteColumn(v, WriteOptions{BlockRows: 3, Sorted: true})
 	r, err := NewReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestWriteReadColumn(t *testing.T) {
 
 func TestBlockMinMax(t *testing.T) {
 	v := intVec(10, 20, 30, 40, 50, 60)
-	img := WriteColumn(v, WriteOptions{BlockRows: 2})
+	img, _ := WriteColumn(v, WriteOptions{BlockRows: 2})
 	r, err := NewReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestNullCounts(t *testing.T) {
 	v.Append(types.NullDatum(types.Varchar))
 	v.Append(types.NullDatum(types.Varchar))
 	v.Append(types.NewString("b"))
-	img := WriteColumn(v, WriteOptions{})
+	img, _ := WriteColumn(v, WriteOptions{})
 	r, err := NewReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestNullCounts(t *testing.T) {
 
 func TestReadBlockIndividually(t *testing.T) {
 	v := intVec(1, 2, 3, 4, 5)
-	img := WriteColumn(v, WriteOptions{BlockRows: 2})
+	img, _ := WriteColumn(v, WriteOptions{BlockRows: 2})
 	r, err := NewReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestReadBlockIndividually(t *testing.T) {
 
 func TestBlockForRow(t *testing.T) {
 	v := intVec(1, 2, 3, 4, 5, 6, 7)
-	img := WriteColumn(v, WriteOptions{BlockRows: 3})
+	img, _ := WriteColumn(v, WriteOptions{BlockRows: 3})
 	r, _ := NewReader(img)
 	cases := map[int64]int{0: 0, 2: 0, 3: 1, 6: 2}
 	for row, want := range cases {
@@ -117,7 +117,7 @@ func TestBlockForRow(t *testing.T) {
 
 func TestEmptyColumn(t *testing.T) {
 	v := types.NewVector(types.Float64, 0)
-	img := WriteColumn(v, WriteOptions{})
+	img, _ := WriteColumn(v, WriteOptions{})
 	r, err := NewReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestEmptyColumn(t *testing.T) {
 
 func TestCorruptDetection(t *testing.T) {
 	v := intVec(1, 2, 3)
-	img := WriteColumn(v, WriteOptions{})
+	img, _ := WriteColumn(v, WriteOptions{})
 	if _, err := NewReader(img[:4]); err == nil {
 		t.Error("truncated file should fail")
 	}
@@ -151,7 +151,7 @@ func TestCorruptDetection(t *testing.T) {
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(xs []int64) bool {
 		v := intVec(xs...)
-		img := WriteColumn(v, WriteOptions{BlockRows: 4})
+		img, _ := WriteColumn(v, WriteOptions{BlockRows: 4})
 		r, err := NewReader(img)
 		if err != nil {
 			return false
@@ -179,7 +179,7 @@ func TestQuickStatsBound(t *testing.T) {
 			return true
 		}
 		v := intVec(xs...)
-		img := WriteColumn(v, WriteOptions{BlockRows: 3})
+		img, _ := WriteColumn(v, WriteOptions{BlockRows: 3})
 		r, err := NewReader(img)
 		if err != nil {
 			return false
@@ -204,11 +204,11 @@ func TestQuickStatsBound(t *testing.T) {
 }
 
 func TestBundleRoundtrip(t *testing.T) {
-	a := WriteColumn(intVec(1, 2, 3), WriteOptions{})
+	a, _ := WriteColumn(intVec(1, 2, 3), WriteOptions{})
 	sVec := types.NewVector(types.Varchar, 2)
 	sVec.Append(types.NewString("x"))
 	sVec.Append(types.NewString("y"))
-	b := WriteColumn(sVec, WriteOptions{})
+	b, _ := WriteColumn(sVec, WriteOptions{})
 	img, err := BuildBundle([]string{"id", "name"}, [][]byte{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,8 @@ func TestBundleCorrupt(t *testing.T) {
 	if _, err := OpenBundle([]byte{1, 2, 3}); err == nil {
 		t.Error("short bundle should fail")
 	}
-	img, _ := BuildBundle([]string{"a"}, [][]byte{WriteColumn(intVec(1), WriteOptions{})})
+	col, _ := WriteColumn(intVec(1), WriteOptions{})
+	img, _ := BuildBundle([]string{"a"}, [][]byte{col})
 	bad := append([]byte{}, img...)
 	bad[len(bad)-2] ^= 0xFF
 	if _, err := OpenBundle(bad); err == nil {
@@ -256,7 +257,7 @@ func TestStringMinMaxInFooter(t *testing.T) {
 	v.Append(types.NewString("melon"))
 	v.Append(types.NewString("apple"))
 	v.Append(types.NewString("zebra"))
-	img := WriteColumn(v, WriteOptions{})
+	img, _ := WriteColumn(v, WriteOptions{})
 	r, _ := NewReader(img)
 	blk := r.Footer().Blocks[0]
 	if blk.Min.S != "apple" || blk.Max.S != "zebra" {

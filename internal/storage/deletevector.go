@@ -30,7 +30,8 @@ func BuildDeleteVector(positions []int64) []byte {
 		v.Append(types.NewInt(p))
 		prev = p
 	}
-	return rosfile.WriteColumn(v, rosfile.WriteOptions{Sorted: true})
+	img, _ := rosfile.WriteColumn(v, rosfile.WriteOptions{Sorted: true})
+	return img
 }
 
 // ReadDeleteVector decodes delete vector file bytes into sorted

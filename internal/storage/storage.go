@@ -92,15 +92,15 @@ func BuildContainer(alloc OIDAllocator, inst cluster.InstanceID, spec WriteSpec,
 		return nil, fmt.Errorf("storage: schema arity %d != batch arity %d", len(spec.Schema), batch.NumCols())
 	}
 	// Resolve sort key columns.
-	var sortIdx []int
+	var sortKeys []types.SortKey
 	for _, k := range spec.Projection.SortKey {
 		i := spec.Schema.ColumnIndex(k)
 		if i < 0 {
 			return nil, fmt.Errorf("storage: sort key column %q not in projection schema", k)
 		}
-		sortIdx = append(sortIdx, i)
+		sortKeys = append(sortKeys, types.SortKey{Col: i})
 	}
-	sorted := types.SortBatch(batch, sortIdx)
+	sorted := types.SortBatch(batch, sortKeys)
 
 	oid := alloc.NewOID()
 	sid := SID(inst, oid)
@@ -121,12 +121,12 @@ func BuildContainer(alloc OIDAllocator, inst cluster.InstanceID, spec WriteSpec,
 	var names []string
 	var total int64
 	for i, col := range spec.Schema {
-		isLeadingSort := len(sortIdx) > 0 && sortIdx[0] == i
-		img := rosfile.WriteColumn(sorted.Cols[i], rosfile.WriteOptions{Sorted: isLeadingSort})
+		isLeadingSort := len(sortKeys) > 0 && sortKeys[0].Col == i
+		img, stats := rosfile.WriteColumn(sorted.Cols[i], rosfile.WriteOptions{Sorted: isLeadingSort})
 		images[col.Name] = img
 		names = append(names, col.Name)
 		total += int64(len(img))
-		meta.ColStats[col.Name] = types.StatsOf(sorted.Cols[i])
+		meta.ColStats[col.Name] = stats
 	}
 
 	threshold := spec.BundleThreshold

@@ -17,7 +17,7 @@ func sortTestBatch(xs []int64) *Batch {
 }
 
 func TestSortBatchOrders(t *testing.T) {
-	b := SortBatch(sortTestBatch([]int64{3, 1, 2}), []int{0})
+	b := SortBatch(sortTestBatch([]int64{3, 1, 2}), []SortKey{{Col: 0}})
 	if b.Cols[0].Ints[0] != 1 || b.Cols[0].Ints[2] != 3 {
 		t.Errorf("sorted = %v", b.Cols[0].Ints)
 	}
@@ -25,7 +25,7 @@ func TestSortBatchOrders(t *testing.T) {
 
 func TestSortBatchStable(t *testing.T) {
 	// Equal keys preserve input order (stable).
-	b := SortBatch(sortTestBatch([]int64{2, 1, 2, 1}), []int{0})
+	b := SortBatch(sortTestBatch([]int64{2, 1, 2, 1}), []SortKey{{Col: 0}})
 	pos := b.Cols[1].Ints
 	if pos[0] != 1 || pos[1] != 3 || pos[2] != 0 || pos[3] != 2 {
 		t.Errorf("stable order = %v", pos)
@@ -34,16 +34,16 @@ func TestSortBatchStable(t *testing.T) {
 
 func TestSortBatchAlreadySortedNoCopy(t *testing.T) {
 	b := sortTestBatch([]int64{1, 2, 3})
-	if got := SortBatch(b, []int{0}); got != b {
+	if got := SortBatch(b, []SortKey{{Col: 0}}); got != b {
 		t.Error("in-order batch should be returned as-is")
 	}
 }
 
 func TestIsSorted(t *testing.T) {
-	if !IsSorted(sortTestBatch([]int64{1, 2, 2, 3}), []int{0}) {
+	if !IsSorted(sortTestBatch([]int64{1, 2, 2, 3}), []SortKey{{Col: 0}}) {
 		t.Error("sorted reported unsorted")
 	}
-	if IsSorted(sortTestBatch([]int64{2, 1}), []int{0}) {
+	if IsSorted(sortTestBatch([]int64{2, 1}), []SortKey{{Col: 0}}) {
 		t.Error("unsorted reported sorted")
 	}
 	// Multi-key: first key ties broken by second.
@@ -51,10 +51,10 @@ func TestIsSorted(t *testing.T) {
 	b := BatchFromRows(s, []Row{
 		{NewInt(1), NewInt(2)}, {NewInt(1), NewInt(1)},
 	})
-	if IsSorted(b, []int{0, 1}) {
+	if IsSorted(b, []SortKey{{Col: 0}, {Col: 1}}) {
 		t.Error("secondary key violation missed")
 	}
-	if !IsSorted(b, []int{0}) {
+	if !IsSorted(b, []SortKey{{Col: 0}}) {
 		t.Error("primary-only should be sorted")
 	}
 }
@@ -62,8 +62,8 @@ func TestIsSorted(t *testing.T) {
 // Property: SortBatch output is sorted and is a permutation of the input.
 func TestQuickSortBatch(t *testing.T) {
 	f := func(xs []int64) bool {
-		b := SortBatch(sortTestBatch(xs), []int{0})
-		if !IsSorted(b, []int{0}) {
+		b := SortBatch(sortTestBatch(xs), []SortKey{{Col: 0}})
+		if !IsSorted(b, []SortKey{{Col: 0}}) {
 			return false
 		}
 		counts := map[int64]int{}
@@ -156,7 +156,7 @@ func TestSortPermLargeRandom(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Int63n(50)
 	}
-	perm := SortPerm(sortTestBatch(xs), []int{0})
+	perm := SortPerm(sortTestBatch(xs), []SortKey{{Col: 0}})
 	if len(perm) != 500 {
 		t.Fatal("perm length")
 	}
@@ -166,5 +166,32 @@ func TestSortPermLargeRandom(t *testing.T) {
 			t.Fatal("perm repeats index")
 		}
 		seen[p] = true
+	}
+}
+
+func BenchmarkSortPerm(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	s := Schema{{Name: "a", Type: Int64}, {Name: "b", Type: Int64}, {Name: "c", Type: Varchar}}
+	random := NewBatch(s, 2000)
+	presorted := NewBatch(s, 2000)
+	for i := 0; i < 2000; i++ {
+		random.AppendRow(Row{NewInt(rng.Int63n(1000)), NewInt(int64(i)), NewString([]string{"x", "y", "z"}[rng.Intn(3)])})
+		presorted.AppendRow(Row{NewInt(int64(i / 2)), NewInt(int64(i)), NewString("x")})
+	}
+	for _, tc := range []struct {
+		name  string
+		batch *Batch
+		keys  []SortKey
+	}{
+		{"random", random, []SortKey{{Col: 0}}},
+		{"presorted", presorted, []SortKey{{Col: 0}, {Col: 1}}},
+		{"multikey", random, []SortKey{{Col: 2}, {Col: 0, Desc: true}, {Col: 1}}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SortPerm(tc.batch, tc.keys)
+			}
+		})
 	}
 }

@@ -57,8 +57,9 @@ obs:
 	$(GO) test -count=1 -run 'TestDisabledTracerZeroAlloc' ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestSlowQuery|TestResetStats' ./internal/core/ ./internal/objstore/
 
-# Streaming-executor gate: the streaming-vs-materialized differential
-# over the full workload, the LIMIT pushdown / early-termination and
+# Streaming-executor gate: the reference diff (every workload query on
+# five Eon layouts, crunch modes included, against a 1-node Enterprise
+# database on the row engine), the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation leak check — all
 # race-checked (the pipeline is goroutines connected by channels) —
 # the fetch rule (a cold query's GETs all in flight before one returns;

@@ -513,16 +513,12 @@ func BenchmarkQueryKernels(b *testing.B) {
 	}
 }
 
-// --- Streaming executor vs materialized escape hatch ---
+// --- Streaming executor ---
 
-// BenchmarkStreamingExec compares the streaming pipeline against the
-// stage-at-a-time materialized executor on a three-node cluster. The
-// "limit" pair shows early termination: streaming stops the fragment
-// scans as soon as the LIMIT is satisfied, while the materialized path
-// still scans (but no longer ships) everything. The "agg" pair runs a
-// grouped aggregation where both executors do the same work and should
-// be near parity; the streaming side also reports its governed peak
-// memory.
+// BenchmarkStreamingExec runs the streaming pipeline on a three-node
+// cluster. "limit" shows early termination: the fragment scans stop as
+// soon as the LIMIT is satisfied. "agg" runs a grouped aggregation and
+// also reports its governed peak memory.
 func BenchmarkStreamingExec(b *testing.B) {
 	db, _, err := experiments.NewEonCluster(3, 3, 2, 0, 0)
 	if err != nil {
@@ -534,28 +530,20 @@ func BenchmarkStreamingExec(b *testing.B) {
 	const limitQ = `SELECT l_orderkey, l_extendedprice FROM lineitem LIMIT 20`
 	aggQ := workload.DashboardQuery
 	for _, q := range []struct{ name, sql string }{{"limit", limitQ}, {"agg", aggQ}} {
-		for _, mode := range []struct {
-			name         string
-			materialized bool
-		}{{"streaming", false}, {"materialized", true}} {
-			b.Run(q.name+"/"+mode.name, func(b *testing.B) {
-				s := db.NewSession()
-				s.MaterializedExec = mode.materialized
-				if _, err := s.Query(q.sql); err != nil { // warm the caches
+		b.Run(q.name, func(b *testing.B) {
+			s := db.NewSession()
+			if _, err := s.Query(q.sql); err != nil { // warm the caches
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Query(q.sql); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Query(q.sql); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if !mode.materialized {
-					b.ReportMetric(float64(s.LastExecStats().PeakMemBytes), "peak_mem_bytes")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.LastExecStats().PeakMemBytes), "peak_mem_bytes")
+		})
 	}
 }
 

@@ -205,12 +205,8 @@ func backslash(db *eon.DB, session *eon.Session, cmd string) error {
 		return nil
 	case "\\exec":
 		st := session.LastExecStats()
-		engine := "streaming"
-		if !st.Streaming {
-			engine = "materialized"
-		}
-		fmt.Printf("executor: %s  peak memory: %d bytes  spills: %d (%d bytes)\n",
-			engine, st.PeakMemBytes, st.SpillCount, st.SpillBytes)
+		fmt.Printf("peak memory: %d bytes  spills: %d (%d bytes)\n",
+			st.PeakMemBytes, st.SpillCount, st.SpillBytes)
 		return nil
 	case "\\profile":
 		prof := session.LastProfile()

@@ -61,10 +61,11 @@ func BenchmarkDecodeInts(b *testing.B) {
 	}{
 		{"plain", Plain}, {"for", FOR}, {"delta", Delta},
 	} {
-		v := benchVector(8192, tc.enc == Delta)
+		// One full block: Decode rejects longer ones.
+		v := benchVector(MaxBlockRows, tc.enc == Delta)
 		data := Encode(v, tc.enc)
 		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(8192 * 8)
+			b.SetBytes(MaxBlockRows * 8)
 			for i := 0; i < b.N; i++ {
 				if _, err := Decode(data, types.Int64); err != nil {
 					b.Fatal(err)

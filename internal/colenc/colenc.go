@@ -50,6 +50,14 @@ func (e Encoding) String() string {
 // ErrCorrupt is returned when a block fails to decode.
 var ErrCorrupt = errors.New("colenc: corrupt block")
 
+// MaxBlockRows caps the values in one block. The ROS writer never cuts
+// longer blocks (rosfile.DefaultBlockRows is this value), and DecodeInto
+// rejects a longer row count as corrupt: RLE runs and width-0 FOR frames
+// let a block's row count run far ahead of its byte length, so this cap
+// is what bounds the storage a corrupt header can make the decoder
+// allocate.
+const MaxBlockRows = 4096
+
 type buf struct{ b []byte }
 
 func (w *buf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -268,7 +276,8 @@ func distinctCap(v *types.Vector, cap int) int {
 }
 
 // Encode serializes the vector with the given encoding. Encodings that do
-// not apply to the vector's type fall back to Plain.
+// not apply to the vector's type fall back to Plain. v must hold at most
+// MaxBlockRows values, or Decode rejects the block.
 func Encode(v *types.Vector, enc Encoding) []byte { return AppendEncode(nil, v, enc) }
 
 // AppendEncode is Encode appending the block to dst.
@@ -335,10 +344,14 @@ func room[T any](s []T, n int) []T {
 func DecodeInto(dst *types.Vector, data []byte, t types.Type) error {
 	r := &rd{b: data}
 	enc := Encoding(r.byte())
-	n := int(r.uvarint())
+	rows := r.uvarint()
 	if r.err != nil {
 		return r.err
 	}
+	if rows > MaxBlockRows {
+		return ErrCorrupt
+	}
+	n := int(rows)
 	v := types.Vector{Typ: t, Nulls: readNulls(r, n, dst.Nulls)}
 	switch t.Physical() {
 	case types.Int64:
@@ -527,8 +540,9 @@ func encodeDict(w *buf, v *types.Vector) {
 }
 
 func decodeDict(r *rd, v *types.Vector, n int) {
-	dn := int(r.uvarint())
-	if r.err != nil || dn < 0 {
+	// Every entry takes at least its one-byte length prefix.
+	dn := r.uvarint()
+	if r.err != nil || dn > uint64(len(r.b)-r.pos) {
 		r.err = ErrCorrupt
 		return
 	}
@@ -541,7 +555,7 @@ func decodeDict(r *rd, v *types.Vector, n int) {
 		if r.err != nil {
 			return
 		}
-		if c >= uint64(dn) {
+		if c >= dn {
 			r.err = ErrCorrupt
 			return
 		}

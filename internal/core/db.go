@@ -130,11 +130,6 @@ type Config struct {
 	// Sessions inherit the value into Session.MemoryBudget and may
 	// override it per connection.
 	QueryMemoryBudget int64
-	// MaterializedExec runs queries through the previous stage-at-a-time
-	// executor (each plan node materializes its full per-node output
-	// before its parent starts) instead of the streaming pipeline. Escape
-	// hatch for one release; sessions inherit it and may override.
-	MaterializedExec bool
 	// PlanCacheSize bounds the plan cache (entries of normalized SQL ->
 	// bound physical plan). 0 uses the default (256); negative disables
 	// plan caching entirely. Warm hits skip lexing, parsing and planning.

@@ -68,16 +68,10 @@ type Session struct {
 	// database has a slow-query threshold configured. Off (the default),
 	// the instrumented paths run a zero-allocation no-op fast path.
 	Trace bool
-	// MaterializedExec runs this session's queries through the previous
-	// stage-at-a-time executor instead of the streaming pipeline
-	// (inherited from Config.MaterializedExec; escape hatch for one
-	// release, and the reference side of the differential tests).
-	MaterializedExec bool
 	// MemoryBudget bounds, per query and per node, the bytes pipeline
 	// breakers may hold before spilling to local disk (inherited from
 	// Config.QueryMemoryBudget; 0 = never spill, and only sorts and
-	// join builds report usage). Only the
-	// streaming executor enforces it.
+	// join builds report usage).
 	MemoryBudget int64
 
 	// id and start identify the session in v_monitor.sessions; queries
@@ -93,12 +87,9 @@ type Session struct {
 }
 
 // ExecStats summarizes the execution engine's resource behaviour for
-// the session's most recent query: which executor ran, the peak bytes
-// pipeline breakers held on any one node, and spill activity.
+// the session's most recent query: the peak bytes pipeline breakers
+// held on any one node, and spill activity.
 type ExecStats struct {
-	// Streaming is false when the query ran on the materialized escape
-	// hatch (which does not govern memory).
-	Streaming bool
 	// PeakMemBytes is the high-water mark of governed operator memory on
 	// the busiest node. With a finite MemoryBudget it stays at or under
 	// the budget.
@@ -141,11 +132,10 @@ func (s *Session) LastProfile() *obs.Profile {
 // NewSession opens a session against the cluster.
 func (db *DB) NewSession() *Session {
 	s := &Session{
-		db:               db,
-		MaterializedExec: db.cfg.MaterializedExec,
-		MemoryBudget:     db.cfg.QueryMemoryBudget,
-		id:               db.sessCtr.Add(1),
-		start:            db.now(),
+		db:           db,
+		MemoryBudget: db.cfg.QueryMemoryBudget,
+		id:           db.sessCtr.Add(1),
+		start:        db.now(),
 	}
 	db.trackSession(s)
 	return s
@@ -495,7 +485,7 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		if fp, ok := env.depsFingerprint(exePlan); ok {
 			rkey = resultKey{
 				norm: req.norm, args: argsFingerprint(req.args),
-				noSeg: noSeg, rowEng: s.RowEngine, matExec: s.MaterializedExec,
+				noSeg: noSeg, rowEng: s.RowEngine,
 				depsHash: fp,
 			}
 			resultCacheable = true
@@ -540,30 +530,9 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		time.Sleep(db.cfg.QueryCost)
 	}
 
-	var final *types.Batch
-	if s.MaterializedExec {
-		// Escape-hatch path: stage-at-a-time materialized execution.
-		res, execErr := db.executePlan(env, exePlan.Root, root)
-		if execErr != nil {
-			return nil, execErr
-		}
-		gatherSp := root.StartSpan("gather")
-		final, execErr = db.gather(env, res)
-		gatherSp.End()
-		if execErr != nil {
-			return nil, execErr
-		}
-		if final != nil {
-			gatherSp.AddRowsOut(int64(final.NumRows()))
-		}
-		s.statsMu.Lock()
-		s.lastExec = ExecStats{}
-		s.statsMu.Unlock()
-	} else {
-		final, err = db.runStreaming(env, exePlan, root)
-		if err != nil {
-			return nil, err
-		}
+	final, err := db.runStreaming(env, exePlan, root)
+	if err != nil {
+		return nil, err
 	}
 	if final == nil {
 		final = types.NewBatch(exePlan.Schema(), 0)
@@ -792,63 +761,6 @@ func (env *queryEnv) acquireSlots() (func(), error) {
 	return func() { db.slots.release(req) }, nil
 }
 
-// distResult is the distributed intermediate state of plan execution.
-type distResult struct {
-	// perNode holds each participating node's fragment.
-	perNode map[string][]*types.Batch
-	// single holds data gathered to (or produced on) the initiator.
-	single *types.Batch
-	// replicated marks single as a full copy available to every node
-	// (replicated scans and broadcast sides).
-	replicated bool
-	// needGlobalDistinct defers duplicate elimination to gather time.
-	needGlobalDistinct bool
-	schema             types.Schema
-}
-
-// gathered reports whether the result already lives on the initiator.
-func (r *distResult) gathered() bool { return r.perNode == nil }
-
-// runPerNode executes fn for each participating node's fragment in
-// parallel, replacing the fragment with fn's result.
-func (db *DB) runPerNode(env *queryEnv, res *distResult, fn func(node string, batches []*types.Batch) ([]*types.Batch, error)) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	type item struct {
-		name    string
-		batches []*types.Batch
-	}
-	items := make([]item, 0, len(res.perNode))
-	for name, batches := range res.perNode {
-		items = append(items, item{name, batches})
-	}
-	for _, it := range items {
-		wg.Add(1)
-		go func(name string, batches []*types.Batch) {
-			defer wg.Done()
-			n, ok := db.Node(name)
-			if !ok || !n.Up() {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: %s", errNodeDown, name)
-				}
-				mu.Unlock()
-				return
-			}
-			out, err := fn(name, batches)
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			res.perNode[name] = out
-			mu.Unlock()
-		}(it.name, it.batches)
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // batchBytes estimates the wire size of a batch for transfer cost
 // modeling.
 func batchBytes(b *types.Batch) int64 {
@@ -869,39 +781,4 @@ func batchBytes(b *types.Batch) int64 {
 		}
 	}
 	return total
-}
-
-// gather moves a distributed result to the initiator, applying any
-// pending global distinct.
-func (db *DB) gather(env *queryEnv, res *distResult) (*types.Batch, error) {
-	if res.gathered() {
-		return res.single, nil
-	}
-	out := types.NewBatch(res.schema, 0)
-	names := make([]string, 0, len(res.perNode))
-	for n := range res.perNode {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, b := range res.perNode[name] {
-			if b == nil || b.NumRows() == 0 {
-				continue
-			}
-			if name != env.initiator.name {
-				if err := db.net.Transfer(env.ctx, name, env.initiator.name, batchBytes(b)); err != nil {
-					return nil, fmt.Errorf("%w: gather from %s: %v", errNodeDown, name, err)
-				}
-			}
-			out.AppendBatch(b)
-		}
-	}
-	if res.needGlobalDistinct {
-		var err error
-		out, err = distinctBatch(out, env.eng())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -42,16 +42,15 @@ type resultCache struct {
 
 // resultKey identifies one cached result: the statement, its bound
 // argument values, the knobs that shape execution output order, and the
-// data-version fingerprint. RowEngine/MaterializedExec cannot change
-// result bytes (the engines are differentially tested as identical) but
-// are part of the key anyway so engine-differential tests exercise both
-// engines instead of one engine plus its cached output.
+// data-version fingerprint. RowEngine cannot change result bytes (the
+// engines are differentially tested as identical) but is part of the
+// key anyway so engine-differential tests exercise both engines instead
+// of one engine plus its cached output.
 type resultKey struct {
 	norm     string
 	args     string // canonical encoding of bound parameter values
 	noSeg    bool
 	rowEng   bool
-	matExec  bool
 	depsHash uint64
 }
 

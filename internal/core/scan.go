@@ -56,16 +56,6 @@ type containerWork struct {
 	hashFilter bool
 }
 
-// collect reads the fragment into a batch slice (the materialized
-// executor's entry point).
-func (fs *fragmentScan) collect(ctx context.Context) (out []*types.Batch, err error) {
-	defer func() { fs.sps.end() }() // run's own, unless plan failed
-	if err = fs.plan(ctx); err == nil {
-		err = fs.run(ctx, func(b *types.Batch) error { out = append(out, b); return nil })
-	}
-	return out, err
-}
-
 // plan is the first step of reading one node's share of a scan: it lists
 // the containers of the chosen projection whose shards (or shard
 // sub-partitions, under crunch scaling) the session assigned to this node

@@ -8,20 +8,18 @@ import (
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
+	"eon/internal/expr"
 	"eon/internal/netsim"
 	"eon/internal/obs"
 	"eon/internal/planner"
 	"eon/internal/types"
 )
 
-// This file is the streaming distributed executor: the default engine
-// behind Session.Query. Where the materialized path (execute.go, kept
-// behind Config.MaterializedExec for one release) evaluates each plan
-// node into per-node batch slices before its parent starts, the
-// streaming path builds one pull-based operator pipeline per node and
-// connects fragments with small bounded channels, so scan, operator and
-// inter-node transfer work overlap and the memory in flight per edge is
-// a few batches rather than a stage's full output.
+// This file is the distributed executor behind Session.Query. It builds
+// one pull-based operator pipeline per node and connects fragments with
+// small bounded channels, so scan, operator and inter-node transfer
+// work overlap and the memory in flight per edge is a few batches rather
+// than a stage's full output.
 //
 // Cross-goroutine edges (scan fragments, gathers, reshuffles,
 // broadcasts) are chanOp/mchanOp instances: a driver goroutine drains
@@ -33,12 +31,13 @@ import (
 // inside a scan or network transfer observe ctx.Done and exit, and
 // shutdown waits for them all before the query returns.
 //
-// Row order is kept byte-identical to the materialized path: gathers
-// concatenate per-node streams in sorted node order, per-node chains
-// mirror execute.go operator for operator, and the pipeline breakers
+// Row order is deterministic on a single node: gathers concatenate
+// per-node streams in sorted node order, and the pipeline breakers
 // (sort, hash aggregate) either never spill (no budget) — in which case
 // their output order is exactly the in-memory one — or degrade as
-// documented in their own packages.
+// documented in their own packages. The row/vectorized engine
+// differential (TestVectorizedEngineMatchesRowEngineSingleNode) compares
+// single-node results positionally and relies on this.
 //
 // The per-query memory governor (Session.MemoryBudget, defaulted from
 // Config.QueryMemoryBudget) is threaded into every pipeline breaker:
@@ -53,10 +52,11 @@ import (
 // holds only a few batches.
 const streamDepth = 2
 
-// streamResult is the streaming analog of distResult: a per-node set of
-// operator chains still distributed across the cluster, a single
-// initiator-side stream, or a shared once-materialized copy (replicated
-// scans and broadcast sides, which several consumers replay).
+// streamResult is a plan node's output while the pipeline is being
+// built: a per-node set of operator chains still distributed across the
+// cluster, a single initiator-side stream, or a shared once-materialized
+// copy (replicated scans and broadcast sides, which several consumers
+// replay).
 type streamResult struct {
 	perNode map[string]exec.Operator
 	single  exec.Operator
@@ -455,7 +455,6 @@ func (sc *streamCtx) shutdown() {
 		sc.spans[i].End()
 	}
 	var st ExecStats
-	st.Streaming = true
 	for _, g := range sc.govs {
 		if p := g.Peak(); p > st.PeakMemBytes {
 			st.PeakMemBytes = p
@@ -530,8 +529,8 @@ func sortedNames(perNode map[string]exec.Operator) []string {
 // streams its batches toward the initiator — non-initiator nodes pay a
 // chunked network stream per batch, overlapping transfer with upstream
 // compute — while the consumer concatenates the per-node streams in
-// sorted node order (exactly the materialized gather's row order) and
-// applies any pending global distinct. All drivers start on the first
+// sorted node order (so a single-node run's row order is deterministic)
+// and applies any pending global distinct. All drivers start on the first
 // pull, so fragments run concurrently.
 func (sc *streamCtx) gatherTo(res *streamResult, consumer *obs.Span) exec.Operator {
 	if res.gathered() {
@@ -591,6 +590,37 @@ func (sc *streamCtx) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 		combined = d
 	}
 	return combined
+}
+
+// spanName labels a plan node's operator span.
+func spanName(node planner.Node) string {
+	switch n := node.(type) {
+	case *planner.Scan:
+		return "scan:" + n.Table.Name
+	case *planner.Filter:
+		return "filter"
+	case *planner.Project:
+		return "project"
+	case *planner.Join:
+		return "join"
+	case *planner.Aggregate:
+		return "aggregate"
+	case *planner.DistinctNode:
+		return "distinct"
+	case *planner.Sort:
+		return "sort"
+	case *planner.Limit:
+		return "limit"
+	}
+	return fmt.Sprintf("%T", node)
+}
+
+// wrap returns b as a one-batch slice, or nil for a nil batch.
+func wrap(b *types.Batch) []*types.Batch {
+	if b == nil {
+		return nil
+	}
+	return []*types.Batch{b}
 }
 
 // build recursively translates a plan node into a streaming result. The
@@ -832,9 +862,14 @@ func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int
 	for _, t := range targets {
 		outs[t] = newMchanOp(sc.ctx, schema, len(sources))
 	}
-	// All sources start when any target is first pulled: every target's
-	// consumer runs in its own gather driver, so no partition stream
-	// lacks a consumer and the exchange cannot deadlock.
+	// All sources start when any target is first pulled, and every
+	// target's consumer runs in its own gather driver. That is not enough
+	// to rule out a stall: a node whose join stops pulling its exchange
+	// edge (for instance, blocked on a full gather edge the initiator
+	// is not reading yet) fills that edge, the source drivers block on
+	// it, and every other node starves. `… FROM b JOIN a ON a.k = b.k`
+	// with 600 and 60 single-row inserts reproduces it (ROADMAP,
+	// correctness debt (1)).
 	var startOnce sync.Once
 	start := func() {
 		startOnce.Do(func() {
@@ -1080,6 +1115,48 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 	return nil, fmt.Errorf("core: unknown aggregate mode %v", a.Mode)
 }
 
+// mergeDefs builds the phase-2 key and aggregate definitions over the
+// partial output schema.
+func mergeDefs(a *planner.Aggregate, partialSchema types.Schema) ([]expr.Expr, []exec.AggDef, error) {
+	var keys []expr.Expr
+	for _, kn := range a.KeyNames {
+		c := expr.Col(kn)
+		if err := expr.Bind(c, partialSchema); err != nil {
+			return nil, nil, err
+		}
+		keys = append(keys, c)
+	}
+	var defs []exec.AggDef
+	for _, d := range a.Aggs {
+		ref := expr.Col(d.Name)
+		if err := expr.Bind(ref, partialSchema); err != nil {
+			return nil, nil, err
+		}
+		md := exec.AggDef{Name: d.Name, Arg: ref}
+		switch d.Kind {
+		case exec.AggCountStar, exec.AggCount, exec.AggCountMerge:
+			md.Kind = exec.AggCountMerge
+		case exec.AggSum:
+			md.Kind = exec.AggSum
+		case exec.AggMin:
+			md.Kind = exec.AggMin
+		case exec.AggMax:
+			md.Kind = exec.AggMax
+		case exec.AggAvg, exec.AggAvgMerge:
+			md.Kind = exec.AggAvgMerge
+			cnt := expr.Col(d.Name + "_cnt")
+			if err := expr.Bind(cnt, partialSchema); err != nil {
+				return nil, nil, err
+			}
+			md.ArgCount = cnt
+		default:
+			return nil, nil, fmt.Errorf("core: cannot merge aggregate kind %d", d.Kind)
+		}
+		defs = append(defs, md)
+	}
+	return keys, defs, nil
+}
+
 func (sc *streamCtx) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*streamResult, error) {
 	in, err := sc.build(d.Input, sp)
 	if err != nil {
@@ -1092,8 +1169,7 @@ func (sc *streamCtx) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*stre
 		dd.Span = sp
 		return dd
 	})
-	// Local dedupe per node; the global pass happens at gather (same
-	// contract as the materialized path).
+	// Local dedupe per node; the global pass happens at gather.
 	if !out.gathered() {
 		out.needGlobalDistinct = true
 	}

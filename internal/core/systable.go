@@ -449,7 +449,6 @@ func (db *DB) sessionsDef() *systable.Def {
 		{Name: "subcluster", Type: types.Varchar},
 		{Name: "start", Type: types.Timestamp},
 		{Name: "queries", Type: types.Int64},
-		{Name: "streaming", Type: types.Bool},
 		{Name: "memory_budget", Type: types.Int64},
 	}
 	return &systable.Def{
@@ -463,7 +462,6 @@ func (db *DB) sessionsDef() *systable.Def {
 					types.NewInt(s.id), types.NewString(s.Subcluster),
 					types.NewTimestamp(s.start.UnixMicro()),
 					types.NewInt(s.queries.Load()),
-					types.NewBool(!s.MaterializedExec),
 					types.NewInt(s.MemoryBudget),
 				})
 			}

@@ -173,8 +173,8 @@ func TestSlowQueryExecStatsAndRing(t *testing.T) {
 		t.Fatal("no slow-log entries")
 	}
 	last := entries[len(entries)-1]
-	if !last.Exec.Streaming {
-		t.Error("slow entry's ExecStats does not record the streaming executor")
+	if want := s.LastExecStats(); last.Exec != want {
+		t.Errorf("slow entry's ExecStats = %+v, session's = %+v", last.Exec, want)
 	}
 
 	// A statement longer than dcSQLLimit is truncated in the ring but

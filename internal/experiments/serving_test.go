@@ -34,39 +34,6 @@ func newServingCluster(nodes, shards, rep int, cached bool) (*core.DB, error) {
 	return core.Create(cfg)
 }
 
-// compareResults requires got to equal want: positionally byte-identical
-// with exact set, otherwise as a multiset with floats rounded (the
-// seeded per-query shard assignment regroups rows across nodes).
-func compareResults(t *testing.T, name string, want, got *core.Result, exact bool) {
-	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: %d rows cached vs %d uncached", name, got.NumRows(), want.NumRows())
-	}
-	wantRows, gotRows := want.Rows(), got.Rows()
-	if exact {
-		for i := range wantRows {
-			for c := range wantRows[i] {
-				wd, gd := wantRows[i][c], gotRows[i][c]
-				if wd.Null != gd.Null || (!wd.Null && wd.Compare(gd) != 0) {
-					t.Fatalf("%s: row %d col %d: cached=%v uncached=%v", name, i, c, gd, wd)
-				}
-			}
-		}
-		return
-	}
-	counts := map[string]int{}
-	for _, r := range wantRows {
-		counts[renderRow(r)]++
-	}
-	for _, r := range gotRows {
-		key := renderRow(r)
-		if counts[key] == 0 {
-			t.Fatalf("%s: cached row %s not produced by the uncached cluster", name, key)
-		}
-		counts[key]--
-	}
-}
-
 // servingDiffRound runs every TPC-H query on both clusters and checks
 // the cached cluster — cold or warm — answers exactly like the uncached
 // one. Each query runs twice on the cached side so the second execution

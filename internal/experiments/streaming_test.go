@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,103 +13,113 @@ import (
 	"eon/internal/workload"
 )
 
-// runExecDiff executes every workload query on the materialized
-// escape-hatch executor (the reference) and on the streaming pipeline
-// (the default) and compares results. With exact set, rows must be
-// byte-identical positionally: the streaming executor gathers node
-// streams in the same sorted order the materialized gather visits them,
-// and every operator chain mirrors the materialized one. Without it,
-// rows are compared as multisets with floats rounded to 9 significant
-// digits, for the same reason runEngineDiff does: the per-query seeded
-// shard assignment regroups rows across nodes between runs.
-func runExecDiff(t *testing.T, db *core.DB, exact bool) {
+// tpchDiffScale is the TPC-H scale of the reference diff: the Eon
+// layouts and the reference load the same generated data.
+const tpchDiffScale = 0.02
+
+// reference holds every allQueries() answer from a 1-node Enterprise
+// database loaded at tpchDiffScale and queried by a RowEngine session.
+// It has no shards, no exchange, no gather and no vector kernels, so it
+// shares none of the distributed machinery the diff checks. It is built
+// once and shared by every layout.
+var reference struct {
+	once sync.Once
+	res  map[string]*core.Result
+	err  error
+}
+
+func referenceResults(t *testing.T) map[string]*core.Result {
 	t.Helper()
-	mat := db.NewSession()
-	mat.MaterializedExec = true
-	str := db.NewSession()
+	reference.once.Do(func() {
+		db, err := NewEnterpriseCluster(1, 0, 0)
+		if err == nil {
+			err = LoadTPCH(db, tpchDiffScale)
+		}
+		if err != nil {
+			reference.err = err
+			return
+		}
+		s := db.NewSession()
+		s.RowEngine = true
+		reference.res = map[string]*core.Result{}
+		for _, q := range allQueries() {
+			res, err := s.Query(q.SQL)
+			if err != nil {
+				reference.err = fmt.Errorf("%s: %w", q.Name, err)
+				return
+			}
+			reference.res[q.Name] = res
+		}
+	})
+	if reference.err != nil {
+		t.Fatalf("reference: %v", reference.err)
+	}
+	return reference.res
+}
 
+// runReferenceDiff loads an Eon cluster of the given shape at
+// tpchDiffScale and requires the streaming executor, under the given
+// crunch mode, to answer every workload query as the reference does.
+// Rows are compared as multisets with floats within floatTol relative:
+// summation order differs between the layouts.
+func runReferenceDiff(t *testing.T, nodes, shards, k int, crunch core.CrunchMode) {
+	t.Helper()
+	want := referenceResults(t)
+	db, _, err := NewEonCluster(nodes, shards, k, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadTPCH(db, tpchDiffScale); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	s.Crunch = crunch
 	for _, q := range allQueries() {
-		want, err := mat.Query(q.SQL)
+		got, err := s.Query(q.SQL)
 		if err != nil {
-			t.Fatalf("%s: materialized executor: %v", q.Name, err)
+			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if st := mat.LastExecStats(); st.Streaming {
-			t.Errorf("%s: materialized session ran the streaming executor", q.Name)
-		}
-		got, err := str.Query(q.SQL)
-		if err != nil {
-			t.Fatalf("%s: streaming executor: %v", q.Name, err)
-		}
-		if st := str.LastExecStats(); !st.Streaming {
-			t.Errorf("%s: streaming session fell back to the materialized executor", q.Name)
-		}
-
-		if got.NumRows() != want.NumRows() {
-			t.Fatalf("%s: %d rows streaming vs %d materialized", q.Name, got.NumRows(), want.NumRows())
-		}
-		wantRows, gotRows := want.Rows(), got.Rows()
-		if exact {
-			for i := range wantRows {
-				for c := range wantRows[i] {
-					wd, gd := wantRows[i][c], gotRows[i][c]
-					if wd.Null != gd.Null || (!wd.Null && wd.Compare(gd) != 0) {
-						t.Fatalf("%s: row %d col %d: streaming=%v materialized=%v", q.Name, i, c, gd, wd)
-					}
-				}
-			}
-			continue
-		}
-		counts := map[string]int{}
-		for _, r := range wantRows {
-			counts[renderRow(r)]++
-		}
-		for _, r := range gotRows {
-			key := renderRow(r)
-			if counts[key] == 0 {
-				t.Fatalf("%s: streaming row %s not produced by the materialized executor", q.Name, key)
-			}
-			counts[key]--
-		}
+		compareResults(t, q.Name+" (Eon vs reference)", want[q.Name], got, false)
 	}
 }
 
-// TestStreamingMatchesMaterializedSingleNode pins every shard to one
-// node, making both executors fully deterministic, and requires
-// byte-identical results (values, NULLs, row order) on every workload
-// query.
-func TestStreamingMatchesMaterializedSingleNode(t *testing.T) {
-	db, _, err := NewEonCluster(1, 3, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadTPCH(db, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	runExecDiff(t, db, true)
+// TestStreamingMatchesReferenceSingleNode runs the diff with every shard
+// on one node.
+func TestStreamingMatchesReferenceSingleNode(t *testing.T) {
+	runReferenceDiff(t, 1, 3, 1, core.CrunchOff)
 }
 
-// TestStreamingMatchesMaterializedCluster runs the same diff on a
-// three-node cluster (distributed scans, two-phase aggregation,
-// broadcast and reshuffle joins flowing through netsim streams), with
-// rows compared as multisets because the seeded per-query shard
-// assignment regroups rows between runs.
-func TestStreamingMatchesMaterializedCluster(t *testing.T) {
-	db, _, err := NewEonCluster(3, 3, 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestStreamingMatchesReferenceCluster runs the diff on three nodes
+// (distributed scans, two-phase aggregation and broadcast joins flowing
+// through netsim streams).
+func TestStreamingMatchesReferenceCluster(t *testing.T) {
+	runReferenceDiff(t, 3, 3, 2, core.CrunchOff)
+}
+
+// TestStreamingMatchesReferenceFourNodes runs the diff on the
+// benchmark's shape: four nodes, four shards, k = 2.
+func TestStreamingMatchesReferenceFourNodes(t *testing.T) {
+	runReferenceDiff(t, 4, 4, 2, core.CrunchOff)
+}
+
+// TestStreamingMatchesReferenceCrunch runs the diff with more nodes than
+// shards (four nodes, two shards, every node subscribed to both), under
+// each crunch scaling mode (§4.4). Container split loses segmentation,
+// so its joins reshuffle both inputs through the exchange.
+func TestStreamingMatchesReferenceCrunch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode core.CrunchMode
+	}{{"hash_filter", core.CrunchHashFilter}, {"container_split", core.CrunchContainerSplit}} {
+		t.Run(tc.name, func(t *testing.T) { runReferenceDiff(t, 4, 2, 4, tc.mode) })
 	}
-	if err := LoadTPCH(db, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	runExecDiff(t, db, false)
 }
 
 // TestLimitPushdownShipsFewerBytes asserts that LIMIT without ORDER BY
 // caps each node's stream before it crosses the interconnect: the bytes
 // shipped for a LIMIT query must be a small fraction of the bytes the
-// same query ships without the LIMIT. Both executors are checked — the
-// materialized path via the per-node limit pushdown, the streaming path
-// via early termination of the gather streams.
+// same query ships without the LIMIT, because the gather streams stop
+// early.
 func TestLimitPushdownShipsFewerBytes(t *testing.T) {
 	db, _, err := NewEonCluster(3, 3, 2, 0, 0)
 	if err != nil {
@@ -118,38 +130,30 @@ func TestLimitPushdownShipsFewerBytes(t *testing.T) {
 	}
 	const fullQ = `SELECT l_orderkey, l_extendedprice FROM lineitem`
 	const limitQ = fullQ + ` LIMIT 8`
+	s := db.NewSession()
 
-	for _, mode := range []struct {
-		name         string
-		materialized bool
-	}{{"streaming", false}, {"materialized", true}} {
-		s := db.NewSession()
-		s.MaterializedExec = mode.materialized
+	db.Net().ResetStats()
+	res, err := s.Query(fullQ)
+	if err != nil {
+		t.Fatalf("full scan: %v", err)
+	}
+	fullRows := res.NumRows()
+	fullBytes := db.Net().Stats().Bytes
+	if fullRows == 0 || fullBytes == 0 {
+		t.Fatalf("full scan shipped nothing (rows=%d bytes=%d)", fullRows, fullBytes)
+	}
 
-		db.Net().ResetStats()
-		res, err := s.Query(fullQ)
-		if err != nil {
-			t.Fatalf("%s: full scan: %v", mode.name, err)
-		}
-		fullRows := res.NumRows()
-		fullBytes := db.Net().Stats().Bytes
-		if fullRows == 0 || fullBytes == 0 {
-			t.Fatalf("%s: full scan shipped nothing (rows=%d bytes=%d)", mode.name, fullRows, fullBytes)
-		}
-
-		db.Net().ResetStats()
-		res, err = s.Query(limitQ)
-		if err != nil {
-			t.Fatalf("%s: limit: %v", mode.name, err)
-		}
-		limitBytes := db.Net().Stats().Bytes
-		if res.NumRows() != 8 {
-			t.Fatalf("%s: limit returned %d rows, want 8", mode.name, res.NumRows())
-		}
-		if limitBytes*4 >= fullBytes {
-			t.Errorf("%s: LIMIT shipped %d bytes vs %d for the full scan (want <1/4)",
-				mode.name, limitBytes, fullBytes)
-		}
+	db.Net().ResetStats()
+	res, err = s.Query(limitQ)
+	if err != nil {
+		t.Fatalf("limit: %v", err)
+	}
+	limitBytes := db.Net().Stats().Bytes
+	if res.NumRows() != 8 {
+		t.Fatalf("limit returned %d rows, want 8", res.NumRows())
+	}
+	if limitBytes*4 >= fullBytes {
+		t.Errorf("LIMIT shipped %d bytes vs %d for the full scan (want <1/4)", limitBytes, fullBytes)
 	}
 }
 
@@ -224,9 +228,6 @@ func TestStreamingLimitStopsScanEarly(t *testing.T) {
 	if res.NumRows() != 5 {
 		t.Fatalf("limit returned %d rows, want 5", res.NumRows())
 	}
-	if st := s.LastExecStats(); !st.Streaming {
-		t.Fatal("limit query did not run on the streaming executor")
-	}
 	early := s.LastScanStats().RowsScanned
 	if early*2 >= full {
 		t.Errorf("LIMIT 5 decoded %d of %d rows; early termination should scan far less than half", early, full)
@@ -257,8 +258,8 @@ func TestQueryMemoryBudgetSpillsAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	freeStats := free.LastExecStats()
-	if !freeStats.Streaming || freeStats.SpillCount != 0 {
-		t.Fatalf("unbudgeted run: stats %+v, want streaming with no spills", freeStats)
+	if freeStats.SpillCount != 0 {
+		t.Fatalf("unbudgeted run: stats %+v, want no spills", freeStats)
 	}
 
 	const budget = 32 << 10
@@ -269,9 +270,6 @@ func TestQueryMemoryBudgetSpillsAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := tight.LastExecStats()
-	if !st.Streaming {
-		t.Fatal("budgeted run did not use the streaming executor")
-	}
 	if st.SpillCount == 0 || st.SpillBytes == 0 {
 		t.Fatalf("budgeted run never spilled: stats %+v", st)
 	}

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"eon/internal/core"
-	"eon/internal/types"
 	"eon/internal/workload"
 )
 
@@ -26,10 +23,10 @@ func allQueries() []workload.Query {
 // deterministic order: filters and joins preserve stream order,
 // aggregates emit groups in first-seen order, gather visits nodes in
 // sorted order). Without it, rows are compared as multisets with floats
-// rounded to 9 significant digits: the per-query seeded shard
-// assignment regroups rows across nodes between runs, shifting both
-// first-seen group order and float summation order by an ulp — a
-// multi-node row-engine run differs from itself the same way.
+// within floatTol relative: the per-query seeded shard assignment
+// regroups rows across nodes between runs, shifting both first-seen
+// group order and float summation order by an ulp — a multi-node
+// row-engine run differs from itself the same way.
 func runEngineDiff(t *testing.T, db *core.DB, exact bool) {
 	t.Helper()
 	row := db.NewSession()
@@ -55,56 +52,11 @@ func runEngineDiff(t *testing.T, db *core.DB, exact bool) {
 		}
 		totalVectorized += st.RowsVectorized
 
-		if got.NumRows() != want.NumRows() {
-			t.Fatalf("%s: %d rows vectorized vs %d row engine", q.Name, got.NumRows(), want.NumRows())
-		}
-		wantRows, gotRows := want.Rows(), got.Rows()
-		if exact {
-			for i := range wantRows {
-				for c := range wantRows[i] {
-					wd, gd := wantRows[i][c], gotRows[i][c]
-					if wd.Null != gd.Null || (!wd.Null && wd.Compare(gd) != 0) {
-						t.Fatalf("%s: row %d col %d: vectorized=%v row engine=%v", q.Name, i, c, gd, wd)
-					}
-				}
-			}
-			continue
-		}
-		counts := map[string]int{}
-		for _, r := range wantRows {
-			counts[renderRow(r)]++
-		}
-		for _, r := range gotRows {
-			key := renderRow(r)
-			if counts[key] == 0 {
-				t.Fatalf("%s: vectorized row %s not produced by the row engine", q.Name, key)
-			}
-			counts[key]--
-		}
+		compareResults(t, q.Name+" (vectorized vs row engine)", want, got, exact)
 	}
 	if totalVectorized == 0 {
 		t.Error("no rows went through the vectorized kernels across the whole workload")
 	}
-}
-
-// renderRow formats a row as a comparison key, rounding floats to 9
-// significant digits.
-func renderRow(r types.Row) string {
-	var sb strings.Builder
-	for i, d := range r {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		switch {
-		case d.Null:
-			sb.WriteString("NULL")
-		case d.K.Physical() == types.Float64:
-			fmt.Fprintf(&sb, "%.9g", d.F)
-		default:
-			fmt.Fprintf(&sb, "%v", d)
-		}
-	}
-	return sb.String()
 }
 
 // TestVectorizedEngineMatchesRowEngineSingleNode pins every shard to

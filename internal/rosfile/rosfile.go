@@ -23,8 +23,9 @@ import (
 // Magic trails every column file, guarding against truncation.
 const Magic = 0x524F5346 // "ROSF"
 
-// DefaultBlockRows is the number of tuples per encoded block.
-const DefaultBlockRows = 4096
+// DefaultBlockRows is the number of tuples per encoded block, and the
+// most a block may hold (readers reject longer blocks as corrupt).
+const DefaultBlockRows = colenc.MaxBlockRows
 
 // ErrCorrupt is returned for malformed files.
 var ErrCorrupt = errors.New("rosfile: corrupt file")
@@ -116,7 +117,8 @@ func readDatum(b []byte, pos int, t types.Type) (types.Datum, int, error) {
 
 // WriteOptions controls column file construction.
 type WriteOptions struct {
-	// BlockRows is the tuples-per-block target (default DefaultBlockRows).
+	// BlockRows is the tuples-per-block target (default and maximum
+	// DefaultBlockRows).
 	BlockRows int
 	// Sorted tells the encoder the column is in sort order, steering it
 	// toward RLE/delta encodings.
@@ -131,7 +133,7 @@ type WriteOptions struct {
 // per-block stats the footer records rather than taken in a second pass.
 func WriteColumn(v *types.Vector, opts WriteOptions) ([]byte, types.ColumnStats) {
 	blockRows := opts.BlockRows
-	if blockRows <= 0 {
+	if blockRows <= 0 || blockRows > DefaultBlockRows {
 		blockRows = DefaultBlockRows
 	}
 	var out []byte
@@ -193,6 +195,10 @@ func encodeFooter(f Footer) []byte {
 	return b
 }
 
+// minBlockMetaBytes is the smallest encoding of one footer block entry:
+// five one-byte varints and two one-byte (NULL) datums.
+const minBlockMetaBytes = 7
+
 func decodeFooter(b []byte) (Footer, error) {
 	var f Footer
 	if len(b) < 1 {
@@ -211,6 +217,9 @@ func decodeFooter(b []byte) (Footer, error) {
 		return f, ErrCorrupt
 	}
 	pos += n
+	if cnt > uint64(len(b)-pos)/minBlockMetaBytes {
+		return f, ErrCorrupt
+	}
 	f.Blocks = make([]BlockMeta, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		var blk BlockMeta
@@ -254,9 +263,25 @@ func NewReader(data []byte) (*Reader, error) {
 	if flen < 0 || flen > len(data)-8 {
 		return nil, ErrCorrupt
 	}
-	footer, err := decodeFooter(data[len(data)-8-flen : len(data)-8])
+	body := int64(len(data) - 8 - flen)
+	footer, err := decodeFooter(data[body : len(data)-8])
 	if err != nil {
 		return nil, err
+	}
+	// Every block must lie inside the body and hold at most
+	// DefaultBlockRows rows, and the blocks' rows must add up to the
+	// footer's: decoding then never slices out of range or allocates
+	// more than the file can describe.
+	var rows int64
+	for _, blk := range footer.Blocks {
+		if blk.Offset < 0 || blk.Length < 0 || blk.Length > body-blk.Offset ||
+			blk.RowCount < 0 || blk.RowCount > DefaultBlockRows {
+			return nil, ErrCorrupt
+		}
+		rows += blk.RowCount
+	}
+	if rows != footer.RowCount {
+		return nil, ErrCorrupt
 	}
 	return &Reader{data: data, footer: footer}, nil
 }
@@ -286,9 +311,6 @@ func (r *Reader) ReadBlockInto(dst *types.Vector, i int) error {
 		return fmt.Errorf("rosfile: block %d out of range", i)
 	}
 	blk := r.footer.Blocks[i]
-	if blk.Offset < 0 || blk.Offset+blk.Length > int64(len(r.data)) {
-		return ErrCorrupt
-	}
 	return colenc.DecodeInto(dst, r.data[blk.Offset:blk.Offset+blk.Length], r.footer.Type)
 }
 

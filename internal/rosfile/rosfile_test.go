@@ -1,9 +1,12 @@
 package rosfile
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"eon/internal/colenc"
 	"eon/internal/types"
 )
 
@@ -144,6 +147,71 @@ func TestCorruptDetection(t *testing.T) {
 	}
 	if _, err := NewReader(nil); err == nil {
 		t.Error("nil input should fail")
+	}
+}
+
+// withFooter rebuilds a column file image around footer bytes fb,
+// keeping img's blocks.
+func withFooter(t *testing.T, img, fb []byte) []byte {
+	t.Helper()
+	flen := int(binary.LittleEndian.Uint32(img[len(img)-8:]))
+	out := append([]byte{}, img[:len(img)-8-flen]...)
+	out = append(out, fb...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fb)))
+	return binary.LittleEndian.AppendUint32(out, Magic)
+}
+
+// editFooter rebuilds img with its parsed footer changed by edit.
+func editFooter(t *testing.T, img []byte, edit func(*Footer)) []byte {
+	t.Helper()
+	r, err := NewReader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Footer()
+	f.Blocks = append([]BlockMeta{}, f.Blocks...)
+	edit(&f)
+	return withFooter(t, img, encodeFooter(f))
+}
+
+// TestCorruptInputsReturnErrCorrupt feeds the decoders headers whose
+// sizes are out of range. Each must fail with ErrCorrupt, never panic or
+// allocate what the header claims.
+func TestCorruptInputsReturnErrCorrupt(t *testing.T) {
+	img, _ := WriteColumn(intVec(1, 2, 3, 4, 5), WriteOptions{BlockRows: 2})
+	open := func(img []byte, use func(*Reader) error) func() error {
+		return func() error {
+			r, err := NewReader(img)
+			if err != nil {
+				return err
+			}
+			return use(r)
+		}
+	}
+	uv := func(prefix []byte, v uint64) []byte { return binary.AppendUvarint(prefix, v) }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"negative block length", open(editFooter(t, img, func(f *Footer) { f.Blocks[0].Length = -1 }),
+			func(r *Reader) error { return r.ReadBlockInto(&types.Vector{}, 0) }), ErrCorrupt},
+		{"footer row count 2^50", open(editFooter(t, img, func(f *Footer) { f.RowCount = 1 << 50 }),
+			func(r *Reader) error { _, err := r.ReadAll(); return err }), ErrCorrupt},
+		{"block count 2^60", open(withFooter(t, img, uv([]byte{byte(types.Int64), 0}, 1<<60)),
+			func(*Reader) error { return nil }), ErrCorrupt},
+		{"dictionary size 2^60", func() error {
+			block := uv([]byte{byte(colenc.Dict), 1, 0}, 1<<60)
+			return colenc.DecodeInto(&types.Vector{}, block, types.Varchar)
+		}, colenc.ErrCorrupt},
+		{"block row count 2^60", func() error {
+			block := append(uv([]byte{byte(colenc.RLE)}, 1<<60), 0, 1, 2)
+			return colenc.DecodeInto(&types.Vector{}, block, types.Int64)
+		}, colenc.ErrCorrupt},
+	} {
+		if err := tc.run(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -39,12 +39,14 @@ race:
 	$(GO) test -race ./...
 
 # Chaos smoke: the deterministic fault drill (load + query stream +
-# node kill + revive under injected shared-storage faults), revive's and
-# sync's I/O shape (round trips, fallback, the crash-point sweep over
-# sync -> shutdown -> revive), plus the resilience layer's and the
-# simulators' unit tests with the wait helper's, race-checked.
+# node kill + revive under injected shared-storage faults), DELETE,
+# UPDATE and ADD COLUMN across a node kill and recovery (every container
+# rewritten, not only the initiator's), revive's and sync's I/O shape
+# (round trips, fallback, the crash-point sweep over sync -> shutdown ->
+# revive), plus the resilience layer's and the simulators' unit tests
+# with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
@@ -62,16 +64,17 @@ obs:
 # database on the row engine), the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation leak check — all
 # race-checked (the pipeline is goroutines connected by channels) —
-# the fetch rule (a cold query's GETs all in flight before one returns;
-# a LIMIT and the fetch-ahead window bound them), plus the operator and
-# fan-out helper unit tests, the typed write kernels against their
-# Datum-based references and the container digests recorded before them,
-# the hash operators' steady-state and the write path's allocation guards
-# without the race detector (they skip under -race, which inflates
-# allocation counts).
+# the pipe unit tests (the one bounded edge: k producers, first error,
+# cancellation), the fetch rule (a cold query's GETs all in flight
+# before one returns; a LIMIT and the fetch-ahead window bound them),
+# plus the operator and fan-out helper unit tests, the typed write
+# kernels against their Datum-based references and the container digests
+# recorded before them, the hash operators' steady-state and the write
+# path's allocation guards without the race detector (they skip under
+# -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
-	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/

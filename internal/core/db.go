@@ -186,11 +186,7 @@ func (c *Config) fillDefaults() error {
 		c.Name = "db"
 	}
 	if c.ShardCount <= 0 {
-		if c.Mode == ModeEon {
-			c.ShardCount = len(c.Nodes)
-		} else {
-			c.ShardCount = len(c.Nodes)
-		}
+		c.ShardCount = len(c.Nodes)
 	}
 	if c.Mode == ModeEnterprise {
 		// Enterprise segmentation is tied to the node ring.
@@ -981,6 +977,7 @@ func (db *DB) recordsAfter(v uint64) []*catalog.LogRecord {
 	return out
 }
 
-// Context returns a background context (placeholder for per-session
-// deadlines).
+// Context returns the context of cluster maintenance work — loads, DML,
+// DDL, the tuple mover, sync and GC — which runs without a deadline. A
+// query's context carries its Session.Timeout instead.
 func (db *DB) Context() context.Context { return context.Background() }

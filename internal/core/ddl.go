@@ -237,8 +237,10 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 
 	// Generate the new column's data for every projection and container
 	// — offline, before taking the commit lock.
-	var newFiles map[string][]byte
-	newFiles = map[string][]byte{}
+	containersOf, err := db.everyContainer()
+	if err != nil {
+		return err
+	}
 	for _, p := range snap.ProjectionsOf(tblObj.OID) {
 		if p.IsLiveAggregate() {
 			continue // live aggregates track only their group/agg columns
@@ -247,7 +249,8 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 		pc.Columns = append(pc.Columns, stmt.Col.Name)
 		txn.Put(pc)
 		projSchema := projectionSchema(tbl, p.Columns)
-		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+		for _, h := range containersOf(p.OID) {
+			sc := h.sc
 			var colVec *types.Vector
 			if len(expr.Columns(def)) == 0 {
 				// Constant default: evaluate once.
@@ -294,7 +297,6 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			img, stats := rosfile.WriteColumn(colVec, rosfile.WriteOptions{})
 			sid := storage.SID(init.inst, sc.OID) // reuse container SID namespace
 			path := storage.DataPath(sid, stmt.Col.Name)
-			newFiles[path] = img
 
 			updated := sc.Clone().(*catalog.StorageContainer)
 			if updated.Bundle.Path != "" {
@@ -317,7 +319,6 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			}
 		}
 	}
-	_ = newFiles
 	_, err = db.commit(init, txn, nil)
 	return err
 }

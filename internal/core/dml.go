@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"eon/internal/catalog"
 	"eon/internal/expr"
@@ -91,6 +92,10 @@ func (db *DB) deleteWhere(tableName string, where expr.Expr, onRow func(types.Ro
 		// base table can be updated.
 		return 0, fmt.Errorf("core: table %q has a live aggregate projection; DELETE/UPDATE are not supported", tbl.Name)
 	}
+	containersOf, err := db.everyContainer()
+	if err != nil {
+		return 0, err
+	}
 	var deletedTotal, wosDeleted int64
 	rowsCaptured := false
 
@@ -147,33 +152,17 @@ func (db *DB) deleteWhere(tableName string, where expr.Expr, onRow func(types.Ro
 			}
 		}
 
-		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+		for _, h := range containersOf(p.OID) {
+			sc := h.sc
 			node := db.nodeForStorage(sc)
 			if node == nil {
 				return 0, fmt.Errorf("core: no node can read container %d", sc.OID)
 			}
-			fetch := db.fetchFunc(node, false)
-			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
+			// Existing deletes must not be double-deleted.
+			rows, existing, err := db.readContainer(ctx, node, sc, h.snap.DeleteVectorsOf(sc.OID), projSchema)
 			if err != nil {
 				return 0, err
 			}
-			// Existing deletes must not be double-deleted.
-			var dvLists [][]int64
-			for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-				if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
-					continue
-				}
-				data, err := fetch(ctx, dv.File.Path)
-				if err != nil {
-					return 0, err
-				}
-				positions, err := storage.ReadDeleteVector(data)
-				if err != nil {
-					return 0, err
-				}
-				dvLists = append(dvLists, positions)
-			}
-			existing := storage.NewDeleteSet(dvLists...)
 
 			var positions []int64
 			for i := 0; i < rows.NumRows(); i++ {
@@ -238,6 +227,53 @@ func (db *DB) deleteWhere(tableName string, where expr.Expr, onRow func(types.Ro
 		return 0, err
 	}
 	return deletedTotal, nil
+}
+
+// heldContainer is a container and the snapshot of the catalog cut it
+// was listed from.
+type heldContainer struct {
+	sc   *catalog.StorageContainer
+	snap *catalog.Snapshot
+	kept bool // snap's node keeps the container's shard
+}
+
+// everyContainer captures one catalog cut of every up node and returns a
+// lister of a projection's containers across it, each once. No single
+// catalog lists them all: an Eon node keeps the shards it subscribes to,
+// plus objects it committed itself, and of those it never receives
+// another node's later delete vectors or rewrites. So a container comes
+// from the snapshot of a node that keeps its shard whenever one lists it.
+func (db *DB) everyContainer() (func(proj catalog.OID) []heldContainer, error) {
+	var names []string
+	for name := range db.UpNodes() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cut, err := db.captureCut(names)
+	if err != nil {
+		return nil, err
+	}
+	keeps := make([]catalog.KeepFunc, len(names))
+	for i, name := range names {
+		n, _ := db.Node(name)
+		keeps[i] = db.keepFuncFor(n)
+	}
+	return func(proj catalog.OID) []heldContainer {
+		at := map[catalog.OID]int{}
+		var out []heldContainer
+		for i, name := range names {
+			for _, sc := range cut[name].ContainersOf(proj, catalog.GlobalShard) {
+				h := heldContainer{sc: sc, snap: cut[name], kept: keeps[i](sc)}
+				if j, ok := at[sc.OID]; !ok {
+					at[sc.OID] = len(out)
+					out = append(out, h)
+				} else if h.kept && !out[j].kept {
+					out[j] = h
+				}
+			}
+		}
+		return out
+	}, nil
 }
 
 // countStagedDeletes sums the staged delete-vector counts of the first

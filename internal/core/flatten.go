@@ -75,27 +75,10 @@ func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.
 		if node == nil {
 			return nil, fmt.Errorf("core: no node can read container %d", sc.OID)
 		}
-		fetch := db.fetchFunc(node, false)
-		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
+		rows, deletes, err := db.readContainer(ctx, node, sc, snap.DeleteVectorsOf(sc.OID), projSchema)
 		if err != nil {
 			return nil, err
 		}
-		var dvLists [][]int64
-		for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-			if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
-				continue
-			}
-			data, err := fetch(ctx, dv.File.Path)
-			if err != nil {
-				return nil, err
-			}
-			positions, err := storage.ReadDeleteVector(data)
-			if err != nil {
-				return nil, err
-			}
-			dvLists = append(dvLists, positions)
-		}
-		deletes := storage.NewDeleteSet(dvLists...)
 		if deletes.Len() > 0 {
 			live := deletes.LivePositions(0, rows.NumRows())
 			if len(live) == 0 {
@@ -261,29 +244,14 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 			if node == nil {
 				return rewritten, fmt.Errorf("core: no node can read container %d", sc.OID)
 			}
-			fetch := db.fetchFunc(node, false)
-			rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
+			d := droppedContainer{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
+			rows, deletes, err := db.readContainer(ctx, node, sc, d.dvs, projSchema)
 			if err != nil {
 				return rewritten, err
 			}
-			d := droppedContainer{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
-			var dvLists [][]int64
 			for _, dv := range d.dvs {
-				if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
-					continue
-				}
-				data, err := fetch(ctx, dv.File.Path)
-				if err != nil {
-					return rewritten, err
-				}
-				positions, err := storage.ReadDeleteVector(data)
-				if err != nil {
-					return rewritten, err
-				}
-				dvLists = append(dvLists, positions)
 				txn.Delete(dv.OID)
 			}
-			deletes := storage.NewDeleteSet(dvLists...)
 			if deletes.Len() > 0 {
 				live := deletes.LivePositions(0, rows.NumRows())
 				rows = rows.Gather(live)

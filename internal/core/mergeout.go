@@ -199,7 +199,6 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	txn := init.catalog.Begin()
 	snap := txn.Base()
 	projSchema := physicalSchema(tbl, proj)
-	fetch := db.fetchFunc(runner, false)
 
 	merged := types.NewBatch(projSchema, 0)
 	var purged int64
@@ -212,27 +211,14 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 			return 0, fmt.Errorf("core: container %d vanished before mergeout", sc.OID)
 		}
 		sc = cur.(*catalog.StorageContainer)
-		rows, err := storage.ReadColumns(ctx, sc, projSchema, fetch, db.ioConc())
+		dvs := snap.DeleteVectorsOf(sc.OID)
+		rows, deletes, err := db.readContainer(ctx, runner, sc, dvs, projSchema)
 		if err != nil {
 			return 0, err
 		}
-		var dvLists [][]int64
-		for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-			if db.mode == ModeEnterprise && dv.OwnerNode != runner.name {
-				continue
-			}
-			data, err := fetch(ctx, dv.File.Path)
-			if err != nil {
-				return 0, err
-			}
-			positions, err := storage.ReadDeleteVector(data)
-			if err != nil {
-				return 0, err
-			}
-			dvLists = append(dvLists, positions)
+		for _, dv := range dvs {
 			txn.Delete(dv.OID)
 		}
-		deletes := storage.NewDeleteSet(dvLists...)
 		live := deletes.LivePositions(0, rows.NumRows())
 		purged += int64(rows.NumRows() - len(live))
 		if len(live) < rows.NumRows() {

@@ -179,11 +179,12 @@ type scanTask struct {
 	Of    int
 }
 
-// queryEnv is the per-query execution context: the shard-to-node
-// assignment the session selected, crunch groups, a consistent catalog
-// cut, and slot reservations.
+// queryEnv is the one per-query context. It holds the session's
+// decision first — the shard-to-node assignment, crunch groups and a
+// consistent catalog cut (§4.1) — and then the executor's state, which
+// run creates when execution starts.
 type queryEnv struct {
-	ctx        context.Context
+	db         *DB
 	session    *Session
 	assignment map[int]string // shard -> primary node
 	// crunch maps a shard to the ordered node group collectively serving
@@ -192,31 +193,36 @@ type queryEnv struct {
 	nodes     []string // distinct participating nodes, sorted
 	initiator *Node
 	version   uint64
+	// snapshots is the catalog cut, one snapshot per participant. Scans
+	// read their node's snapshot from it, never a fresh one (see
+	// fragmentScan.plan).
 	snapshots map[string]*catalog.Snapshot
 	// stats accumulates the query's scan instrumentation across all
-	// participating nodes' workers (nil on paths without instrumentation).
-	stats *scanTally
+	// participating nodes' workers.
+	stats scanTally
+
+	// ctx carries the query's span and deadline; run derives a
+	// cancellable context from it, which every pipeline edge selects on.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// wg counts the driver goroutines shutdown waits for; root is the
+	// query's span and qid names its spill prefix.
+	wg   sync.WaitGroup
+	root *obs.Span
+	qid  uint64
+	// mu guards the plan-node spans to close at shutdown and the
+	// per-node memory governors and spill stores.
+	mu     sync.Mutex
+	spans  []*obs.Span
+	govs   map[string]*exec.MemGovernor
+	spills map[string]*exec.FSSpill
 }
 
 // eng is the execution-engine selector handed to every exec operator
-// this query builds: the session's row/vectorized choice plus the
-// query's vectorized-row counters.
+// and scan predicate of this query: the session's row/vectorized choice
+// plus the query's vectorized-row counters.
 func (env *queryEnv) eng() exec.Engine {
-	return exec.Engine{Row: env.session.RowEngine, Stats: env.stats.vecStats()}
-}
-
-// snapshotFor returns the catalog cut captured for a participant at
-// query start. Scans must read from this cut — not a fresh snapshot —
-// so a concurrent drain that prunes shard metadata after capture
-// (without a version bump) cannot cause a silent short read.
-func (env *queryEnv) snapshotFor(node string) *catalog.Snapshot {
-	return env.snapshots[node]
-}
-
-// fragment describes node n's share of scan for this query.
-func (env *queryEnv) fragment(db *DB, n *Node, scan *planner.Scan, tasks []scanTask, mode CrunchMode) *fragmentScan {
-	return &fragmentScan{db: db, node: n, scan: scan, tasks: tasks, mode: mode, snap: env.snapshotFor(n.name),
-		bypassCache: env.session.BypassCache, rowEngine: env.session.RowEngine, st: env.stats}
+	return exec.Engine{Row: env.session.RowEngine, Stats: &env.stats.vec}
 }
 
 // nodeTasks returns the scan tasks a node serves, in shard order.
@@ -398,7 +404,6 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	env.stats = &scanTally{}
 	s.queries.Add(1)
 	// Reset the exec stats so a query that fails before execution cannot
 	// leave (or report) a predecessor's numbers.
@@ -530,7 +535,7 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		time.Sleep(db.cfg.QueryCost)
 	}
 
-	final, err := db.runStreaming(env, exePlan, root)
+	final, err := env.run(exePlan, root)
 	if err != nil {
 		return nil, err
 	}
@@ -667,24 +672,17 @@ func (s *Session) selectParticipants(init *Node) (*queryEnv, error) {
 	}
 	sort.Strings(nodes)
 
-	// Capture a consistent catalog cut under the commit lock.
-	db.commitMu.Lock()
-	snapshots := map[string]*catalog.Snapshot{}
-	for _, name := range nodes {
-		n, ok := db.Node(name)
-		if !ok || !n.Up() {
-			db.commitMu.Unlock()
-			return nil, fmt.Errorf("%w: %s", errNodeDown, name)
-		}
-		snapshots[name] = n.catalog.Snapshot()
+	snapshots, err := db.captureCut(nodes)
+	if err != nil {
+		return nil, err
 	}
 	if db.mode == ModeEon {
 		// The assignment came from a planning snapshot taken before the
-		// commit lock; a node drain (RemoveNode) can commit a
-		// subscription deletion in between and then drop the node's
-		// local shard metadata outside the lock. A participant whose own
-		// cut no longer shows it serving its shard would silently scan
-		// nothing — force a retry against a fresh plan instead.
+		// cut; a node drain (RemoveNode) can commit a subscription
+		// deletion in between and then drop the node's local shard
+		// metadata outside the commit lock. A participant whose own cut no
+		// longer shows it serving its shard would silently scan nothing —
+		// force a retry against a fresh plan instead.
 		serves := func(name string, sh int) bool {
 			for _, sub := range snapshots[name].SubscribersOf(sh, catalog.SubActive, catalog.SubRemoving) {
 				if sub.Node == name {
@@ -695,22 +693,20 @@ func (s *Session) selectParticipants(init *Node) (*queryEnv, error) {
 		}
 		for sh, name := range assignment {
 			if !serves(name, sh) {
-				db.commitMu.Unlock()
 				return nil, fmt.Errorf("%w: %s no longer serves shard %d", errNodeDown, name, sh)
 			}
 		}
 		for sh, group := range crunch {
 			for _, name := range group {
 				if !serves(name, sh) {
-					db.commitMu.Unlock()
 					return nil, fmt.Errorf("%w: %s no longer serves shard %d", errNodeDown, name, sh)
 				}
 			}
 		}
 	}
-	db.commitMu.Unlock()
 
 	return &queryEnv{
+		db:         db,
 		ctx:        db.Context(),
 		session:    s,
 		assignment: assignment,
@@ -722,11 +718,28 @@ func (s *Session) selectParticipants(init *Node) (*queryEnv, error) {
 	}, nil
 }
 
+// captureCut snapshots the named nodes' catalogs under the commit lock,
+// so no commit lands between two of them: one consistent catalog cut.
+// It fails with errNodeDown if one of them is down.
+func (db *DB) captureCut(names []string) (map[string]*catalog.Snapshot, error) {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	cut := make(map[string]*catalog.Snapshot, len(names))
+	for _, name := range names {
+		n, ok := db.Node(name)
+		if !ok || !n.Up() {
+			return nil, fmt.Errorf("%w: %s", errNodeDown, name)
+		}
+		cut[name] = n.catalog.Snapshot()
+	}
+	return cut, nil
+}
+
 // acquireSlots reserves one execution slot per served shard on its node,
 // atomically across nodes (§4.2: "a running query requires S of the
 // total N*E slots").
 func (env *queryEnv) acquireSlots() (func(), error) {
-	db := env.session.db
+	db := env.db
 	req := map[string]int{}
 	for _, name := range env.nodes {
 		if tasks := env.nodeTasks(name); len(tasks) > 0 {

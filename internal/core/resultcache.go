@@ -41,11 +41,12 @@ type resultCache struct {
 }
 
 // resultKey identifies one cached result: the statement, its bound
-// argument values, the knobs that shape execution output order, and the
-// data-version fingerprint. RowEngine cannot change result bytes (the
-// engines are differentially tested as identical) but is part of the
-// key anyway so engine-differential tests exercise both engines instead
-// of one engine plus its cached output.
+// argument values, the session knobs that change how it executes — noSeg
+// (a container-split crunch plan, which may reorder rows) and rowEng
+// (Session.RowEngine) — and the data-version fingerprint. The row engine
+// cannot change result bytes (the engines are differentially tested as
+// identical) but is part of the key anyway so engine-differential tests
+// exercise both engines instead of one engine plus its cached output.
 type resultKey struct {
 	norm     string
 	args     string // canonical encoding of bound parameter values

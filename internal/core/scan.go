@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"eon/internal/catalog"
+	"eon/internal/exec"
 	"eon/internal/expr"
 	"eon/internal/hashring"
 	"eon/internal/obs"
@@ -64,7 +67,7 @@ type containerWork struct {
 // own catalog (§4) — and starts the reads of their files (prefetch). It
 // does not block, so a pipeline plans every fragment while it is built.
 func (fs *fragmentScan) plan(ctx context.Context) error {
-	db, node, scan, st := fs.db, fs.node, fs.scan, fs.st
+	env, db, node, scan := fs.env, fs.env.db, fs.node, fs.scan
 	// The fragment span arrives via the context (set by the caller); the
 	// fetch/decode/filter accumulator children aggregate worker time.
 	fs.sps = newScanSpans(obs.SpanFrom(ctx))
@@ -76,9 +79,7 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 	// containers for an assigned shard — a silent short read. The captured
 	// cut is immutable (copy-on-write), so the containers it references
 	// remain scannable; dropped depot files fall back to shared storage.
-	if fs.snap == nil {
-		fs.snap = node.catalog.Snapshot()
-	}
+	snap := env.snapshots[node.name]
 	fs.wosProjs = map[catalog.OID]bool{}
 	for _, task := range fs.tasks {
 		shardIdx := task.Shard
@@ -88,7 +89,7 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 		// node serves the underlying data" (§6.1).
 		proj := scan.Proj
 		if db.mode == ModeEnterprise && shardIdx != catalog.ReplicaShard && !scan.Replicated {
-			p, err := db.projectionCopyFor(fs.snap, scan.Proj, shardIdx, node.name)
+			p, err := db.projectionCopyFor(snap, scan.Proj, shardIdx, node.name)
 			if err != nil {
 				return err
 			}
@@ -96,11 +97,11 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 		}
 		fs.wosProjs[proj.OID] = true
 
-		containers := fs.snap.ContainersOf(proj.OID, shardIdx)
+		containers := snap.ContainersOf(proj.OID, shardIdx)
 		// Container split (§4.4): "each node sharing a segment scans a
 		// distinct subset of the containers".
 		useContainerSplit := task.Of > 1 &&
-			(fs.mode == CrunchContainerSplit || len(scan.SegmentCols) == 0)
+			(env.session.Crunch == CrunchContainerSplit || len(scan.SegmentCols) == 0)
 		for ci, sc := range containers {
 			if db.mode == ModeEnterprise && sc.OwnerNode != node.name {
 				continue
@@ -110,7 +111,7 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 			}
 			// Container-level pruning from catalog stats: no file access (§2.1).
 			if scan.Pred != nil && !expr.CouldMatch(scan.Pred, containerStats(scan, sc)) {
-				st.containersPruned.Add(1)
+				env.stats.containersPruned.Add(1)
 				fs.sps.frag.AddAttr("containers_pruned", 1)
 				continue
 			}
@@ -125,9 +126,10 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 			})
 		}
 	}
-	fs.firstCols, fs.allCols = scanColSets(scan, fs.rowEngine)
+	fs.firstCols, fs.allCols = scanColSets(scan, env.eng())
 	// Per-table shaping policy (§5.2): never-cache tables bypass.
-	fs.file = db.trackedFetch(node, fs.bypassCache || db.neverCacheTable(scan.Table.Name), st, fs.sps.fetch)
+	bypass := env.session.BypassCache || db.neverCacheTable(scan.Table.Name)
+	fs.file = db.trackedFetch(node, bypass, &env.stats, fs.sps.fetch)
 	return fs.prefetch(ctx)
 }
 
@@ -140,7 +142,7 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 // serial pipeline's order), and a slow or early-terminating consumer
 // backpressures the workers, and through them the reads.
 func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) error {
-	db, node, scan, st, work := fs.db, fs.node, fs.scan, fs.st, fs.work
+	db, node, scan, work := fs.env.db, fs.node, fs.scan, fs.work
 	defer fs.sps.end()
 	defer func() { fs.sps.frag.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
 	// Scan the containers through a bounded streaming window. Each worker
@@ -184,11 +186,14 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 			if wb == nil || wb.NumRows() == 0 {
 				continue
 			}
-			b, err := filterWOSRows(scan, wb, fs.rowEngine, st)
+			// WOS batches are stored in projection column order, and WOS
+			// rows were routed to this node per shard at load time, so
+			// there is no shard filtering to do.
+			b, err := selectScanRows(fs.env.eng(), scan, scan.Proj.Columns, wb, "WOS")
 			if err != nil {
 				return err
 			}
-			if b != nil && b.NumRows() > 0 {
+			if b != nil {
 				if err := emit(b); err != nil {
 					return err
 				}
@@ -208,9 +213,10 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 // warm scan lists nothing, starts nothing and allocates nothing here; nor
 // does Enterprise (local disk) or the serial reference.
 func (fs *fragmentScan) prefetch(ctx context.Context) error {
-	if fs.db.mode != ModeEon || fs.db.ioConc() == 1 {
+	if db := fs.env.db; db.mode != ModeEon || db.ioConc() == 1 {
 		return nil
 	}
+	snap := fs.env.snapshots[fs.node.name]
 	var paths []string
 	miss := func(path string) {
 		if !fs.node.cache.Contains(path) {
@@ -221,7 +227,7 @@ func (fs *fragmentScan) prefetch(ctx context.Context) error {
 		if err := storage.ColumnFiles(w.sc, fs.scan.Cols, miss); err != nil {
 			return err
 		}
-		for _, dv := range fs.snap.DeleteVectorsOf(w.sc.OID) {
+		for _, dv := range snap.DeleteVectorsOf(w.sc.OID) {
 			miss(dv.File.Path)
 		}
 	}
@@ -302,18 +308,14 @@ func containerStats(scan *planner.Scan, sc *catalog.StorageContainer) expr.Stats
 	}
 }
 
-// fragmentScan is one node's share of a scan (see queryEnv.fragment) and
-// what its container scans share.
+// fragmentScan is node's share of a query's scan: the scan tasks it
+// serves, and what its container scans share. The query — its catalog
+// cut, session options, engine and tally — is read from env.
 type fragmentScan struct {
-	db          *DB
-	node        *Node
-	scan        *planner.Scan
-	tasks       []scanTask
-	snap        *catalog.Snapshot
-	bypassCache bool
-	mode        CrunchMode
-	rowEngine   bool
-	st          *scanTally // the query's tally; never nil
+	env   *queryEnv
+	node  *Node
+	scan  *planner.Scan
+	tasks []scanTask
 	// plan's results: unpruned containers in output order; projections read.
 	work     []containerWork
 	wosProjs map[catalog.OID]bool
@@ -331,12 +333,12 @@ type fragmentScan struct {
 // the vectorized engine, all of them on the row engine, which stays the
 // decode-everything reference the differential tests compare against —
 // and the indexes of all scan columns.
-func scanColSets(scan *planner.Scan, rowEngine bool) (first, all []int) {
+func scanColSets(scan *planner.Scan, eng exec.Engine) (first, all []int) {
 	all = make([]int, len(scan.Cols))
 	for i := range all {
 		all[i] = i
 	}
-	if rowEngine {
+	if eng.Row {
 		return all, all
 	}
 	if scan.Pred != nil {
@@ -363,7 +365,7 @@ type scanWorker struct {
 // flight — and containers already run ScanConcurrency wide, so the
 // blocks of one container are decoded and filtered in turn.
 func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageContainer, w *scanWorker) ([]*types.Batch, error) {
-	scan, st, sps := fs.scan, fs.st, fs.sps
+	scan, sps := fs.scan, fs.sps
 	readers, err := storage.OpenColumns(ctx, sc, scan.Cols, fs.file)
 	if err != nil {
 		return nil, err
@@ -372,8 +374,8 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 	// Merge the delete vectors covering this container — cold containers
 	// often carry several.
 	var dvLists [][]int64
-	for _, dv := range fs.snap.DeleteVectorsOf(sc.OID) {
-		if fs.db.mode == ModeEnterprise && dv.OwnerNode != fs.node.name {
+	for _, dv := range fs.env.snapshots[fs.node.name].DeleteVectorsOf(sc.OID) {
+		if fs.env.db.mode == ModeEnterprise && dv.OwnerNode != fs.node.name {
 			continue
 		}
 		data, err := fs.file(ctx, dv.File.Path)
@@ -387,7 +389,7 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 		dvLists = append(dvLists, positions)
 	}
 	deletes := storage.NewDeleteSet(dvLists...)
-	st.containersScanned.Add(1)
+	fs.env.stats.containersScanned.Add(1)
 	sps.frag.AddAttr("containers_scanned", 1)
 
 	// Footer min/max pruning looks at the scanned columns' readers (block
@@ -432,7 +434,7 @@ type blockTally struct {
 }
 
 func (fs *fragmentScan) record(bt *blockTally) {
-	st, frag := fs.st, fs.sps.frag
+	st, frag := &fs.env.stats, fs.sps.frag
 	st.blocksScanned.Add(bt.scanned)
 	st.blocksPruned.Add(bt.pruned)
 	st.rowsScanned.Add(bt.rows)
@@ -510,16 +512,7 @@ func (fs *fragmentScan) scanBlock(cols []*rosfile.Reader, bi int, blk rosfile.Bl
 		if err := decode(fs.firstCols); err != nil {
 			return nil, err
 		}
-		var s []int
-		var err error
-		if fs.rowEngine {
-			if hasSel {
-				batch, n, sel, hasSel = batch.Gather(sel), len(sel), nil, false
-			}
-			s, err = expr.FilterBatch(scan.Pred, batch)
-		} else {
-			s, err = expr.FilterVec(scan.Pred, batch, sel, fs.st.vecStats())
-		}
+		s, err := selectRows(fs.env.eng(), scan.Pred, batch, sel)
 		lap(&bt.filter)
 		if err != nil {
 			return nil, err
@@ -560,40 +553,43 @@ func blockCouldMatch(scan *planner.Scan, cols []*rosfile.Reader, bi int) bool {
 	})
 }
 
-// filterWOSRows projects WOS rows to the scan's columns and applies the
-// predicate. WOS rows were routed to this node per shard at load time:
-// every buffered row of the projection copy belongs to a shard the node
-// owns, so there is no shard filtering to do.
-func filterWOSRows(scan *planner.Scan, wb *types.Batch, rowEngine bool, st *scanTally) (*types.Batch, error) {
-	projSchema := make(types.Schema, len(scan.Proj.Columns))
-	// WOS batches are stored in projection column order.
-	for i, c := range scan.Proj.Columns {
-		projSchema[i] = types.Column{Name: c}
+// selectRows returns the rows among sel (nil = every row of b) that
+// satisfy pred: through the vectorized kernels, or on the row engine
+// row-at-a-time over the gathered candidates.
+func selectRows(eng exec.Engine, pred expr.Expr, b *types.Batch, sel []int) ([]int, error) {
+	if !eng.Row {
+		return expr.FilterVec(pred, b, sel, eng.Stats)
 	}
-	// Select the needed columns in scan order.
-	sel := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
+	if sel == nil {
+		return expr.FilterBatch(pred, b)
+	}
+	idx, err := expr.FilterBatch(pred, b.Gather(sel))
+	for i, j := range idx {
+		idx[i] = sel[j]
+	}
+	return idx, err
+}
+
+// selectScanRows picks the scan's columns, by name, out of a wider batch
+// b whose columns are named cols, and keeps the rows satisfying the scan
+// predicate: the scan of rows that live outside storage containers —
+// Enterprise WOS rows and virtual tables. Returns nil when no row
+// survives.
+func selectScanRows(eng exec.Engine, scan *planner.Scan, cols []string, b *types.Batch, what string) (*types.Batch, error) {
+	out := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
 	for i, c := range scan.Cols {
-		idx := projSchema.ColumnIndex(c)
+		idx := slices.IndexFunc(cols, func(name string) bool { return strings.EqualFold(name, c) })
 		if idx < 0 {
-			return nil, fmt.Errorf("core: WOS missing column %q", c)
+			return nil, fmt.Errorf("core: %s missing column %q", what, c)
 		}
-		sel.Cols[i] = wb.Cols[idx]
+		out.Cols[i] = b.Cols[idx]
 	}
-	if scan.Pred != nil {
-		var idx []int
-		var err error
-		if rowEngine {
-			idx, err = expr.FilterBatch(scan.Pred, sel)
-		} else {
-			idx, err = expr.FilterVec(scan.Pred, sel, nil, st.vecStats())
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(idx) == 0 {
-			return nil, nil
-		}
-		sel = sel.Gather(idx)
+	if scan.Pred == nil {
+		return out, nil
 	}
-	return sel, nil
+	idx, err := selectRows(eng, scan.Pred, out, nil)
+	if err != nil || len(idx) == 0 {
+		return nil, err
+	}
+	return out.Gather(idx), nil
 }

@@ -94,11 +94,11 @@ func (s *ScanStats) Add(other ScanStats) {
 }
 
 // scanTally is the mutable, concurrency-safe accumulator behind a
-// query's ScanStats, hung off the queryEnv and written by every scan
+// query's ScanStats, held by the queryEnv and written by every scan
 // worker. The database's cumulative view lives in the metrics registry
 // (scanMetrics); per-query snapshots are folded into it after each
-// query. A nil *scanTally is valid and drops all records, so maintenance
-// paths can share the scan helpers without instrumentation.
+// query. Maintenance paths read through trackedFetch with a nil
+// *scanTally, which drops the records.
 type scanTally struct {
 	// vec holds the vectorized/fallback row counters; expression
 	// evaluation writes it directly (it is handed to EvalVec/FilterVec).
@@ -120,15 +120,6 @@ type scanTally struct {
 	decodeNanos       atomic.Int64
 	filterNanos       atomic.Int64
 	wallNanos         atomic.Int64
-}
-
-// vecStats exposes the vectorized-row counters for handing to
-// expr.EvalVec/FilterVec. Nil-safe (a nil *expr.VecStats drops counts).
-func (t *scanTally) vecStats() *expr.VecStats {
-	if t == nil {
-		return nil
-	}
-	return &t.vec
 }
 
 func (t *scanTally) addIOWait(d time.Duration) { t.ioWaitNanos.Add(int64(d)) }

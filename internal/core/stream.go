@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
@@ -22,10 +23,11 @@ import (
 // than a stage's full output.
 //
 // Cross-goroutine edges (scan fragments, gathers, reshuffles,
-// broadcasts) are chanOp/mchanOp instances: a driver goroutine drains
-// the upstream chain and pushes batches through a channel of depth
-// streamDepth, giving natural backpressure. Every driver select-waits on
-// the per-query stream context, so cancellation — a session timeout, a
+// broadcasts) are pipes: a driver goroutine drains the upstream chain
+// and pushes batches through a channel of depth streamDepth, giving
+// natural backpressure. The executor's state lives on the query's
+// queryEnv, and every driver select-waits on its context once run has
+// made it cancellable, so cancellation — a session timeout, a
 // node failure, or the top-level LIMIT stopping its pull early — tears
 // the whole pipeline down promptly: drivers blocked in a channel send or
 // inside a scan or network transfer observe ctx.Done and exit, and
@@ -166,177 +168,96 @@ func edge(op exec.Operator, out, in *obs.Span) exec.Operator {
 	return &spanCount{op: op, out: out, in: in}
 }
 
-// chanOp bridges one producer goroutine to one consumer as an Operator.
-// The driver is started lazily on the first pull (begin), pushes batches
-// through a bounded channel, and reports its terminal error through
-// errc; both sides select on the stream context so cancellation unblocks
-// them.
-type chanOp struct {
-	schema types.Schema
-	ctx    context.Context
-	ch     chan *types.Batch
-	errc   chan error
-	begin  func()
-
-	started bool // consumer-side only
-	done    bool
-}
-
-func newChanOp(ctx context.Context, schema types.Schema) *chanOp {
-	return &chanOp{
-		schema: schema, ctx: ctx,
-		ch:   make(chan *types.Batch, streamDepth),
-		errc: make(chan error, 1),
-	}
-}
-
-// Schema implements Operator.
-func (c *chanOp) Schema() types.Schema { return c.schema }
-
-// push hands one batch to the consumer, honoring cancellation.
-func (c *chanOp) push(b *types.Batch) error {
-	select {
-	case c.ch <- b:
-		return nil
-	case <-c.ctx.Done():
-		return c.ctx.Err()
-	}
-}
-
-// finish terminates the stream. A non-nil err reaches the consumer no
-// later than the channel close.
-func (c *chanOp) finish(err error) {
-	if err != nil {
-		c.errc <- err
-	}
-	close(c.ch)
-}
-
-// ensureStarted fires the driver once (consumer goroutine only).
-func (c *chanOp) ensureStarted() {
-	if !c.started {
-		c.started = true
-		if c.begin != nil {
-			c.begin()
-		}
-	}
-}
-
-// Next implements Operator.
-func (c *chanOp) Next() (*types.Batch, error) {
-	if c.done {
-		return nil, nil
-	}
-	c.ensureStarted()
-	select {
-	case b, ok := <-c.ch:
-		if !ok {
-			c.done = true
-			select {
-			case err := <-c.errc:
-				return nil, err
-			default:
-				return nil, nil
-			}
-		}
-		return b, nil
-	case err := <-c.errc:
-		c.done = true
-		return nil, err
-	case <-c.ctx.Done():
-		c.done = true
-		return nil, c.ctx.Err()
-	}
-}
-
-// mchanOp is a chanOp with several producers (the reshuffle exchange):
-// the stream ends when every producer has finished, and the first error
-// wins.
-type mchanOp struct {
+// pipe is the one cross-goroutine edge: it bridges producers — one
+// driver for a scan fragment or a gather, one per source node for a
+// reshuffle — to one consumer as an Operator. The drivers start lazily on
+// the first pull (begin) and push batches through a channel of depth
+// streamDepth; the stream ends when every producer has finished, and the
+// first error wins. Both sides select on the query context, so
+// cancellation unblocks them.
+type pipe struct {
 	schema    types.Schema
 	ctx       context.Context
 	ch        chan *types.Batch
 	errc      chan error
 	begin     func()
-	mu        sync.Mutex
-	remaining int
+	remaining atomic.Int32
 
 	started bool // consumer-side only
 	done    bool
 }
 
-func newMchanOp(ctx context.Context, schema types.Schema, producers int) *mchanOp {
-	return &mchanOp{
+func newPipe(ctx context.Context, schema types.Schema, producers int) *pipe {
+	p := &pipe{
 		schema: schema, ctx: ctx,
-		ch:        make(chan *types.Batch, streamDepth),
-		errc:      make(chan error, 1),
-		remaining: producers,
+		ch:   make(chan *types.Batch, streamDepth),
+		errc: make(chan error, 1),
 	}
+	p.remaining.Store(int32(producers))
+	return p
 }
 
 // Schema implements Operator.
-func (m *mchanOp) Schema() types.Schema { return m.schema }
+func (p *pipe) Schema() types.Schema { return p.schema }
 
-func (m *mchanOp) push(b *types.Batch) error {
+// push hands one batch to the consumer, honoring cancellation.
+func (p *pipe) push(b *types.Batch) error {
 	select {
-	case m.ch <- b:
+	case p.ch <- b:
 		return nil
-	case <-m.ctx.Done():
-		return m.ctx.Err()
+	case <-p.ctx.Done():
+		return p.ctx.Err()
 	}
 }
 
 // finish records one producer's completion; the last one closes the
-// channel.
-func (m *mchanOp) finish(err error) {
+// channel. A non-nil err reaches the consumer no later than the close.
+func (p *pipe) finish(err error) {
 	if err != nil {
 		select {
-		case m.errc <- err:
+		case p.errc <- err:
 		default:
 		}
 	}
-	m.mu.Lock()
-	m.remaining--
-	last := m.remaining == 0
-	m.mu.Unlock()
-	if last {
-		close(m.ch)
+	if p.remaining.Add(-1) == 0 {
+		close(p.ch)
 	}
 }
 
-func (m *mchanOp) ensureStarted() {
-	if !m.started {
-		m.started = true
-		if m.begin != nil {
-			m.begin()
+// ensureStarted fires the drivers once (consumer goroutine only).
+func (p *pipe) ensureStarted() {
+	if !p.started {
+		p.started = true
+		if p.begin != nil {
+			p.begin()
 		}
 	}
 }
 
 // Next implements Operator.
-func (m *mchanOp) Next() (*types.Batch, error) {
-	if m.done {
+func (p *pipe) Next() (*types.Batch, error) {
+	if p.done {
 		return nil, nil
 	}
-	m.ensureStarted()
+	p.ensureStarted()
 	select {
-	case b, ok := <-m.ch:
+	case b, ok := <-p.ch:
 		if !ok {
-			m.done = true
+			p.done = true
 			select {
-			case err := <-m.errc:
+			case err := <-p.errc:
 				return nil, err
 			default:
 				return nil, nil
 			}
 		}
 		return b, nil
-	case err := <-m.errc:
-		m.done = true
+	case err := <-p.errc:
+		p.done = true
 		return nil, err
-	case <-m.ctx.Done():
-		m.done = true
-		return nil, m.ctx.Err()
+	case <-p.ctx.Done():
+		p.done = true
+		return nil, p.ctx.Err()
 	}
 }
 
@@ -345,7 +266,7 @@ func (m *mchanOp) Next() (*types.Batch, error) {
 // reads their streams sequentially in node order.
 type eagerStart struct {
 	op      exec.Operator
-	chans   []*chanOp
+	pipes   []*pipe
 	started bool
 }
 
@@ -354,71 +275,42 @@ func (e *eagerStart) Schema() types.Schema { return e.op.Schema() }
 func (e *eagerStart) Next() (*types.Batch, error) {
 	if !e.started {
 		e.started = true
-		for _, c := range e.chans {
-			c.ensureStarted()
+		for _, p := range e.pipes {
+			p.ensureStarted()
 		}
 	}
 	return e.op.Next()
 }
 
-// streamCtx is the per-query state of the streaming executor: the
-// cancellable context every edge selects on, the driver goroutines to
-// wait for, the plan-node spans to close, and the per-node memory
-// governors and spill stores.
-type streamCtx struct {
-	db     *DB
-	env    *queryEnv
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	root   *obs.Span
-	qid    uint64
-
-	mu     sync.Mutex
-	spans  []*obs.Span
-	govs   map[string]*exec.MemGovernor
-	spills map[string]*exec.FSSpill
-}
-
-func (db *DB) newStreamCtx(env *queryEnv, root *obs.Span) *streamCtx {
-	ctx, cancel := context.WithCancel(env.ctx)
-	return &streamCtx{
-		db: db, env: env, ctx: ctx, cancel: cancel, root: root,
-		qid:    db.queryCtr.Add(1),
-		govs:   map[string]*exec.MemGovernor{},
-		spills: map[string]*exec.FSSpill{},
-	}
-}
-
 // spawn runs fn as a tracked pipeline goroutine.
-func (sc *streamCtx) spawn(fn func()) {
-	sc.wg.Add(1)
+func (env *queryEnv) spawn(fn func()) {
+	env.wg.Add(1)
 	go func() {
-		defer sc.wg.Done()
+		defer env.wg.Done()
 		fn()
 	}()
 }
 
 // addSpan registers a plan-node span and any children for closing at
 // shutdown (all nil when tracing is off).
-func (sc *streamCtx) addSpan(sps ...*obs.Span) {
+func (env *queryEnv) addSpan(sps ...*obs.Span) {
 	if sps[0] == nil {
 		return
 	}
-	sc.mu.Lock()
-	sc.spans = append(sc.spans, sps...)
-	sc.mu.Unlock()
+	env.mu.Lock()
+	env.spans = append(env.spans, sps...)
+	env.mu.Unlock()
 }
 
 // gov returns the node's memory governor, mirroring charges into the
 // database's exec.mem_bytes gauge.
-func (sc *streamCtx) gov(node string) *exec.MemGovernor {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	g, ok := sc.govs[node]
+func (env *queryEnv) gov(node string) *exec.MemGovernor {
+	env.mu.Lock()
+	defer env.mu.Unlock()
+	g, ok := env.govs[node]
 	if !ok {
-		g = exec.NewMemGovernor(sc.env.session.MemoryBudget, sc.db.execMem.Add)
-		sc.govs[node] = g
+		g = exec.NewMemGovernor(env.session.MemoryBudget, env.db.execMem.Add)
+		env.govs[node] = g
 	}
 	return g
 }
@@ -426,20 +318,20 @@ func (sc *streamCtx) gov(node string) *exec.MemGovernor {
 // spillFor returns the node's spill store (its local disk under a
 // per-query prefix), or nil when no finite budget is set — breakers
 // without a store never spill.
-func (sc *streamCtx) spillFor(node string) exec.SpillStore {
-	if sc.env.session.MemoryBudget <= 0 {
+func (env *queryEnv) spillFor(node string) exec.SpillStore {
+	if env.session.MemoryBudget <= 0 {
 		return nil
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	s, ok := sc.spills[node]
+	env.mu.Lock()
+	defer env.mu.Unlock()
+	s, ok := env.spills[node]
 	if !ok {
-		n, okn := sc.db.Node(node)
+		n, okn := env.db.Node(node)
 		if !okn {
 			return nil
 		}
-		s = exec.NewFSSpill(sc.ctx, n.fs, fmt.Sprintf("spill/q%d", sc.qid))
-		sc.spills[node] = s
+		s = exec.NewFSSpill(env.ctx, n.fs, fmt.Sprintf("spill/q%d", env.qid))
+		env.spills[node] = s
 	}
 	return s
 }
@@ -448,14 +340,14 @@ func (sc *streamCtx) spillFor(node string) exec.SpillStore {
 // for them, close the plan-node spans, then fold the governors into the
 // query's ExecStats (published on the session, the root span and the
 // database's exec metrics) and remove the spill files.
-func (sc *streamCtx) shutdown() {
-	sc.cancel()
-	sc.wg.Wait()
-	for i := len(sc.spans) - 1; i >= 0; i-- {
-		sc.spans[i].End()
+func (env *queryEnv) shutdown() {
+	env.cancel()
+	env.wg.Wait()
+	for i := len(env.spans) - 1; i >= 0; i-- {
+		env.spans[i].End()
 	}
 	var st ExecStats
-	for _, g := range sc.govs {
+	for _, g := range env.govs {
 		if p := g.Peak(); p > st.PeakMemBytes {
 			st.PeakMemBytes = p
 		}
@@ -463,41 +355,46 @@ func (sc *streamCtx) shutdown() {
 		st.SpillBytes += g.SpillBytes()
 		g.Close()
 	}
-	db := sc.db
+	db := env.db
 	db.execPeak.Observe(st.PeakMemBytes)
 	db.execSpills.Add(st.SpillCount)
 	db.execSpillBytes.Add(st.SpillBytes)
 	if st.SpillCount > 0 {
 		db.dcSpills.Emit(obs.DCEvent{
-			Node: sc.env.initiator.name,
+			Node: env.initiator.name,
 			V1:   st.PeakMemBytes, V2: st.SpillCount, V3: st.SpillBytes,
 		})
 	}
-	sc.root.AddAttr("peak_mem_bytes", st.PeakMemBytes)
-	sc.root.AddAttr("spills", st.SpillCount)
-	sc.root.AddAttr("spill_bytes", st.SpillBytes)
-	s := sc.env.session
+	env.root.AddAttr("peak_mem_bytes", st.PeakMemBytes)
+	env.root.AddAttr("spills", st.SpillCount)
+	env.root.AddAttr("spill_bytes", st.SpillBytes)
+	s := env.session
 	s.statsMu.Lock()
 	s.lastExec = st
 	s.statsMu.Unlock()
 	// Spill cleanup runs under its own context: the query's is canceled.
-	for _, sp := range sc.spills {
+	for _, sp := range env.spills {
 		_ = sp.Cleanup(context.Background())
 	}
 }
 
-// runStreaming executes a plan through the streaming engine and drains
-// the top of the pipeline into the final result batch.
-func (db *DB) runStreaming(env *queryEnv, plan *planner.Plan, root *obs.Span) (*types.Batch, error) {
-	sc := db.newStreamCtx(env, root)
-	defer sc.shutdown()
-	res, err := sc.build(plan.Root, root)
+// run executes a plan through the streaming pipeline and drains its top
+// into the final result batch. The execution state is created here, not
+// with the query's participants, so a result-cache hit never allocates it.
+func (env *queryEnv) run(plan *planner.Plan, root *obs.Span) (*types.Batch, error) {
+	env.ctx, env.cancel = context.WithCancel(env.ctx)
+	env.root = root
+	env.qid = env.db.queryCtr.Add(1)
+	env.govs = map[string]*exec.MemGovernor{}
+	env.spills = map[string]*exec.FSSpill{}
+	defer env.shutdown()
+	res, err := env.build(plan.Root, root)
 	if err != nil {
 		return nil, err
 	}
 	gatherSp := root.StartSpan("gather")
 	defer gatherSp.End()
-	top := sc.gatherTo(res, gatherSp)
+	top := env.gatherTo(res, gatherSp)
 	final := types.NewBatch(res.schema, 0)
 	for {
 		b, err := top.Next()
@@ -532,19 +429,19 @@ func sortedNames(perNode map[string]exec.Operator) []string {
 // sorted node order (so a single-node run's row order is deterministic)
 // and applies any pending global distinct. All drivers start on the first
 // pull, so fragments run concurrently.
-func (sc *streamCtx) gatherTo(res *streamResult, consumer *obs.Span) exec.Operator {
+func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operator {
 	if res.gathered() {
 		return edge(res.op(), res.sp, consumer)
 	}
-	env, db := sc.env, sc.db
+	db := env.db
 	names := sortedNames(res.perNode)
 	parts := make([]exec.Operator, len(names))
-	chans := make([]*chanOp, len(names))
+	pipes := make([]*pipe, len(names))
 	for i, name := range names {
 		name, nodeOp := name, res.perNode[name]
-		ch := newChanOp(sc.ctx, res.schema)
+		ch := newPipe(env.ctx, res.schema, 1)
 		ch.begin = func() {
-			sc.spawn(func() {
+			env.spawn(func() {
 				n, ok := db.Node(name)
 				if !ok || !n.Up() {
 					ch.finish(fmt.Errorf("%w: %s", errNodeDown, name))
@@ -567,7 +464,7 @@ func (sc *streamCtx) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 							continue
 						}
 						if stream != nil {
-							if err := stream.Send(sc.ctx, batchBytes(b)); err != nil {
+							if err := stream.Send(env.ctx, batchBytes(b)); err != nil {
 								return fmt.Errorf("%w: gather from %s: %v", errNodeDown, name, err)
 							}
 						}
@@ -579,10 +476,10 @@ func (sc *streamCtx) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 				ch.finish(err)
 			})
 		}
-		chans[i] = ch
+		pipes[i] = ch
 		parts[i] = ch
 	}
-	var combined exec.Operator = &eagerStart{op: exec.NewUnionAll(parts...), chans: chans}
+	var combined exec.Operator = &eagerStart{op: exec.NewUnionAll(parts...), pipes: pipes}
 	combined = edge(combined, res.sp, consumer)
 	if res.needGlobalDistinct {
 		d := exec.NewDistinct(combined)
@@ -626,26 +523,26 @@ func wrap(b *types.Batch) []*types.Batch {
 // build recursively translates a plan node into a streaming result. The
 // plan-node span stays open while the pipeline runs (operators execute
 // lazily under it) and closes at shutdown.
-func (sc *streamCtx) build(node planner.Node, parent *obs.Span) (*streamResult, error) {
+func (env *queryEnv) build(node planner.Node, parent *obs.Span) (*streamResult, error) {
 	sp := parent.StartSpan(spanName(node))
-	sc.addSpan(sp)
+	env.addSpan(sp)
 	switch n := node.(type) {
 	case *planner.Scan:
-		return sc.buildScan(n, sp)
+		return env.buildScan(n, sp)
 	case *planner.Filter:
-		return sc.buildFilter(n, sp)
+		return env.buildFilter(n, sp)
 	case *planner.Project:
-		return sc.buildProject(n, sp)
+		return env.buildProject(n, sp)
 	case *planner.Join:
-		return sc.buildJoin(n, sp)
+		return env.buildJoin(n, sp)
 	case *planner.Aggregate:
-		return sc.buildAggregate(n, sp)
+		return env.buildAggregate(n, sp)
 	case *planner.DistinctNode:
-		return sc.buildDistinct(n, sp)
+		return env.buildDistinct(n, sp)
 	case *planner.Sort:
-		return sc.buildSort(n, sp)
+		return env.buildSort(n, sp)
 	case *planner.Limit:
-		return sc.buildLimit(n, sp)
+		return env.buildLimit(n, sp)
 	}
 	return nil, fmt.Errorf("core: unknown plan node %T", node)
 }
@@ -653,14 +550,14 @@ func (sc *streamCtx) build(node planner.Node, parent *obs.Span) (*streamResult, 
 // mapResult wraps every stream of a result with a per-node operator
 // stage, preserving its distribution. apply receives the executing
 // node's name so stages can attach that node's governor.
-func (sc *streamCtx) mapResult(in *streamResult, schema types.Schema, sp *obs.Span, apply func(node string, op exec.Operator) exec.Operator) *streamResult {
+func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Span, apply func(node string, op exec.Operator) exec.Operator) *streamResult {
 	out := &streamResult{
 		schema: schema, sp: sp,
 		replicated:         in.replicated,
 		needGlobalDistinct: in.needGlobalDistinct,
 		exchanged:          in.exchanged,
 	}
-	initiator := sc.env.initiator.name
+	initiator := env.initiator.name
 	switch {
 	case in.shared != nil:
 		out.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
@@ -689,19 +586,19 @@ func (sc *streamCtx) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 // first pull, but the fragment is planned here, while the pipeline is
 // built: its shared-storage reads go out at once — a join's second side
 // and a replicated dimension fetch while the first side is being read.
-func (sc *streamCtx) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, mode CrunchMode, sp *obs.Span) exec.Operator {
-	ch := newChanOp(sc.ctx, scan.OutSchema)
+func (env *queryEnv) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, sp *obs.Span) exec.Operator {
+	ch := newPipe(env.ctx, scan.OutSchema, 1)
 	fragSp := sp.StartSpan("fragment:" + n.name)
-	ctx := obs.WithSpan(sc.ctx, fragSp)
-	fs := sc.env.fragment(sc.db, n, scan, tasks, mode)
+	ctx := obs.WithSpan(env.ctx, fragSp)
+	fs := &fragmentScan{env: env, node: n, scan: scan, tasks: tasks}
 	err := fs.plan(ctx)
 	// A fragment that is never pulled still ends its spans and its fetcher.
-	sc.addSpan(fragSp, fs.sps.fetch, fs.sps.decode, fs.sps.filter)
+	env.addSpan(fragSp, fs.sps.fetch, fs.sps.decode, fs.sps.filter)
 	if fs.pre != nil {
-		sc.spawn(fs.pre.Wait)
+		env.spawn(fs.pre.Wait)
 	}
 	ch.begin = func() {
-		sc.spawn(func() {
+		env.spawn(func() {
 			defer fragSp.End()
 			if err == nil && !n.Up() {
 				err = fmt.Errorf("%w: %s", errNodeDown, n.name)
@@ -715,18 +612,16 @@ func (sc *streamCtx) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, mode 
 	return ch
 }
 
-func (sc *streamCtx) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult, error) {
-	env := sc.env
+func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult, error) {
 	if scan.Virtual {
 		// System-table scan: materialize the virtual table on the
 		// initiator from live monitoring state (its Fill takes a snapshot
 		// cut; no storage, no hot-path locks), then flow it like any
 		// replicated source.
-		db := sc.db
 		res := &streamResult{replicated: true, schema: scan.OutSchema, sp: sp}
 		res.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 			fillSp := sp.StartSpan("fill:" + scan.Table.Name)
-			b, err := db.materializeVirtual(scan, env.session.RowEngine, env.stats)
+			b, err := env.db.materializeVirtual(scan, env.eng())
 			if err != nil {
 				fillSp.End()
 				return nil, err
@@ -740,7 +635,7 @@ func (sc *streamCtx) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 	if scan.Replicated {
 		// Replicated projections are read once — preferentially on the
 		// initiator — and replayed by every consumer.
-		op := sc.scanOp(env.initiator, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, CrunchOff, sp)
+		op := env.scanOp(env.initiator, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, sp)
 		res := &streamResult{replicated: true, schema: scan.OutSchema, sp: sp}
 		res.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 			b, err := exec.Collect(edge(op, sp, nil))
@@ -757,35 +652,35 @@ func (sc *streamCtx) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		if len(tasks) == 0 {
 			continue
 		}
-		n, ok := sc.db.Node(name)
+		n, ok := env.db.Node(name)
 		if !ok || !n.Up() {
 			return nil, fmt.Errorf("%w: %s", errNodeDown, name)
 		}
-		res.perNode[name] = sc.scanOp(n, scan, tasks, env.session.Crunch, sp)
+		res.perNode[name] = env.scanOp(n, scan, tasks, sp)
 	}
 	return res, nil
 }
 
-func (sc *streamCtx) buildFilter(f *planner.Filter, sp *obs.Span) (*streamResult, error) {
-	in, err := sc.build(f.Input, sp)
+func (env *queryEnv) buildFilter(f *planner.Filter, sp *obs.Span) (*streamResult, error) {
+	in, err := env.build(f.Input, sp)
 	if err != nil {
 		return nil, err
 	}
-	eng := sc.env.eng()
-	return sc.mapResult(in, f.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+	eng := env.eng()
+	return env.mapResult(in, f.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		fl := exec.NewFilter(edge(op, in.sp, sp), f.Pred)
 		fl.Eng = eng
 		return fl
 	}), nil
 }
 
-func (sc *streamCtx) buildProject(p *planner.Project, sp *obs.Span) (*streamResult, error) {
-	in, err := sc.build(p.Input, sp)
+func (env *queryEnv) buildProject(p *planner.Project, sp *obs.Span) (*streamResult, error) {
+	in, err := env.build(p.Input, sp)
 	if err != nil {
 		return nil, err
 	}
-	eng := sc.env.eng()
-	return sc.mapResult(in, p.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+	eng := env.eng()
+	return env.mapResult(in, p.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		pr := exec.NewProject(edge(op, in.sp, sp), p.Exprs, p.Names)
 		pr.Eng = eng
 		return pr
@@ -796,11 +691,11 @@ func (sc *streamCtx) buildProject(p *planner.Project, sp *obs.Span) (*streamResu
 // each other participant over a per-peer chunked stream as it arrives,
 // overlapping transfer with the upstream pipeline. The returned result
 // is replicated (a shared cell every per-node join replays).
-func (sc *streamCtx) broadcast(res *streamResult, sp *obs.Span) *streamResult {
-	env, db := sc.env, sc.db
+func (env *queryEnv) broadcast(res *streamResult, sp *obs.Span) *streamResult {
+	db := env.db
 	out := &streamResult{replicated: true, schema: res.schema, sp: res.sp}
 	out.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
-		src := sc.gatherTo(res, sp)
+		src := env.gatherTo(res, sp)
 		var peers []string
 		for _, name := range env.nodes {
 			if name != env.initiator.name {
@@ -825,7 +720,7 @@ func (sc *streamCtx) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 			}
 			size := batchBytes(b)
 			for i, p := range peers {
-				if err := streams[i].Send(sc.ctx, size); err != nil {
+				if err := streams[i].Send(env.ctx, size); err != nil {
 					return nil, fmt.Errorf("%w: broadcast to %s: %v", errNodeDown, p, err)
 				}
 			}
@@ -840,8 +735,8 @@ func (sc *streamCtx) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 // by hash, and forwards every partition to its target — remote parts
 // over a chunked per-link stream — so repartitioned rows reach the
 // consuming joins batch by batch instead of materializing per stage.
-func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int) map[string]exec.Operator {
-	env, db := sc.env, sc.db
+func (env *queryEnv) exchange(res *streamResult, schema types.Schema, keys []int) map[string]exec.Operator {
+	db := env.db
 	targets := env.nodes
 	nParts := len(targets)
 
@@ -858,9 +753,9 @@ func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int
 		}
 	}
 
-	outs := make(map[string]*mchanOp, nParts)
+	outs := make(map[string]*pipe, nParts)
 	for _, t := range targets {
-		outs[t] = newMchanOp(sc.ctx, schema, len(sources))
+		outs[t] = newPipe(env.ctx, schema, len(sources))
 	}
 	// All sources start when any target is first pulled, and every
 	// target's consumer runs in its own gather driver. That is not enough
@@ -875,7 +770,7 @@ func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int
 		startOnce.Do(func() {
 			for _, src := range sources {
 				src := src
-				sc.spawn(func() {
+				env.spawn(func() {
 					err := func() error {
 						streams := map[string]*netsim.Stream{}
 						for {
@@ -901,7 +796,7 @@ func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int
 										st = db.net.Stream(src.name, target)
 										streams[target] = st
 									}
-									if err := st.Send(sc.ctx, batchBytes(part)); err != nil {
+									if err := st.Send(env.ctx, batchBytes(part)); err != nil {
 										return fmt.Errorf("%w: reshuffle %s->%s: %v", errNodeDown, src.name, target, err)
 									}
 								}
@@ -927,13 +822,12 @@ func (sc *streamCtx) exchange(res *streamResult, schema types.Schema, keys []int
 	return ops
 }
 
-func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, error) {
-	env := sc.env
-	left, err := sc.build(j.Left, sp)
+func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, error) {
+	left, err := env.build(j.Left, sp)
 	if err != nil {
 		return nil, err
 	}
-	right, err := sc.build(j.Right, sp)
+	right, err := env.build(j.Right, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -947,7 +841,7 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 	joinOn := func(node string, lop, rop exec.Operator, exchanged [2]bool) exec.Operator {
 		op := exec.NewHashJoin(lop, rop, j.LeftKeys, j.RightKeys)
 		op.Eng = eng
-		op.Mem = sc.gov(node)
+		op.Mem = env.gov(node)
 		op.Span = sp
 		op.Exchanged = exchanged
 		var post exec.Operator = op
@@ -981,7 +875,7 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 
 	switch j.Strategy {
 	case planner.JoinBroadcastRight:
-		right = sc.broadcast(right, sp)
+		right = env.broadcast(right, sp)
 		fallthrough
 
 	case planner.JoinLocal:
@@ -1011,7 +905,7 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		// the join on the initiator.
 		if left.gathered() || right.gathered() {
 			return &streamResult{
-				single: joinOn(env.initiator.name, sc.gatherTo(left, sp), sc.gatherTo(right, sp), onInitiator),
+				single: joinOn(env.initiator.name, env.gatherTo(left, sp), env.gatherTo(right, sp), onInitiator),
 				schema: j.Schema(), sp: sp,
 			}, nil
 		}
@@ -1039,8 +933,8 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		return out, nil
 
 	case planner.JoinReshuffleBoth:
-		lsh := sc.exchange(left, j.Left.Schema(), j.LeftKeys)
-		rsh := sc.exchange(right, j.Right.Schema(), j.RightKeys)
+		lsh := env.exchange(left, j.Left.Schema(), j.LeftKeys)
+		rsh := env.exchange(right, j.Right.Schema(), j.RightKeys)
 		out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: true, schema: j.Schema(), sp: sp}
 		for _, name := range env.nodes {
 			out.perNode[name] = joinOn(name, edge(lsh[name], left.sp, sp), edge(rsh[name], right.sp, sp), [2]bool{true, true})
@@ -1050,9 +944,8 @@ func (sc *streamCtx) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 	return nil, fmt.Errorf("core: unknown join strategy %v", j.Strategy)
 }
 
-func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*streamResult, error) {
-	env := sc.env
-	in, err := sc.build(a.Input, sp)
+func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*streamResult, error) {
+	in, err := env.build(a.Input, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -1064,8 +957,8 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 	aggOn := func(node string, op exec.Operator, partial bool) exec.Operator {
 		h := exec.NewHashAggregate(op, a.Keys, a.KeyNames, a.Aggs, partial)
 		h.Eng = eng
-		h.Mem = sc.gov(node)
-		h.Spill = sc.spillFor(node)
+		h.Mem = env.gov(node)
+		h.Spill = env.spillFor(node)
 		h.Span = sp
 		return h
 	}
@@ -1089,7 +982,7 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 
 	case planner.AggInitiatorOnly:
 		return &streamResult{
-			single: aggOn(env.initiator.name, sc.gatherTo(in, sp), false),
+			single: aggOn(env.initiator.name, env.gatherTo(in, sp), false),
 			schema: a.Schema(), sp: sp,
 		}, nil
 
@@ -1105,10 +998,10 @@ func (sc *streamCtx) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 		if err != nil {
 			return nil, err
 		}
-		h := exec.NewHashAggregate(sc.gatherTo(mid, sp), mergeKeys, a.KeyNames, mergeAggs, false)
+		h := exec.NewHashAggregate(env.gatherTo(mid, sp), mergeKeys, a.KeyNames, mergeAggs, false)
 		h.Eng = eng
-		h.Mem = sc.gov(env.initiator.name)
-		h.Spill = sc.spillFor(env.initiator.name)
+		h.Mem = env.gov(env.initiator.name)
+		h.Spill = env.spillFor(env.initiator.name)
 		h.Span = sp
 		return &streamResult{single: h, schema: a.Schema(), sp: sp}, nil
 	}
@@ -1157,13 +1050,13 @@ func mergeDefs(a *planner.Aggregate, partialSchema types.Schema) ([]expr.Expr, [
 	return keys, defs, nil
 }
 
-func (sc *streamCtx) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*streamResult, error) {
-	in, err := sc.build(d.Input, sp)
+func (env *queryEnv) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*streamResult, error) {
+	in, err := env.build(d.Input, sp)
 	if err != nil {
 		return nil, err
 	}
-	eng := sc.env.eng()
-	out := sc.mapResult(in, d.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+	eng := env.eng()
+	out := env.mapResult(in, d.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		dd := exec.NewDistinct(edge(op, in.sp, sp))
 		dd.Eng = eng
 		dd.Span = sp
@@ -1178,44 +1071,44 @@ func (sc *streamCtx) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*stre
 
 // sortOn builds the initiator's budget-governed sort over a gathered
 // stream.
-func (sc *streamCtx) sortOn(input exec.Operator, keys []exec.SortSpec) *exec.Sort {
+func (env *queryEnv) sortOn(input exec.Operator, keys []exec.SortSpec) *exec.Sort {
 	op := exec.NewSort(input, keys)
-	op.Mem = sc.gov(sc.env.initiator.name)
-	op.Spill = sc.spillFor(sc.env.initiator.name)
+	op.Mem = env.gov(env.initiator.name)
+	op.Spill = env.spillFor(env.initiator.name)
 	return op
 }
 
-func (sc *streamCtx) buildSort(s *planner.Sort, sp *obs.Span) (*streamResult, error) {
-	in, err := sc.build(s.Input, sp)
+func (env *queryEnv) buildSort(s *planner.Sort, sp *obs.Span) (*streamResult, error) {
+	in, err := env.build(s.Input, sp)
 	if err != nil {
 		return nil, err
 	}
 	return &streamResult{
-		single: sc.sortOn(sc.gatherTo(in, sp), s.Keys),
+		single: env.sortOn(env.gatherTo(in, sp), s.Keys),
 		schema: s.Schema(), sp: sp,
 	}, nil
 }
 
-func (sc *streamCtx) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, error) {
+func (env *queryEnv) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, error) {
 	// Sort child: push a local top-k below the gather (dashboard top-k
 	// pattern), then re-sort the k-per-node survivors on the initiator.
 	if srt, ok := l.Input.(*planner.Sort); ok {
-		in, err := sc.build(srt.Input, sp)
+		in, err := env.build(srt.Input, sp)
 		if err != nil {
 			return nil, err
 		}
 		res := in
 		if !in.gathered() {
-			res = sc.mapResult(in, srt.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+			res = env.mapResult(in, srt.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 				return exec.NewTopK(edge(op, in.sp, sp), srt.Keys, int(l.N))
 			})
 		}
 		return &streamResult{
-			single: exec.NewLimit(sc.sortOn(sc.gatherTo(res, sp), srt.Keys), l.N),
+			single: exec.NewLimit(env.sortOn(env.gatherTo(res, sp), srt.Keys), l.N),
 			schema: l.Schema(), sp: sp,
 		}, nil
 	}
-	in, err := sc.build(l.Input, sp)
+	in, err := env.build(l.Input, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -1232,11 +1125,11 @@ func (sc *streamCtx) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, 
 	// pending global distinct: per-node streams are locally distinct, so
 	// the first N output rows draw from at most the first N rows of each
 	// node's stream.)
-	capped := sc.mapResult(in, l.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+	capped := env.mapResult(in, l.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		return exec.NewLimit(edge(op, in.sp, sp), l.N)
 	})
 	return &streamResult{
-		single: exec.NewLimit(sc.gatherTo(capped, sp), l.N),
+		single: exec.NewLimit(env.gatherTo(capped, sp), l.N),
 		schema: l.Schema(), sp: sp,
 	}, nil
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"eon/internal/catalog"
-	"eon/internal/expr"
+	"eon/internal/exec"
 	"eon/internal/obs"
 	"eon/internal/planner"
 	"eon/internal/systable"
@@ -566,35 +566,16 @@ func (db *DB) admissionQueueDef() *systable.Def {
 // materializeVirtual fills a virtual table on the initiator and applies
 // the scan's column projection and pushed-down predicate. Never returns
 // nil: an empty cut yields an empty batch over the scan schema.
-func (db *DB) materializeVirtual(scan *planner.Scan, rowEngine bool, st *scanTally) (*types.Batch, error) {
+func (db *DB) materializeVirtual(scan *planner.Scan, eng exec.Engine) (*types.Batch, error) {
 	full, err := db.sysTables.Fill(scan.Table.Name)
 	if err != nil {
 		return nil, err
 	}
-	sel := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
-	for i, c := range scan.Cols {
-		idx := scan.Table.Columns.ColumnIndex(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("core: virtual table %s missing column %q", scan.Table.Name, c)
-		}
-		sel.Cols[i] = full.Cols[idx]
+	b, err := selectScanRows(eng, scan, scan.Table.Columns.Names(), full, "virtual table "+scan.Table.Name)
+	if b == nil && err == nil {
+		b = types.NewBatch(scan.OutSchema, 0)
 	}
-	if scan.Pred != nil {
-		var idx []int
-		if rowEngine {
-			idx, err = expr.FilterBatch(scan.Pred, sel)
-		} else {
-			idx, err = expr.FilterVec(scan.Pred, sel, nil, st.vecStats())
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(idx) == 0 {
-			return types.NewBatch(scan.OutSchema, 0), nil
-		}
-		sel = sel.Gather(idx)
-	}
-	return sel, nil
+	return b, err
 }
 
 // truncateSQL bounds SQL text recorded in Data Collector events.

@@ -106,17 +106,21 @@ systables:
 	$(GO) test -json -bench 'BenchmarkDCOverhead' -benchmem -benchtime=20x -run '^$$' . > BENCH_systables.json
 	$(call bench-summary,BENCH_systables.json)
 
-# Serving-path gate: the staged-lifecycle unit tests (plan cache,
-# prepared statements, result-cache invalidation, admission control,
-# parse-error accounting) and the caches-on-vs-off TPC-H differential
-# under concurrent DDL/load/mergeout churn — all race-checked (cached
-# plans are shared by concurrent executions by design). Then the
-# acceptance gate (warm hot-query throughput >=2x uncached, admission
-# p99 bounded past the concurrency cap; env-guarded so plain
-# `go test ./...` stays deterministic) and the throughput/latency
-# benchmark into BENCH_serving.json.
+# Serving-path gate: the staged-lifecycle unit tests (plan cache and its
+# invalidation rule, prepared statements, result-cache invalidation,
+# admission control, parse-error accounting), the LRU behind both caches
+# and the bounded ring behind the slow-query log and the session list,
+# and the caches-on-vs-off TPC-H differential under concurrent
+# DDL/load/mergeout churn — all race-checked (cached plans are shared by
+# concurrent executions by design). Then the plan-cache hit's
+# zero-allocation guard without the race detector (it skips under -race,
+# which inflates allocation counts), the acceptance gate (warm hot-query
+# throughput >=2x uncached, admission p99 bounded past the concurrency
+# cap; env-guarded so plain `go test ./...` stays deterministic) and the
+# throughput/latency benchmark into BENCH_serving.json.
 serving:
-	$(GO) test -race -count=1 -run 'TestPlanCache|TestPrepared|TestQueryArgs|TestParseError|TestResultCache|TestAdmission|TestSessionTimeout|TestServingSystem' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestPlanCache|TestPrepared|TestQueryArgs|TestParseError|TestResultCache|TestAdmission|TestSessionTimeout|TestServingSystem|TestLRU|TestRing' ./internal/core/
+	$(GO) test -count=1 -run 'TestPlanCacheHitAllocs' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestServingCachesDifferential' -timeout 600s ./internal/experiments/
 	EON_SERVING_GATE=1 $(GO) test -count=1 -run 'TestServingGate' -timeout 300s .
 	$(GO) test -json -bench 'BenchmarkServingThroughput' -benchtime=1x -run '^$$' . > BENCH_serving.json

@@ -119,8 +119,6 @@ type Config struct {
 	// with their full execution profile. A non-zero threshold forces
 	// per-query tracing on for every session. 0 disables.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize bounds the slow-query log ring (default 64).
-	SlowQueryLogSize int
 	// QueryMemoryBudget bounds, per query and per node, the bytes the
 	// pipeline-breaker operators (hash aggregate, hash join build, sort)
 	// may hold; when the budget is finite those operators spill sorted
@@ -227,9 +225,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.LeaseDuration <= 0 {
 		c.LeaseDuration = 2 * time.Minute
-	}
-	if c.SlowQueryLogSize <= 0 {
-		c.SlowQueryLogSize = 64
 	}
 	return nil
 }
@@ -432,11 +427,9 @@ type DB struct {
 	mergeoutNS   *obs.Histogram
 	mergeoutJobs *obs.Counter
 
-	// slow-query log: a bounded ring of the most recent threshold-crossing
-	// queries with their profiles.
-	slowMu   sync.Mutex
-	slowLog  []SlowQuery
-	slowNext int
+	// slow-query log: the most recent threshold-crossing queries with
+	// their profiles.
+	slowLog ring[SlowQuery]
 
 	// Data Collector (systable.go): retention-bounded event rings fed by
 	// hot paths, surfaced as v_monitor.dc_* tables. All ring pointers are
@@ -454,10 +447,8 @@ type DB struct {
 	// resolves against and the executor materializes from.
 	sysTables *systable.Registry
 
-	// recent-session ring (v_monitor.sessions, v_monitor.query_profiles).
-	sessMu   sync.Mutex
-	sessLog  []*Session
-	sessNext int
+	// recent sessions (v_monitor.sessions, v_monitor.query_profiles).
+	sessions ring[*Session]
 	sessCtr  atomic.Int64
 
 	// reconcile-status providers (v_monitor.reconcile_status), installed
@@ -487,25 +478,11 @@ func (db *DB) recordSlow(e SlowQuery) {
 		A: truncateSQL(e.SQL), B: e.Err,
 		V1: int64(e.Wall), V2: e.Exec.PeakMemBytes, V3: e.Exec.SpillBytes,
 	})
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	if len(db.slowLog) < db.cfg.SlowQueryLogSize {
-		db.slowLog = append(db.slowLog, e)
-		return
-	}
-	db.slowLog[db.slowNext] = e
-	db.slowNext = (db.slowNext + 1) % len(db.slowLog)
+	db.slowLog.add(e)
 }
 
 // SlowQueries returns the slow-query log entries, oldest first.
-func (db *DB) SlowQueries() []SlowQuery {
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	out := make([]SlowQuery, 0, len(db.slowLog))
-	out = append(out, db.slowLog[db.slowNext:]...)
-	out = append(out, db.slowLog[:db.slowNext]...)
-	return out
-}
+func (db *DB) SlowQueries() []SlowQuery { return db.slowLog.items() }
 
 // Registry returns the database's metrics registry.
 func (db *DB) Registry() *obs.Registry { return db.reg }
@@ -706,6 +683,8 @@ func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config
 		nodes:       map[string]*Node{},
 		net:         cfg.Net,
 		incarnation: cluster.NewIncarnationID(), // a new one per create and per revive
+		slowLog:     ring[SlowQuery]{size: slowQueryLogSize},
+		sessions:    ring[*Session]{size: sessionLogSize},
 	}
 	db.installResilience(rs, rc)
 	db.sharedFS = udfs.NewObjectFS(db.shared)

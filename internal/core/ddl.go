@@ -83,8 +83,13 @@ func (db *DB) CreateProjection(stmt *sql.CreateProjection) error {
 	if _, exists := snap.ProjectionByName(stmt.Name); exists {
 		return fmt.Errorf("core: projection %q already exists", stmt.Name)
 	}
+	// The initiator's catalog lists only its own shards' containers.
+	containersOf, err := db.everyContainer()
+	if err != nil {
+		return err
+	}
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		if len(snap.ContainersOf(p.OID, catalog.GlobalShard)) > 0 {
+		if len(containersOf(p.OID)) > 0 {
 			return fmt.Errorf("core: table %q already has data; create projections before loading", tbl.Name)
 		}
 	}

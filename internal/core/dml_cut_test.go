@@ -2,13 +2,15 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// DELETE, UPDATE and ADD COLUMN rewrite every container of the table, not
-// only those in the initiator's catalog: an Eon node's catalog holds the
-// shards it subscribes to plus whatever it committed itself, so after a
-// failover or a recovery no single node lists every container. Setup:
+// DELETE, UPDATE and ADD COLUMN rewrite every container of the table, and
+// CREATE PROJECTION's empty-table check reads every one, not only those in
+// the initiator's catalog: an Eon node's catalog holds the shards it
+// subscribes to plus whatever it committed itself, so after a failover or
+// a recovery no single node lists every container. Setup:
 // 4 nodes, 4 shards, two subscribers per shard, sales rows 1..400 with
 // price ((sale_id-1) % 50) + 1, loaded while node1 initiates.
 func TestDMLSeesEveryShard(t *testing.T) {
@@ -110,6 +112,32 @@ func TestDMLSeesEveryShard(t *testing.T) {
 		}
 		if n := count(t, s, `SELECT COUNT(*) FROM sales WHERE price = 0.0`); n != 100 {
 			t.Errorf("%d rows updated, want 100", n)
+		}
+	})
+	// One row inserted while node1 is down lands in one shard; node1
+	// initiates again after recovery and may not hold it. The table has
+	// data, so a second projection must be refused — an accepted one
+	// starts empty, and the narrower projection would answer COUNT(*).
+	t.Run("create_projection_after_recovery", func(t *testing.T) {
+		for id := 1; id <= 8; id++ {
+			db := newTestDB(t, ModeEon, 4, 4)
+			s := db.NewSession()
+			mustExec(t, s, `CREATE TABLE t (id INTEGER, v INTEGER)`)
+			mustExec(t, s, `CREATE PROJECTION t_p1 AS SELECT * FROM t ORDER BY id SEGMENTED BY HASH(id) ALL NODES`)
+			if err := db.KillNode("node1"); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d, 1)`, id))
+			if err := db.RecoverNode("node1"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := s.Execute(`CREATE PROJECTION t_p2 AS SELECT v FROM t ORDER BY v SEGMENTED BY HASH(v) ALL NODES`)
+			if err == nil || !strings.Contains(err.Error(), "already has data") {
+				t.Errorf("id %d: CREATE PROJECTION on a loaded table: err = %v, want already has data", id, err)
+			}
+			if n := count(t, s, `SELECT COUNT(*) FROM t WHERE v = 1`); n != 1 {
+				t.Errorf("id %d: %d rows with v = 1, want 1", id, n)
+			}
 		}
 	})
 }

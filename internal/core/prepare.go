@@ -11,15 +11,15 @@ import (
 // many times with different parameter values. Execution goes through the
 // same staged lifecycle as Session.Query — the plan cache serves the
 // bound plan (keyed by the statement's normalized text), so after the
-// first execution at a given catalog version every subsequent Query call
-// skips lexing, parsing and planning and only substitutes parameters
-// into copies of the param-bearing plan nodes.
+// first execution every Query call skips lexing, parsing and planning
+// until DDL changes a table the statement reads, and only substitutes
+// parameters into copies of the param-bearing plan nodes.
 type PreparedStatement struct {
 	session *Session
 	sqlText string
 	norm    string
-	// sel is the pristine parsed AST; executions clone it on plan-cache
-	// misses so planning never mutates the prepared state.
+	// sel is the parsed AST, shared by every execution: one that misses
+	// the plan cache plans a clone of it.
 	sel     *sql.Select
 	nparams int
 }
@@ -57,12 +57,11 @@ func (ps *PreparedStatement) Query(args ...types.Datum) (*Result, error) {
 	if len(args) != ps.nparams {
 		return nil, fmt.Errorf("core: prepared statement takes %d parameters, got %d", ps.nparams, len(args))
 	}
-	// Hand the request a clone: tryQuery may plan it on a cache miss, and
-	// planning binds column references in place.
 	return ps.session.run(&queryRequest{
 		sqlText: ps.sqlText,
 		norm:    ps.norm,
-		sel:     sql.CloneSelect(ps.sel),
+		sel:     ps.sel,
+		shared:  true,
 		args:    args,
 		nparams: ps.nparams,
 	})

@@ -137,7 +137,7 @@ func (db *DB) NewSession() *Session {
 		id:           db.sessCtr.Add(1),
 		start:        db.now(),
 	}
-	db.trackSession(s)
+	db.sessions.add(s)
 	return s
 }
 
@@ -252,27 +252,30 @@ func (env *queryEnv) nodeTasks(node string) []scanTask {
 
 // queryRequest carries one SELECT through the staged lifecycle (parse ->
 // bind/prepare -> plan -> admit -> execute). The normalized text is the
-// cache identity; sel memoizes the parsed AST across retry attempts so a
-// node failure never re-runs the front end.
+// cache identity.
 type queryRequest struct {
 	sqlText string
 	// norm is the plan/result-cache key ("" bypasses both caches:
 	// QuerySelect callers hand pre-parsed ASTs the engine never caches).
 	norm string
-	// sel is the parsed AST when the caller or an earlier attempt already
-	// parsed; nil until needed (a warm plan-cache hit never parses).
+	// sel is the parsed AST when the caller already parsed; nil until
+	// needed (a warm plan-cache hit never parses).
 	sel *sql.Select
+	// shared marks sel as the caller's to keep (a prepared statement's or
+	// a QuerySelect AST): the planner binds a clone of it.
+	shared bool
 	// args are the bound parameter values ($1..$N / "?").
 	args []types.Datum
-	// nparams is the statement's parameter count, valid once sel is set
-	// or a cache entry supplied it.
+	// nparams is the statement's parameter count, valid once the request
+	// was parsed or a cache entry supplied it.
 	nparams int
 }
 
 // Query parses, plans and executes a SELECT, retrying with a fresh node
 // assignment when a participant fails mid-query. Parsing and planning
 // are served from the database plan cache when the same normalized
-// statement was planned before at the current catalog version.
+// statement was planned before and no table it reads has changed
+// definition since.
 func (s *Session) Query(sqlText string) (*Result, error) {
 	return s.run(&queryRequest{sqlText: sqlText, norm: sql.Normalize(sqlText)})
 }
@@ -289,7 +292,7 @@ func (s *Session) QueryArgs(sqlText string, args ...types.Datum) (*Result, error
 // plan and result caches: the engine cannot prove the AST corresponds to
 // any normalized text, and the caller may mutate it between calls.
 func (s *Session) QuerySelect(sel *sql.Select) (*Result, error) {
-	return s.run(&queryRequest{sel: sel, nparams: sql.NumParams(sel)})
+	return s.run(&queryRequest{sel: sel, shared: true, nparams: sql.NumParams(sel)})
 }
 
 func (s *Session) querySelect(sel *sql.Select, sqlText string) (*Result, error) {
@@ -317,13 +320,20 @@ func (s *Session) run(req *queryRequest) (*Result, error) {
 	return nil, lastErr
 }
 
-// stageParse runs the front end for a request that needs an AST (cache
-// miss or cache bypass), memoizing the result for retry attempts. Parse
-// failures surface inside tryQuery's accounting window, so they count
-// into query.count / query.errors / query.parse_errors.
+// stageParse returns an AST for a request that needs planning (cache
+// miss or cache bypass). Planning resolves and binds column references in
+// place, so the AST must be the planner's: a clone of one the request
+// shares with its caller, the request's own (consumed — an attempt that
+// misses again parses again), or a fresh parse. Parse failures surface
+// inside tryQuery's accounting window, so they count into query.count /
+// query.errors / query.parse_errors.
 func (s *Session) stageParse(req *queryRequest, root *obs.Span) (*sql.Select, error) {
-	if req.sel != nil {
-		return req.sel, nil
+	if sel := req.sel; sel != nil {
+		if req.shared {
+			return sql.CloneSelect(sel), nil
+		}
+		req.sel = nil
+		return sel, nil
 	}
 	sp := root.StartSpan("parse")
 	stmt, err := sql.Parse(req.sqlText)
@@ -336,60 +346,47 @@ func (s *Session) stageParse(req *queryRequest, root *obs.Span) (*sql.Select, er
 	if !ok {
 		return nil, fmt.Errorf("core: Query requires a SELECT; use Execute for %T", stmt)
 	}
-	req.sel = sel
 	req.nparams = sql.NumParams(sel)
 	return sel, nil
 }
 
-// stagePlan resolves the request to a physical plan: a warm plan-cache
-// hit returns the shared cached plan without touching the lexer or
+// stagePlan resolves the request to a physical plan: a valid plan-cache
+// entry returns the shared cached plan without touching the lexer or
 // planner (no "parse"/"plan" span appears in the profile — the
-// observable proof of the skip); a stale entry replans from the retained
-// AST; a cold statement runs the full front end and populates the cache.
+// observable proof of the skip); a stale entry or a cold statement runs
+// the front end and (re)populates the cache.
 func (s *Session) stagePlan(req *queryRequest, env *queryEnv, root *obs.Span, noSeg bool) (*planner.Plan, error) {
 	db := s.db
-	opts := planner.Options{
-		Snapshot:          env.snapshots[env.initiator.name],
+	snap := env.snapshots[env.initiator.name]
+	cached := req.norm != "" && db.planCache != nil
+	var stale *planEntry
+	if cached {
+		e, ok := db.planCache.lookup(req.norm, noSeg, snap)
+		if ok {
+			req.nparams = e.nparams
+			return e.plan, nil
+		}
+		stale = e
+	}
+	sel, err := s.stageParse(req, root)
+	if err != nil {
+		return nil, err
+	}
+	sp := root.StartSpan("plan")
+	plan, err := planner.PlanSelect(sel, planner.Options{
+		Snapshot:          snap,
 		Virtual:           db.sysTables,
 		BroadcastRowLimit: db.cfg.BroadcastRowLimit,
 		// Container split loses the segmentation property (§4.4).
 		AssumeNoSegmentation: noSeg,
-	}
-	if req.norm == "" || db.planCache == nil {
-		// Cache bypass: plan the caller's AST directly (one-shot).
-		sel, err := s.stageParse(req, root)
-		if err != nil {
-			return nil, err
-		}
-		sp := root.StartSpan("plan")
-		plan, err := planner.PlanSelect(sel, opts)
-		sp.End()
-		return plan, err
-	}
-	if plan, nparams, ok := db.planCache.lookup(req.norm, noSeg, env.version); ok {
-		req.nparams = nparams
-		return plan, nil
-	}
-	// Miss. Recover a pristine AST without the front end if the cache
-	// retained one (replan after a catalog bump); otherwise parse.
-	if req.sel == nil {
-		if sel, nparams, ok := db.planCache.lookupAST(req.norm, noSeg); ok {
-			req.sel = sel
-			req.nparams = nparams
-		} else if _, err := s.stageParse(req, root); err != nil {
-			return nil, err
-		}
-	}
-	// Plan a clone: planning resolves and binds column references in
-	// place, and req.sel must stay pristine — it is memoized for retries
-	// and a copy of it becomes the shared cache AST.
-	sp := root.StartSpan("plan")
-	plan, err := planner.PlanSelect(sql.CloneSelect(req.sel), opts)
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	db.planCache.insert(req.norm, noSeg, env.version, sql.CloneSelect(req.sel), req.nparams, plan)
+	if cached {
+		db.planCache.insert(req.norm, noSeg, snap, req.nparams, plan, stale)
+	}
 	return plan, nil
 }
 
@@ -456,9 +453,9 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		env.ctx = ctx
 	}
 
-	// Stage: plan — served from the plan cache on a warm hit (no parse or
-	// plan span), replanned from the cached AST after a catalog bump, or
-	// fully parsed and planned on a cold statement.
+	// Stage: plan — served from the plan cache while the tables the
+	// statement reads are unchanged (no parse or plan span), otherwise
+	// parsed and planned.
 	noSeg := s.Crunch == CrunchContainerSplit && len(env.crunch) > 0
 	plan, err := s.stagePlan(req, env, root, noSeg)
 	if err != nil {

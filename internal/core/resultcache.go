@@ -1,16 +1,15 @@
 package core
 
 import (
-	"container/list"
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"eon/internal/catalog"
 	"eon/internal/obs"
 	"eon/internal/planner"
+	"eon/internal/systable"
 	"eon/internal/types"
 )
 
@@ -28,16 +27,8 @@ import (
 // Cached batches are shared across executions and must be treated as
 // read-only by callers (Result consumers only ever read).
 type resultCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	curBytes int64
-	entries  map[resultKey]*list.Element
-	lru      *list.List // of *resultEntry; front = most recent
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	inserts   *obs.Counter
+	lru     *lru[resultKey, *resultEntry]
+	inserts *obs.Counter
 }
 
 // resultKey identifies one cached result: the statement, its bound
@@ -56,24 +47,16 @@ type resultKey struct {
 }
 
 type resultEntry struct {
-	key   resultKey
-	res   *Result
-	bytes int64
-	rows  int
-	hits  atomic.Int64
+	res  *Result
+	rows int
+	hits atomic.Int64
 }
 
 func newResultCache(maxBytes int64) *resultCache {
 	if maxBytes <= 0 {
 		return nil // opt-in: off unless Config.ResultCacheBytes is set
 	}
-	return &resultCache{
-		maxBytes: maxBytes,
-		entries:  map[resultKey]*list.Element{},
-		lru:      list.New(),
-		hits:     &obs.Counter{}, misses: &obs.Counter{},
-		evictions: &obs.Counter{}, inserts: &obs.Counter{},
-	}
+	return &resultCache{lru: newLRU[resultKey, *resultEntry](maxBytes), inserts: &obs.Counter{}}
 }
 
 // register wires the cache's counters and gauges into the registry.
@@ -81,97 +64,61 @@ func (c *resultCache) register(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
-	reg.RegisterCounter("resultcache.hits", c.hits)
-	reg.RegisterCounter("resultcache.misses", c.misses)
-	reg.RegisterCounter("resultcache.evictions", c.evictions)
+	c.lru.register(reg, "resultcache")
 	reg.RegisterCounter("resultcache.inserts", c.inserts)
 	reg.GaugeFunc("resultcache.bytes", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.curBytes
+		_, bytes := c.lru.size()
+		return bytes
 	})
 	reg.GaugeFunc("resultcache.entries", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(c.lru.Len())
+		n, _ := c.lru.size()
+		return int64(n)
 	})
 }
 
 func (c *resultCache) lookup(key resultKey) (*Result, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	e, ok := c.lru.get(key, nil)
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*resultEntry)
-	c.hits.Inc()
 	e.hits.Add(1)
 	return e.res, true
 }
 
 func (c *resultCache) store(key resultKey, res *Result) {
-	if c == nil {
-		return
-	}
 	size := batchBytes(res.Batch) + int64(len(key.norm)+len(key.args)) + 128
-	if size > c.maxBytes {
-		return // one oversized result must not flush the whole cache
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Another execution of the same query raced us here; keep the
-		// existing entry (byte-identical by construction).
-		c.lru.MoveToFront(el)
-		return
-	}
-	e := &resultEntry{key: key, res: res, bytes: size, rows: res.NumRows()}
-	c.entries[key] = c.lru.PushFront(e)
-	c.curBytes += size
-	c.inserts.Inc()
-	for c.curBytes > c.maxBytes && c.lru.Len() > 1 {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		oe := old.Value.(*resultEntry)
-		delete(c.entries, oe.key)
-		c.curBytes -= oe.bytes
-		c.evictions.Inc()
+	if c.lru.put(key, &resultEntry{res: res, rows: res.NumRows()}, size) {
+		c.inserts.Inc()
 	}
 }
 
-// resultCacheRow is one entry's stats for v_monitor.result_cache.
-type resultCacheRow struct {
-	Statement string
-	Args      string
-	Rows      int
-	Bytes     int64
-	Hits      int64
-	DepsHash  uint64
-}
-
-// snapshotRows copies the cache contents, most recently used first.
-func (c *resultCache) snapshotRows() []resultCacheRow {
-	if c == nil {
-		return nil
+// resultCacheDef is v_monitor.result_cache: one row per cached result
+// set, most recently used first, with its size and hit count.
+func (db *DB) resultCacheDef() *systable.Def {
+	cols := types.Schema{
+		{Name: "statement", Type: types.Varchar},
+		{Name: "args", Type: types.Varchar},
+		{Name: "rows", Type: types.Int64},
+		{Name: "bytes", Type: types.Int64},
+		{Name: "hits", Type: types.Int64},
+		{Name: "deps_hash", Type: types.Int64},
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]resultCacheRow, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*resultEntry)
-		out = append(out, resultCacheRow{
-			Statement: e.key.norm, Args: e.key.args,
-			Rows: e.rows, Bytes: e.bytes, Hits: e.hits.Load(),
-			DepsHash: e.key.depsHash,
-		})
+	return &systable.Def{
+		Name:    systable.SchemaName + ".result_cache",
+		Columns: cols,
+		Fill: func() (*types.Batch, error) {
+			if db.resultCache == nil {
+				return types.NewBatch(cols, 0), nil
+			}
+			return db.resultCache.lru.rows(cols, func(k resultKey, e *resultEntry, bytes int64) types.Row {
+				return types.Row{
+					types.NewString(truncateSQL(k.norm)), types.NewString(truncateSQL(k.args)),
+					types.NewInt(int64(e.rows)), types.NewInt(bytes),
+					types.NewInt(e.hits.Load()), types.NewInt(int64(k.depsHash)),
+				}
+			}), nil
+		},
 	}
-	return out
 }
 
 // argsFingerprint canonically encodes bound parameter values for the

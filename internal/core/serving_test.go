@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"eon/internal/obs"
+	"eon/internal/sql"
 	"eon/internal/types"
 )
 
@@ -82,42 +85,128 @@ func TestPlanCacheSkipsFrontEnd(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReplanAfterCatalogBump checks the middle path: after DDL
-// bumps the catalog version the cached plan is stale, but the retained
-// AST lets the replan skip the front end (plan span present, parse span
-// absent) and the refreshed entry serves hits again.
-func TestPlanCacheReplanAfterCatalogBump(t *testing.T) {
+// TestPlanCacheInvalidation checks the plan cache's validity rule: a
+// cached plan lives as long as the tables it scans and their projection
+// sets are unchanged. Each case runs a statement, applies one catalog
+// change, and runs it again; the second run must hit (no plan span) or
+// be replanned (plan span, one replan), and must answer as the same
+// statement does with both caches bypassed.
+func TestPlanCacheInvalidation(t *testing.T) {
+	const (
+		salesQ = `SELECT region, COUNT(*), SUM(price) FROM sales WHERE sale_id > 3 GROUP BY region ORDER BY region`
+		emptyQ = `SELECT id, SUM(v) FROM e GROUP BY id ORDER BY id`
+	)
+	exec := func(stmts ...string) func(*testing.T, *DB, *Session) {
+		return func(t *testing.T, _ *DB, s *Session) {
+			for _, q := range stmts {
+				mustExec(t, s, q)
+			}
+		}
+	}
+	cases := []struct {
+		name     string
+		q        string
+		change   func(*testing.T, *DB, *Session)
+		survives bool
+	}{
+		{"insert", salesQ, exec(`INSERT INTO sales VALUES (99, 'ada', 7.0, 'east')`), true},
+		{"copy", salesQ, func(t *testing.T, db *DB, _ *Session) {
+			b := types.BatchFromRows(types.Schema{
+				{Name: "sale_id", Type: types.Int64}, {Name: "customer", Type: types.Varchar},
+				{Name: "price", Type: types.Float64}, {Name: "region", Type: types.Varchar},
+			}, []types.Row{{types.NewInt(100), types.NewString("grace"), types.NewFloat(3), types.NewString("west")}})
+			if err := db.LoadRows("sales", b); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"delete", salesQ, exec(`DELETE FROM sales WHERE sale_id < 10`), true},
+		{"mergeout", salesQ, func(t *testing.T, db *DB, _ *Session) {
+			if st, err := db.RunMergeout(); err != nil || st.Jobs == 0 {
+				t.Fatalf("mergeout ran %d jobs, err %v; want some", st.Jobs, err)
+			}
+		}, true},
+		{"create_unrelated_table", salesQ, exec(`CREATE TABLE bump (k INTEGER)`), true},
+		{"alter_unrelated_table", salesQ, exec(`ALTER TABLE other ADD COLUMN c INTEGER DEFAULT 0`), true},
+		{"add_column", salesQ, exec(`ALTER TABLE sales ADD COLUMN c INTEGER DEFAULT sale_id + 1`), false},
+		{"create_projection", emptyQ, exec(`CREATE PROJECTION e_p2 AS SELECT v, id FROM e ORDER BY v SEGMENTED BY HASH(v) ALL NODES`), false},
+		{"live_aggregate_projection", emptyQ, exec(`CREATE PROJECTION e_agg AS SELECT id, SUM(v) AS sv FROM e GROUP BY id`), false},
+		{"drop_and_recreate", salesQ, func(t *testing.T, db *DB, s *Session) {
+			mustExec(t, s, `DROP TABLE sales`)
+			setupSales(t, db, 20)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newTestDB(t, ModeEon, 3, 3)
+			defer db.Shutdown()
+			setupSales(t, db, 30)
+			s := db.NewSession()
+			// Three more loads give every shard four containers to merge.
+			for load := 1; load <= 3; load++ {
+				var rows []string
+				for id := 30*load + 1; id <= 30*load+30; id++ {
+					rows = append(rows, fmt.Sprintf("(%d, 'ada', %d.0, 'east')", id, id%7))
+				}
+				mustExec(t, s, `INSERT INTO sales VALUES `+strings.Join(rows, ", "))
+			}
+			mustExec(t, s, `CREATE TABLE other (k INTEGER)`)
+			mustExec(t, s, `CREATE TABLE e (id INTEGER, v INTEGER)`)
+			mustExec(t, s, `CREATE PROJECTION e_p1 AS SELECT * FROM e ORDER BY id SEGMENTED BY HASH(id) ALL NODES`)
+			s.Trace = true
+			mustQuery(t, s, tc.q)
+			tc.change(t, db, s)
+
+			hits0, replans0 := counterVal(t, db, "plancache.hits"), counterVal(t, db, "plancache.replans")
+			got := mustQuery(t, s, tc.q)
+			prof := s.LastProfile()
+			hits, replans := counterVal(t, db, "plancache.hits")-hits0, counterVal(t, db, "plancache.replans")-replans0
+			if planned := prof.Find("plan") != nil; planned == tc.survives {
+				t.Errorf("plan span present = %v, want %v:\n%s", planned, !tc.survives, prof.Text())
+			}
+			wantHits, wantReplans := int64(1), int64(0)
+			if !tc.survives {
+				wantHits, wantReplans = 0, 1
+			}
+			if hits != wantHits || replans != wantReplans {
+				t.Errorf("plancache.hits +%d, plancache.replans +%d; want +%d, +%d", hits, replans, wantHits, wantReplans)
+			}
+			stmt, err := sql.Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.NewSession().QuerySelect(stmt.(*sql.Select)) // bypasses both caches
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(got, want) {
+				t.Errorf("cached path answered %v, uncached %v", rowStrings(got), rowStrings(want))
+			}
+		})
+	}
+}
+
+// TestPlanCacheHitAllocs pins the validity check of a plan-cache hit at
+// zero allocations: it compares the recorded (OID, ModVersion) pairs with
+// the snapshot in place.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
 	db := newTestDB(t, ModeEon, 3, 3)
 	defer db.Shutdown()
 	setupSales(t, db, 30)
-	s := db.NewSession()
-	s.Trace = true
-
-	q := `SELECT customer FROM sales WHERE sale_id = 7`
-	want := mustQuery(t, s, q)
-
-	mustExec(t, s, `CREATE TABLE bump (k INTEGER)`) // catalog version moves
-
-	replans0 := counterVal(t, db, "plancache.replans")
-	got := mustQuery(t, s, q)
-	prof := s.LastProfile()
-	if prof.Find("parse") != nil {
-		t.Fatalf("replan re-ran the parser:\n%s", prof.Text())
+	q := `SELECT s.customer, COUNT(*) FROM sales s JOIN sales t ON s.sale_id = t.sale_id GROUP BY s.customer`
+	mustQuery(t, db.NewSession(), q)
+	init, err := db.anyUpNode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if prof.Find("plan") == nil {
-		t.Fatalf("stale entry must be replanned:\n%s", prof.Text())
+	snap, norm := init.catalog.Snapshot(), sql.Normalize(q)
+	if _, ok := db.planCache.lookup(norm, false, snap); !ok {
+		t.Fatal("statement not cached")
 	}
-	if got := counterVal(t, db, "plancache.replans"); got != replans0+1 {
-		t.Fatalf("plancache.replans = %d, want %d", got, replans0+1)
-	}
-	if !sameRows(want, got) {
-		t.Fatalf("replanned query changed the answer: %v vs %v", rowStrings(want), rowStrings(got))
-	}
-
-	// The refreshed entry is warm again.
-	mustQuery(t, s, q)
-	if prof := s.LastProfile(); prof.Find("plan") != nil {
-		t.Fatalf("refreshed entry should hit:\n%s", prof.Text())
+	if n := testing.AllocsPerRun(100, func() { db.planCache.lookup(norm, false, snap) }); n != 0 {
+		t.Fatalf("plan-cache hit allocates %.1f times, want 0", n)
 	}
 }
 

@@ -10,26 +10,25 @@ import (
 
 // TestSlowQueryLogBasics checks the threshold and ring behaviour: with a
 // 1ns threshold every query is slow, entries come back oldest-first, and
-// the ring caps at SlowQueryLogSize.
+// the ring caps at slowQueryLogSize.
 func TestSlowQueryLogBasics(t *testing.T) {
 	db, err := Create(Config{
 		Mode:               ModeEon,
 		Nodes:              []NodeSpec{{Name: "n1"}, {Name: "n2"}},
 		ShardCount:         2,
 		SlowQueryThreshold: time.Nanosecond,
-		SlowQueryLogSize:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setupSales(t, db, 40)
 	s := db.NewSession()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < slowQueryLogSize+2; i++ {
 		mustQuery(t, s, `SELECT COUNT(*) FROM sales`)
 	}
 	entries := db.SlowQueries()
-	if len(entries) != 4 {
-		t.Fatalf("slow log has %d entries, want ring size 4", len(entries))
+	if len(entries) != slowQueryLogSize {
+		t.Fatalf("slow log has %d entries, want ring size %d", len(entries), slowQueryLogSize)
 	}
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Start.Before(entries[i-1].Start) {

@@ -48,8 +48,12 @@ var (
 )
 
 // sessionLogSize bounds the recent-session ring behind
-// v_monitor.sessions and v_monitor.query_profiles.
-const sessionLogSize = 128
+// v_monitor.sessions and v_monitor.query_profiles; slowQueryLogSize bounds
+// the slow-query log (DB.SlowQueries).
+const (
+	sessionLogSize   = 128
+	slowQueryLogSize = 64
+)
 
 // dcSQLLimit truncates slow-query SQL text in Data Collector events so
 // one giant statement cannot crowd a ring's byte budget.
@@ -163,28 +167,6 @@ func (db *DB) reconcileStatuses() []struct {
 	return out
 }
 
-// trackSession records a session in the bounded recent-session ring.
-func (db *DB) trackSession(s *Session) {
-	db.sessMu.Lock()
-	defer db.sessMu.Unlock()
-	if len(db.sessLog) < sessionLogSize {
-		db.sessLog = append(db.sessLog, s)
-		return
-	}
-	db.sessLog[db.sessNext] = s
-	db.sessNext = (db.sessNext + 1) % len(db.sessLog)
-}
-
-// recentSessions copies the recent-session ring, oldest first.
-func (db *DB) recentSessions() []*Session {
-	db.sessMu.Lock()
-	defer db.sessMu.Unlock()
-	out := make([]*Session, 0, len(db.sessLog))
-	out = append(out, db.sessLog[db.sessNext:]...)
-	out = append(out, db.sessLog[:db.sessNext]...)
-	return out
-}
-
 // installSystemTables registers every v_monitor table. Runs in newDB
 // after the metrics registry and Data Collector are installed.
 func (db *DB) installSystemTables() error {
@@ -227,7 +209,7 @@ func (db *DB) queryProfilesDef() *systable.Def {
 		Columns: cols,
 		Fill: func() (*types.Batch, error) {
 			b := types.NewBatch(cols, 0)
-			for _, s := range db.recentSessions() {
+			for _, s := range db.sessions.items() {
 				if p := s.LastProfile(); p != nil {
 					systable.ProfileRows(b, fmt.Sprintf("session:%d", s.id), s.queries.Load(), p)
 				}
@@ -455,7 +437,7 @@ func (db *DB) sessionsDef() *systable.Def {
 		Name:    systable.SchemaName + ".sessions",
 		Columns: cols,
 		Fill: func() (*types.Batch, error) {
-			sess := db.recentSessions()
+			sess := db.sessions.items()
 			b := types.NewBatch(cols, len(sess))
 			for _, s := range sess {
 				b.AppendRow(types.Row{
@@ -463,68 +445,6 @@ func (db *DB) sessionsDef() *systable.Def {
 					types.NewTimestamp(s.start.UnixMicro()),
 					types.NewInt(s.queries.Load()),
 					types.NewInt(s.MemoryBudget),
-				})
-			}
-			return b, nil
-		},
-	}
-}
-
-// planCacheDef lists the plan cache contents, most recently used first:
-// one row per cached statement with its catalog version, parameter
-// count, hit count and replan count.
-func (db *DB) planCacheDef() *systable.Def {
-	cols := types.Schema{
-		{Name: "statement", Type: types.Varchar},
-		{Name: "assume_no_seg", Type: types.Bool},
-		{Name: "catalog_version", Type: types.Int64},
-		{Name: "params", Type: types.Int64},
-		{Name: "hits", Type: types.Int64},
-		{Name: "replans", Type: types.Int64},
-	}
-	return &systable.Def{
-		Name:    systable.SchemaName + ".plan_cache",
-		Columns: cols,
-		Fill: func() (*types.Batch, error) {
-			rows := db.planCache.snapshotRows()
-			b := types.NewBatch(cols, len(rows))
-			for _, r := range rows {
-				b.AppendRow(types.Row{
-					types.NewString(truncateSQL(r.Statement)),
-					types.NewBool(r.NoSeg),
-					types.NewInt(int64(r.Version)),
-					types.NewInt(int64(r.Params)),
-					types.NewInt(r.Hits), types.NewInt(r.Replans),
-				})
-			}
-			return b, nil
-		},
-	}
-}
-
-// resultCacheDef lists the result cache contents, most recently used
-// first: one row per cached result set with its size and hit count.
-func (db *DB) resultCacheDef() *systable.Def {
-	cols := types.Schema{
-		{Name: "statement", Type: types.Varchar},
-		{Name: "args", Type: types.Varchar},
-		{Name: "rows", Type: types.Int64},
-		{Name: "bytes", Type: types.Int64},
-		{Name: "hits", Type: types.Int64},
-		{Name: "deps_hash", Type: types.Int64},
-	}
-	return &systable.Def{
-		Name:    systable.SchemaName + ".result_cache",
-		Columns: cols,
-		Fill: func() (*types.Batch, error) {
-			rows := db.resultCache.snapshotRows()
-			b := types.NewBatch(cols, len(rows))
-			for _, r := range rows {
-				b.AppendRow(types.Row{
-					types.NewString(truncateSQL(r.Statement)),
-					types.NewString(truncateSQL(r.Args)),
-					types.NewInt(int64(r.Rows)), types.NewInt(r.Bytes),
-					types.NewInt(r.Hits), types.NewInt(int64(r.DepsHash)),
 				})
 			}
 			return b, nil

@@ -141,7 +141,7 @@ func TestSessionRingBounded(t *testing.T) {
 	for i := 0; i < sessionLogSize+25; i++ {
 		db.NewSession()
 	}
-	if n := len(db.recentSessions()); n != sessionLogSize {
+	if n := len(db.sessions.items()); n != sessionLogSize {
 		t.Fatalf("session ring holds %d, want %d", n, sessionLogSize)
 	}
 	s := db.NewSession() // evicts the oldest; ring stays full

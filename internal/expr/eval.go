@@ -426,14 +426,6 @@ func idxRange(n int) []int {
 	return out
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single byte).
-// The pattern is compiled (prefix/suffix/contains fast paths, iterative
-// general walk) — see like.go. Bound Like nodes cache the compiled form;
-// this helper compiles per call for direct row evaluation.
-func likeMatch(s, pattern string) bool {
-	return compileLike(pattern).match(s)
-}
-
 // EvalBatch evaluates a bound expression over every row of a batch,
 // returning a vector of results.
 func EvalBatch(e Expr, b *types.Batch) (*types.Vector, error) {

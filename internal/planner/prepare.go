@@ -10,7 +10,6 @@ package planner
 import (
 	"fmt"
 
-	"eon/internal/catalog"
 	"eon/internal/exec"
 	"eon/internal/expr"
 	"eon/internal/types"
@@ -295,39 +294,4 @@ func Scans(p *Plan) []*Scan {
 		}
 	})
 	return out
-}
-
-// Dep is one catalog object version a plan's result depends on.
-type Dep struct {
-	OID     catalog.OID
-	Version uint64
-}
-
-// Deps returns the exact set of catalog object versions a plan's output
-// depends on under snap: for every base-table scan, the table, the
-// chosen projection, and — because data content changes (loads,
-// mergeout, deletes) bump container/delete-vector state rather than the
-// table definition — each storage container and delete vector the scan
-// could read. A result computed from a plan is valid exactly as long as
-// every Dep's ModVersion is unchanged; any DML, DDL or storage
-// reorganization touching these objects invalidates it, while unrelated
-// catalog activity does not. Virtual (system-table) scans have no stable
-// dependency and yield ok=false: results over live monitoring state are
-// never cacheable.
-func Deps(p *Plan, snap *catalog.Snapshot) (deps []Dep, ok bool) {
-	for _, s := range Scans(p) {
-		if s.Virtual || s.Table == nil || s.Proj == nil {
-			return nil, false
-		}
-		deps = append(deps,
-			Dep{OID: s.Table.OID, Version: snap.ModVersion(s.Table.OID)},
-			Dep{OID: s.Proj.OID, Version: snap.ModVersion(s.Proj.OID)})
-		for _, sc := range snap.ContainersOf(s.Proj.OID, catalog.GlobalShard) {
-			deps = append(deps, Dep{OID: sc.OID, Version: snap.ModVersion(sc.OID)})
-			for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-				deps = append(deps, Dep{OID: dv.OID, Version: snap.ModVersion(dv.OID)})
-			}
-		}
-	}
-	return deps, true
 }

@@ -61,11 +61,14 @@ obs:
 
 # Streaming-executor gate: the reference diff (every workload query on
 # five Eon layouts, crunch modes included, against a 1-node Enterprise
-# database on the row engine), the LIMIT pushdown / early-termination and
-# memory-budget spill tests, and the cancellation leak check — all
-# race-checked (the pipeline is goroutines connected by channels) —
-# the pipe unit tests (the one bounded edge: k producers, first error,
-# cancellation), the fetch rule (a cold query's GETs all in flight
+# database on the row engine), the reshuffle regression matrix (a local
+# join above a reshuffle join on six layouts under each crunch mode, and
+# the join that used to stall the gather), the LIMIT pushdown /
+# early-termination and memory-budget spill tests, and the cancellation
+# leak check — all race-checked (the pipeline is goroutines connected by
+# channels) — the pipe unit tests (the one bounded edge: k producers,
+# first error, cancellation), the crunch tests (each member's hash
+# filter keeps its share of the shard), the fetch rule (a cold query's GETs all in flight
 # before one returns; a LIMIT and the fetch-ahead window bound them),
 # plus the operator and fan-out helper unit tests, the typed write
 # kernels against their Datum-based references and the container digests
@@ -73,8 +76,8 @@ obs:
 # path's allocation guards without the race detector (they skip under
 # -race, which inflates allocation counts).
 exec:
-	$(GO) test -race -count=1 -run 'TestStreaming|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
-	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"eon/internal/hashring"
+	"eon/internal/obs"
+	"eon/internal/types"
 )
 
 // crunchDB builds a cluster with more nodes than shards and replication
@@ -145,6 +151,43 @@ func TestCrunchSpreadsWork(t *testing.T) {
 		}
 		if len(parts) != len(group) {
 			t.Errorf("shard %d: %d parts for group of %d", shard, len(parts), len(group))
+		}
+	}
+
+	// Each member's hash filter keeps its share of the shard. One table
+	// per shard holds only keys of that shard, so every fragment of a
+	// traced hash-filter query counts exactly one member's rows.
+	const perShard = 2000
+	schema := types.Schema{{Name: "k", Type: types.Int64}}
+	s.Trace = true
+	for shard := range db.Ring().Count() {
+		tbl := fmt.Sprintf("bal%d", shard)
+		mustExec(t, s, fmt.Sprintf(`CREATE TABLE %s (k INTEGER)`, tbl))
+		mustExec(t, s, fmt.Sprintf(`CREATE PROJECTION %s_p AS SELECT * FROM %s ORDER BY k SEGMENTED BY HASH(k) ALL NODES`, tbl, tbl))
+		batch := types.NewBatch(schema, perShard)
+		for k := int64(0); batch.NumRows() < perShard; k++ {
+			if db.Ring().SegmentFor(hashring.HashDatum(types.NewInt(k))) == shard {
+				batch.AppendRow(types.Row{types.NewInt(k)})
+			}
+		}
+		if err := db.LoadRows(tbl, batch); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustQuery(t, s, `SELECT COUNT(*) FROM `+tbl).Rows()[0][0].I; got != perShard {
+			t.Fatalf("%s: COUNT(*) = %d under the hash filter, want %d", tbl, got, perShard)
+		}
+		kept := map[string]int64{}
+		s.LastProfile().Visit(func(p *obs.Profile) {
+			if node, ok := strings.CutPrefix(p.Name, "fragment:"); ok {
+				kept[node] += p.RowsOut
+			}
+		})
+		group := env.crunch[shard]
+		fair := float64(perShard) / float64(len(group))
+		for _, member := range group {
+			if f := float64(kept[member]) / fair; f < 0.75 || f > 1.25 {
+				t.Errorf("shard %d: member %s keeps %d rows, %.2f× its share of %.0f (kept %v)", shard, member, kept[member], f, fair, kept)
+			}
 		}
 	}
 }

@@ -709,16 +709,20 @@ func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config
 // map and creation order, its execution slots and its rack.
 func (db *DB) attach(n *Node, rack string) error {
 	db.nodesMu.Lock()
-	defer db.nodesMu.Unlock()
 	if _, dup := db.nodes[n.name]; dup {
+		db.nodesMu.Unlock()
 		return fmt.Errorf("core: node %q already exists", n.name)
 	}
 	db.nodes[n.name] = n
 	db.order = append(db.order, n.name)
-	db.slots.register(n.name, db.cfg.ExecSlots)
 	if rack != "" {
 		db.net.SetRack(n.name, rack)
 	}
+	db.nodesMu.Unlock()
+	// Not under nodesMu: a parked slot waiter holds the slot lock while
+	// its validate looks nodes up (acquireCtx → DB.Node), so taking the
+	// slot lock here first would deadlock against it.
+	db.slots.register(n.name, db.cfg.ExecSlots)
 	return nil
 }
 

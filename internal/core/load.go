@@ -176,7 +176,7 @@ func (db *DB) buildProjectionContainers(init *Node, txn *catalog.Txn, tbl *catal
 		if err != nil {
 			return nil, nil, err
 		}
-		parts := exec.PartitionByRing(projBatch, segIdx, db.ring)
+		parts := exec.Partition(projBatch, segIdx, db.ring.Count(), db.ring.SegmentFor)
 		for shardIdx, part := range parts {
 			if part == nil || part.NumRows() == 0 {
 				continue
@@ -327,7 +327,7 @@ func (db *DB) loadIntoWOS(tbl *catalog.Table, projs []*catalog.Projection, batch
 		if err != nil {
 			return err
 		}
-		parts := exec.PartitionByRing(projBatch, segIdx, db.ring)
+		parts := exec.Partition(projBatch, segIdx, db.ring.Count(), db.ring.SegmentFor)
 		for shardIdx, part := range parts {
 			if part == nil || part.NumRows() == 0 {
 				continue

@@ -61,7 +61,7 @@ func (db *DB) RunMoveout() (int, error) {
 					if err != nil {
 						return moved, err
 					}
-					for shardIdx, sb := range exec.PartitionByRing(pb, segIdx, db.ring) {
+					for shardIdx, sb := range exec.Partition(pb, segIdx, db.ring.Count(), db.ring.SegmentFor) {
 						if sb != nil && sb.NumRows() > 0 {
 							shardBatches[shardIdx] = sb
 						}

@@ -45,7 +45,6 @@ func TestPipeEndsAfterLastProducer(t *testing.T) {
 			t.Fatalf("Next after the last finish = %v, %v; want end of stream", b, err)
 		}
 	}
-	(&eagerStart{op: p, pipes: []*pipe{p}}).Next()
 	if begins != 1 {
 		t.Errorf("begin fired %d times, want 1", begins)
 	}

@@ -32,8 +32,9 @@ const (
 	// CrunchOff runs each shard on exactly one node.
 	CrunchOff CrunchMode = iota
 	// CrunchHashFilter has every helper read the shard's data and keep
-	// only rows whose key re-hashes to its sub-partition. Segmentation
-	// semantics are preserved, so local joins and aggregates stay legal.
+	// only rows whose key hash falls in its sub-range of the shard
+	// (hashring.Ring.Locate). Segmentation semantics are preserved, so
+	// local joins and aggregates stay legal.
 	CrunchHashFilter
 	// CrunchContainerSplit physically splits the shard's containers
 	// between helpers: each row is read once, but segmentation is lost
@@ -248,6 +249,20 @@ func (env *queryEnv) nodeTasks(node string) []scanTask {
 		return out[i].Part < out[j].Part
 	})
 	return out
+}
+
+// route is where a row with key hash h lives in this query: the node
+// serving its shard, or, when a crunch group splits the shard, the member
+// whose sub-range of the shard holds h — the member whose hash filter
+// keeps the row. A reshuffle sends rows here, so its output is
+// co-located with every projection segmented on the same keys.
+func (env *queryEnv) route(h uint32) string {
+	shard := env.db.ring.SegmentFor(h)
+	if group, ok := env.crunch[shard]; ok {
+		_, part := env.db.ring.Locate(h, len(group))
+		return group[part]
+	}
+	return env.assignment[shard]
 }
 
 // queryRequest carries one SELECT through the staged lifecycle (parse ->

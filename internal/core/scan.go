@@ -146,7 +146,7 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 	defer fs.sps.end()
 	defer func() { fs.sps.frag.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
 	// Scan the containers through a bounded streaming window. Each worker
-	// keeps its own scratch (decode vectors, hash-filter ring and buffers),
+	// keeps its own scratch (decode vectors, hash-filter buffers),
 	// so a fragment allocates it once per worker, not once per block.
 	conc := db.cfg.ScanConcurrency
 	workers := make([]scanWorker, max(conc, 1))
@@ -158,7 +158,7 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 				return nil, err
 			}
 			if w.hashFilter {
-				batches = workers[worker].hash.filter(batches, scan.SegmentCols, w.task.Part, w.task.Of)
+				batches = workers[worker].hash.filter(batches, scan.SegmentCols, db.ring, w.task)
 			}
 			return batches, nil
 		},
@@ -239,22 +239,16 @@ func (fs *fragmentScan) prefetch(ctx context.Context) error {
 }
 
 // hashFilterState is one scan worker's reusable crunch hash-filter
-// scratch: the segmentation ring (rebuilt only when the sub-partition
-// count changes) and the per-batch hash buffer.
+// scratch: the per-batch hash and selection buffers.
 type hashFilterState struct {
-	of      int
-	ring    *hashring.Ring
 	hashes  []uint32
 	keepBuf []int
 }
 
-// filter keeps only rows whose segmentation-column hash lands in
-// sub-partition part of of.
-func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, part, of int) []*types.Batch {
-	if h.ring == nil || h.of != of {
-		h.ring = hashring.NewRing(of)
-		h.of = of
-	}
+// filter keeps only the rows of task's sub-range of its shard: those
+// whose segmentation-column hash the ring locates in part task.Part of
+// task.Of — the rows queryEnv.route sends to this member.
+func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, ring *hashring.Ring, task scanTask) []*types.Batch {
 	var out []*types.Batch
 	for _, b := range batches {
 		if b == nil || b.NumRows() == 0 {
@@ -263,7 +257,7 @@ func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, part, of
 		h.hashes = hashring.HashBatchCols(b, segCols, h.hashes[:0])
 		keep := h.keepBuf[:0]
 		for i, hash := range h.hashes {
-			if h.ring.SegmentFor(hash) == part {
+			if _, part := ring.Locate(hash, task.Of); part == task.Part {
 				keep = append(keep, i)
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,13 +32,22 @@ import (
 // inside a scan or network transfer observe ctx.Done and exit, and
 // shutdown waits for them all before the query returns.
 //
-// Row order is deterministic on a single node: gathers concatenate
-// per-node streams in sorted node order, and the pipeline breakers
+// A gather reads its nodes' batches in arrival order, so no node waits
+// for another to be read. Row order is still deterministic on a single
+// node: there the gather has one producer, and the pipeline breakers
 // (sort, hash aggregate) either never spill (no budget) — in which case
 // their output order is exactly the in-memory one — or degrade as
 // documented in their own packages. The row/vectorized engine
 // differential (TestVectorizedEngineMatchesRowEngineSingleNode) compares
-// single-node results positionally and relies on this.
+// single-node results positionally and relies on this. Across nodes,
+// results are multisets.
+//
+// A reshuffle sends each row where the query's shard map says its key
+// hash lives (queryEnv.route): the node serving the hash's shard, or the
+// crunch-group member whose sub-range of the shard holds it. The scan's
+// crunch hash filter keeps exactly those rows, so a reshuffle's output is
+// co-located with every projection segmented on the same keys, as the
+// planner assumes when it joins the two locally.
 //
 // The per-query memory governor (Session.MemoryBudget, defaulted from
 // Config.QueryMemoryBudget) is threaded into every pipeline breaker:
@@ -169,7 +177,7 @@ func edge(op exec.Operator, out, in *obs.Span) exec.Operator {
 }
 
 // pipe is the one cross-goroutine edge: it bridges producers — one
-// driver for a scan fragment or a gather, one per source node for a
+// driver for a scan fragment, one per source node for a gather or a
 // reshuffle — to one consumer as an Operator. The drivers start lazily on
 // the first pull (begin) and push batches through a channel of depth
 // streamDepth; the stream ends when every producer has finished, and the
@@ -194,6 +202,9 @@ func newPipe(ctx context.Context, schema types.Schema, producers int) *pipe {
 		errc: make(chan error, 1),
 	}
 	p.remaining.Store(int32(producers))
+	if producers == 0 {
+		close(p.ch)
+	}
 	return p
 }
 
@@ -224,22 +235,17 @@ func (p *pipe) finish(err error) {
 	}
 }
 
-// ensureStarted fires the drivers once (consumer goroutine only).
-func (p *pipe) ensureStarted() {
+// Next implements Operator. The first call fires the drivers.
+func (p *pipe) Next() (*types.Batch, error) {
+	if p.done {
+		return nil, nil
+	}
 	if !p.started {
 		p.started = true
 		if p.begin != nil {
 			p.begin()
 		}
 	}
-}
-
-// Next implements Operator.
-func (p *pipe) Next() (*types.Batch, error) {
-	if p.done {
-		return nil, nil
-	}
-	p.ensureStarted()
 	select {
 	case b, ok := <-p.ch:
 		if !ok {
@@ -259,27 +265,6 @@ func (p *pipe) Next() (*types.Batch, error) {
 		p.done = true
 		return nil, p.ctx.Err()
 	}
-}
-
-// eagerStart fires a set of drivers on the first pull, so every
-// fragment of a gather executes concurrently even though the consumer
-// reads their streams sequentially in node order.
-type eagerStart struct {
-	op      exec.Operator
-	pipes   []*pipe
-	started bool
-}
-
-func (e *eagerStart) Schema() types.Schema { return e.op.Schema() }
-
-func (e *eagerStart) Next() (*types.Batch, error) {
-	if !e.started {
-		e.started = true
-		for _, p := range e.pipes {
-			p.ensureStarted()
-		}
-	}
-	return e.op.Next()
 }
 
 // spawn runs fn as a tracked pipeline goroutine.
@@ -410,55 +395,39 @@ func (env *queryEnv) run(plan *planner.Plan, root *obs.Span) (*types.Batch, erro
 	return final, nil
 }
 
-// sortedNames returns a result's node names in the deterministic gather
-// order.
-func sortedNames(perNode map[string]exec.Operator) []string {
-	names := make([]string, 0, len(perNode))
-	for n := range perNode {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // gatherTo returns an initiator-side operator over a distributed
-// result. One driver per source node drains that node's chain and
-// streams its batches toward the initiator — non-initiator nodes pay a
-// chunked network stream per batch, overlapping transfer with upstream
-// compute — while the consumer concatenates the per-node streams in
-// sorted node order (so a single-node run's row order is deterministic)
-// and applies any pending global distinct. All drivers start on the first
-// pull, so fragments run concurrently.
+// result: one pipe fed by one driver per source node. Each driver drains
+// its node's chain and streams the batches toward the initiator —
+// non-initiator nodes pay a chunked network stream per batch, overlapping
+// transfer with upstream compute — and the consumer reads them in
+// arrival order, applying any pending global distinct. No node waits for
+// another to be read first, so a node whose stream feeds a reshuffle
+// cannot stall behind one the consumer has not reached. A single node is
+// one producer, so its row order is deterministic. All drivers start on
+// the first pull, so fragments run concurrently.
 func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operator {
 	if res.gathered() {
 		return edge(res.op(), res.sp, consumer)
 	}
 	db := env.db
-	names := sortedNames(res.perNode)
-	parts := make([]exec.Operator, len(names))
-	pipes := make([]*pipe, len(names))
-	for i, name := range names {
-		name, nodeOp := name, res.perNode[name]
-		ch := newPipe(env.ctx, res.schema, 1)
-		ch.begin = func() {
+	out := newPipe(env.ctx, res.schema, len(res.perNode))
+	out.begin = func() {
+		for name, nodeOp := range res.perNode {
 			env.spawn(func() {
 				n, ok := db.Node(name)
 				if !ok || !n.Up() {
-					ch.finish(fmt.Errorf("%w: %s", errNodeDown, name))
+					out.finish(fmt.Errorf("%w: %s", errNodeDown, name))
 					return
 				}
 				var stream *netsim.Stream
 				if name != env.initiator.name {
 					stream = db.net.Stream(name, env.initiator.name)
 				}
-				err := func() error {
+				out.finish(func() error {
 					for {
 						b, err := nodeOp.Next()
-						if err != nil {
+						if err != nil || b == nil {
 							return err
-						}
-						if b == nil {
-							return nil
 						}
 						if b.NumRows() == 0 {
 							continue
@@ -468,19 +437,15 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 								return fmt.Errorf("%w: gather from %s: %v", errNodeDown, name, err)
 							}
 						}
-						if err := ch.push(b); err != nil {
+						if err := out.push(b); err != nil {
 							return err
 						}
 					}
-				}()
-				ch.finish(err)
+				}())
 			})
 		}
-		pipes[i] = ch
-		parts[i] = ch
 	}
-	var combined exec.Operator = &eagerStart{op: exec.NewUnionAll(parts...), pipes: pipes}
-	combined = edge(combined, res.sp, consumer)
+	var combined exec.Operator = edge(out, res.sp, consumer)
 	if res.needGlobalDistinct {
 		d := exec.NewDistinct(combined)
 		d.Eng = env.eng()
@@ -604,7 +569,10 @@ func (env *queryEnv) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, sp *o
 				err = fmt.Errorf("%w: %s", errNodeDown, n.name)
 			}
 			if err == nil {
-				err = fs.run(ctx, ch.push)
+				err = fs.run(ctx, func(b *types.Batch) error {
+					fragSp.AddRowsOut(int64(b.NumRows()))
+					return ch.push(b)
+				})
 			}
 			ch.finish(err)
 		})
@@ -730,94 +698,78 @@ func (env *queryEnv) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 	return out
 }
 
-// exchange repartitions a result across the participating nodes by key
-// hash: one driver per source node drains its stream, splits each batch
-// by hash, and forwards every partition to its target — remote parts
-// over a chunked per-link stream — so repartitioned rows reach the
-// consuming joins batch by batch instead of materializing per stage.
+// exchange repartitions a result by key hash: a row goes to
+// env.route(hash), the node that serves its shard or the crunch-group
+// member whose sub-range of the shard holds it, so the output is
+// co-located with every projection segmented on the same keys. One
+// driver per source node drains its stream, splits each batch with
+// exec.Partition, and pushes every part into its target's pipe — remote
+// parts over a chunked per-link stream — so rows reach the consuming
+// joins batch by batch. All sources start when any target is first
+// pulled. A driver blocks while any of its targets' edges is full, so a
+// target that stops pulling stalls every source; the joins above an
+// exchange never stop pulling one (HashJoin.Exchanged), and the gather
+// reads the nodes in arrival order.
 func (env *queryEnv) exchange(res *streamResult, schema types.Schema, keys []int) map[string]exec.Operator {
 	db := env.db
 	targets := env.nodes
-	nParts := len(targets)
-
-	type source struct {
-		name string
-		op   exec.Operator
+	slot := make(map[string]int, len(targets))
+	for i, t := range targets {
+		slot[t] = i
 	}
-	var sources []source
+	to := func(h uint32) int { return slot[env.route(h)] }
+	sources := res.perNode
 	if res.gathered() {
-		sources = append(sources, source{env.initiator.name, res.op()})
-	} else {
-		for _, name := range sortedNames(res.perNode) {
-			sources = append(sources, source{name, res.perNode[name]})
-		}
+		sources = map[string]exec.Operator{env.initiator.name: res.op()}
 	}
-
-	outs := make(map[string]*pipe, nParts)
-	for _, t := range targets {
-		outs[t] = newPipe(env.ctx, schema, len(sources))
+	outs := make([]*pipe, len(targets))
+	for i := range outs {
+		outs[i] = newPipe(env.ctx, schema, len(sources))
 	}
-	// All sources start when any target is first pulled, and every
-	// target's consumer runs in its own gather driver. That is not enough
-	// to rule out a stall: a node whose join stops pulling its exchange
-	// edge (for instance, blocked on a full gather edge the initiator
-	// is not reading yet) fills that edge, the source drivers block on
-	// it, and every other node starves. `… FROM b JOIN a ON a.k = b.k`
-	// with 600 and 60 single-row inserts reproduces it (ROADMAP,
-	// correctness debt (1)).
 	var startOnce sync.Once
 	start := func() {
 		startOnce.Do(func() {
-			for _, src := range sources {
-				src := src
+			for name, op := range sources {
 				env.spawn(func() {
 					err := func() error {
-						streams := map[string]*netsim.Stream{}
+						streams := make([]*netsim.Stream, len(targets))
 						for {
-							b, err := src.op.Next()
-							if err != nil {
+							b, err := op.Next()
+							if err != nil || b == nil {
 								return err
-							}
-							if b == nil {
-								return nil
 							}
 							if b.NumRows() == 0 {
 								continue
 							}
-							parts := exec.PartitionByHash(b, keys, nParts)
-							for pi, part := range parts {
-								if part == nil || part.NumRows() == 0 {
+							for ti, part := range exec.Partition(b, keys, len(targets), to) {
+								if part == nil {
 									continue
 								}
-								target := targets[pi]
-								if target != src.name {
-									st := streams[target]
-									if st == nil {
-										st = db.net.Stream(src.name, target)
-										streams[target] = st
+								if target := targets[ti]; target != name {
+									if streams[ti] == nil {
+										streams[ti] = db.net.Stream(name, target)
 									}
-									if err := st.Send(env.ctx, batchBytes(part)); err != nil {
-										return fmt.Errorf("%w: reshuffle %s->%s: %v", errNodeDown, src.name, target, err)
+									if err := streams[ti].Send(env.ctx, batchBytes(part)); err != nil {
+										return fmt.Errorf("%w: reshuffle %s->%s: %v", errNodeDown, name, target, err)
 									}
 								}
-								if err := outs[target].push(part); err != nil {
+								if err := outs[ti].push(part); err != nil {
 									return err
 								}
 							}
 						}
 					}()
-					for _, t := range targets {
-						outs[t].finish(err)
+					for _, out := range outs {
+						out.finish(err)
 					}
 				})
 			}
 		})
 	}
-	ops := make(map[string]exec.Operator, nParts)
-	for _, t := range targets {
-		m := outs[t]
-		m.begin = start
-		ops[t] = m
+	ops := make(map[string]exec.Operator, len(targets))
+	for i, t := range targets {
+		outs[i].begin = start
+		ops[t] = outs[i]
 	}
 	return ops
 }

@@ -221,10 +221,3 @@ func BenchmarkTopK(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPartitionByHash(b *testing.B) {
-	data, _ := benchBatch(8192)
-	for i := 0; i < b.N; i++ {
-		PartitionByHash(data, []int{0}, 8)
-	}
-}

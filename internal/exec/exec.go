@@ -99,35 +99,6 @@ func (s *Source) Next() (*types.Batch, error) {
 	return nil, nil
 }
 
-// UnionAll concatenates the streams of several same-schema operators.
-type UnionAll struct {
-	inputs []Operator
-	pos    int
-}
-
-// NewUnionAll unions inputs; at least one input is required.
-func NewUnionAll(inputs ...Operator) *UnionAll {
-	return &UnionAll{inputs: inputs}
-}
-
-// Schema implements Operator.
-func (u *UnionAll) Schema() types.Schema { return u.inputs[0].Schema() }
-
-// Next implements Operator.
-func (u *UnionAll) Next() (*types.Batch, error) {
-	for u.pos < len(u.inputs) {
-		b, err := u.inputs[u.pos].Next()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		u.pos++
-	}
-	return nil, nil
-}
-
 // Limit passes through at most N rows.
 type Limit struct {
 	input Operator

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eon/internal/expr"
+	"eon/internal/hashring"
 	"eon/internal/types"
 )
 
@@ -62,17 +63,6 @@ func TestProject(t *testing.T) {
 	}
 	if p.Schema()[1].Name != "doubled" {
 		t.Error("output schema name")
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	u := NewUnionAll(
-		NewSource(salesSchema, salesBatch()),
-		NewSource(salesSchema, salesBatch()),
-	)
-	got, _ := Collect(u)
-	if got.NumRows() != 10 {
-		t.Errorf("union = %d", got.NumRows())
 	}
 }
 
@@ -375,22 +365,29 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 }
 
 func TestPartitionByHash(t *testing.T) {
-	b := salesBatch()
-	parts := PartitionByHash(b, []int{0}, 3)
+	// Each row goes to the ring segment its key hash falls in, every row
+	// lands in exactly one part, and the split is deterministic.
+	ring := hashring.NewRing(3)
+	parts := Partition(salesBatch(), []int{0}, 3, ring.SegmentFor)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
 	}
 	total := 0
-	for _, p := range parts {
-		if p != nil {
-			total += p.NumRows()
+	for i, p := range parts {
+		if p == nil {
+			continue
+		}
+		total += p.NumRows()
+		for _, h := range hashring.HashBatchCols(p, []int{0}, nil) {
+			if ring.SegmentFor(h) != i {
+				t.Errorf("part %d holds a row of segment %d", i, ring.SegmentFor(h))
+			}
 		}
 	}
 	if total != 5 {
 		t.Errorf("partition lost rows: %d", total)
 	}
-	// Determinism: same row always lands in the same part.
-	parts2 := PartitionByHash(salesBatch(), []int{0}, 3)
+	parts2 := Partition(salesBatch(), []int{0}, 3, ring.SegmentFor)
 	for i := range parts {
 		n1, n2 := 0, 0
 		if parts[i] != nil {
@@ -406,16 +403,22 @@ func TestPartitionByHash(t *testing.T) {
 }
 
 func TestHashFilterPartitionsCompletely(t *testing.T) {
-	// Union of all hash-filter parts = original rows, no overlap (§4.4).
-	n := 3
+	// The crunch split (§4.4): n members serving one shard each keep the
+	// rows whose hash falls in their sub-range of the shard's segment.
+	// Over every shard, the union of all members' rows is the input, no
+	// row twice.
+	const shards, n = 2, 3
+	ring := hashring.NewRing(shards)
 	seen := map[int64]int{}
-	for part := 0; part < n; part++ {
-		hf := NewHashFilter(NewSource(salesSchema, salesBatch()), []int{0}, part, n)
-		got, err := Collect(hf)
-		if err != nil {
-			t.Fatal(err)
+	parts := Partition(salesBatch(), []int{0}, shards*n, func(h uint32) int {
+		seg, part := ring.Locate(h, n)
+		return seg*n + part
+	})
+	for _, p := range parts {
+		if p == nil {
+			continue
 		}
-		for _, id := range got.Cols[0].Ints {
+		for _, id := range p.Cols[0].Ints {
 			seen[id]++
 		}
 	}

@@ -5,80 +5,23 @@ import (
 	"eon/internal/types"
 )
 
-// PartitionByHash splits a batch into n parts by hashing the given key
-// columns — the reshuffle primitive behind distributed exchanges and the
-// per-shard splitting of load output (§4.5: "an executor which is
-// responsible for multiple shards will locally split the output data into
-// separate streams for each shard").
-func PartitionByHash(b *types.Batch, cols []int, n int) []*types.Batch {
-	if n <= 1 {
-		return []*types.Batch{b}
-	}
-	ring := hashring.NewRing(n)
-	return PartitionByRing(b, cols, ring)
-}
-
-// PartitionByRing splits a batch by the hash-space segments of a ring.
-// Part i contains the rows whose key hash lands in segment i.
-func PartitionByRing(b *types.Batch, cols []int, ring *hashring.Ring) []*types.Batch {
-	n := ring.Count()
+// Partition splits a batch into n parts by the hash of the given key
+// columns: part to(h) receives the rows whose key hash is h, and a part
+// no row reaches is nil. It is the one split behind the per-shard output
+// of loads and mergeout (§4.5: "an executor which is responsible for
+// multiple shards will locally split the output data into separate
+// streams for each shard") and the per-node output of a reshuffle.
+func Partition(b *types.Batch, cols []int, n int, to func(h uint32) int) []*types.Batch {
 	idx := make([][]int, n)
-	hashes := hashring.HashBatchCols(b, cols, nil)
-	for i, h := range hashes {
-		seg := ring.SegmentFor(h)
-		idx[seg] = append(idx[seg], i)
+	for i, h := range hashring.HashBatchCols(b, cols, nil) {
+		p := to(h)
+		idx[p] = append(idx[p], i)
 	}
 	out := make([]*types.Batch, n)
-	for i := range out {
-		if len(idx[i]) == 0 {
-			out[i] = nil
-			continue
+	for i, rows := range idx {
+		if len(rows) > 0 {
+			out[i] = b.Gather(rows)
 		}
-		out[i] = b.Gather(idx[i])
 	}
 	return out
-}
-
-// HashFilter passes only rows whose key hash falls into the [lo, hi)
-// sub-range of a shard's hash region — the crunch-scaling mechanism where
-// "two or more nodes can collectively serve a segment shard for the same
-// query by applying a new hash segmentation predicate to each row as it
-// is read" (§4.4).
-type HashFilter struct {
-	input Operator
-	cols  []int
-	ring  *hashring.Ring
-	// part selects which of n sub-partitions this node processes.
-	part, n int
-}
-
-// NewHashFilter splits the key hash space n ways and keeps part `part`.
-func NewHashFilter(input Operator, cols []int, part, n int) *HashFilter {
-	return &HashFilter{input: input, cols: cols, ring: hashring.NewRing(n), part: part, n: n}
-}
-
-// Schema implements Operator.
-func (h *HashFilter) Schema() types.Schema { return h.input.Schema() }
-
-// Next implements Operator.
-func (h *HashFilter) Next() (*types.Batch, error) {
-	for {
-		b, err := h.input.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		hashes := hashring.HashBatchCols(b, h.cols, nil)
-		var keep []int
-		for i, hv := range hashes {
-			if h.ring.SegmentFor(hv) == h.part {
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) == b.NumRows() {
-			return b, nil
-		}
-		if len(keep) > 0 {
-			return b.Gather(keep), nil
-		}
-	}
 }

@@ -60,8 +60,8 @@ func referenceResults(t *testing.T) map[string]*core.Result {
 // runReferenceDiff loads an Eon cluster of the given shape at
 // tpchDiffScale and requires the streaming executor, under the given
 // crunch mode, to answer every workload query as the reference does.
-// Rows are compared as multisets with floats within floatTol relative:
-// summation order differs between the layouts.
+// Rows are compared as multisets with floats within workload.FloatTol
+// relative: summation order differs between the layouts.
 func runReferenceDiff(t *testing.T, nodes, shards, k int, crunch core.CrunchMode) {
 	t.Helper()
 	want := referenceResults(t)

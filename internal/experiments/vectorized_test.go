@@ -21,12 +21,13 @@ func allQueries() []workload.Query {
 // the vectorized engine and compares results. With exact set, rows must
 // be byte-identical positionally (both engines emit rows in
 // deterministic order: filters and joins preserve stream order,
-// aggregates emit groups in first-seen order, gather visits nodes in
-// sorted order). Without it, rows are compared as multisets with floats
-// within floatTol relative: the per-query seeded shard assignment
-// regroups rows across nodes between runs, shifting both first-seen
-// group order and float summation order by an ulp — a multi-node
-// row-engine run differs from itself the same way.
+// aggregates emit groups in first-seen order, and a single node's gather
+// has one producer). Without it, rows are compared as multisets with
+// floats within workload.FloatTol relative: the per-query seeded shard
+// assignment regroups rows across nodes between runs, and the gather
+// reads nodes in arrival order, shifting both first-seen group order and
+// float summation order by an ulp — a multi-node row-engine run differs
+// from itself the same way.
 func runEngineDiff(t *testing.T, db *core.DB, exact bool) {
 	t.Helper()
 	row := db.NewSession()

@@ -174,6 +174,16 @@ func (r *Ring) SegmentFor(h uint32) int {
 	return idx
 }
 
+// Locate returns the segment holding hash h and which of `of` equal
+// sub-ranges of that segment holds it. The segment picks a row's shard;
+// the part picks the member of a crunch group that serves the row when
+// `of` nodes split the shard (§4.4). of must be >= 1.
+func (r *Ring) Locate(h uint32, of int) (seg, part int) {
+	seg = r.SegmentFor(h)
+	s := r.segments[seg]
+	return seg, int((uint64(h) - s.Start) * uint64(of) / (s.End - s.Start))
+}
+
 // SegmentForRow hashes the given columns of the row and returns the owning
 // segment index.
 func (r *Ring) SegmentForRow(row types.Row, cols []int) int {

@@ -1,6 +1,7 @@
 package hashring
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,61 @@ func TestHashDistribution(t *testing.T) {
 		frac := float64(c) / float64(n)
 		if frac < 0.15 || frac > 0.35 {
 			t.Errorf("segment %d has fraction %.3f, expected near 0.25", i, frac)
+		}
+	}
+}
+
+// Locate covers every hash exactly once: the segment is the one that
+// contains it, the parts of a segment are consecutive sub-ranges from 0
+// at its start to of-1 at its end, and integer keys spread evenly over
+// every (segment, part) cell.
+func TestRingLocate(t *testing.T) {
+	for _, tc := range []struct{ shards, of int }{
+		{1, 1}, {1, 3}, {2, 4}, {3, 2}, {4, 1}, {4, 3}, {7, 5},
+	} {
+		r := NewRing(tc.shards)
+		for seg := 0; seg < tc.shards; seg++ {
+			s := r.Segment(seg)
+			for _, h := range []uint64{s.Start, s.End - 1} {
+				gotSeg, part := r.Locate(uint32(h), tc.of)
+				want := 0
+				if h == s.End-1 {
+					want = tc.of - 1
+				}
+				if gotSeg != seg || part != want {
+					t.Errorf("%+v: Locate(%d) = (%d, %d), want (%d, %d)", tc, h, gotSeg, part, seg, want)
+				}
+			}
+		}
+		const n = 40000
+		counts := make([][]int, tc.shards)
+		for i := range counts {
+			counts[i] = make([]int, tc.of)
+		}
+		last := map[int]int{}
+		hashes := make([]uint32, 0, n)
+		for i := 0; i < n; i++ {
+			hashes = append(hashes, HashDatum(types.NewInt(int64(i))))
+		}
+		slices.Sort(hashes)
+		for _, h := range hashes {
+			seg, part := r.Locate(h, tc.of)
+			if seg != r.SegmentFor(h) || part < 0 || part >= tc.of {
+				t.Fatalf("%+v: Locate(%d) = (%d, %d) outside the ring", tc, h, seg, part)
+			}
+			if part < last[seg] {
+				t.Fatalf("%+v: hash %d in part %d after part %d: parts overlap", tc, h, part, last[seg])
+			}
+			last[seg] = part
+			counts[seg][part]++
+		}
+		fair := float64(n) / float64(tc.shards*tc.of)
+		for seg, row := range counts {
+			for part, c := range row {
+				if f := float64(c) / fair; f < 0.75 || f > 1.25 {
+					t.Errorf("%+v: cell (%d, %d) holds %d keys, %.2f× its share", tc, seg, part, c, f)
+				}
+			}
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"eon/internal/core"
-	"eon/internal/types"
 )
 
 func setupDB(t *testing.T, mode core.Mode, scale float64) *core.DB {
@@ -83,23 +80,11 @@ func TestAllQueriesBothModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("enterprise: %v", err)
 			}
-			if re.NumRows() != rn.NumRows() {
-				t.Fatalf("row counts differ: eon=%d enterprise=%d", re.NumRows(), rn.NumRows())
-			}
-			// Compare row sets. Floats are rounded to 9 significant
-			// digits: distributed aggregation sums in a different order
-			// per mode, so the last bits of float sums legitimately
-			// differ.
-			eonRows := map[string]int{}
-			for _, r := range re.Rows() {
-				eonRows[approxKey(r)]++
-			}
-			for _, r := range rn.Rows() {
-				if eonRows[approxKey(r)] == 0 {
-					t.Errorf("row %v in enterprise but not eon", r)
-					break
-				}
-				eonRows[approxKey(r)]--
+			// Compare row multisets. Distributed aggregation sums floats in
+			// a different order per mode, per shard assignment and per
+			// gather arrival order, so the last bits legitimately differ.
+			if err := MatchRows(rn.Rows(), re.Rows()); err != nil {
+				t.Errorf("eon vs enterprise: %v", err)
 			}
 		})
 	}
@@ -173,22 +158,6 @@ func TestIoTLoadPath(t *testing.T) {
 	if res.Batch.Cols[0].Ints[0] != int64(5*w.RowsPerLoad) {
 		t.Errorf("count = %v", res.Rows())
 	}
-}
-
-// approxKey renders a row with floats at 9 significant digits.
-func approxKey(r types.Row) string {
-	var sb strings.Builder
-	for i, d := range r {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		if !d.Null && d.K.Physical() == types.Float64 {
-			fmt.Fprintf(&sb, "%.9g", d.F)
-			continue
-		}
-		sb.WriteString(d.String())
-	}
-	return sb.String()
 }
 
 func min(a, b int) int {

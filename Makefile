@@ -63,8 +63,11 @@ obs:
 # five Eon layouts, crunch modes included, against a 1-node Enterprise
 # database on the row engine), the reshuffle regression matrix (a local
 # join above a reshuffle join on six layouts under each crunch mode, and
-# the join that used to stall the gather), the LIMIT pushdown /
-# early-termination and memory-budget spill tests, and the cancellation
+# the join that used to stall the gather), the distinct matrix (covered
+# and uncovered DISTINCT / COUNT(DISTINCT) on the same layouts: a
+# distinct finishes per node only when its columns cover the
+# segmentation), the LIMIT pushdown / early-termination and
+# memory-budget spill tests, and the cancellation
 # leak check — all race-checked (the pipeline is goroutines connected by
 # channels) — the pipe unit tests (the one bounded edge: k producers,
 # first error, cancellation), the crunch tests (each member's hash
@@ -76,7 +79,7 @@ obs:
 # path's allocation guards without the race detector (they skip under
 # -race, which inflates allocation counts).
 exec:
-	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/

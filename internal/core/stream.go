@@ -74,7 +74,8 @@ type streamResult struct {
 	// replicated marks the result as a full copy logically available on
 	// every node.
 	replicated bool
-	// needGlobalDistinct defers duplicate elimination to gather time.
+	// needGlobalDistinct: the per-node streams are each distinct but may
+	// share rows, so the gather deduplicates their union.
 	needGlobalDistinct bool
 	// exchanged marks per-node streams that pull from a reshuffle exchange
 	// somewhere below: a node that stopped pulling its stream would stall
@@ -400,11 +401,12 @@ func (env *queryEnv) run(plan *planner.Plan, root *obs.Span) (*types.Batch, erro
 // its node's chain and streams the batches toward the initiator —
 // non-initiator nodes pay a chunked network stream per batch, overlapping
 // transfer with upstream compute — and the consumer reads them in
-// arrival order, applying any pending global distinct. No node waits for
-// another to be read first, so a node whose stream feeds a reshuffle
-// cannot stall behind one the consumer has not reached. A single node is
-// one producer, so its row order is deterministic. All drivers start on
-// the first pull, so fragments run concurrently.
+// arrival order, deduplicating the union when a distinct below was not
+// final per node (needGlobalDistinct). No node waits for another to be
+// read first, so a node whose stream feeds a reshuffle cannot stall
+// behind one the consumer has not reached. A single node is one
+// producer, so its row order is deterministic. All drivers start on the
+// first pull, so fragments run concurrently.
 func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operator {
 	if res.gathered() {
 		return edge(res.op(), res.sp, consumer)
@@ -1014,8 +1016,9 @@ func (env *queryEnv) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*stre
 		dd.Span = sp
 		return dd
 	})
-	// Local dedupe per node; the global pass happens at gather.
-	if !out.gathered() {
+	// Dedupe per node; unless that pass is final (d.Local), the global
+	// pass happens at gather.
+	if !d.Local && !out.gathered() {
 		out.needGlobalDistinct = true
 	}
 	return out, nil
@@ -1073,10 +1076,10 @@ func (env *queryEnv) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, 
 	// No ORDER BY: each fragment can contribute at most N rows, so cap
 	// every node's stream below the gather — bounding both the rows
 	// shipped and, through pipeline backpressure, how much of each scan
-	// runs before the query's own limit stops pulling. (Safe under a
-	// pending global distinct: per-node streams are locally distinct, so
-	// the first N output rows draw from at most the first N rows of each
-	// node's stream.)
+	// runs before the query's own limit stops pulling. (Safe below a
+	// distinct the gather still finishes: each node's stream is distinct,
+	// so the first N output rows draw from at most the first N rows of
+	// each node's stream.)
 	capped := env.mapResult(in, l.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
 		return exec.NewLimit(edge(op, in.sp, sp), l.N)
 	})

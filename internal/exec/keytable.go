@@ -259,7 +259,7 @@ func (t *keyTable) insert(hs []uint64, cols []*types.Vector, sel []int, from int
 				return j
 			}
 			for c, v := range cols {
-				t.cols[c].Append(v.Datum(i))
+				t.cols[c].AppendFrom(v, i)
 			}
 			id = int32(t.n)
 			t.hashes[slot], t.ids[slot] = hs[j], id+1

@@ -107,7 +107,9 @@ func (p *sessionPlanner) buildAggregation(stmt *sql.Select, items []sql.SelectIt
 		for i, e := range distinctExprs {
 			proj.out[i] = types.Column{Name: distinctNames[i], Type: e.Type()}
 		}
-		var dn Node = &DistinctNode{Input: proj}
+		// Local when keys ∪ arg cover the segmentation: each node's
+		// distinct pairs are then final and its counts add up.
+		dn := distinctOver(proj)
 		// Rebind keys and the count arg against the distinct output.
 		var keys2 []expr.Expr
 		for i := range keyExprs {
@@ -124,6 +126,8 @@ func (p *sessionPlanner) buildAggregation(stmt *sql.Select, items []sql.SelectIt
 		countMode := AggInitiatorOnly
 		if mode == AggLocalFinal {
 			countMode = AggLocalFinal
+		} else if dn.Local {
+			countMode = AggTwoPhase
 		}
 		agg := &Aggregate{
 			Input:    dn,

@@ -157,10 +157,13 @@ type Aggregate struct {
 // Schema implements Node.
 func (a *Aggregate) Schema() types.Schema { return a.out }
 
-// DistinctNode removes duplicate rows. When Distributed, nodes
-// deduplicate locally and the initiator deduplicates the union.
+// DistinctNode removes duplicate rows. Each node deduplicates its own
+// stream; unless Local, the initiator deduplicates the union again.
 type DistinctNode struct {
 	Input Node
+	// Local: the distinct columns cover the input's segmentation, so
+	// equal rows are on one node and the per-node pass is final (§4).
+	Local bool
 }
 
 // Schema implements Node.

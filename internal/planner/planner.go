@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"eon/internal/catalog"
@@ -196,7 +197,7 @@ func (p *sessionPlanner) plan(stmt *sql.Select) (*Plan, error) {
 	}
 
 	if stmt.Distinct {
-		root = &DistinctNode{Input: root}
+		root = distinctOver(root)
 	}
 
 	// ORDER BY against the output schema.
@@ -588,6 +589,13 @@ func indexOf(xs []int, v int) int {
 	return -1
 }
 
+// distinctOver deduplicates input. A distinct compares every column, so
+// any segmentation the stream keeps is covered: equal rows are on one
+// node and the per-node pass is final (§4).
+func distinctOver(input Node) *DistinctNode {
+	return &DistinctNode{Input: input, Local: len(segmentColsOf(input)) > 0}
+}
+
 // segmentColsOf tracks segmentation positions through the plan.
 func segmentColsOf(n Node) []int {
 	switch t := n.(type) {
@@ -597,6 +605,20 @@ func segmentColsOf(n Node) []int {
 		return t.OutSegmentCols
 	case *Filter:
 		return segmentColsOf(t.Input)
+	case *Project:
+		// A segmentation column survives only as a bare column output.
+		in := segmentColsOf(t.Input)
+		out := make([]int, len(in))
+		for i, sc := range in {
+			out[i] = slices.IndexFunc(t.Exprs, func(e expr.Expr) bool {
+				c, ok := e.(*expr.ColumnRef)
+				return ok && c.Index == sc
+			})
+			if out[i] < 0 {
+				return nil
+			}
+		}
+		return out
 	}
 	return nil
 }

@@ -346,6 +346,103 @@ func TestPlanDistinct(t *testing.T) {
 	}
 }
 
+// findDistinct returns the first DistinctNode on the plan's input spine.
+func findDistinct(n Node) *DistinctNode {
+	switch t := n.(type) {
+	case *DistinctNode:
+		return t
+	case *Filter:
+		return findDistinct(t.Input)
+	case *Project:
+		return findDistinct(t.Input)
+	case *Aggregate:
+		return findDistinct(t.Input)
+	case *Sort:
+		return findDistinct(t.Input)
+	case *Limit:
+		return findDistinct(t.Input)
+	}
+	return nil
+}
+
+// TestPlanDistinctLocality pins where a distinct finishes: on the node
+// that holds the rows when its columns cover the stream's segmentation
+// (through a projection of bare columns or a reshuffle join's keys), on
+// the initiator otherwise — and the COUNT over a local distinct merges
+// per-node counts instead of counting on the initiator.
+func TestPlanDistinctLocality(t *testing.T) {
+	snap := testCatalog(t)
+	for _, c := range []struct {
+		q        string
+		local    bool
+		aggMode  AggMode
+		hasCount bool
+	}{
+		{q: `SELECT o_date, COUNT(DISTINCT o_cust) AS n FROM orders GROUP BY o_date`,
+			local: true, aggMode: AggTwoPhase, hasCount: true},
+		{q: `SELECT COUNT(DISTINCT o_cust) FROM orders`,
+			local: true, aggMode: AggTwoPhase, hasCount: true},
+		{q: `SELECT o_cust, COUNT(DISTINCT o_id) AS n FROM orders GROUP BY o_cust`,
+			local: true, aggMode: AggLocalFinal, hasCount: true},
+		{q: `SELECT o_date, COUNT(DISTINCT o_id) AS n FROM orders GROUP BY o_date`,
+			local: false, aggMode: AggInitiatorOnly, hasCount: true},
+		{q: `SELECT COUNT(DISTINCT o_cust + 1) FROM orders`,
+			local: false, aggMode: AggInitiatorOnly, hasCount: true},
+		{q: `SELECT DISTINCT o_cust, o_date FROM orders`, local: true},
+		{q: `SELECT DISTINCT o_cust + 0 AS c, o_date FROM orders`, local: false},
+		{q: `SELECT DISTINCT o_date FROM orders`, local: false},
+		{q: `SELECT DISTINCT c_region FROM customers`, local: false},
+		{q: `SELECT DISTINCT d_label FROM dim`, local: false},
+		{q: `SELECT DISTINCT o.o_id FROM orders o JOIN customers c ON o.o_id = c.c_id`, local: true},
+		{q: `SELECT DISTINCT c.c_name FROM orders o JOIN customers c ON o.o_id = c.c_id`, local: false},
+	} {
+		plan := planQuery(t, snap, c.q)
+		d := findDistinct(plan.Root)
+		if d == nil {
+			t.Errorf("%s: no DistinctNode", c.q)
+			continue
+		}
+		if d.Local != c.local {
+			t.Errorf("%s: distinct Local = %v, want %v", c.q, d.Local, c.local)
+		}
+		if agg := findAgg(plan.Root); c.hasCount && (agg == nil || agg.Mode != c.aggMode) {
+			t.Errorf("%s: count aggregate = %+v, want mode %v", c.q, agg, c.aggMode)
+		}
+	}
+}
+
+// TestPlanQ11LocalDistinct plans the benchmark's Q11 over lineitem
+// segmented by HASH(l_orderkey): every (l_returnflag, l_orderkey) pair
+// lives on one node, so the distinct is final there and the count is
+// two-phase.
+func TestPlanQ11LocalDistinct(t *testing.T) {
+	c := catalog.New()
+	txn := c.Begin()
+	li := &catalog.Table{OID: c.NewOID(), Name: "lineitem", Columns: types.Schema{
+		{Name: "l_orderkey", Type: types.Int64},
+		{Name: "l_returnflag", Type: types.Varchar},
+		{Name: "l_shipdate", Type: types.Date},
+	}}
+	txn.Put(li)
+	txn.Put(&catalog.Projection{
+		OID: c.NewOID(), TableOID: li.OID, Name: "lineitem_super",
+		Columns: []string{"l_orderkey", "l_returnflag", "l_shipdate"},
+		SortKey: []string{"l_shipdate"}, SegmentCols: []string{"l_orderkey"},
+	})
+	if _, err := c.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	plan := planQuery(t, c.Snapshot(), `SELECT l_returnflag, COUNT(DISTINCT l_orderkey) AS orders
+		FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`)
+	agg := findAgg(plan.Root)
+	if agg == nil || agg.Mode != AggTwoPhase {
+		t.Fatalf("count aggregate = %+v, want AggTwoPhase", agg)
+	}
+	if d, ok := agg.Input.(*DistinctNode); !ok || !d.Local {
+		t.Errorf("aggregate input = %+v, want a Local DistinctNode", agg.Input)
+	}
+}
+
 func TestPlanErrors(t *testing.T) {
 	snap := testCatalog(t)
 	bad := []string{

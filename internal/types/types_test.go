@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,6 +152,30 @@ func TestVectorAppendVectorWithNulls(t *testing.T) {
 	a.AppendVector(b)
 	if a.Len() != 3 || !a.IsNull(1) || a.IsNull(2) || a.IsNull(0) {
 		t.Errorf("AppendVector nulls wrong: %v %v", a.Ints, a.Nulls)
+	}
+}
+
+// AppendFrom must store what Append(o.Datum(i)) stores, raw slices and
+// null bitmap alike: a NULL source position reads as the zero value even
+// when the source holds something else under its null bit, and a short
+// source bitmap means non-NULL.
+func TestVectorAppendFromMatchesAppend(t *testing.T) {
+	nulls := []bool{false, true, false, true}
+	for _, src := range []*Vector{
+		{Typ: Int64, Ints: []int64{1, 9, 3, 4, 5}, Nulls: nulls},
+		{Typ: Float64, Floats: []float64{1.5, 9, -0.0, 4, 5}, Nulls: nulls},
+		{Typ: Varchar, Strs: []string{"a", "junk", "c", "d", "e"}, Nulls: nulls},
+		{Typ: Bool, Bools: []bool{true, true, false, true, true}, Nulls: nulls},
+		{Typ: Int64, Ints: []int64{1, 2, 3}},
+	} {
+		typed, boxed := NewVector(src.Typ, 0), NewVector(src.Typ, 0)
+		for i := src.Len() - 1; i >= 0; i-- {
+			typed.AppendFrom(src, i)
+			boxed.Append(src.Datum(i))
+		}
+		if !reflect.DeepEqual(typed, boxed) {
+			t.Errorf("%v: AppendFrom = %+v, Append(Datum) = %+v", src.Typ, typed, boxed)
+		}
 	}
 }
 

@@ -76,7 +76,44 @@ func (v *Vector) Append(d Datum) {
 	case Bool:
 		v.Bools = append(v.Bools, d.B)
 	}
-	if d.Null {
+	v.appended(n, d.Null)
+}
+
+// AppendFrom appends position i of o, which must have v's physical
+// class, without boxing it in a Datum. A NULL stores the zero value under
+// its null bit, as Append does.
+func (v *Vector) AppendFrom(o *Vector, i int) {
+	n := v.Len()
+	null := o.IsNull(i)
+	switch v.Typ.Physical() {
+	case Int64:
+		var x int64
+		if !null {
+			x = o.Ints[i]
+		}
+		v.Ints = append(v.Ints, x)
+	case Float64:
+		var x float64
+		if !null {
+			x = o.Floats[i]
+		}
+		v.Floats = append(v.Floats, x)
+	case Varchar:
+		var x string
+		if !null {
+			x = o.Strs[i]
+		}
+		v.Strs = append(v.Strs, x)
+	case Bool:
+		v.Bools = append(v.Bools, !null && o.Bools[i])
+	}
+	v.appended(n, null)
+}
+
+// appended records whether the value just appended at position n is
+// NULL, keeping an existing null bitmap as long as the vector.
+func (v *Vector) appended(n int, null bool) {
+	if null {
 		v.setNull(n)
 	} else if v.Nulls != nil {
 		for len(v.Nulls) <= n {

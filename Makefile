@@ -41,12 +41,15 @@ race:
 # Chaos smoke: the deterministic fault drill (load + query stream +
 # node kill + revive under injected shared-storage faults), DELETE,
 # UPDATE and ADD COLUMN across a node kill and recovery (every container
-# rewritten, not only the initiator's), revive's and sync's I/O shape
+# rewritten, not only the initiator's), a DELETE racing a mergeout (it
+# conflicts only with one of a container it deletes from), a failed
+# UPDATE leaving shared storage untouched, an Enterprise DELETE or UPDATE
+# refused while a node is down, revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestEnterpriseDMLNeedsEveryNode' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
@@ -66,7 +69,10 @@ obs:
 # the join that used to stall the gather), the distinct matrix (covered
 # and uncovered DISTINCT / COUNT(DISTINCT) on the same layouts: a
 # distinct finishes per node only when its columns cover the
-# segmentation), the LIMIT pushdown / early-termination and
+# segmentation), the DML matrix (DELETE and UPDATE shapes on the same
+# layouts and both engines, each run as a query: checked against a
+# model, the reference, the count before it and its fragment spans),
+# the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation
 # leak check — all race-checked (the pipeline is goroutines connected by
 # channels) — the pipe unit tests (the one bounded edge: k producers,
@@ -79,7 +85,7 @@ obs:
 # path's allocation guards without the race detector (they skip under
 # -race, which inflates allocation counts).
 exec:
-	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/

@@ -960,7 +960,8 @@ func (db *DB) recordsAfter(v uint64) []*catalog.LogRecord {
 	return out
 }
 
-// Context returns the context of cluster maintenance work — loads, DML,
-// DDL, the tuple mover, sync and GC — which runs without a deadline. A
-// query's context carries its Session.Timeout instead.
+// Context returns the context of cluster maintenance work — loads, DML
+// writes, DDL, the tuple mover, sync and GC — which runs without a
+// deadline. A query's context, DML scans included, carries its
+// Session.Timeout instead.
 func (db *DB) Context() context.Context { return context.Background() }

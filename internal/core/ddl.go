@@ -83,14 +83,18 @@ func (db *DB) CreateProjection(stmt *sql.CreateProjection) error {
 	if _, exists := snap.ProjectionByName(stmt.Name); exists {
 		return fmt.Errorf("core: projection %q already exists", stmt.Name)
 	}
-	// The initiator's catalog lists only its own shards' containers.
-	containersOf, err := db.everyContainer()
+	// The initiator's catalog lists only its own shards' containers: list
+	// them as a DELETE's scans would.
+	env, err := (&Session{db: db}).selectParticipants(init)
 	if err != nil {
 		return err
 	}
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		if len(containersOf(p.OID)) > 0 {
+		err := env.eachContainer(p, func(*Node, *catalog.StorageContainer) error {
 			return fmt.Errorf("core: table %q already has data; create projections before loading", tbl.Name)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if len(stmt.Aggs) > 0 {
@@ -242,7 +246,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 
 	// Generate the new column's data for every projection and container
 	// — offline, before taking the commit lock.
-	containersOf, err := db.everyContainer()
+	env, err := (&Session{db: db}).selectParticipants(init)
 	if err != nil {
 		return err
 	}
@@ -254,8 +258,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 		pc.Columns = append(pc.Columns, stmt.Col.Name)
 		txn.Put(pc)
 		projSchema := projectionSchema(tbl, p.Columns)
-		for _, h := range containersOf(p.OID) {
-			sc := h.sc
+		err := env.eachContainer(p, func(node *Node, sc *catalog.StorageContainer) error {
 			var colVec *types.Vector
 			if len(expr.Columns(def)) == 0 {
 				// Constant default: evaluate once.
@@ -270,10 +273,6 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 				}
 			} else {
 				// Derived default: evaluate against the container rows.
-				node := db.nodeForStorage(sc)
-				if node == nil {
-					return fmt.Errorf("core: no node can read container %d", sc.OID)
-				}
 				rows, err := storage.ReadColumns(ctx, sc, projSchema, db.fetchFunc(node, false), db.ioConc())
 				if err != nil {
 					return err
@@ -315,13 +314,10 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			updated.ColStats[stmt.Col.Name] = stats
 			txn.Put(updated)
 			// Persist the new column file before commit.
-			writer := db.nodeForStorage(sc)
-			if writer == nil {
-				writer = init
-			}
-			if err := db.persistFiles(ctx, writer, map[string][]byte{path: img}, sc.ShardIndex, db.neverCacheTable(tbl.Name)); err != nil {
-				return err
-			}
+			return db.persistFiles(ctx, node, map[string][]byte{path: img}, sc.ShardIndex, db.neverCacheTable(tbl.Name))
+		})
+		if err != nil {
+			return err
 		}
 	}
 	_, err = db.commit(init, txn, nil)

@@ -2,307 +2,229 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"time"
 
 	"eon/internal/catalog"
+	"eon/internal/exec"
 	"eon/internal/expr"
+	"eon/internal/obs"
+	"eon/internal/planner"
 	"eon/internal/sql"
 	"eon/internal/storage"
 	"eon/internal/types"
 )
 
-// Delete removes rows matching the predicate by writing delete vectors —
-// tombstones stored in the column-file format; the underlying files are
-// never modified (§2.3, §4.5). It returns the number of deleted rows.
-func (db *DB) Delete(stmt *sql.Delete) (int64, error) {
-	return db.deleteWhere(stmt.Table, stmt.Where, nil)
-}
+// Delete removes the rows matching the statement's predicate by writing
+// delete vectors — tombstones stored in the column-file format; the
+// underlying files are never modified (§2.3, §4.5). It returns the number
+// of deleted rows.
+func (s *Session) Delete(stmt *sql.Delete) (int64, error) { return s.modify(stmt) }
 
 // Update models UPDATE as a delete followed by an insert of the modified
-// rows (§2.3).
-func (db *DB) Update(stmt *sql.Update) (int64, error) {
-	init, err := db.anyUpNode()
+// rows (§2.3). It returns the number of updated rows.
+func (s *Session) Update(stmt *sql.Update) (int64, error) { return s.modify(stmt) }
+
+// modify runs a DML statement and returns its row count.
+func (s *Session) modify(stmt sql.Statement) (int64, error) {
+	res, err := s.run(&queryRequest{dml: stmt})
 	if err != nil {
 		return 0, err
 	}
-	snap := init.catalog.Snapshot()
-	tbl, ok := snap.TableByName(stmt.Table)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown table %q", stmt.Table)
-	}
-	// Bind SET expressions against the table schema.
-	setIdx := make([]int, len(stmt.Set))
-	for i, sc := range stmt.Set {
-		idx := tbl.Columns.ColumnIndex(sc.Column)
-		if idx < 0 {
-			return 0, fmt.Errorf("core: unknown column %q", sc.Column)
-		}
-		setIdx[i] = idx
-		if err := expr.Bind(sc.Value, tbl.Columns); err != nil {
-			return 0, err
-		}
-	}
-	reinsert := types.NewBatch(tbl.Columns, 0)
-	n, err := db.deleteWhere(stmt.Table, stmt.Where, func(row types.Row) error {
-		updated := row.Clone()
-		for i, sc := range stmt.Set {
-			v, err := expr.EvalRow(sc.Value, row)
-			if err != nil {
-				return err
-			}
-			cv, err := coerceDatum(v, tbl.Columns[setIdx[i]].Type)
-			if err != nil {
-				return err
-			}
-			updated[setIdx[i]] = cv
-		}
-		reinsert.AppendRow(updated)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if reinsert.NumRows() > 0 {
-		if err := db.LoadRows(tbl.Name, reinsert); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return res.Batch.Cols[0].Ints[0], nil
 }
 
-// deleteWhere finds matching rows in every projection of the table and
-// commits delete vectors for them. onRow, when set, receives each
-// deleted row in table-column order (for UPDATE re-insertion) exactly
-// once.
-func (db *DB) deleteWhere(tableName string, where expr.Expr, onRow func(types.Row) error) (int64, error) {
-	init, err := db.anyUpNode()
-	if err != nil {
-		return 0, err
-	}
-	ctx := db.Context()
-	txn := init.catalog.Begin()
-	snap := txn.Base()
-	tbl, ok := snap.TableByName(tableName)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown table %q", tableName)
-	}
-	projs := snap.ProjectionsOf(tbl.OID)
-	if tableHasLiveAggregate(projs) {
-		// The paper's trade-off (§2.1): live aggregates restrict how the
-		// base table can be updated.
-		return 0, fmt.Errorf("core: table %q has a live aggregate projection; DELETE/UPDATE are not supported", tbl.Name)
-	}
-	containersOf, err := db.everyContainer()
-	if err != nil {
-		return 0, err
-	}
-	var deletedTotal, wosDeleted int64
-	rowsCaptured := false
-
-	for _, p := range projs {
-		projSchema := projectionSchema(tbl, p.Columns)
-		// Bind the predicate against this projection's schema.
-		var pred expr.Expr
-		if where != nil {
-			pred = clonePredicate(where)
-			if err := expr.Bind(pred, projSchema); err != nil {
-				return 0, fmt.Errorf("core: DELETE predicate: %w", err)
-			}
-		}
-		captureHere := !rowsCaptured && onRow != nil && len(p.Columns) == len(tbl.Columns) && p.BuddyOffset == 0
-
-		// Enterprise: matching rows buffered in a node's WOS are removed
-		// in place (the WOS is volatile memory; §2.3).
-		if db.mode == ModeEnterprise {
-			for _, n := range db.Nodes() {
-				if !n.Up() || n.wos == nil {
-					continue
-				}
-				removed, err := n.wos.RemoveWhere(p.OID, func(row types.Row) (bool, error) {
-					if pred == nil {
-						return true, nil
-					}
-					v, err := expr.EvalRow(pred, row)
-					if err != nil {
-						return false, err
-					}
-					return !v.Null && v.B, nil
-				})
-				if err != nil {
-					return 0, err
-				}
-				if removed == nil {
-					continue
-				}
-				if captureHere {
-					deletedTotal += int64(removed.NumRows())
-					for i := 0; i < removed.NumRows(); i++ {
-						full := make(types.Row, len(tbl.Columns))
-						for pj, cname := range p.Columns {
-							ti := tbl.Columns.ColumnIndex(cname)
-							full[ti] = removed.Cols[pj].Datum(i)
-						}
-						if err := onRow(full); err != nil {
-							return 0, err
-						}
-					}
-				} else if onRow == nil && p.BuddyOffset == 0 {
-					wosDeleted += int64(removed.NumRows())
-				}
-			}
-		}
-
-		for _, h := range containersOf(p.OID) {
-			sc := h.sc
-			node := db.nodeForStorage(sc)
-			if node == nil {
-				return 0, fmt.Errorf("core: no node can read container %d", sc.OID)
-			}
-			// Existing deletes must not be double-deleted.
-			rows, existing, err := db.readContainer(ctx, node, sc, h.snap.DeleteVectorsOf(sc.OID), projSchema)
-			if err != nil {
-				return 0, err
-			}
-
-			var positions []int64
-			for i := 0; i < rows.NumRows(); i++ {
-				if existing.Contains(int64(i)) {
-					continue
-				}
-				if pred != nil {
-					v, err := expr.EvalRow(pred, rows.Row(i))
-					if err != nil {
-						return 0, err
-					}
-					if v.Null || !v.B {
-						continue
-					}
-				}
-				positions = append(positions, int64(i))
-				if captureHere {
-					full := make(types.Row, len(tbl.Columns))
-					for pj, cname := range p.Columns {
-						ti := tbl.Columns.ColumnIndex(cname)
-						full[ti] = rows.Cols[pj].Datum(i)
-					}
-					if err := onRow(full); err != nil {
-						return 0, err
-					}
-				}
-			}
-			if len(positions) == 0 {
-				continue
-			}
-			owner := ""
-			if db.mode == ModeEnterprise {
-				owner = sc.OwnerNode
-			}
-			dv, data := storage.NewDeleteVectorMeta(init.catalog, node.inst, sc, positions, owner)
-			if err := db.persistFiles(ctx, node, map[string][]byte{dv.File.Path: data}, sc.ShardIndex, db.neverCacheTable(tbl.Name)); err != nil {
-				return 0, err
-			}
-			txn.Put(dv)
-			if captureHere {
-				deletedTotal += int64(len(positions))
-			}
-		}
-		if captureHere {
-			rowsCaptured = true
-		}
-	}
-	if onRow != nil && !rowsCaptured {
-		return 0, fmt.Errorf("core: UPDATE requires a projection containing every column of %q", tbl.Name)
-	}
-	// When not capturing rows, count deletions from the first base
-	// projection's delete vectors staged in this transaction plus rows
-	// removed from WOS buffers.
-	if onRow == nil {
-		deletedTotal = countStagedDeletes(txn, projs) + wosDeleted
-	}
-	if !txn.Pending() {
-		return deletedTotal, nil
-	}
-	_, err = db.commit(init, txn, nil)
-	if err != nil {
-		return 0, err
-	}
-	return deletedTotal, nil
-}
-
-// heldContainer is a container and the snapshot of the catalog cut it
-// was listed from.
-type heldContainer struct {
-	sc   *catalog.StorageContainer
-	snap *catalog.Snapshot
-	kept bool // snap's node keeps the container's shard
-}
-
-// everyContainer captures one catalog cut of every up node and returns a
-// lister of a projection's containers across it, each once. No single
-// catalog lists them all: an Eon node keeps the shards it subscribes to,
-// plus objects it committed itself, and of those it never receives
-// another node's later delete vectors or rewrites. So a container comes
-// from the snapshot of a node that keeps its shard whenever one lists it.
-func (db *DB) everyContainer() (func(proj catalog.OID) []heldContainer, error) {
-	var names []string
-	for name := range db.UpNodes() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	cut, err := db.captureCut(names)
+// runDML executes a DELETE or UPDATE as a query (tryQuery): one scan per
+// projection (planner.PlanDML), run like a SELECT's under one cut, finds
+// where the matching rows are stored; the initiator writes one delete
+// vector per container and commits once, then an UPDATE re-loads its
+// rows with the SET expressions applied. In Enterprise, matching WOS rows
+// are removed in place after the commit (the WOS is volatile memory).
+func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, queryStart time.Time) (*Result, error) {
+	db, init := s.db, env.initiator
+	planSp := root.StartSpan("plan")
+	plan, err := planner.PlanDML(env.snapshots[init.name], stmt)
+	planSp.End()
 	if err != nil {
 		return nil, err
 	}
-	keeps := make([]catalog.KeepFunc, len(names))
-	for i, name := range names {
-		n, _ := db.Node(name)
-		keeps[i] = db.keepFuncFor(n)
+	if db.mode == ModeEnterprise && len(db.UpNodes()) < len(db.order) {
+		// Checked before any write. A down node's own copy of the table is
+		// not scanned, and recovery copies it back unchanged, so a DELETE
+		// would lose its rows there; an UPDATE's re-insert loads every
+		// segment onto its owners, and would fail after the deletes.
+		return nil, fmt.Errorf("core: DML needs every node up in Enterprise mode")
 	}
-	return func(proj catalog.OID) []heldContainer {
-		at := map[catalog.OID]int{}
-		var out []heldContainer
-		for i, name := range names {
-			for _, sc := range cut[name].ContainersOf(proj, catalog.GlobalShard) {
-				h := heldContainer{sc: sc, snap: cut[name], kept: keeps[i](sc)}
-				if j, ok := at[sc.OID]; !ok {
-					at[sc.OID] = len(out)
-					out = append(out, h)
-				} else if h.kept && !out[j].kept {
-					out[j] = h
+	trees := make([]planner.Node, len(plan.Scans))
+	for i, scan := range plan.Scans {
+		trees[i] = scan
+	}
+	env.read = map[catalog.OID]readFrom{}
+	found, err := s.admitAndRun(env, root, queryStart, trees...)
+	if err != nil {
+		return nil, err
+	}
+
+	writeSp := root.StartSpan("write")
+	defer writeSp.End()
+	txn := init.catalog.Begin()
+	var ships []pendingShip
+	written := map[catalog.OID]readFrom{}
+	var n int64
+	var rows *types.Batch // UPDATE: the statement's rows, in projection order
+	for i, b := range found {
+		data := len(b.Cols) - len(planner.PositionSchema)
+		byContainer := map[catalog.OID][]int64{}
+		var keep []int
+		for r, oid := range b.Cols[data].Ints {
+			c := catalog.OID(oid)
+			byContainer[c] = append(byContainer[c], b.Cols[data+1].Ints[r])
+			if i == plan.Rows && env.oneCopy(env.read[c].sc) {
+				keep = append(keep, r)
+			}
+		}
+		for oid, positions := range byContainer {
+			h := env.read[oid]
+			written[oid] = h
+			dv, file := storage.NewDeleteVectorMeta(init.catalog, h.node.inst, h.sc, positions, h.sc.OwnerNode)
+			txn.Put(dv)
+			ships = append(ships, pendingShip{writer: h.node, files: map[string][]byte{dv.File.Path: file}, shard: h.sc.ShardIndex})
+		}
+		if i == plan.Rows {
+			n = int64(len(keep))
+			if plan.Set != nil {
+				rows = (&types.Batch{Cols: b.Cols[:data]}).Gather(keep)
+			}
+		}
+	}
+	writeSp.AddAttr("delete_vectors", int64(len(ships)))
+	if len(ships) > 0 {
+		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
+			return nil, err
+		}
+		if _, err := db.commit(init, txn, validateWritten(written)); err != nil {
+			return nil, err
+		}
+	}
+	// Nothing below may fail with errNodeDown: the deletes are committed,
+	// and a retry would not find the rows again.
+	if db.mode == ModeEnterprise {
+		for i, scan := range plan.Scans {
+			wos, err := db.removeFromWOS(init, scan)
+			if err != nil {
+				return nil, fmt.Errorf("core: WOS: %v", err)
+			}
+			if i == plan.Rows {
+				n += int64(wos.NumRows())
+				if rows != nil {
+					rows.AppendBatch(wos)
 				}
 			}
 		}
-		return out
-	}, nil
+	}
+	if plan.Set == nil {
+		return countResult("deleted", n), nil
+	}
+	if err := db.reinsert(env, plan, rows); err != nil {
+		return nil, fmt.Errorf("core: UPDATE re-insert: %v", err)
+	}
+	return countResult("updated", n), nil
 }
 
-// countStagedDeletes sums the staged delete-vector counts of the first
-// base projection.
-func countStagedDeletes(txn *catalog.Txn, projs []*catalog.Projection) int64 {
-	var base *catalog.Projection
-	for _, p := range projs {
-		if p.BuddyOffset == 0 {
-			base = p
-			break
+// readFrom is a container a DML scan read, and the node that read it,
+// which keeps the container's shard (or owns it, in Enterprise).
+type readFrom struct {
+	sc   *catalog.StorageContainer
+	node *Node
+}
+
+// oneCopy reports whether sc's rows count toward the statement's rows:
+// every container does, except that an Enterprise replicated projection
+// keeps a full copy on each node, and only the initiator's counts.
+func (env *queryEnv) oneCopy(sc *catalog.StorageContainer) bool {
+	return env.db.mode != ModeEnterprise || sc.ShardIndex != catalog.ReplicaShard || sc.OwnerNode == env.initiator.name
+}
+
+// validateWritten is a DML statement's commit check, run under commitMu:
+// every container that gets a delete vector still exists where it was
+// read, so no delete vector lands on a container a mergeout replaced
+// meanwhile. Containers where nothing matched are not checked.
+func validateWritten(written map[catalog.OID]readFrom) func(*catalog.Snapshot) error {
+	return func(*catalog.Snapshot) error {
+		for oid, h := range written {
+			if !h.node.Up() {
+				return fmt.Errorf("%w: %s", errNodeDown, h.node.name)
+			}
+			if _, ok := h.node.catalog.Snapshot().Get(oid); !ok {
+				return fmt.Errorf("%w: container %d was replaced during the statement", catalog.ErrConflict, oid)
+			}
+		}
+		return nil
+	}
+}
+
+// removeFromWOS removes the WOS rows of scan's projection that its
+// predicate keeps from every up Enterprise node, and returns those that
+// count toward the statement's rows (in projection column order): all of
+// them, or for a replicated projection the initiator's copy.
+func (db *DB) removeFromWOS(init *Node, scan *planner.Scan) (*types.Batch, error) {
+	// A WOS row holds every projection column.
+	match := func(types.Row) (bool, error) { return true, nil }
+	schema := projectionSchema(scan.Table, scan.Proj.Columns)
+	if scan.Pred != nil {
+		pred := expr.Clone(scan.Pred)
+		if err := expr.Bind(pred, schema); err != nil {
+			return nil, err
+		}
+		match = func(row types.Row) (bool, error) {
+			v, err := expr.EvalRow(pred, row)
+			return !v.Null && v.B, err
 		}
 	}
-	if base == nil {
-		return 0
-	}
-	var n int64
-	for _, oid := range txn.StagedOIDs() {
-		o, ok := txn.Get(oid)
-		if !ok {
+	out := types.NewBatch(schema, 0)
+	for _, node := range db.Nodes() {
+		if !node.Up() || node.wos == nil {
 			continue
 		}
-		if dv, ok := o.(*catalog.DeleteVector); ok && dv.ProjOID == base.OID {
-			n += dv.Count
+		removed, err := node.wos.RemoveWhere(scan.Proj.OID, match)
+		if err != nil {
+			return nil, err
+		}
+		if removed != nil && (!scan.Replicated || node == init) {
+			out.AppendBatch(removed)
 		}
 	}
-	return n
+	return out, nil
 }
 
-// clonePredicate deep-copies a predicate AST (Bind mutates nodes).
-func clonePredicate(e expr.Expr) expr.Expr {
-	return expr.Clone(e)
+// reinsert loads an UPDATE's rows with the SET expressions applied,
+// evaluated by the query's engine and coerced to the column types as a
+// load coerces.
+func (db *DB) reinsert(env *queryEnv, plan *planner.DML, rows *types.Batch) error {
+	if rows == nil || rows.NumRows() == 0 {
+		return nil
+	}
+	tbl := plan.Table
+	schema := plan.Scans[plan.Rows].OutSchema[:len(rows.Cols)]
+	p := exec.NewProject(exec.NewSource(schema, rows), plan.Set, tbl.Columns.Names())
+	p.Eng = env.eng()
+	out, err := exec.Collect(p)
+	if err != nil {
+		return err
+	}
+	for i, c := range tbl.Columns {
+		v := out.Cols[i]
+		if v.Typ == c.Type {
+			continue
+		}
+		coerced := types.NewVector(c.Type, v.Len())
+		for r := 0; r < v.Len(); r++ {
+			d, err := coerceDatum(v.Datum(r), c.Type)
+			if err != nil {
+				return fmt.Errorf("column %q: %w", c.Name, err)
+			}
+			coerced.Append(d)
+		}
+		out.Cols[i] = coerced
+	}
+	return db.LoadRows(tbl.Name, out)
 }

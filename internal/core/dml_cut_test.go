@@ -1,9 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"eon/internal/catalog"
+	"eon/internal/objstore"
+	"eon/internal/types"
 )
 
 // DELETE, UPDATE and ADD COLUMN rewrite every container of the table, and
@@ -140,4 +147,205 @@ func TestDMLSeesEveryShard(t *testing.T) {
 			}
 		}
 	})
+}
+
+// holdDVStore holds every delete-vector PUT from the first one until
+// release is closed, and closes reached when the first one arrives.
+type holdDVStore struct {
+	objstore.Store
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (h *holdDVStore) Put(ctx context.Context, key string, data []byte) error {
+	if strings.HasSuffix(key, "_dv") {
+		h.once.Do(func() { close(h.reached) })
+		<-h.release
+	}
+	return h.Store.Put(ctx, key, data)
+}
+
+// A DELETE whose container a mergeout replaces between the DELETE's cut
+// and its commit must not commit its delete vectors onto the dropped
+// container, or the rows survive in the merged one: it fails with a
+// conflict, or it leaves no matching row.
+func TestDeleteConflictsWithMergeout(t *testing.T) {
+	shared := &holdDVStore{Store: objstore.NewMem(), reached: make(chan struct{}), release: make(chan struct{})}
+	db, err := Create(Config{
+		Mode:       ModeEon,
+		Nodes:      []NodeSpec{{Name: "node1"}, {Name: "node2"}},
+		ShardCount: 2,
+		Shared:     shared,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INTEGER)`)
+	// Four loads: four containers per shard, one mergeout job each.
+	for l := 0; l < 4; l++ {
+		rows := make([]types.Row, 25)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(l*25 + i))}
+		}
+		if err := db.LoadRows("t", types.BatchFromRows(types.Schema{{Name: "id", Type: types.Int64}}, rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Execute(`DELETE FROM t WHERE id < 10`)
+		done <- err
+	}()
+	<-shared.reached
+	st, err := db.RunMergeout()
+	if err != nil || st.Jobs == 0 {
+		t.Fatalf("mergeout ran %d jobs, err %v; want some", st.Jobs, err)
+	}
+	close(shared.release)
+	if err := <-done; err != nil {
+		if !errors.Is(err, catalog.ErrConflict) {
+			t.Fatalf("DELETE failed with %v, want a conflict", err)
+		}
+		return
+	}
+	if n := mustQuery(t, s, `SELECT COUNT(*) FROM t WHERE id < 10`).Row(t, 0)[0].I; n != 0 {
+		t.Errorf("DELETE reported success, but %d of its rows survive", n)
+	}
+}
+
+// An UPDATE the table cannot take (no projection holds every column)
+// fails before it writes anything to shared storage.
+func TestUpdateWithoutFullProjectionWritesNothing(t *testing.T) {
+	shared := objstore.NewMem()
+	db, err := Create(Config{
+		Mode:       ModeEon,
+		Nodes:      []NodeSpec{{Name: "node1"}, {Name: "node2"}},
+		ShardCount: 2,
+		Shared:     shared,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE u (a INTEGER, b INTEGER, c INTEGER)`)
+	mustExec(t, s, `CREATE PROJECTION u_ab AS SELECT a, b FROM u ORDER BY a SEGMENTED BY HASH(a) ALL NODES`)
+	mustExec(t, s, `CREATE PROJECTION u_ac AS SELECT a, c FROM u ORDER BY a SEGMENTED BY HASH(a) ALL NODES`)
+	mustExec(t, s, `INSERT INTO u VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)`)
+	keys := func() int {
+		t.Helper()
+		infos, err := shared.List(context.Background(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(infos)
+	}
+	before := keys()
+	_, err = s.Execute(`UPDATE u SET b = 0 WHERE a > 0`)
+	if err == nil || !strings.Contains(err.Error(), "requires a projection containing every column") {
+		t.Fatalf("UPDATE without a full-column projection: err = %v", err)
+	}
+	if after := keys(); after != before {
+		t.Errorf("shared storage went from %d to %d keys on a failed UPDATE", before, after)
+	}
+	if n := mustQuery(t, s, `SELECT COUNT(*) FROM u WHERE b > 0`).Row(t, 0)[0].I; n != 4 {
+		t.Errorf("%d rows with b > 0, want 4", n)
+	}
+}
+
+// An Enterprise node's own copy of a table is scanned only on that node,
+// and recovery copies it back unchanged: a DELETE or UPDATE with a node
+// down is refused before it writes anything, and after the recovery a
+// DELETE removes its rows from every copy, so none comes back.
+func TestEnterpriseDMLNeedsEveryNode(t *testing.T) {
+	db := newTestDB(t, ModeEnterprise, 3, 3)
+	setupSales(t, db, 300)
+	s := db.NewSession()
+	count := func(q string) int64 {
+		t.Helper()
+		return mustQuery(t, s, q).Row(t, 0)[0].I
+	}
+	if err := db.KillNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`DELETE FROM sales WHERE sale_id <= 100`,
+		`UPDATE sales SET price = 0.0 WHERE sale_id <= 100`,
+	} {
+		if _, err := s.Execute(stmt); err == nil || !strings.Contains(err.Error(), "every node up") {
+			t.Errorf("%s with node2 down: err = %v, want every node up", stmt, err)
+		}
+	}
+	if n := count(`SELECT COUNT(*) FROM sales WHERE sale_id <= 100 AND price > 0.0`); n != 100 {
+		t.Errorf("%d of the refused statements' rows left unchanged, want 100", n)
+	}
+	if err := db.RecoverNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+	if n := mustExec(t, s, `DELETE FROM sales WHERE sale_id <= 100`).Row(t, 0)[0].I; n != 100 {
+		t.Errorf("DELETE after recovery reported %d rows, want 100", n)
+	}
+	if n := count(`SELECT COUNT(*) FROM sales WHERE sale_id <= 100`); n != 0 {
+		t.Errorf("%d deleted rows came back, want 0", n)
+	}
+	if n := count(`SELECT COUNT(*) FROM sales`); n != 200 {
+		t.Errorf("%d rows, want 200", n)
+	}
+}
+
+// A DELETE conflicts only with a mergeout of a container it deletes from:
+// one that merges containers the DELETE read but found nothing in does
+// not fail it. Partition 0 has one container per shard, where the
+// matching rows are; partition 1 has four per shard, which the DELETE
+// reads (its predicate cannot prune them) and the mergeout merges.
+func TestDeleteIgnoresMergeoutOfUnmatchedContainers(t *testing.T) {
+	shared := &holdDVStore{Store: objstore.NewMem(), reached: make(chan struct{}), release: make(chan struct{})}
+	db, err := Create(Config{
+		Mode:       ModeEon,
+		Nodes:      []NodeSpec{{Name: "node1"}, {Name: "node2"}},
+		ShardCount: 2,
+		Shared:     shared,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INTEGER, bucket INTEGER) PARTITION BY bucket`)
+	schema := types.Schema{{Name: "id", Type: types.Int64}, {Name: "bucket", Type: types.Int64}}
+	for l := 0; l < 5; l++ {
+		bucket := int64(min(l, 1))
+		rows := make([]types.Row, 25)
+		for i := range rows {
+			// Partition 1's ids are 50..99 modulo 100, none of which matches.
+			id := int64(l*100 + i)
+			if bucket == 1 {
+				id += 50
+			}
+			rows[i] = types.Row{types.NewInt(id), types.NewInt(bucket)}
+		}
+		if err := db.LoadRows("t", types.BatchFromRows(schema, rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Execute(`DELETE FROM t WHERE id % 100 < 10`)
+		done <- err
+	}()
+	<-shared.reached
+	st, err := db.RunMergeout()
+	if err != nil || st.Jobs == 0 {
+		t.Fatalf("mergeout ran %d jobs, err %v; want some", st.Jobs, err)
+	}
+	close(shared.release)
+	if err := <-done; err != nil {
+		t.Fatalf("DELETE failed with %v, want success", err)
+	}
+	if n := mustQuery(t, s, `SELECT COUNT(*) FROM t WHERE id % 100 < 10`).Row(t, 0)[0].I; n != 0 {
+		t.Errorf("%d of the DELETE's rows survive, want 0", n)
+	}
+	if n := mustQuery(t, s, `SELECT COUNT(*) FROM t`).Row(t, 0)[0].I; n != 115 {
+		t.Errorf("%d rows, want 115", n)
+	}
 }

@@ -76,7 +76,8 @@ type Session struct {
 	MemoryBudget int64
 
 	// id and start identify the session in v_monitor.sessions; queries
-	// counts the SELECTs it has run (the query_seq of its profile rows).
+	// counts the queries it has run, DML included (the query_seq of its
+	// profile rows).
 	id      int64
 	start   time.Time
 	queries atomic.Int64
@@ -201,6 +202,9 @@ type queryEnv struct {
 	// stats accumulates the query's scan instrumentation across all
 	// participating nodes' workers.
 	stats scanTally
+	// read is a DML statement's read set: each container its scans read,
+	// with the node that read it (under mu; nil for a SELECT).
+	read map[catalog.OID]readFrom
 
 	// ctx carries the query's span and deadline; run derives a
 	// cancellable context from it, which every pipeline edge selects on.
@@ -284,6 +288,9 @@ type queryRequest struct {
 	// nparams is the statement's parameter count, valid once the request
 	// was parsed or a cache entry supplied it.
 	nparams int
+	// dml, when set, makes the request a DELETE or UPDATE: it is planned
+	// by planner.PlanDML instead of the SELECT stages, and never cached.
+	dml sql.Statement
 }
 
 // Query parses, plans and executes a SELECT, retrying with a fresh node
@@ -467,6 +474,9 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		defer cancel()
 		env.ctx = ctx
 	}
+	if req.dml != nil {
+		return s.runDML(req.dml, env, root, queryStart)
+	}
 
 	// Stage: plan — served from the plan cache while the tables the
 	// statement reads are unchanged (no parse or plan span), otherwise
@@ -515,12 +525,31 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		}
 	}
 
+	found, err := s.admitAndRun(env, root, queryStart, exePlan.Root)
+	if err != nil {
+		return nil, err
+	}
+	result = &Result{Columns: exePlan.OutputNames, Batch: found[0]}
+	if resultCacheable {
+		// The stored key embeds the dependency fingerprint computed from
+		// this query's own catalog cut — exactly the versions the scans
+		// read — so a later lookup matches iff its cut is data-identical.
+		db.resultCache.store(rkey, result)
+	}
+	return result, nil
+}
+
+// admitAndRun runs planned trees as one query: it admits the query, takes
+// its slots, runs the trees through the pipeline and returns each one's
+// rows gathered on the initiator, then publishes the query's scan stats.
+func (s *Session) admitAndRun(env *queryEnv, root *obs.Span, queryStart time.Time, trees ...planner.Node) ([]*types.Batch, error) {
+	db := s.db
 	// Stage: admit — per-subcluster FIFO queue with a budgeted-memory
 	// throttle, then execution slots (one per shard on its serving node,
 	// §4.2). Both waits are bounded by the session deadline and fail with
 	// ErrQueuedTooLong, distinct from a mid-execution timeout.
 	admitSp := root.StartSpan("admit")
-	releaseAdm, err := db.admission.admit(env.ctx, init.name, s.Subcluster, s.MemoryBudget)
+	releaseAdm, err := db.admission.admit(env.ctx, env.initiator.name, s.Subcluster, s.MemoryBudget)
 	if err != nil {
 		admitSp.End()
 		return nil, err
@@ -547,12 +576,9 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		time.Sleep(db.cfg.QueryCost)
 	}
 
-	final, err := env.run(exePlan, root)
+	found, err := env.run(root, trees...)
 	if err != nil {
 		return nil, err
-	}
-	if final == nil {
-		final = types.NewBatch(exePlan.Schema(), 0)
 	}
 	// Publish the query's scan stats: on the session (most recent query)
 	// and into the database's cumulative registry counters.
@@ -562,14 +588,7 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 	s.statsMu.Lock()
 	s.lastScan = snap
 	s.statsMu.Unlock()
-	result = &Result{Columns: exePlan.OutputNames, Batch: final}
-	if resultCacheable {
-		// The stored key embeds the dependency fingerprint computed from
-		// this query's own catalog cut — exactly the versions the scans
-		// read — so a later lookup matches iff its cut is data-identical.
-		db.resultCache.store(rkey, result)
-	}
-	return result, nil
+	return found, nil
 }
 
 // selectParticipants chooses the covering set of subscriptions for this

@@ -60,17 +60,31 @@ type containerWork struct {
 }
 
 // plan is the first step of reading one node's share of a scan: it lists
-// the containers of the chosen projection whose shards (or shard
-// sub-partitions, under crunch scaling) the session assigned to this node
-// and that survive catalog min/max pruning — the executor "attaches
-// storage for the shards the session has instructed it to serve" from its
-// own catalog (§4) — and starts the reads of their files (prefetch). It
-// does not block, so a pipeline plans every fragment while it is built.
+// the containers to read (list) and starts the reads of their files
+// (prefetch). It does not block, so a pipeline plans every fragment while
+// it is built.
 func (fs *fragmentScan) plan(ctx context.Context) error {
-	env, db, node, scan := fs.env, fs.env.db, fs.node, fs.scan
+	env, db, scan := fs.env, fs.env.db, fs.scan
 	// The fragment span arrives via the context (set by the caller); the
 	// fetch/decode/filter accumulator children aggregate worker time.
 	fs.sps = newScanSpans(obs.SpanFrom(ctx))
+	if err := fs.list(); err != nil {
+		return err
+	}
+	fs.firstCols, fs.allCols = scanColSets(scan, env.eng())
+	// Per-table shaping policy (§5.2): never-cache tables bypass.
+	bypass := env.session.BypassCache || db.neverCacheTable(scan.Table.Name)
+	fs.file = db.trackedFetch(fs.node, bypass, &env.stats, fs.sps.fetch)
+	return fs.prefetch(ctx)
+}
+
+// list is the one rule for which node reads which container: fs.work
+// gets the containers of the shards (or crunch sub-partitions) of
+// fs.tasks that survive catalog min/max pruning — the executor "attaches
+// storage for the shards the session has instructed it to serve" from
+// its own catalog (§4). In Enterprise a node reads only what it owns.
+func (fs *fragmentScan) list() error {
+	env, db, node, scan := fs.env, fs.env.db, fs.node, fs.scan
 	// The scan reads from the query's captured catalog cut, not a fresh
 	// snapshot: a concurrent drain (RemoveNode → unsubscribe) deletes the
 	// subscription and then prunes the node's local shard metadata via
@@ -86,9 +100,10 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 		// Enterprise: a node serving a shard it does not own in the base
 		// projection reads the buddy copy instead — "the global query
 		// plan does not change when a node is down, merely a different
-		// node serves the underlying data" (§6.1).
+		// node serves the underlying data" (§6.1). A task of every shard
+		// (GlobalShard) reads the scanned copy itself.
 		proj := scan.Proj
-		if db.mode == ModeEnterprise && shardIdx != catalog.ReplicaShard && !scan.Replicated {
+		if db.mode == ModeEnterprise && shardIdx >= 0 && !scan.Replicated {
 			p, err := db.projectionCopyFor(snap, scan.Proj, shardIdx, node.name)
 			if err != nil {
 				return err
@@ -126,11 +141,7 @@ func (fs *fragmentScan) plan(ctx context.Context) error {
 			})
 		}
 	}
-	fs.firstCols, fs.allCols = scanColSets(scan, env.eng())
-	// Per-table shaping policy (§5.2): never-cache tables bypass.
-	bypass := env.session.BypassCache || db.neverCacheTable(scan.Table.Name)
-	fs.file = db.trackedFetch(node, bypass, &env.stats, fs.sps.fetch)
-	return fs.prefetch(ctx)
+	return nil
 }
 
 // run hands each surviving batch of a planned fragment to emit as it is
@@ -179,8 +190,9 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 	if scan.Replicated {
 		fs.wosProjs = map[catalog.OID]bool{scan.Proj.OID: true}
 	}
-	// Enterprise: merge WOS rows of the projection copies this node read.
-	if db.mode == ModeEnterprise && node.wos != nil {
+	// Enterprise: merge WOS rows of the projection copies this node read
+	// (a DML scan leaves them to wos.RemoveWhere).
+	if db.mode == ModeEnterprise && node.wos != nil && !scan.Positions {
 		for projOID := range fs.wosProjs {
 			wb := node.wos.Rows(projOID)
 			if wb == nil || wb.NumRows() == 0 {
@@ -383,6 +395,11 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 		dvLists = append(dvLists, positions)
 	}
 	deletes := storage.NewDeleteSet(dvLists...)
+	if fs.scan.Positions {
+		fs.env.mu.Lock()
+		fs.env.read[sc.OID] = readFrom{sc, fs.node}
+		fs.env.mu.Unlock()
+	}
 	fs.env.stats.containersScanned.Add(1)
 	sps.frag.AddAttr("containers_scanned", 1)
 
@@ -406,7 +423,7 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 			bt.pruned++
 			continue
 		}
-		batch, err := fs.scanBlock(cols, bi, blk, deletes, w, &bt)
+		batch, err := fs.scanBlock(sc.OID, cols, bi, blk, deletes, w, &bt)
 		if err != nil {
 			return nil, err
 		}
@@ -452,8 +469,10 @@ func (fs *fragmentScan) record(bt *blockTally) {
 // predicate kernels as the initial selection and survivors are
 // materialized by one Gather at the end; the row engine gathers after
 // each stage. Returns a nil batch when no row survives. The block's time
-// is split into laps charged to bt.decode or bt.filter.
-func (fs *fragmentScan) scanBlock(cols []*rosfile.Reader, bi int, blk rosfile.BlockMeta, deletes *storage.DeleteSet, w *scanWorker, bt *blockTally) (*types.Batch, error) {
+// is split into laps charged to bt.decode or bt.filter. A Positions scan
+// appends where each survivor is stored: container oid and the block's
+// RowStart plus the row's index.
+func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi int, blk rosfile.BlockMeta, deletes *storage.DeleteSet, w *scanWorker, bt *blockTally) (*types.Batch, error) {
 	scan := fs.scan
 	n := int(blk.RowCount)
 	bt.scanned++
@@ -525,6 +544,18 @@ func (fs *fragmentScan) scanBlock(cols []*rosfile.Reader, bi int, blk rosfile.Bl
 		lap(&bt.filter)
 	} else {
 		clear(w.decoded) // the vectors leave with the batch
+	}
+	if scan.Positions {
+		oids, pos := types.NewVector(types.Int64, n), types.NewVector(types.Int64, n)
+		for i := range batch.NumRows() {
+			at := i
+			if sel != nil {
+				at = sel[i]
+			}
+			oids.Ints = append(oids.Ints, int64(oid))
+			pos.Ints = append(pos.Ints, blk.RowStart+int64(at))
+		}
+		batch.Cols = append(batch.Cols, oids, pos)
 	}
 	return batch, nil
 }

@@ -30,18 +30,8 @@ func (s *Session) Execute(sqlText string) (*Result, error) {
 		return &Result{}, s.db.CreateProjection(st)
 	case *sql.Insert:
 		return &Result{}, s.db.Insert(st)
-	case *sql.Delete:
-		n, err := s.db.Delete(st)
-		if err != nil {
-			return nil, err
-		}
-		return countResult("deleted", n), nil
-	case *sql.Update:
-		n, err := s.db.Update(st)
-		if err != nil {
-			return nil, err
-		}
-		return countResult("updated", n), nil
+	case *sql.Delete, *sql.Update:
+		return s.run(&queryRequest{sqlText: sqlText, dml: st})
 	case *sql.AlterAddColumn:
 		return &Result{}, s.db.AlterAddColumn(st)
 	case *sql.DropTable:

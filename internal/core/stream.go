@@ -364,36 +364,35 @@ func (env *queryEnv) shutdown() {
 	}
 }
 
-// run executes a plan through the streaming pipeline and drains its top
-// into the final result batch. The execution state is created here, not
-// with the query's participants, so a result-cache hit never allocates it.
-func (env *queryEnv) run(plan *planner.Plan, root *obs.Span) (*types.Batch, error) {
+// run executes plan trees, in turn, through the streaming pipeline and
+// drains each one's top into its result batch. The execution state is
+// created here, not with the query's participants, so a result-cache hit
+// never allocates it.
+func (env *queryEnv) run(root *obs.Span, trees ...planner.Node) ([]*types.Batch, error) {
 	env.ctx, env.cancel = context.WithCancel(env.ctx)
 	env.root = root
 	env.qid = env.db.queryCtr.Add(1)
 	env.govs = map[string]*exec.MemGovernor{}
 	env.spills = map[string]*exec.FSSpill{}
 	defer env.shutdown()
-	res, err := env.build(plan.Root, root)
-	if err != nil {
-		return nil, err
-	}
-	gatherSp := root.StartSpan("gather")
-	defer gatherSp.End()
-	top := env.gatherTo(res, gatherSp)
-	final := types.NewBatch(res.schema, 0)
-	for {
-		b, err := top.Next()
+	out := make([]*types.Batch, len(trees))
+	for i, tree := range trees {
+		res, err := env.build(tree, root)
 		if err != nil {
 			return nil, err
 		}
-		if b == nil {
-			break
+		gatherSp := root.StartSpan("gather")
+		b, err := exec.Collect(env.gatherTo(res, gatherSp))
+		if err == nil {
+			gatherSp.AddRowsOut(int64(b.NumRows()))
 		}
-		final.AppendBatch(b)
+		gatherSp.End()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
 	}
-	gatherSp.AddRowsOut(int64(final.NumRows()))
-	return final, nil
+	return out, nil
 }
 
 // gatherTo returns an initiator-side operator over a distributed
@@ -602,7 +601,7 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		}}
 		return res, nil
 	}
-	if scan.Replicated {
+	if scan.Replicated && !scan.Positions {
 		// Replicated projections are read once — preferentially on the
 		// initiator — and replayed by every consumer.
 		op := env.scanOp(env.initiator, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, sp)
@@ -618,7 +617,7 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 	}
 	res := &streamResult{perNode: map[string]exec.Operator{}, schema: scan.OutSchema, sp: sp}
 	for _, name := range env.nodes {
-		tasks := env.nodeTasks(name)
+		tasks := env.tasksFor(name, scan)
 		if len(tasks) == 0 {
 			continue
 		}
@@ -629,6 +628,46 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		res.perNode[name] = env.scanOp(n, scan, tasks, sp)
 	}
 	return res, nil
+}
+
+// tasksFor returns the scan tasks node serves in scan: its assigned
+// shards, or the replica shard on the initiator. An Enterprise DML scan
+// reads every copy where it is stored, since only a container's owner
+// deletes from it: each node lists all the containers it owns. Every up
+// Enterprise node already participates, owning its own segment.
+func (env *queryEnv) tasksFor(node string, scan *planner.Scan) []scanTask {
+	switch {
+	case scan.Positions && env.db.mode == ModeEnterprise:
+		return []scanTask{{Shard: catalog.GlobalShard, Of: 1}}
+	case scan.Replicated:
+		if node != env.initiator.name {
+			return nil
+		}
+		return []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}
+	}
+	return env.nodeTasks(node)
+}
+
+// eachContainer calls fn once for every container of p, with the node
+// that lists it (fragmentScan.list): what a DML scan of p would read.
+func (env *queryEnv) eachContainer(p *catalog.Projection, fn func(*Node, *catalog.StorageContainer) error) error {
+	scan := &planner.Scan{Proj: p, Replicated: p.Replicated(), Positions: true}
+	for _, name := range env.nodes {
+		n, ok := env.db.Node(name)
+		if !ok || !n.Up() {
+			return fmt.Errorf("%w: %s", errNodeDown, name)
+		}
+		fs := &fragmentScan{env: env, node: n, scan: scan, tasks: env.tasksFor(name, scan)}
+		if err := fs.list(); err != nil {
+			return err
+		}
+		for _, w := range fs.work {
+			if err := fn(n, w.sc); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (env *queryEnv) buildFilter(f *planner.Filter, sp *obs.Span) (*streamResult, error) {

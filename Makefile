@@ -43,24 +43,30 @@ race:
 # UPDATE and ADD COLUMN across a node kill and recovery (every container
 # rewritten, not only the initiator's), a DELETE racing a mergeout (it
 # conflicts only with one of a container it deletes from), a failed
-# UPDATE leaving shared storage untouched, an Enterprise DELETE or UPDATE
-# refused while a node is down, revive's and sync's I/O shape
+# UPDATE leaving shared storage untouched, an UPDATE as one commit (a
+# reader sees every row while its new containers upload, and readers
+# racing a stream of UPDATEs in both modes never see the count change),
+# an Enterprise DELETE or UPDATE refused while a node is down, revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestEnterpriseDMLNeedsEveryNode' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
 # Observability gate: the metrics/tracing package under the race
 # detector (registry and span counters are written concurrently), then
 # without it so the disabled-tracer zero-allocation test actually runs
-# (it skips under -race, which inflates allocation counts).
+# (it skips under -race, which inflates allocation counts), then the
+# slow-query and stats-reset tests and the scan-accounting test (a query
+# that fails on its deadline still reaches the registry and the session,
+# and a LIMIT and a DELETE show one record in profile, session and
+# registry).
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -count=1 -run 'TestDisabledTracerZeroAlloc' ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestSlowQuery|TestResetStats' ./internal/core/ ./internal/objstore/
+	$(GO) test -race -count=1 -run 'TestSlowQuery|TestResetStats|TestScanAccountingOnEveryExit' ./internal/core/ ./internal/objstore/
 
 # Streaming-executor gate: the reference diff (every workload query on
 # five Eon layouts, crunch modes included, against a 1-node Enterprise

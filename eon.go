@@ -113,12 +113,14 @@ type MergeoutStats = core.MergeoutStats
 
 // ScanStats is scan-path instrumentation: pruning effectiveness, bytes
 // fetched, cache behaviour and the I/O/decode/filter time split. Per
-// query via Session.LastScanStats, cumulative via DB.ScanStats.
+// query via Session.LastScanStats (the most recent query, failed or
+// not), cumulative via DB.ScanStats (every query that executed, failed
+// ones included).
 type ScanStats = core.ScanStats
 
 // ExecStats summarizes the execution engine's resource behaviour for a
-// session's most recent query: which executor ran, the peak bytes
-// pipeline breakers held on the busiest node, and spill activity under
+// session's most recent query, failed or not: the peak bytes pipeline
+// breakers held on the busiest node, and spill activity under
 // Config.QueryMemoryBudget. Per query via Session.LastExecStats.
 type ExecStats = core.ExecStats
 

@@ -367,25 +367,6 @@ func TestLoadEmptyDir(t *testing.T) {
 	}
 }
 
-func TestRecordsAfter(t *testing.T) {
-	ctx := context.Background()
-	fs := udfs.NewMemFS()
-	c := New()
-	c.SetPersister(NewPersister(fs, "cat", 1<<20))
-	for i := 0; i < 3; i++ {
-		txn := c.Begin()
-		txn.Put(newTable(c, "t"))
-		c.Commit(txn)
-	}
-	recs, err := RecordsAfter(ctx, fs, "cat", 1)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("records = %d, %v", len(recs), err)
-	}
-	if recs[0].Version != 2 || recs[1].Version != 3 {
-		t.Errorf("versions = %d, %d", recs[0].Version, recs[1].Version)
-	}
-}
-
 func TestTruncateTo(t *testing.T) {
 	ctx := context.Background()
 	fs := udfs.NewMemFS()

@@ -363,44 +363,6 @@ func applyToSnapshot(snap *Snapshot, rec *LogRecord) error {
 	return nil
 }
 
-// RecordsAfter reads the transaction log records with version > after,
-// in order, stopping at the first gap. Used for incremental metadata
-// transfer during subscription (§3.3) and catalog sync (§3.5).
-func RecordsAfter(ctx context.Context, fs udfs.FileSystem, dir string, after uint64) ([]*LogRecord, error) {
-	infos, err := fs.List(ctx, dir+"/")
-	if err != nil {
-		return nil, err
-	}
-	var versions []uint64
-	paths := map[uint64]string{}
-	for _, in := range infos {
-		kind, v, ok := ParseCatalogFile(in.Path)
-		if ok && kind == "txn" && v > after {
-			versions = append(versions, v)
-			paths[v] = in.Path
-		}
-	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
-	var out []*LogRecord
-	want := after + 1
-	for _, v := range versions {
-		if v != want {
-			break
-		}
-		data, err := fs.ReadFile(ctx, paths[v])
-		if err != nil {
-			break
-		}
-		var rec LogRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			break
-		}
-		out = append(out, &rec)
-		want++
-	}
-	return out, nil
-}
-
 // TruncateTo discards all commits after version in dir: replays the
 // catalog to exactly that version, deletes later log and checkpoint
 // files, and writes a fresh checkpoint at the truncation version (paper

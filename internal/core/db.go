@@ -467,7 +467,8 @@ type SlowQuery struct {
 	Err     string        `json:"err,omitempty"`
 	Profile *obs.Profile  `json:"profile,omitempty"`
 	// Exec carries the executor's resource stats for the query: peak
-	// governed memory and spill activity.
+	// governed memory and spill activity, from the same record as the
+	// session's LastExecStats.
 	Exec ExecStats `json:"exec"`
 }
 
@@ -505,8 +506,9 @@ func (db *DB) ioConc() int {
 }
 
 // ScanStats returns the cumulative scan statistics across all queries
-// run against this database; Wall sums the wall time of every query. It
-// is a derived view over the metrics registry's "scan." counters.
+// that executed against this database, failed ones included; Wall sums
+// their wall times. It is a derived view over the metrics registry's
+// "scan." counters, which each query's record is folded into once.
 func (db *DB) ScanStats() ScanStats { return db.scanM.snapshot() }
 
 // SetNeverCacheTable installs the "never cache table T" shaping policy

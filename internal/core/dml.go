@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
@@ -35,11 +35,15 @@ func (s *Session) modify(stmt sql.Statement) (int64, error) {
 
 // runDML executes a DELETE or UPDATE as a query (tryQuery): one scan per
 // projection (planner.PlanDML), run like a SELECT's under one cut, finds
-// where the matching rows are stored; the initiator writes one delete
-// vector per container and commits once, then an UPDATE re-loads its
-// rows with the SET expressions applied. In Enterprise, matching WOS rows
-// are removed in place after the commit (the WOS is volatile memory).
-func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, queryStart time.Time) (*Result, error) {
+// where the matching rows are stored, and the initiator writes one delete
+// vector per container into one transaction. An UPDATE stages its rows,
+// with the SET expressions applied, into the same transaction as new
+// containers; the delete vectors and the containers are persisted
+// together and committed once, so no reader sees the old rows gone
+// without the new ones. In Enterprise, matching WOS rows (volatile
+// memory, outside the catalog) are taken out before the commit and put
+// back if the statement fails.
+func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (_ *Result, err error) {
 	db, init := s.db, env.initiator
 	planSp := root.StartSpan("plan")
 	plan, err := planner.PlanDML(env.snapshots[init.name], stmt)
@@ -51,7 +55,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, quer
 		// Checked before any write. A down node's own copy of the table is
 		// not scanned, and recovery copies it back unchanged, so a DELETE
 		// would lose its rows there; an UPDATE's re-insert loads every
-		// segment onto its owners, and would fail after the deletes.
+		// segment onto its owners.
 		return nil, fmt.Errorf("core: DML needs every node up in Enterprise mode")
 	}
 	trees := make([]planner.Node, len(plan.Scans))
@@ -59,7 +63,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, quer
 		trees[i] = scan
 	}
 	env.read = map[catalog.OID]readFrom{}
-	found, err := s.admitAndRun(env, root, queryStart, trees...)
+	found, err := s.admitAndRun(env, root, trees...)
 	if err != nil {
 		return nil, err
 	}
@@ -97,19 +101,17 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, quer
 		}
 	}
 	writeSp.AddAttr("delete_vectors", int64(len(ships)))
-	if len(ships) > 0 {
-		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
-			return nil, err
-		}
-		if _, err := db.commit(init, txn, validateWritten(written)); err != nil {
-			return nil, err
-		}
-	}
-	// Nothing below may fail with errNodeDown: the deletes are committed,
-	// and a retry would not find the rows again.
 	if db.mode == ModeEnterprise {
+		var undo []func()
+		defer func() {
+			if err != nil {
+				for _, putBack := range undo {
+					putBack()
+				}
+			}
+		}()
 		for i, scan := range plan.Scans {
-			wos, err := db.removeFromWOS(init, scan)
+			wos, err := db.removeFromWOS(init, scan, &undo)
 			if err != nil {
 				return nil, fmt.Errorf("core: WOS: %v", err)
 			}
@@ -121,11 +123,29 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span, quer
 			}
 		}
 	}
+	var writers []writerShard
+	if rows != nil && rows.NumRows() > 0 {
+		load, err := db.stageUpdate(env, txn, plan, rows)
+		if err != nil {
+			return nil, fmt.Errorf("core: UPDATE re-insert: %v", err)
+		}
+		defer load.release()
+		ships = append(ships, load.ships...)
+		writers = load.writers
+	}
+	if len(ships) > 0 {
+		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
+			return nil, err
+		}
+		wrote, subscribed := validateWritten(written), db.validateWriters(writers)
+		if _, err := db.commit(init, txn, func(latest *catalog.Snapshot) error {
+			return errors.Join(wrote(latest), subscribed(latest))
+		}); err != nil {
+			return nil, err
+		}
+	}
 	if plan.Set == nil {
 		return countResult("deleted", n), nil
-	}
-	if err := db.reinsert(env, plan, rows); err != nil {
-		return nil, fmt.Errorf("core: UPDATE re-insert: %v", err)
 	}
 	return countResult("updated", n), nil
 }
@@ -163,10 +183,11 @@ func validateWritten(written map[catalog.OID]readFrom) func(*catalog.Snapshot) e
 }
 
 // removeFromWOS removes the WOS rows of scan's projection that its
-// predicate keeps from every up Enterprise node, and returns those that
-// count toward the statement's rows (in projection column order): all of
-// them, or for a replicated projection the initiator's copy.
-func (db *DB) removeFromWOS(init *Node, scan *planner.Scan) (*types.Batch, error) {
+// predicate keeps from every up Enterprise node, appending to undo how to
+// put each node's back, and returns those that count toward the
+// statement's rows (in projection column order): all of them, or for a
+// replicated projection the initiator's copy.
+func (db *DB) removeFromWOS(init *Node, scan *planner.Scan, undo *[]func()) (*types.Batch, error) {
 	// A WOS row holds every projection column.
 	match := func(types.Row) (bool, error) { return true, nil }
 	schema := projectionSchema(scan.Table, scan.Proj.Columns)
@@ -189,27 +210,28 @@ func (db *DB) removeFromWOS(init *Node, scan *planner.Scan) (*types.Batch, error
 		if err != nil {
 			return nil, err
 		}
-		if removed != nil && (!scan.Replicated || node == init) {
+		if removed == nil {
+			continue
+		}
+		*undo = append(*undo, func() { node.wos.Insert(scan.Proj.OID, schema, removed) })
+		if !scan.Replicated || node == init {
 			out.AppendBatch(removed)
 		}
 	}
 	return out, nil
 }
 
-// reinsert loads an UPDATE's rows with the SET expressions applied,
+// stageUpdate stages an UPDATE's rows, with the SET expressions applied,
 // evaluated by the query's engine and coerced to the column types as a
-// load coerces.
-func (db *DB) reinsert(env *queryEnv, plan *planner.DML, rows *types.Batch) error {
-	if rows == nil || rows.NumRows() == 0 {
-		return nil
-	}
+// load coerces, into txn as new containers (stageLoad).
+func (db *DB) stageUpdate(env *queryEnv, txn *catalog.Txn, plan *planner.DML, rows *types.Batch) (stagedLoad, error) {
 	tbl := plan.Table
 	schema := plan.Scans[plan.Rows].OutSchema[:len(rows.Cols)]
 	p := exec.NewProject(exec.NewSource(schema, rows), plan.Set, tbl.Columns.Names())
 	p.Eng = env.eng()
 	out, err := exec.Collect(p)
 	if err != nil {
-		return err
+		return stagedLoad{}, err
 	}
 	for i, c := range tbl.Columns {
 		v := out.Cols[i]
@@ -220,11 +242,11 @@ func (db *DB) reinsert(env *queryEnv, plan *planner.DML, rows *types.Batch) erro
 		for r := 0; r < v.Len(); r++ {
 			d, err := coerceDatum(v.Datum(r), c.Type)
 			if err != nil {
-				return fmt.Errorf("column %q: %w", c.Name, err)
+				return stagedLoad{}, fmt.Errorf("column %q: %w", c.Name, err)
 			}
 			coerced.Append(d)
 		}
 		out.Cols[i] = coerced
 	}
-	return db.LoadRows(tbl.Name, out)
+	return db.stageLoad(env.initiator, txn, tbl, out)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eon/internal/catalog"
@@ -347,5 +348,125 @@ func TestDeleteIgnoresMergeoutOfUnmatchedContainers(t *testing.T) {
 	}
 	if n := mustQuery(t, s, `SELECT COUNT(*) FROM t`).Row(t, 0)[0].I; n != 115 {
 		t.Errorf("%d rows, want 115", n)
+	}
+}
+
+// holdLoadStore, once armed, holds every container-file PUT (a data file
+// that is not a delete vector) from the first one until release is
+// closed, and closes reached when the first one arrives.
+type holdLoadStore struct {
+	objstore.Store
+	armed   atomic.Bool
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (h *holdLoadStore) Put(ctx context.Context, key string, data []byte) error {
+	if h.armed.Load() && strings.HasPrefix(key, "data/") && !strings.HasSuffix(key, "_dv") {
+		h.once.Do(func() { close(h.reached) })
+		<-h.release
+	}
+	return h.Store.Put(ctx, key, data)
+}
+
+// An UPDATE is one commit: while its re-inserted rows are still on their
+// way to shared storage, its delete vectors are not committed either, so
+// a reader sees every row.
+func TestUpdateCommitsOnce(t *testing.T) {
+	shared := &holdLoadStore{Store: objstore.NewMem(), reached: make(chan struct{}), release: make(chan struct{})}
+	db, err := Create(Config{
+		Mode:       ModeEon,
+		Nodes:      []NodeSpec{{Name: "node1"}, {Name: "node2"}, {Name: "node3"}},
+		ShardCount: 3,
+		Shared:     shared,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupSales(t, db, 100)
+	shared.armed.Store(true)
+	s := db.NewSession()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Execute(`UPDATE sales SET price = price + 1 WHERE sale_id <= 50`)
+		done <- err
+	}()
+	select {
+	case <-shared.reached:
+	case err := <-done:
+		close(shared.release)
+		t.Fatalf("UPDATE ended (err %v) without writing a container", err)
+	}
+	r := db.NewSession()
+	res, err := r.Query(`SELECT COUNT(*) FROM sales`)
+	close(shared.release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Row(t, 0)[0].I; n != 100 {
+		t.Errorf("COUNT(*) = %d while the UPDATE's containers were uploading, want 100", n)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// price is ((sale_id-1) % 50) + 1: sum 2 * 1275, plus 1 for each of
+	// the 50 updated rows.
+	if got := mustQuery(t, r, `SELECT COUNT(*), SUM(price) FROM sales`).Row(t, 0); got[0].I != 100 || got[1].F != 2600 {
+		t.Errorf("after the UPDATE: COUNT(*), SUM(price) = %v, want 100, 2600", got)
+	}
+}
+
+// Readers running alongside a stream of UPDATEs never see the table's
+// row count change, in either mode.
+func TestUpdateReadersSeeNoGap(t *testing.T) {
+	for _, mode := range []Mode{ModeEon, ModeEnterprise} {
+		t.Run(mode.String(), func(t *testing.T) {
+			db := newTestDB(t, mode, 3, 3)
+			setupSales(t, db, 100)
+			stop := make(chan struct{})
+			var reads, wrong atomic.Int64
+			var wg sync.WaitGroup
+			halt := sync.OnceFunc(func() {
+				close(stop)
+				wg.Wait()
+			})
+			defer halt()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := db.NewSession()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					res, err := r.Query(`SELECT COUNT(*) FROM sales`)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					reads.Add(1)
+					if res.Batch.Row(0)[0].I != 100 {
+						wrong.Add(1)
+					}
+				}
+			}()
+			s := db.NewSession()
+			for i := 0; i < 20; i++ {
+				mustExec(t, s, `UPDATE sales SET price = price + 1 WHERE sale_id <= 50`)
+			}
+			halt()
+			if reads.Load() == 0 {
+				t.Error("the reader ran no query alongside the UPDATEs")
+			}
+			if wrong.Load() > 0 {
+				t.Errorf("%d of %d concurrent reads saw a row count other than 100", wrong.Load(), reads.Load())
+			}
+			if got := mustQuery(t, s, `SELECT SUM(price) FROM sales`).Row(t, 0)[0].F; got != 2*1275+20*50 {
+				t.Errorf("SUM(price) = %v after 20 UPDATEs, want %d", got, 2*1275+20*50)
+			}
+		})
 	}
 }

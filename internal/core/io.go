@@ -132,7 +132,7 @@ func (db *DB) subscriberNodes(shardIdx int) []*Node {
 // fetchFunc builds the file-read path for scans on a node, without
 // instrumentation (maintenance paths: mergeout, flatten, revive).
 func (db *DB) fetchFunc(n *Node, bypassCache bool) storage.FetchFunc {
-	return db.trackedFetch(n, bypassCache, nil, nil)
+	return db.trackedFetch(n, bypassCache, nil)
 }
 
 // readContainer reads a container's columns, in schema order, through
@@ -163,82 +163,48 @@ func (db *DB) readContainer(ctx context.Context, node *Node, sc *catalog.Storage
 }
 
 // trackedFetch builds the file-read path for scans on a node, recording
-// fetch counts, bytes, I/O wait and cache outcomes into st (nil st drops
-// the records) and onto the fragment's fetch span sp (nil span no-ops).
-// Eon reads through the node's cache with a shared-storage fallback
-// (optionally bypassing the cache, §5.2); Enterprise reads node-local
-// disk. When the node's cache breaker is open the read path degrades
-// gracefully: scans go straight to shared storage instead of failing
-// (§5.3).
-func (db *DB) trackedFetch(n *Node, bypassCache bool, st *scanTally, sp *obs.Span) storage.FetchFunc {
-	if db.mode == ModeEnterprise {
-		return func(ctx context.Context, path string) ([]byte, error) {
-			start := time.Now()
-			data, err := n.fs.ReadFile(ctx, "data/"+path)
-			if err == nil {
-				if st != nil {
-					st.fetches.Add(1)
-					st.bytesFetched.Add(int64(len(data)))
-					st.addIOWait(time.Since(start))
-				}
-				sp.AddTime(time.Since(start))
-				sp.AddBytes(int64(len(data)))
-				sp.AddAttr("fetches", 1)
-			}
-			return data, err
-		}
-	}
+// each file it returns into rec (nil for maintenance reads). Eon reads
+// through the node's cache with a shared-storage fallback (optionally
+// bypassing the cache, §5.2); Enterprise reads node-local disk. When the
+// node's cache breaker is open the read path degrades gracefully: scans
+// go straight to shared storage instead of failing (§5.3).
+func (db *DB) trackedFetch(n *Node, bypassCache bool, rec *scanRecord) storage.FetchFunc {
+	eon := db.mode == ModeEon
 	// Shared-storage reads already retry and hedge inside db.shared.
 	fromShared := func(ctx context.Context, path string) ([]byte, error) {
 		return db.shared.Get(ctx, path)
 	}
-	cacheBrk := db.cacheBreakers.For(n.name)
+	var cacheBrk *resilience.Breaker
+	if eon {
+		cacheBrk = db.cacheBreakers.For(n.name)
+	}
 	return func(ctx context.Context, path string) ([]byte, error) {
 		start := time.Now()
 		var data []byte
 		var outcome cache.Outcome
 		var err error
-		if !cacheBrk.Allow() {
+		switch {
+		case !eon:
+			data, err = n.fs.ReadFile(ctx, "data/"+path)
+		case !cacheBrk.Allow():
 			db.resilient.Counters().Fallback()
 			data, err = fromShared(ctx, path)
 			outcome = cache.OutcomeMiss
-		} else {
+		default:
 			data, outcome, err = n.cache.GetTracked(ctx, path, fromShared, bypassCache)
 		}
-		if err == nil {
-			if st != nil {
-				st.fetches.Add(1)
-				st.bytesFetched.Add(int64(len(data)))
-				st.addIOWait(time.Since(start))
-			}
-			sp.AddTime(time.Since(start))
-			sp.AddBytes(int64(len(data)))
-			sp.AddAttr("fetches", 1)
-			switch outcome {
-			case cache.OutcomeHit:
-				if st != nil {
-					st.cacheHits.Add(1)
-				}
-				sp.AddAttr("cache_hits", 1)
-			case cache.OutcomeCoalesced:
-				if st != nil {
-					st.cacheMisses.Add(1)
-					st.coalescedFetches.Add(1)
-				}
-				sp.AddAttr("cache_misses", 1)
-				sp.AddAttr("coalesced_fetches", 1)
-			default:
-				if st != nil {
-					st.cacheMisses.Add(1)
-				}
-				sp.AddAttr("cache_misses", 1)
-			}
+		if err != nil {
+			return nil, err
+		}
+		wait := time.Since(start)
+		rec.fetched(len(data), wait, outcome, eon)
+		if eon {
 			db.dcDepotFetches.Emit(obs.DCEvent{
 				Node: n.name, A: path, B: outcomeName(outcome),
-				V1: int64(len(data)), V2: int64(time.Since(start)),
+				V1: int64(len(data)), V2: int64(wait),
 			})
 		}
-		return data, err
+		return data, nil
 	}
 }
 

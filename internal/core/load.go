@@ -28,7 +28,6 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 	if err != nil {
 		return err
 	}
-	ctx := db.Context()
 	txn := init.catalog.Begin()
 	snap := txn.Base()
 	tbl, ok := snap.TableByName(tableName)
@@ -38,68 +37,87 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 	if batch.NumCols() != len(tbl.Columns) {
 		return fmt.Errorf("core: batch arity %d != table arity %d", batch.NumCols(), len(tbl.Columns))
 	}
-	projs := snap.ProjectionsOf(tbl.OID)
-
-	// Fill flattened columns from their dimension tables before anything
-	// else sees the rows ("denormalization using joins at load time",
-	// §2.1) — including the WOS path.
-	batch, err = db.applyFlattened(snap, tbl, batch)
-	if err != nil {
-		return err
-	}
 
 	// Enterprise small loads buffer in the WOS (§2.3); no storage
 	// metadata is created until moveout. Tables with live aggregate
 	// projections always take the direct ROS path so partial aggregates
 	// are maintained transactionally.
-	if db.mode == ModeEnterprise && batch.NumRows() < db.cfg.WOSMaxRows && !tableHasLiveAggregate(projs) {
+	if projs := snap.ProjectionsOf(tbl.OID); db.mode == ModeEnterprise && batch.NumRows() < db.cfg.WOSMaxRows && !tableHasLiveAggregate(projs) {
+		// The WOS holds the rows with their flattened columns filled too.
+		if batch, err = db.applyFlattened(snap, tbl, batch); err != nil {
+			return err
+		}
 		return db.loadIntoWOS(tbl, projs, batch)
 	}
 
-	// Split by table partition, then per projection by segment shard.
-	partitions, err := splitByPartition(tbl, tbl.Columns, batch)
+	load, err := db.stageLoad(init, txn, tbl, batch)
 	if err != nil {
 		return err
 	}
+	defer load.release()
+	// Persist all files before commit — "for a committed transaction all
+	// the data has been successfully uploaded to shared storage" (§4.5).
+	if err := db.persistShips(db.Context(), load.ships, db.neverCacheTable(tbl.Name)); err != nil {
+		return err
+	}
+	// Commit with the subscription-stability check: if a participating
+	// node is no longer subscribed to the shard it wrote, roll back
+	// (§4.5).
+	_, err = db.commit(init, txn, db.validateWriters(load.writers))
+	return err
+}
 
+// stagedLoad is a load built into a transaction but not yet persisted:
+// its containers' files, the nodes that wrote them and for which shard,
+// and the release of the load slots it holds.
+type stagedLoad struct {
+	ships   []pendingShip
+	writers []writerShard
+	release func()
+}
+
+// stageLoad builds batch (columns in table order) into txn as ROS
+// containers. It fills the flattened columns from their dimension tables
+// ("denormalization using joins at load time", §2.1), splits the rows by
+// table partition, then per projection by segment shard, and chooses the
+// writers, holding their load slots. Nothing is persisted: the caller
+// persists load.ships, commits txn with validateWriters(load.writers),
+// and releases the slots. LoadRows and an UPDATE's re-insert share it.
+func (db *DB) stageLoad(init *Node, txn *catalog.Txn, tbl *catalog.Table, batch *types.Batch) (stagedLoad, error) {
+	snap := txn.Base()
+	batch, err := db.applyFlattened(snap, tbl, batch)
+	if err != nil {
+		return stagedLoad{}, err
+	}
+	// Split by table partition, then per projection by segment shard.
+	partitions, err := splitByPartition(tbl, tbl.Columns, batch)
+	if err != nil {
+		return stagedLoad{}, err
+	}
 	// Choose writers per shard (Eon): an ACTIVE subscriber per shard.
 	writers, err := db.writerAssignment(snap)
 	if err != nil {
-		return err
+		return stagedLoad{}, err
 	}
 	// Ingest occupies one execution slot per written shard on its writer
 	// node, so load throughput scales with cluster size the same way
 	// query throughput does (§4.2, Figure 11b).
-	release := db.acquireLoadSlots(writers)
-	defer release()
+	load := stagedLoad{release: db.acquireLoadSlots(writers)}
 	// Simulated per-node ingest time, spent while slots are held (see
 	// Config.LoadCost).
 	if db.cfg.LoadCost > 0 {
 		time.Sleep(db.cfg.LoadCost)
 	}
-
-	var ships []pendingShip
-	var participating []writerShard
-	for _, p := range projs {
+	for _, p := range snap.ProjectionsOf(tbl.OID) {
 		ps, pw, err := db.buildProjectionContainers(init, txn, tbl, p, partitions, writers, snap.Version()+1)
 		if err != nil {
-			return err
+			load.release()
+			return stagedLoad{}, err
 		}
-		ships = append(ships, ps...)
-		participating = append(participating, pw...)
+		load.ships = append(load.ships, ps...)
+		load.writers = append(load.writers, pw...)
 	}
-
-	// Persist all files before commit — "for a committed transaction all
-	// the data has been successfully uploaded to shared storage" (§4.5).
-	if err := db.persistShips(ctx, ships, db.neverCacheTable(tbl.Name)); err != nil {
-		return err
-	}
-
-	// Commit with the subscription-stability check: if a participating
-	// node is no longer subscribed to the shard it wrote, roll back
-	// (§4.5).
-	_, err = db.commit(init, txn, db.validateWriters(participating))
-	return err
+	return load, nil
 }
 
 // pendingShip is a built container's files awaiting persistence.
@@ -253,11 +271,8 @@ func (db *DB) acquireLoadSlots(writers map[int]string) func() {
 }
 
 // validateWriters builds the commit-time validation that every writing
-// node still subscribes to its shard.
+// node still subscribes to its shard (an Enterprise load names none).
 func (db *DB) validateWriters(ws []writerShard) func(*catalog.Snapshot) error {
-	if db.mode == ModeEnterprise || len(ws) == 0 {
-		return nil
-	}
 	return func(latest *catalog.Snapshot) error {
 		for _, w := range ws {
 			ok := false

@@ -11,6 +11,7 @@ import (
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
+	"eon/internal/expr"
 	"eon/internal/flowassign"
 	"eon/internal/obs"
 	"eon/internal/planner"
@@ -82,10 +83,10 @@ type Session struct {
 	start   time.Time
 	queries atomic.Int64
 
-	statsMu     sync.Mutex
-	lastScan    ScanStats
-	lastProfile *obs.Profile
-	lastExec    ExecStats
+	// last is the record of the most recent query, set once when it
+	// ends (under statsMu).
+	statsMu sync.Mutex
+	last    queryRecord
 }
 
 // ExecStats summarizes the execution engine's resource behaviour for
@@ -102,34 +103,30 @@ type ExecStats struct {
 	SpillBytes int64
 }
 
-// LastExecStats returns the executor resource stats of the session's
-// most recent query.
-func (s *Session) LastExecStats() ExecStats {
+// lastQuery returns the record of the session's most recent query.
+func (s *Session) lastQuery() queryRecord {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	return s.lastExec
+	return s.last
 }
 
+// LastExecStats returns the executor resource stats of the session's
+// most recent query, failed or not (zero if it never executed).
+func (s *Session) LastExecStats() ExecStats { return s.lastQuery().exec }
+
 // LastScanStats returns the scan instrumentation of the session's most
-// recent successfully executed query: containers and blocks pruned vs
-// scanned, bytes fetched, cache behaviour, and the I/O / decode / filter
-// time split.
-func (s *Session) LastScanStats() ScanStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lastScan
-}
+// recent query, failed or not: containers and blocks pruned vs scanned,
+// bytes fetched, cache behaviour, and the I/O / decode / filter time
+// split. A query that never reached its scans (a result-cache hit, a
+// planning error) reports zero.
+func (s *Session) LastScanStats() ScanStats { return s.lastQuery().scan }
 
 // LastProfile returns the hierarchical execution profile of the
 // session's most recent query (EXPLAIN PROFILE): per-operator rows
 // in/out, wall time, bytes fetched and cache behaviour. Nil unless
 // tracing was on (Session.Trace, or a configured slow-query threshold)
 // for the query.
-func (s *Session) LastProfile() *obs.Profile {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lastProfile
-}
+func (s *Session) LastProfile() *obs.Profile { return s.lastQuery().profile }
 
 // NewSession opens a session against the cluster.
 func (db *DB) NewSession() *Session {
@@ -199,9 +196,13 @@ type queryEnv struct {
 	// read their node's snapshot from it, never a fresh one (see
 	// fragmentScan.plan).
 	snapshots map[string]*catalog.Snapshot
-	// stats accumulates the query's scan instrumentation across all
-	// participating nodes' workers.
-	stats scanTally
+	// start is when the query began; vec counts its vectorized and
+	// fallback rows, and frags links its scan fragments (under mu).
+	// shutdown sums them into rec, the query's one record.
+	start time.Time
+	vec   expr.VecStats
+	frags *fragmentScan
+	rec   queryRecord
 	// read is a DML statement's read set: each container its scans read,
 	// with the node that read it (under mu; nil for a SELECT).
 	read map[catalog.OID]readFrom
@@ -227,7 +228,7 @@ type queryEnv struct {
 // and scan predicate of this query: the session's row/vectorized choice
 // plus the query's vectorized-row counters.
 func (env *queryEnv) eng() exec.Engine {
-	return exec.Engine{Row: env.session.RowEngine, Stats: &env.stats.vec}
+	return exec.Engine{Row: env.session.RowEngine, Stats: &env.vec}
 }
 
 // nodeTasks returns the scan tasks a node serves, in shard order.
@@ -424,11 +425,6 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		return nil, err
 	}
 	s.queries.Add(1)
-	// Reset the exec stats so a query that fails before execution cannot
-	// leave (or report) a predecessor's numbers.
-	s.statsMu.Lock()
-	s.lastExec = ExecStats{}
-	s.statsMu.Unlock()
 
 	// Tracing is on when the session asks for it or the database needs
 	// profiles for its slow-query log; otherwise trace stays nil and every
@@ -438,23 +434,22 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		trace = obs.NewTrace("query", nil)
 	}
 	queryStart := time.Now()
+	env.start = queryStart
 	defer func() {
 		// Finalize query-level accounting on every exit path: a failed
 		// query still counts, still observes its wall time, and still
-		// leaves a complete profile (Finish force-ends dangling spans).
+		// leaves a complete profile (Finish force-ends dangling spans)
+		// and its record (zero if it never executed) on the session.
 		wall := time.Since(queryStart)
 		db.queryCount.Inc()
 		if err != nil {
 			db.queryErrors.Inc()
 		}
 		db.queryWall.ObserveDuration(wall)
-		if trace == nil {
-			return
-		}
-		profile := trace.Finish()
+		rec := env.rec
+		rec.profile = trace.Finish()
 		s.statsMu.Lock()
-		s.lastProfile = profile
-		execStats := s.lastExec
+		s.last = rec
 		s.statsMu.Unlock()
 		if t := db.cfg.SlowQueryThreshold; t > 0 && wall >= t {
 			var errStr string
@@ -463,7 +458,7 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 			}
 			db.recordSlow(SlowQuery{
 				SQL: sqlText, Start: queryStart, Wall: wall,
-				Err: errStr, Profile: profile, Exec: execStats,
+				Err: errStr, Profile: rec.profile, Exec: rec.exec,
 			})
 		}
 	}()
@@ -475,7 +470,7 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 		env.ctx = ctx
 	}
 	if req.dml != nil {
-		return s.runDML(req.dml, env, root, queryStart)
+		return s.runDML(req.dml, env, root)
 	}
 
 	// Stage: plan — served from the plan cache while the tables the
@@ -517,15 +512,12 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 			}
 			resultCacheable = true
 			if res, ok := db.resultCache.lookup(rkey); ok {
-				s.statsMu.Lock()
-				s.lastScan = ScanStats{}
-				s.statsMu.Unlock()
 				return res, nil
 			}
 		}
 	}
 
-	found, err := s.admitAndRun(env, root, queryStart, exePlan.Root)
+	found, err := s.admitAndRun(env, root, exePlan.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -541,8 +533,8 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 
 // admitAndRun runs planned trees as one query: it admits the query, takes
 // its slots, runs the trees through the pipeline and returns each one's
-// rows gathered on the initiator, then publishes the query's scan stats.
-func (s *Session) admitAndRun(env *queryEnv, root *obs.Span, queryStart time.Time, trees ...planner.Node) ([]*types.Batch, error) {
+// rows gathered on the initiator.
+func (s *Session) admitAndRun(env *queryEnv, root *obs.Span, trees ...planner.Node) ([]*types.Batch, error) {
 	db := s.db
 	// Stage: admit — per-subcluster FIFO queue with a budgeted-memory
 	// throttle, then execution slots (one per shard on its serving node,
@@ -576,19 +568,7 @@ func (s *Session) admitAndRun(env *queryEnv, root *obs.Span, queryStart time.Tim
 		time.Sleep(db.cfg.QueryCost)
 	}
 
-	found, err := env.run(root, trees...)
-	if err != nil {
-		return nil, err
-	}
-	// Publish the query's scan stats: on the session (most recent query)
-	// and into the database's cumulative registry counters.
-	env.stats.wallNanos.Store(int64(time.Since(queryStart)))
-	snap := env.stats.snapshot()
-	db.scanM.add(snap)
-	s.statsMu.Lock()
-	s.lastScan = snap
-	s.statsMu.Unlock()
-	return found, nil
+	return env.run(root, trees...)
 }
 
 // selectParticipants chooses the covering set of subscriptions for this

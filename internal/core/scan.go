@@ -19,37 +19,6 @@ import (
 	"eon/internal/types"
 )
 
-// scanSpans carries a fragment's tracing spans through the scan
-// pipeline: the fragment span itself (pruning and row attributes) plus
-// fetch/decode/filter accumulator children whose wall time is summed
-// across the fragment's concurrent workers. The zero value (tracing
-// off) no-ops everywhere.
-type scanSpans struct {
-	frag   *obs.Span
-	fetch  *obs.Span
-	decode *obs.Span
-	filter *obs.Span
-}
-
-// newScanSpans opens the accumulator children under frag (all nil when
-// frag is nil).
-func newScanSpans(frag *obs.Span) scanSpans {
-	return scanSpans{
-		frag:   frag,
-		fetch:  frag.StartAccum("fetch"),
-		decode: frag.StartAccum("decode"),
-		filter: frag.StartAccum("filter"),
-	}
-}
-
-// end closes the accumulator children (the fragment span belongs to the
-// caller).
-func (s scanSpans) end() {
-	s.fetch.End()
-	s.decode.End()
-	s.filter.End()
-}
-
 // containerWork is one unit of scan work: an unpruned container of one
 // scan task, in the fragment's deterministic output order.
 type containerWork struct {
@@ -65,16 +34,13 @@ type containerWork struct {
 // it is built.
 func (fs *fragmentScan) plan(ctx context.Context) error {
 	env, db, scan := fs.env, fs.env.db, fs.scan
-	// The fragment span arrives via the context (set by the caller); the
-	// fetch/decode/filter accumulator children aggregate worker time.
-	fs.sps = newScanSpans(obs.SpanFrom(ctx))
 	if err := fs.list(); err != nil {
 		return err
 	}
 	fs.firstCols, fs.allCols = scanColSets(scan, env.eng())
 	// Per-table shaping policy (§5.2): never-cache tables bypass.
 	bypass := env.session.BypassCache || db.neverCacheTable(scan.Table.Name)
-	fs.file = db.trackedFetch(fs.node, bypass, &env.stats, fs.sps.fetch)
+	fs.file = db.trackedFetch(fs.node, bypass, &fs.rec)
 	return fs.prefetch(ctx)
 }
 
@@ -126,8 +92,7 @@ func (fs *fragmentScan) list() error {
 			}
 			// Container-level pruning from catalog stats: no file access (§2.1).
 			if scan.Pred != nil && !expr.CouldMatch(scan.Pred, containerStats(scan, sc)) {
-				env.stats.containersPruned.Add(1)
-				fs.sps.frag.AddAttr("containers_pruned", 1)
+				fs.rec.add(&ScanStats{ContainersPruned: 1})
 				continue
 			}
 			fs.work = append(fs.work, containerWork{
@@ -154,8 +119,7 @@ func (fs *fragmentScan) list() error {
 // backpressures the workers, and through them the reads.
 func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) error {
 	db, node, scan, work := fs.env.db, fs.node, fs.scan, fs.work
-	defer fs.sps.end()
-	defer func() { fs.sps.frag.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
+	defer func() { fs.span.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
 	// Scan the containers through a bounded streaming window. Each worker
 	// keeps its own scratch (decode vectors, hash-filter buffers),
 	// so a fragment allocates it once per worker, not once per block.
@@ -315,17 +279,23 @@ func containerStats(scan *planner.Scan, sc *catalog.StorageContainer) expr.Stats
 }
 
 // fragmentScan is node's share of a query's scan: the scan tasks it
-// serves, and what its container scans share. The query — its catalog
-// cut, session options, engine and tally — is read from env.
+// serves, what its container scans share, and the record of what it did.
+// The query — its catalog cut, session options and engine — is read from
+// env.
 type fragmentScan struct {
 	env   *queryEnv
 	node  *Node
 	scan  *planner.Scan
 	tasks []scanTask
+	// rec counts the fragment's scan work; next links the query's
+	// fragments for shutdown to sum (queryEnv.frags), and span is the
+	// fragment's, nil with tracing off.
+	rec  scanRecord
+	next *fragmentScan
+	span *obs.Span
 	// plan's results: unpruned containers in output order; projections read.
 	work     []containerWork
 	wosProjs map[catalog.OID]bool
-	sps      scanSpans
 	// firstCols are the scan columns a block decodes before selection;
 	// the others (allCols is every index) only if a row survives it.
 	firstCols, allCols []int
@@ -371,7 +341,7 @@ type scanWorker struct {
 // flight — and containers already run ScanConcurrency wide, so the
 // blocks of one container are decoded and filtered in turn.
 func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageContainer, w *scanWorker) ([]*types.Batch, error) {
-	scan, sps := fs.scan, fs.sps
+	scan := fs.scan
 	readers, err := storage.OpenColumns(ctx, sc, scan.Cols, fs.file)
 	if err != nil {
 		return nil, err
@@ -400,8 +370,10 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 		fs.env.read[sc.OID] = readFrom{sc, fs.node}
 		fs.env.mu.Unlock()
 	}
-	fs.env.stats.containersScanned.Add(1)
-	sps.frag.AddAttr("containers_scanned", 1)
+	// The container's blocks count into st, added to the fragment's
+	// record once, whichever way the scan ends.
+	st := ScanStats{ContainersScanned: 1}
+	defer fs.rec.add(&st)
 
 	// Footer min/max pruning looks at the scanned columns' readers (block
 	// boundaries are aligned across a container's columns).
@@ -413,17 +385,15 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 		w.decoded = make([]*types.Vector, len(cols))
 	}
 	var out []*types.Batch
-	var bt blockTally
-	defer fs.record(&bt)
 	for bi, blk := range cols[0].Footer().Blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if scan.Pred != nil && !blockCouldMatch(scan, cols, bi) {
-			bt.pruned++
+			st.BlocksPruned++
 			continue
 		}
-		batch, err := fs.scanBlock(sc.OID, cols, bi, blk, deletes, w, &bt)
+		batch, err := fs.scanBlock(sc.OID, cols, bi, blk, deletes, w, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -434,32 +404,37 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 	return out, nil
 }
 
-// blockTally sums what the blocks of one container cost, so the scan
-// touches the shared tally and the spans once per container.
-type blockTally struct {
-	scanned, pruned, rows int64
-	// colsDecoded counts (column, block) pairs decoded; colsSkipped those
-	// of scanned blocks left undecoded because no row survived.
-	colsDecoded, colsSkipped int64
-	decode, filter           time.Duration
-}
-
-func (fs *fragmentScan) record(bt *blockTally) {
-	st, frag := &fs.env.stats, fs.sps.frag
-	st.blocksScanned.Add(bt.scanned)
-	st.blocksPruned.Add(bt.pruned)
-	st.rowsScanned.Add(bt.rows)
-	st.colBlocksDecoded.Add(bt.colsDecoded)
-	st.colBlocksSkipped.Add(bt.colsSkipped)
-	st.decodeNanos.Add(int64(bt.decode))
-	st.filterNanos.Add(int64(bt.filter))
-	frag.AddAttr("blocks_scanned", bt.scanned)
-	frag.AddAttr("blocks_pruned", bt.pruned)
-	frag.AddAttr("rows_scanned", bt.rows)
-	frag.AddAttr("column_blocks_decoded", bt.colsDecoded)
-	frag.AddAttr("column_blocks_skipped", bt.colsSkipped)
-	fs.sps.decode.AddTime(bt.decode)
-	fs.sps.filter.AddTime(bt.filter)
+// publish writes the fragment's record onto its span, and into the
+// fetch/decode/filter accumulator children it opens under it, whose wall
+// time is the record's, summed across the fragment's workers. With
+// tracing off there is no span and nothing to do.
+func (fs *fragmentScan) publish() {
+	frag := fs.span
+	if frag == nil {
+		return
+	}
+	fs.rec.mu.Lock()
+	defer fs.rec.mu.Unlock()
+	st := &fs.rec.ScanStats
+	frag.AddAttr("containers_scanned", st.ContainersScanned)
+	frag.AddAttr("containers_pruned", st.ContainersPruned)
+	frag.AddAttr("blocks_scanned", st.BlocksScanned)
+	frag.AddAttr("blocks_pruned", st.BlocksPruned)
+	frag.AddAttr("rows_scanned", st.RowsScanned)
+	frag.AddAttr("column_blocks_decoded", st.ColumnBlocksDecoded)
+	frag.AddAttr("column_blocks_skipped", st.ColumnBlocksSkipped)
+	fetch, decode, filter := frag.StartAccum("fetch"), frag.StartAccum("decode"), frag.StartAccum("filter")
+	fetch.AddTime(st.IOWait)
+	fetch.AddBytes(st.BytesFetched)
+	fetch.AddAttr("fetches", st.Fetches)
+	fetch.AddAttr("cache_hits", st.CacheHits)
+	fetch.AddAttr("cache_misses", st.CacheMisses)
+	fetch.AddAttr("coalesced_fetches", st.CoalescedFetches)
+	decode.AddTime(st.Decode)
+	filter.AddTime(st.Filter)
+	fetch.End()
+	decode.End()
+	filter.End()
 }
 
 // scanBlock reads block bi: it drops deleted rows, decodes fs.firstCols,
@@ -468,15 +443,16 @@ func (fs *fragmentScan) record(bt *blockTally) {
 // nothing else. On the vectorized engine the live positions feed the
 // predicate kernels as the initial selection and survivors are
 // materialized by one Gather at the end; the row engine gathers after
-// each stage. Returns a nil batch when no row survives. The block's time
-// is split into laps charged to bt.decode or bt.filter. A Positions scan
+// each stage. Returns a nil batch when no row survives. The block's counts
+// go to st, and its time is split into laps charged to st.Decode or
+// st.Filter. A Positions scan
 // appends where each survivor is stored: container oid and the block's
 // RowStart plus the row's index.
-func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi int, blk rosfile.BlockMeta, deletes *storage.DeleteSet, w *scanWorker, bt *blockTally) (*types.Batch, error) {
+func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi int, blk rosfile.BlockMeta, deletes *storage.DeleteSet, w *scanWorker, st *ScanStats) (*types.Batch, error) {
 	scan := fs.scan
 	n := int(blk.RowCount)
-	bt.scanned++
-	bt.rows += int64(n)
+	st.BlocksScanned++
+	st.RowsScanned += int64(n)
 	batch := &types.Batch{Cols: make([]*types.Vector, len(cols))}
 	t := time.Now()
 	lap := func(acc *time.Duration) {
@@ -486,7 +462,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 	}
 	undecoded := int64(len(cols)) // what a block with no survivor skips
 	decode := func(which []int) error {
-		defer lap(&bt.decode)
+		defer lap(&st.Decode)
 		for _, ci := range which {
 			if batch.Cols[ci] != nil {
 				continue
@@ -500,7 +476,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 			}
 			v.Typ = scan.OutSchema[ci].Type
 			batch.Cols[ci] = v
-			bt.colsDecoded++
+			st.ColumnBlocksDecoded++
 			undecoded--
 		}
 		return nil
@@ -512,9 +488,9 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 	hasSel := false
 	if deletes.Len() > 0 {
 		live := deletes.LivePositions(blk.RowStart, n)
-		lap(&bt.filter)
+		lap(&st.Filter)
 		if len(live) == 0 {
-			bt.colsSkipped += undecoded
+			st.ColumnBlocksSkipped += undecoded
 			return nil, nil
 		}
 		if len(live) < n {
@@ -526,12 +502,12 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 			return nil, err
 		}
 		s, err := selectRows(fs.env.eng(), scan.Pred, batch, sel)
-		lap(&bt.filter)
+		lap(&st.Filter)
 		if err != nil {
 			return nil, err
 		}
 		if len(s) == 0 {
-			bt.colsSkipped += undecoded
+			st.ColumnBlocksSkipped += undecoded
 			return nil, nil
 		}
 		sel, hasSel = s, len(s) < n
@@ -541,7 +517,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 	}
 	if hasSel {
 		batch = batch.Gather(sel)
-		lap(&bt.filter)
+		lap(&st.Filter)
 	} else {
 		clear(w.decoded) // the vectors leave with the batch
 	}

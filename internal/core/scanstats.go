@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 
-	"eon/internal/expr"
+	"eon/internal/cache"
 	"eon/internal/obs"
 )
 
@@ -86,66 +86,82 @@ var scanCounters = []struct {
 	{"wall_ns", func(s *ScanStats) *int64 { return (*int64)(&s.Wall) }},
 }
 
-// Add accumulates other into s.
-func (s *ScanStats) Add(other ScanStats) {
-	for _, c := range scanCounters {
-		*c.of(s) += *c.of(&other)
+// Add accumulates o into s. It names each field rather than walking
+// scanCounters, whose accessors would move o to the heap: a scan adds a
+// container's counts with it, so it must not allocate.
+func (s *ScanStats) Add(o ScanStats) {
+	s.ContainersScanned += o.ContainersScanned
+	s.ContainersPruned += o.ContainersPruned
+	s.BlocksScanned += o.BlocksScanned
+	s.BlocksPruned += o.BlocksPruned
+	s.RowsScanned += o.RowsScanned
+	s.ColumnBlocksDecoded += o.ColumnBlocksDecoded
+	s.ColumnBlocksSkipped += o.ColumnBlocksSkipped
+	s.Fetches += o.Fetches
+	s.BytesFetched += o.BytesFetched
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CoalescedFetches += o.CoalescedFetches
+	s.RowsVectorized += o.RowsVectorized
+	s.RowsFallback += o.RowsFallback
+	s.IOWait += o.IOWait
+	s.Decode += o.Decode
+	s.Filter += o.Filter
+	s.Wall += o.Wall
+}
+
+// scanRecord is one scan fragment's ScanStats under the fragment's lock.
+// Listing, each container's blocks and every file the fragment reads add
+// to it, and nothing else counts scan work: once the query's goroutines
+// have stopped, shutdown sums the records into the query's, and writes
+// each onto its fragment's spans.
+type scanRecord struct {
+	mu sync.Mutex
+	ScanStats
+}
+
+// add adds s to the record.
+func (r *scanRecord) add(s *ScanStats) {
+	r.mu.Lock()
+	r.ScanStats.Add(*s)
+	r.mu.Unlock()
+}
+
+// fetched records one file a fragment's read path returned: its size,
+// how long the read took and, for a read through the depot (cached), how
+// the depot served it. A nil record — a maintenance read — drops it.
+func (r *scanRecord) fetched(size int, wait time.Duration, outcome cache.Outcome, cached bool) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Fetches++
+	r.BytesFetched += int64(size)
+	r.IOWait += wait
+	if !cached {
+		return
+	}
+	switch outcome {
+	case cache.OutcomeHit:
+		r.CacheHits++
+	case cache.OutcomeCoalesced:
+		r.CacheMisses++
+		r.CoalescedFetches++
+	default:
+		r.CacheMisses++
 	}
 }
 
-// scanTally is the mutable, concurrency-safe accumulator behind a
-// query's ScanStats, held by the queryEnv and written by every scan
-// worker. The database's cumulative view lives in the metrics registry
-// (scanMetrics); per-query snapshots are folded into it after each
-// query. Maintenance paths read through trackedFetch with a nil
-// *scanTally, which drops the records.
-type scanTally struct {
-	// vec holds the vectorized/fallback row counters; expression
-	// evaluation writes it directly (it is handed to EvalVec/FilterVec).
-	vec expr.VecStats
-
-	containersScanned atomic.Int64
-	containersPruned  atomic.Int64
-	blocksScanned     atomic.Int64
-	blocksPruned      atomic.Int64
-	rowsScanned       atomic.Int64
-	colBlocksDecoded  atomic.Int64
-	colBlocksSkipped  atomic.Int64
-	fetches           atomic.Int64
-	bytesFetched      atomic.Int64
-	cacheHits         atomic.Int64
-	cacheMisses       atomic.Int64
-	coalescedFetches  atomic.Int64
-	ioWaitNanos       atomic.Int64
-	decodeNanos       atomic.Int64
-	filterNanos       atomic.Int64
-	wallNanos         atomic.Int64
-}
-
-func (t *scanTally) addIOWait(d time.Duration) { t.ioWaitNanos.Add(int64(d)) }
-
-// snapshot converts the tally into a ScanStats value.
-func (t *scanTally) snapshot() ScanStats {
-	return ScanStats{
-		ContainersScanned:   t.containersScanned.Load(),
-		ContainersPruned:    t.containersPruned.Load(),
-		BlocksScanned:       t.blocksScanned.Load(),
-		BlocksPruned:        t.blocksPruned.Load(),
-		RowsScanned:         t.rowsScanned.Load(),
-		ColumnBlocksDecoded: t.colBlocksDecoded.Load(),
-		ColumnBlocksSkipped: t.colBlocksSkipped.Load(),
-		Fetches:             t.fetches.Load(),
-		BytesFetched:        t.bytesFetched.Load(),
-		CacheHits:           t.cacheHits.Load(),
-		CacheMisses:         t.cacheMisses.Load(),
-		CoalescedFetches:    t.coalescedFetches.Load(),
-		RowsVectorized:      t.vec.Vectorized.Load(),
-		RowsFallback:        t.vec.Fallback.Load(),
-		IOWait:              time.Duration(t.ioWaitNanos.Load()),
-		Decode:              time.Duration(t.decodeNanos.Load()),
-		Filter:              time.Duration(t.filterNanos.Load()),
-		Wall:                time.Duration(t.wallNanos.Load()),
-	}
+// queryRecord is what one query did: its scan work, summed over its
+// fragments plus its expression counters, its executor's memory and
+// spills, and its profile when it was traced. The registry's scan.* and
+// exec.* counters, the session's Last* accessors and the slow-query log
+// all read it.
+type queryRecord struct {
+	scan    ScanStats
+	exec    ExecStats
+	profile *obs.Profile
 }
 
 // scanMetrics is the database's cumulative scan instrumentation: one

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
@@ -322,17 +323,32 @@ func (env *queryEnv) spillFor(node string) exec.SpillStore {
 	return s
 }
 
-// shutdown tears the pipeline down: cancel unblocks every driver, wait
-// for them, close the plan-node spans, then fold the governors into the
-// query's ExecStats (published on the session, the root span and the
-// database's exec metrics) and remove the spill files.
+// shutdown tears the pipeline down and publishes what the query did.
+// cancel unblocks every driver; once they and the fragments' fetchers
+// have all exited, no scan counter moves again, and the fragments'
+// records, the expression counters and the governors are summed into
+// env.rec. That record is written once each way: every fragment's
+// numbers onto its own spans, the exec numbers onto the root span, and
+// the whole into the database's scan.* and exec.* counters — on every
+// exit path, a failed or LIMIT-abandoned query's included. tryQuery
+// hands it to the session. Last, the spill files are removed.
 func (env *queryEnv) shutdown() {
 	env.cancel()
 	env.wg.Wait()
+	rec := &env.rec
+	for fs := env.frags; fs != nil; fs = fs.next {
+		fs.rec.mu.Lock()
+		rec.scan.Add(fs.rec.ScanStats)
+		fs.rec.mu.Unlock()
+		fs.publish()
+	}
+	rec.scan.RowsVectorized = env.vec.Vectorized.Load()
+	rec.scan.RowsFallback = env.vec.Fallback.Load()
+	rec.scan.Wall = time.Since(env.start)
 	for i := len(env.spans) - 1; i >= 0; i-- {
 		env.spans[i].End()
 	}
-	var st ExecStats
+	st := &rec.exec
 	for _, g := range env.govs {
 		if p := g.Peak(); p > st.PeakMemBytes {
 			st.PeakMemBytes = p
@@ -341,7 +357,11 @@ func (env *queryEnv) shutdown() {
 		st.SpillBytes += g.SpillBytes()
 		g.Close()
 	}
+	env.root.AddAttr("peak_mem_bytes", st.PeakMemBytes)
+	env.root.AddAttr("spills", st.SpillCount)
+	env.root.AddAttr("spill_bytes", st.SpillBytes)
 	db := env.db
+	db.scanM.add(rec.scan)
 	db.execPeak.Observe(st.PeakMemBytes)
 	db.execSpills.Add(st.SpillCount)
 	db.execSpillBytes.Add(st.SpillBytes)
@@ -351,13 +371,6 @@ func (env *queryEnv) shutdown() {
 			V1:   st.PeakMemBytes, V2: st.SpillCount, V3: st.SpillBytes,
 		})
 	}
-	env.root.AddAttr("peak_mem_bytes", st.PeakMemBytes)
-	env.root.AddAttr("spills", st.SpillCount)
-	env.root.AddAttr("spill_bytes", st.SpillBytes)
-	s := env.session
-	s.statsMu.Lock()
-	s.lastExec = st
-	s.statsMu.Unlock()
 	// Spill cleanup runs under its own context: the query's is canceled.
 	for _, sp := range env.spills {
 		_ = sp.Cleanup(context.Background())
@@ -555,11 +568,13 @@ func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 func (env *queryEnv) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, sp *obs.Span) exec.Operator {
 	ch := newPipe(env.ctx, scan.OutSchema, 1)
 	fragSp := sp.StartSpan("fragment:" + n.name)
-	ctx := obs.WithSpan(env.ctx, fragSp)
-	fs := &fragmentScan{env: env, node: n, scan: scan, tasks: tasks}
-	err := fs.plan(ctx)
-	// A fragment that is never pulled still ends its spans and its fetcher.
-	env.addSpan(fragSp, fs.sps.fetch, fs.sps.decode, fs.sps.filter)
+	fs := &fragmentScan{env: env, node: n, scan: scan, tasks: tasks, span: fragSp}
+	env.mu.Lock()
+	fs.next, env.frags = env.frags, fs
+	env.mu.Unlock()
+	err := fs.plan(env.ctx)
+	// A fragment that is never pulled still ends its span and its fetcher.
+	env.addSpan(fragSp)
 	if fs.pre != nil {
 		env.spawn(fs.pre.Wait)
 	}
@@ -570,7 +585,7 @@ func (env *queryEnv) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, sp *o
 				err = fmt.Errorf("%w: %s", errNodeDown, n.name)
 			}
 			if err == nil {
-				err = fs.run(ctx, func(b *types.Batch) error {
+				err = fs.run(env.ctx, func(b *types.Batch) error {
 					fragSp.AddRowsOut(int64(b.NumRows()))
 					return ch.push(b)
 				})

@@ -57,11 +57,11 @@ func sumProfile(p *obs.Profile) profileTotals {
 	return t
 }
 
-// TestProfileMatchesScanStats is the differential check between the two
-// instrumentation paths: for every TPC-H query, the per-query execution
+// TestProfileMatchesScanStats checks that the profile and the session
+// publish the same record: for every TPC-H query, the per-query execution
 // profile (span tree) must exist, be hierarchical, have no dangling
-// spans, and its summed counter attributes must equal the ScanStats
-// snapshot recorded through the independent scanTally path.
+// spans, and its summed counter attributes must equal the session's
+// ScanStats, both written at shutdown from the fragments' records.
 func TestProfileMatchesScanStats(t *testing.T) {
 	db, _, err := NewEonCluster(3, 3, 2, 0, 0)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestProfileMatchesScanStats(t *testing.T) {
 			}
 		})
 
-		// Differential: span-tree totals vs the scanTally snapshot.
+		// Span-tree totals vs the session's ScanStats.
 		st := s.LastScanStats()
 		got := sumProfile(prof)
 		checks := []struct {
@@ -161,8 +161,8 @@ func TestProfileMatchesScanStats(t *testing.T) {
 				t.Errorf("%s: %s: profile sums to %d, ScanStats says %d", q.Name, c.name, c.prof, c.stat)
 			}
 		}
-		// Time splits: each span samples time.Since after the tally does,
-		// so the span total is never below the tally's.
+		// Time splits: the accumulator spans get the fragments' recorded
+		// times, so the span total is never below the session's.
 		if got.fetchWall < st.IOWait {
 			t.Errorf("%s: fetch span wall %v below ScanStats IOWait %v", q.Name, got.fetchWall, st.IOWait)
 		}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos obs exec reconcile systables serving check bench bench-all bench-smoke repo-bench
+.PHONY: all fmt vet build test race chaos obs exec reconcile systables serving check bench bench-all bench-smoke repo-bench fuzz
 
 all: check
 
@@ -67,6 +67,13 @@ obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -count=1 -run 'TestDisabledTracerZeroAlloc' ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestSlowQuery|TestResetStats|TestScanAccountingOnEveryExit' ./internal/core/ ./internal/objstore/
+
+# Fuzz gate: the block decoder against arbitrary bytes for 60 s (never a
+# panic; ErrCorrupt or the declared row count; what it returns re-encodes
+# bit for bit). Plain `go test` runs only the seed corpus, the committed
+# testdata/fuzz inputs included.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 60s ./internal/colenc/
 
 # Streaming-executor gate: the reference diff (every workload query on
 # five Eon layouts, crunch modes included, against a 1-node Enterprise

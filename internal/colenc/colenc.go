@@ -1,11 +1,14 @@
 // Package colenc implements the column encodings used inside ROS container
-// files: plain, run-length (RLE), dictionary, delta and frame-of-reference
-// bit packing. Vertica's execution engine "operates directly on encoded
-// data" (paper §2.1); here the scan decodes blocks, but the encoding
-// choices and their compression behaviour on sorted data are reproduced.
+// files: plain, run-length (RLE), dictionary, delta, frame-of-reference
+// bit packing, and scaled-integer decimals for floats. Vertica's execution
+// engine "operates directly on encoded data" (paper §2.1); here the scan
+// decodes blocks, but the encoding choices and their compression
+// behaviour on sorted data are reproduced.
 //
 // An encoded block is self-describing: a one-byte encoding tag, a null
 // bitmap section, then the payload. Decode needs only the logical type.
+// A tag, once written to shared storage, decodes forever: the writer
+// stops emitting an old layout (DictVarint) but the reader keeps it.
 package colenc
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"eon/internal/types"
 )
@@ -25,9 +29,14 @@ type Encoding uint8
 const (
 	Plain Encoding = iota
 	RLE
-	Dict
+	// DictVarint is the first dictionary layout, one uvarint per code.
+	// Blocks already on shared storage carry it, so it still decodes;
+	// the writer emits Dict instead.
+	DictVarint
 	Delta
-	FOR // frame-of-reference bit packing for integers
+	FOR     // frame-of-reference bit packing for integers
+	Decimal // floats as scaled integers: i / 10^e, i frame-of-reference packed
+	Dict    // dictionary with bit-packed codes
 )
 
 // String names the encoding.
@@ -37,12 +46,16 @@ func (e Encoding) String() string {
 		return "PLAIN"
 	case RLE:
 		return "RLE"
-	case Dict:
-		return "DICT"
+	case DictVarint:
+		return "DICT_VARINT"
 	case Delta:
 		return "DELTA"
 	case FOR:
 		return "FOR"
+	case Decimal:
+		return "DECIMAL"
+	case Dict:
+		return "DICT"
 	}
 	return fmt.Sprintf("ENC(%d)", uint8(e))
 }
@@ -174,11 +187,12 @@ func readNulls(r *rd, n int, spare []bool) []bool {
 	clear(nulls)
 	pos := 0
 	for i := uint64(0); i < cnt; i++ {
-		pos += int(r.uvarint())
-		if r.err != nil || pos >= n {
+		d := r.uvarint()
+		if r.err != nil || d >= uint64(n-pos) {
 			r.err = ErrCorrupt
 			return nil
 		}
+		pos += int(d)
 		nulls[pos] = true
 	}
 	return nulls
@@ -186,7 +200,9 @@ func readNulls(r *rd, n int, spare []bool) []bool {
 
 // Choose picks a reasonable encoding for the vector. sorted indicates the
 // vector is in sort order (the ROS writer knows this from the projection's
-// sort key), which favours RLE and delta.
+// sort key), which favours RLE and delta. A float block that is not a
+// sorted run is Decimal when every slot reads back exactly from a scaled
+// integer (decimalFrame), else Plain.
 func Choose(v *types.Vector, sorted bool) Encoding {
 	n := v.Len()
 	if n == 0 {
@@ -218,6 +234,9 @@ func Choose(v *types.Vector, sorted bool) Encoding {
 	default:
 		if sorted && runFraction(v) > 0.5 {
 			return RLE
+		}
+		if _, _, _, ok := decimalFrame(v.Floats); ok {
+			return Decimal
 		}
 		return Plain
 	}
@@ -276,27 +295,33 @@ func distinctCap(v *types.Vector, cap int) int {
 }
 
 // Encode serializes the vector with the given encoding. Encodings that do
-// not apply to the vector's type fall back to Plain. v must hold at most
-// MaxBlockRows values, or Decode rejects the block.
+// not apply to the vector's type or values fall back to Plain, and
+// DictVarint is written as Dict. v must hold at most MaxBlockRows values,
+// or Decode rejects the block.
 func Encode(v *types.Vector, enc Encoding) []byte { return AppendEncode(nil, v, enc) }
 
 // AppendEncode is Encode appending the block to dst.
 func AppendEncode(dst []byte, v *types.Vector, enc Encoding) []byte {
-	phys := v.Typ.Physical()
-	switch enc {
-	case Delta, FOR:
-		if phys != types.Int64 {
-			enc = Plain
-		}
-	case Dict:
-		if phys != types.Varchar {
-			enc = Plain
-		}
+	if enc == DictVarint {
+		enc = Dict
 	}
-	// The bit-packing accumulator handles widths up to 56 bits; wider
-	// frames gain nothing over plain varints anyway.
-	if enc == FOR && forWidth(v.Ints) > 56 {
+	if !applies(enc, v.Typ.Physical()) {
 		enc = Plain
+	}
+	var lo, hi int64
+	var e int
+	switch enc {
+	case FOR:
+		// The unpacker handles widths up to 56 bits; wider frames gain
+		// nothing over plain varints anyway.
+		if lo, hi = minMax(v.Ints); bits.Len64(uint64(hi-lo)) > maxWidth {
+			enc = Plain
+		}
+	case Decimal:
+		var ok bool
+		if e, lo, hi, ok = decimalFrame(v.Floats); !ok {
+			enc = Plain
+		}
 	}
 	w := &buf{b: dst}
 	w.byte(byte(enc))
@@ -312,9 +337,35 @@ func AppendEncode(dst []byte, v *types.Vector, enc Encoding) []byte {
 	case Delta:
 		encodeDelta(w, v)
 	case FOR:
-		encodeFOR(w, v)
+		p := w.frame(lo, hi, len(v.Ints))
+		for _, x := range v.Ints {
+			p.put(uint64(x - lo))
+		}
+		p.flush()
+	case Decimal:
+		w.byte(byte(e))
+		p := w.frame(lo, hi, len(v.Floats))
+		scale := pow10[e]
+		for _, f := range v.Floats {
+			p.put(uint64(int64(math.Round(f*scale)) - lo))
+		}
+		p.flush()
 	}
 	return w.b
+}
+
+// applies reports whether enc can encode values of physical class phys.
+// Every encoding may decode only blocks of the class it applies to.
+func applies(enc Encoding, phys types.Type) bool {
+	switch enc {
+	case Delta, FOR:
+		return phys == types.Int64
+	case Decimal:
+		return phys == types.Float64
+	case Dict, DictVarint:
+		return phys == types.Varchar
+	}
+	return true
 }
 
 // Decode deserializes a block produced by Encode into a new vector of
@@ -364,17 +415,24 @@ func DecodeInto(dst *types.Vector, data []byte, t types.Type) error {
 		v.Bools = room(dst.Bools, n)
 	}
 	*dst = v
+	if !applies(enc, t.Physical()) {
+		return fmt.Errorf("colenc: %v block for a %v column: %w", enc, t, ErrCorrupt)
+	}
 	switch enc {
 	case Plain:
 		decodePlain(r, dst, n)
 	case RLE:
 		decodeRLE(r, dst, n)
-	case Dict:
-		decodeDict(r, dst, n)
+	case DictVarint:
+		decodeDictVarint(r, dst, n)
 	case Delta:
 		decodeDelta(r, dst, n)
 	case FOR:
 		decodeFOR(r, dst, n)
+	case Decimal:
+		decodeDecimal(r, dst, n)
+	case Dict:
+		decodeDict(r, dst, n)
 	default:
 		return fmt.Errorf("colenc: unknown encoding tag %d: %w", enc, ErrCorrupt)
 	}
@@ -419,9 +477,15 @@ func decodePlain(r *rd, v *types.Vector, n int) {
 			v.Ints = append(v.Ints, r.varint())
 		}
 	case types.Float64:
-		for i := 0; i < n; i++ {
-			v.Floats = append(v.Floats, r.f64())
+		p := r.take(8 * n)
+		if r.err != nil {
+			return
 		}
+		out := v.Floats[:n]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		v.Floats = out
 	case types.Varchar:
 		for i := 0; i < n; i++ {
 			v.Strs = append(v.Strs, r.str())
@@ -518,13 +582,13 @@ func readRawRun(r *rd, v *types.Vector, run int) {
 }
 
 func encodeDict(w *buf, v *types.Vector) {
-	index := make(map[string]uint64)
+	index := make(map[string]uint32)
 	var dict []string
-	codes := make([]uint64, 0, v.Len())
+	codes := make([]uint32, 0, v.Len())
 	for _, s := range v.Strs {
 		c, ok := index[s]
 		if !ok {
-			c = uint64(len(dict))
+			c = uint32(len(dict))
 			index[s] = c
 			dict = append(dict, s)
 		}
@@ -534,28 +598,56 @@ func encodeDict(w *buf, v *types.Vector) {
 	for _, s := range dict {
 		w.str(s)
 	}
+	p := w.packed(dictWidth(len(dict)), len(codes))
 	for _, c := range codes {
-		w.uvarint(c)
+		p.put(uint64(c))
 	}
+	p.flush()
 }
 
-func decodeDict(r *rd, v *types.Vector, n int) {
+// dictWidth is the bit width of the codes of a dictionary of n entries.
+func dictWidth(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// readDict reads a dictionary block's entries.
+func readDict(r *rd) []string {
 	// Every entry takes at least its one-byte length prefix.
 	dn := r.uvarint()
 	if r.err != nil || dn > uint64(len(r.b)-r.pos) {
 		r.err = ErrCorrupt
-		return
+		return nil
 	}
 	dict := make([]string, dn)
 	for i := range dict {
 		dict[i] = r.str()
 	}
+	return dict
+}
+
+func decodeDict(r *rd, v *types.Vector, n int) {
+	dict := readDict(r)
+	if r.err != nil || n == 0 {
+		return
+	}
+	u := r.packed(n, dictWidth(len(dict)))
+	v.Strs = v.Strs[:n]
+	if !lookup(v.Strs, u, dict) {
+		r.err = ErrCorrupt
+	}
+}
+
+func decodeDictVarint(r *rd, v *types.Vector, n int) {
+	dict := readDict(r)
 	for i := 0; i < n; i++ {
 		c := r.uvarint()
 		if r.err != nil {
 			return
 		}
-		if c >= dn {
+		if c >= uint64(len(dict)) {
 			r.err = ErrCorrupt
 			return
 		}
@@ -579,105 +671,226 @@ func decodeDelta(r *rd, v *types.Vector, n int) {
 	}
 }
 
-// forWidth returns the bit width needed to frame-of-reference encode xs.
-func forWidth(xs []int64) int {
+// maxWidth is the widest packed value: a value and its offset within its
+// first byte (at most 7 bits) must fit one 64-bit load.
+const maxWidth = 56
+
+// pow10[e] is 10^e, exact in a float64 for every e here.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// minMax returns the smallest and largest of xs, or zeros when it is
+// empty.
+func minMax(xs []int64) (lo, hi int64) {
 	if len(xs) == 0 {
-		return 0
+		return 0, 0
 	}
-	lo, hi := xs[0], xs[0]
+	lo, hi = xs[0], xs[0]
 	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
+		lo, hi = min(lo, x), max(hi, x)
 	}
-	return bits.Len64(uint64(hi - lo))
+	return lo, hi
 }
 
-func encodeFOR(w *buf, v *types.Vector) {
-	n := len(v.Ints)
-	if n == 0 {
-		return
+// decimal returns the integer i nearest f·scale, where scale is 10^e, and
+// whether f is a decimal at e: |f·10^e| is at most 2^52 and i/10^e, the
+// decoder's expression, gives back f bit for bit. −0, NaN, ±Inf and
+// genuine doubles are decimals at no exponent.
+func decimal(f, scale float64) (int64, bool) {
+	x := f * scale
+	if !(math.Abs(x) <= 1<<52) {
+		return 0, false
 	}
-	lo, hi := v.Ints[0], v.Ints[0]
-	for _, x := range v.Ints {
-		if x < lo {
-			lo = x
+	i := int64(math.Round(x))
+	return i, math.Float64bits(float64(i)/scale) == math.Float64bits(f)
+}
+
+// decimalSample is how many slots the exponent search tries before it
+// verifies its pick over the whole block.
+const decimalSample = 32
+
+// decimalFrame returns the smallest exponent e at which every slot of fs,
+// NULL slots included, is a decimal, and the range of the integers they
+// scale to; ok is false when no e in 0..18 qualifies. It picks e on a
+// sample, then verifies the pick in one pass over the block. A slot the
+// sample missed raises e and restarts the verification, so the pick is
+// exact. |i| <= 2^52 keeps the frame within 54 bits, under maxWidth.
+func decimalFrame(fs []float64) (e int, lo, hi int64, ok bool) {
+	if len(fs) == 0 {
+		return 0, 0, 0, false
+	}
+	step := max(len(fs)/decimalSample, 1)
+	for k := 0; k < len(fs); k += step {
+		if e, ok = smallestExp(fs[k], e); !ok {
+			return 0, 0, 0, false
 		}
-		if x > hi {
-			hi = x
+	}
+	for {
+		lo, hi = math.MaxInt64, math.MinInt64
+		bad, scale := -1, pow10[e]
+		for k, f := range fs {
+			i, fits := decimal(f, scale)
+			if !fits {
+				bad = k
+				break
+			}
+			lo, hi = min(lo, i), max(hi, i)
+		}
+		if bad < 0 {
+			return e, lo, hi, true
+		}
+		// Every exponent below e has failed some slot, and e fails this one.
+		if e, ok = smallestExp(fs[bad], e+1); !ok {
+			return 0, 0, 0, false
 		}
 	}
-	span := uint64(hi - lo)
-	width := bits.Len64(span)
-	w.varint(lo)
-	w.byte(byte(width))
-	if width == 0 {
-		return
-	}
-	var acc uint64
-	accBits := 0
-	for _, x := range v.Ints {
-		val := uint64(x - lo)
-		acc |= val << accBits
-		accBits += width
-		for accBits >= 8 {
-			w.byte(byte(acc))
-			acc >>= 8
-			accBits -= 8
+}
+
+// smallestExp returns the smallest exponent from e up at which f is a
+// decimal.
+func smallestExp(f float64, e int) (int, bool) {
+	for ; e < len(pow10); e++ {
+		if _, ok := decimal(f, pow10[e]); ok {
+			return e, true
 		}
 	}
-	if accBits > 0 {
-		w.byte(byte(acc))
-	}
+	return e, false
 }
 
 func decodeFOR(r *rd, v *types.Vector, n int) {
-	if n == 0 {
-		return
+	lo, u := r.frame(n)
+	out, bit, mask := v.Ints[:n], uint(0), u.mask()
+	for i := range out {
+		out[i] = lo + int64(u.get(bit, mask))
+		bit += u.width
 	}
-	lo := r.varint()
-	width := int(r.byte())
-	if r.err != nil {
-		return
-	}
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			v.Ints = append(v.Ints, lo)
-		}
-		return
-	}
-	if width > 56 { // the encoder never produces wider frames
+	v.Ints = out
+}
+
+func decodeDecimal(r *rd, v *types.Vector, n int) {
+	e := int(r.byte())
+	if e >= len(pow10) {
 		r.err = ErrCorrupt
 		return
 	}
-	totalBits := n * width
-	nbytes := (totalBits + 7) / 8
-	p := r.take(nbytes)
-	if r.err != nil {
+	lo, u := r.frame(n)
+	scale := pow10[e]
+	out, bit, mask := v.Floats[:n], uint(0), u.mask()
+	for i := range out {
+		out[i] = float64(lo+int64(u.get(bit, mask))) / scale
+		bit += u.width
+	}
+	v.Floats = out
+}
+
+// packer appends width-bit values to a buf least significant bit first,
+// the layout unpacker reads, eight bytes at a time.
+type packer struct {
+	w     *buf
+	acc   uint64
+	n     uint // bits pending in acc, fewer than 64 between puts
+	width uint
+}
+
+// packed returns a packer for n width-bit values, growing the buffer
+// once for all of them.
+func (w *buf) packed(width, n int) packer {
+	w.b = slices.Grow(w.b, (n*width+7)/8)
+	return packer{w: w, width: uint(width)}
+}
+
+// frame writes a frame-of-reference header, lo and the bit width of
+// hi−lo, and returns the packer for n offsets from lo. An empty block has
+// no header.
+func (w *buf) frame(lo, hi int64, n int) packer {
+	if n == 0 {
+		return packer{w: w}
+	}
+	width := bits.Len64(uint64(hi - lo))
+	w.varint(lo)
+	w.byte(byte(width))
+	return w.packed(width, n)
+}
+
+func (p *packer) put(u uint64) {
+	p.acc |= u << p.n
+	if p.n+p.width < 64 {
+		p.n += p.width
 		return
 	}
-	var acc uint64
-	accBits := 0
-	pos := 0
-	mask := uint64(1)<<uint(width) - 1
-	if width == 64 {
-		mask = ^uint64(0)
+	p.w.b = binary.LittleEndian.AppendUint64(p.w.b, p.acc)
+	p.acc = u >> (64 - p.n) // the bits that did not fit; none when n is 0
+	p.n += p.width - 64
+}
+
+func (p *packer) flush() {
+	for k := uint(0); k < p.n; k += 8 {
+		p.w.b = append(p.w.b, byte(p.acc>>k))
 	}
-	for i := 0; i < n; i++ {
-		for accBits < width {
-			if pos >= len(p) {
-				r.err = ErrCorrupt
-				return
-			}
-			acc |= uint64(p[pos]) << accBits
-			pos++
-			accBits += 8
+}
+
+// unpacker reads width-bit values packed least significant bit first:
+// one unaligned little-endian 64-bit load, a shift and a mask per value
+// while eight bytes remain, then the tail byte by byte.
+type unpacker struct {
+	p     []byte
+	width uint // the struct stays four words, small enough for registers
+}
+
+// packed takes the bytes of n width-bit values off r.
+func (r *rd) packed(n, width int) unpacker {
+	if width > maxWidth {
+		r.err = ErrCorrupt
+		return unpacker{}
+	}
+	p := r.take((n*width + 7) / 8)
+	return unpacker{p: p, width: uint(width)}
+}
+
+// frame reads a frame-of-reference header and returns lo and the
+// unpacker of the n offsets from it. An empty block has no header.
+func (r *rd) frame(n int) (int64, unpacker) {
+	if n == 0 {
+		return 0, unpacker{}
+	}
+	lo := r.varint()
+	width := int(r.byte())
+	return lo, r.packed(n, width)
+}
+
+// mask is the mask of one value.
+func (u unpacker) mask() uint64 { return 1<<u.width - 1 }
+
+// get returns the value at bit offset bit, given u's mask: one unaligned
+// little-endian 64-bit load, a shift and a mask while eight bytes remain,
+// then the tail byte by byte.
+func (u unpacker) get(bit uint, mask uint64) uint64 {
+	at := bit >> 3
+	if at+8 > uint(len(u.p)) {
+		return tail(u.p, at) >> (bit & 7) & mask
+	}
+	return binary.LittleEndian.Uint64(u.p[at:at+8]) >> (bit & 7) & mask
+}
+
+// lookup fills out with the entries of tab that u's values index. It
+// reports false, leaving out partly filled, when a value is past tab's end.
+func lookup[T any](out []T, u unpacker, tab []T) bool {
+	bit, mask := uint(0), u.mask()
+	for i := range out {
+		c := u.get(bit, mask)
+		if c >= uint64(len(tab)) {
+			return false
 		}
-		v.Ints = append(v.Ints, lo+int64(acc&mask))
-		acc >>= uint(width)
-		accBits -= width
+		out[i] = tab[c]
+		bit += u.width
 	}
+	return true
+}
+
+// tail loads the fewer than eight bytes of p from at on.
+func tail(p []byte, at uint) (w uint64) {
+	for k, c := range p[min(at, uint(len(p))):] {
+		w |= uint64(c) << (8 * k)
+	}
+	return w
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,22 +38,23 @@ func encRow(i int) types.Row {
 		null(types.NewInt(huge), 17, 2),                                    // iplain → PLAIN
 		null(types.NewString(fmt.Sprintf("d%d", i*31%7)), 7, 6),            // sdict: 7 values → DICT
 		null(types.NewString(fmt.Sprintf("s%05d", i*7919%encRows)), 19, 4), // splain: distinct → PLAIN
-		null(types.NewFloat(float64(i%97)+0.5), 23, 1),                     // f → PLAIN
+		null(types.NewFloat(float64(i%97)+0.5), 23, 1),                     // f: one decimal digit → DECIMAL
 		null(types.NewBool(i%3 == 0), 29, 7),                               // b → RLE
+		null(types.NewFloat(float64(i)/math.Pi), 31, 9),                    // fx: full doubles → PLAIN
 	}
 }
 
 var encSchema = types.Schema{
 	{Name: "k", Type: types.Int64}, {Name: "irle", Type: types.Int64}, {Name: "ifor", Type: types.Int64},
 	{Name: "iplain", Type: types.Int64}, {Name: "sdict", Type: types.Varchar}, {Name: "splain", Type: types.Varchar},
-	{Name: "f", Type: types.Float64}, {Name: "b", Type: types.Bool},
+	{Name: "f", Type: types.Float64}, {Name: "b", Type: types.Bool}, {Name: "fx", Type: types.Float64},
 }
 
 func newEncDB(t *testing.T) *DB {
 	t.Helper()
 	db := newTestDB(t, ModeEon, 1, 1)
 	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE enc (k INTEGER, irle INTEGER, ifor INTEGER, iplain INTEGER, sdict VARCHAR, splain VARCHAR, f FLOAT, b BOOLEAN)`)
+	mustExec(t, s, `CREATE TABLE enc (k INTEGER, irle INTEGER, ifor INTEGER, iplain INTEGER, sdict VARCHAR, splain VARCHAR, f FLOAT, b BOOLEAN, fx FLOAT)`)
 	mustExec(t, s, `CREATE PROJECTION enc_p AS SELECT * FROM enc ORDER BY k SEGMENTED BY HASH(k) ALL NODES`)
 	batch := types.NewBatch(encSchema, encRows)
 	for i := 0; i < encRows; i++ {
@@ -99,8 +102,10 @@ func encodingsOnDisk(t *testing.T, db *DB) map[colenc.Encoding]bool {
 // every encoding with NULLs × predicate shapes × delete-vector states.
 func TestScanDifferential(t *testing.T) {
 	db := newEncDB(t)
-	if seen := encodingsOnDisk(t, db); len(seen) != 5 {
-		t.Fatalf("table holds encodings %v, want all five", seen)
+	written := map[colenc.Encoding]bool{colenc.Plain: true, colenc.RLE: true, colenc.Delta: true,
+		colenc.FOR: true, colenc.Decimal: true, colenc.Dict: true}
+	if seen := encodingsOnDisk(t, db); !maps.Equal(seen, written) {
+		t.Fatalf("table holds encodings %v, want every one the writer emits: %v", seen, written)
 	}
 
 	ifor := func(i int) (int, bool) { return i * 7919 % 1000, i%11 != 3 }
@@ -124,6 +129,7 @@ func TestScanDifferential(t *testing.T) {
 			return (i%13 != 5 && i/100 == 3) || (ok && v == 5)
 		}},
 		{"row fallback", "ABS(f) > 90", func(i int) bool { return i%23 != 1 && float64(i%97)+0.5 > 90 }},
+		{"plain float column", "fx < 100", func(i int) bool { return i%31 != 9 && float64(i)/math.Pi < 100 }},
 	}
 	deleted := map[int]bool{}
 	phases := []struct {
@@ -162,7 +168,7 @@ func TestScanDifferential(t *testing.T) {
 		ph.del(db.NewSession())
 		for _, p := range preds {
 			t.Run(ph.name+"/"+p.name, func(t *testing.T) {
-				q := "SELECT k, irle, ifor, iplain, sdict, splain, f, b FROM enc"
+				q := "SELECT k, irle, ifor, iplain, sdict, splain, f, b, fx FROM enc"
 				if p.where != "" {
 					q += " WHERE " + p.where
 				}

@@ -312,7 +312,7 @@ func TestVMonitorMergeoutAndEvictionRings(t *testing.T) {
 		Mode:       ModeEon,
 		Nodes:      []NodeSpec{{Name: "n1"}, {Name: "n2"}},
 		ShardCount: 2,
-		CacheBytes: 4 << 10, // tiny depot so scans evict
+		CacheBytes: 1 << 10, // tiny depot so scans evict
 		Mergeout:   tuplemover.Policy{FanIn: 2},
 	})
 	if err != nil {

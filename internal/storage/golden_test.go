@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -101,8 +102,12 @@ func goldenMixedBatch() (*catalog.Projection, types.Schema, *types.Batch) {
 // TestBuildContainerGolden pins the bytes BuildContainer writes: the
 // container files, the JSON metadata and the ring hashes for a COPY-sized
 // IoT batch, a TPC-H lineitem sample and a mixed-type batch with NULLs.
-// The digests were recorded with the Datum-based kernels the typed ones
-// replaced, so they prove the output did not change.
+// The ring digests, and every digest of the mixed batch, were recorded
+// with the Datum-based kernels the typed ones replaced, so they prove the
+// output did not change; the other file and metadata digests were
+// re-recorded when decimal floats and bit-packed dictionary codes came
+// in. Each container must also read back, bit for bit, as its sorted
+// input.
 func TestBuildContainerGolden(t *testing.T) {
 	iot := workload.DefaultIoT()
 	iotSchema := iot.Schema()
@@ -146,20 +151,20 @@ func TestBuildContainerGolden(t *testing.T) {
 		ring      string
 	}{
 		{"iot_bundle", iotProj, iotSchema, iot.Batch(3), 0,
-			"97d05f4e56e7eb80cdb60b2f6464a7a8a74526d0c13b8eb7415e9636493e0e3d",
-			"f9d6a60ce8e649536b7c40458fcee0aa3a96ebf98274f4791868bdbe2a91ac70",
+			"6614c0cb9e4d29fe4fa2e2ad151fee9b7afa4507b7a1f9aec762666d484e853d",
+			"29887917b3a2fc7c94fb90506048a507b38ddf3c3cf28cba3ffae3c67a9b8f99",
 			[]int{0}, "382349cb691a5f28c84b9661a8450043d766925ae92d6f38398b6bd63277f6c5"},
 		{"iot_files", iotProj, iotSchema, iot.Batch(4), -1,
-			"4fed956c198f9cd6053801554ef57a6cd0507da05598070efbe8ffb7c8b6de16",
-			"97e55e76e12dde3b8a5df644cd1dcb2ca90a1f0492f22731b452ced9f0bbdbce",
+			"69fa38bbad8175b77bcb0a15345ff1d392711af325620e5b47ad3d0de8100be1",
+			"805fef498e0b37bed5d7669c75a662bf0c3abc4dbcff908dad59252442100bba",
 			[]int{0, 2}, "231d303bf6113327c3c2cb3ba789160660324bf0e10e63b60954e8a3a9aa1f28"},
 		{"lineitem", liProj, liSchema, li, -1,
-			"1c6ba9f6b569d35ac9fd0f71c7023a030c5cc90c03d7c7a91b9a62df0bc46b93",
-			"bff7d41ed7d41b4651fce57c1cdde9d6b781dddd8c06be67f772553680f32eca",
+			"971bf9e2e3e38f8228c49329fa15f98187cd145471539b04c9a9e2b900c055f4",
+			"08589b247e4bb2f6db031d1f2d4d6f9e91209cdbe3a9252d2da3f70137335196",
 			[]int{0}, "8365f5097d2c1534e2627bd5a13e750bd52291b1932db8e708df142c635a538d"},
 		{"lineitem_multikey", liMulti, liSchema, li, 0,
-			"6ce0e1cb3a9e6d1a4dc63a2b826cd6bb5ae45ee27b026c8659ec2dd6078fd863",
-			"240107edad892c29e2bd4765f2144a9ccd05609fd95d61db4a909ea9f4445b28",
+			"60a38cc4daf564d75e94ff24d6837dd2f5424e5838999dda2cce1b2875e4ecc6",
+			"edf5f82e32457d7234a0234622bd627b3b0411bbcbed15c42b6c368f812126b5",
 			[]int{8, 9, 10, 4}, "f43942ca888aa69e7a4e8e0d60b67f3847a9919e92facb0a15d26d43b2de2d6f"},
 		{"mixed", mixProj, mixSchema, mix, -1,
 			"1de37149e8bb025a85f7f78831b068b8d9955f0b081cf708849ea18289b31844",
@@ -178,6 +183,46 @@ func TestBuildContainerGolden(t *testing.T) {
 		ring := ringDigest(tc.batch, tc.ringCols)
 		if files != tc.files || meta != tc.meta || ring != tc.ring {
 			t.Errorf("%s: digests changed\n files %s\n meta  %s\n ring  %s", tc.name, files, meta, ring)
+		}
+		checkReadsBack(t, tc.name, built, tc.proj, tc.schema, tc.batch)
+	}
+}
+
+// checkReadsBack reads every column of a built container and requires it
+// to equal the input sorted by the projection's sort key, bit for bit:
+// the same NULLs and the same payload in every slot, NULL slots included.
+func checkReadsBack(t *testing.T, name string, built *BuiltContainer, proj *catalog.Projection, schema types.Schema, batch *types.Batch) {
+	t.Helper()
+	var keys []types.SortKey
+	for _, k := range proj.SortKey {
+		keys = append(keys, types.SortKey{Col: schema.ColumnIndex(k)})
+	}
+	want := types.SortBatch(batch, keys)
+	fetch := func(_ context.Context, path string) ([]byte, error) { return built.Files[path], nil }
+	got, err := ReadColumns(context.Background(), built.Meta, schema, fetch, 1)
+	if err != nil {
+		t.Fatalf("%s: read back: %v", name, err)
+	}
+	for c, col := range schema {
+		g, w := got.Cols[c], want.Cols[c]
+		if g.Len() != w.Len() {
+			t.Fatalf("%s column %s: read %d values, wrote %d", name, col.Name, g.Len(), w.Len())
+		}
+		for i := 0; i < w.Len(); i++ {
+			same := g.IsNull(i) == w.IsNull(i)
+			switch col.Type.Physical() {
+			case types.Int64:
+				same = same && g.Ints[i] == w.Ints[i]
+			case types.Float64:
+				same = same && math.Float64bits(g.Floats[i]) == math.Float64bits(w.Floats[i])
+			case types.Varchar:
+				same = same && g.Strs[i] == w.Strs[i]
+			case types.Bool:
+				same = same && g.Bools[i] == w.Bools[i]
+			}
+			if !same {
+				t.Fatalf("%s column %s row %d: read %v, wrote %v", name, col.Name, i, g.Datum(i), w.Datum(i))
+			}
 		}
 	}
 }

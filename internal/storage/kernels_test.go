@@ -136,7 +136,39 @@ func refChoose(v *types.Vector, sorted bool) colenc.Encoding {
 	if sorted && runs() > 0.5 {
 		return colenc.RLE
 	}
+	if refDecimal(v) {
+		return colenc.Decimal
+	}
 	return colenc.Plain
+}
+
+// refDecimal is the decimal rule over boxed values: some exponent e in
+// 0..18 at which every slot, NULL slots included (their payload is read
+// with the bitmap set aside), has f·10^e within ±2^52, the nearest
+// integer i to it gives i/10^e == f bit for bit, and the integers span at
+// most 56 bits.
+func refDecimal(v *types.Vector) bool {
+	payload := &types.Vector{Typ: v.Typ, Floats: v.Floats}
+	for e := 0; e <= 18; e++ {
+		p := math.Pow10(e)
+		ok := true
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := 0; i < payload.Len() && ok; i++ {
+			f := payload.Datum(i).F
+			x := f * p
+			if !(math.Abs(x) <= 1<<52) {
+				ok = false
+				break
+			}
+			n := int64(math.Round(x))
+			ok = math.Float64bits(float64(n)/p) == math.Float64bits(f)
+			lo, hi = min(lo, n), max(hi, n)
+		}
+		if ok && uint64(hi-lo) < 1<<56 {
+			return true
+		}
+	}
+	return false
 }
 
 // refHashRow is the ring hash of one boxed row through a hash/fnv hasher.

@@ -46,12 +46,14 @@ race:
 # UPDATE leaving shared storage untouched, an UPDATE as one commit (a
 # reader sees every row while its new containers upload, and readers
 # racing a stream of UPDATEs in both modes never see the count change),
-# an Enterprise DELETE or UPDATE refused while a node is down, revive's and sync's I/O shape
+# an Enterprise DELETE or UPDATE refused while a node is down, every
+# acknowledged Enterprise INSERT still counted after a node kill and
+# recovery, revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
@@ -70,10 +72,13 @@ obs:
 
 # Fuzz gate: the block decoder against arbitrary bytes for 60 s (never a
 # panic; ErrCorrupt or the declared row count; what it returns re-encodes
-# bit for bit). Plain `go test` runs only the seed corpus, the committed
-# testdata/fuzz inputs included.
+# bit for bit), then the bundle reader for 60 s (open a bundle, each of
+# its columns and every block: never a panic, ErrCorrupt or success, and
+# allocation in proportion to the input). Plain `go test` runs only the
+# seed corpora, the committed testdata/fuzz inputs included.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 60s ./internal/colenc/
+	$(GO) test -run '^$$' -fuzz FuzzOpenBundle -fuzztime 60s ./internal/rosfile/
 
 # Streaming-executor gate: the reference diff (every workload query on
 # five Eon layouts, crunch modes included, against a 1-node Enterprise
@@ -133,10 +138,11 @@ systables:
 
 # Serving-path gate: the staged-lifecycle unit tests (plan cache and its
 # invalidation rule, prepared statements, result-cache invalidation,
-# admission control, parse-error accounting), the LRU behind both caches
-# and the bounded ring behind the slow-query log and the session list,
-# and the caches-on-vs-off TPC-H differential under concurrent
-# DDL/load/mergeout churn — all race-checked (cached plans are shared by
+# admission control, parse-error accounting, an Enterprise read through
+# a buddy copy), the LRU behind both caches and the bounded ring behind
+# the slow-query log and the session list, and the caches-on-vs-off TPC-H
+# differentials (one node; Enterprise across INSERTs, a DELETE, a node
+# kill, a mergeout and recovery; concurrent DDL/load/mergeout churn) — all race-checked (cached plans are shared by
 # concurrent executions by design). Then the plan-cache hit's
 # zero-allocation guard without the race detector (it skips under -race,
 # which inflates allocation counts), the acceptance gate (warm hot-query

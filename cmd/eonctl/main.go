@@ -13,7 +13,7 @@
 //	\spec <size> [spares]  declare the desired cluster shape for the reconciler
 //	\reconcile         tick the reconciler until it converges (or blocks)
 //	\cluster           show reconciler status and node membership
-//	\tuplemover        run moveout + mergeout
+//	\tuplemover        run one mergeout pass
 //	\sync              sync metadata to shared storage
 //	\gc                run the file garbage collector
 //	\nodes             list nodes and subscriptions

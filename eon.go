@@ -65,7 +65,8 @@ type (
 )
 
 // Mode selects the architecture: ModeEnterprise (shared-nothing, buddy
-// projections, WOS) or ModeEon (shared storage, shards, caches).
+// projections on node-local storage) or ModeEon (shared storage, shards,
+// caches). Neither has a WOS: every load writes ROS (§5.1).
 type Mode = core.Mode
 
 // The two modes.
@@ -288,12 +289,9 @@ func (db *DB) PromoteSpare(name, subcluster string) error {
 // returning the number of files warmed.
 func (db *DB) WarmSpare(name string) (int, error) { return db.inner.WarmSpare(name) }
 
-// RunTupleMover performs one moveout pass (Enterprise) and one mergeout
-// pass (both modes; paper §6.2).
+// RunTupleMover performs one mergeout pass (paper §6.2). There is no
+// moveout: loads write ROS directly, so there is no WOS to drain.
 func (db *DB) RunTupleMover() (MergeoutStats, error) {
-	if _, err := db.inner.RunMoveout(); err != nil {
-		return MergeoutStats{}, err
-	}
 	return db.inner.RunMergeout()
 }
 

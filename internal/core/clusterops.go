@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eon/internal/catalog"
+	"eon/internal/cluster"
 	"eon/internal/shard"
 )
 
@@ -23,8 +24,8 @@ func (db *DB) checkViabilityAndMaybeShutdown(snap *catalog.Snapshot) shard.Viabi
 // violation or an explicit Shutdown.
 func (db *DB) IsShutdown() bool { return db.shutdown.Load() }
 
-// KillNode simulates a node failure: the process state (WOS contents,
-// in-flight work) is lost; the node's disk (cache, catalog files)
+// KillNode simulates a node failure: the process state (in-flight
+// work) is lost; the node's disk (cache, catalog files)
 // survives as instance storage.
 func (db *DB) KillNode(name string) error {
 	n, ok := db.Node(name)
@@ -62,11 +63,8 @@ func (db *DB) RecoverNode(name string) error {
 		return fmt.Errorf("core: cluster is shut down; revive it instead")
 	}
 
-	// A restarted process has a fresh instance id (§5.1) and empty WOS.
-	n.inst = newInstanceID()
-	if db.mode == ModeEnterprise && n.wos != nil {
-		n.wos = freshWOS()
-	}
+	// A restarted process has a fresh instance id (§5.1).
+	n.inst = cluster.NewInstanceID()
 
 	// Catch up on missed commits before rejoining the commit fan-out,
 	// atomically with marking the node up (incremental shard diffs;

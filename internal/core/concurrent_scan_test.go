@@ -11,10 +11,9 @@ import (
 )
 
 // newParallelScanDB builds an Eon cluster tuned to exercise the parallel
-// scan path: bundling disabled so every column is its own fetch, small
-// WOS threshold so loads land in ROS containers. Shared storage carries
-// a small simulated GET latency so cold fetches from concurrent
-// sessions reliably overlap in flight (the coalescing window).
+// scan path: bundling disabled so every column is its own fetch. Shared
+// storage carries a small simulated GET latency so cold fetches from
+// concurrent sessions reliably overlap in flight (the coalescing window).
 func newParallelScanDB(t *testing.T, scanConc int) *DB {
 	t.Helper()
 	db, err := Create(Config{
@@ -27,7 +26,6 @@ func newParallelScanDB(t *testing.T, scanConc int) *DB {
 			GetLatency: 2 * time.Millisecond,
 		}),
 		ExecSlots:       16,
-		WOSMaxRows:      4,
 		BundleThreshold: -1,
 		Seed:            42,
 		ScanConcurrency: scanConc,

@@ -19,7 +19,6 @@ func newTestDB(t *testing.T, mode Mode, n int, shards int) *DB {
 		Mode:       mode,
 		Nodes:      specs,
 		ShardCount: shards,
-		WOSMaxRows: 4, // small threshold so tests hit both WOS and ROS paths
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -454,43 +453,6 @@ func TestPartitionedTable(t *testing.T) {
 	}
 	if len(keys) != 3 {
 		t.Errorf("partition keys = %v", keys)
-	}
-}
-
-func TestEnterpriseWOSVisibleInQueries(t *testing.T) {
-	db := newTestDB(t, ModeEnterprise, 2, 2)
-	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE t (id INTEGER)`)
-	// Small inserts stay in the WOS (threshold 4).
-	mustExec(t, s, `INSERT INTO t VALUES (1), (2)`)
-	res := mustQuery(t, s, `SELECT COUNT(*) FROM t`)
-	if res.Row(t, 0)[0].I != 2 {
-		t.Fatalf("WOS rows invisible: %v", res.Rows())
-	}
-	// Verify it actually is in the WOS, not ROS.
-	totalWOS := 0
-	for _, n := range db.Nodes() {
-		totalWOS += n.wos.TotalRows()
-	}
-	if totalWOS == 0 {
-		t.Error("small insert should buffer in WOS")
-	}
-}
-
-func TestEonHasNoWOS(t *testing.T) {
-	db := newTestDB(t, ModeEon, 2, 2)
-	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE t (id INTEGER)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	for _, n := range db.Nodes() {
-		if n.wos != nil {
-			t.Error("Eon mode must not have a WOS (§5.1)")
-		}
-	}
-	// Data must be on shared storage before commit returned.
-	infos, err := db.SharedStore().List(db.Context(), "data/")
-	if err != nil || len(infos) == 0 {
-		t.Error("Eon load must upload to shared storage")
 	}
 }
 

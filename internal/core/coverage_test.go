@@ -6,44 +6,6 @@ import (
 	"eon/internal/types"
 )
 
-// Enterprise moveout of partitioned WOS data: the drained rows must
-// split into per-partition containers.
-func TestMoveoutPartitionedWOS(t *testing.T) {
-	db := newTestDB(t, ModeEnterprise, 2, 2)
-	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE ev (id INTEGER, bucket INTEGER) PARTITION BY bucket`)
-	// Two small WOS inserts spanning two partitions (threshold 4).
-	mustExec(t, s, `INSERT INTO ev VALUES (1, 0), (2, 1)`)
-	mustExec(t, s, `INSERT INTO ev VALUES (3, 0)`)
-	moved, err := db.RunMoveout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("nothing moved out")
-	}
-	// Containers carry exactly one partition key each.
-	init, _ := db.anyUpNode()
-	snap := init.catalog.Snapshot()
-	tbl, _ := snap.TableByName("ev")
-	keys := map[string]bool{}
-	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		for _, sc := range snap.ContainersOf(p.OID, -1) {
-			if sc.PartitionKey != "0" && sc.PartitionKey != "1" {
-				t.Errorf("container partition key %q", sc.PartitionKey)
-			}
-			keys[sc.PartitionKey] = true
-		}
-	}
-	if len(keys) != 2 {
-		t.Errorf("partition keys = %v", keys)
-	}
-	res := mustQuery(t, s, `SELECT COUNT(*) FROM ev WHERE bucket = 0`)
-	if res.Row(t, 0)[0].I != 2 {
-		t.Errorf("count = %v", res.Rows())
-	}
-}
-
 // LIMIT without ORDER BY: any N rows, exercised distributed.
 func TestLimitWithoutSort(t *testing.T) {
 	db := newTestDB(t, ModeEon, 3, 3)

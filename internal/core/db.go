@@ -1,6 +1,6 @@
 // Package core integrates the substrates into the database engine: a
 // multi-node cluster (simulated in-process) that runs in either
-// Enterprise mode (shared-nothing, buddy projections, WOS, node-local
+// Enterprise mode (shared-nothing, buddy projections, node-local
 // storage) or Eon mode (shared storage, segment shards, subscriptions,
 // per-node file cache) — the paper's central contrast. The optimizer and
 // execution engine are shared between modes; storage layout, fault
@@ -26,7 +26,6 @@ import (
 	"eon/internal/systable"
 	"eon/internal/tuplemover"
 	"eon/internal/udfs"
-	"eon/internal/wos"
 )
 
 // Mode selects the architecture.
@@ -35,8 +34,8 @@ type Mode uint8
 // The two architectures.
 const (
 	// ModeEnterprise is the original shared-nothing design: node-local
-	// storage, buddy projections for fault tolerance, a WOS with
-	// moveout.
+	// storage and buddy projections for fault tolerance. Like Eon it has
+	// no WOS: every load writes ROS containers and commits them.
 	ModeEnterprise Mode = iota
 	// ModeEon places data and metadata on shared storage with segment
 	// shards, subscriptions and per-node caches.
@@ -80,9 +79,6 @@ type Config struct {
 	ScanConcurrency int
 	// CacheBytes is the per-node cache capacity (Eon).
 	CacheBytes int64
-	// WOSMaxRows: Enterprise loads smaller than this buffer in the WOS;
-	// larger loads write ROS directly. Moveout drains WOS buffers.
-	WOSMaxRows int
 	// Shared is the shared storage (Eon). Defaults to an in-memory
 	// store.
 	Shared objstore.Store
@@ -208,9 +204,6 @@ func (c *Config) fillDefaults() error {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.WOSMaxRows <= 0 {
-		c.WOSMaxRows = 1024
-	}
 	if c.Shared == nil {
 		c.Shared = objstore.NewMem()
 	}
@@ -241,7 +234,6 @@ type Node struct {
 	catalog    *catalog.Catalog
 	fs         *udfs.MemFS  // the node's local disk
 	cache      *cache.Cache // Eon file cache
-	wos        *wos.Store   // Enterprise write-optimized store
 	up         atomic.Bool
 
 	// sync interval of uploaded catalog metadata (Eon, §3.5).
@@ -666,8 +658,6 @@ func newNode(spec NodeSpec, cfg *Config) *Node {
 	n.catalog.SetPersister(catalog.NewPersister(n.fs, "catalog", cfg.CheckpointThreshold))
 	if cfg.Mode == ModeEon {
 		n.cache = cache.New(n.fs, "cache", cfg.CacheBytes)
-	} else {
-		n.wos = wos.New()
 	}
 	n.up.Store(true)
 	return n
@@ -749,7 +739,7 @@ func Create(cfg Config) (*DB, error) {
 // every subsystem into it: objstore traffic and cost (when shared
 // storage is the simulator), resilience counters, interconnect traffic,
 // the scan pipeline's cumulative counters, query/mergeout timings, and
-// per-node gauges (cache occupancy, catalog version, WOS rows). The
+// per-node gauges (cache occupancy, catalog version). The
 // registry is published process-wide under the database name for export
 // endpoints.
 func (db *DB) installMetrics() {
@@ -789,12 +779,6 @@ func (db *DB) installMetrics() {
 		reg.GaugeFunc(prefix+"catalog.version", func() int64 {
 			return int64(n.catalog.Version()) // revive replays into it after install
 		})
-		if n.wos != nil {
-			w := n.wos
-			reg.GaugeFunc(prefix+"wos.rows", func() int64 {
-				return int64(w.TotalRows())
-			})
-		}
 		db.ensureSubclusterGauges(n.Subcluster())
 	}
 	obs.Publish(db.cfg.Name, reg)

@@ -6,7 +6,6 @@ import (
 
 	"eon/internal/catalog"
 	"eon/internal/exec"
-	"eon/internal/expr"
 	"eon/internal/obs"
 	"eon/internal/planner"
 	"eon/internal/sql"
@@ -40,10 +39,9 @@ func (s *Session) modify(stmt sql.Statement) (int64, error) {
 // with the SET expressions applied, into the same transaction as new
 // containers; the delete vectors and the containers are persisted
 // together and committed once, so no reader sees the old rows gone
-// without the new ones. In Enterprise, matching WOS rows (volatile
-// memory, outside the catalog) are taken out before the commit and put
-// back if the statement fails.
-func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (_ *Result, err error) {
+// without the new ones. Nothing is written outside that transaction, so
+// a failed statement has nothing to undo.
+func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Result, error) {
 	db, init := s.db, env.initiator
 	planSp := root.StartSpan("plan")
 	plan, err := planner.PlanDML(env.snapshots[init.name], stmt)
@@ -101,28 +99,6 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (_ *
 		}
 	}
 	writeSp.AddAttr("delete_vectors", int64(len(ships)))
-	if db.mode == ModeEnterprise {
-		var undo []func()
-		defer func() {
-			if err != nil {
-				for _, putBack := range undo {
-					putBack()
-				}
-			}
-		}()
-		for i, scan := range plan.Scans {
-			wos, err := db.removeFromWOS(init, scan, &undo)
-			if err != nil {
-				return nil, fmt.Errorf("core: WOS: %v", err)
-			}
-			if i == plan.Rows {
-				n += int64(wos.NumRows())
-				if rows != nil {
-					rows.AppendBatch(wos)
-				}
-			}
-		}
-	}
 	var writers []writerShard
 	if rows != nil && rows.NumRows() > 0 {
 		load, err := db.stageUpdate(env, txn, plan, rows)
@@ -180,45 +156,6 @@ func validateWritten(written map[catalog.OID]readFrom) func(*catalog.Snapshot) e
 		}
 		return nil
 	}
-}
-
-// removeFromWOS removes the WOS rows of scan's projection that its
-// predicate keeps from every up Enterprise node, appending to undo how to
-// put each node's back, and returns those that count toward the
-// statement's rows (in projection column order): all of them, or for a
-// replicated projection the initiator's copy.
-func (db *DB) removeFromWOS(init *Node, scan *planner.Scan, undo *[]func()) (*types.Batch, error) {
-	// A WOS row holds every projection column.
-	match := func(types.Row) (bool, error) { return true, nil }
-	schema := projectionSchema(scan.Table, scan.Proj.Columns)
-	if scan.Pred != nil {
-		pred := expr.Clone(scan.Pred)
-		if err := expr.Bind(pred, schema); err != nil {
-			return nil, err
-		}
-		match = func(row types.Row) (bool, error) {
-			v, err := expr.EvalRow(pred, row)
-			return !v.Null && v.B, err
-		}
-	}
-	out := types.NewBatch(schema, 0)
-	for _, node := range db.Nodes() {
-		if !node.Up() || node.wos == nil {
-			continue
-		}
-		removed, err := node.wos.RemoveWhere(scan.Proj.OID, match)
-		if err != nil {
-			return nil, err
-		}
-		if removed == nil {
-			continue
-		}
-		*undo = append(*undo, func() { node.wos.Insert(scan.Proj.OID, schema, removed) })
-		if !scan.Replicated || node == init {
-			out.AppendBatch(removed)
-		}
-	}
-	return out, nil
 }
 
 // stageUpdate stages an UPDATE's rows, with the SET expressions applied,

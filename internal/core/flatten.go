@@ -45,7 +45,7 @@ func (db *DB) validateFlattened(snap *catalog.Snapshot, schema types.Schema, fla
 }
 
 // readTableRows materializes a whole table (first full projection, delete
-// vectors applied, plus Enterprise WOS rows) in table column order.
+// vectors applied) in table column order.
 // Intended for small dimension tables.
 func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.Batch, error) {
 	ctx := db.Context()
@@ -61,15 +61,6 @@ func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.
 	}
 	projSchema := projectionSchema(tbl, full.Columns)
 	out := types.NewBatch(tbl.Columns, 0)
-	appendRows := func(b *types.Batch) {
-		// Reorder projection columns into table order.
-		reordered := &types.Batch{Cols: make([]*types.Vector, len(tbl.Columns))}
-		for ti, c := range tbl.Columns {
-			pj := projSchema.ColumnIndex(c.Name)
-			reordered.Cols[ti] = b.Cols[pj]
-		}
-		out.AppendBatch(reordered)
-	}
 	for _, sc := range snap.ContainersOf(full.OID, catalog.GlobalShard) {
 		node := db.nodeForStorage(sc)
 		if node == nil {
@@ -86,17 +77,12 @@ func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.
 			}
 			rows = rows.Gather(live)
 		}
-		appendRows(rows)
-	}
-	if db.mode == ModeEnterprise {
-		for _, n := range db.Nodes() {
-			if !n.Up() || n.wos == nil {
-				continue
-			}
-			if wb := n.wos.Rows(full.OID); wb != nil && wb.NumRows() > 0 {
-				appendRows(wb)
-			}
+		// Reorder projection columns into table order.
+		reordered := &types.Batch{Cols: make([]*types.Vector, len(tbl.Columns))}
+		for ti, c := range tbl.Columns {
+			reordered.Cols[ti] = rows.Cols[projSchema.ColumnIndex(c.Name)]
 		}
+		out.AppendBatch(reordered)
 	}
 	return out, nil
 }
@@ -336,32 +322,6 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		}
 		if err := db.persistShips(ctx, ships, db.neverCacheTable(tbl.Name)); err != nil {
 			return rewritten, err
-		}
-	}
-
-	// Enterprise: rows still buffered in WOS memory are recomputed in
-	// place.
-	if db.mode == ModeEnterprise {
-		for _, p := range snap.ProjectionsOf(tbl.OID) {
-			if p.IsLiveAggregate() {
-				continue
-			}
-			projSchema := projectionSchema(tbl, p.Columns)
-			for _, n := range db.Nodes() {
-				if !n.Up() || n.wos == nil {
-					continue
-				}
-				err := n.wos.Transform(p.OID, func(b *types.Batch) (*types.Batch, error) {
-					if err := recomputeProj(projSchema, b); err != nil {
-						return nil, err
-					}
-					rewritten++
-					return b, nil
-				})
-				if err != nil {
-					return rewritten, err
-				}
-			}
 		}
 	}
 

@@ -219,14 +219,3 @@ func aggregateForLiveProjection(proj *catalog.Projection, source types.Schema, b
 	}
 	return out, nil
 }
-
-// tableHasLiveAggregate reports whether any projection of the table
-// maintains aggregates, which restricts base-table updates (§2.1).
-func tableHasLiveAggregate(projs []*catalog.Projection) bool {
-	for _, p := range projs {
-		if p.IsLiveAggregate() {
-			return true
-		}
-	}
-	return false
-}

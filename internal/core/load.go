@@ -29,27 +29,13 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 		return err
 	}
 	txn := init.catalog.Begin()
-	snap := txn.Base()
-	tbl, ok := snap.TableByName(tableName)
+	tbl, ok := txn.Base().TableByName(tableName)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", tableName)
 	}
 	if batch.NumCols() != len(tbl.Columns) {
 		return fmt.Errorf("core: batch arity %d != table arity %d", batch.NumCols(), len(tbl.Columns))
 	}
-
-	// Enterprise small loads buffer in the WOS (§2.3); no storage
-	// metadata is created until moveout. Tables with live aggregate
-	// projections always take the direct ROS path so partial aggregates
-	// are maintained transactionally.
-	if projs := snap.ProjectionsOf(tbl.OID); db.mode == ModeEnterprise && batch.NumRows() < db.cfg.WOSMaxRows && !tableHasLiveAggregate(projs) {
-		// The WOS holds the rows with their flattened columns filled too.
-		if batch, err = db.applyFlattened(snap, tbl, batch); err != nil {
-			return err
-		}
-		return db.loadIntoWOS(tbl, projs, batch)
-	}
-
 	load, err := db.stageLoad(init, txn, tbl, batch)
 	if err != nil {
 		return err
@@ -319,43 +305,6 @@ func (db *DB) writerAssignment(snap *catalog.Snapshot) (map[int]string, error) {
 		Shards: shards, Nodes: nodes, CanServe: canServe,
 		Seed: db.cfg.Seed + db.seedCtr.Add(1),
 	})
-}
-
-// loadIntoWOS buffers small Enterprise loads in node WOS memory.
-func (db *DB) loadIntoWOS(tbl *catalog.Table, projs []*catalog.Projection, batch *types.Batch) error {
-	for _, p := range projs {
-		projSchema := projectionSchema(tbl, p.Columns)
-		projBatch, err := projectBatch(tbl, p.Columns, batch)
-		if err != nil {
-			return err
-		}
-		if p.Replicated() {
-			for _, name := range db.order {
-				n := db.nodes[name]
-				if n.Up() {
-					n.wos.Insert(p.OID, projSchema, projBatch)
-				}
-			}
-			continue
-		}
-		segIdx, err := columnPositions(projSchema, p.SegmentCols)
-		if err != nil {
-			return err
-		}
-		parts := exec.Partition(projBatch, segIdx, db.ring.Count(), db.ring.SegmentFor)
-		for shardIdx, part := range parts {
-			if part == nil || part.NumRows() == 0 {
-				continue
-			}
-			owner := db.order[(shardIdx+p.BuddyOffset)%len(db.order)]
-			n, ok := db.Node(owner)
-			if !ok || !n.Up() {
-				return fmt.Errorf("core: WOS owner %s down", owner)
-			}
-			n.wos.Insert(p.OID, projSchema, part)
-		}
-	}
-	return nil
 }
 
 // splitByPartition groups a batch's rows by the table's partition

@@ -5,97 +5,12 @@ import (
 	"time"
 
 	"eon/internal/catalog"
-	"eon/internal/exec"
 	"eon/internal/obs"
 	"eon/internal/shard"
 	"eon/internal/storage"
 	"eon/internal/tuplemover"
 	"eon/internal/types"
 )
-
-// RunMoveout converts WOS buffers to ROS containers on every node
-// (Enterprise; §2.3). It returns the number of containers written.
-func (db *DB) RunMoveout() (int, error) {
-	if db.mode != ModeEnterprise {
-		return 0, nil // Eon mode has no WOS (§5.1, §6.2)
-	}
-	init, err := db.anyUpNode()
-	if err != nil {
-		return 0, err
-	}
-	ctx := db.Context()
-	moved := 0
-	for _, n := range db.Nodes() {
-		if !n.Up() || n.wos == nil {
-			continue
-		}
-		for _, projOID := range n.wos.Projections() {
-			snap := init.catalog.Snapshot()
-			po, ok := snap.Get(projOID)
-			if !ok {
-				n.wos.Drain(projOID)
-				continue
-			}
-			proj := po.(*catalog.Projection)
-			to, ok := snap.Get(proj.TableOID)
-			if !ok {
-				continue
-			}
-			tbl := to.(*catalog.Table)
-			batch := n.wos.Drain(projOID)
-			if batch == nil {
-				continue
-			}
-			projSchema := physicalSchema(tbl, proj)
-			txn := init.catalog.Begin()
-			parts, err := splitByPartition(tbl, projSchema, batch)
-			if err != nil {
-				return moved, err
-			}
-			for partKey, pb := range parts {
-				shardBatches := map[int]*types.Batch{}
-				if proj.Replicated() {
-					shardBatches[catalog.ReplicaShard] = pb
-				} else {
-					segIdx, err := columnPositions(projSchema, proj.SegmentCols)
-					if err != nil {
-						return moved, err
-					}
-					for shardIdx, sb := range exec.Partition(pb, segIdx, db.ring.Count(), db.ring.SegmentFor) {
-						if sb != nil && sb.NumRows() > 0 {
-							shardBatches[shardIdx] = sb
-						}
-					}
-				}
-				for shardIdx, sb := range shardBatches {
-					built, err := storage.BuildContainer(init.catalog, n.inst, storage.WriteSpec{
-						Projection: proj, Schema: projSchema,
-						ShardIndex: shardIdx, PartitionKey: partKey,
-						OwnerNode: n.name, BundleThreshold: db.cfg.BundleThreshold,
-						CreateVersion: snap.Version() + 1,
-					}, sb)
-					if err != nil {
-						return moved, err
-					}
-					if built == nil {
-						continue
-					}
-					if err := db.persistFiles(ctx, n, built.Files, shardIdx, db.neverCacheTable(tbl.Name)); err != nil {
-						return moved, err
-					}
-					txn.Put(built.Meta)
-					moved++
-				}
-			}
-			if txn.Pending() {
-				if _, err := db.commit(init, txn, nil); err != nil {
-					return moved, err
-				}
-			}
-		}
-	}
-	return moved, nil
-}
 
 // MergeoutStats reports one mergeout pass.
 type MergeoutStats struct {

@@ -202,29 +202,6 @@ func mustUp(t *testing.T, db *DB) *Node {
 	return n
 }
 
-func TestMoveoutDrainsWOS(t *testing.T) {
-	db := newTestDB(t, ModeEnterprise, 2, 2)
-	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE t (id INTEGER)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1), (2), (3)`) // below WOS threshold
-	moved, err := db.RunMoveout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("moveout should write containers")
-	}
-	for _, n := range db.Nodes() {
-		if n.wos.TotalRows() != 0 {
-			t.Error("WOS should be empty after moveout")
-		}
-	}
-	res := mustQuery(t, s, `SELECT COUNT(*) FROM t`)
-	if res.Row(t, 0)[0].I != 3 {
-		t.Errorf("count after moveout = %v", res.Rows())
-	}
-}
-
 func TestMergeoutCompactsContainers(t *testing.T) {
 	for name, mode := range modes() {
 		t.Run(name, func(t *testing.T) {
@@ -240,11 +217,6 @@ func TestMergeoutCompactsContainers(t *testing.T) {
 				if err := db.LoadRows("t", types.BatchFromRows(types.Schema{
 					{Name: "id", Type: types.Int64}, {Name: "v", Type: types.Int64},
 				}, rows)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if mode == ModeEnterprise {
-				if _, err := db.RunMoveout(); err != nil {
 					t.Fatal(err)
 				}
 			}

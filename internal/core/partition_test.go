@@ -265,8 +265,8 @@ func TestSplitByPartitionMatchesRowEval(t *testing.T) {
 }
 
 // TestPartitionKeysOnEveryWritePath: a table partitioned by month keeps
-// one month per container through COPY, Enterprise WOS moveout and
-// mergeout, and every month loaded appears as a partition key.
+// one month per container through COPY, large and small, and mergeout,
+// and every month loaded appears as a partition key.
 func TestPartitionKeysOnEveryWritePath(t *testing.T) {
 	for _, mode := range []Mode{ModeEon, ModeEnterprise} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -277,8 +277,6 @@ func TestPartitionKeysOnEveryWritePath(t *testing.T) {
 			schema := types.Schema{{Name: "id", Type: types.Int64}, {Name: "d", Type: types.Date}}
 			base := int64(17532) // 2018-01-01
 			rows := 0
-			// Large loads go straight to ROS; 3-row loads sit in the
-			// Enterprise WOS until moveout.
 			for l, size := range []int{40, 3, 3, 40, 3} {
 				b := types.NewBatch(schema, size)
 				for i := 0; i < size; i++ {
@@ -288,9 +286,6 @@ func TestPartitionKeysOnEveryWritePath(t *testing.T) {
 				if err := db.LoadRows("ev", b); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if _, err := db.RunMoveout(); err != nil {
-				t.Fatal(err)
 			}
 			check := func(stage string) {
 				t.Helper()

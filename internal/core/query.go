@@ -497,13 +497,11 @@ func (s *Session) tryQuery(req *queryRequest) (result *Result, err error) {
 
 	// Stage: result cache — a parameterized hot query whose data
 	// dependencies are unchanged returns its cached bytes without
-	// admission, slots or execution. Gated off for Enterprise mode (WOS
-	// rows are invisible to the catalog fingerprint), virtual scans
-	// (live monitoring state), BypassCache sessions, and cache-bypass
-	// requests.
+	// admission, slots or execution. Gated off for virtual scans (live
+	// monitoring state), BypassCache sessions, and cache-bypass requests.
 	var rkey resultKey
 	resultCacheable := false
-	if db.resultCache != nil && req.norm != "" && !s.BypassCache && db.mode == ModeEon {
+	if db.resultCache != nil && req.norm != "" && !s.BypassCache {
 		if fp, ok := env.depsFingerprint(exePlan); ok {
 			rkey = resultKey{
 				norm: req.norm, args: argsFingerprint(req.args),

@@ -157,7 +157,9 @@ func argsFingerprint(args []types.Datum) string {
 // subscribed shards, so no single snapshot sees every storage container
 // the query will read — but the participants collectively cover all
 // shards, and the union is therefore the projection's full container
-// set regardless of which covering assignment was chosen. ok=false marks
+// set regardless of which covering assignment was chosen. In Enterprise
+// mode a node serving a down owner's segment reads a buddy copy
+// (projectionCopyFor), so the whole buddy family counts. ok=false marks
 // the plan uncacheable: a virtual (v_monitor) scan reads live monitoring
 // state with no version discipline.
 func (env *queryEnv) depsFingerprint(plan *planner.Plan) (uint64, bool) {
@@ -170,11 +172,17 @@ func (env *queryEnv) depsFingerprint(plan *planner.Plan) (uint64, bool) {
 		for _, name := range env.nodes {
 			snap := env.snapshots[name]
 			deps[s.Table.OID] = snap.ModVersion(s.Table.OID)
-			deps[s.Proj.OID] = snap.ModVersion(s.Proj.OID)
-			for _, sc := range snap.ContainersOf(s.Proj.OID, catalog.GlobalShard) {
-				deps[sc.OID] = snap.ModVersion(sc.OID)
-				for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-					deps[dv.OID] = snap.ModVersion(dv.OID)
+			projs := []*catalog.Projection{s.Proj}
+			if env.db.mode == ModeEnterprise && !s.Replicated {
+				projs = projectionFamily(snap, s.Proj)
+			}
+			for _, p := range projs {
+				deps[p.OID] = snap.ModVersion(p.OID)
+				for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+					deps[sc.OID] = snap.ModVersion(sc.OID)
+					for _, dv := range snap.DeleteVectorsOf(sc.OID) {
+						deps[dv.OID] = snap.ModVersion(dv.OID)
+					}
 				}
 			}
 		}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 	"time"
 
 	"eon/internal/catalog"
@@ -60,7 +58,6 @@ func (fs *fragmentScan) list() error {
 	// cut is immutable (copy-on-write), so the containers it references
 	// remain scannable; dropped depot files fall back to shared storage.
 	snap := env.snapshots[node.name]
-	fs.wosProjs = map[catalog.OID]bool{}
 	for _, task := range fs.tasks {
 		shardIdx := task.Shard
 		// Enterprise: a node serving a shard it does not own in the base
@@ -76,7 +73,6 @@ func (fs *fragmentScan) list() error {
 			}
 			proj = p
 		}
-		fs.wosProjs[proj.OID] = true
 
 		containers := snap.ContainersOf(proj.OID, shardIdx)
 		// Container split (§4.4): "each node sharing a segment scans a
@@ -118,14 +114,14 @@ func (fs *fragmentScan) list() error {
 // serial pipeline's order), and a slow or early-terminating consumer
 // backpressures the workers, and through them the reads.
 func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) error {
-	db, node, scan, work := fs.env.db, fs.node, fs.scan, fs.work
+	db, scan, work := fs.env.db, fs.scan, fs.work
 	defer func() { fs.span.AddAttr("fetch_wait_ns", int64(fs.pre.Stop())) }()
 	// Scan the containers through a bounded streaming window. Each worker
 	// keeps its own scratch (decode vectors, hash-filter buffers),
 	// so a fragment allocates it once per worker, not once per block.
 	conc := db.cfg.ScanConcurrency
 	workers := make([]scanWorker, max(conc, 1))
-	err := parallel.StreamOrdered(ctx, len(work), conc,
+	return parallel.StreamOrdered(ctx, len(work), conc,
 		func(ctx context.Context, worker, i int) ([]*types.Batch, error) {
 			w := work[i]
 			batches, err := fs.scanContainer(ctx, w.sc, &workers[worker])
@@ -148,35 +144,6 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 			}
 			return nil
 		})
-	if err != nil {
-		return err
-	}
-	if scan.Replicated {
-		fs.wosProjs = map[catalog.OID]bool{scan.Proj.OID: true}
-	}
-	// Enterprise: merge WOS rows of the projection copies this node read
-	// (a DML scan leaves them to wos.RemoveWhere).
-	if db.mode == ModeEnterprise && node.wos != nil && !scan.Positions {
-		for projOID := range fs.wosProjs {
-			wb := node.wos.Rows(projOID)
-			if wb == nil || wb.NumRows() == 0 {
-				continue
-			}
-			// WOS batches are stored in projection column order, and WOS
-			// rows were routed to this node per shard at load time, so
-			// there is no shard filtering to do.
-			b, err := selectScanRows(fs.env.eng(), scan, scan.Proj.Columns, wb, "WOS")
-			if err != nil {
-				return err
-			}
-			if b != nil {
-				if err := emit(b); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // prefetch lists, in (task, container, column) order, the files of work
@@ -249,17 +216,23 @@ func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, ring *ha
 	return out
 }
 
-// projectionCopyFor finds, within a projection's buddy family, the copy
-// whose owner for the given segment is the given node.
-func (db *DB) projectionCopyFor(snap *catalog.Snapshot, base *catalog.Projection, shardIdx int, nodeName string) (*catalog.Projection, error) {
-	family := []*catalog.Projection{}
+// projectionFamily returns base and its Enterprise buddies: every copy of
+// the projection's rows, one of which serves each segment.
+func projectionFamily(snap *catalog.Snapshot, base *catalog.Projection) []*catalog.Projection {
+	var family []*catalog.Projection
 	for _, p := range snap.ProjectionsOf(base.TableOID) {
 		if p.OID == base.OID || p.BaseOID == base.OID || (base.BaseOID != 0 && (p.OID == base.BaseOID || p.BaseOID == base.BaseOID)) {
 			family = append(family, p)
 		}
 	}
+	return family
+}
+
+// projectionCopyFor finds, within a projection's buddy family, the copy
+// whose owner for the given segment is the given node.
+func (db *DB) projectionCopyFor(snap *catalog.Snapshot, base *catalog.Projection, shardIdx int, nodeName string) (*catalog.Projection, error) {
 	nNodes := len(db.order)
-	for _, p := range family {
+	for _, p := range projectionFamily(snap, base) {
 		if db.order[(shardIdx+p.BuddyOffset)%nNodes] == nodeName {
 			return p, nil
 		}
@@ -293,9 +266,8 @@ type fragmentScan struct {
 	rec  scanRecord
 	next *fragmentScan
 	span *obs.Span
-	// plan's results: unpruned containers in output order; projections read.
-	work     []containerWork
-	wosProjs map[catalog.OID]bool
+	// plan's result: unpruned containers in output order.
+	work []containerWork
 	// firstCols are the scan columns a block decodes before selection;
 	// the others (allCols is every index) only if a row survives it.
 	firstCols, allCols []int
@@ -569,28 +541,4 @@ func selectRows(eng exec.Engine, pred expr.Expr, b *types.Batch, sel []int) ([]i
 		idx[i] = sel[j]
 	}
 	return idx, err
-}
-
-// selectScanRows picks the scan's columns, by name, out of a wider batch
-// b whose columns are named cols, and keeps the rows satisfying the scan
-// predicate: the scan of rows that live outside storage containers —
-// Enterprise WOS rows and virtual tables. Returns nil when no row
-// survives.
-func selectScanRows(eng exec.Engine, scan *planner.Scan, cols []string, b *types.Batch, what string) (*types.Batch, error) {
-	out := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
-	for i, c := range scan.Cols {
-		idx := slices.IndexFunc(cols, func(name string) bool { return strings.EqualFold(name, c) })
-		if idx < 0 {
-			return nil, fmt.Errorf("core: %s missing column %q", what, c)
-		}
-		out.Cols[i] = b.Cols[idx]
-	}
-	if scan.Pred == nil {
-		return out, nil
-	}
-	idx, err := selectRows(eng, scan.Pred, out, nil)
-	if err != nil || len(idx) == 0 {
-		return nil, err
-	}
-	return out.Gather(idx), nil
 }

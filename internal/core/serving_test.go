@@ -330,6 +330,64 @@ func newServingDB(t *testing.T, cfg Config) *DB {
 	return db
 }
 
+// TestResultCacheEnterpriseBuddyCopy: with node2 down, Enterprise reads
+// node2's segment from the buddy copy on node3 (projectionCopyFor), so a
+// cached result depends on that copy too. The copy is changed alone —
+// one of its containers dropped — and the next run must miss the cache
+// and count what the buddy copy now holds.
+func TestResultCacheEnterpriseBuddyCopy(t *testing.T) {
+	db, err := Create(Config{
+		Mode:  ModeEnterprise,
+		Nodes: []NodeSpec{{Name: "node1"}, {Name: "node2"}, {Name: "node3"}},
+		// One segment per node: segment 1 is node2's in the base
+		// projection and node3's in the buddy.
+		ShardCount:       3,
+		ResultCacheBytes: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Shutdown()
+	setupSales(t, db, 60)
+	if err := db.KillNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	count := func() int64 { return mustQuery(t, s, `SELECT COUNT(*) FROM sales`).Row(t, 0)[0].I }
+	if got := count(); got != 60 {
+		t.Fatalf("COUNT(*) with node2 down = %d, want 60", got)
+	}
+	hits := counterVal(t, db, "resultcache.hits")
+	if got := count(); got != 60 || counterVal(t, db, "resultcache.hits") != hits+1 {
+		t.Fatalf("repeat: COUNT(*) = %d, resultcache.hits %d -> %d; want 60 from the cache",
+			got, hits, counterVal(t, db, "resultcache.hits"))
+	}
+
+	init := mustUp(t, db)
+	snap := init.catalog.Snapshot()
+	tbl, _ := snap.TableByName("sales")
+	txn := init.catalog.Begin()
+	var dropped int64
+	for _, p := range snap.ProjectionsOf(tbl.OID) {
+		if p.BaseOID == 0 {
+			continue
+		}
+		if scs := snap.ContainersOf(p.OID, 1); len(scs) > 0 {
+			txn.Delete(scs[0].OID)
+			dropped = scs[0].RowCount
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("the buddy copy holds no rows of segment 1")
+	}
+	if _, err := db.commit(init, txn, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(); got != 60-dropped {
+		t.Fatalf("COUNT(*) after the buddy copy lost %d rows = %d, want %d (stale result served)", dropped, got, 60-dropped)
+	}
+}
+
 // TestResultCacheServesAndInvalidates: a repeated statement is served
 // from the result cache, and any data change the plan depends on — load,
 // delete — invalidates it through the catalog fingerprint. Staleness is

@@ -5,14 +5,8 @@ import (
 	"fmt"
 
 	"eon/internal/catalog"
-	"eon/internal/cluster"
 	"eon/internal/shard"
-	"eon/internal/wos"
 )
-
-func newInstanceID() cluster.InstanceID { return cluster.NewInstanceID() }
-
-func freshWOS() *wos.Store { return wos.New() }
 
 // executeRebalanceActions runs planned subscription changes through the
 // §3.3 process: PENDING (create) → metadata transfer → PASSIVE → cache

@@ -491,11 +491,25 @@ func (db *DB) materializeVirtual(scan *planner.Scan, eng exec.Engine) (*types.Ba
 	if err != nil {
 		return nil, err
 	}
-	b, err := selectScanRows(eng, scan, scan.Table.Columns.Names(), full, "virtual table "+scan.Table.Name)
-	if b == nil && err == nil {
-		b = types.NewBatch(scan.OutSchema, 0)
+	out := &types.Batch{Cols: make([]*types.Vector, len(scan.Cols))}
+	for i, c := range scan.Cols {
+		idx := scan.Table.Columns.ColumnIndex(c)
+		if idx < 0 {
+			return nil, fmt.Errorf("core: virtual table %s missing column %q", scan.Table.Name, c)
+		}
+		out.Cols[i] = full.Cols[idx]
 	}
-	return b, err
+	if scan.Pred == nil {
+		return out, nil
+	}
+	idx, err := selectRows(eng, scan.Pred, out, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(idx) == 0 {
+		return types.NewBatch(scan.OutSchema, 0), nil
+	}
+	return out.Gather(idx), nil
 }
 
 // truncateSQL bounds SQL text recorded in Data Collector events.

@@ -71,8 +71,8 @@ func selLen(b *types.Batch, sel []int) int {
 	return len(sel)
 }
 
-// Source replays a fixed list of batches (used for materialized inputs,
-// WOS contents, and network-received fragments).
+// Source replays a fixed list of batches (used for materialized inputs
+// and network-received fragments).
 type Source struct {
 	schema  types.Schema
 	batches []*types.Batch

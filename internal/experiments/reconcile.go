@@ -130,9 +130,8 @@ func ChaosRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 			Latency:   200 * time.Microsecond,
 			Bandwidth: 128 << 20,
 		}),
-		ExecSlots:  4,
-		QueryCost:  2 * time.Millisecond,
-		WOSMaxRows: 256, // loads land in ROS so depot warmth matters
+		ExecSlots: 4,
+		QueryCost: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

@@ -11,13 +11,13 @@ import (
 	"eon/internal/workload"
 )
 
-// newServingCluster builds an Eon cluster with the serving-path caches
+// newServingCluster builds a cluster with the serving-path caches
 // either fully on (plan cache + result cache + admission control) or
 // fully off — the two sides of the differential tests below.
-func newServingCluster(nodes, shards, rep int, cached bool) (*core.DB, error) {
+func newServingCluster(mode core.Mode, nodes, shards, rep int, cached bool) (*core.DB, error) {
 	sim := objstore.NewSim(objstore.NewMem(), SharedStorageSim(1))
 	cfg := core.Config{
-		Mode:              core.ModeEon,
+		Mode:              mode,
 		Nodes:             nodeSpecs(nodes),
 		ShardCount:        shards,
 		ReplicationFactor: rep,
@@ -74,11 +74,11 @@ func mutateBoth(t *testing.T, stmt string, dbs ...*core.DB) {
 // results between the cache-enabled and cache-disabled cluster — cold,
 // warm, and again after deletes and mergeout invalidate what was cached.
 func TestServingCachesDifferentialSingleNode(t *testing.T) {
-	cachedDB, err := newServingCluster(1, 3, 1, true)
+	cachedDB, err := newServingCluster(core.ModeEon, 1, 3, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainDB, err := newServingCluster(1, 3, 1, false)
+	plainDB, err := newServingCluster(core.ModeEon, 1, 3, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +113,63 @@ func TestServingCachesDifferentialSingleNode(t *testing.T) {
 	}
 }
 
+// TestServingCachesDifferentialEnterprise runs the same rounds on a
+// three-node Enterprise pair, whose reads the result cache serves too.
+// Between rounds come single-row INSERTs, a DELETE, a node kill (its
+// segments are then read from buddy copies), a mergeout while it is
+// down, which rewrites the copies read in its place, and its recovery.
+// Three nodes gather floats in varying order, so sums compare within
+// tolerance.
+func TestServingCachesDifferentialEnterprise(t *testing.T) {
+	cachedDB, err := newServingCluster(core.ModeEnterprise, 3, 3, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainDB, err := newServingCluster(core.ModeEnterprise, 3, 3, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []*core.DB{cachedDB, plainDB}
+	for _, db := range both {
+		if err := LoadTPCH(db, 0.02); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servingDiffRound(t, cachedDB, plainDB, false)
+
+	for i := 1; i <= 6; i++ {
+		mutateBoth(t, fmt.Sprintf(`INSERT INTO lineitem VALUES (%d, %d, 1, 9, %d, 1000.5, 0.05, 0.01, 'N', 'O', DATE '1995-03-01')`,
+			i*7, i, 10+i), both...)
+	}
+	servingDiffRound(t, cachedDB, plainDB, false)
+
+	mutateBoth(t, `DELETE FROM lineitem WHERE l_quantity = 1`, both...)
+	servingDiffRound(t, cachedDB, plainDB, false)
+
+	for _, db := range both {
+		if err := db.KillNode("node2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servingDiffRound(t, cachedDB, plainDB, false)
+	for _, db := range both {
+		if _, err := db.RunMergeout(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servingDiffRound(t, cachedDB, plainDB, false)
+	for _, db := range both {
+		if err := db.RecoverNode("node2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servingDiffRound(t, cachedDB, plainDB, false)
+
+	if cachedDB.Metrics().Counters["resultcache.hits"] == 0 {
+		t.Fatal("differential ran without a single result-cache hit — the cached path was not exercised")
+	}
+}
+
 // TestServingCachesDifferentialClusterChurn runs the same differential
 // on a three-node cluster while a background goroutine per cluster
 // churns DDL, loads and mergeouts concurrently with the queries. The
@@ -120,11 +177,11 @@ func TestServingCachesDifferentialSingleNode(t *testing.T) {
 // change — but every catalog bump invalidates cached plans mid-flight,
 // exercising the replan path under the race detector.
 func TestServingCachesDifferentialClusterChurn(t *testing.T) {
-	cachedDB, err := newServingCluster(3, 3, 2, true)
+	cachedDB, err := newServingCluster(core.ModeEon, 3, 3, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainDB, err := newServingCluster(3, 3, 2, false)
+	plainDB, err := newServingCluster(core.ModeEon, 3, 3, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

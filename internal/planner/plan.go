@@ -101,9 +101,8 @@ type Scan struct {
 	// materializes the table on the initiator from live monitoring state
 	// instead of reading storage. Virtual scans are always Replicated.
 	Virtual bool
-	// Positions marks a DML scan (PlanDML): it reads storage containers
-	// only, never WOS rows, and its output ends in PositionSchema after
-	// the Cols.
+	// Positions marks a DML scan (PlanDML): its output ends in
+	// PositionSchema after the Cols.
 	Positions bool
 }
 

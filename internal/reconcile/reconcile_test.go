@@ -23,7 +23,6 @@ func newDB(t *testing.T, n, shards int) *core.DB {
 		Mode:       core.ModeEon,
 		Nodes:      specs,
 		ShardCount: shards,
-		WOSMaxRows: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +284,6 @@ func TestReconcileAutoscale(t *testing.T) {
 		ShardCount: 4,
 		ExecSlots:  2, // small slot pool so a burst of queries queues
 		QueryCost:  20 * time.Millisecond,
-		WOSMaxRows: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

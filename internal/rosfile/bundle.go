@@ -47,7 +47,14 @@ func BuildBundle(names []string, images [][]byte) ([]byte, error) {
 	return out, nil
 }
 
-// OpenBundle parses a bundle image.
+// minBundleEntryBytes is the smallest encoding of one bundle directory
+// entry: an empty name's length and one-byte offset and length varints.
+const minBundleEntryBytes = 3
+
+// OpenBundle parses a bundle image. Its directory must describe what
+// BuildBundle writes: entries in file order, each within the column
+// images that precede the directory and none overlapping the one before,
+// so the columns' total size never exceeds the image's.
 func OpenBundle(data []byte) (*Bundle, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt
@@ -59,17 +66,22 @@ func OpenBundle(data []byte) (*Bundle, error) {
 	if dlen < 0 || dlen > len(data)-8 {
 		return nil, ErrCorrupt
 	}
-	dir := data[len(data)-8-dlen : len(data)-8]
+	images := int64(len(data) - 8 - dlen)
+	dir := data[images : len(data)-8]
 	pos := 0
 	cnt, n := binary.Uvarint(dir[pos:])
 	if n <= 0 {
 		return nil, ErrCorrupt
 	}
 	pos += n
+	if cnt > uint64(len(dir)-pos)/minBundleEntryBytes {
+		return nil, ErrCorrupt
+	}
 	b := &Bundle{entries: make(map[string][2]int64, cnt), data: data}
+	next := int64(0) // where the previous entry ended
 	for i := uint64(0); i < cnt; i++ {
 		nl, n := binary.Uvarint(dir[pos:])
-		if n <= 0 || pos+n+int(nl) > len(dir) {
+		if n <= 0 || nl > uint64(len(dir)-pos-n) {
 			return nil, ErrCorrupt
 		}
 		pos += n
@@ -85,9 +97,12 @@ func OpenBundle(data []byte) (*Bundle, error) {
 			return nil, ErrCorrupt
 		}
 		pos += n
-		if off < 0 || off+length > int64(len(data)) {
+		// Compared without adding, so a huge offset or length cannot
+		// overflow past the check.
+		if off < next || off > images || length < 0 || length > images-off {
 			return nil, ErrCorrupt
 		}
+		next = off + length
 		b.entries[name] = [2]int64{off, length}
 	}
 	return b, nil

@@ -100,7 +100,7 @@ func readDatum(b []byte, pos int, t types.Type) (types.Datum, int, error) {
 		return d, pos + 8, nil
 	case 3:
 		l, n := binary.Uvarint(b[pos:])
-		if n <= 0 || pos+n+int(l) > len(b) {
+		if n <= 0 || l > uint64(len(b)-pos-n) {
 			return d, pos, ErrCorrupt
 		}
 		d.S = string(b[pos+n : pos+n+int(l)])

@@ -3,6 +3,8 @@ package rosfile
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +191,16 @@ func TestCorruptInputsReturnErrCorrupt(t *testing.T) {
 		}
 	}
 	uv := func(prefix []byte, v uint64) []byte { return binary.AppendUvarint(prefix, v) }
+	openColumn := func(img []byte, name string) func() error {
+		return func() error {
+			b, err := OpenBundle(img)
+			if err != nil {
+				return err
+			}
+			_, err = b.Column(name)
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -208,11 +220,47 @@ func TestCorruptInputsReturnErrCorrupt(t *testing.T) {
 			block := append(uv([]byte{byte(colenc.RLE)}, 1<<60), 0, 1, 2)
 			return colenc.DecodeInto(&types.Vector{}, block, types.Int64)
 		}, colenc.ErrCorrupt},
+		{"footer string length 2^64-1", open(withFooter(t, img,
+			uv([]byte{byte(types.Varchar), 0, 1, 0, 0, 0, 0, 0, 3}, math.MaxUint64)),
+			func(*Reader) error { return nil }), ErrCorrupt},
+		{"bundle entry length -3", openColumn(testBundle(bundleEntry(uv(nil, 1), "a", 5, -3), 8), "a"), ErrCorrupt},
+		{"bundle entry end past 2^63", openColumn(testBundle(bundleEntry(uv(nil, 1), "a", 1, math.MaxInt64), 8), "a"), ErrCorrupt},
+		{"bundle entry count 2^20", openColumn(hugeBundle, "a"), ErrCorrupt},
 	} {
 		if err := tc.run(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
+	if n := allocBytes(func() { OpenBundle(hugeBundle) }); n >= 64<<10 {
+		t.Errorf("the %d-byte bundle claiming 2^20 entries allocated %d bytes", len(hugeBundle), n)
+	}
+}
+
+// hugeBundle is 11 bytes whose directory claims 2^20 entries.
+var hugeBundle = testBundle(binary.AppendUvarint(nil, 1<<20), 0)
+
+// testBundle is a bundle image of images zero bytes followed by dir.
+func testBundle(dir []byte, images int) []byte {
+	out := append(make([]byte, images), dir...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(dir)))
+	return binary.LittleEndian.AppendUint32(out, BundleMagic)
+}
+
+// bundleEntry appends one directory entry to dir.
+func bundleEntry(dir []byte, name string, off, length int64) []byte {
+	dir = binary.AppendUvarint(dir, uint64(len(name)))
+	dir = append(dir, name...)
+	dir = binary.AppendVarint(dir, off)
+	return binary.AppendVarint(dir, length)
+}
+
+// allocBytes returns how many bytes the process allocated while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // Property: any int64 column roundtrips through the file format.

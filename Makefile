@@ -48,12 +48,14 @@ race:
 # racing a stream of UPDATEs in both modes never see the count change),
 # an Enterprise DELETE or UPDATE refused while a node is down, every
 # acknowledged Enterprise INSERT still counted after a node kill and
-# recovery, revive's and sync's I/O shape
+# recovery, a commit refused on a killed initiator, a mergeout racing
+# kill/recover counted once (every subscriber of a shard holding the same
+# containers), revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 

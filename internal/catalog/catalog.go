@@ -352,53 +352,47 @@ func (c *Catalog) Apply(rec *LogRecord, keep KeepFunc) error {
 	return nil
 }
 
-// InstallObjects adds storage objects to the current snapshot without
-// advancing the version — the metadata-transfer step of subscription
-// (§3.3): a new subscriber receives the shard's existing storage objects
-// from a peer; the global version is unchanged because no transaction
-// ran. Objects that already exist are left untouched.
-func (c *Catalog) InstallObjects(objs []Object) {
+// ReplaceShard makes the catalog's storage objects of shard exactly
+// src's, with src's mod-versions, and returns the shard's objects it held
+// before: the metadata transfer of subscription (§3.3) and, with a nil
+// src, the metadata drop of unsubscription. No transaction runs, so the
+// version does not advance. src must be at the catalog's own version
+// (ErrStale otherwise): objects taken at another version could bring
+// back what a later commit deleted, or miss what it added.
+func (c *Catalog) ReplaceShard(shard int, src *Snapshot) ([]Object, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.cur.Load()
-	next := cur.mutableCopy(cur.version, len(objs))
-	for _, o := range objs {
-		if _, exists := next.objects[o.GetOID()]; exists {
-			continue
-		}
-		next.objects[o.GetOID()] = o
-		next.modVersion[o.GetOID()] = cur.version
+	if src != nil && src.version != cur.version {
+		return nil, fmt.Errorf("%w: have v%d, source v%d", ErrStale, cur.version, src.version)
 	}
-	c.cur.Store(next)
-}
-
-// DropShardObjects removes all storage objects of a shard from the
-// current snapshot without advancing the version — the metadata-drop step
-// of unsubscription (§3.3).
-func (c *Catalog) DropShardObjects(shardIndex int) []Object {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.cur.Load()
-	var dropped []Object
 	next := &Snapshot{
 		version:    cur.version,
 		objects:    make(map[OID]Object, len(cur.objects)),
 		modVersion: make(map[OID]uint64, len(cur.modVersion)),
 	}
+	var removed []Object
 	for oid, o := range cur.objects {
-		if o.Shard() == shardIndex {
-			dropped = append(dropped, o)
+		if o.Shard() == shard {
+			removed = append(removed, o)
 			continue
 		}
 		next.objects[oid] = o
 		next.modVersion[oid] = cur.modVersion[oid]
 	}
+	if src != nil {
+		for oid, o := range src.objects {
+			if o.Shard() == shard {
+				next.objects[oid] = o
+				next.modVersion[oid] = src.modVersion[oid]
+			}
+		}
+	}
 	c.cur.Store(next)
-	return dropped
+	return removed, nil
 }
 
-// Install replaces the catalog contents wholesale (used by metadata
-// transfer during subscription and by revive).
+// Install replaces the catalog contents wholesale (used by revive).
 func (c *Catalog) Install(snap *Snapshot, nextOID OID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -314,7 +314,7 @@ func (m *indexModel) step(txn *Txn) {
 
 // TestSnapshotIndexMatchesMapScan runs seeded random histories through
 // every way a Snapshot comes to exist — commit, Apply on a shard-filtered
-// replica, InstallObjects, DropShardObjects, FilterShards, checkpoint
+// replica, ReplaceShard (drop and transfer), FilterShards, checkpoint
 // decode and log replay — and checks every lookup against the map scan
 // after each step, while reader goroutines re-check older snapshots (two
 // readers share each one, so they also race to build its index).
@@ -394,11 +394,15 @@ func runIndexHistory(t *testing.T, seed int64) {
 		switch step % 10 {
 		case 3: // a subscriber's partial catalog
 			check("filter", c.Snapshot().FilterShards(map[int]bool{1: true, 3: true}))
-		case 5: // unsubscribe and resubscribe: drop a shard's objects, reinstall them
-			dropped := replica.DropShardObjects(2)
+		case 5: // unsubscribe and resubscribe: drop a shard's objects, transfer them back
+			if _, err := replica.ReplaceShard(2, nil); err != nil {
+				t.Fatal(err)
+			}
 			check("drop", replica.Snapshot())
-			replica.InstallObjects(dropped)
-			check("install", replica.Snapshot())
+			if _, err := replica.ReplaceShard(2, c.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			check("transfer", replica.Snapshot())
 		case 7: // restart: newest checkpoint plus log replay
 			loaded, _, err := Load(ctx, fs, "catalog")
 			if err != nil {

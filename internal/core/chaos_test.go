@@ -125,6 +125,7 @@ func TestChaos(t *testing.T) {
 	if succeeded < 15 {
 		t.Fatalf("only %d/20 queries succeeded under a 5%% fault rate with retries", succeeded)
 	}
+	checkSubscribersAgree(t, db)
 
 	// The resilience layer must have been exercised, observably.
 	st := db.ResilienceStats()
@@ -172,6 +173,7 @@ func TestChaos(t *testing.T) {
 	if r[0].I != rows || r[1].I != wantSum {
 		t.Fatalf("post-revive corruption: count=%d sum=%d (want %d/%d)", r[0].I, r[1].I, rows, wantSum)
 	}
+	checkSubscribersAgree(t, rdb)
 }
 
 // A session deadline must propagate through the scan path into

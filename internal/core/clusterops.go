@@ -46,11 +46,10 @@ func (db *DB) KillNode(name string) error {
 	return nil
 }
 
-// RecoverNode brings a failed node back (§6.1): the node rejoins, its
-// stale ACTIVE subscriptions are forced back to PENDING (re-subscription),
-// it catches up on missed catalog commits, transfers incremental shard
-// metadata, optionally warms its cache from a peer, and finally returns
-// its subscriptions to ACTIVE.
+// RecoverNode brings a failed node back (§6.1): the node catches up on
+// missed catalog commits and rejoins, its stale ACTIVE subscriptions are
+// forced back to PENDING, and each then reruns the subscription process
+// (subscribeTo) back to ACTIVE.
 func (db *DB) RecoverNode(name string) error {
 	n, ok := db.Node(name)
 	if !ok {
@@ -64,7 +63,7 @@ func (db *DB) RecoverNode(name string) error {
 	}
 
 	// A restarted process has a fresh instance id (§5.1).
-	n.inst = cluster.NewInstanceID()
+	n.inst.Store(cluster.NewInstanceID())
 
 	// Catch up on missed commits before rejoining the commit fan-out,
 	// atomically with marking the node up (incremental shard diffs;
@@ -86,28 +85,30 @@ func (db *DB) RecoverNode(name string) error {
 	}
 
 	// Force re-subscription: ACTIVE -> PENDING for the recovering node
-	// (§3.3). Committed by the cluster upon invitation back.
-	if db.mode == ModeEon {
-		txn := init.catalog.Begin()
-		for _, s := range txn.Base().Subscriptions(name) {
-			if s.State == catalog.SubActive {
-				c := s.Clone().(*catalog.Subscription)
-				c.State = catalog.SubPending
-				txn.Put(c)
-			}
-		}
-		if txn.Pending() {
-			if _, err := db.commit(init, txn, nil); err != nil {
-				return err
-			}
+	// (§3.3), committed by the cluster upon invitation back; then rerun
+	// the subscription process on each PENDING shard: metadata transfer,
+	// a lukewarm cache warm from a peer, PASSIVE, ACTIVE.
+	if db.mode != ModeEon {
+		return nil
+	}
+	txn := init.catalog.Begin()
+	for _, s := range txn.Base().Subscriptions(name) {
+		if s.State == catalog.SubActive {
+			c := s.Clone().(*catalog.Subscription)
+			c.State = catalog.SubPending
+			txn.Put(c)
 		}
 	}
-
-	if db.mode == ModeEon {
-		// Complete re-subscription: PENDING -> PASSIVE -> ACTIVE with a
-		// lukewarm cache warm from a peer.
-		if err := db.completeSubscriptions(n, true); err != nil {
+	if txn.Pending() {
+		if _, err := db.commit(init, txn, nil); err != nil {
 			return err
+		}
+	}
+	for _, s := range init.catalog.Snapshot().Subscriptions(name) {
+		if s.State == catalog.SubPending {
+			if err := db.subscribeTo(name, s.ShardIndex, true, catalog.SubActive); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

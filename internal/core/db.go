@@ -230,7 +230,7 @@ type Node struct {
 	scMu       sync.RWMutex
 	subcluster string
 	spare      bool
-	inst       cluster.InstanceID
+	inst       atomic.Value // cluster.InstanceID: a recovery draws a new one
 	catalog    *catalog.Catalog
 	fs         *udfs.MemFS  // the node's local disk
 	cache      *cache.Cache // Eon file cache
@@ -283,7 +283,7 @@ func (n *Node) Cache() *cache.Cache { return n.cache }
 func (n *Node) Catalog() *catalog.Catalog { return n.catalog }
 
 // InstanceID returns the node's current process instance id.
-func (n *Node) InstanceID() cluster.InstanceID { return n.inst }
+func (n *Node) InstanceID() cluster.InstanceID { return n.inst.Load().(cluster.InstanceID) }
 
 // beginQuery registers a running query at a snapshot version.
 func (n *Node) beginQuery(version uint64) {
@@ -649,12 +649,12 @@ func newNode(spec NodeSpec, cfg *Config) *Node {
 	n := &Node{
 		name:       spec.Name,
 		subcluster: spec.Subcluster,
-		inst:       cluster.NewInstanceID(),
 		catalog:    catalog.New(),
 		fs:         udfs.NewMemFS(),
 		runningQ:   map[uint64]int{},
 		syncSeen:   map[string]bool{},
 	}
+	n.inst.Store(cluster.NewInstanceID())
 	n.catalog.SetPersister(catalog.NewPersister(n.fs, "catalog", cfg.CheckpointThreshold))
 	if cfg.Mode == ModeEon {
 		n.cache = cache.New(n.fs, "cache", cfg.CacheBytes)
@@ -904,6 +904,12 @@ func (db *DB) commit(initiator *Node, txn *catalog.Txn, validate func(*catalog.S
 	defer db.commitMu.Unlock()
 	if db.shutdown.Load() {
 		return nil, fmt.Errorf("core: cluster is shut down")
+	}
+	// A killed initiator's catalog stops at its last applied record: a
+	// commit there would not follow the cluster's version, and every
+	// other node would fail to apply it.
+	if !initiator.Up() {
+		return nil, fmt.Errorf("core: initiator %s is down", initiator.name)
 	}
 	rec, err := initiator.catalog.CommitValidated(txn, validate)
 	if err != nil {

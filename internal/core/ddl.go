@@ -299,7 +299,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 				}
 			}
 			img, stats := rosfile.WriteColumn(colVec, rosfile.WriteOptions{})
-			sid := storage.SID(init.inst, sc.OID) // reuse container SID namespace
+			sid := storage.SID(init.InstanceID(), sc.OID) // reuse container SID namespace
 			path := storage.DataPath(sid, stmt.Col.Name)
 
 			updated := sc.Clone().(*catalog.StorageContainer)

@@ -87,7 +87,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 		for oid, positions := range byContainer {
 			h := env.read[oid]
 			written[oid] = h
-			dv, file := storage.NewDeleteVectorMeta(init.catalog, h.node.inst, h.sc, positions, h.sc.OwnerNode)
+			dv, file := storage.NewDeleteVectorMeta(init.catalog, h.node.InstanceID(), h.sc, positions, h.sc.OwnerNode)
 			txn.Put(dv)
 			ships = append(ships, pendingShip{writer: h.node, files: map[string][]byte{dv.File.Path: file}, shard: h.sc.ShardIndex})
 		}

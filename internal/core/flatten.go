@@ -250,7 +250,7 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 			if db.mode == ModeEnterprise {
 				owner = sc.OwnerNode
 			}
-			built, err := storage.BuildContainer(init.catalog, node.inst, storage.WriteSpec{
+			built, err := storage.BuildContainer(init.catalog, node.InstanceID(), storage.WriteSpec{
 				Projection: p, Schema: projSchema,
 				ShardIndex: sc.ShardIndex, PartitionKey: sc.PartitionKey,
 				OwnerNode: owner, BundleThreshold: db.cfg.BundleThreshold,

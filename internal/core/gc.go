@@ -106,7 +106,7 @@ func (db *DB) ScrubLeakedFiles() ([]string, error) {
 	var livePrefixes []string
 	for _, n := range db.Nodes() {
 		if n.Up() {
-			livePrefixes = append(livePrefixes, storage.InstancePrefix(n.inst))
+			livePrefixes = append(livePrefixes, storage.InstancePrefix(n.InstanceID()))
 		}
 	}
 

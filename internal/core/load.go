@@ -140,7 +140,7 @@ func (db *DB) buildProjectionContainers(init *Node, txn *catalog.Txn, tbl *catal
 				// Every node stores a full copy.
 				for _, name := range db.order {
 					n := db.nodes[name]
-					built, err := storage.BuildContainer(init.catalog, n.inst, storage.WriteSpec{
+					built, err := storage.BuildContainer(init.catalog, n.InstanceID(), storage.WriteSpec{
 						Projection: p, Schema: projSchema,
 						ShardIndex: catalog.ReplicaShard, PartitionKey: partKey,
 						OwnerNode: n.name, BundleThreshold: db.cfg.BundleThreshold,
@@ -156,7 +156,7 @@ func (db *DB) buildProjectionContainers(init *Node, txn *catalog.Txn, tbl *catal
 					ships = append(ships, pendingShip{writer: n, files: built.Files, shard: catalog.ReplicaShard})
 				}
 			} else {
-				built, err := storage.BuildContainer(init.catalog, init.inst, storage.WriteSpec{
+				built, err := storage.BuildContainer(init.catalog, init.InstanceID(), storage.WriteSpec{
 					Projection: p, Schema: projSchema,
 					ShardIndex: catalog.ReplicaShard, PartitionKey: partKey,
 					BundleThreshold: db.cfg.BundleThreshold,
@@ -203,7 +203,7 @@ func (db *DB) buildProjectionContainers(init *Node, txn *catalog.Txn, tbl *catal
 				writer = w
 				participating = append(participating, writerShard{node: writer.name, shard: shardIdx})
 			}
-			built, err := storage.BuildContainer(init.catalog, writer.inst, storage.WriteSpec{
+			built, err := storage.BuildContainer(init.catalog, writer.InstanceID(), storage.WriteSpec{
 				Projection: p, Schema: projSchema,
 				ShardIndex: shardIdx, PartitionKey: partKey,
 				OwnerNode: ownerName, BundleThreshold: db.cfg.BundleThreshold,

@@ -156,7 +156,7 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	if db.mode == ModeEnterprise {
 		owner = runner.name
 	}
-	built, err := storage.BuildContainer(init.catalog, runner.inst, storage.WriteSpec{
+	built, err := storage.BuildContainer(init.catalog, runner.InstanceID(), storage.WriteSpec{
 		Projection: proj, Schema: projSchema,
 		ShardIndex: shardIdx, PartitionKey: partKey,
 		OwnerNode: owner, BundleThreshold: db.cfg.BundleThreshold,

@@ -72,6 +72,7 @@ func TestNodeRecovery(t *testing.T) {
 	if res.Row(t, 0)[0].I != 101 {
 		t.Errorf("count = %v", res.Rows())
 	}
+	checkSubscribersAgree(t, db)
 }
 
 func TestRecoveredNodeCacheWarm(t *testing.T) {
@@ -129,6 +130,7 @@ func TestAddNodeElasticity(t *testing.T) {
 	if res.Row(t, 0)[0].I != 300 {
 		t.Errorf("count = %v", res.Rows())
 	}
+	checkSubscribersAgree(t, db)
 }
 
 func TestRemoveNode(t *testing.T) {
@@ -156,6 +158,7 @@ func TestRemoveNode(t *testing.T) {
 	if res.Row(t, 0)[0].I != 200 {
 		t.Errorf("count = %v", res.Rows())
 	}
+	checkSubscribersAgree(t, db)
 }
 
 func TestSubclusterIsolation(t *testing.T) {

@@ -104,6 +104,7 @@ func TestRemoveNodeKicksSlotWaiters(t *testing.T) {
 	if db.IsShutdown() {
 		t.Fatal("cluster shut down")
 	}
+	checkSubscribersAgree(t, db)
 }
 
 // RemoveNode commits the catalog deletion while the node is still up, so
@@ -181,4 +182,5 @@ func TestRemoveNodeConcurrentQueries(t *testing.T) {
 	if _, ok := db.slots.cap["node4"]; ok {
 		t.Fatal("removed node still registered in the slot manager")
 	}
+	checkSubscribersAgree(t, db)
 }

@@ -52,7 +52,7 @@ func (fs *fragmentScan) list() error {
 	// The scan reads from the query's captured catalog cut, not a fresh
 	// snapshot: a concurrent drain (RemoveNode → unsubscribe) deletes the
 	// subscription and then prunes the node's local shard metadata via
-	// DropShardObjects, which does not advance the catalog version. A
+	// ReplaceShard, which does not advance the catalog version. A
 	// fresh snapshot taken here could pass any version check yet have no
 	// containers for an assigned shard — a silent short read. The captured
 	// cut is immutable (copy-on-write), so the containers it references

@@ -127,6 +127,7 @@ func TestSpareLifecycle(t *testing.T) {
 	if res.Row(t, 0)[0].I != 100 {
 		t.Fatalf("post-removal count = %v", res.Rows())
 	}
+	checkSubscribersAgree(t, db)
 }
 
 // TestSpareRejected covers the error surface: Enterprise mode, duplicate
@@ -162,4 +163,5 @@ func TestSpareRejected(t *testing.T) {
 	if !sp.Spare() {
 		t.Fatal("recovered spare lost its spare flag")
 	}
+	checkSubscribersAgree(t, db)
 }

@@ -22,7 +22,7 @@ func (db *DB) executeRebalanceActions(actions []shard.Action) error {
 		}
 	}
 	for _, a := range subs {
-		if err := db.subscribe(a.Node, a.ShardIndex, true); err != nil {
+		if err := db.subscribeTo(a.Node, a.ShardIndex, true, catalog.SubActive); err != nil {
 			return err
 		}
 	}
@@ -34,13 +34,8 @@ func (db *DB) executeRebalanceActions(actions []shard.Action) error {
 	return nil
 }
 
-// subscribe runs the full subscription process for one (node, shard)
-// pair (§3.3, Figure 4).
-func (db *DB) subscribe(nodeName string, shardIdx int, warmCache bool) error {
-	return db.subscribeTo(nodeName, shardIdx, warmCache, catalog.SubActive)
-}
-
-// subscribeTo runs the subscription process up to the target state:
+// subscribeTo runs the subscription process for one (node, shard) pair
+// (§3.3, Figure 4) up to the target state:
 // ACTIVE for serving subscribers, PASSIVE for warm spares that pre-stage
 // a shard without serving it. The process resumes idempotently from
 // whatever state an earlier, possibly interrupted, attempt left behind —
@@ -95,35 +90,21 @@ func (db *DB) subscribeTo(nodeName string, shardIdx int, warmCache bool, target 
 		oid = cur.OID
 	}
 
-	// 2. Metadata transfer from an existing subscriber: rounds of
-	// checkpoint/log transfer; here the source's current shard objects
-	// are installed directly (the node's catalog version already tracks
-	// the cluster via the commit fan-out).
-	source := db.pickPeer(shardIdx, nodeName)
-	if source != nil && needTransfer {
-		var objs []catalog.Object
-		snap := source.catalog.Snapshot()
-		snap.ForEach(0, func(o catalog.Object) bool {
-			if o.Shard() == shardIdx {
-				objs = append(objs, o)
-			}
-			return true
-		})
-		var bytes int64
-		for range objs {
-			bytes += 256 // metadata objects are small
-		}
-		if err := db.net.Transfer(db.Context(), source.name, nodeName, bytes); err != nil {
-			return fmt.Errorf("core: metadata transfer: %w", err)
-		}
-		n.catalog.InstallObjects(objs)
-	}
-
+	// 2. Metadata transfer from an existing subscriber, under commitMu
+	// so both catalogs are at one version: a commit landing between
+	// reading the source and writing the node would be half in the copy
+	// (a mergeout's deleted inputs would come back next to its output).
 	// 3. PENDING -> PASSIVE (the node can now participate in commits).
+	var source *Node
 	if needTransfer {
+		if source, err = db.transferShard(n, shardIdx); err != nil {
+			return err
+		}
 		if err := db.transitionSubscription(oid, catalog.SubPassive); err != nil {
 			return err
 		}
+	} else {
+		source = db.pickPeer(shardIdx, nodeName)
 	}
 
 	// 4. Cache warming from a peer's MRU list (§5.2), preferring a peer
@@ -141,6 +122,37 @@ func (db *DB) subscribeTo(nodeName string, shardIdx int, warmCache bool, target 
 
 	// 5. PASSIVE -> ACTIVE.
 	return db.transitionSubscription(oid, catalog.SubActive)
+}
+
+// transferShard makes n's metadata of a shard exactly that of an up
+// ACTIVE subscriber, and returns that source (nil if n is the only
+// subscriber). Netsim is charged 256 B per object outside commitMu: a
+// simulated wait under it would stall every commit. The copy holds
+// commitMu, under which every up node has applied every committed
+// record, so both sides are at one version. If either side went down
+// meanwhile the transfer fails, and a rerun of subscribeTo resumes it.
+func (db *DB) transferShard(n *Node, shardIdx int) (*Node, error) {
+	source := db.pickPeer(shardIdx, n.name)
+	if source == nil {
+		return nil, nil
+	}
+	var bytes int64
+	source.catalog.Snapshot().ForEach(0, func(o catalog.Object) bool {
+		if o.Shard() == shardIdx {
+			bytes += 256 // metadata objects are small
+		}
+		return true
+	})
+	if err := db.net.Transfer(db.Context(), source.name, n.name, bytes); err != nil {
+		return nil, fmt.Errorf("core: metadata transfer: %w", err)
+	}
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	if source = db.pickPeer(shardIdx, n.name); source == nil || !n.Up() {
+		return nil, fmt.Errorf("core: metadata transfer of shard %d to %s: a side went down", shardIdx, n.name)
+	}
+	_, err := n.catalog.ReplaceShard(shardIdx, source.catalog.Snapshot())
+	return source, err
 }
 
 // pickPeer chooses an up ACTIVE subscriber of a shard other than self,
@@ -220,11 +232,8 @@ func (db *DB) unsubscribe(nodeName string, shardIdx int) error {
 	// exist (replica shard requires one; segment shards the replication
 	// factor minus one — at least one).
 	min := 1
-	if shardIdx != catalog.ReplicaShard && db.cfg.ReplicationFactor > 1 {
-		min = db.cfg.ReplicationFactor - 1
-		if min < 1 {
-			min = 1
-		}
+	if shardIdx != catalog.ReplicaShard {
+		min = max(1, db.cfg.ReplicationFactor-1)
 	}
 	snap = init.catalog.Snapshot()
 	for _, s := range snap.Subscriptions(nodeName) {
@@ -244,7 +253,7 @@ func (db *DB) unsubscribe(nodeName string, shardIdx int) error {
 		return err
 	}
 	if n, ok := db.Node(nodeName); ok {
-		dropped := n.catalog.DropShardObjects(shardIdx)
+		dropped, _ := n.catalog.ReplaceShard(shardIdx, nil)
 		if n.cache != nil {
 			for _, o := range dropped {
 				if sc, ok := o.(*catalog.StorageContainer); ok {
@@ -256,46 +265,6 @@ func (db *DB) unsubscribe(nodeName string, shardIdx int) error {
 					n.cache.Drop(db.Context(), dv.File.Path)
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// completeSubscriptions finishes the re-subscription of a recovered
-// node: every PENDING subscription transfers incremental metadata, warms
-// the cache from a peer, and returns to ACTIVE (§3.3, §6.1).
-func (db *DB) completeSubscriptions(n *Node, warmCache bool) error {
-	init, err := db.anyUpNode()
-	if err != nil {
-		return err
-	}
-	snap := init.catalog.Snapshot()
-	for _, s := range snap.Subscriptions(n.name) {
-		if s.State != catalog.SubPending {
-			continue
-		}
-		// Incremental metadata: the catch-up already applied missed
-		// records; install any shard objects the filter skipped while
-		// unsubscribed.
-		if peer := db.pickPeer(s.ShardIndex, n.name); peer != nil {
-			var objs []catalog.Object
-			peer.catalog.Snapshot().ForEach(0, func(o catalog.Object) bool {
-				if o.Shard() == s.ShardIndex {
-					objs = append(objs, o)
-				}
-				return true
-			})
-			n.catalog.InstallObjects(objs)
-			if warmCache && db.mode == ModeEon && peer.cache != nil {
-				list := peer.cache.MostRecentlyUsed(n.cache.Capacity())
-				warmFromPeer(db, n, peer, list)
-			}
-		}
-		if err := db.transitionSubscription(s.OID, catalog.SubPassive); err != nil {
-			return err
-		}
-		if err := db.transitionSubscription(s.OID, catalog.SubActive); err != nil {
-			return err
 		}
 	}
 	return nil

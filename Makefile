@@ -101,15 +101,19 @@ fuzz:
 # before one returns; a LIMIT and the fetch-ahead window bound them),
 # plus the operator and fan-out helper unit tests, the typed write
 # kernels against their Datum-based references and the container digests
-# recorded before them, the hash operators' steady-state and the write
-# path's allocation guards without the race detector (they skip under
-# -race, which inflates allocation counts).
+# recorded before them, the hash operators' steady-state (a computed
+# aggregate argument included), the warm expression arena's, a warm
+# point query's (its node's pooled scan workers: under one 4096-row
+# vector of bytes) and the write path's allocation guards without the
+# race detector (they skip under -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
+	$(GO) test -count=1 -run 'TestArenaSteadyState' ./internal/expr/
+	$(GO) test -count=1 -run 'TestWarmPointQueryBytes' ./internal/core/
 	$(GO) test -count=1 -run 'TestWritePathAllocs' ./internal/storage/
 
 # Reconciler gate: the spare lifecycle and RemoveNode regression tests,

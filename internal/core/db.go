@@ -245,6 +245,8 @@ type Node struct {
 	queryMu      sync.Mutex
 	runningQ     map[uint64]int // snapshot version -> active query count
 	minQReported uint64         // monotonically increasing gossip value
+
+	scanFree chan *scanWorker // idle scan workers (scan.go), at most ScanConcurrency
 }
 
 // Name returns the node's name.
@@ -653,6 +655,7 @@ func newNode(spec NodeSpec, cfg *Config) *Node {
 		fs:         udfs.NewMemFS(),
 		runningQ:   map[uint64]int{},
 		syncSeen:   map[string]bool{},
+		scanFree:   make(chan *scanWorker, max(cfg.ScanConcurrency, 1)),
 	}
 	n.inst.Store(cluster.NewInstanceID())
 	n.catalog.SetPersister(catalog.NewPersister(n.fs, "catalog", cfg.CheckpointThreshold))

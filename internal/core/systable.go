@@ -502,7 +502,7 @@ func (db *DB) materializeVirtual(scan *planner.Scan, eng exec.Engine) (*types.Ba
 	if scan.Pred == nil {
 		return out, nil
 	}
-	idx, err := selectRows(eng, scan.Pred, out, nil)
+	idx, err := selectRows(eng, scan.Pred, out, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"eon/internal/expr"
 	"eon/internal/obs"
@@ -53,14 +54,22 @@ func (a AggDef) resultType() types.Type {
 	}
 }
 
-// partial state per group per aggregate. ext is the running extreme of
-// an AggMin or AggMax (the aggregate's kind says which).
+// aggState is one group's partial state of one aggregate: 24 bytes and
+// no pointer, so the collector never scans a state array. Every kind
+// counts the non-NULL values it folds in (an AVG merge adds its partial
+// counts), so a state has seen a value iff count > 0.
 type aggState struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	ext   types.Datum
-	init  bool
+}
+
+// aggStates is an aggregation's flat state array, stride len(aggs). ext
+// holds the running extreme of each AggMin or AggMax at its state's
+// index, and is nil when the operator has neither.
+type aggStates struct {
+	s   []aggState
+	ext []types.Datum
 }
 
 // HashAggregate groups rows by bound key expressions and computes
@@ -91,6 +100,9 @@ type HashAggregate struct {
 	Span *obs.Span
 
 	done bool
+	// arena holds one batch's key and argument vectors: keys are copied
+	// into the table and arguments folded into states before the next.
+	arena expr.Arena
 }
 
 // NewHashAggregate builds a grouping operator. keyNames label the group
@@ -134,8 +146,9 @@ func (h *HashAggregate) Next() (*types.Batch, error) {
 }
 
 // evalInputs evaluates the key and argument expressions of one batch
-// into the given per-operator scratch slices.
+// into the given per-operator scratch slices, valid until the next call.
 func (h *HashAggregate) evalInputs(b *types.Batch, sel []int, keyVals, argVals, cntVals []*types.Vector) error {
+	h.arena.Reset()
 	eval := func(e expr.Expr) (*types.Vector, error) {
 		if e == nil {
 			return nil, nil
@@ -143,7 +156,7 @@ func (h *HashAggregate) evalInputs(b *types.Batch, sel []int, keyVals, argVals, 
 		if h.Eng.Row {
 			return expr.EvalBatch(e, b)
 		}
-		return expr.EvalVec(e, b, sel, h.Eng.Stats)
+		return h.arena.EvalVec(e, b, sel, h.Eng.Stats)
 	}
 	var err error
 	for i, k := range h.keys {
@@ -175,7 +188,7 @@ func (h *HashAggregate) evalInputs(b *types.Batch, sel []int, keyVals, argVals, 
 func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	na := len(h.aggs)
 	var table keyTable
-	var states []aggState
+	states := h.newStates()
 	var gis []int32
 	keyVals := make([]*types.Vector, len(h.keys))
 	argVals := make([]*types.Vector, na)
@@ -187,7 +200,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	var admit func(j int) bool
 	if h.Mem.Limited() && h.Spill != nil && len(h.keys) > 0 {
 		admit = func(j int) bool {
-			cost := groupMemBytes(keyVals, j, na)
+			cost := groupMemBytes(keyVals, j, na, states.ext != nil)
 			if table.len() > 0 && h.Mem.WouldExceed(cost) {
 				return false
 			}
@@ -197,7 +210,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		}
 	}
 	flush := func() error {
-		hd, err := writeAggRun(h.Spill, table.cols, states, na)
+		hd, err := writeAggRun(h.Spill, table.cols, &states, na)
 		if err != nil {
 			return err
 		}
@@ -206,7 +219,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		h.Mem.Release(charged)
 		charged = 0
 		table.reset()
-		states = states[:0]
+		states.s, states.ext = states.s[:0], states.ext[:0]
 		return nil
 	}
 
@@ -228,8 +241,8 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		gis = growIDs(gis, m)
 		if len(h.keys) == 0 {
 			clear(gis)
-			states = growStates(states, na)
-			if err := h.accumulate(states, gis, 0, m, argVals, cntVals); err != nil {
+			states.grow(na)
+			if err := h.accumulate(&states, gis, 0, m, argVals, cntVals); err != nil {
 				return nil, err
 			}
 			continue
@@ -237,8 +250,8 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		hs := table.hash(keyVals, nil, m)
 		for from := 0; from < m; {
 			next := table.insert(hs, keyVals, nil, from, gis, admit)
-			states = growStates(states, table.len()*na)
-			if err := h.accumulate(states, gis, from, next, argVals, cntVals); err != nil {
+			states.grow(table.len() * na)
+			if err := h.accumulate(&states, gis, from, next, argVals, cntVals); err != nil {
 				return nil, err
 			}
 			if next < m {
@@ -251,7 +264,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	}
 
 	if len(runs) == 0 {
-		return h.assemble(table.cols, states, table.len()), nil
+		return h.assemble(table.cols, &states, table.len()), nil
 	}
 	if err := flush(); err != nil {
 		return nil, err
@@ -259,25 +272,41 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	return h.mergeAggRuns(runs)
 }
 
-// growStates extends the flat state array to n zeroed entries.
-func growStates(states []aggState, n int) []aggState {
-	if n <= len(states) {
-		return states
+// newStates returns the operator's empty state arrays, with extremes
+// only if it has a MIN or MAX.
+func (h *HashAggregate) newStates() (t aggStates) {
+	if slices.ContainsFunc(h.aggs, func(a AggDef) bool { return a.Kind == AggMin || a.Kind == AggMax }) {
+		t.ext = []types.Datum{}
 	}
-	if n > cap(states) {
-		grown := make([]aggState, n, max(n, 2*cap(states)))
-		copy(grown, states)
+	return t
+}
+
+// grow extends the state arrays to n zeroed entries.
+func (t *aggStates) grow(n int) {
+	t.s = growZeroed(t.s, n)
+	if t.ext != nil {
+		t.ext = growZeroed(t.ext, n)
+	}
+}
+
+func growZeroed[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		grown := make([]T, n, max(n, 2*cap(s)))
+		copy(grown, s)
 		return grown
 	}
-	clear(states[len(states):n]) // storage reused after a flush
-	return states[:n]
+	clear(s[len(s):n]) // storage reused after a flush
+	return s[:n]
 }
 
 // accumulate folds rows [lo, hi) of one batch into the flat state array:
 // gis[j] is the group of row j of the (dense) argument vectors. One pass
 // per aggregate, with typed fast paths for the count/sum/avg family.
-func (h *HashAggregate) accumulate(states []aggState, gis []int32, lo, hi int, argVals, cntVals []*types.Vector) error {
-	na := len(h.aggs)
+func (h *HashAggregate) accumulate(t *aggStates, gis []int32, lo, hi int, argVals, cntVals []*types.Vector) error {
+	na, states := len(h.aggs), t.s
 	for ai, a := range h.aggs {
 		argv, cntv := argVals[ai], cntVals[ai]
 		switch a.Kind {
@@ -301,7 +330,6 @@ func (h *HashAggregate) accumulate(states []aggState, gis []int32, lo, hi int, a
 					st := &states[int(gis[j])*na+ai]
 					st.count++
 					st.sumF += fs[j]
-					st.init = true
 				}
 			} else {
 				is := argv.Ints // nil for non-numeric args, which sum as 0
@@ -317,14 +345,13 @@ func (h *HashAggregate) accumulate(states []aggState, gis []int32, lo, hi int, a
 					st.count++
 					st.sumI += v
 					st.sumF += float64(v)
-					st.init = true
 				}
 			}
 		default:
 			// Min/Max and the merge kinds keep the Datum-based
 			// update, whose semantics are shared with the row path.
 			for j := lo; j < hi; j++ {
-				if err := states[int(gis[j])*na+ai].updateAt(a.Kind, argv, cntv, j); err != nil {
+				if err := t.updateAt(int(gis[j])*na+ai, a.Kind, argv, cntv, j); err != nil {
 					return err
 				}
 			}
@@ -337,10 +364,11 @@ func (h *HashAggregate) accumulate(states []aggState, gis []int32, lo, hi int, a
 // value per group and become the key output columns as they are; states
 // is the flat per-group state array. A global aggregate always has its
 // one group, even over no rows.
-func (h *HashAggregate) assemble(keyCols []*types.Vector, states []aggState, groups int) *types.Batch {
+func (h *HashAggregate) assemble(keyCols []*types.Vector, states *aggStates, groups int) *types.Batch {
 	na := len(h.aggs)
 	if len(h.keys) == 0 {
-		states, groups = growStates(states, na), 1
+		states.grow(na)
+		groups = 1
 	}
 	out := &types.Batch{Cols: make([]*types.Vector, 0, len(h.schema))}
 	for c := range h.keys {
@@ -356,8 +384,8 @@ func (h *HashAggregate) assemble(keyCols []*types.Vector, states []aggState, gro
 		if h.partial && a.Kind == AggAvg {
 			sum, cnt := types.NewVector(types.Float64, groups), types.NewVector(types.Int64, groups)
 			for g := 0; g < groups; g++ {
-				st := &states[g*na+ai]
-				sum.Floats = append(sum.Floats, st.avgSum())
+				st := &states.s[g*na+ai]
+				sum.Floats = append(sum.Floats, st.sumF)
 				cnt.Ints = append(cnt.Ints, st.count)
 			}
 			out.Cols = append(out.Cols, sum, cnt)
@@ -365,7 +393,7 @@ func (h *HashAggregate) assemble(keyCols []*types.Vector, states []aggState, gro
 		}
 		col := types.NewVector(h.schema[len(out.Cols)].Type, groups)
 		for g := 0; g < groups; g++ {
-			col.Append(states[g*na+ai].result(a))
+			col.Append(states.result(g*na+ai, a))
 		}
 		out.Cols = append(out.Cols, col)
 	}
@@ -379,7 +407,7 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 	na := len(h.aggs)
 	groups := map[string]int{} // key -> group index
 	keys := types.NewBatch(h.schema[:len(h.keys)], 0)
-	var states []aggState
+	states := h.newStates()
 	keyVals := make([]*types.Vector, len(h.keys))
 	argVals := make([]*types.Vector, na)
 	cntVals := make([]*types.Vector, na)
@@ -409,20 +437,20 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 					keys.AppendRow(keyBatch.Row(i))
 				}
 			}
-			states = growStates(states, (gi+1)*na)
+			states.grow((gi + 1) * na)
 			for ai, a := range h.aggs {
-				if err := states[gi*na+ai].updateAt(a.Kind, argVals[ai], cntVals[ai], i); err != nil {
+				if err := states.updateAt(gi*na+ai, a.Kind, argVals[ai], cntVals[ai], i); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return h.assemble(keys.Cols, states, keys.NumRows()), nil
+	return h.assemble(keys.Cols, &states, keys.NumRows()), nil
 }
 
 // updateAt folds row j of the argument vectors (nil for an aggregate
-// without that argument) into s.
-func (s *aggState) updateAt(kind AggKind, argv, cntv *types.Vector, j int) error {
+// without that argument) into state i.
+func (t *aggStates) updateAt(i int, kind AggKind, argv, cntv *types.Vector, j int) error {
 	var arg, cnt types.Datum
 	if argv != nil {
 		arg = argv.Datum(j)
@@ -430,10 +458,7 @@ func (s *aggState) updateAt(kind AggKind, argv, cntv *types.Vector, j int) error
 	if cntv != nil {
 		cnt = cntv.Datum(j)
 	}
-	return s.update(kind, arg, cnt)
-}
-
-func (s *aggState) update(kind AggKind, arg, cnt types.Datum) error {
+	s := &t.s[i]
 	switch kind {
 	case AggCountStar:
 		s.count++
@@ -456,44 +481,39 @@ func (s *aggState) update(kind AggKind, arg, cnt types.Datum) error {
 			s.sumI += arg.I
 			s.sumF += float64(arg.I)
 		}
-		s.init = true
 	case AggAvgMerge:
 		if arg.Null || cnt.Null {
 			return nil
 		}
 		s.sumF += arg.F
 		s.count += cnt.I
-		s.init = true
-	case AggMin:
+	case AggMin, AggMax:
 		if arg.Null {
 			return nil
 		}
-		if !s.init || arg.Compare(s.ext) < 0 {
-			s.ext = arg
+		if s.count == 0 || better(kind, arg.Compare(t.ext[i])) {
+			t.ext[i] = arg
 		}
-		s.init = true
-	case AggMax:
-		if arg.Null {
-			return nil
-		}
-		if !s.init || arg.Compare(s.ext) > 0 {
-			s.ext = arg
-		}
-		s.init = true
+		s.count++
 	default:
 		return fmt.Errorf("exec: unknown aggregate kind %d", kind)
 	}
 	return nil
 }
 
-func (s *aggState) avgSum() float64 { return s.sumF }
+// better reports whether a value that compares c to an extreme replaces
+// it under kind.
+func better(kind AggKind, c int) bool {
+	return (kind == AggMin && c < 0) || (kind == AggMax && c > 0)
+}
 
-func (s *aggState) result(a AggDef) types.Datum {
+func (t *aggStates) result(i int, a AggDef) types.Datum {
+	s := &t.s[i]
 	switch a.Kind {
 	case AggCountStar, AggCount, AggCountMerge:
 		return types.NewInt(s.count)
 	case AggSum:
-		if !s.init {
+		if s.count == 0 {
 			return types.NullDatum(a.resultType())
 		}
 		if a.resultType() == types.Float64 {
@@ -506,10 +526,10 @@ func (s *aggState) result(a AggDef) types.Datum {
 		}
 		return types.NewFloat(s.sumF / float64(s.count))
 	case AggMin, AggMax:
-		if !s.init {
+		if s.count == 0 {
 			return types.NullDatum(a.resultType())
 		}
-		return s.ext
+		return t.ext[i]
 	}
 	return types.Datum{}
 }

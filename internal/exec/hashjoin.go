@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"eon/internal/obs"
 	"eon/internal/types"
 )
@@ -340,13 +342,20 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 			// (EXPERIMENTS.md).
 			idx[probe] = nil
 		}
-		out := &types.Batch{Cols: make([]*types.Vector, 0, len(h.schema))}
-		for side := range src {
-			for _, c := range src[side].Cols {
-				if idx[side] != nil {
+		out := &types.Batch{Cols: make([]*types.Vector, len(h.schema))}
+		at := [2]int{0, len(h.in[0].Schema())}
+		for _, side := range [2]int{probe, h.build} {
+			for ci, c := range src[side].Cols {
+				if k := slices.Index(h.keys[side], ci); side == h.build && k >= 0 && !h.Eng.Row {
+					// A match's build key is its probe key bit for bit, never
+					// NULL: a retyped view of the probe's output key column.
+					v := out.Cols[at[probe]+h.keys[probe][k]].Slice(0, len(h.probeIdx))
+					v.Typ, v.Nulls = c.Typ, nil
+					c = v
+				} else if idx[side] != nil {
 					c = c.Gather(idx[side])
 				}
-				out.Cols = append(out.Cols, c)
+				out.Cols[at[side]+ci] = c
 			}
 		}
 		return out, nil

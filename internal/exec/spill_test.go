@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"eon/internal/expr"
 	"eon/internal/types"
@@ -186,7 +188,10 @@ func aggOver(t *testing.T, schema types.Schema, batches []*types.Batch, g *MemGo
 	t.Helper()
 	in := NewSource(schema, batches...)
 	keyEx, valEx, idEx := expr.Col("grp"), expr.Col("val"), expr.Col("id")
-	for _, e := range []expr.Expr{keyEx, valEx, idEx} {
+	// NULL for every row of the groups below g100: their MIN stays unset
+	// in every run.
+	someVal := &expr.Case{Whens: []expr.When{{Cond: expr.Bin(expr.OpGe, expr.Col("grp"), expr.Lit(types.NewString("g100"))), Then: expr.Col("val")}}}
+	for _, e := range []expr.Expr{keyEx, valEx, idEx, someVal} {
 		if err := expr.Bind(e, schema); err != nil {
 			t.Fatal(err)
 		}
@@ -198,6 +203,9 @@ func aggOver(t *testing.T, schema types.Schema, batches []*types.Batch, g *MemGo
 		{Kind: AggMin, Arg: valEx, Name: "min_val"},
 		{Kind: AggMax, Arg: idEx, Name: "max_id"},
 		{Kind: AggCount, Arg: valEx, Name: "n_val"},
+		{Kind: AggMin, Arg: keyEx, Name: "min_grp"},
+		{Kind: AggMax, Arg: keyEx, Name: "max_grp"},
+		{Kind: AggMin, Arg: someVal, Name: "min_some"},
 	}
 	ha := NewHashAggregate(in, []expr.Expr{keyEx}, []string{"grp"}, aggs, false)
 	ha.Mem, ha.Spill = g, sp
@@ -237,6 +245,9 @@ func TestHashAggSpillMatchesInMemory(t *testing.T) {
 		h, ok := got[k]
 		if !ok {
 			t.Fatalf("group %q missing from spilled result", k)
+		}
+		if want := k < "g100"; w[9].Null != want {
+			t.Fatalf("group %q: min_some NULL = %v, want %v", k, w[9].Null, want)
 		}
 		for c := range w {
 			if w[c].Null != h[c].Null || (!w[c].Null && !w[c].Equal(h[c])) {
@@ -342,5 +353,32 @@ func TestFSSpillCleanup(t *testing.T) {
 	infos, err = fs.List(ctx, "spill/q9/")
 	if err != nil || len(infos) != 0 {
 		t.Fatalf("after cleanup: %v, %v", infos, err)
+	}
+}
+
+// TestAggStateLayout pins what one group's states take, the figure
+// groupMemBytes charges the governor: a 24-byte pointer-free aggState
+// per aggregate, plus a Datum per aggregate when the operator has a MIN
+// or MAX.
+func TestAggStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(aggState{}); got != 24 {
+		t.Errorf("aggState takes %d bytes, want 24", got)
+	}
+	typ := reflect.TypeOf(aggState{})
+	for i := range typ.NumField() {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Int64 && k != reflect.Float64 {
+			t.Errorf("aggState field %s is a %v; the state must hold no pointer", typ.Field(i).Name, k)
+		}
+	}
+	keys := []*types.Vector{types.NewVector(types.Int64, 1), types.NewVector(types.Varchar, 1)}
+	keys[0].Append(types.NewInt(7))
+	keys[1].Append(types.NewString("abcd"))
+	// slots 32 + two key headers 48 + the string's 4 bytes
+	if got, want := groupMemBytes(keys, 0, 3, false), int64(32+48+4+3*24); got != want {
+		t.Errorf("groupMemBytes without extremes = %d, want %d", got, want)
+	}
+	datum := int64(unsafe.Sizeof(types.Datum{}))
+	if got, want := groupMemBytes(keys, 0, 3, true), int64(32+48+4)+3*(24+datum); got != want {
+		t.Errorf("groupMemBytes with extremes = %d, want %d", got, want)
 	}
 }

@@ -67,8 +67,14 @@ func rowAt(sel []int, j int) int {
 // batch, returning a dense vector with one result per selected row (in
 // selection order). A nil sel selects every row.
 func EvalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+	return (*Arena)(nil).EvalVec(e, b, sel, st)
+}
+
+// EvalVec is the package EvalVec with its results drawn from a (see
+// Arena): they stay valid until a.Reset. A nil a allocates them.
+func (a *Arena) EvalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
 	st.addVectorized(selCount(b, sel))
-	return evalVec(e, b, sel, st)
+	return evalVec(e, b, sel, st, a.orHeap())
 }
 
 // FilterVec narrows a selection vector to the rows where the bound
@@ -76,48 +82,54 @@ func EvalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, er
 // per SQL WHERE semantics). A nil sel starts from every row. The result
 // is always ascending and never aliases sel.
 func FilterVec(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
-	st.addVectorized(selCount(b, sel))
-	return filterVec(e, b, sel, st)
+	return (*Arena)(nil).FilterVec(e, b, sel, st)
 }
 
-func filterVec(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
+// FilterVec is the package FilterVec with its result and scratch drawn
+// from a: the selection stays valid until a.Reset. A nil a allocates.
+func (a *Arena) FilterVec(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
+	st.addVectorized(selCount(b, sel))
+	return filterVec(e, b, sel, st, a.orHeap())
+}
+
+func filterVec(e Expr, b *types.Batch, sel []int, st *VecStats, a *Arena) ([]int, error) {
 	if n, ok := e.(*Binary); ok {
 		switch n.Op {
 		case OpAnd:
 			// Kleene short-circuit as selection narrowing: rows already
 			// FALSE or NULL under L can never become TRUE, and R runs
 			// only on L's survivors.
-			s1, err := filterVec(n.L, b, sel, st)
+			s1, err := filterVec(n.L, b, sel, st, a)
 			if err != nil {
 				return nil, err
 			}
 			if len(s1) == 0 {
 				return s1, nil
 			}
-			return filterVec(n.R, b, s1, st)
+			return filterVec(n.R, b, s1, st, a)
 		case OpOr:
 			// Rows TRUE under L pass; the rest (FALSE or NULL under L)
 			// pass only if TRUE under R.
-			sT, err := filterVec(n.L, b, sel, st)
+			sT, err := filterVec(n.L, b, sel, st, a)
 			if err != nil {
 				return nil, err
 			}
-			rest := diffSel(b, sel, sT)
-			sR, err := filterVec(n.R, b, rest, st)
+			rest := diffSel(a, b, sel, sT)
+			sR, err := filterVec(n.R, b, rest, st, a)
 			if err != nil {
 				return nil, err
 			}
-			return mergeSel(sT, sR), nil
+			return mergeSel(a, sT, sR), nil
 		}
 	}
 	if !boolReadable(e) {
-		return fallbackSel(e, b, sel, st)
+		return fallbackSel(e, b, sel, st, a)
 	}
-	v, err := evalVec(e, b, sel, st)
+	v, err := evalVec(e, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
-	return pickTrue(v, sel), nil
+	return pickTrue(a, v, sel), nil
 }
 
 // rowCols returns the columns of b a row-engine fallback has to load to
@@ -136,9 +148,9 @@ func rowCols(e Expr, b *types.Batch) []int {
 
 // fallbackSel selects with the row engine, for predicates whose raw .B
 // cannot be read off a coerced vector.
-func fallbackSel(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error) {
+func fallbackSel(e Expr, b *types.Batch, sel []int, st *VecStats, a *Arena) ([]int, error) {
 	m := selCount(b, sel)
-	pass, n := make([]bool, m), 0
+	pass, n := a.bools.take(m), 0
 	row, cols := make(types.Row, b.NumCols()), rowCols(e, b)
 	for j := 0; j < m; j++ {
 		i := rowAt(sel, j)
@@ -155,7 +167,7 @@ func fallbackSel(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error)
 		}
 	}
 	st.addFallback(m)
-	out := make([]int, 0, n)
+	out := a.idx(n)
 	for j, ok := range pass {
 		if ok {
 			out = append(out, rowAt(sel, j))
@@ -167,7 +179,7 @@ func fallbackSel(e Expr, b *types.Batch, sel []int, st *VecStats) ([]int, error)
 // pickTrue returns the batch row indexes whose dense result is TRUE. The
 // result is sized by counting first: a selective predicate keeps a few
 // rows of a block, not a block-sized slice.
-func pickTrue(v *types.Vector, sel []int) []int {
+func pickTrue(a *Arena, v *types.Vector, sel []int) []int {
 	bools := v.Bools // nil when the expression is not Bool-physical
 	n := 0
 	for j, b := range bools {
@@ -175,7 +187,7 @@ func pickTrue(v *types.Vector, sel []int) []int {
 			n++
 		}
 	}
-	out := make([]int, 0, n)
+	out := a.idx(n)
 	for j, b := range bools {
 		if b && !v.IsNull(j) {
 			out = append(out, rowAt(sel, j))
@@ -185,9 +197,9 @@ func pickTrue(v *types.Vector, sel []int) []int {
 }
 
 // diffSel returns sel minus sub (both ascending, sub ⊆ sel).
-func diffSel(b *types.Batch, sel, sub []int) []int {
+func diffSel(a *Arena, b *types.Batch, sel, sub []int) []int {
 	n := selCount(b, sel)
-	out := make([]int, 0, n-len(sub))
+	out := a.idx(n - len(sub))
 	k := 0
 	for j := 0; j < n; j++ {
 		i := rowAt(sel, j)
@@ -201,8 +213,8 @@ func diffSel(b *types.Batch, sel, sub []int) []int {
 }
 
 // mergeSel merges two ascending, disjoint selections.
-func mergeSel(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
+func mergeSel(ar *Arena, a, b []int) []int {
+	out := ar.idx(len(a) + len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -282,7 +294,7 @@ func boolReadable(e Expr) bool {
 	return e.Type().Physical() == types.Bool || stableExpr(e)
 }
 
-func evalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVec(e Expr, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	switch n := e.(type) {
 	case *ColumnRef:
 		if n.Index < 0 || n.Index >= len(b.Cols) {
@@ -292,30 +304,30 @@ func evalVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, er
 		if sel == nil {
 			return col, nil
 		}
-		return col.Gather(sel), nil
+		return gather(a, col, sel), nil
 	case *Literal:
-		return constVec(n.Value, selCount(b, sel)), nil
+		return constVec(a, n.Value, selCount(b, sel)), nil
 	case *Binary:
-		return evalVecBinary(n, b, sel, st)
+		return evalVecBinary(n, b, sel, st, a)
 	case *Unary:
-		return evalVecUnary(n, b, sel, st)
+		return evalVecUnary(n, b, sel, st, a)
 	case *IsNull:
-		return evalVecIsNull(n, b, sel, st)
+		return evalVecIsNull(n, b, sel, st, a)
 	case *In:
-		return evalVecIn(n, b, sel, st)
+		return evalVecIn(n, b, sel, st, a)
 	case *Like:
-		return evalVecLike(n, b, sel, st)
+		return evalVecLike(n, b, sel, st, a)
 	case *Case:
-		return evalVecCase(n, b, sel, st)
+		return evalVecCase(n, b, sel, st, a)
 	case *Func:
-		return evalVecFunc(n, b, sel, st)
+		return evalVecFunc(n, b, sel, st, a)
 	}
-	return fallbackVec(e, b, sel, st)
+	return fallbackVec(e, b, sel, st, a)
 }
 
 // fallbackVec evaluates an unsupported node with the row engine over the
 // surviving rows only, preserving semantics exactly.
-func fallbackVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func fallbackVec(e Expr, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	m := selCount(b, sel)
 	out := types.NewVector(e.Type(), m)
 	row, cols := make(types.Row, b.NumCols()), rowCols(e, b)
@@ -334,49 +346,45 @@ func fallbackVec(e Expr, b *types.Batch, sel []int, st *VecStats) (*types.Vector
 	return out, nil
 }
 
-// denseVec builds a fixed-length result vector with a lazily
-// materialized null bitmap.
+// denseVec builds a fixed-length result vector of zero values, drawn
+// from an arena. Its null bitmap is made by the first setNull, so a
+// result without NULLs never has one.
 type denseVec struct {
-	v       *types.Vector
-	nulls   []bool
-	anyNull bool
+	v *types.Vector
+	a *Arena
 }
 
-func newDense(typ types.Type, m int) *denseVec {
-	v := &types.Vector{Typ: typ}
+func newDense(a *Arena, typ types.Type, m int) denseVec {
+	v := &a.vecs.take(1)[0]
+	v.Typ = typ
 	switch typ.Physical() {
 	case types.Int64:
-		v.Ints = make([]int64, m)
+		v.Ints = a.ints.take(m)
 	case types.Float64:
-		v.Floats = make([]float64, m)
+		v.Floats = a.floats.take(m)
 	case types.Varchar:
-		v.Strs = make([]string, m)
+		v.Strs = a.strs.take(m)
 	case types.Bool:
-		v.Bools = make([]bool, m)
+		v.Bools = a.bools.take(m)
 	}
-	return &denseVec{v: v, nulls: make([]bool, m)}
+	return denseVec{v: v, a: a}
 }
 
 func (d *denseVec) setNull(j int) {
-	d.nulls[j] = true
-	d.anyNull = true
-}
-
-func (d *denseVec) done() *types.Vector {
-	if d.anyNull {
-		d.v.Nulls = d.nulls
+	if d.v.Nulls == nil {
+		d.v.Nulls = d.a.bools.take(d.v.Len())
 	}
-	return d.v
+	d.v.Nulls[j] = true
 }
 
 // constVec materializes a literal as a dense vector of m copies.
-func constVec(d types.Datum, m int) *types.Vector {
-	out := newDense(d.K, m)
+func constVec(a *Arena, d types.Datum, m int) *types.Vector {
+	out := newDense(a, d.K, m)
 	if d.Null {
 		for j := 0; j < m; j++ {
 			out.setNull(j)
 		}
-		return out.done()
+		return out.v
 	}
 	switch d.K.Physical() {
 	case types.Int64:
@@ -396,40 +404,40 @@ func constVec(d types.Datum, m int) *types.Vector {
 			out.v.Bools[j] = d.B
 		}
 	}
-	return out.done()
+	return out.v
 }
 
-func evalVecBinary(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecBinary(n *Binary, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	if n.Op == OpAnd || n.Op == OpOr {
 		if !boolReadable(n.L) || !boolReadable(n.R) {
-			return fallbackVec(n, b, sel, st)
+			return fallbackVec(n, b, sel, st, a)
 		}
-		return evalVecLogic(n, b, sel, st)
+		return evalVecLogic(n, b, sel, st, a)
 	}
 	// Comparisons and arithmetic dispatch on the operands' raw datum
 	// types; unstable operands must go through the row engine.
 	if !stableExpr(n.L) || !stableExpr(n.R) {
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
-	l, err := evalOperand(n.L, b, sel, st)
+	l, err := evalOperand(n.L, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
-	r, err := evalOperand(n.R, b, sel, st)
+	r, err := evalOperand(n.R, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
 	m := selCount(b, sel)
 	if n.Op.IsComparison() {
-		out, ok := compareKernel(n.Op, l, r, m)
+		out, ok := compareKernel(a, n.Op, l, r, m)
 		if ok {
 			return out, nil
 		}
 		// Unsupported class combination (e.g. string vs number, which
 		// the row engine resolves by rendered-string comparison).
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
-	return arithKernel(n.Op, n.Typ, l, r, m)
+	return arithKernel(a, n.Op, n.Typ, l, r, m)
 }
 
 // operand is one side of a comparison or arithmetic kernel: a dense
@@ -440,11 +448,11 @@ type operand struct {
 	mask int
 }
 
-func evalOperand(e Expr, b *types.Batch, sel []int, st *VecStats) (operand, error) {
+func evalOperand(e Expr, b *types.Batch, sel []int, st *VecStats, a *Arena) (operand, error) {
 	if lit, ok := e.(*Literal); ok {
-		return operand{constVec(lit.Value, 1), 0}, nil
+		return operand{constVec(a, lit.Value, 1), 0}, nil
 	}
-	v, err := evalVec(e, b, sel, st)
+	v, err := evalVec(e, b, sel, st, a)
 	return operand{v, -1}, err
 }
 
@@ -469,7 +477,7 @@ func cmpTruth(op Op) [3]bool {
 
 // compareKernel evaluates a comparison over two operands of m rows. ok
 // is false when the physical class combination has no typed kernel.
-func compareKernel(op Op, lo, ro operand, m int) (*types.Vector, bool) {
+func compareKernel(a *Arena, op Op, lo, ro operand, m int) (*types.Vector, bool) {
 	l, r, lm, rm := lo.v, ro.v, lo.mask, ro.mask
 	lp, rp := l.Typ.Physical(), r.Typ.Physical()
 	numeric := func(p types.Type) bool { return p == types.Int64 || p == types.Float64 }
@@ -477,7 +485,7 @@ func compareKernel(op Op, lo, ro operand, m int) (*types.Vector, bool) {
 		return nil, false
 	}
 	truth := cmpTruth(op)
-	out := newDense(types.Bool, m)
+	out := newDense(a, types.Bool, m)
 	ob := out.v.Bools
 	anyLeftNull, anyRightNull := l.Nulls != nil, r.Nulls != nil
 	isNull := func(j int) bool {
@@ -545,7 +553,7 @@ func compareKernel(op Op, lo, ro operand, m int) (*types.Vector, bool) {
 	default:
 		return nil, false
 	}
-	return out.done(), true
+	return out.v, true
 }
 
 // floatsOf returns an accessor reading a numeric vector as float64.
@@ -592,9 +600,9 @@ func boolsAt(v *types.Vector) func(int) bool {
 // engine's numeric rules: the float path when the bound result type is
 // Float64, the int path otherwise; division (and modulo) by zero is
 // NULL, not an error.
-func arithKernel(op Op, typ types.Type, lo, ro operand, m int) (*types.Vector, error) {
+func arithKernel(a *Arena, op Op, typ types.Type, lo, ro operand, m int) (*types.Vector, error) {
 	l, r, lm, rm := lo.v, ro.v, lo.mask, ro.mask
-	out := newDense(typ, m)
+	out := newDense(a, typ, m)
 	anyLeftNull, anyRightNull := l.Nulls != nil, r.Nulls != nil
 	isNull := func(j int) bool {
 		return (anyLeftNull && l.IsNull(j&lm)) || (anyRightNull && r.IsNull(j&rm))
@@ -625,7 +633,7 @@ func arithKernel(op Op, typ types.Type, lo, ro operand, m int) (*types.Vector, e
 				return nil, fmt.Errorf("expr: op %v not valid for floats", op)
 			}
 		}
-		return out.done(), nil
+		return out.v, nil
 	}
 	if typ.Physical() != types.Int64 {
 		return nil, fmt.Errorf("expr: bad arithmetic op %v", op)
@@ -661,25 +669,25 @@ func arithKernel(op Op, typ types.Type, lo, ro operand, m int) (*types.Vector, e
 			return nil, fmt.Errorf("expr: bad arithmetic op %v", op)
 		}
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
 // evalVecLogic evaluates AND/OR with Kleene semantics and row-engine
 // short-circuiting: the right operand is evaluated only over rows the
 // left operand does not decide.
-func evalVecLogic(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecLogic(n *Binary, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	m := selCount(b, sel)
-	l, err := evalVec(n.L, b, sel, st)
+	l, err := evalVec(n.L, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
 	lb := boolsAt(l)
-	out := newDense(types.Bool, m)
+	out := newDense(a, types.Bool, m)
 	ob := out.v.Bools
 	// decided: AND is FALSE on a non-NULL FALSE left; OR is TRUE on a
 	// non-NULL TRUE left. Everything else needs the right operand.
-	undecidedRows := make([]int, 0, m)
-	undecidedSlots := make([]int, 0, m)
+	undecidedRows := a.idx(m)
+	undecidedSlots := a.idx(m)
 	for j := 0; j < m; j++ {
 		lNull := l.IsNull(j)
 		lv := lb(j)
@@ -694,9 +702,9 @@ func evalVecLogic(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.Ve
 		undecidedSlots = append(undecidedSlots, j)
 	}
 	if len(undecidedRows) == 0 {
-		return out.done(), nil
+		return out.v, nil
 	}
-	r, err := evalVec(n.R, b, undecidedRows, st)
+	r, err := evalVec(n.R, b, undecidedRows, st, a)
 	if err != nil {
 		return nil, err
 	}
@@ -724,11 +732,11 @@ func evalVecLogic(n *Binary, b *types.Batch, sel []int, st *VecStats) (*types.Ve
 			ob[j] = lb(j) || rv
 		}
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
-func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
-	v, err := evalVec(n.E, b, sel, st)
+func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
+	v, err := evalVec(n.E, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
@@ -736,9 +744,9 @@ func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats) (*types.Vec
 	switch n.Op {
 	case OpNot:
 		if !boolReadable(n.E) {
-			return fallbackVec(n, b, sel, st)
+			return fallbackVec(n, b, sel, st, a)
 		}
-		out := newDense(types.Bool, m)
+		out := newDense(a, types.Bool, m)
 		vb := boolsAt(v)
 		for j := 0; j < m; j++ {
 			if v.IsNull(j) {
@@ -747,18 +755,18 @@ func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats) (*types.Vec
 			}
 			out.v.Bools[j] = !vb(j)
 		}
-		return out.done(), nil
+		return out.v, nil
 	case OpNeg:
 		if !stableExpr(n.E) {
-			return fallbackVec(n, b, sel, st)
+			return fallbackVec(n, b, sel, st, a)
 		}
 		switch v.Typ.Physical() {
 		case types.Float64:
-			out := newDense(n.Typ, m)
+			out := newDense(a, n.Typ, m)
 			if out.v.Floats == nil {
 				// Bound type disagrees with the operand class; let the
 				// row engine's Datum coercion decide.
-				return fallbackVec(n, b, sel, st)
+				return fallbackVec(n, b, sel, st, a)
 			}
 			for j := 0; j < m; j++ {
 				if v.IsNull(j) {
@@ -767,11 +775,11 @@ func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats) (*types.Vec
 				}
 				out.v.Floats[j] = -v.Floats[j]
 			}
-			return out.done(), nil
+			return out.v, nil
 		case types.Int64:
-			out := newDense(n.Typ, m)
+			out := newDense(a, n.Typ, m)
 			if out.v.Ints == nil {
-				return fallbackVec(n, b, sel, st)
+				return fallbackVec(n, b, sel, st, a)
 			}
 			for j := 0; j < m; j++ {
 				if v.IsNull(j) {
@@ -780,38 +788,38 @@ func evalVecUnary(n *Unary, b *types.Batch, sel []int, st *VecStats) (*types.Vec
 				}
 				out.v.Ints[j] = -v.Ints[j]
 			}
-			return out.done(), nil
+			return out.v, nil
 		}
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
 	return nil, fmt.Errorf("expr: bad unary op %v", n.Op)
 }
 
-func evalVecIsNull(n *IsNull, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
-	v, err := evalVec(n.E, b, sel, st)
+func evalVecIsNull(n *IsNull, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
+	v, err := evalVec(n.E, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
 	m := v.Len()
-	out := newDense(types.Bool, m)
+	out := newDense(a, types.Bool, m)
 	for j := 0; j < m; j++ {
 		out.v.Bools[j] = v.IsNull(j) != n.Negate
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
-func evalVecIn(n *In, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecIn(n *In, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	if !n.constOK || !stableExpr(n.E) {
 		// Non-literal IN lists and unstable operands (whose raw datum
 		// type steers membership comparison) take the row engine.
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
-	v, err := evalVec(n.E, b, sel, st)
+	v, err := evalVec(n.E, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
 	m := v.Len()
-	out := newDense(types.Bool, m)
+	out := newDense(a, types.Bool, m)
 	setInt := n.constInts
 	setStr := n.constStrs
 	useInt := setInt != nil && v.Typ.Physical() == types.Int64
@@ -844,20 +852,20 @@ func evalVecIn(n *In, b *types.Batch, sel []int, st *VecStats) (*types.Vector, e
 			out.v.Bools[j] = n.Negate
 		}
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
-func evalVecLike(n *Like, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecLike(n *Like, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	if n.E.Type().Physical() != types.Varchar && !stableExpr(n.E) {
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
-	v, err := evalVec(n.E, b, sel, st)
+	v, err := evalVec(n.E, b, sel, st, a)
 	if err != nil {
 		return nil, err
 	}
 	m := v.Len()
 	matcher := n.matcher()
-	out := newDense(types.Bool, m)
+	out := newDense(a, types.Bool, m)
 	vs := strsAt(v)
 	for j := 0; j < m; j++ {
 		if v.IsNull(j) {
@@ -866,7 +874,7 @@ func evalVecLike(n *Like, b *types.Batch, sel []int, st *VecStats) (*types.Vecto
 		}
 		out.v.Bools[j] = matcher.match(vs(j)) != n.Negate
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
 // scatterInto writes the dense src values into the listed slots of dst,
@@ -896,7 +904,7 @@ func scatterInto(dst *denseVec, slots []int, src *types.Vector) {
 	}
 }
 
-func evalVecCase(n *Case, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecCase(n *Case, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	// Branch values scatter through the bound type's physical class; a
 	// branch is exact when its static class already matches (the copy
 	// reads the same field Append would) or when it is stable (the raw
@@ -907,18 +915,18 @@ func evalVecCase(n *Case, b *types.Batch, sel []int, st *VecStats) (*types.Vecto
 	}
 	for _, w := range n.Whens {
 		if !boolReadable(w.Cond) || !branchOK(w.Then) {
-			return fallbackVec(n, b, sel, st)
+			return fallbackVec(n, b, sel, st, a)
 		}
 	}
 	if n.Else != nil && !branchOK(n.Else) {
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
 	m := selCount(b, sel)
-	out := newDense(n.Typ, m)
+	out := newDense(a, n.Typ, m)
 	// rem tracks rows not yet claimed by a WHEN arm, with their output
 	// slots alongside.
-	rem := make([]int, m)
-	remSlots := make([]int, m)
+	rem := a.idx(m)[:m]
+	remSlots := a.idx(m)[:m]
 	for j := 0; j < m; j++ {
 		rem[j] = rowAt(sel, j)
 		remSlots[j] = j
@@ -927,13 +935,13 @@ func evalVecCase(n *Case, b *types.Batch, sel []int, st *VecStats) (*types.Vecto
 		if len(rem) == 0 {
 			break
 		}
-		cv, err := evalVec(w.Cond, b, rem, st)
+		cv, err := evalVec(w.Cond, b, rem, st, a)
 		if err != nil {
 			return nil, err
 		}
 		cb := boolsAt(cv)
-		matchedRows := make([]int, 0, len(rem))
-		matchedSlots := make([]int, 0, len(rem))
+		matchedRows := a.idx(len(rem))
+		matchedSlots := a.idx(len(rem))
 		nextRem := rem[:0]
 		nextSlots := remSlots[:0]
 		for k := range rem {
@@ -946,85 +954,85 @@ func evalVecCase(n *Case, b *types.Batch, sel []int, st *VecStats) (*types.Vecto
 			}
 		}
 		if len(matchedRows) > 0 {
-			tv, err := evalVec(w.Then, b, matchedRows, st)
+			tv, err := evalVec(w.Then, b, matchedRows, st, a)
 			if err != nil {
 				return nil, err
 			}
-			scatterInto(out, matchedSlots, tv)
+			scatterInto(&out, matchedSlots, tv)
 		}
 		rem, remSlots = nextRem, nextSlots
 	}
 	if len(rem) > 0 {
 		if n.Else != nil {
-			ev, err := evalVec(n.Else, b, rem, st)
+			ev, err := evalVec(n.Else, b, rem, st, a)
 			if err != nil {
 				return nil, err
 			}
-			scatterInto(out, remSlots, ev)
+			scatterInto(&out, remSlots, ev)
 		} else {
 			for _, j := range remSlots {
 				out.setNull(j)
 			}
 		}
 	}
-	return out.done(), nil
+	return out.v, nil
 }
 
-func evalVecFunc(n *Func, b *types.Batch, sel []int, st *VecStats) (*types.Vector, error) {
+func evalVecFunc(n *Func, b *types.Batch, sel []int, st *VecStats, a *Arena) (*types.Vector, error) {
 	name := strings.ToUpper(n.Name)
 	switch name {
 	case "COALESCE":
 		// The kernel reads the chosen argument through the bound type's
 		// physical class, mirroring Append; see evalVecCase for why a
 		// matching class or a stable argument makes that exact.
-		for _, a := range n.Args {
-			if a.Type().Physical() != n.Typ.Physical() && !stableExpr(a) {
-				return fallbackVec(n, b, sel, st)
+		for _, arg := range n.Args {
+			if arg.Type().Physical() != n.Typ.Physical() && !stableExpr(arg) {
+				return fallbackVec(n, b, sel, st, a)
 			}
 		}
 	case "HASH", "ABS", "LENGTH", "LOWER", "UPPER", "SUBSTR",
 		"EXTRACT", "YEAR", "MONTH", "DAY":
 		// These dispatch on (or read fields steered by) the raw argument
 		// datums, so every argument must be stable.
-		for _, a := range n.Args {
-			if !stableExpr(a) {
-				return fallbackVec(n, b, sel, st)
+		for _, arg := range n.Args {
+			if !stableExpr(arg) {
+				return fallbackVec(n, b, sel, st, a)
 			}
 		}
 	default:
-		return fallbackVec(n, b, sel, st)
+		return fallbackVec(n, b, sel, st, a)
 	}
 	m := selCount(b, sel)
 	args := make([]*types.Vector, len(n.Args))
-	for i, a := range n.Args {
-		v, err := evalVec(a, b, sel, st)
+	for i, arg := range n.Args {
+		v, err := evalVec(arg, b, sel, st, a)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = v
 	}
-	natural, err := funcKernel(name, n, args, m)
+	natural, err := funcKernel(a, name, n, args, m)
 	if err != nil {
 		return nil, err
 	}
-	return coerceInto(n.Typ, natural), nil
+	return coerceInto(a, n.Typ, natural), nil
 }
 
 // coerceInto retypes a kernel's natural result to the bound type,
 // reproducing Vector.Append's behaviour when the physical classes
 // differ (values collapse to the zero value; NULLs carry over).
-func coerceInto(typ types.Type, v *types.Vector) *types.Vector {
+func coerceInto(a *Arena, typ types.Type, v *types.Vector) *types.Vector {
 	if typ.Physical() == v.Typ.Physical() {
 		v.Typ = typ
 		return v
 	}
-	out := newDense(typ, v.Len())
+	out := newDense(a, typ, v.Len())
 	for j := 0; j < v.Len(); j++ {
 		if v.IsNull(j) {
 			out.setNull(j)
 		}
 	}
-	return out.done()
+	return out.v
 }
 
 // anyArgNull reports whether any argument is NULL at dense position j
@@ -1038,10 +1046,10 @@ func anyArgNull(args []*types.Vector, j int) bool {
 	return false
 }
 
-func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vector, error) {
+func funcKernel(a *Arena, name string, n *Func, args []*types.Vector, m int) (*types.Vector, error) {
 	switch name {
 	case "HASH":
-		out := newDense(types.Int64, m)
+		out := newDense(a, types.Int64, m)
 		idx := idxRange(len(args))
 		row := make([]types.Datum, len(args))
 		for j := 0; j < m; j++ {
@@ -1050,13 +1058,13 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 			}
 			out.v.Ints[j] = int64(hashring.HashRowCols(row, idx))
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "COALESCE":
 		// The row engine returns the first non-NULL argument datum and
 		// lets Vector.Append coerce it into the bound type; reading the
 		// bound type's field off the chosen argument is the same thing.
 		typ := n.Typ
-		out := newDense(typ, m)
+		out := newDense(a, typ, m)
 		for j := 0; j < m; j++ {
 			chosen := -1
 			for i := range args {
@@ -1084,10 +1092,10 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 				out.v.Bools[j] = src.Bools[j]
 			}
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "ABS":
 		if args[0].Typ.Physical() == types.Float64 {
-			out := newDense(types.Float64, m)
+			out := newDense(a, types.Float64, m)
 			for j := 0; j < m; j++ {
 				if anyArgNull(args, j) {
 					out.setNull(j)
@@ -1099,9 +1107,9 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 				}
 				out.v.Floats[j] = f
 			}
-			return out.done(), nil
+			return out.v, nil
 		}
-		out := newDense(types.Int64, m)
+		out := newDense(a, types.Int64, m)
 		a0 := intsAt(args[0])
 		for j := 0; j < m; j++ {
 			if anyArgNull(args, j) {
@@ -1114,9 +1122,9 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 			}
 			out.v.Ints[j] = v
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "LENGTH":
-		out := newDense(types.Int64, m)
+		out := newDense(a, types.Int64, m)
 		a0 := strsAt(args[0])
 		for j := 0; j < m; j++ {
 			if anyArgNull(args, j) {
@@ -1125,9 +1133,9 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 			}
 			out.v.Ints[j] = int64(len(a0(j)))
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "LOWER", "UPPER":
-		out := newDense(types.Varchar, m)
+		out := newDense(a, types.Varchar, m)
 		a0 := strsAt(args[0])
 		for j := 0; j < m; j++ {
 			if anyArgNull(args, j) {
@@ -1140,9 +1148,9 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 				out.v.Strs[j] = strings.ToUpper(a0(j))
 			}
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "SUBSTR":
-		out := newDense(types.Varchar, m)
+		out := newDense(a, types.Varchar, m)
 		a0 := strsAt(args[0])
 		a1 := intsAt(args[1])
 		var a2 func(int) int64
@@ -1174,9 +1182,9 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 			}
 			out.v.Strs[j] = s[start:end]
 		}
-		return out.done(), nil
+		return out.v, nil
 	case "EXTRACT", "YEAR", "MONTH", "DAY":
-		out := newDense(types.Int64, m)
+		out := newDense(a, types.Int64, m)
 		row := make([]types.Datum, len(args))
 		for j := 0; j < m; j++ {
 			if anyArgNull(args, j) {
@@ -1192,7 +1200,7 @@ func funcKernel(name string, n *Func, args []*types.Vector, m int) (*types.Vecto
 			}
 			out.v.Ints[j] = d.I
 		}
-		return out.done(), nil
+		return out.v, nil
 	}
 	return nil, fmt.Errorf("expr: unknown function %q", n.Name)
 }

@@ -151,47 +151,57 @@ func (v *Vector) Gather(idx []int) *Vector {
 	switch v.Typ.Physical() {
 	case Int64:
 		out.Ints = make([]int64, len(idx))
-		for j, i := range idx {
-			out.Ints[j] = v.Ints[i]
-		}
 	case Float64:
 		out.Floats = make([]float64, len(idx))
-		for j, i := range idx {
-			out.Floats[j] = v.Floats[i]
-		}
 	case Varchar:
 		out.Strs = make([]string, len(idx))
-		for j, i := range idx {
-			out.Strs[j] = v.Strs[i]
-		}
 	case Bool:
 		out.Bools = make([]bool, len(idx))
-		for j, i := range idx {
-			out.Bools[j] = v.Bools[i]
-		}
+	}
+	v.GatherInto(out, idx)
+	return out
+}
+
+// GatherInto is Gather into out, whose slice of v's physical class must
+// hold len(idx) values. A NULL position is marked in out.Nulls (made when
+// nil, at the first one) and stores the zero value, matching the
+// Datum-append behaviour: raw-slice consumers (hashing, wire sizing) see
+// the same bytes as before.
+func (v *Vector) GatherInto(out *Vector, idx []int) {
+	switch v.Typ.Physical() {
+	case Int64:
+		gatherVals(out.Ints, v.Ints, idx, v.Nulls)
+	case Float64:
+		gatherVals(out.Floats, v.Floats, idx, v.Nulls)
+	case Varchar:
+		gatherVals(out.Strs, v.Strs, idx, v.Nulls)
+	case Bool:
+		gatherVals(out.Bools, v.Bools, idx, v.Nulls)
 	}
 	if v.Nulls != nil {
 		for j, i := range idx {
-			if !v.IsNull(i) {
-				continue
-			}
-			out.setNull(j)
-			// Match the Datum-append behaviour: NULL positions store the
-			// zero value, so raw-slice consumers (hashing, wire sizing)
-			// see the same bytes as before.
-			switch v.Typ.Physical() {
-			case Int64:
-				out.Ints[j] = 0
-			case Float64:
-				out.Floats[j] = 0
-			case Varchar:
-				out.Strs[j] = ""
-			case Bool:
-				out.Bools[j] = false
+			if v.IsNull(i) {
+				out.setNull(j)
 			}
 		}
 	}
-	return out
+}
+
+func gatherVals[T any](dst, src []T, idx []int, nulls []bool) {
+	if nulls == nil {
+		for j, i := range idx {
+			dst[j] = src[i]
+		}
+		return
+	}
+	var zero T
+	for j, i := range idx {
+		if i < len(nulls) && nulls[i] {
+			dst[j] = zero
+		} else {
+			dst[j] = src[i]
+		}
+	}
 }
 
 // Slice returns a view of positions [lo, hi). The view shares v's storage

@@ -50,12 +50,18 @@ race:
 # acknowledged Enterprise INSERT still counted after a node kill and
 # recovery, a commit refused on a killed initiator, a mergeout racing
 # kill/recover counted once (every subscriber of a shard holding the same
-# containers), revive's and sync's I/O shape
+# containers), loads and mergeouts racing a kill/recover of their
+# initiator counting every acknowledged row once (no OID put by two
+# commits: one OID counter per database), a mergeout that conflicts with
+# a DELETE committed while it uploads (the DELETE's rows stay deleted and
+# the next pass merges), mergeout and a SET USING lookup after a recovery
+# covering every shard (each job runs on its shard's coordinator, the
+# lookup reads through the query's participants), revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce|TestInitiatorKillKeepsAcknowledgedRows|TestMergeoutKeepsConcurrentDelete|TestMergeoutCoversEveryShardAfterRecovery|TestFlattenAfterRecoveryLabelsEveryRow' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 

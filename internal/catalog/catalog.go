@@ -67,9 +67,13 @@ func (r *LogRecord) DecodedOps() ([]Object, error) {
 
 // Catalog is the mutable, multi-version metadata store of one node.
 type Catalog struct {
-	mu      sync.Mutex // the global catalog lock, held only during commit
-	cur     atomic.Pointer[Snapshot]
-	nextOID atomic.Uint64
+	mu  sync.Mutex // the global catalog lock, held only during commit
+	cur atomic.Pointer[Snapshot]
+	// oids holds the last OID handed out. The catalogs of one database
+	// share it (NewSharing), so no two initiators hand out the same OID:
+	// a transaction in flight on one node cannot name an object that
+	// another node's commit puts.
+	oids *atomic.Uint64
 
 	// persister, when set, durably appends each commit's log record.
 	persister *Persister
@@ -79,11 +83,15 @@ type Catalog struct {
 	onCommit []func(*LogRecord)
 }
 
-// New returns an empty catalog at version 0.
-func New() *Catalog {
-	c := &Catalog{}
+// New returns an empty catalog at version 0 with an OID counter of its
+// own.
+func New() *Catalog { return NewSharing(new(atomic.Uint64)) }
+
+// NewSharing returns an empty catalog at version 0 that draws OIDs from
+// oids, the last OID handed out by the catalogs sharing it.
+func NewSharing(oids *atomic.Uint64) *Catalog {
+	c := &Catalog{oids: oids}
 	c.cur.Store(emptySnapshot())
-	c.nextOID.Store(1)
 	return c
 }
 
@@ -108,7 +116,17 @@ func (c *Catalog) Snapshot() *Snapshot { return c.cur.Load() }
 func (c *Catalog) Version() uint64 { return c.cur.Load().version }
 
 // NewOID allocates a fresh object identifier.
-func (c *Catalog) NewOID() OID { return OID(c.nextOID.Add(1) - 1) }
+func (c *Catalog) NewOID() OID { return OID(c.oids.Add(1)) }
+
+// raiseOIDs makes the next OID handed out at least next.
+func (c *Catalog) raiseOIDs(next OID) {
+	for {
+		last := c.oids.Load()
+		if uint64(next) <= last+1 || c.oids.CompareAndSwap(last, uint64(next)-1) {
+			return
+		}
+	}
+}
 
 // Txn is an in-flight catalog transaction. Modifications happen "offline
 // and up front without requiring a global catalog lock"; a write set is
@@ -264,7 +282,7 @@ func (c *Catalog) commit(t *Txn, validate func(*Snapshot) error) (*LogRecord, er
 		}
 	}
 	rec.Shards = sortedShardSet(shardSet)
-	rec.NextOID = OID(c.nextOID.Load())
+	rec.NextOID = OID(c.oids.Load() + 1)
 
 	if c.persister != nil {
 		if err := c.persister.Append(rec); err != nil {
@@ -334,9 +352,7 @@ func (c *Catalog) Apply(rec *LogRecord, keep KeepFunc) error {
 		next.objects[op.OID] = o
 		next.modVersion[op.OID] = rec.Version
 	}
-	if rec.NextOID > OID(c.nextOID.Load()) {
-		c.nextOID.Store(uint64(rec.NextOID))
-	}
+	c.raiseOIDs(rec.NextOID)
 	if c.persister != nil {
 		if err := c.persister.Append(rec); err != nil {
 			return fmt.Errorf("catalog: persist applied record: %w", err)
@@ -396,9 +412,7 @@ func (c *Catalog) ReplaceShard(shard int, src *Snapshot) ([]Object, error) {
 func (c *Catalog) Install(snap *Snapshot, nextOID OID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if uint64(nextOID) > c.nextOID.Load() {
-		c.nextOID.Store(uint64(nextOID))
-	}
+	c.raiseOIDs(nextOID)
 	c.cur.Store(snap)
 }
 

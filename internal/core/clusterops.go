@@ -143,7 +143,7 @@ func (db *DB) AddNode(spec NodeSpec) error {
 // cluster: it attaches down, and comes up with its catalog caught up to
 // the cluster version, atomically with joining the commit fan-out.
 func (db *DB) joinNode(spec NodeSpec, spare bool) error {
-	n := newNode(spec, &db.cfg)
+	n := db.newNode(spec)
 	n.spare = spare
 	n.up.Store(false)
 	if err := db.attach(n, spec.Rack); err != nil {

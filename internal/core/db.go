@@ -339,6 +339,8 @@ type DB struct {
 	// catalog lock of §6.3 spans the distributed commit in this
 	// simulation).
 	commitMu sync.Mutex
+	// oids is the one OID counter every node's catalog draws from.
+	oids atomic.Uint64
 
 	nodesMu sync.RWMutex
 	nodes   map[string]*Node
@@ -647,11 +649,12 @@ func (db *DB) now() time.Time {
 	return time.Now()
 }
 
-func newNode(spec NodeSpec, cfg *Config) *Node {
+func (db *DB) newNode(spec NodeSpec) *Node {
+	cfg := &db.cfg
 	n := &Node{
 		name:       spec.Name,
 		subcluster: spec.Subcluster,
-		catalog:    catalog.New(),
+		catalog:    catalog.NewSharing(&db.oids),
 		fs:         udfs.NewMemFS(),
 		runningQ:   map[uint64]int{},
 		syncSeen:   map[string]bool{},
@@ -688,7 +691,7 @@ func newDB(cfg Config, rs *resilience.Store[objstore.Info], rc resilience.Config
 	db.planCache = newPlanCache(cfg.PlanCacheSize)
 	db.resultCache = newResultCache(cfg.ResultCacheBytes)
 	for _, spec := range cfg.Nodes {
-		if err := db.attach(newNode(spec, &db.cfg), spec.Rack); err != nil {
+		if err := db.attach(db.newNode(spec), spec.Rack); err != nil {
 			return nil, err
 		}
 	}

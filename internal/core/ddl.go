@@ -273,7 +273,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 				}
 			} else {
 				// Derived default: evaluate against the container rows.
-				rows, err := storage.ReadColumns(ctx, sc, projSchema, db.fetchFunc(node, false), db.ioConc())
+				rows, err := storage.ReadColumns(ctx, sc, projSchema, db.trackedFetch(node, false, nil), db.ioConc())
 				if err != nil {
 					return err
 				}

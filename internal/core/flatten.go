@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"eon/internal/catalog"
+	"eon/internal/planner"
 	"eon/internal/storage"
 	"eon/internal/types"
 )
@@ -44,109 +46,108 @@ func (db *DB) validateFlattened(snap *catalog.Snapshot, schema types.Schema, fla
 	return nil
 }
 
-// readTableRows materializes a whole table (first full projection, delete
-// vectors applied) in table column order.
-// Intended for small dimension tables.
-func (db *DB) readTableRows(snap *catalog.Snapshot, tbl *catalog.Table) (*types.Batch, error) {
-	ctx := db.Context()
-	var full *catalog.Projection
+// fullProjection returns a table's first full projection: every column,
+// not a live aggregate, not a buddy.
+func fullProjection(snap *catalog.Snapshot, tbl *catalog.Table) (*catalog.Projection, error) {
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
 		if !p.IsLiveAggregate() && p.BuddyOffset == 0 && len(p.Columns) == len(tbl.Columns) {
-			full = p
-			break
+			return p, nil
 		}
 	}
-	if full == nil {
-		return nil, fmt.Errorf("core: table %q has no full projection", tbl.Name)
-	}
-	projSchema := projectionSchema(tbl, full.Columns)
-	out := types.NewBatch(tbl.Columns, 0)
-	for _, sc := range snap.ContainersOf(full.OID, catalog.GlobalShard) {
-		node := db.nodeForStorage(sc)
-		if node == nil {
-			return nil, fmt.Errorf("core: no node can read container %d", sc.OID)
-		}
-		rows, deletes, err := db.readContainer(ctx, node, sc, snap.DeleteVectorsOf(sc.OID), projSchema)
-		if err != nil {
-			return nil, err
-		}
-		if deletes.Len() > 0 {
-			live := deletes.LivePositions(0, rows.NumRows())
-			if len(live) == 0 {
-				continue
-			}
-			rows = rows.Gather(live)
-		}
-		// Reorder projection columns into table order.
-		reordered := &types.Batch{Cols: make([]*types.Vector, len(tbl.Columns))}
-		for ti, c := range tbl.Columns {
-			reordered.Cols[ti] = rows.Cols[projSchema.ColumnIndex(c.Name)]
-		}
-		out.AppendBatch(reordered)
-	}
-	return out, nil
+	return nil, fmt.Errorf("core: table %q has no full projection", tbl.Name)
 }
 
-// dimLookup builds the key→value map for one flattened column.
-func (db *DB) dimLookup(snap *catalog.Snapshot, f catalog.FlattenedCol) (map[string]types.Datum, error) {
-	dim, ok := snap.TableByName(f.DimTable)
-	if !ok {
-		return nil, fmt.Errorf("core: dimension table %q dropped", f.DimTable)
-	}
-	rows, err := db.readTableRows(snap, dim)
+// dimLookups builds, per flattened column of tbl (lower-cased), the
+// key→value map of its dimension. The dimensions are read the way a
+// query reads them: scans over the query's participants, each serving
+// its shards from its own catalog, at one catalog cut.
+func (db *DB) dimLookups(tbl *catalog.Table) (map[string]map[string]types.Datum, error) {
+	init, err := db.anyUpNode()
 	if err != nil {
 		return nil, err
 	}
-	keyIdx := dim.Columns.ColumnIndex(f.DimKey)
-	valIdx := dim.Columns.ColumnIndex(f.DimValue)
-	lookup := make(map[string]types.Datum, rows.NumRows())
-	for i := 0; i < rows.NumRows(); i++ {
-		k := rows.Cols[keyIdx].Datum(i)
-		if k.Null {
-			continue
-		}
-		key := k.String()
-		if _, dup := lookup[key]; !dup {
-			lookup[key] = rows.Cols[valIdx].Datum(i)
-		}
+	env, err := (&Session{db: db}).selectParticipants(init)
+	if err != nil {
+		return nil, err
 	}
-	return lookup, nil
-}
-
-// applyFlattened fills the table's denormalized columns from their
-// dimension tables ("arbitrary denormalization using joins at load
-// time", §2.1). Loaded values for flattened columns are ignored; a fact
-// key with no dimension match yields NULL.
-func (db *DB) applyFlattened(snap *catalog.Snapshot, tbl *catalog.Table, batch *types.Batch) (*types.Batch, error) {
-	if len(tbl.Flattened) == 0 {
-		return batch, nil
-	}
-	out := &types.Batch{Cols: append([]*types.Vector{}, batch.Cols...)}
-	for _, f := range tbl.Flattened {
-		lookup, err := db.dimLookup(snap, f)
+	cut := env.snapshots[init.name]
+	scans := make([]planner.Node, len(tbl.Flattened))
+	for i, f := range tbl.Flattened {
+		dim, ok := cut.TableByName(f.DimTable)
+		if !ok {
+			return nil, fmt.Errorf("core: dimension table %q dropped", f.DimTable)
+		}
+		full, err := fullProjection(cut, dim)
 		if err != nil {
 			return nil, err
 		}
-		colIdx := tbl.Columns.ColumnIndex(f.Column)
-		keyIdx := tbl.Columns.ColumnIndex(f.FactKey)
-		colType := tbl.Columns[colIdx].Type
-		filled := types.NewVector(colType, batch.NumRows())
-		for i := 0; i < batch.NumRows(); i++ {
-			k := out.Cols[keyIdx].Datum(i)
-			if k.Null {
-				filled.Append(types.NullDatum(colType))
-				continue
+		cols := types.Schema{dim.Columns[dim.Columns.ColumnIndex(f.DimKey)], dim.Columns[dim.Columns.ColumnIndex(f.DimValue)]}
+		scans[i] = &planner.Scan{Table: dim, Proj: full, Cols: cols.Names(), OutSchema: cols, Replicated: full.Replicated()}
+	}
+	env.start = time.Now()
+	found, err := env.run(nil, scans...)
+	if err != nil {
+		return nil, err
+	}
+	lookups := map[string]map[string]types.Datum{}
+	for i, f := range tbl.Flattened {
+		rows := found[i]
+		lookup := make(map[string]types.Datum, rows.NumRows())
+		for r := 0; r < rows.NumRows(); r++ {
+			if k := rows.Cols[0].Datum(r); !k.Null {
+				if _, dup := lookup[k.String()]; !dup {
+					lookup[k.String()] = rows.Cols[1].Datum(r)
+				}
 			}
-			if v, ok := lookup[k.String()]; ok {
+		}
+		lookups[strings.ToLower(f.Column)] = lookup
+	}
+	return lookups, nil
+}
+
+// fillFlattened sets each of tbl's flattened columns that schema holds,
+// in rows, from its lookup by the row's fact key; a NULL key or a key
+// with no dimension match yields NULL.
+func fillFlattened(tbl *catalog.Table, lookups map[string]map[string]types.Datum, schema types.Schema, rows *types.Batch) error {
+	for _, f := range tbl.Flattened {
+		colIdx := schema.ColumnIndex(f.Column)
+		keyIdx := schema.ColumnIndex(f.FactKey)
+		if colIdx < 0 {
+			continue
+		}
+		if keyIdx < 0 {
+			return fmt.Errorf("core: projection lacks fact key %q needed for refresh", f.FactKey)
+		}
+		lookup := lookups[strings.ToLower(f.Column)]
+		colType := schema[colIdx].Type
+		filled := types.NewVector(colType, rows.NumRows())
+		for i := 0; i < rows.NumRows(); i++ {
+			k := rows.Cols[keyIdx].Datum(i)
+			if v, ok := lookup[k.String()]; ok && !k.Null {
 				v.K = colType
 				filled.Append(v)
 			} else {
 				filled.Append(types.NullDatum(colType))
 			}
 		}
-		out.Cols[colIdx] = filled
+		rows.Cols[colIdx] = filled
 	}
-	return out, nil
+	return nil
+}
+
+// applyFlattened fills the table's denormalized columns from their
+// dimension tables ("arbitrary denormalization using joins at load
+// time", §2.1). Loaded values for flattened columns are ignored.
+func (db *DB) applyFlattened(tbl *catalog.Table, batch *types.Batch) (*types.Batch, error) {
+	if len(tbl.Flattened) == 0 {
+		return batch, nil
+	}
+	lookups, err := db.dimLookups(tbl)
+	if err != nil {
+		return nil, err
+	}
+	out := &types.Batch{Cols: append([]*types.Vector{}, batch.Cols...)}
+	return out, fillFlattened(tbl, lookups, tbl.Columns, out)
 }
 
 // RefreshColumns recomputes a table's flattened columns from the current
@@ -154,7 +155,9 @@ func (db *DB) applyFlattened(snap *catalog.Snapshot, tbl *catalog.Table, batch *
 // denormalized table columns when the joined dimension table changes".
 // Each container holding a flattened column is rewritten (old files free
 // through the usual GC path). It returns the number of containers
-// rewritten.
+// rewritten. What it rewrites and the delete vectors it drops are listed
+// from the initiator's transaction; the rows are read through the
+// fragment reader.
 func (db *DB) RefreshColumns(tableName string) (int, error) {
 	init, err := db.anyUpNode()
 	if err != nil {
@@ -170,40 +173,9 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 	if len(tbl.Flattened) == 0 {
 		return 0, nil
 	}
-	lookups := map[string]map[string]types.Datum{}
-	for _, f := range tbl.Flattened {
-		l, err := db.dimLookup(snap, f)
-		if err != nil {
-			return 0, err
-		}
-		lookups[strings.ToLower(f.Column)] = l
-	}
-
-	recomputeProj := func(projSchema types.Schema, rows *types.Batch) error {
-		for _, f := range tbl.Flattened {
-			colIdx := projSchema.ColumnIndex(f.Column)
-			keyIdx := projSchema.ColumnIndex(f.FactKey)
-			if colIdx < 0 {
-				continue
-			}
-			if keyIdx < 0 {
-				return fmt.Errorf("core: projection lacks fact key %q needed for refresh", f.FactKey)
-			}
-			lookup := lookups[strings.ToLower(f.Column)]
-			colType := projSchema[colIdx].Type
-			filled := types.NewVector(colType, rows.NumRows())
-			for i := 0; i < rows.NumRows(); i++ {
-				k := rows.Cols[keyIdx].Datum(i)
-				if v, ok := lookup[k.String()]; ok && !k.Null {
-					v.K = colType
-					filled.Append(v)
-				} else {
-					filled.Append(types.NullDatum(colType))
-				}
-			}
-			rows.Cols[colIdx] = filled
-		}
-		return nil
+	lookups, err := db.dimLookups(tbl)
+	if err != nil {
+		return 0, err
 	}
 
 	var dropped []droppedContainer
@@ -231,19 +203,15 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 				return rewritten, fmt.Errorf("core: no node can read container %d", sc.OID)
 			}
 			d := droppedContainer{sc: sc, dvs: snap.DeleteVectorsOf(sc.OID)}
-			rows, deletes, err := db.readContainer(ctx, node, sc, d.dvs, projSchema)
+			rows, err := db.readLive(ctx, node, snap, tbl, p, projSchema, []*catalog.StorageContainer{sc})
 			if err != nil {
 				return rewritten, err
 			}
 			for _, dv := range d.dvs {
 				txn.Delete(dv.OID)
 			}
-			if deletes.Len() > 0 {
-				live := deletes.LivePositions(0, rows.NumRows())
-				rows = rows.Gather(live)
-			}
 			// Recompute flattened columns present in this projection.
-			if err := recomputeProj(projSchema, rows); err != nil {
+			if err := fillFlattened(tbl, lookups, projSchema, rows); err != nil {
 				return rewritten, err
 			}
 			owner := ""
@@ -301,11 +269,23 @@ func (db *DB) RefreshColumns(tableName string) (int, error) {
 		// Rebuild from the refreshed base rows. The base containers are
 		// staged in this transaction but not yet committed, so read the
 		// pre-refresh rows and recompute the flattened columns on them.
-		baseRows, err := db.readTableRows(snap, tbl)
+		full, err := fullProjection(snap, tbl)
 		if err != nil {
 			return rewritten, err
 		}
-		if err := recomputeProj(tbl.Columns, baseRows); err != nil {
+		baseRows := types.NewBatch(tbl.Columns, 0)
+		for _, sc := range snap.ContainersOf(full.OID, catalog.GlobalShard) {
+			node := db.nodeForStorage(sc)
+			if node == nil {
+				return rewritten, fmt.Errorf("core: no node can read container %d", sc.OID)
+			}
+			rows, err := db.readLive(ctx, node, snap, tbl, full, tbl.Columns, []*catalog.StorageContainer{sc})
+			if err != nil {
+				return rewritten, err
+			}
+			baseRows.AppendBatch(rows)
+		}
+		if err := fillFlattened(tbl, lookups, tbl.Columns, baseRows); err != nil {
 			return rewritten, err
 		}
 		partitions, err := splitByPartition(tbl, tbl.Columns, baseRows)

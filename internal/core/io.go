@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"eon/internal/cache"
-	"eon/internal/catalog"
 	"eon/internal/obs"
 	"eon/internal/parallel"
 	"eon/internal/resilience"
 	"eon/internal/storage"
-	"eon/internal/types"
 )
 
 // persistFiles makes a built container's files durable before commit.
@@ -129,41 +127,8 @@ func (db *DB) subscriberNodes(shardIdx int) []*Node {
 	return out
 }
 
-// fetchFunc builds the file-read path for scans on a node, without
-// instrumentation (maintenance paths: mergeout, flatten, revive).
-func (db *DB) fetchFunc(n *Node, bypassCache bool) storage.FetchFunc {
-	return db.trackedFetch(n, bypassCache, nil)
-}
-
-// readContainer reads a container's columns, in schema order, through
-// node's read path, and the set of rows its delete vectors dvs delete.
-// In Enterprise only node's own delete vectors count.
-func (db *DB) readContainer(ctx context.Context, node *Node, sc *catalog.StorageContainer, dvs []*catalog.DeleteVector, schema types.Schema) (*types.Batch, *storage.DeleteSet, error) {
-	fetch := db.fetchFunc(node, false)
-	rows, err := storage.ReadColumns(ctx, sc, schema, fetch, db.ioConc())
-	if err != nil {
-		return nil, nil, err
-	}
-	var lists [][]int64
-	for _, dv := range dvs {
-		if db.mode == ModeEnterprise && dv.OwnerNode != node.name {
-			continue
-		}
-		data, err := fetch(ctx, dv.File.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		positions, err := storage.ReadDeleteVector(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		lists = append(lists, positions)
-	}
-	return rows, storage.NewDeleteSet(lists...), nil
-}
-
 // trackedFetch builds the file-read path for scans on a node, recording
-// each file it returns into rec (nil for maintenance reads). Eon reads
+// each file it returns into rec (nil for reads outside a scan). Eon reads
 // through the node's cache with a shared-storage fallback (optionally
 // bypassing the cache, §5.2); Enterprise reads node-local disk. When the
 // node's cache breaker is open the read path degrades gracefully: scans

@@ -71,7 +71,7 @@ type stagedLoad struct {
 // and releases the slots. LoadRows and an UPDATE's re-insert share it.
 func (db *DB) stageLoad(init *Node, txn *catalog.Txn, tbl *catalog.Table, batch *types.Batch) (stagedLoad, error) {
 	snap := txn.Base()
-	batch, err := db.applyFlattened(snap, tbl, batch)
+	batch, err := db.applyFlattened(tbl, batch)
 	if err != nil {
 		return stagedLoad{}, err
 	}
@@ -257,7 +257,8 @@ func (db *DB) acquireLoadSlots(writers map[int]string) func() {
 }
 
 // validateWriters builds the commit-time validation that every writing
-// node still subscribes to its shard (an Enterprise load names none).
+// node still subscribes to its shard (an Enterprise load names none); it
+// fails with catalog.ErrConflict.
 func (db *DB) validateWriters(ws []writerShard) func(*catalog.Snapshot) error {
 	return func(latest *catalog.Snapshot) error {
 		for _, w := range ws {
@@ -269,7 +270,7 @@ func (db *DB) validateWriters(ws []writerShard) func(*catalog.Snapshot) error {
 				}
 			}
 			if !ok {
-				return fmt.Errorf("core: node %s unsubscribed from shard %d during load", w.node, w.shard)
+				return fmt.Errorf("%w: node %s unsubscribed from shard %d", catalog.ErrConflict, w.node, w.shard)
 			}
 		}
 		return nil

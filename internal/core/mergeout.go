@@ -1,15 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"eon/internal/catalog"
 	"eon/internal/obs"
+	"eon/internal/planner"
 	"eon/internal/shard"
 	"eon/internal/storage"
 	"eon/internal/tuplemover"
-	"eon/internal/types"
 )
 
 // MergeoutStats reports one mergeout pass.
@@ -24,76 +25,91 @@ type MergeoutStats struct {
 // coordinator is selected to ensure that conflicting mergeout jobs are
 // not executed concurrently" — and the job's commit informs the other
 // subscribers (§6.2). In Enterprise mode each node compacts its own
-// storage independently.
+// storage independently. Either way a job is listed, read, built and
+// committed on the node that runs it, from its own catalog (§4). A job
+// whose commit conflicts (catalog.ErrConflict) is left to the next pass.
 func (db *DB) RunMergeout() (MergeoutStats, error) {
 	var stats MergeoutStats
 	init, err := db.anyUpNode()
 	if err != nil {
 		return stats, err
 	}
-	snap := init.catalog.Snapshot()
-
-	var coordinators map[int]string
-	if db.mode == ModeEon {
-		coordinators = shard.MergeoutCoordinators(snap, db.UpNodes(), "")
+	// Who runs which jobs: in Eon each segment shard's coordinator and the
+	// replica shard's first up ACTIVE subscriber, in Enterprise every up
+	// node over the containers it owns.
+	tasks := map[string][]scanTask{}
+	snap, up := init.catalog.Snapshot(), db.UpNodes()
+	if db.mode == ModeEnterprise {
+		for name := range up {
+			tasks[name] = []scanTask{{Shard: catalog.GlobalShard, Of: 1}}
+		}
+	} else {
+		coordinators := shard.MergeoutCoordinators(snap, up, "")
+		for _, s := range snap.SubscribersOf(catalog.ReplicaShard, catalog.SubActive) {
+			if up[s.Node] {
+				coordinators[catalog.ReplicaShard] = s.Node
+				break
+			}
+		}
+		for sh, name := range coordinators {
+			tasks[name] = append(tasks[name], scanTask{Shard: sh, Of: 1})
+		}
 	}
-
-	for _, tbl := range snap.Tables() {
-		for _, proj := range snap.ProjectionsOf(tbl.OID) {
-			// Group containers per shard (Eon) or per (owner, shard)
-			// (Enterprise), mirroring who may run the job.
-			groups := map[string][]*catalog.StorageContainer{}
-			groupNode := map[string]*Node{}
-			for _, sc := range snap.ContainersOf(proj.OID, catalog.GlobalShard) {
-				var key string
-				var runner *Node
+	for _, n := range db.Nodes() {
+		if len(tasks[n.name]) == 0 || !n.Up() {
+			continue
+		}
+		snap := n.catalog.Snapshot()
+		env := &queryEnv{db: db, session: &Session{db: db}, snapshots: map[string]*catalog.Snapshot{n.name: snap}}
+		for _, tbl := range snap.Tables() {
+			for _, proj := range snap.ProjectionsOf(tbl.OID) {
+				// fragmentScan.list is the one listing rule: the node's
+				// shards, from its own snapshot (in Enterprise, the
+				// containers it owns).
+				fs := &fragmentScan{env: env, node: n, scan: &planner.Scan{Proj: proj}, tasks: tasks[n.name]}
+				if err := fs.list(); err != nil {
+					return stats, err
+				}
 				// Partition separation survives compaction: containers of
 				// different partition keys never merge (§2.1).
-				if db.mode == ModeEnterprise {
-					key = fmt.Sprintf("%s/%d/%s", sc.OwnerNode, sc.ShardIndex, sc.PartitionKey)
-					if n, ok := db.Node(sc.OwnerNode); ok && n.Up() {
-						runner = n
-					}
-				} else {
-					key = fmt.Sprintf("%d/%s", sc.ShardIndex, sc.PartitionKey)
-					coordName := coordinators[sc.ShardIndex]
-					if sc.ShardIndex == catalog.ReplicaShard {
-						coordName = init.name
-					}
-					if n, ok := db.Node(coordName); ok && n.Up() {
-						runner = n
-					}
+				type group struct {
+					shard int
+					key   string
 				}
-				if runner == nil {
-					continue
-				}
-				groups[key] = append(groups[key], sc)
-				groupNode[key] = runner
-			}
-			for key, containers := range groups {
+				var order []group
+				groups := map[group][]*catalog.StorageContainer{}
 				dvCounts := map[catalog.OID]int64{}
-				for _, sc := range containers {
-					for _, dv := range snap.DeleteVectorsOf(sc.OID) {
-						dvCounts[sc.OID] += dv.Count
+				for _, w := range fs.work {
+					g := group{w.sc.ShardIndex, w.sc.PartitionKey}
+					if groups[g] == nil {
+						order = append(order, g)
+					}
+					groups[g] = append(groups[g], w.sc)
+					for _, dv := range snap.DeleteVectorsOf(w.sc.OID) {
+						dvCounts[w.sc.OID] += dv.Count
 					}
 				}
-				jobs := tuplemover.SelectJobs(containers, dvCounts, db.cfg.Mergeout)
-				for _, job := range jobs {
-					jobStart := time.Now()
-					purged, err := db.executeMergeJob(groupNode[key], tbl, proj, job)
-					db.mergeoutNS.ObserveDuration(time.Since(jobStart))
-					db.mergeoutJobs.Inc()
-					db.dcMergeouts.Emit(obs.DCEvent{
-						Node: groupNode[key].name, A: tbl.Name, B: proj.Name,
-						V1: int64(len(job.Containers)), V2: purged,
-						V3: int64(time.Since(jobStart)),
-					})
-					if err != nil {
-						return stats, err
+				for _, g := range order {
+					for _, job := range tuplemover.SelectJobs(groups[g], dvCounts, db.cfg.Mergeout) {
+						jobStart := time.Now()
+						purged, err := db.executeMergeJob(n, tbl, proj, job)
+						db.mergeoutNS.ObserveDuration(time.Since(jobStart))
+						db.mergeoutJobs.Inc()
+						db.dcMergeouts.Emit(obs.DCEvent{
+							Node: n.name, A: tbl.Name, B: proj.Name,
+							V1: int64(len(job.Containers)), V2: purged,
+							V3: int64(time.Since(jobStart)),
+						})
+						if errors.Is(err, catalog.ErrConflict) {
+							continue
+						}
+						if err != nil {
+							return stats, err
+						}
+						stats.Jobs++
+						stats.ContainersMerged += len(job.Containers)
+						stats.RowsPurged += purged
 					}
-					stats.Jobs++
-					stats.ContainersMerged += len(job.Containers)
-					stats.RowsPurged += purged
 				}
 			}
 		}
@@ -101,47 +117,42 @@ func (db *DB) RunMergeout() (MergeoutStats, error) {
 	return stats, nil
 }
 
-// executeMergeJob reads the input containers (dropping deleted rows),
-// writes one merged container, and commits the swap. Input containers
-// and their delete vectors are dropped in the same transaction; their
-// files become deletion candidates (§6.5).
+// executeMergeJob reads the input containers through the runner's
+// fragment reader (dropping deleted rows), writes one merged container,
+// and commits the swap on the runner. Input containers and their delete
+// vectors are dropped in the same transaction; their files become
+// deletion candidates (§6.5). The commit fails with catalog.ErrConflict
+// if the runner no longer subscribes to the shard, or if an input gained
+// a delete vector after the job read it: the merged container would bring
+// those rows back.
 func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Projection, job tuplemover.Job) (int64, error) {
 	ctx := db.Context()
-	init, err := db.anyUpNode()
-	if err != nil {
-		return 0, err
-	}
-	txn := init.catalog.Begin()
+	txn := runner.catalog.Begin()
 	snap := txn.Base()
 	projSchema := physicalSchema(tbl, proj)
-
-	merged := types.NewBatch(projSchema, 0)
-	var purged int64
 	shardIdx := job.Containers[0].ShardIndex
-	partKey := job.Containers[0].PartitionKey
-	for _, sc := range job.Containers {
+	inputs := make([]*catalog.StorageContainer, len(job.Containers))
+	dropped := make([]droppedContainer, len(job.Containers))
+	var rows int64
+	for i, sc := range job.Containers {
 		// Re-read through the transaction so a concurrent drop conflicts.
 		cur, ok := txn.Get(sc.OID)
 		if !ok {
-			return 0, fmt.Errorf("core: container %d vanished before mergeout", sc.OID)
+			return 0, fmt.Errorf("%w: container %d vanished before mergeout", catalog.ErrConflict, sc.OID)
 		}
-		sc = cur.(*catalog.StorageContainer)
-		dvs := snap.DeleteVectorsOf(sc.OID)
-		rows, deletes, err := db.readContainer(ctx, runner, sc, dvs, projSchema)
-		if err != nil {
-			return 0, err
-		}
-		for _, dv := range dvs {
+		inputs[i] = cur.(*catalog.StorageContainer)
+		dropped[i] = droppedContainer{inputs[i], snap.DeleteVectorsOf(sc.OID)}
+		for _, dv := range dropped[i].dvs {
 			txn.Delete(dv.OID)
 		}
-		live := deletes.LivePositions(0, rows.NumRows())
-		purged += int64(rows.NumRows() - len(live))
-		if len(live) < rows.NumRows() {
-			rows = rows.Gather(live)
-		}
-		merged.AppendBatch(rows)
 		txn.Delete(sc.OID)
+		rows += inputs[i].RowCount
 	}
+	merged, err := db.readLive(ctx, runner, snap, tbl, proj, projSchema, inputs)
+	if err != nil {
+		return 0, err
+	}
+	purged := rows - int64(merged.NumRows())
 
 	// Live aggregate projections re-aggregate on compaction: partial
 	// groups from separate loads fold into one row per group.
@@ -156,9 +167,9 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	if db.mode == ModeEnterprise {
 		owner = runner.name
 	}
-	built, err := storage.BuildContainer(init.catalog, runner.InstanceID(), storage.WriteSpec{
+	built, err := storage.BuildContainer(runner.catalog, runner.InstanceID(), storage.WriteSpec{
 		Projection: proj, Schema: projSchema,
-		ShardIndex: shardIdx, PartitionKey: partKey,
+		ShardIndex: shardIdx, PartitionKey: job.Containers[0].PartitionKey,
 		OwnerNode: owner, BundleThreshold: db.cfg.BundleThreshold,
 		CreateVersion: snap.Version() + 1,
 	}, merged)
@@ -172,17 +183,29 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 		}
 		txn.Put(built.Meta)
 	}
-	rec, err := db.commit(init, txn, nil)
+	var writers []writerShard // an Enterprise runner owns its inputs
+	if db.mode == ModeEon {
+		writers = []writerShard{{runner.name, shardIdx}}
+	}
+	subscribed := db.validateWriters(writers)
+	rec, err := db.commit(runner, txn, func(latest *catalog.Snapshot) error {
+		if err := subscribed(latest); err != nil {
+			return err
+		}
+		// The transaction deletes the delete vectors it applied, so none
+		// of them can have gone; an input holding more gained one.
+		for _, d := range dropped {
+			if len(latest.DeleteVectorsOf(d.sc.OID)) != len(d.dvs) {
+				return fmt.Errorf("%w: container %d gained a delete vector during mergeout", catalog.ErrConflict, d.sc.OID)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
 	// Dropped inputs free their files only when unreferenced (copied
 	// tables share files, §6.5).
-	after := init.catalog.Snapshot()
-	dropped := make([]droppedContainer, len(job.Containers))
-	for i, sc := range job.Containers {
-		dropped[i] = droppedContainer{sc, snap.DeleteVectorsOf(sc.OID)}
-	}
-	db.queueDropped(after, rec.Version, dropped...)
+	db.queueDropped(runner.catalog.Snapshot(), rec.Version, dropped...)
 	return purged, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"eon/internal/catalog"
 )
@@ -236,36 +237,17 @@ func projStructEqual(a, b *catalog.Projection) bool {
 		return false
 	}
 	for i := range a.Columns {
-		if !equalFoldStr(a.Columns[i], b.Columns[i]) {
+		if !strings.EqualFold(a.Columns[i], b.Columns[i]) {
 			return false
 		}
 	}
 	for i := range a.SortKey {
-		if !equalFoldStr(a.SortKey[i], b.SortKey[i]) {
+		if !strings.EqualFold(a.SortKey[i], b.SortKey[i]) {
 			return false
 		}
 	}
 	for i := range a.SegmentCols {
-		if !equalFoldStr(a.SegmentCols[i], b.SegmentCols[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFoldStr(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
+		if !strings.EqualFold(a.SegmentCols[i], b.SegmentCols[i]) {
 			return false
 		}
 	}

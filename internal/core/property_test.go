@@ -258,7 +258,7 @@ func TestContainersSortedByProjectionKey(t *testing.T) {
 		}
 		for _, sc := range snap.ContainersOf(p.OID, -1) {
 			node := db.nodeForStorage(sc)
-			batch, err := readContainer(t, db, node, sc)
+			batch, err := readWholeContainer(t, db, node, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,8 +274,8 @@ func TestContainersSortedByProjectionKey(t *testing.T) {
 	}
 }
 
-// readContainer materializes a container's full projection contents.
-func readContainer(t *testing.T, db *DB, node *Node, sc *catalog.StorageContainer) (*types.Batch, error) {
+// readWholeContainer materializes a container's full projection contents.
+func readWholeContainer(t *testing.T, db *DB, node *Node, sc *catalog.StorageContainer) (*types.Batch, error) {
 	t.Helper()
 	snap := node.catalog.Snapshot()
 	po, ok := snap.Get(sc.ProjOID)
@@ -285,5 +285,5 @@ func readContainer(t *testing.T, db *DB, node *Node, sc *catalog.StorageContaine
 	proj := po.(*catalog.Projection)
 	to, _ := snap.Get(proj.TableOID)
 	tbl := to.(*catalog.Table)
-	return storage.ReadColumns(db.Context(), sc, projectionSchema(tbl, proj.Columns), db.fetchFunc(node, false), 4)
+	return storage.ReadColumns(db.Context(), sc, projectionSchema(tbl, proj.Columns), db.trackedFetch(node, false, nil), 4)
 }

@@ -31,15 +31,44 @@ type containerWork struct {
 // (prefetch). It does not block, so a pipeline plans every fragment while
 // it is built.
 func (fs *fragmentScan) plan(ctx context.Context) error {
-	env, db, scan := fs.env, fs.env.db, fs.scan
 	if err := fs.list(); err != nil {
 		return err
 	}
-	fs.firstCols, fs.allCols = scanColSets(scan, env.eng())
 	// Per-table shaping policy (§5.2): never-cache tables bypass.
-	bypass := env.session.BypassCache || db.neverCacheTable(scan.Table.Name)
-	fs.file = db.trackedFetch(fs.node, bypass, &fs.rec)
+	return fs.open(ctx, fs.env.session.BypassCache || fs.env.db.neverCacheTable(fs.scan.Table.Name))
+}
+
+// open readies fs.work to run: the columns a block decodes first, the
+// file-read path through the node's depot (around it if bypass), and the
+// prefetch of the files the depot lacks.
+func (fs *fragmentScan) open(ctx context.Context, bypass bool) error {
+	fs.firstCols, fs.allCols = scanColSets(fs.scan, fs.env.eng())
+	fs.file = fs.env.db.trackedFetch(fs.node, bypass, &fs.rec)
 	return fs.prefetch(ctx)
+}
+
+// readLive reads the live rows of containers, the delete vectors snap
+// holds for them applied, through node's fragment reader, as a query's
+// scan of p reads them, and returns them in container order: the columns
+// of schema, by name. Mergeout and the SET USING refresh read storage
+// this way; it counts into no query's record.
+func (db *DB) readLive(ctx context.Context, node *Node, snap *catalog.Snapshot, tbl *catalog.Table, p *catalog.Projection, schema types.Schema, containers []*catalog.StorageContainer) (*types.Batch, error) {
+	env := &queryEnv{db: db, session: &Session{db: db}, snapshots: map[string]*catalog.Snapshot{node.name: snap}}
+	fs := &fragmentScan{env: env, node: node, scan: &planner.Scan{Table: tbl, Proj: p, Cols: schema.Names(), OutSchema: schema}}
+	var rows int64
+	for _, sc := range containers {
+		fs.work = append(fs.work, containerWork{sc: sc})
+		rows += sc.RowCount
+	}
+	if err := fs.open(ctx, false); err != nil {
+		return nil, err
+	}
+	// Sized from the containers, so appending never regrows it.
+	out := types.NewBatch(schema, int(rows))
+	return out, fs.run(ctx, func(b *types.Batch) error {
+		out.AppendBatch(b)
+		return nil
+	})
 }
 
 // list is the one rule for which node reads which container: fs.work

@@ -72,7 +72,7 @@ func encodingsOnDisk(t *testing.T, db *DB) map[colenc.Encoding]bool {
 	t.Helper()
 	seen := map[colenc.Encoding]bool{}
 	node := db.Nodes()[0]
-	fetch := db.fetchFunc(node, false)
+	fetch := db.trackedFetch(node, false, nil)
 	node.catalog.Snapshot().ForEach(catalog.KindStorageContainer, func(o catalog.Object) bool {
 		sc := o.(*catalog.StorageContainer)
 		if len(sc.Files) != len(encSchema) {

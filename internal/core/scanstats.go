@@ -129,7 +129,7 @@ func (r *scanRecord) add(s *ScanStats) {
 
 // fetched records one file a fragment's read path returned: its size,
 // how long the read took and, for a read through the depot (cached), how
-// the depot served it. A nil record — a maintenance read — drops it.
+// the depot served it. A nil record — a read outside a scan — drops it.
 func (r *scanRecord) fetched(size int, wait time.Duration, outcome cache.Outcome, cached bool) {
 	if r == nil {
 		return

@@ -46,7 +46,9 @@ race:
 # UPDATE leaving shared storage untouched, an UPDATE as one commit (a
 # reader sees every row while its new containers upload, and readers
 # racing a stream of UPDATEs in both modes never see the count change),
-# an Enterprise DELETE or UPDATE refused while a node is down, every
+# every Enterprise statement that writes storage (DML, ADD COLUMN, the
+# partition and table operations, the refresh) refused, writing nothing,
+# while a node is down, every
 # acknowledged Enterprise INSERT still counted after a node kill and
 # recovery, a commit refused on a killed initiator, a mergeout racing
 # kill/recover counted once (every subscriber of a shard holding the same
@@ -56,12 +58,17 @@ race:
 # a DELETE committed while it uploads (the DELETE's rows stay deleted and
 # the next pass merges), mergeout and a SET USING lookup after a recovery
 # covering every shard (each job runs on its shard's coordinator, the
-# lookup reads through the query's participants), revive's and sync's I/O shape
+# lookup reads through the query's participants), DROP TABLE,
+# DROP_PARTITION, MOVE_PARTITIONS_TO_TABLE, copy_table and the SET USING
+# refresh exact after a mergeout and after a recovery (each lists its
+# containers through the query's participants, and a drop leaves no
+# container or file behind), v_monitor.storage_containers listing every
+# copy, an Enterprise copy keeping its buddy, revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce|TestInitiatorKillKeepsAcknowledgedRows|TestMergeoutKeepsConcurrentDelete|TestMergeoutCoversEveryShardAfterRecovery|TestFlattenAfterRecoveryLabelsEveryRow' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce|TestInitiatorKillKeepsAcknowledgedRows|TestMergeoutKeepsConcurrentDelete|TestMergeoutCoversEveryShardAfterRecovery|TestFlattenAfterRecoveryLabelsEveryRow|TestStorageStatementsAfterMergeout|TestStorageStatementsAfterRecovery|TestDropTableKeepsSharedFiles|TestStorageContainersListsEveryCopy|TestCopyTableKeepsBuddy' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 

@@ -411,7 +411,7 @@ func backslash(db *eon.DB, session *eon.Session, cmd string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rewrote %d containers\n", n)
+		fmt.Printf("refreshed %d rows\n", n)
 		return nil
 	case "\\tpch":
 		scale := 0.05

@@ -324,7 +324,8 @@ func (db *DB) MovePartition(src, dst, partitionKey string) (int, error) {
 }
 
 // RefreshColumns recomputes a flattened table's denormalized columns
-// after its dimension tables change (paper §2.1).
+// after its dimension tables change (paper §2.1), as an UPDATE that sets
+// each flattened column to itself, and returns the rows refreshed.
 func (db *DB) RefreshColumns(table string) (int, error) {
 	return db.inner.RefreshColumns(table)
 }

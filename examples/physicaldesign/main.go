@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrefreshed flattened columns (%d containers rewritten)\n", n)
+	fmt.Printf("\nrefreshed flattened columns (%d rows refreshed)\n", n)
 	res, err = s.Query(`SELECT COUNT(*) FROM orders WHERE product_name = 'mega-anvil'`)
 	if err != nil {
 		log.Fatal(err)

@@ -135,7 +135,7 @@ type Txn struct {
 	cat     *Catalog
 	base    *Snapshot
 	writes  map[OID]Object
-	deletes map[OID]struct{}
+	deletes map[OID]Object
 	reads   map[OID]uint64
 	order   []OID // write/delete order for deterministic logs
 }
@@ -146,7 +146,7 @@ func (c *Catalog) Begin() *Txn {
 		cat:     c,
 		base:    c.Snapshot(),
 		writes:  map[OID]Object{},
-		deletes: map[OID]struct{}{},
+		deletes: map[OID]Object{},
 		reads:   map[OID]uint64{},
 	}
 }
@@ -185,15 +185,19 @@ func (t *Txn) Put(o Object) {
 	t.writes[oid] = o
 }
 
-// Delete stages an object removal.
-func (t *Txn) Delete(oid OID) {
+// Delete stages the removal of o. The commit logs it with o's kind and
+// shard even when the transaction's base does not hold o: an Eon node's
+// catalog holds only its own shards, yet a statement it initiates can
+// drop containers of every shard.
+func (t *Txn) Delete(o Object) {
+	oid := o.GetOID()
 	if _, seen := t.deletes[oid]; !seen {
 		if _, w := t.writes[oid]; !w {
 			t.order = append(t.order, oid)
 		}
 	}
 	delete(t.writes, oid)
-	t.deletes[oid] = struct{}{}
+	t.deletes[oid] = o
 }
 
 // Pending reports whether the transaction has staged changes.
@@ -270,13 +274,9 @@ func (c *Catalog) commit(t *Txn, validate func(*Snapshot) error) (*LogRecord, er
 			next.modVersion[oid] = version
 			continue
 		}
-		if _, ok := t.deletes[oid]; ok {
-			old, exists := cur.objects[oid]
-			if !exists {
-				continue
-			}
-			rec.Ops = append(rec.Ops, LogOp{Delete: true, Kind: old.Kind(), OID: oid})
-			shardSet[old.Shard()] = struct{}{}
+		if o, ok := t.deletes[oid]; ok {
+			rec.Ops = append(rec.Ops, LogOp{Delete: true, Kind: o.Kind(), OID: oid})
+			shardSet[o.Shard()] = struct{}{}
 			delete(next.objects, oid)
 			next.modVersion[oid] = version
 		}

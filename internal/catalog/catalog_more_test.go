@@ -42,7 +42,7 @@ func TestTxnHelpers(t *testing.T) {
 		t.Errorf("staged = %v", oids)
 	}
 	// Put then Delete keeps one staged entry.
-	txn.Delete(tbl.OID)
+	txn.Delete(tbl)
 	if got, ok := txn.Get(tbl.OID); ok {
 		t.Errorf("deleted object visible: %v", got)
 	}

@@ -142,7 +142,7 @@ func TestDelete(t *testing.T) {
 	c.Commit(txn)
 
 	del := c.Begin()
-	del.Delete(tbl.OID)
+	del.Delete(tbl)
 	rec, err := c.Commit(del)
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +214,46 @@ func TestApplyShardFiltering(t *testing.T) {
 	}
 	if dst.Version() != rec.Version {
 		t.Error("version must advance even when filtering")
+	}
+}
+
+// A transaction can delete an object its base does not hold — an Eon
+// initiator dropping a container of a shard it does not subscribe to.
+// The record still carries the delete, with the object's kind and shard,
+// and a subscriber that holds the object removes it on Apply.
+func TestDeleteOfUnheldObjectReplicates(t *testing.T) {
+	init, sub := New(), New()
+	setup := sub.Begin()
+	sc := &StorageContainer{OID: sub.NewOID(), ShardIndex: 1, RowCount: 10}
+	setup.Put(sc)
+	rec, err := sub.Commit(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := init.Apply(rec, KeepShards(map[int]bool{0: true})); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := init.Snapshot().Get(sc.OID); ok {
+		t.Fatal("the initiator holds a container of a shard it does not keep")
+	}
+
+	del := init.Begin()
+	del.Delete(sc)
+	rec, err = init.Commit(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Ops) != 1 || !rec.Ops[0].Delete || rec.Ops[0].OID != sc.OID || rec.Ops[0].Kind != KindStorageContainer {
+		t.Fatalf("record ops = %+v, want the container's delete", rec.Ops)
+	}
+	if len(rec.Shards) != 1 || rec.Shards[0] != 1 {
+		t.Errorf("record shards = %v, want [1]", rec.Shards)
+	}
+	if err := sub.Apply(rec, KeepShards(map[int]bool{1: true})); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sub.Snapshot().Get(sc.OID); ok {
+		t.Error("the subscriber still holds the deleted container")
 	}
 }
 

@@ -212,9 +212,9 @@ func pick[T Object](m *indexModel, k Kind) (T, bool) {
 // before the readers do.
 func (m *indexModel) dropContainer(txn *Txn, sc *StorageContainer) {
 	for _, dv := range bruteOf(m.c.Snapshot(), KindDeleteVector, func(dv *DeleteVector) bool { return dv.ContainerOID == sc.OID }, nil) {
-		txn.Delete(dv.OID)
+		txn.Delete(dv)
 	}
-	txn.Delete(sc.OID)
+	txn.Delete(sc)
 }
 
 // step stages one random change in txn, or none when the chosen change
@@ -242,12 +242,12 @@ func (m *indexModel) step(txn *Txn) {
 			return
 		}
 		for _, p := range bruteOf(snap, KindProjection, func(p *Projection) bool { return p.TableOID == t.OID }, nil) {
-			txn.Delete(p.OID)
+			txn.Delete(p)
 		}
 		for _, sc := range bruteOf(snap, KindStorageContainer, func(sc *StorageContainer) bool { return sc.TableOID == t.OID }, nil) {
 			m.dropContainer(txn, sc)
 		}
-		txn.Delete(t.OID)
+		txn.Delete(t)
 	case 3: // create projection, sometimes a buddy
 		t, ok := pick[*Table](m, KindTable)
 		if !ok {
@@ -290,7 +290,7 @@ func (m *indexModel) step(txn *Txn) {
 		if !ok {
 			return
 		}
-		txn.Delete(dv.OID)
+		txn.Delete(dv)
 	case 10: // subscribe
 		node, shard := fmt.Sprintf("n%d", rng.Intn(4)), rng.Intn(5)-1
 		if shard < 0 {
@@ -303,7 +303,7 @@ func (m *indexModel) step(txn *Txn) {
 			return
 		}
 		if rng.Intn(4) == 0 {
-			txn.Delete(sub.OID)
+			txn.Delete(sub)
 			return
 		}
 		ns := sub.Clone().(*Subscription)

@@ -202,10 +202,10 @@ func (db *DB) RemoveNode(name string) error {
 	txn := init.catalog.Begin()
 	snap := txn.Base()
 	if node, ok := snap.NodeByName(name); ok {
-		txn.Delete(node.OID)
+		txn.Delete(node)
 	}
 	for _, s := range snap.Subscriptions(name) {
-		txn.Delete(s.OID)
+		txn.Delete(s)
 	}
 	if _, err := db.commit(init, txn, nil); err != nil {
 		return err

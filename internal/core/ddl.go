@@ -183,32 +183,30 @@ func (db *DB) EnsureDefaultProjection(tableName string) error {
 
 // DropTable removes a table, its projections, storage and files.
 func (db *DB) DropTable(name string) error {
-	init, err := db.anyUpNode()
+	env, txn, err := db.beginStorageWrite("DROP TABLE")
 	if err != nil {
 		return err
 	}
-	txn := init.catalog.Begin()
 	snap := txn.Base()
 	tbl, ok := snap.TableByName(name)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", name)
 	}
-	var dropped []droppedContainer
+	var dropped []readFrom
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
-			dropped = append(dropped, stageDrop(txn, sc))
+		err := env.eachContainer(p, func(n *Node, sc *catalog.StorageContainer) error {
+			dropped = append(dropped, stageDrop(txn, env.whole(n, sc)))
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		txn.Delete(p.OID)
+		txn.Delete(p)
 	}
-	txn.Delete(tbl.OID)
-	rec, err := db.commit(init, txn, nil)
-	if err != nil {
-		return err
-	}
+	txn.Delete(tbl)
 	// Files free only when no surviving container references them — a
 	// copied table may share them (§5.1, §6.5).
-	db.queueDropped(init.catalog.Snapshot(), rec.Version, dropped...)
-	return nil
+	return db.commitDrop(env.initiator, txn, dropped)
 }
 
 // AlterAddColumn adds a column to a table using optimistic concurrency
@@ -216,13 +214,11 @@ func (db *DB) DropTable(name string) error {
 // published up front without holding the global catalog lock; the write
 // set is validated at commit and the transaction rolls back on conflict.
 func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
-	init, err := db.anyUpNode()
+	env, txn, err := db.beginStorageWrite("ADD COLUMN")
 	if err != nil {
 		return err
 	}
-	ctx := db.Context()
-	txn := init.catalog.Begin()
-	snap := txn.Base()
+	ctx, init, snap := db.Context(), env.initiator, txn.Base()
 	tblObj, ok := snap.TableByName(stmt.Table)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", stmt.Table)
@@ -246,10 +242,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 
 	// Generate the new column's data for every projection and container
 	// — offline, before taking the commit lock.
-	env, err := (&Session{db: db}).selectParticipants(init)
-	if err != nil {
-		return err
-	}
+	written := map[catalog.OID]readFrom{}
 	for _, p := range snap.ProjectionsOf(tblObj.OID) {
 		if p.IsLiveAggregate() {
 			continue // live aggregates track only their group/agg columns
@@ -313,6 +306,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			updated.SizeBytes += int64(len(img))
 			updated.ColStats[stmt.Col.Name] = stats
 			txn.Put(updated)
+			written[sc.OID] = readFrom{sc: sc, node: node}
 			// Persist the new column file before commit.
 			return db.persistFiles(ctx, node, map[string][]byte{path: img}, sc.ShardIndex, db.neverCacheTable(tbl.Name))
 		})
@@ -320,7 +314,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			return err
 		}
 	}
-	_, err = db.commit(init, txn, nil)
+	_, err = db.commit(init, txn, validateWritten(written, nil))
 	return err
 }
 
@@ -343,21 +337,4 @@ func projectionSchema(tbl *catalog.Table, cols []string) types.Schema {
 		}
 	}
 	return out
-}
-
-// nodeForStorage picks an up node able to read a container: any shard
-// subscriber in Eon, the owner in Enterprise.
-func (db *DB) nodeForStorage(sc *catalog.StorageContainer) *Node {
-	if db.mode == ModeEnterprise {
-		if n, ok := db.Node(sc.OwnerNode); ok && n.Up() {
-			return n
-		}
-		return nil
-	}
-	for _, n := range db.subscriberNodes(sc.ShardIndex) {
-		if n.Up() {
-			return n
-		}
-	}
-	return nil
 }

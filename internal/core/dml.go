@@ -35,12 +35,14 @@ func (s *Session) modify(stmt sql.Statement) (int64, error) {
 // runDML executes a DELETE or UPDATE as a query (tryQuery): one scan per
 // projection (planner.PlanDML), run like a SELECT's under one cut, finds
 // where the matching rows are stored, and the initiator writes one delete
-// vector per container into one transaction. An UPDATE stages its rows,
-// with the SET expressions applied, into the same transaction as new
-// containers; the delete vectors and the containers are persisted
-// together and committed once, so no reader sees the old rows gone
-// without the new ones. Nothing is written outside that transaction, so
-// a failed statement has nothing to undo.
+// vector per container into one transaction. Without WHERE every row
+// goes, so the statement instead drops every container of every
+// projection, as eachContainer lists them, and scans only for its rows.
+// An UPDATE stages its rows, with the SET expressions applied, into the
+// same transaction as new containers; the delete vectors and the
+// containers are persisted together and committed once, so no reader
+// sees the old rows gone without the new ones. Nothing is written
+// outside that transaction, so a failed statement has nothing to undo.
 func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Result, error) {
 	db, init := s.db, env.initiator
 	planSp := root.StartSpan("plan")
@@ -49,12 +51,8 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if db.mode == ModeEnterprise && len(db.UpNodes()) < len(db.order) {
-		// Checked before any write. A down node's own copy of the table is
-		// not scanned, and recovery copies it back unchanged, so a DELETE
-		// would lose its rows there; an UPDATE's re-insert loads every
-		// segment onto its owners.
-		return nil, fmt.Errorf("core: DML needs every node up in Enterprise mode")
+	if err := db.needEveryNode("DML"); err != nil {
+		return nil, err
 	}
 	trees := make([]planner.Node, len(plan.Scans))
 	for i, scan := range plan.Scans {
@@ -70,6 +68,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 	defer writeSp.End()
 	txn := init.catalog.Begin()
 	var ships []pendingShip
+	var dropped []readFrom
 	written := map[catalog.OID]readFrom{}
 	var n int64
 	var rows *types.Batch // UPDATE: the statement's rows, in projection order
@@ -79,7 +78,9 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 		var keep []int
 		for r, oid := range b.Cols[data].Ints {
 			c := catalog.OID(oid)
-			byContainer[c] = append(byContainer[c], b.Cols[data+1].Ints[r])
+			if !plan.Drop {
+				byContainer[c] = append(byContainer[c], b.Cols[data+1].Ints[r])
+			}
 			if i == plan.Rows && env.oneCopy(env.read[c].sc) {
 				keep = append(keep, r)
 			}
@@ -98,7 +99,19 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 			}
 		}
 	}
+	if plan.Drop {
+		for _, p := range env.snapshots[init.name].ProjectionsOf(plan.Table.OID) {
+			err := env.eachContainer(p, func(n *Node, sc *catalog.StorageContainer) error {
+				dropped = append(dropped, stageDrop(txn, env.whole(n, sc)))
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
 	writeSp.AddAttr("delete_vectors", int64(len(ships)))
+	writeSp.AddAttr("containers_dropped", int64(len(dropped)))
 	var writers []writerShard
 	if rows != nil && rows.NumRows() > 0 {
 		load, err := db.stageUpdate(env, txn, plan, rows)
@@ -109,16 +122,18 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 		ships = append(ships, load.ships...)
 		writers = load.writers
 	}
-	if len(ships) > 0 {
+	if len(ships) > 0 || len(dropped) > 0 {
 		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
 			return nil, err
 		}
-		wrote, subscribed := validateWritten(written), db.validateWriters(writers)
-		if _, err := db.commit(init, txn, func(latest *catalog.Snapshot) error {
+		wrote, subscribed := validateWritten(written, dropped), db.validateWriters(writers)
+		rec, err := db.commit(init, txn, func(latest *catalog.Snapshot) error {
 			return errors.Join(wrote(latest), subscribed(latest))
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
+		db.queueDropped(rec.Version, dropped...)
 	}
 	if plan.Set == nil {
 		return countResult("deleted", n), nil
@@ -126,11 +141,14 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 	return countResult("updated", n), nil
 }
 
-// readFrom is a container a DML scan read, and the node that read it,
-// which keeps the container's shard (or owns it, in Enterprise).
+// readFrom is a container a statement read or listed, and the node that
+// did, which keeps the container's shard (or owns it, in Enterprise);
+// for a container the statement takes whole (queryEnv.whole), also the
+// delete vectors that node held for it.
 type readFrom struct {
 	sc   *catalog.StorageContainer
 	node *Node
+	dvs  []*catalog.DeleteVector
 }
 
 // oneCopy reports whether sc's rows count toward the statement's rows:
@@ -140,11 +158,28 @@ func (env *queryEnv) oneCopy(sc *catalog.StorageContainer) bool {
 	return env.db.mode != ModeEnterprise || sc.ShardIndex != catalog.ReplicaShard || sc.OwnerNode == env.initiator.name
 }
 
-// validateWritten is a DML statement's commit check, run under commitMu:
-// every container that gets a delete vector still exists where it was
-// read, so no delete vector lands on a container a mergeout replaced
-// meanwhile. Containers where nothing matched are not checked.
-func validateWritten(written map[catalog.OID]readFrom) func(*catalog.Snapshot) error {
+// needEveryNode is the Enterprise rule for every statement that writes
+// storage, checked before it writes anything: every node must be up. A
+// down node's own copy of the table is neither listed nor rewritten, and
+// recovery copies it back unchanged, so a DELETE would lose its rows
+// there, and a dropped, moved or copied container or an added column
+// would be missing from it.
+func (db *DB) needEveryNode(what string) error {
+	if db.mode == ModeEnterprise && len(db.UpNodes()) < len(db.order) {
+		return fmt.Errorf("core: %s needs every node up in Enterprise mode", what)
+	}
+	return nil
+}
+
+// validateWritten is the commit check of every statement that writes
+// storage, run under commitMu against the catalog of the node that listed
+// each container. A container the statement writes to (a delete vector,
+// a column) still exists, and one it takes whole (drops, moves or
+// copies) is unchanged and carries exactly the delete vectors listed with
+// it: no write lands on a container a mergeout replaced meanwhile, and
+// no row deleted meanwhile comes back. Containers a DML scan read without
+// a match are not checked.
+func validateWritten(written map[catalog.OID]readFrom, whole []readFrom) func(*catalog.Snapshot) error {
 	return func(*catalog.Snapshot) error {
 		for oid, h := range written {
 			if !h.node.Up() {
@@ -152,6 +187,18 @@ func validateWritten(written map[catalog.OID]readFrom) func(*catalog.Snapshot) e
 			}
 			if _, ok := h.node.catalog.Snapshot().Get(oid); !ok {
 				return fmt.Errorf("%w: container %d was replaced during the statement", catalog.ErrConflict, oid)
+			}
+		}
+		for _, d := range whole {
+			if !d.node.Up() {
+				return fmt.Errorf("%w: %s", errNodeDown, d.node.name)
+			}
+			snap := d.node.catalog.Snapshot()
+			if cur, _ := snap.Get(d.sc.OID); cur != catalog.Object(d.sc) {
+				return fmt.Errorf("%w: container %d changed during the statement", catalog.ErrConflict, d.sc.OID)
+			}
+			if len(snap.DeleteVectorsOf(d.sc.OID)) != len(d.dvs) {
+				return fmt.Errorf("%w: container %d gained a delete vector during the statement", catalog.ErrConflict, d.sc.OID)
 			}
 		}
 		return nil

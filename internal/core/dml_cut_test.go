@@ -255,14 +255,21 @@ func TestUpdateWithoutFullProjectionWritesNothing(t *testing.T) {
 	}
 }
 
-// An Enterprise node's own copy of a table is scanned only on that node,
-// and recovery copies it back unchanged: a DELETE or UPDATE with a node
-// down is refused before it writes anything, and after the recovery a
-// DELETE removes its rows from every copy, so none comes back.
+// An Enterprise node's own copy of a table is listed only on that node,
+// and recovery copies it back unchanged: every statement that writes
+// storage — DELETE, UPDATE, ADD COLUMN, DROP TABLE, DROP_PARTITION,
+// MOVE_PARTITIONS_TO_TABLE, copy_table and the SET USING refresh — is
+// refused with a node down before it writes anything, and after the
+// recovery a DELETE removes its rows from every copy, so none comes
+// back, and an added column is in every copy.
 func TestEnterpriseDMLNeedsEveryNode(t *testing.T) {
 	db := newTestDB(t, ModeEnterprise, 3, 3)
 	setupSales(t, db, 300)
+	setupFlattened(t, db)
 	s := db.NewSession()
+	mustExec(t, s, `INSERT INTO facts VALUES (1, 1, NULL), (2, 2, NULL)`)
+	mustExec(t, s, `CREATE TABLE sales2 (sale_id INTEGER, customer VARCHAR, price FLOAT, region VARCHAR)`)
+	mustExec(t, s, `CREATE PROJECTION sales2_p1 AS SELECT * FROM sales2 ORDER BY sale_id SEGMENTED BY HASH(sale_id) ALL NODES`)
 	count := func(q string) int64 {
 		t.Helper()
 		return mustQuery(t, s, q).Row(t, 0)[0].I
@@ -270,12 +277,47 @@ func TestEnterpriseDMLNeedsEveryNode(t *testing.T) {
 	if err := db.KillNode("node2"); err != nil {
 		t.Fatal(err)
 	}
-	for _, stmt := range []string{
-		`DELETE FROM sales WHERE sale_id <= 100`,
-		`UPDATE sales SET price = 0.0 WHERE sale_id <= 100`,
+	// written sums up what the nodes hold: the catalog version and the
+	// local files.
+	written := func() string {
+		var files, bytes int64
+		for _, n := range db.Nodes() {
+			infos, err := n.fs.List(db.Context(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fi := range infos {
+				files, bytes = files+1, bytes+fi.Size
+			}
+		}
+		return fmt.Sprintf("v%d, %d files, %d bytes", mustUp(t, db).catalog.Version(), files, bytes)
+	}
+	exec := func(q string) func() error {
+		return func() error {
+			_, err := s.Execute(q)
+			return err
+		}
+	}
+	before := written()
+	for _, st := range []struct {
+		name string
+		run  func() error
+	}{
+		{"delete", exec(`DELETE FROM sales WHERE sale_id <= 100`)},
+		{"update", exec(`UPDATE sales SET price = 0.0 WHERE sale_id <= 100`)},
+		{"add_column", exec(`ALTER TABLE sales ADD COLUMN tag INTEGER DEFAULT 7`)},
+		{"drop_table", exec(`DROP TABLE sales`)},
+		{"drop_partition", func() error { _, err := db.DropPartition("sales", ""); return err }},
+		{"move_partition", func() error { _, err := db.MovePartition("sales", "sales2", ""); return err }},
+		{"copy_table", func() error { return db.CopyTable("sales", "sales_copy") }},
+		{"refresh", func() error { _, err := db.RefreshColumns("facts"); return err }},
 	} {
-		if _, err := s.Execute(stmt); err == nil || !strings.Contains(err.Error(), "every node up") {
-			t.Errorf("%s with node2 down: err = %v, want every node up", stmt, err)
+		if err := st.run(); err == nil || !strings.Contains(err.Error(), "every node up") {
+			t.Errorf("%s with node2 down: err = %v, want every node up", st.name, err)
+		}
+		if after := written(); after != before {
+			t.Errorf("%s with node2 down wrote: before %s, after %s", st.name, before, after)
+			before = after
 		}
 	}
 	if n := count(`SELECT COUNT(*) FROM sales WHERE sale_id <= 100 AND price > 0.0`); n != 100 {
@@ -290,8 +332,9 @@ func TestEnterpriseDMLNeedsEveryNode(t *testing.T) {
 	if n := count(`SELECT COUNT(*) FROM sales WHERE sale_id <= 100`); n != 0 {
 		t.Errorf("%d deleted rows came back, want 0", n)
 	}
-	if n := count(`SELECT COUNT(*) FROM sales`); n != 200 {
-		t.Errorf("%d rows, want 200", n)
+	mustExec(t, s, `ALTER TABLE sales ADD COLUMN tag INTEGER DEFAULT 7`)
+	if n := count(`SELECT COUNT(*) FROM sales WHERE tag = 7`); n != 200 {
+		t.Errorf("%d rows with the added column, want 200", n)
 	}
 }
 

@@ -116,8 +116,7 @@ type pendingShip struct {
 // buildProjectionContainers splits (already partitioned) table rows into
 // one projection's containers: live aggregates are computed, replicated
 // projections stored whole, segmented projections split by the shard
-// ring, with writers chosen per mode. Used by the load path and by
-// flattened-column refresh when rebuilding live aggregates.
+// ring, with writers chosen per mode (stageLoad, for each projection).
 func (db *DB) buildProjectionContainers(init *Node, txn *catalog.Txn, tbl *catalog.Table, p *catalog.Projection, partitions map[string]*types.Batch, writers map[int]string, createVersion uint64) ([]pendingShip, []writerShard, error) {
 	var ships []pendingShip
 	var participating []writerShard

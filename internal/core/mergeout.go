@@ -132,7 +132,7 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	projSchema := physicalSchema(tbl, proj)
 	shardIdx := job.Containers[0].ShardIndex
 	inputs := make([]*catalog.StorageContainer, len(job.Containers))
-	dropped := make([]droppedContainer, len(job.Containers))
+	dropped := make([]readFrom, len(job.Containers))
 	var rows int64
 	for i, sc := range job.Containers {
 		// Re-read through the transaction so a concurrent drop conflicts.
@@ -141,11 +141,7 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 			return 0, fmt.Errorf("%w: container %d vanished before mergeout", catalog.ErrConflict, sc.OID)
 		}
 		inputs[i] = cur.(*catalog.StorageContainer)
-		dropped[i] = droppedContainer{inputs[i], snap.DeleteVectorsOf(sc.OID)}
-		for _, dv := range dropped[i].dvs {
-			txn.Delete(dv.OID)
-		}
-		txn.Delete(sc.OID)
+		dropped[i] = stageDrop(txn, readFrom{sc: inputs[i], node: runner, dvs: snap.DeleteVectorsOf(sc.OID)})
 		rows += inputs[i].RowCount
 	}
 	merged, err := db.readLive(ctx, runner, snap, tbl, proj, projSchema, inputs)
@@ -187,25 +183,17 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	if db.mode == ModeEon {
 		writers = []writerShard{{runner.name, shardIdx}}
 	}
-	subscribed := db.validateWriters(writers)
+	// The transaction deletes the delete vectors it applied, so none of
+	// them can have gone; an input holding more gained one.
+	subscribed, wrote := db.validateWriters(writers), validateWritten(nil, dropped)
 	rec, err := db.commit(runner, txn, func(latest *catalog.Snapshot) error {
-		if err := subscribed(latest); err != nil {
-			return err
-		}
-		// The transaction deletes the delete vectors it applied, so none
-		// of them can have gone; an input holding more gained one.
-		for _, d := range dropped {
-			if len(latest.DeleteVectorsOf(d.sc.OID)) != len(d.dvs) {
-				return fmt.Errorf("%w: container %d gained a delete vector during mergeout", catalog.ErrConflict, d.sc.OID)
-			}
-		}
-		return nil
+		return errors.Join(subscribed(latest), wrote(latest))
 	})
 	if err != nil {
 		return 0, err
 	}
 	// Dropped inputs free their files only when unreferenced (copied
 	// tables share files, §6.5).
-	db.queueDropped(runner.catalog.Snapshot(), rec.Version, dropped...)
+	db.queueDropped(rec.Version, dropped...)
 	return purged, nil
 }

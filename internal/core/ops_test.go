@@ -553,7 +553,7 @@ func TestLoadRollsBackOnSubscriptionChange(t *testing.T) {
 	txn := init.catalog.Begin()
 	for _, sub := range snap.Subscriptions("node1") {
 		if sub.ShardIndex == 0 {
-			txn.Delete(sub.OID)
+			txn.Delete(sub)
 		}
 	}
 	if _, err := db.commit(init, txn, nil); err != nil {

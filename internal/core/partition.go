@@ -26,42 +26,77 @@ func fileReferenceCount(snap *catalog.Snapshot) map[string]int {
 	return refs
 }
 
-// droppedContainer is a container a transaction deletes, with its
-// delete vectors.
-type droppedContainer struct {
-	sc  *catalog.StorageContainer
-	dvs []*catalog.DeleteVector
+// whole is sc as a statement that takes it whole — drops, moves or
+// copies it — lists it: with n, the node that listed it
+// (eachContainer), and the delete vectors n's snapshot in the cut holds
+// for it.
+func (env *queryEnv) whole(n *Node, sc *catalog.StorageContainer) readFrom {
+	return readFrom{sc: sc, node: n, dvs: env.snapshots[n.name].DeleteVectorsOf(sc.OID)}
 }
 
-// stageDrop deletes sc and its delete vectors in txn and returns what
-// queueDropped needs once the transaction has committed.
-func stageDrop(txn *catalog.Txn, sc *catalog.StorageContainer) droppedContainer {
-	d := droppedContainer{sc: sc, dvs: txn.Base().DeleteVectorsOf(sc.OID)}
+// stageDrop deletes d's container and its delete vectors in txn and
+// returns d, which the commit check (validateWritten) and queueDropped
+// take.
+func stageDrop(txn *catalog.Txn, d readFrom) readFrom {
 	for _, dv := range d.dvs {
-		txn.Delete(dv.OID)
+		txn.Delete(dv)
 	}
-	txn.Delete(sc.OID)
+	txn.Delete(d.sc)
 	return d
 }
 
 // queueDropped queues dropped containers' files for deletion, each only
-// when the post-drop snapshot holds no remaining reference to it (the
-// file may be shared with a copied table or another partition's clone).
-func (db *DB) queueDropped(after *catalog.Snapshot, dropVersion uint64, dropped ...droppedContainer) {
+// when no container or delete vector left in the catalog of the node
+// that listed it references the file: a copied table or another
+// partition's clone may share it, and shares its shard (or its owner).
+func (db *DB) queueDropped(dropVersion uint64, dropped ...readFrom) {
 	ctx := db.Context()
-	refs := fileReferenceCount(after)
+	refs := map[*Node]map[string]int{}
 	for _, d := range dropped {
+		if refs[d.node] == nil {
+			refs[d.node] = fileReferenceCount(d.node.catalog.Snapshot())
+		}
 		for _, f := range d.sc.AllFiles() {
-			if refs[f.Path] == 0 {
+			if refs[d.node][f.Path] == 0 {
 				db.deleteDataFile(ctx, f.Path, dropVersion)
 			}
 		}
 		for _, dv := range d.dvs {
-			if refs[dv.File.Path] == 0 {
+			if refs[d.node][dv.File.Path] == 0 {
 				db.deleteDataFile(ctx, dv.File.Path, dropVersion)
 			}
 		}
 	}
+}
+
+// beginStorageWrite starts a statement that writes storage: it applies
+// the Enterprise rule (needEveryNode), then chooses the participants
+// whose catalog cut lists the statement's containers (eachContainer) and
+// begins a transaction on the initiator.
+func (db *DB) beginStorageWrite(what string) (*queryEnv, *catalog.Txn, error) {
+	init, err := db.anyUpNode()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := db.needEveryNode(what); err != nil {
+		return nil, nil, err
+	}
+	env, err := (&Session{db: db}).selectParticipants(init)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env, init.catalog.Begin(), nil
+}
+
+// commitDrop commits a transaction that drops containers, checked by
+// validateWritten, and queues their files.
+func (db *DB) commitDrop(init *Node, txn *catalog.Txn, dropped []readFrom) error {
+	rec, err := db.commit(init, txn, validateWritten(nil, dropped))
+	if err != nil {
+		return err
+	}
+	db.queueDropped(rec.Version, dropped...)
+	return nil
 }
 
 // CopyTable creates dst as a snapshot copy of src. The new table's
@@ -71,12 +106,11 @@ func (db *DB) queueDropped(after *catalog.Snapshot, dropVersion uint64, dropped 
 // storage is not tied to a specific table"). Globally unique storage
 // identifiers make this safe without persistent name mappings.
 func (db *DB) CopyTable(src, dst string) error {
-	init, err := db.anyUpNode()
+	env, txn, err := db.beginStorageWrite("copy_table")
 	if err != nil {
 		return err
 	}
-	txn := init.catalog.Begin()
-	snap := txn.Base()
+	init, snap := env.initiator, txn.Base()
 	srcTbl, ok := snap.TableByName(src)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", src)
@@ -89,19 +123,23 @@ func (db *DB) CopyTable(src, dst string) error {
 	dstTbl.Name = dst
 	txn.Put(dstTbl)
 
-	for _, p := range snap.ProjectionsOf(srcTbl.OID) {
+	// Each copied projection keeps its buddy link, to its base's copy.
+	projs := snap.ProjectionsOf(srcTbl.OID)
+	copyOID := map[catalog.OID]catalog.OID{}
+	for _, p := range projs {
+		copyOID[p.OID] = init.catalog.NewOID()
+	}
+	var copied []readFrom
+	for _, p := range projs {
 		dp := p.Clone().(*catalog.Projection)
-		dp.OID = init.catalog.NewOID()
+		dp.OID = copyOID[p.OID]
 		dp.TableOID = dstTbl.OID
 		dp.Name = dst + "_" + p.Name
-		if p.BaseOID != 0 {
-			// Buddy links are re-established below only when the base
-			// was already copied; keep ordering simple by copying bases
-			// first (ProjectionsOf returns them first).
-			dp.BaseOID = 0
-		}
+		dp.BaseOID = copyOID[p.BaseOID]
 		txn.Put(dp)
-		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+		err := env.eachContainer(p, func(n *Node, sc *catalog.StorageContainer) error {
+			d := env.whole(n, sc)
+			copied = append(copied, d)
 			dc := sc.Clone().(*catalog.StorageContainer)
 			dc.OID = init.catalog.NewOID()
 			dc.ProjOID = dp.OID
@@ -109,16 +147,20 @@ func (db *DB) CopyTable(src, dst string) error {
 			dc.CreateVersion = snap.Version() + 1
 			// Files are shared by reference; nothing is copied.
 			txn.Put(dc)
-			for _, dv := range snap.DeleteVectorsOf(sc.OID) {
+			for _, dv := range d.dvs {
 				ddv := dv.Clone().(*catalog.DeleteVector)
 				ddv.OID = init.catalog.NewOID()
 				ddv.ContainerOID = dc.OID
 				ddv.ProjOID = dp.OID
 				txn.Put(ddv)
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	_, err = db.commit(init, txn, nil)
+	_, err = db.commit(init, txn, validateWritten(nil, copied))
 	return err
 }
 
@@ -126,32 +168,33 @@ func (db *DB) CopyTable(src, dst string) error {
 // matches (§2.1's quick file pruning makes this a metadata-only
 // operation; files free when unreferenced).
 func (db *DB) DropPartition(table, partitionKey string) (int, error) {
-	init, err := db.anyUpNode()
+	env, txn, err := db.beginStorageWrite("DROP_PARTITION")
 	if err != nil {
 		return 0, err
 	}
-	txn := init.catalog.Begin()
 	snap := txn.Base()
 	tbl, ok := snap.TableByName(table)
 	if !ok {
 		return 0, fmt.Errorf("core: unknown table %q", table)
 	}
-	var dropped []droppedContainer
+	var dropped []readFrom
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+		err := env.eachContainer(p, func(n *Node, sc *catalog.StorageContainer) error {
 			if sc.PartitionKey == partitionKey {
-				dropped = append(dropped, stageDrop(txn, sc))
+				dropped = append(dropped, stageDrop(txn, env.whole(n, sc)))
 			}
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
 	if len(dropped) == 0 {
 		return 0, nil
 	}
-	rec, err := db.commit(init, txn, nil)
-	if err != nil {
+	if err := db.commitDrop(env.initiator, txn, dropped); err != nil {
 		return 0, err
 	}
-	db.queueDropped(init.catalog.Snapshot(), rec.Version, dropped...)
 	return len(dropped), nil
 }
 
@@ -159,11 +202,10 @@ func (db *DB) DropPartition(table, partitionKey string) (int, error) {
 // metadata-only retagging, legal when both tables have structurally
 // identical projections (same columns, sort keys and segmentation).
 func (db *DB) MovePartition(src, dst, partitionKey string) (int, error) {
-	init, err := db.anyUpNode()
+	env, txn, err := db.beginStorageWrite("MOVE_PARTITIONS_TO_TABLE")
 	if err != nil {
 		return 0, err
 	}
-	txn := init.catalog.Begin()
 	snap := txn.Base()
 	srcTbl, ok := snap.TableByName(src)
 	if !ok {
@@ -201,30 +243,35 @@ func (db *DB) MovePartition(src, dst, partitionKey string) (int, error) {
 		match[sp.OID] = found
 	}
 
-	moved := 0
+	var moved []readFrom
 	for _, sp := range srcProjs {
 		dp := match[sp.OID]
-		for _, sc := range snap.ContainersOf(sp.OID, catalog.GlobalShard) {
+		err := env.eachContainer(sp, func(n *Node, sc *catalog.StorageContainer) error {
 			if sc.PartitionKey != partitionKey {
-				continue
+				return nil
 			}
+			d := env.whole(n, sc)
+			moved = append(moved, d)
 			mc := sc.Clone().(*catalog.StorageContainer)
 			mc.ProjOID = dp.OID
 			mc.TableOID = dstTbl.OID
 			txn.Put(mc)
-			for _, dv := range snap.DeleteVectorsOf(sc.OID) {
+			for _, dv := range d.dvs {
 				mdv := dv.Clone().(*catalog.DeleteVector)
 				mdv.ProjOID = dp.OID
 				txn.Put(mdv)
 			}
-			moved++
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
-	if moved == 0 {
+	if len(moved) == 0 {
 		return 0, nil
 	}
-	_, err = db.commit(init, txn, nil)
-	return moved, err
+	_, err = db.commit(env.initiator, txn, validateWritten(nil, moved))
+	return len(moved), err
 }
 
 // projStructEqual compares projection structure (columns, sort,

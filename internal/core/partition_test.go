@@ -62,40 +62,61 @@ func TestCopyTableSharesFiles(t *testing.T) {
 	}
 }
 
+// Dropping a table frees only the files no other table references, on
+// 2 nodes with 2 shards and on the recovered-initiator layout: 4 nodes, 4
+// shards, node1 down for the load and initiating after its recovery.
 func TestDropTableKeepsSharedFiles(t *testing.T) {
-	db := newTestDB(t, ModeEon, 2, 2)
-	loadPartitioned(t, db, "orig")
-	if err := db.CopyTable("orig", "clone"); err != nil {
-		t.Fatal(err)
-	}
-	// Dropping the original must not delete files the clone references.
-	s := db.NewSession()
-	mustExec(t, s, `DROP TABLE orig`)
-	if err := db.SyncMetadata(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.RunGC(); err != nil {
-		t.Fatal(err)
-	}
-	res := mustQuery(t, s, `SELECT COUNT(*) FROM clone`)
-	if res.Row(t, 0)[0].I != 180 {
-		t.Errorf("clone lost rows after original dropped: %v", res.Rows())
-	}
-	// Dropping the clone finally frees the files.
-	mustExec(t, s, `DROP TABLE clone`)
-	if err := db.SyncMetadata(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := db.RunGC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Error("dropping the last reference should free files")
-	}
-	infos, _ := db.SharedStore().List(db.Context(), "data/")
-	if len(infos) != 0 {
-		t.Errorf("%d orphan files remain", len(infos))
+	for _, l := range []struct {
+		name          string
+		nodes, shards int
+		down          string
+	}{{"2n_2s", 2, 2, ""}, {"recovered_initiator", 4, 4, "node1"}} {
+		t.Run(l.name, func(t *testing.T) {
+			db := newTestDB(t, ModeEon, l.nodes, l.shards)
+			if l.down != "" {
+				if err := db.KillNode(l.down); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loadPartitioned(t, db, "orig")
+			if l.down != "" {
+				if err := db.RecoverNode(l.down); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.CopyTable("orig", "clone"); err != nil {
+				t.Fatal(err)
+			}
+			// Dropping the original must not delete files the clone references.
+			s := db.NewSession()
+			mustExec(t, s, `DROP TABLE orig`)
+			if err := db.SyncMetadata(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.RunGC(); err != nil {
+				t.Fatal(err)
+			}
+			res := mustQuery(t, s, `SELECT COUNT(*) FROM clone`)
+			if res.Row(t, 0)[0].I != 180 {
+				t.Errorf("clone lost rows after original dropped: %v", res.Rows())
+			}
+			// Dropping the clone finally frees the files.
+			mustExec(t, s, `DROP TABLE clone`)
+			if err := db.SyncMetadata(); err != nil {
+				t.Fatal(err)
+			}
+			n, err := db.RunGC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				t.Error("dropping the last reference should free files")
+			}
+			infos, _ := db.SharedStore().List(db.Context(), "data/")
+			if len(infos) != 0 {
+				t.Errorf("%d orphan files remain", len(infos))
+			}
+		})
 	}
 }
 

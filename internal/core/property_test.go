@@ -249,25 +249,26 @@ func TestContainersSortedByProjectionKey(t *testing.T) {
 	// Scanning with ORDER BY b per shard should already be sorted within
 	// containers; verify via a full read and per-container check.
 	init, _ := db.anyUpNode()
-	snap := init.catalog.Snapshot()
-	tbl, _ := snap.TableByName("t")
+	env, err := (&Session{db: db}).selectParticipants(init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := env.snapshots[init.name].ProjectionByName("t_p")
 	checked := 0
-	for _, p := range snap.ProjectionsOf(tbl.OID) {
-		if p.Name != "t_p" {
-			continue
+	err = env.eachContainer(p, func(node *Node, sc *catalog.StorageContainer) error {
+		batch, err := readWholeContainer(t, db, node, sc)
+		if err != nil {
+			return err
 		}
-		for _, sc := range snap.ContainersOf(p.OID, -1) {
-			node := db.nodeForStorage(sc)
-			batch, err := readWholeContainer(t, db, node, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals := batch.Cols[1].Ints
-			if !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) {
-				t.Errorf("container %d not sorted by b", sc.OID)
-			}
-			checked++
+		vals := batch.Cols[1].Ints
+		if !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) {
+			t.Errorf("container %d not sorted by b", sc.OID)
 		}
+		checked++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if checked == 0 {
 		t.Fatal("no containers checked")

@@ -50,8 +50,8 @@ func (fs *fragmentScan) open(ctx context.Context, bypass bool) error {
 // readLive reads the live rows of containers, the delete vectors snap
 // holds for them applied, through node's fragment reader, as a query's
 // scan of p reads them, and returns them in container order: the columns
-// of schema, by name. Mergeout and the SET USING refresh read storage
-// this way; it counts into no query's record.
+// of schema, by name. Mergeout reads storage this way; it counts into no
+// query's record.
 func (db *DB) readLive(ctx context.Context, node *Node, snap *catalog.Snapshot, tbl *catalog.Table, p *catalog.Projection, schema types.Schema, containers []*catalog.StorageContainer) (*types.Batch, error) {
 	env := &queryEnv{db: db, session: &Session{db: db}, snapshots: map[string]*catalog.Snapshot{node.name: snap}}
 	fs := &fragmentScan{env: env, node: node, scan: &planner.Scan{Table: tbl, Proj: p, Cols: schema.Names(), OutSchema: schema}}
@@ -401,7 +401,7 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 	deletes := storage.NewDeleteSet(dvLists...)
 	if fs.scan.Positions {
 		fs.env.mu.Lock()
-		fs.env.read[sc.OID] = readFrom{sc, fs.node}
+		fs.env.read[sc.OID] = readFrom{sc: sc, node: fs.node}
 		fs.env.mu.Unlock()
 	}
 	// The container's blocks count into st, added to the fragment's

@@ -373,7 +373,7 @@ func TestResultCacheEnterpriseBuddyCopy(t *testing.T) {
 			continue
 		}
 		if scs := snap.ContainersOf(p.OID, 1); len(scs) > 0 {
-			txn.Delete(scs[0].OID)
+			txn.Delete(scs[0])
 			dropped = scs[0].RowCount
 		}
 	}

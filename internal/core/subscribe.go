@@ -248,7 +248,7 @@ func (db *DB) unsubscribe(nodeName string, shardIdx int) error {
 	}
 	// Drop metadata and purge cached files for the shard.
 	txn := init.catalog.Begin()
-	txn.Delete(sub.OID)
+	txn.Delete(sub)
 	if _, err := db.commit(init, txn, nil); err != nil {
 		return err
 	}

@@ -292,7 +292,7 @@ func (db *DB) depotFetchesDef() *systable.Def {
 }
 
 // storageContainersDef lists the committed storage containers from a
-// current catalog cut.
+// current catalog cut, through the participants a query would choose.
 func (db *DB) storageContainersDef() *systable.Def {
 	cols := types.Schema{
 		{Name: "oid", Type: types.Int64},
@@ -313,20 +313,29 @@ func (db *DB) storageContainersDef() *systable.Def {
 			if err != nil {
 				return nil, err
 			}
-			snap := init.catalog.Snapshot()
+			// Listed as a statement that writes storage lists them: every
+			// projection's containers, each by a node that holds it.
+			env, err := (&Session{db: db}).selectParticipants(init)
+			if err != nil {
+				return nil, err
+			}
+			snap := env.snapshots[init.name]
 			tblName := map[catalog.OID]string{}
 			projName := map[catalog.OID]string{}
+			var scs []*catalog.StorageContainer
 			for _, t := range snap.Tables() {
 				tblName[t.OID] = t.Name
 				for _, p := range snap.ProjectionsOf(t.OID) {
 					projName[p.OID] = p.Name
+					err := env.eachContainer(p, func(_ *Node, sc *catalog.StorageContainer) error {
+						scs = append(scs, sc)
+						return nil
+					})
+					if err != nil {
+						return nil, err
+					}
 				}
 			}
-			var scs []*catalog.StorageContainer
-			snap.ForEach(catalog.KindStorageContainer, func(o catalog.Object) bool {
-				scs = append(scs, o.(*catalog.StorageContainer))
-				return true
-			})
 			sort.Slice(scs, func(i, j int) bool { return scs[i].OID < scs[j].OID })
 			b := types.NewBatch(cols, len(scs))
 			for _, sc := range scs {

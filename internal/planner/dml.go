@@ -24,7 +24,8 @@ var PositionSchema = types.Schema{
 type DML struct {
 	Table *catalog.Table
 	// Scans holds one scan per projection, in catalog order, with the
-	// predicate bound to that projection's columns.
+	// predicate bound to that projection's columns; under Drop, only the
+	// scan of the statement's rows.
 	Scans []*Scan
 	// Rows indexes the scan whose rows are the statement's rows: the
 	// first base projection for DELETE (-1 if the table has none), and
@@ -35,6 +36,11 @@ type DML struct {
 	// (its columns in projection order, without the positions): one
 	// expression per table column, the SET value or the column itself.
 	Set []expr.Expr
+	// Drop marks a statement without WHERE: every row goes, so it drops
+	// every container of every projection, live aggregates included,
+	// instead of writing delete vectors, and an UPDATE's re-insert
+	// rebuilds them.
+	Drop bool
 }
 
 // PlanDML plans a *sql.Delete or *sql.Update against one catalog
@@ -57,19 +63,26 @@ func PlanDML(snap *catalog.Snapshot, stmt sql.Statement) (*DML, error) {
 		return nil, fmt.Errorf("planner: unknown table %q", table)
 	}
 	projs := snap.ProjectionsOf(tbl.OID)
-	d := &DML{Table: tbl, Rows: -1}
+	d := &DML{Table: tbl, Rows: -1, Drop: where == nil}
+	rows := -1
 	for i, p := range projs {
 		if p.IsLiveAggregate() {
-			// The paper's trade-off (§2.1): live aggregates restrict how
-			// the base table can be updated.
-			return nil, fmt.Errorf("planner: table %q has a live aggregate projection; DELETE/UPDATE are not supported", tbl.Name)
+			if !d.Drop {
+				// The paper's trade-off (§2.1): live aggregates restrict
+				// how the base table can be updated.
+				return nil, fmt.Errorf("planner: table %q has a live aggregate projection; only DELETE or UPDATE without WHERE is supported", tbl.Name)
+			}
+			continue
 		}
-		if d.Rows < 0 && p.BuddyOffset == 0 && (set == nil || len(p.Columns) == len(tbl.Columns)) {
-			d.Rows = i
+		if rows < 0 && p.BuddyOffset == 0 && (set == nil || len(p.Columns) == len(tbl.Columns)) {
+			rows = i
 		}
 	}
-	if d.Rows < 0 && set != nil {
+	switch {
+	case rows < 0 && set != nil:
 		return nil, fmt.Errorf("planner: UPDATE requires a projection containing every column of %q", tbl.Name)
+	case rows < 0 && len(projs) > 0:
+		return nil, fmt.Errorf("planner: table %q has only live aggregate projections; DELETE needs a base projection", tbl.Name)
 	}
 	needed := map[string]bool{}
 	if where != nil {
@@ -78,9 +91,15 @@ func PlanDML(snap *catalog.Snapshot, stmt sql.Statement) (*DML, error) {
 		}
 	}
 	for i, p := range projs {
+		if i != rows && (d.Drop || p.IsLiveAggregate()) {
+			continue
+		}
+		if i == rows {
+			d.Rows = len(d.Scans)
+		}
 		var cols []string
 		for _, c := range p.Columns {
-			if needed[strings.ToLower(c)] || (set != nil && i == d.Rows) {
+			if needed[strings.ToLower(c)] || (set != nil && i == rows) {
 				cols = append(cols, c)
 			}
 		}
@@ -96,7 +115,7 @@ func PlanDML(snap *catalog.Snapshot, stmt sql.Statement) (*DML, error) {
 	if set == nil {
 		return d, nil
 	}
-	cols := d.Scans[d.Rows].OutSchema[:len(projs[d.Rows].Columns)]
+	cols := d.Scans[d.Rows].OutSchema[:len(projs[rows].Columns)]
 	d.Set = make([]expr.Expr, len(tbl.Columns))
 	for i, c := range tbl.Columns {
 		d.Set[i] = expr.Col(c.Name)

@@ -63,12 +63,14 @@ race:
 # refresh exact after a mergeout and after a recovery (each lists its
 # containers through the query's participants, and a drop leaves no
 # container or file behind), v_monitor.storage_containers listing every
-# copy, an Enterprise copy keeping its buddy, revive's and sync's I/O shape
+# copy, an Enterprise copy keeping its buddy, a load racing DROP TABLE or
+# ADD COLUMN committing no container the statement missed (whichever
+# commits second conflicts), revive's and sync's I/O shape
 # (round trips, fallback, the crash-point sweep over sync -> shutdown ->
 # revive), plus the resilience layer's and the simulators' unit tests
 # with the wait helper's, race-checked.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce|TestInitiatorKillKeepsAcknowledgedRows|TestMergeoutKeepsConcurrentDelete|TestMergeoutCoversEveryShardAfterRecovery|TestFlattenAfterRecoveryLabelsEveryRow|TestStorageStatementsAfterMergeout|TestStorageStatementsAfterRecovery|TestDropTableKeepsSharedFiles|TestStorageContainersListsEveryCopy|TestCopyTableKeepsBuddy' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestChaos|TestQueryDeadlinePropagates|TestCacheBreakerDegradesToSharedStorage|TestDMLSeesEveryShard|TestDeleteConflictsWithMergeout|TestDeleteIgnoresMergeoutOfUnmatchedContainers|TestUpdateWithoutFullProjectionWritesNothing|TestUpdateCommitsOnce|TestUpdateReadersSeeNoGap|TestEnterpriseDMLNeedsEveryNode|TestEnterpriseKillKeepsAcknowledgedRows|TestCommitRefusesDownInitiator|TestMergeoutDuringRecoveryKeepsRowsOnce|TestInitiatorKillKeepsAcknowledgedRows|TestMergeoutKeepsConcurrentDelete|TestMergeoutCoversEveryShardAfterRecovery|TestFlattenAfterRecoveryLabelsEveryRow|TestStorageStatementsAfterMergeout|TestStorageStatementsAfterRecovery|TestDropTableKeepsSharedFiles|TestStorageContainersListsEveryCopy|TestCopyTableKeepsBuddy|TestLoadRacing' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRevive|TestSync|TestCommitPointCrashSweep' ./internal/core/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/objstore/ ./internal/netsim/ ./internal/simwait/
 
@@ -104,8 +106,11 @@ fuzz:
 # distinct finishes per node only when its columns cover the
 # segmentation), the DML matrix (DELETE and UPDATE shapes on the same
 # layouts and both engines, each run as a query: checked against a
-# model, the reference, the count before it and its fragment spans),
-# the LIMIT pushdown / early-termination and
+# model, the reference, the count before it and its fragment spans, a
+# point statement's on exactly the nodes that hold its key), the point-
+# shard matrix (= and IN on every segmentation column prune a scan's
+# shards and crunch members; NULL, a literal of another class and FLOAT
+# columns do not), the LIMIT pushdown / early-termination and
 # memory-budget spill tests, and the cancellation
 # leak check — all race-checked (the pipeline is goroutines connected by
 # channels) — the pipe unit tests (the one bounded edge: k producers,
@@ -120,7 +125,7 @@ fuzz:
 # vector of bytes) and the write path's allocation guards without the
 # race detector (they skip under -race, which inflates allocation counts).
 exec:
-	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestPointShardMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/

@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -902,10 +903,10 @@ func (db *DB) keepFuncFor(n *Node) catalog.KeepFunc {
 }
 
 // commit runs the cluster-wide commit protocol: OCC-validate and commit
-// on the initiator, then replicate the record to every other up node
-// with its metadata filter. Down nodes catch up from the record log on
-// recovery.
-func (db *DB) commit(initiator *Node, txn *catalog.Txn, validate func(*catalog.Snapshot) error) (*catalog.LogRecord, error) {
+// on the initiator, with every non-nil check run under the commit lock,
+// then replicate the record to every other up node with its metadata
+// filter. Down nodes catch up from the record log on recovery.
+func (db *DB) commit(initiator *Node, txn *catalog.Txn, checks ...func(*catalog.Snapshot) error) (*catalog.LogRecord, error) {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	if db.shutdown.Load() {
@@ -917,7 +918,15 @@ func (db *DB) commit(initiator *Node, txn *catalog.Txn, validate func(*catalog.S
 	if !initiator.Up() {
 		return nil, fmt.Errorf("core: initiator %s is down", initiator.name)
 	}
-	rec, err := initiator.catalog.CommitValidated(txn, validate)
+	rec, err := initiator.catalog.CommitValidated(txn, func(latest *catalog.Snapshot) error {
+		var errs []error
+		for _, check := range checks {
+			if check != nil {
+				errs = append(errs, check(latest))
+			}
+		}
+		return errors.Join(errs...)
+	})
 	if err != nil {
 		return nil, err
 	}

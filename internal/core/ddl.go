@@ -193,7 +193,8 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("core: unknown table %q", name)
 	}
 	var dropped []readFrom
-	for _, p := range snap.ProjectionsOf(tbl.OID) {
+	projs := snap.ProjectionsOf(tbl.OID)
+	for _, p := range projs {
 		err := env.eachContainer(p, func(n *Node, sc *catalog.StorageContainer) error {
 			dropped = append(dropped, stageDrop(txn, env.whole(n, sc)))
 			return nil
@@ -206,7 +207,32 @@ func (db *DB) DropTable(name string) error {
 	txn.Delete(tbl)
 	// Files free only when no surviving container references them — a
 	// copied table may share them (§5.1, §6.5).
-	return db.commitDrop(env.initiator, txn, dropped)
+	return db.commitDrop(env.initiator, txn, dropped, db.noneAddedSince(env.version, projs))
+}
+
+// noneAddedSince is the check of a statement that lists every container
+// of projs in its cut, at version, and drops or rewrites them all: a
+// container of one of them committed since, on any up node — a load's,
+// which the listing missed — fails it with catalog.ErrConflict. (The
+// load's own commit conflicts when the statement commits first: it
+// tracks the table and projections it writes.)
+func (db *DB) noneAddedSince(version uint64, projs []*catalog.Projection) func(*catalog.Snapshot) error {
+	return func(*catalog.Snapshot) error {
+		for _, n := range db.Nodes() {
+			if !n.Up() {
+				continue
+			}
+			snap := n.catalog.Snapshot()
+			for _, p := range projs {
+				for _, sc := range snap.ContainersOf(p.OID, catalog.GlobalShard) {
+					if snap.ModVersion(sc.OID) > version {
+						return fmt.Errorf("%w: container %d of %s committed during the statement", catalog.ErrConflict, sc.OID, p.Name)
+					}
+				}
+			}
+		}
+		return nil
+	}
 }
 
 // AlterAddColumn adds a column to a table using optimistic concurrency
@@ -292,7 +318,9 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 				}
 			}
 			img, stats := rosfile.WriteColumn(colVec, rosfile.WriteOptions{})
-			sid := storage.SID(init.InstanceID(), sc.OID) // reuse container SID namespace
+			// A fresh name per attempt: an attempt that conflicted left its
+			// file behind, and a shared-storage file is written once.
+			sid := storage.SID(init.InstanceID(), init.catalog.NewOID())
 			path := storage.DataPath(sid, stmt.Col.Name)
 
 			updated := sc.Clone().(*catalog.StorageContainer)
@@ -314,7 +342,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			return err
 		}
 	}
-	_, err = db.commit(init, txn, validateWritten(written, nil))
+	_, err = db.commit(init, txn, validateWritten(written, nil), db.noneAddedSince(env.version, snap.ProjectionsOf(tblObj.OID)))
 	return err
 }
 

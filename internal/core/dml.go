@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"eon/internal/catalog"
@@ -126,10 +125,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
 			return nil, err
 		}
-		wrote, subscribed := validateWritten(written, dropped), db.validateWriters(writers)
-		rec, err := db.commit(init, txn, func(latest *catalog.Snapshot) error {
-			return errors.Join(wrote(latest), subscribed(latest))
-		})
+		rec, err := db.commit(init, txn, validateWritten(written, dropped), db.validateWriters(writers))
 		if err != nil {
 			return nil, err
 		}

@@ -71,6 +71,10 @@ type stagedLoad struct {
 // and releases the slots. LoadRows and an UPDATE's re-insert share it.
 func (db *DB) stageLoad(init *Node, txn *catalog.Txn, tbl *catalog.Table, batch *types.Batch) (stagedLoad, error) {
 	snap := txn.Base()
+	// The load writes containers of tbl's projections as its base has
+	// them: a DROP TABLE or ADD COLUMN committing meanwhile fails the
+	// commit with catalog.ErrConflict.
+	txn.TrackRead(tbl.OID)
 	batch, err := db.applyFlattened(tbl, batch)
 	if err != nil {
 		return stagedLoad{}, err
@@ -95,6 +99,7 @@ func (db *DB) stageLoad(init *Node, txn *catalog.Txn, tbl *catalog.Table, batch 
 		time.Sleep(db.cfg.LoadCost)
 	}
 	for _, p := range snap.ProjectionsOf(tbl.OID) {
+		txn.TrackRead(p.OID)
 		ps, pw, err := db.buildProjectionContainers(init, txn, tbl, p, partitions, writers, snap.Version()+1)
 		if err != nil {
 			load.release()

@@ -185,10 +185,7 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	}
 	// The transaction deletes the delete vectors it applied, so none of
 	// them can have gone; an input holding more gained one.
-	subscribed, wrote := db.validateWriters(writers), validateWritten(nil, dropped)
-	rec, err := db.commit(runner, txn, func(latest *catalog.Snapshot) error {
-		return errors.Join(subscribed(latest), wrote(latest))
-	})
+	rec, err := db.commit(runner, txn, db.validateWriters(writers), validateWritten(nil, dropped))
 	if err != nil {
 		return 0, err
 	}

@@ -89,9 +89,9 @@ func (db *DB) beginStorageWrite(what string) (*queryEnv, *catalog.Txn, error) {
 }
 
 // commitDrop commits a transaction that drops containers, checked by
-// validateWritten, and queues their files.
-func (db *DB) commitDrop(init *Node, txn *catalog.Txn, dropped []readFrom) error {
-	rec, err := db.commit(init, txn, validateWritten(nil, dropped))
+// validateWritten and the checks also, and queues their files.
+func (db *DB) commitDrop(init *Node, txn *catalog.Txn, dropped []readFrom, also ...func(*catalog.Snapshot) error) error {
+	rec, err := db.commit(init, txn, append(also, validateWritten(nil, dropped))...)
 	if err != nil {
 		return err
 	}

@@ -649,7 +649,8 @@ func (s *Session) selectParticipants(init *Node) (*queryEnv, error) {
 	}
 
 	// Crunch scaling (§4.4): when enabled, every ACTIVE up subscriber of
-	// a shard joins its serving group, the primary first.
+	// a shard joins its serving group with the primary, in name order, so
+	// which member serves a key does not depend on the assignment.
 	crunch := map[int][]string{}
 	if s.Crunch != CrunchOff && db.mode == ModeEon {
 		for _, sh := range shards {
@@ -659,7 +660,7 @@ func (s *Session) selectParticipants(init *Node) (*queryEnv, error) {
 					group = append(group, sub.Node)
 				}
 			}
-			sort.Strings(group[1:])
+			sort.Strings(group)
 			if len(group) > 1 {
 				crunch[sh] = group
 			}

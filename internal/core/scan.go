@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"eon/internal/catalog"
@@ -106,11 +107,13 @@ func (fs *fragmentScan) list() error {
 		containers := snap.ContainersOf(proj.OID, shardIdx)
 		// Container split (§4.4): "each node sharing a segment scans a
 		// distinct subset of the containers".
-		useContainerSplit := task.Of > 1 &&
-			(env.session.Crunch == CrunchContainerSplit || len(scan.SegmentCols) == 0)
+		useContainerSplit := env.splitsContainers(scan, task)
 		for ci, sc := range containers {
 			if db.mode == ModeEnterprise && sc.OwnerNode != node.name {
 				continue
+			}
+			if shardIdx == catalog.GlobalShard && fs.keys != nil && !slices.ContainsFunc(fs.keys, func(h uint32) bool { return db.ring.SegmentFor(h) == sc.ShardIndex }) {
+				continue // a listing of every shard keeps the pinned ones
 			}
 			if useContainerSplit && ci%task.Of != task.Part {
 				continue
@@ -132,6 +135,14 @@ func (fs *fragmentScan) list() error {
 		}
 	}
 	return nil
+}
+
+// splitsContainers reports whether task's crunch group splits its
+// shard's containers between members rather than filtering its rows by
+// hash: under CrunchContainerSplit, or when the scan does not read every
+// segmentation column.
+func (env *queryEnv) splitsContainers(scan *planner.Scan, task scanTask) bool {
+	return task.Of > 1 && (env.session.Crunch == CrunchContainerSplit || len(scan.SegmentCols) == 0)
 }
 
 // run hands each surviving batch of a planned fragment to emit as it is
@@ -297,6 +308,9 @@ type fragmentScan struct {
 	node  *Node
 	scan  *planner.Scan
 	tasks []scanTask
+	// keys are the key hashes the scan's predicate pins (pinnedKeys),
+	// nil if none: a listing of every shard skips the other shards.
+	keys []uint32
 	// rec counts the fragment's scan work; next links the query's
 	// fragments for shutdown to sum (queryEnv.frags), and span is the
 	// fragment's, nil with tracing off.
@@ -427,7 +441,7 @@ func (fs *fragmentScan) scanContainer(ctx context.Context, sc *catalog.StorageCo
 			st.BlocksPruned++
 			continue
 		}
-		batch, err := fs.scanBlock(sc.OID, cols, bi, blk, deletes, w, &st)
+		batch, err := fs.scanBlock(sc.OID, cols, bi, blk, &deletes, w, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -450,6 +464,7 @@ func (fs *fragmentScan) publish() {
 	fs.rec.mu.Lock()
 	defer fs.rec.mu.Unlock()
 	st := &fs.rec.ScanStats
+	frag.AddAttr("shards_pruned", st.ShardsPruned)
 	frag.AddAttr("containers_scanned", st.ContainersScanned)
 	frag.AddAttr("containers_pruned", st.ContainersPruned)
 	frag.AddAttr("blocks_scanned", st.BlocksScanned)

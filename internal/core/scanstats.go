@@ -15,6 +15,10 @@ import (
 // workers, so under a parallel scan they can exceed the query's wall
 // time; the ratio IO/(IO+Decode+Filter) still shows where the work is.
 type ScanStats struct {
+	// ShardsPruned counts the segment shards a scan did not read because
+	// its predicate pins every segmentation column to values hashing
+	// elsewhere (queryEnv.pinnedKeys).
+	ShardsPruned int64
 	// ContainersScanned / ContainersPruned count containers read vs
 	// skipped whole by catalog min/max stats (§2.1).
 	ContainersScanned int64
@@ -66,6 +70,7 @@ var scanCounters = []struct {
 	name string
 	of   func(*ScanStats) *int64
 }{
+	{"shards_pruned", func(s *ScanStats) *int64 { return &s.ShardsPruned }},
 	{"containers_scanned", func(s *ScanStats) *int64 { return &s.ContainersScanned }},
 	{"containers_pruned", func(s *ScanStats) *int64 { return &s.ContainersPruned }},
 	{"blocks_scanned", func(s *ScanStats) *int64 { return &s.BlocksScanned }},
@@ -90,6 +95,7 @@ var scanCounters = []struct {
 // scanCounters, whose accessors would move o to the heap: a scan adds a
 // container's counts with it, so it must not allocate.
 func (s *ScanStats) Add(o ScanStats) {
+	s.ShardsPruned += o.ShardsPruned
 	s.ContainersScanned += o.ContainersScanned
 	s.ContainersPruned += o.ContainersPruned
 	s.BlocksScanned += o.BlocksScanned

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"eon/internal/catalog"
 	"eon/internal/exec"
 	"eon/internal/expr"
+	"eon/internal/hashring"
 	"eon/internal/netsim"
 	"eon/internal/obs"
 	"eon/internal/planner"
@@ -565,10 +568,11 @@ func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 // first pull, but the fragment is planned here, while the pipeline is
 // built: its shared-storage reads go out at once — a join's second side
 // and a replicated dimension fetch while the first side is being read.
-func (env *queryEnv) scanOp(n *Node, scan *planner.Scan, tasks []scanTask, sp *obs.Span) exec.Operator {
-	ch := newPipe(env.ctx, scan.OutSchema, 1)
+func (env *queryEnv) scanOp(fs *fragmentScan, sp *obs.Span) exec.Operator {
+	n := fs.node
+	ch := newPipe(env.ctx, fs.scan.OutSchema, 1)
 	fragSp := sp.StartSpan("fragment:" + n.name)
-	fs := &fragmentScan{env: env, node: n, scan: scan, tasks: tasks, span: fragSp}
+	fs.span = fragSp
 	env.mu.Lock()
 	fs.next, env.frags = env.frags, fs
 	env.mu.Unlock()
@@ -619,7 +623,7 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 	if scan.Replicated && !scan.Positions {
 		// Replicated projections are read once — preferentially on the
 		// initiator — and replayed by every consumer.
-		op := env.scanOp(env.initiator, scan, []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}, sp)
+		op := env.scanOp(&fragmentScan{env: env, node: env.initiator, scan: scan, tasks: []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}}, sp)
 		res := &streamResult{replicated: true, schema: scan.OutSchema, sp: sp}
 		res.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 			b, err := exec.Collect(edge(op, sp, nil))
@@ -631,8 +635,9 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		return res, nil
 	}
 	res := &streamResult{perNode: map[string]exec.Operator{}, schema: scan.OutSchema, sp: sp}
+	keys := env.pinnedKeys(scan)
 	for _, name := range env.nodes {
-		tasks := env.tasksFor(name, scan)
+		tasks := env.tasksFor(name, scan, keys)
 		if len(tasks) == 0 {
 			continue
 		}
@@ -640,7 +645,16 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		if !ok || !n.Up() {
 			return nil, fmt.Errorf("%w: %s", errNodeDown, name)
 		}
-		res.perNode[name] = env.scanOp(n, scan, tasks, sp)
+		fs := &fragmentScan{env: env, node: n, scan: scan, tasks: tasks, keys: keys}
+		if keys != nil && len(res.perNode) == 0 {
+			// The scan's first fragment carries the count for the scan.
+			pinned := map[int]bool{}
+			for _, h := range keys {
+				pinned[env.db.ring.SegmentFor(h)] = true
+			}
+			fs.rec.ShardsPruned = int64(env.db.ring.Count() - len(pinned))
+		}
+		res.perNode[name] = env.scanOp(fs, sp)
 	}
 	return res, nil
 }
@@ -649,8 +663,10 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 // shards, or the replica shard on the initiator. An Enterprise DML scan
 // reads every copy where it is stored, since only a container's owner
 // deletes from it: each node lists all the containers it owns. Every up
-// Enterprise node already participates, owning its own segment.
-func (env *queryEnv) tasksFor(node string, scan *planner.Scan) []scanTask {
+// Enterprise node already participates, owning its own segment. With
+// pinned keys (pinnedKeys), a node keeps only the tasks that can hold
+// one (holdsKey).
+func (env *queryEnv) tasksFor(node string, scan *planner.Scan, keys []uint32) []scanTask {
 	switch {
 	case scan.Positions && env.db.mode == ModeEnterprise:
 		return []scanTask{{Shard: catalog.GlobalShard, Of: 1}}
@@ -660,7 +676,63 @@ func (env *queryEnv) tasksFor(node string, scan *planner.Scan) []scanTask {
 		}
 		return []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}
 	}
-	return env.nodeTasks(node)
+	tasks := env.nodeTasks(node)
+	if keys == nil {
+		return tasks
+	}
+	kept := tasks[:0]
+	for _, t := range tasks {
+		if env.holdsKey(scan, t, keys) {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
+// pinnedKeys returns the hashes of the segmentation keys scan's
+// predicate pins (expr.PinnedValues), or nil when it pins none. Every row
+// the scan can return hashes to one of them, so only the shards holding
+// them — and, under a crunch hash filter, only the members whose
+// sub-range does — have rows to read (§2.2, §4). The predicate is the
+// executed one, parameters substituted, so a cached plan prunes per
+// execution.
+func (env *queryEnv) pinnedKeys(scan *planner.Scan) []uint32 {
+	if scan.Pred == nil || scan.Replicated || scan.Virtual {
+		return nil
+	}
+	segCols := make([]int, len(scan.Proj.SegmentCols))
+	ord := make([]int, len(segCols))
+	for i, c := range scan.Proj.SegmentCols {
+		segCols[i] = slices.IndexFunc(scan.Cols, func(col string) bool { return strings.EqualFold(col, c) })
+		if segCols[i] < 0 {
+			return nil
+		}
+		ord[i] = i
+	}
+	pinned := expr.PinnedValues(scan.Pred, segCols)
+	if pinned == nil {
+		return nil
+	}
+	keys := make([]uint32, len(pinned))
+	for i, key := range pinned {
+		keys[i] = hashring.HashRowCols(key, ord)
+	}
+	return keys
+}
+
+// holdsKey reports whether task can read a row whose key hashes to one
+// of keys: its shard holds the hash and, when its crunch group filters
+// the shard by hash, so does its sub-range. A group that splits the
+// shard's containers keeps every member, since the key's rows can be in
+// any container.
+func (env *queryEnv) holdsKey(scan *planner.Scan, task scanTask, keys []uint32) bool {
+	for _, h := range keys {
+		shard, part := env.db.ring.Locate(h, task.Of)
+		if shard == task.Shard && (part == task.Part || env.splitsContainers(scan, task)) {
+			return true
+		}
+	}
+	return false
 }
 
 // eachContainer calls fn once for every container of p, with the node
@@ -672,7 +744,7 @@ func (env *queryEnv) eachContainer(p *catalog.Projection, fn func(*Node, *catalo
 		if !ok || !n.Up() {
 			return fmt.Errorf("%w: %s", errNodeDown, name)
 		}
-		fs := &fragmentScan{env: env, node: n, scan: scan, tasks: env.tasksFor(name, scan)}
+		fs := &fragmentScan{env: env, node: n, scan: scan, tasks: env.tasksFor(name, scan, nil)}
 		if err := fs.list(); err != nil {
 			return err
 		}

@@ -41,6 +41,8 @@ type dmlStep struct {
 	apply func(r dmlRow) dmlRow
 	// pruned: the predicate lets container and block min/max skip work.
 	pruned bool
+	// point is the id a point statement pins, whose shard alone it reads.
+	point types.Row
 }
 
 func (st dmlStep) sql() string {
@@ -65,14 +67,16 @@ func (st dmlStep) countSQL() string {
 func dmlSteps() []dmlStep {
 	all := func(dmlRow) bool { return true }
 	return []dmlStep{
-		{name: "delete_point", where: "id = 4242", match: func(r dmlRow) bool { return r.id == 4242 }, pruned: true},
+		{name: "delete_point", where: "id = 4242", match: func(r dmlRow) bool { return r.id == 4242 }, pruned: true,
+			point: types.Row{types.NewInt(4242)}},
 		{name: "delete_range", where: "id >= 1000 AND id < 1100",
 			match: func(r dmlRow) bool { return r.id >= 1000 && r.id < 1100 }, pruned: true},
 		{name: "delete_non_sort", where: "k = 3", match: func(r dmlRow) bool { return r.k == 3 }},
 		{name: "delete_null", where: "v > 7", match: func(r dmlRow) bool { return !r.null && r.v > 7 }},
 		{name: "delete_none", where: "id < 0", match: func(dmlRow) bool { return false }},
 		{name: "update_point", where: "id = 777", match: func(r dmlRow) bool { return r.id == 777 },
-			set: "v = 100", apply: func(r dmlRow) dmlRow { r.v, r.null = 100, false; return r }, pruned: true},
+			set: "v = 100", apply: func(r dmlRow) dmlRow { r.v, r.null = 100, false; return r }, pruned: true,
+			point: types.Row{types.NewInt(777)}},
 		{name: "update_range", where: "id >= 2000 AND id < 2100",
 			match: func(r dmlRow) bool { return r.id >= 2000 && r.id < 2100 },
 			set:   "v = v + 1", apply: func(r dmlRow) dmlRow { r.v++; return r }, pruned: true},
@@ -281,7 +285,7 @@ func TestDMLMatrix(t *testing.T) {
 									st.name, sc.ContainersPruned, sc.BlocksPruned)
 							}
 						}
-						checkDMLProfile(t, db, mon, st.name, l.nodes, l.shards, mode.mode, got)
+						checkDMLProfile(t, db, mon, st, l.nodes, l.shards, mode.mode, got)
 					}
 				})
 			}
@@ -292,9 +296,11 @@ func TestDMLMatrix(t *testing.T) {
 // checkDMLProfile reads the traced statement's fragment spans from SQL:
 // one per serving node — every node under crunch, which spreads each
 // shard over all its subscribers, else one per shard up to the node
-// count — whose rows out add up to the statement's count.
-func checkDMLProfile(t *testing.T, db *core.DB, mon *core.Session, name string, nodes, shards int, mode core.CrunchMode, count int64) {
+// count — whose rows out add up to the statement's count. A point
+// statement reads only the nodes that can hold its key (keyServers).
+func checkDMLProfile(t *testing.T, db *core.DB, mon *core.Session, st dmlStep, nodes, shards int, mode core.CrunchMode, count int64) {
 	t.Helper()
+	name := st.name
 	res, err := mon.Query(`SELECT p.operator, p.rows_out FROM v_monitor.query_profiles p WHERE p.operator LIKE 'fragment:%'`)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +319,9 @@ func checkDMLProfile(t *testing.T, db *core.DB, mon *core.Session, name string, 
 	if mode != core.CrunchOff {
 		want = nodes
 	}
-	if len(seen) != want {
+	if st.point != nil {
+		checkKeyFragments(t, db, mon, name, mode, []types.Row{st.point}, seen)
+	} else if len(seen) != want {
 		t.Errorf("%s: fragment spans on %d nodes %v, want %d", name, len(seen), seen, want)
 	}
 	if rows != count {

@@ -1,6 +1,10 @@
 package expr
 
-import "eon/internal/types"
+import (
+	"slices"
+
+	"eon/internal/types"
+)
 
 // ColumnStats aliases types.ColumnStats: the min/max/null summary of one
 // column of a storage unit (a ROS block or a whole container).
@@ -145,4 +149,66 @@ func flipOp(op Op) Op {
 	default:
 		return op
 	}
+}
+
+// PinnedValues returns the key tuples a row must hold in cols (bound
+// column indexes, in segmentation order) to satisfy e, when top-level
+// conjuncts of e pin every one of them: col = literal, or, when cols is a
+// single column, col IN (literals). A tuple holds one value per column of
+// cols. Every literal must be non-NULL and of its column's physical
+// class, since only then does equality imply equal hashes; FLOAT columns
+// never pin (-0.0 = +0.0, yet their bits differ). nil means some column
+// is unpinned and a row could hold any key. A column pinned twice keeps
+// its first pin: a matching row satisfies both.
+func PinnedValues(e Expr, cols []int) []types.Row {
+	pins := make([][]types.Datum, len(cols))
+	pin := func(col *ColumnRef, vals []types.Datum) {
+		for _, v := range vals {
+			if v.Null || v.K.Physical() != col.Typ.Physical() || v.K.Physical() == types.Float64 {
+				return
+			}
+		}
+		if i := slices.Index(cols, col.Index); i >= 0 && pins[i] == nil {
+			pins[i] = vals
+		}
+	}
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch n := e.(type) {
+		case *Binary:
+			if n.Op == OpAnd {
+				walk(n.L)
+				walk(n.R)
+			} else if col, lit, op, ok := normalizeComparison(n); ok && op == OpEq {
+				pin(col, []types.Datum{lit})
+			}
+		case *In:
+			col, ok := n.E.(*ColumnRef)
+			if !ok || n.Negate || len(cols) != 1 {
+				return
+			}
+			vals := make([]types.Datum, len(n.List))
+			for i, le := range n.List {
+				lit, ok := le.(*Literal)
+				if !ok {
+					return
+				}
+				vals[i] = lit.Value
+			}
+			pin(col, vals)
+		}
+	}
+	walk(e)
+	if len(cols) == 0 || slices.ContainsFunc(pins, func(vals []types.Datum) bool { return vals == nil }) {
+		return nil
+	}
+	// Only a single column takes an IN list, so every other column holds
+	// one value: tuple i is each column's i-th.
+	keys := make([]types.Row, len(pins[0]))
+	for i := range keys {
+		for _, vals := range pins {
+			keys[i] = append(keys[i], vals[i])
+		}
+	}
+	return keys
 }

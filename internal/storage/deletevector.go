@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"eon/internal/catalog"
@@ -72,20 +73,25 @@ func countDistinct(positions []int64) int {
 	return len(seen)
 }
 
-// DeleteSet is the merged view of all delete vectors over one container.
+// DeleteSet is the merged view of all delete vectors over one container:
+// its deleted positions, sorted and distinct.
 type DeleteSet struct {
-	positions map[int64]struct{}
+	positions []int64
 }
 
-// NewDeleteSet merges position lists.
-func NewDeleteSet(lists ...[]int64) *DeleteSet {
-	ds := &DeleteSet{positions: map[int64]struct{}{}}
-	for _, l := range lists {
-		for _, p := range l {
-			ds.positions[p] = struct{}{}
-		}
+// NewDeleteSet merges position lists, each sorted and distinct as a
+// delete vector file is. A single list is used as is, so a container
+// with at most one delete vector allocates nothing here.
+func NewDeleteSet(lists ...[]int64) DeleteSet {
+	if len(lists) == 1 {
+		return DeleteSet{lists[0]}
 	}
-	return ds
+	var all []int64
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	slices.Sort(all)
+	return DeleteSet{slices.Compact(all)}
 }
 
 // Len returns the number of deleted positions.
@@ -93,25 +99,22 @@ func (d *DeleteSet) Len() int { return len(d.positions) }
 
 // Contains reports whether tuple position p is deleted.
 func (d *DeleteSet) Contains(p int64) bool {
-	_, ok := d.positions[p]
+	_, ok := slices.BinarySearch(d.positions, p)
 	return ok
 }
 
 // LivePositions returns, for rows [base, base+n), the in-batch indexes of
-// rows that are not deleted.
+// rows that are not deleted: it finds the first deleted position at or
+// after base and walks the sorted positions forward with the rows.
 func (d *DeleteSet) LivePositions(base int64, n int) []int {
-	if len(d.positions) == 0 {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
 	out := make([]int, 0, n)
+	next, _ := slices.BinarySearch(d.positions, base)
 	for i := 0; i < n; i++ {
-		if !d.Contains(base + int64(i)) {
-			out = append(out, i)
+		if next < len(d.positions) && d.positions[next] == base+int64(i) {
+			next++
+			continue
 		}
+		out = append(out, i)
 	}
 	return out
 }

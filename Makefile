@@ -117,12 +117,17 @@ fuzz:
 # first error, cancellation), the crunch tests (each member's hash
 # filter keeps its share of the shard), the fetch rule (a cold query's GETs all in flight
 # before one returns; a LIMIT and the fetch-ahead window bound them),
-# plus the operator and fan-out helper unit tests, the typed write
+# plus the operator and fan-out helper unit tests (the batch contract
+# among them: every operator over a source that poisons a batch once it
+# is pulled again), the typed write
 # kernels against their Datum-based references and the container digests
 # recorded before them, the hash operators' steady-state (a computed
 # aggregate argument included), the warm expression arena's, a warm
 # point query's (its node's pooled scan workers: under one 4096-row
-# vector of bytes) and the write path's allocation guards without the
+# vector of bytes), a warm scan and aggregate's (the scan lends its
+# vectors: a quarter of what it allocated when they left with each
+# block), a point DELETE scan's (under one 4096-row vector) and the write
+# path's allocation guards without the
 # race detector (they skip under -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestPointShardMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
@@ -131,7 +136,7 @@ exec:
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
 	$(GO) test -count=1 -run 'TestArenaSteadyState' ./internal/expr/
-	$(GO) test -count=1 -run 'TestWarmPointQueryBytes' ./internal/core/
+	$(GO) test -count=1 -run 'TestWarmPointQueryBytes|TestWarmScanAggregateBytes|TestPointDeleteScanBytes' ./internal/core/
 	$(GO) test -count=1 -run 'TestWritePathAllocs' ./internal/storage/
 
 # Reconciler gate: the spare lifecycle and RemoveNode regression tests,

@@ -248,6 +248,7 @@ type Node struct {
 	minQReported uint64         // monotonically increasing gossip value
 
 	scanFree chan *scanWorker // idle scan workers (scan.go), at most ScanConcurrency
+	vecs     *vecPool         // the vectors its scans lend (scan.go)
 }
 
 // Name returns the node's name.
@@ -660,6 +661,7 @@ func (db *DB) newNode(spec NodeSpec) *Node {
 		runningQ:   map[uint64]int{},
 		syncSeen:   map[string]bool{},
 		scanFree:   make(chan *scanWorker, max(cfg.ScanConcurrency, 1)),
+		vecs:       newVecPool(cfg.ScanConcurrency),
 	}
 	n.inst.Store(cluster.NewInstanceID())
 	n.catalog.SetPersister(catalog.NewPersister(n.fs, "catalog", cfg.CheckpointThreshold))
@@ -761,6 +763,13 @@ func (db *DB) installMetrics() {
 	db.resultCache.register(reg)
 	db.admission.register(reg)
 	db.execMem = reg.Gauge("exec.mem_bytes")
+	reg.GaugeFunc("scan.lent_vectors", func() int64 {
+		var n int64
+		for _, node := range db.Nodes() {
+			n += node.vecs.lent.Load()
+		}
+		return n
+	})
 	db.execPeak = reg.Histogram("exec.query_peak_mem_bytes")
 	db.execSpills = reg.Counter("exec.spills")
 	db.execSpillBytes = reg.Counter("exec.spill_bytes")
@@ -952,6 +961,18 @@ func (db *DB) commit(initiator *Node, txn *catalog.Txn, checks ...func(*catalog.
 	}
 	wg.Wait()
 	return rec, nil
+}
+
+// commitWritten is commit for a statement that persisted ships' files for
+// txn: if it is refused, no catalog references them, so RunGC frees them.
+func (db *DB) commitWritten(initiator *Node, txn *catalog.Txn, ships []pendingShip, checks ...func(*catalog.Snapshot) error) (*catalog.LogRecord, error) {
+	rec, err := db.commit(initiator, txn, checks...)
+	for i := 0; err != nil && i < len(ships); i++ {
+		for path := range ships[i].files {
+			db.deleteDataFile(db.Context(), path, initiator.catalog.Version())
+		}
+	}
+	return rec, err
 }
 
 // recordsAfter returns committed records with version > v.

@@ -269,6 +269,7 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 	// Generate the new column's data for every projection and container
 	// — offline, before taking the commit lock.
 	written := map[catalog.OID]readFrom{}
+	var ships []pendingShip // the column files, for a refused commit to free
 	for _, p := range snap.ProjectionsOf(tblObj.OID) {
 		if p.IsLiveAggregate() {
 			continue // live aggregates track only their group/agg columns
@@ -336,13 +337,14 @@ func (db *DB) AlterAddColumn(stmt *sql.AlterAddColumn) error {
 			txn.Put(updated)
 			written[sc.OID] = readFrom{sc: sc, node: node}
 			// Persist the new column file before commit.
-			return db.persistFiles(ctx, node, map[string][]byte{path: img}, sc.ShardIndex, db.neverCacheTable(tbl.Name))
+			ships = append(ships, pendingShip{writer: node, files: map[string][]byte{path: img}, shard: sc.ShardIndex})
+			return db.persistFiles(ctx, node, ships[len(ships)-1].files, sc.ShardIndex, db.neverCacheTable(tbl.Name))
 		})
 		if err != nil {
 			return err
 		}
 	}
-	_, err = db.commit(init, txn, validateWritten(written, nil), db.noneAddedSince(env.version, snap.ProjectionsOf(tblObj.OID)))
+	_, err = db.commitWritten(init, txn, ships, validateWritten(written, nil), db.noneAddedSince(env.version, snap.ProjectionsOf(tblObj.OID)))
 	return err
 }
 

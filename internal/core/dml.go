@@ -125,7 +125,7 @@ func (s *Session) runDML(stmt sql.Statement, env *queryEnv, root *obs.Span) (*Re
 		if err := db.persistShips(db.Context(), ships, db.neverCacheTable(plan.Table.Name)); err != nil {
 			return nil, err
 		}
-		rec, err := db.commit(init, txn, validateWritten(written, dropped), db.validateWriters(writers))
+		rec, err := db.commitWritten(init, txn, ships, validateWritten(written, dropped), db.validateWriters(writers))
 		if err != nil {
 			return nil, err
 		}

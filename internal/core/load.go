@@ -49,7 +49,7 @@ func (db *DB) LoadRows(tableName string, batch *types.Batch) error {
 	// Commit with the subscription-stability check: if a participating
 	// node is no longer subscribed to the shard it wrote, roll back
 	// (§4.5).
-	_, err = db.commit(init, txn, db.validateWriters(load.writers))
+	_, err = db.commitWritten(init, txn, load.ships, db.validateWriters(load.writers))
 	return err
 }
 

@@ -82,8 +82,42 @@ func createRaceTable(t *testing.T, db *DB) *Session {
 	return s
 }
 
+// unreferencedFiles lists the data files on shared storage that no node's
+// catalog references.
+func unreferencedFiles(t *testing.T, db *DB) []string {
+	t.Helper()
+	referenced := map[string]bool{}
+	for _, n := range db.Nodes() {
+		snap := n.catalog.Snapshot()
+		snap.ForEach(catalog.KindStorageContainer, func(o catalog.Object) bool {
+			for _, f := range o.(*catalog.StorageContainer).AllFiles() {
+				referenced[f.Path] = true
+			}
+			return true
+		})
+		snap.ForEach(catalog.KindDeleteVector, func(o catalog.Object) bool {
+			referenced[o.(*catalog.DeleteVector).File.Path] = true
+			return true
+		})
+	}
+	infos, err := db.shared.List(db.Context(), "data/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, fi := range infos {
+		if !referenced[fi.Key] {
+			out = append(out, fi.Key)
+		}
+	}
+	return out
+}
+
 // TestLoadRacingDropTableCommitsNothing: after DROP TABLE commits, no
-// node's catalog holds a container of a projection that is gone.
+// node's catalog holds a container of a projection that is gone, and
+// once the catalog is synced and RunGC has run, shared storage holds no
+// file that no catalog references: neither the dropped table's nor those
+// of the loads whose commit conflicted.
 func TestLoadRacingDropTableCommitsNothing(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		db := newTestDB(t, ModeEon, 3, 3)
@@ -111,6 +145,15 @@ func TestLoadRacingDropTableCommitsNothing(t *testing.T) {
 			if orphans > 0 {
 				t.Fatalf("run %d: %s holds %d containers of a dropped projection", run, n.name, orphans)
 			}
+		}
+		if err := db.SyncMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RunGC(); err != nil {
+			t.Fatal(err)
+		}
+		if leaked := unreferencedFiles(t, db); len(leaked) > 0 {
+			t.Fatalf("run %d: %d data files no catalog references, e.g. %s", run, len(leaked), leaked[0])
 		}
 	}
 }

@@ -185,7 +185,11 @@ func (db *DB) executeMergeJob(runner *Node, tbl *catalog.Table, proj *catalog.Pr
 	}
 	// The transaction deletes the delete vectors it applied, so none of
 	// them can have gone; an input holding more gained one.
-	rec, err := db.commit(runner, txn, db.validateWriters(writers), validateWritten(nil, dropped))
+	var ships []pendingShip
+	if built != nil {
+		ships = []pendingShip{{files: built.Files}}
+	}
+	rec, err := db.commitWritten(runner, txn, ships, db.validateWriters(writers), validateWritten(nil, dropped))
 	if err != nil {
 		return 0, err
 	}

@@ -199,10 +199,11 @@ type queryEnv struct {
 	// start is when the query began; vec counts its vectorized and
 	// fallback rows, and frags links its scan fragments (under mu).
 	// shutdown sums them into rec, the query's one record.
-	start time.Time
-	vec   expr.VecStats
-	frags *fragmentScan
-	rec   queryRecord
+	start   time.Time
+	vec     expr.VecStats
+	frags   *fragmentScan
+	rec     queryRecord
+	lending *pipe // the query's lending pipes, for shutdown (under mu)
 	// read is a DML statement's read set: each container its scans read,
 	// with the node that read it (under mu; nil for a SELECT).
 	read map[catalog.OID]readFrom

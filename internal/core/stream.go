@@ -187,7 +187,9 @@ func edge(op exec.Operator, out, in *obs.Span) exec.Operator {
 // the first pull (begin) and push batches through a channel of depth
 // streamDepth; the stream ends when every producer has finished, and the
 // first error wins. Both sides select on the query context, so
-// cancellation unblocks them.
+// cancellation unblocks them. A lending pipe's batches are lent from a
+// node's vecPool: each goes back when the consumer pulls again
+// (exec.Operator), and shutdown gives back what is left.
 type pipe struct {
 	schema    types.Schema
 	ctx       context.Context
@@ -198,6 +200,10 @@ type pipe struct {
 
 	started bool // consumer-side only
 	done    bool
+
+	pool     *vecPool     // nil: the batches are not lent
+	lent     *types.Batch // consumer-side: the batch last returned
+	nextLend *pipe        // the query's lending pipes (queryEnv.lending)
 }
 
 func newPipe(ctx context.Context, schema types.Schema, producers int) *pipe {
@@ -213,8 +219,45 @@ func newPipe(ctx context.Context, schema types.Schema, producers int) *pipe {
 	return p
 }
 
+// lendingPipe returns a pipe whose batches are lent from pool.
+func (env *queryEnv) lendingPipe(schema types.Schema, producers int, pool *vecPool) *pipe {
+	p := newPipe(env.ctx, schema, producers)
+	p.pool = pool
+	env.mu.Lock()
+	p.nextLend, env.lending = env.lending, p
+	env.mu.Unlock()
+	return p
+}
+
 // Schema implements Operator.
 func (p *pipe) Schema() types.Schema { return p.schema }
+
+// lend pushes b, whose vectors are p.pool's and no one else's.
+func (p *pipe) lend(b *types.Batch) error {
+	p.pool.lent.Add(int64(len(b.Cols)))
+	if err := p.push(b); err != nil {
+		p.pool.giveBack(b)
+		return err
+	}
+	return nil
+}
+
+// release gives back the batch the consumer pulled last, if lent.
+func (p *pipe) release() {
+	if p.lent != nil {
+		p.pool.giveBack(p.lent)
+		p.lent = nil
+	}
+}
+
+// reclaim gives back what a started pipe still lends once the query's
+// drivers have exited, and so closed its channel.
+func (p *pipe) reclaim() {
+	p.release()
+	for b := range p.ch {
+		p.pool.giveBack(b)
+	}
+}
 
 // push hands one batch to the consumer, honoring cancellation.
 func (p *pipe) push(b *types.Batch) error {
@@ -242,6 +285,7 @@ func (p *pipe) finish(err error) {
 
 // Next implements Operator. The first call fires the drivers.
 func (p *pipe) Next() (*types.Batch, error) {
+	p.release()
 	if p.done {
 		return nil, nil
 	}
@@ -261,6 +305,9 @@ func (p *pipe) Next() (*types.Batch, error) {
 			default:
 				return nil, nil
 			}
+		}
+		if p.pool != nil {
+			p.lent = b
 		}
 		return b, nil
 	case err := <-p.errc:
@@ -338,6 +385,11 @@ func (env *queryEnv) spillFor(node string) exec.SpillStore {
 func (env *queryEnv) shutdown() {
 	env.cancel()
 	env.wg.Wait()
+	for p := env.lending; p != nil; p = p.nextLend {
+		if p.started {
+			p.reclaim()
+		}
+	}
 	rec := &env.rec
 	for fs := env.frags; fs != nil; fs = fs.next {
 		fs.rec.mu.Lock()
@@ -427,7 +479,8 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 		return edge(res.op(), res.sp, consumer)
 	}
 	db := env.db
-	out := newPipe(env.ctx, res.schema, len(res.perNode))
+	pool := env.initiator.vecs
+	out := env.lendingPipe(res.schema, len(res.perNode), pool)
 	out.begin = func() {
 		for name, nodeOp := range res.perNode {
 			env.spawn(func() {
@@ -454,7 +507,8 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 								return fmt.Errorf("%w: gather from %s: %v", errNodeDown, name, err)
 							}
 						}
-						if err := out.push(b); err != nil {
+						// b lives until the next pull: the initiator gets a copy.
+						if err := out.lend(pool.gather(b, nil)); err != nil {
 							return err
 						}
 					}
@@ -570,7 +624,7 @@ func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 // and a replicated dimension fetch while the first side is being read.
 func (env *queryEnv) scanOp(fs *fragmentScan, sp *obs.Span) exec.Operator {
 	n := fs.node
-	ch := newPipe(env.ctx, fs.scan.OutSchema, 1)
+	ch := env.lendingPipe(fs.scan.OutSchema, 1, n.vecs)
 	fragSp := sp.StartSpan("fragment:" + n.name)
 	fs.span = fragSp
 	env.mu.Lock()
@@ -591,7 +645,7 @@ func (env *queryEnv) scanOp(fs *fragmentScan, sp *obs.Span) exec.Operator {
 			if err == nil {
 				err = fs.run(env.ctx, func(b *types.Batch) error {
 					fragSp.AddRowsOut(int64(b.NumRows()))
-					return ch.push(b)
+					return ch.lend(b)
 				})
 			}
 			ch.finish(err)
@@ -802,14 +856,15 @@ func (env *queryEnv) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 		for i, p := range peers {
 			streams[i] = db.net.Stream(env.initiator.name, p)
 		}
-		var batches []*types.Batch
+		// Every batch is kept, past its next pull: copied into one.
+		all := types.NewBatch(res.schema, 0)
 		for {
 			b, err := src.Next()
 			if err != nil {
 				return nil, err
 			}
 			if b == nil {
-				return batches, nil
+				return wrap(all), nil
 			}
 			if b.NumRows() == 0 {
 				continue
@@ -820,7 +875,7 @@ func (env *queryEnv) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 					return nil, fmt.Errorf("%w: broadcast to %s: %v", errNodeDown, p, err)
 				}
 			}
-			batches = append(batches, b)
+			all.AppendBatch(b)
 		}
 	}}
 	return out

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"eon/internal/obs"
 	"eon/internal/tuplemover"
+	"eon/internal/types"
 )
 
 // TestVMonitorMetricsSQL runs ordinary SQL over v_monitor.metrics and
@@ -341,5 +344,44 @@ func TestVMonitorMergeoutAndEvictionRings(t *testing.T) {
 	res = mustQuery(t, s, `SELECT COUNT(*) FROM v_monitor.dc_depot_evictions`)
 	if res.Batch.Cols[0].Ints[0] == 0 {
 		t.Error("tiny depot produced no eviction events")
+	}
+}
+
+// TestHashOperatorsReportSlots: a join, a grouped aggregate and a
+// distinct each put slots, the size their key table reached, on their
+// span next to build_rows and groups: at least the keys the table holds.
+// v_monitor.query_profiles shows it, so a query that builds a large
+// table can be found there.
+func TestHashOperatorsReportSlots(t *testing.T) {
+	db := newTestDB(t, ModeEon, 1, 1)
+	defer db.Shutdown()
+	setupSales(t, db, 2000)
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE regions (name VARCHAR, zone INTEGER)`)
+	mustExec(t, s, `INSERT INTO regions VALUES ('east', 1), ('west', 2)`)
+	s.Trace = true
+	for _, q := range []struct {
+		sql, op string
+		keys    int64
+	}{
+		{`SELECT customer, region, COUNT(*) FROM sales GROUP BY customer, region`, "aggregate", 10},
+		{`SELECT DISTINCT customer FROM sales`, "distinct", 5},
+		{`SELECT r.zone, COUNT(*) FROM sales s JOIN regions r ON s.region = r.name GROUP BY r.zone`, "join", 2},
+	} {
+		mustQuery(t, s, q.sql)
+		slots := int64(-1)
+		s.LastProfile().Visit(func(n *obs.Profile) {
+			if n.Name == q.op {
+				slots = n.Attrs["slots"]
+			}
+		})
+		if slots < q.keys {
+			t.Errorf("%s: %s span reports slots=%d, want >= %d", q.sql, q.op, slots, q.keys)
+		}
+		res := mustQuery(t, db.NewSession(), fmt.Sprintf(`SELECT p.attrs FROM v_monitor.query_profiles p WHERE p.operator = '%s'`, q.op))
+		want := fmt.Sprintf("slots=%d", slots)
+		if !slices.ContainsFunc(res.Rows(), func(r types.Row) bool { return strings.Contains(r[0].S, want) }) {
+			t.Errorf("%s: v_monitor.query_profiles shows %v for %s, want attrs with %s", q.sql, res.Rows(), q.op, want)
+		}
 	}
 }

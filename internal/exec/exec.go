@@ -18,11 +18,13 @@ import (
 )
 
 // Operator is a pull-based batch iterator. Next returns nil when the
-// stream is exhausted. The batches it returns are read-only: operators
-// hand on what they received or hold without copying (Source replays its
-// batches, Filter returns a batch whose every row survives, HashJoin the
-// probe columns of a batch whose every row matches once, Distinct views
-// of its key table), so a consumer that wants to change one copies it.
+// stream is exhausted. A batch it returns (with nextSel's selection)
+// lives until the next call on the same operator, which may reuse its
+// vectors (a scan takes back what it lent, HashJoin gathers into its
+// own); a consumer that keeps one longer copies it. Batches are
+// read-only: operators hand on what they received or hold without
+// copying (Source, Filter's all-rows batch, HashJoin's probe columns,
+// Distinct's views of its key table).
 type Operator interface {
 	Schema() types.Schema
 	Next() (*types.Batch, error)
@@ -192,7 +194,7 @@ type Distinct struct {
 	input Operator
 	done  bool
 	Eng   Engine
-	// Span, when set, receives the number of distinct rows seen.
+	// Span, when set, receives the distinct rows seen and slots.
 	Span *obs.Span
 
 	table keyTable            // vectorized engine
@@ -220,6 +222,7 @@ func (d *Distinct) Next() (*types.Batch, error) {
 		}
 		if b == nil {
 			d.done = true
+			d.Span.AddAttr("slots", int64(max(len(d.table.ids), len(d.seen))))
 			break
 		}
 		var out *types.Batch

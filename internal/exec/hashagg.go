@@ -96,7 +96,7 @@ type HashAggregate struct {
 	// Configured by the executor, like Eng.
 	Mem   *MemGovernor
 	Spill SpillStore
-	// Span, when set, receives the number of groups produced.
+	// Span, when set, receives the groups produced and slots.
 	Span *obs.Span
 
 	done bool
@@ -262,6 +262,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 			from = next
 		}
 	}
+	h.Span.AddAttr("slots", int64(len(table.ids)))
 
 	if len(runs) == 0 {
 		return h.assemble(table.cols, &states, table.len()), nil
@@ -445,6 +446,7 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 			}
 		}
 	}
+	h.Span.AddAttr("slots", int64(len(groups)))
 	return h.assemble(keys.Cols, &states, keys.NumRows()), nil
 }
 

@@ -12,16 +12,19 @@ import (
 // until one ends, and hashes that one. The lesser side is always the one
 // pulled, so the larger can never end first: the input with fewer rows
 // builds (the first on a tie) whatever the batch sizes, and at most the
-// smaller input plus one batch of the other is held. The other side's
-// buffered batches are probed first, then the rest of it streams. An
-// empty input ends the join without draining the other, unless the other
-// is marked Exchanged.
+// smaller input plus one batch of the other is held, each batch copied
+// once as it is buffered (Operator: a batch lives only until the next
+// pull). The build side's copies are concatenated (a single one is
+// kept as it is); the other side's are probed first, then the rest of it
+// streams. An empty input ends the join without draining the other,
+// unless the other is marked Exchanged.
 //
 // The output is the first input's columns then the second's, whichever
 // built, in probe-side stream order; the matches of one probe row come
-// in build-side stream order. A probe batch whose every row matches
-// exactly once passes its columns through: like Filter's, the output may
-// share vectors with the input (Operator.Next: batches are read-only).
+// in build-side stream order. The vectorized engine gathers it into
+// vectors the join owns and reuses on the next call. A probe batch whose
+// every row matches exactly once passes its columns through: like
+// Filter's, the output may share vectors with the input.
 type HashJoin struct {
 	in     [2]Operator
 	keys   [2][]int
@@ -33,8 +36,8 @@ type HashJoin struct {
 	// the probe ends. The build side does not spill (grace hash join is an
 	// open roadmap item), so the charge documents rather than bounds it.
 	Mem *MemGovernor
-	// Span, when set, receives build_rows, probe_rows and build_second
-	// (1 when the second input built).
+	// Span, when set, receives build_rows, probe_rows, build_second (1
+	// when the second input built) and slots, its key table's size.
 	Span *obs.Span
 	// Exchanged marks an input fed through a cross-node exchange: bounded
 	// edges whose producers serve every node's join and stall all of them
@@ -48,10 +51,10 @@ type HashJoin struct {
 	Exchanged [2]bool
 
 	done    bool
-	ended   [2]bool       // the input has returned end-of-stream
-	build   int           // index of the build input, valid once all is set
-	buf     [2][]selBatch // batches pulled while choosing the side
-	rows    [2]int        // rows buffered per side
+	ended   [2]bool           // the input has returned end-of-stream
+	build   int               // index of the build input, valid once all is set
+	buf     [2][]*types.Batch // copies of the batches pulled while choosing
+	rows    [2]int            // rows buffered per side
 	charged int64
 
 	all   *types.Batch     // the build side, concatenated
@@ -67,13 +70,11 @@ type HashJoin struct {
 	buildIdx []int
 	probeIdx []int
 	rowKey   []byte
-}
 
-// selBatch is a held batch: its live rows (nil = all), the bytes charged.
-type selBatch struct {
-	b   *types.Batch
-	sel []int
-	mem int64
+	// The output batch and, per column, the vector it is gathered into
+	// or made a view as, reused across calls (vectorized engine).
+	out  types.Batch
+	cols []types.Vector
 }
 
 // NewHashJoin creates an inner hash join on first.cols == second.cols.
@@ -105,7 +106,7 @@ func (h *HashJoin) charge(n int64) {
 func (h *HashJoin) finish(err error) (*types.Batch, error) {
 	h.charge(-h.charged)
 	h.done = true
-	h.buf, h.all, h.table, h.byKey, h.first, h.next = [2][]selBatch{}, nil, keyTable{}, nil, nil, nil
+	h.buf, h.all, h.table, h.byKey, h.first, h.next = [2][]*types.Batch{}, nil, keyTable{}, nil, nil, nil
 	for side := range h.in {
 		for h.Exchanged[side] && !h.ended[side] && err == nil {
 			_, _, err = h.fetch(side)
@@ -130,26 +131,27 @@ func (h *HashJoin) fetch(side int) (*types.Batch, []int, error) {
 	return nil, nil, nil
 }
 
-// pull buffers a side's next batch; false is the side's end.
+// pull buffers a copy of a side's next batch; false is the side's end.
 func (h *HashJoin) pull(side int) (bool, error) {
 	b, sel, err := h.fetch(side)
 	if b == nil {
 		return false, err
 	}
-	sb := selBatch{b: b, sel: sel, mem: BatchMemBytes(b) + 8*int64(len(sel))}
-	h.charge(sb.mem)
-	h.buf[side] = append(h.buf[side], sb)
-	h.rows[side] += selLen(b, sel)
+	cp := types.NewBatch(h.in[side].Schema(), selLen(b, sel))
+	cp.AppendSel(b, sel)
+	h.charge(BatchMemBytes(cp))
+	h.buf[side] = append(h.buf[side], cp)
+	h.rows[side] += cp.NumRows()
 	return true, nil
 }
 
 // pop takes the oldest buffered batch of a side and stops charging for it.
-func (h *HashJoin) pop(side int) selBatch {
-	sb := h.buf[side][0]
-	h.buf[side][0] = selBatch{}
+func (h *HashJoin) pop(side int) *types.Batch {
+	b := h.buf[side][0]
+	h.buf[side][0] = nil
 	h.buf[side] = h.buf[side][1:]
-	h.charge(-sb.mem)
-	return sb
+	h.charge(-BatchMemBytes(b))
+	return b
 }
 
 // choose buffers both inputs, always pulling the side with fewer rows,
@@ -233,16 +235,18 @@ func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int,
 	return sel, h.ids
 }
 
-// buildTable concatenates the build side at its exact size and indexes
-// it, replacing the buffered batches' charge with the real one.
+// buildTable concatenates the build side at its exact size, unless it
+// is one batch, and indexes it, replacing the buffered batches' charge
+// with the real one.
 func (h *HashJoin) buildTable() {
 	side := h.build
-	all := types.NewBatch(h.in[side].Schema(), h.rows[side])
+	all := h.buf[side][0]
+	if len(h.buf[side]) > 1 {
+		all = types.NewBatch(h.in[side].Schema(), h.rows[side])
+	}
 	for len(h.buf[side]) > 0 {
-		if sb := h.pop(side); sb.sel == nil {
-			all.AppendBatch(sb.b)
-		} else {
-			all.AppendBatch(sb.b.Gather(sb.sel))
+		if b := h.pop(side); b != all {
+			all.AppendBatch(b)
 		}
 	}
 	h.all = all
@@ -259,6 +263,16 @@ func (h *HashJoin) buildTable() {
 	h.charge(BatchMemBytes(all) + h.table.memBytes() + 4*int64(len(h.first)+len(h.next)))
 	h.Span.AddAttr("build_rows", int64(all.NumRows()))
 	h.Span.AddAttr("build_second", int64(side))
+	h.Span.AddAttr("slots", int64(max(len(h.table.ids), len(h.byKey))))
+}
+
+// nextProbe returns the next probe batch: the batches buffered while
+// the side was chosen go first, then the rest of the stream.
+func (h *HashJoin) nextProbe(probe int) (*types.Batch, []int, error) {
+	if len(h.buf[probe]) > 0 {
+		return h.pop(probe), nil, nil
+	}
+	return h.fetch(probe)
 }
 
 // isIdentity reports whether idx is exactly 0..n-1.
@@ -297,17 +311,9 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 	}
 	probe := 1 - h.build
 	for {
-		// The batches buffered while the side was chosen go first, then
-		// the rest of the stream.
-		var pb *types.Batch
-		var sel []int
-		if len(h.buf[probe]) > 0 {
-			sb := h.pop(probe)
-			pb, sel = sb.b, sb.sel
-		} else if b, s, err := h.fetch(probe); b == nil {
+		pb, sel, err := h.nextProbe(probe)
+		if pb == nil {
 			return h.finish(err)
-		} else {
-			pb, sel = b, s
 		}
 		h.Span.AddAttr("probe_rows", int64(selLen(pb, sel)))
 
@@ -338,24 +344,37 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 		if isIdentity(h.probeIdx, pb.NumRows()) {
 			// Every probe row matched exactly once, in order (an
 			// unfiltered fact table against its dimension): its columns
-			// pass through uncopied. Worth 0.7 MB/op of tpch_warm's 12.4
-			// (EXPERIMENTS.md).
+			// pass through uncopied.
 			idx[probe] = nil
 		}
-		out := &types.Batch{Cols: make([]*types.Vector, len(h.schema))}
+		// The output goes into vectors the join owns (vectorized engine),
+		// and a match's build key, its probe key bit for bit and never
+		// NULL, is a retyped view of the probe's output key column; the
+		// row engine, the reference, gathers everything anew.
+		out := &h.out
+		if out.Cols == nil {
+			out.Cols, h.cols = make([]*types.Vector, len(h.schema)), make([]types.Vector, len(h.schema))
+		}
 		at := [2]int{0, len(h.in[0].Schema())}
 		for _, side := range [2]int{probe, h.build} {
 			for ci, c := range src[side].Cols {
-				if k := slices.Index(h.keys[side], ci); side == h.build && k >= 0 && !h.Eng.Row {
-					// A match's build key is its probe key bit for bit, never
-					// NULL: a retyped view of the probe's output key column.
-					v := out.Cols[at[probe]+h.keys[probe][k]].Slice(0, len(h.probeIdx))
+				o := at[side] + ci
+				switch k := slices.Index(h.keys[side], ci); {
+				case side == h.build && k >= 0 && !h.Eng.Row:
+					v := &h.cols[o] // a view, never gathered into
+					*v = *out.Cols[at[probe]+h.keys[probe][k]]
 					v.Typ, v.Nulls = c.Typ, nil
 					c = v
-				} else if idx[side] != nil {
+				case idx[side] == nil:
+				case h.Eng.Row:
 					c = c.Gather(idx[side])
+				default:
+					v := &h.cols[o]
+					v.Truncate(c.Typ)
+					v.AppendSel(c, idx[side])
+					c = v
 				}
-				out.Cols[at[side]+ci] = c
+				out.Cols[o] = c
 			}
 		}
 		return out, nil

@@ -155,6 +155,10 @@ func TestLimitPushdownShipsFewerBytes(t *testing.T) {
 	if limitBytes*4 >= fullBytes {
 		t.Errorf("LIMIT shipped %d bytes vs %d for the full scan (want <1/4)", limitBytes, fullBytes)
 	}
+	// The scans the LIMIT stopped gave back every vector they lent.
+	if g := db.Metrics().Gauges["scan.lent_vectors"]; g != 0 {
+		t.Errorf("scan.lent_vectors = %d after the LIMIT query, want 0", g)
+	}
 }
 
 // manyContainerDB builds a single-node cluster whose one table is
@@ -375,5 +379,8 @@ func TestStreamingCancellationLeaksNothing(t *testing.T) {
 	}
 	if g := db.Metrics().Gauges["exec.mem_bytes"]; g != 0 {
 		t.Errorf("exec.mem_bytes gauge = %d after cancellations, want 0", g)
+	}
+	if g := db.Metrics().Gauges["scan.lent_vectors"]; g != 0 {
+		t.Errorf("scan.lent_vectors gauge = %d after cancellations, want 0", g)
 	}
 }

@@ -90,9 +90,10 @@ func (a *Arena) idx(n int) []int { return a.sels.take(n)[:0] }
 // col has one, may be all false.
 func gather(a *Arena, col *types.Vector, sel []int) *types.Vector {
 	out := newDense(a, col.Typ, len(sel)).v
+	out.Truncate(col.Typ) // appended to within the arena's storage
 	if col.Nulls != nil {
-		out.Nulls = a.bools.take(len(sel))
+		out.Nulls = a.bools.take(len(sel))[:0]
 	}
-	col.GatherInto(out, sel)
+	out.AppendSel(col, sel)
 	return out
 }

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a typed column of values. Exactly one of the value slices is
 // populated, selected by the physical class of Typ. Nulls, when non-nil,
@@ -147,61 +150,68 @@ func (v *Vector) Datum(i int) Datum {
 // boxing — and the null bitmap is materialized only when a gathered
 // position is actually NULL.
 func (v *Vector) Gather(idx []int) *Vector {
-	out := &Vector{Typ: v.Typ}
-	switch v.Typ.Physical() {
-	case Int64:
-		out.Ints = make([]int64, len(idx))
-	case Float64:
-		out.Floats = make([]float64, len(idx))
-	case Varchar:
-		out.Strs = make([]string, len(idx))
-	case Bool:
-		out.Bools = make([]bool, len(idx))
+	out := NewVector(v.Typ, len(idx))
+	if len(idx) > 0 { // to AppendSel, a nil idx is every position
+		out.AppendSel(v, idx)
 	}
-	v.GatherInto(out, idx)
 	return out
 }
 
-// GatherInto is Gather into out, whose slice of v's physical class must
-// hold len(idx) values. A NULL position is marked in out.Nulls (made when
-// nil, at the first one) and stores the zero value, matching the
-// Datum-append behaviour: raw-slice consumers (hashing, wire sizing) see
-// the same bytes as before.
-func (v *Vector) GatherInto(out *Vector, idx []int) {
+// AppendSel appends the values of o at positions idx, in order (nil =
+// every position), to v, which must have o's physical class, reusing v's
+// storage where it fits. A NULL position is marked in v.Nulls and stores
+// the zero value, as Append does.
+func (v *Vector) AppendSel(o *Vector, idx []int) {
+	if idx == nil {
+		v.AppendVector(o)
+		return
+	}
+	base := v.Len()
 	switch v.Typ.Physical() {
 	case Int64:
-		gatherVals(out.Ints, v.Ints, idx, v.Nulls)
+		v.Ints = appendSel(v.Ints, o.Ints, idx, o.Nulls)
 	case Float64:
-		gatherVals(out.Floats, v.Floats, idx, v.Nulls)
+		v.Floats = appendSel(v.Floats, o.Floats, idx, o.Nulls)
 	case Varchar:
-		gatherVals(out.Strs, v.Strs, idx, v.Nulls)
+		v.Strs = appendSel(v.Strs, o.Strs, idx, o.Nulls)
 	case Bool:
-		gatherVals(out.Bools, v.Bools, idx, v.Nulls)
+		v.Bools = appendSel(v.Bools, o.Bools, idx, o.Nulls)
 	}
-	if v.Nulls != nil {
-		for j, i := range idx {
-			if v.IsNull(i) {
-				out.setNull(j)
-			}
+	for j := 0; o.Nulls != nil && j < len(idx); j++ {
+		if o.IsNull(idx[j]) {
+			v.setNull(base + j)
 		}
 	}
+	v.appended(v.Len()-1, false) // pads an existing null bitmap
 }
 
-func gatherVals[T any](dst, src []T, idx []int, nulls []bool) {
+// appendSel appends src[idx] to dst, the zero value where nulls marks a
+// NULL.
+func appendSel[T any](dst, src []T, idx []int, nulls []bool) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
 	if nulls == nil {
 		for j, i := range idx {
-			dst[j] = src[i]
+			out[j] = src[i]
 		}
-		return
+		return dst
 	}
 	var zero T
 	for j, i := range idx {
 		if i < len(nulls) && nulls[i] {
-			dst[j] = zero
+			out[j] = zero
 		} else {
-			dst[j] = src[i]
+			out[j] = src[i]
 		}
 	}
+	return dst
+}
+
+// Truncate empties v for reuse as a vector of type t: it keeps its
+// storage but not its null bitmap.
+func (v *Vector) Truncate(t Type) {
+	*v = Vector{Typ: t, Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0], Bools: v.Bools[:0]}
 }
 
 // Slice returns a view of positions [lo, hi). The view shares v's storage
@@ -337,9 +347,13 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 }
 
 // AppendBatch appends all rows of o to b (schemas must match positionally).
-func (b *Batch) AppendBatch(o *Batch) {
+func (b *Batch) AppendBatch(o *Batch) { b.AppendSel(o, nil) }
+
+// AppendSel appends the rows of o at positions sel (nil = every row) to
+// b, whose columns must match o's positionally.
+func (b *Batch) AppendSel(o *Batch, sel []int) {
 	for i, c := range b.Cols {
-		c.AppendVector(o.Cols[i])
+		c.AppendSel(o.Cols[i], sel)
 	}
 }
 

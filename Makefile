@@ -119,24 +119,29 @@ fuzz:
 # before one returns; a LIMIT and the fetch-ahead window bound them),
 # plus the operator and fan-out helper unit tests (the batch contract
 # among them: every operator over a source that poisons a batch once it
-# is pulled again), the typed write
+# is pulled again, with a free list that poisons what is given back),
+# the free list's own unit tests (classes, bounds, poisoning, a second
+# give-back, concurrent use), the typed write
 # kernels against their Datum-based references and the container digests
 # recorded before them, the hash operators' steady-state (a computed
-# aggregate argument included), the warm expression arena's, a warm
+# aggregate argument included), a warm free list's (a repeated
+# aggregation, distinct and join allocate none of their tables, states
+# or join buffers), the warm expression arena's, a warm
 # point query's (its node's pooled scan workers: under one 4096-row
 # vector of bytes), a warm scan and aggregate's (the scan lends its
-# vectors: a quarter of what it allocated when they left with each
-# block), a point DELETE scan's (under one 4096-row vector) and the write
-# path's allocation guards without the
+# vectors and the aggregate builds in the free list: under 64 KiB), a
+# point DELETE scan's (under one 4096-row vector), the free lists'
+# retention over 20 rounds of mixed queries (within their bound, heap
+# flat) and the write path's allocation guards without the
 # race detector (they skip under -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestPointShardMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
-	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs' ./internal/exec/
+	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs|TestHashOperatorsReuseTheirStorage' ./internal/exec/
 	$(GO) test -count=1 -run 'TestArenaSteadyState' ./internal/expr/
-	$(GO) test -count=1 -run 'TestWarmPointQueryBytes|TestWarmScanAggregateBytes|TestPointDeleteScanBytes' ./internal/core/
+	$(GO) test -count=1 -run 'TestWarmPointQueryBytes|TestWarmScanAggregateBytes|TestPointDeleteScanBytes|TestFreeListRetention' ./internal/core/
 	$(GO) test -count=1 -run 'TestWritePathAllocs' ./internal/storage/
 
 # Reconciler gate: the spare lifecycle and RemoveNode regression tests,

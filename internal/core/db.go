@@ -19,6 +19,7 @@ import (
 	"eon/internal/cache"
 	"eon/internal/catalog"
 	"eon/internal/cluster"
+	"eon/internal/exec"
 	"eon/internal/hashring"
 	"eon/internal/netsim"
 	"eon/internal/objstore"
@@ -248,7 +249,11 @@ type Node struct {
 	minQReported uint64         // monotonically increasing gossip value
 
 	scanFree chan *scanWorker // idle scan workers (scan.go), at most ScanConcurrency
-	vecs     *vecPool         // the vectors its scans lend (scan.go)
+	// free is the node's one free list: the vectors its scans lend and
+	// the storage of its hash operators (exec.FreeList). lent counts the
+	// vectors lent to a consumer and not yet given back.
+	free *exec.FreeList
+	lent atomic.Int64
 }
 
 // Name returns the node's name.
@@ -661,7 +666,7 @@ func (db *DB) newNode(spec NodeSpec) *Node {
 		runningQ:   map[uint64]int{},
 		syncSeen:   map[string]bool{},
 		scanFree:   make(chan *scanWorker, max(cfg.ScanConcurrency, 1)),
-		vecs:       newVecPool(cfg.ScanConcurrency),
+		free:       exec.NewFreeList(cfg.ScanConcurrency),
 	}
 	n.inst.Store(cluster.NewInstanceID())
 	n.catalog.SetPersister(catalog.NewPersister(n.fs, "catalog", cfg.CheckpointThreshold))
@@ -763,13 +768,17 @@ func (db *DB) installMetrics() {
 	db.resultCache.register(reg)
 	db.admission.register(reg)
 	db.execMem = reg.Gauge("exec.mem_bytes")
-	reg.GaugeFunc("scan.lent_vectors", func() int64 {
-		var n int64
-		for _, node := range db.Nodes() {
-			n += node.vecs.lent.Load()
-		}
-		return n
-	})
+	for name, of := range map[string]func(*Node) int64{
+		"scan.lent_vectors": func(n *Node) int64 { return n.lent.Load() },
+		"exec.free_bytes":   func(n *Node) int64 { return n.free.HeldBytes() },
+	} {
+		reg.GaugeFunc(name, func() (sum int64) {
+			for _, n := range db.Nodes() {
+				sum += of(n)
+			}
+			return sum
+		})
+	}
 	db.execPeak = reg.Histogram("exec.query_peak_mem_bytes")
 	db.execSpills = reg.Counter("exec.spills")
 	db.execSpillBytes = reg.Counter("exec.spill_bytes")

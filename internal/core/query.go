@@ -232,6 +232,16 @@ func (env *queryEnv) eng() exec.Engine {
 	return exec.Engine{Row: env.session.RowEngine, Stats: &env.vec}
 }
 
+// engOn is eng for a hash operator on node: it builds in the node's
+// free list.
+func (env *queryEnv) engOn(node string) exec.Engine {
+	e := env.eng()
+	if n, ok := env.db.Node(node); ok {
+		e.Free = n.free
+	}
+	return e
+}
+
 // nodeTasks returns the scan tasks a node serves, in shard order.
 func (env *queryEnv) nodeTasks(node string) []scanTask {
 	var out []scanTask

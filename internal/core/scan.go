@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"eon/internal/catalog"
@@ -70,7 +69,7 @@ func (db *DB) readLive(ctx context.Context, node *Node, snap *catalog.Snapshot, 
 	out := types.NewBatch(schema, int(rows))
 	return out, fs.run(ctx, func(b *types.Batch) error {
 		out.AppendBatch(b)
-		node.vecs.put(b.Cols)
+		node.free.PutVectors(b.Cols)
 		return nil
 	})
 }
@@ -182,7 +181,7 @@ func (fs *fragmentScan) run(ctx context.Context, emit func(*types.Batch) error) 
 				return nil, err
 			}
 			if w.hashFilter {
-				batches = workers[worker].hash.filter(batches, scan.SegmentCols, db.ring, w.task, fs.node.vecs)
+				batches = workers[worker].hash.filter(batches, scan.SegmentCols, db.ring, w.task, fs.node.free)
 			}
 			return batches, nil
 		},
@@ -244,8 +243,8 @@ type hashFilterState struct {
 // filter keeps only the rows of task's sub-range of its shard: those
 // whose segmentation-column hash the ring locates in part task.Part of
 // task.Of — the rows queryEnv.route sends to this member. A batch it
-// narrows is copied into pool's vectors, and its own go back there.
-func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, ring *hashring.Ring, task scanTask, pool *vecPool) []*types.Batch {
+// narrows is copied into vectors from free, and its own go back there.
+func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, ring *hashring.Ring, task scanTask, free *exec.FreeList) []*types.Batch {
 	var out []*types.Batch
 	for _, b := range batches {
 		if b == nil || b.NumRows() == 0 {
@@ -264,9 +263,9 @@ func (h *hashFilterState) filter(batches []*types.Batch, segCols []int, ring *ha
 			continue
 		}
 		if len(keep) > 0 {
-			out = append(out, pool.gather(b, keep))
+			out = append(out, free.Gather(b, keep))
 		}
-		pool.put(b.Cols)
+		free.PutVectors(b.Cols)
 	}
 	return out
 }
@@ -361,8 +360,8 @@ func scanColSets(scan *planner.Scan, eng exec.Engine) (first, all []int) {
 // its physical class is p, reused from block to block and query to query,
 // so a column position that is INTEGER in one query and VARCHAR in the
 // next keeps both. A batch leaves the scan either gathered out of it
-// into vectors from the node's vecPool, or taking the vectors with it,
-// and then those slots are refilled from the pool. arena holds the
+// into vectors from the node's free list, or taking the vectors with it,
+// and then those slots are refilled from the list. arena holds the
 // block's predicate results, reset per block.
 type scanWorker struct {
 	decoded [][types.Bool + 1]*types.Vector // Bool is the last physical class
@@ -371,16 +370,11 @@ type scanWorker struct {
 }
 
 // pool hands w back to n, unless n holds ScanConcurrency idle workers,
-// and its decode vectors to n's vecPool. In test binaries its arena is
+// and its decode vectors to n's free list. In test binaries its arena is
 // poisoned as well (types.Poisoning).
 func (w *scanWorker) pool(n *Node) {
 	for i := range w.decoded {
-		for _, v := range w.decoded[i] {
-			if v != nil { // what longer blocks left past the last one
-				clear(v.Strs[len(v.Strs):cap(v.Strs)])
-			}
-		}
-		n.vecs.put(w.decoded[i][:])
+		n.free.PutVectors(w.decoded[i][:])
 		w.decoded[i] = [types.Bool + 1]*types.Vector{}
 	}
 	w.arena.Reset()
@@ -390,76 +384,10 @@ func (w *scanWorker) pool(n *Node) {
 	}
 }
 
-// vecPool is a node's free list of the vectors its scans decode into and
-// lend (DESIGN.md §8, "Who owns a buffer"): a batch that leaves a scan
-// takes its vectors from here, and the pipe that hands it on gives them
-// back when its consumer pulls again (exec.Operator) or the query shuts
-// down. One list per physical class holds at most
-// ScanConcurrency*lendPerWorker vectors of at most colenc.MaxBlockRows
-// values; what does not fit is left to the garbage collector. In test
-// binaries a vector is poisoned as it comes back (types.Poisoning).
-type vecPool struct {
-	free [types.Bool + 1]chan *types.Vector
-	lent atomic.Int64 // vectors lent and not given back: scan.lent_vectors
-}
-
-const lendPerWorker = 32 // tpch_warm allocates as much with 64
-
-func newVecPool(conc int) *vecPool {
-	p := &vecPool{}
-	for i := range p.free {
-		p.free[i] = make(chan *types.Vector, max(conc, 1)*lendPerWorker)
-	}
-	return p
-}
-
-// get returns an empty vector of type t with room for a block: a free
-// one, or a new one when the pool has none.
-func (p *vecPool) get(t types.Type) *types.Vector {
-	select {
-	case v := <-p.free[t.Physical()]:
-		v.Typ = t
-		return v
-	default:
-		return types.NewVector(t, colenc.MaxBlockRows)
-	}
-}
-
-// gather returns the rows sel of b in vectors from the pool.
-func (p *vecPool) gather(b *types.Batch, sel []int) *types.Batch {
-	out := &types.Batch{Cols: make([]*types.Vector, len(b.Cols))}
-	for i, c := range b.Cols {
-		out.Cols[i] = p.get(c.Typ)
-		out.Cols[i].AppendSel(c, sel)
-	}
-	return out
-}
-
-// put takes vectors back, skipping nils; no one else may hold them. The
-// strings they hold are cleared, so they do not stay alive in the pool.
-func (p *vecPool) put(vs []*types.Vector) {
-	if types.Poisoning {
-		types.Poison(vs) // which drops the strings too
-	}
-	for _, v := range vs {
-		if v == nil || max(cap(v.Ints), cap(v.Floats), cap(v.Strs), cap(v.Bools)) > colenc.MaxBlockRows {
-			continue
-		}
-		if !types.Poisoning {
-			clear(v.Strs)
-		}
-		v.Truncate(v.Typ)
-		select {
-		case p.free[v.Typ.Physical()] <- v:
-		default:
-		}
-	}
-}
-
-// giveBack is put for a batch that was lent.
-func (p *vecPool) giveBack(b *types.Batch) {
-	p.lent.Add(-int64(len(b.Cols)))
-	p.put(b.Cols)
+// giveBack returns the vectors of a batch n lent to n's free list.
+func (n *Node) giveBack(b *types.Batch) {
+	n.lent.Add(-int64(len(b.Cols)))
+	n.free.PutVectors(b.Cols)
 }
 
 // scanContainer reads the needed columns of one container, block by
@@ -569,7 +497,7 @@ func (fs *fragmentScan) publish() {
 // survives, so a block with no survivor costs its predicate columns and
 // nothing else. On the vectorized engine the live positions feed the
 // predicate kernels as the initial selection and survivors are copied
-// once at the end, into vectors from the node's pool; the row engine
+// once at the end, into vectors from the node's free list; the row engine
 // gathers after each stage. Returns a nil batch when no row survives. The block's counts
 // go to st, and its time is split into laps charged to st.Decode or
 // st.Filter. A Positions scan
@@ -597,7 +525,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 			}
 			slot := &w.decoded[ci][scan.OutSchema[ci].Type.Physical()]
 			if *slot == nil {
-				*slot = fs.node.vecs.get(scan.OutSchema[ci].Type)
+				*slot = fs.node.free.Vector(scan.OutSchema[ci].Type, colenc.MaxBlockRows)
 			}
 			v := *slot
 			if err := cols[ci].ReadBlockInto(v, bi); err != nil {
@@ -645,7 +573,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 		return nil, err
 	}
 	if hasSel {
-		batch = fs.node.vecs.gather(batch, sel)
+		batch = fs.node.free.Gather(batch, sel)
 		lap(&st.Filter)
 	} else {
 		for ci := range cols { // the vectors leave with the batch
@@ -653,7 +581,7 @@ func (fs *fragmentScan) scanBlock(oid catalog.OID, cols []*rosfile.Reader, bi in
 		}
 	}
 	if scan.Positions {
-		oids, pos := fs.node.vecs.get(types.Int64), fs.node.vecs.get(types.Int64)
+		oids, pos := fs.node.free.Vector(types.Int64, batch.NumRows()), fs.node.free.Vector(types.Int64, batch.NumRows())
 		for i := range batch.NumRows() {
 			at := i
 			if sel != nil {

@@ -67,9 +67,10 @@ func warmBytes(warm, runs int, query func(i int)) uint64 {
 
 // TestWarmScanAggregateBytes: a Q1-shaped query (a range predicate that
 // keeps most rows, then a grouped aggregate) repeated on a warm node
-// takes its scan's vectors from the node's pool and gives them back, so
-// a run allocates no block's worth of values per column: the scan lends
-// its decode vectors instead of letting them leave.
+// takes its scan's vectors from the node's free list and gives them
+// back, so a run allocates no block's worth of values per column: the
+// scan lends its decode vectors instead of letting them leave, and the
+// aggregate builds its table, states and id scratch in the list.
 func TestWarmScanAggregateBytes(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -86,9 +87,9 @@ func TestWarmScanAggregateBytes(t *testing.T) {
 		}
 	})
 	t.Logf("%d bytes per run", perRun)
-	// A quarter of what a run allocated while every block that passed
-	// left with new vectors (1.2 MB).
-	const limit = 256 << 10
+	// A run allocated 1.2 MB while every block that passed left with new
+	// vectors, about 81 KB while each aggregate built its table anew.
+	const limit = 64 << 10
 	if perRun > limit {
 		t.Errorf("a warm scan and aggregate allocates %d bytes per run, want <= %d", perRun, limit)
 	}
@@ -137,5 +138,67 @@ func TestPointDeleteScanBytes(t *testing.T) {
 	t.Logf("%d bytes per point DELETE scan", perRun)
 	if perRun >= 32<<10 {
 		t.Errorf("a point DELETE's scan allocates %d bytes, want < %d (one 4096-row INTEGER vector)", perRun, 32<<10)
+	}
+}
+
+// TestFreeListRetention: 20 rounds of mixed query shapes — small and
+// large groupings, DISTINCT and COUNT(DISTINCT), a local and a reshuffled
+// join, a point query — on a 3-node database leave each node's free list
+// within its bound (ScanConcurrency × 8 MiB, DESIGN.md §8) and the heap
+// after a collection flat within 5 %. Between queries scan.lent_vectors
+// reads 0 and exec.free_bytes what the lists hold.
+func TestFreeListRetention(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	db := newTestDB(t, ModeEon, 3, 3)
+	defer db.Shutdown()
+	setupSales(t, db, 20000)
+	s := db.NewSession()
+	round := func(i int) {
+		for _, q := range []string{
+			`SELECT region, customer, SUM(price), COUNT(*) FROM sales WHERE sale_id > %d GROUP BY region, customer`,
+			`SELECT sale_id, SUM(price) FROM sales WHERE sale_id > %d GROUP BY sale_id`,
+			`SELECT DISTINCT customer, region FROM sales WHERE sale_id > %d`,
+			`SELECT COUNT(DISTINCT price) FROM sales WHERE sale_id > %d`,
+			`SELECT COUNT(*), SUM(b.price) FROM sales a JOIN sales b ON a.sale_id = b.sale_id WHERE a.sale_id > %d`,
+			`SELECT COUNT(*) FROM sales a JOIN sales b ON a.price = b.sale_id WHERE a.sale_id > %d`,
+			`SELECT customer FROM sales WHERE sale_id = %d`,
+		} {
+			// Two literals a query: the plan cache holds every plan
+			// after two rounds.
+			mustQuery(t, s, fmt.Sprintf(q, 100+i%2))
+		}
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	bound := int64(max(db.cfg.ScanConcurrency, 1)) * 8 << 20
+	var warm uint64
+	for i := range 20 {
+		round(i)
+		var held int64
+		for _, n := range db.Nodes() {
+			if b := n.free.HeldBytes(); b > bound {
+				t.Fatalf("round %d: %s's free list holds %d bytes, bound %d", i, n.name, b, bound)
+			}
+			held += n.free.HeldBytes()
+		}
+		g := db.Metrics().Gauges
+		if g["scan.lent_vectors"] != 0 || g["exec.free_bytes"] != held || held == 0 {
+			t.Fatalf("round %d: scan.lent_vectors = %d, exec.free_bytes = %d; want 0 and %d (> 0)", i, g["scan.lent_vectors"], g["exec.free_bytes"], held)
+		}
+		if i == 4 {
+			warm = heap()
+		}
+
+	}
+	end := heap()
+	t.Logf("heap after a collection: %d bytes after round 5, %d after round 20", warm, end)
+	if float64(end) > 1.05*float64(warm) {
+		t.Errorf("heap grew from %d to %d bytes over 15 rounds, want within 5%%", warm, end)
 	}
 }

@@ -188,7 +188,7 @@ func edge(op exec.Operator, out, in *obs.Span) exec.Operator {
 // streamDepth; the stream ends when every producer has finished, and the
 // first error wins. Both sides select on the query context, so
 // cancellation unblocks them. A lending pipe's batches are lent from a
-// node's vecPool: each goes back when the consumer pulls again
+// node's free list: each goes back when the consumer pulls again
 // (exec.Operator), and shutdown gives back what is left.
 type pipe struct {
 	schema    types.Schema
@@ -201,7 +201,7 @@ type pipe struct {
 	started bool // consumer-side only
 	done    bool
 
-	pool     *vecPool     // nil: the batches are not lent
+	from     *Node        // whose free list lends the batches; nil: not lent
 	lent     *types.Batch // consumer-side: the batch last returned
 	nextLend *pipe        // the query's lending pipes (queryEnv.lending)
 }
@@ -219,10 +219,10 @@ func newPipe(ctx context.Context, schema types.Schema, producers int) *pipe {
 	return p
 }
 
-// lendingPipe returns a pipe whose batches are lent from pool.
-func (env *queryEnv) lendingPipe(schema types.Schema, producers int, pool *vecPool) *pipe {
+// lendingPipe returns a pipe whose batches are lent from n's free list.
+func (env *queryEnv) lendingPipe(schema types.Schema, producers int, n *Node) *pipe {
 	p := newPipe(env.ctx, schema, producers)
-	p.pool = pool
+	p.from = n
 	env.mu.Lock()
 	p.nextLend, env.lending = env.lending, p
 	env.mu.Unlock()
@@ -232,11 +232,12 @@ func (env *queryEnv) lendingPipe(schema types.Schema, producers int, pool *vecPo
 // Schema implements Operator.
 func (p *pipe) Schema() types.Schema { return p.schema }
 
-// lend pushes b, whose vectors are p.pool's and no one else's.
+// lend pushes b, whose vectors are from p.from's free list and no one
+// else's.
 func (p *pipe) lend(b *types.Batch) error {
-	p.pool.lent.Add(int64(len(b.Cols)))
+	p.from.lent.Add(int64(len(b.Cols)))
 	if err := p.push(b); err != nil {
-		p.pool.giveBack(b)
+		p.from.giveBack(b)
 		return err
 	}
 	return nil
@@ -245,7 +246,7 @@ func (p *pipe) lend(b *types.Batch) error {
 // release gives back the batch the consumer pulled last, if lent.
 func (p *pipe) release() {
 	if p.lent != nil {
-		p.pool.giveBack(p.lent)
+		p.from.giveBack(p.lent)
 		p.lent = nil
 	}
 }
@@ -255,7 +256,7 @@ func (p *pipe) release() {
 func (p *pipe) reclaim() {
 	p.release()
 	for b := range p.ch {
-		p.pool.giveBack(b)
+		p.from.giveBack(b)
 	}
 }
 
@@ -306,7 +307,7 @@ func (p *pipe) Next() (*types.Batch, error) {
 				return nil, nil
 			}
 		}
-		if p.pool != nil {
+		if p.from != nil {
 			p.lent = b
 		}
 		return b, nil
@@ -479,8 +480,7 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 		return edge(res.op(), res.sp, consumer)
 	}
 	db := env.db
-	pool := env.initiator.vecs
-	out := env.lendingPipe(res.schema, len(res.perNode), pool)
+	out := env.lendingPipe(res.schema, len(res.perNode), env.initiator)
 	out.begin = func() {
 		for name, nodeOp := range res.perNode {
 			env.spawn(func() {
@@ -508,7 +508,7 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 							}
 						}
 						// b lives until the next pull: the initiator gets a copy.
-						if err := out.lend(pool.gather(b, nil)); err != nil {
+						if err := out.lend(env.initiator.free.Gather(b, nil)); err != nil {
 							return err
 						}
 					}
@@ -519,7 +519,7 @@ func (env *queryEnv) gatherTo(res *streamResult, consumer *obs.Span) exec.Operat
 	var combined exec.Operator = edge(out, res.sp, consumer)
 	if res.needGlobalDistinct {
 		d := exec.NewDistinct(combined)
-		d.Eng = env.eng()
+		d.Eng = env.engOn(env.initiator.name)
 		combined = d
 	}
 	return combined
@@ -624,7 +624,7 @@ func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 // and a replicated dimension fetch while the first side is being read.
 func (env *queryEnv) scanOp(fs *fragmentScan, sp *obs.Span) exec.Operator {
 	n := fs.node
-	ch := env.lendingPipe(fs.scan.OutSchema, 1, n.vecs)
+	ch := env.lendingPipe(fs.scan.OutSchema, 1, n)
 	fragSp := sp.StartSpan("fragment:" + n.name)
 	fs.span = fragSp
 	env.mu.Lock()
@@ -975,7 +975,7 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 	// whatever it gathers, so there it is onInitiator.
 	joinOn := func(node string, lop, rop exec.Operator, exchanged [2]bool) exec.Operator {
 		op := exec.NewHashJoin(lop, rop, j.LeftKeys, j.RightKeys)
-		op.Eng = eng
+		op.Eng = env.engOn(node)
 		op.Mem = env.gov(node)
 		op.Span = sp
 		op.Exchanged = exchanged
@@ -1085,13 +1085,12 @@ func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 		return nil, err
 	}
 	inSchema := a.Input.Schema()
-	eng := env.eng()
 
 	// aggOn builds one node's aggregation, budget-governed with the
 	// node's local disk as its spill store.
 	aggOn := func(node string, op exec.Operator, partial bool) exec.Operator {
 		h := exec.NewHashAggregate(op, a.Keys, a.KeyNames, a.Aggs, partial)
-		h.Eng = eng
+		h.Eng = env.engOn(node)
 		h.Mem = env.gov(node)
 		h.Spill = env.spillFor(node)
 		h.Span = sp
@@ -1134,7 +1133,7 @@ func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 			return nil, err
 		}
 		h := exec.NewHashAggregate(env.gatherTo(mid, sp), mergeKeys, a.KeyNames, mergeAggs, false)
-		h.Eng = eng
+		h.Eng = env.engOn(env.initiator.name)
 		h.Mem = env.gov(env.initiator.name)
 		h.Spill = env.spillFor(env.initiator.name)
 		h.Span = sp
@@ -1190,10 +1189,9 @@ func (env *queryEnv) buildDistinct(d *planner.DistinctNode, sp *obs.Span) (*stre
 	if err != nil {
 		return nil, err
 	}
-	eng := env.eng()
-	out := env.mapResult(in, d.Schema(), sp, func(_ string, op exec.Operator) exec.Operator {
+	out := env.mapResult(in, d.Schema(), sp, func(node string, op exec.Operator) exec.Operator {
 		dd := exec.NewDistinct(edge(op, in.sp, sp))
-		dd.Eng = eng
+		dd.Eng = env.engOn(node)
 		dd.Span = sp
 		return dd
 	})

@@ -21,7 +21,8 @@ import (
 // stream is exhausted. A batch it returns (with nextSel's selection)
 // lives until the next call on the same operator, which may reuse its
 // vectors (a scan takes back what it lent, HashJoin gathers into its
-// own); a consumer that keeps one longer copies it. Batches are
+// own, the hash operators give their tables back to the free list); a
+// consumer that keeps one longer copies it. Batches are
 // read-only: operators hand on what they received or hold without
 // copying (Source, Filter's all-rows batch, HashJoin's probe columns,
 // Distinct's views of its key table).
@@ -34,10 +35,12 @@ type Operator interface {
 // the vectorized engine (typed kernels over selection vectors); Row
 // forces the original row-at-a-time path (EvalBatch/FilterBatch), kept
 // for differential testing and benchmarking. Stats, when set, receives
-// the vectorized/fallback row counters from expression evaluation.
+// the vectorized/fallback row counters from expression evaluation. Free
+// is the hash operators' node's free list (nil: they allocate).
 type Engine struct {
 	Row   bool
 	Stats *expr.VecStats
+	Free  *FreeList
 }
 
 // selOperator is implemented by operators that can hand their output to
@@ -223,6 +226,8 @@ func (d *Distinct) Next() (*types.Batch, error) {
 		if b == nil {
 			d.done = true
 			d.Span.AddAttr("slots", int64(max(len(d.table.ids), len(d.seen))))
+			d.table.release() // the views handed out are dead now
+			giveSlots(d.Eng.Free, d.ids)
 			break
 		}
 		var out *types.Batch
@@ -243,10 +248,11 @@ func (d *Distinct) Next() (*types.Batch, error) {
 // rows it had not seen. The key is the whole row and ids are handed out
 // in first-seen order, so those rows are exactly the tail the batch
 // added to the table's key vectors: the output is a view of it, not a
-// copy.
+// copy, valid until the table grows (on a later call) or is released.
 func (d *Distinct) newRows(b *types.Batch, sel []int) *types.Batch {
 	m := selLen(b, sel)
-	d.ids = growIDs(d.ids, m)
+	d.table.free = d.Eng.Free
+	d.ids = growSlots(d.Eng.Free, d.ids, m)
 	before := d.table.len()
 	d.table.insert(d.table.hash(b.Cols, sel, m), b.Cols, sel, 0, d.ids, nil)
 	if d.table.len() == before {

@@ -103,6 +103,13 @@ type HashAggregate struct {
 	// arena holds one batch's key and argument vectors: keys are copied
 	// into the table and arguments folded into states before the next.
 	arena expr.Arena
+	// The table, states and id scratch (from Eng.Free) and the output,
+	// whose key columns are the table's: they go back to the list on the
+	// call that returns end-of-stream.
+	table  keyTable
+	states aggStates
+	gis    []int32
+	out    *types.Batch
 }
 
 // NewHashAggregate builds a grouping operator. keyNames label the group
@@ -131,6 +138,7 @@ func (h *HashAggregate) Schema() types.Schema { return h.schema }
 // Next implements Operator.
 func (h *HashAggregate) Next() (*types.Batch, error) {
 	if h.done {
+		h.release()
 		return nil, nil
 	}
 	h.done = true
@@ -139,10 +147,26 @@ func (h *HashAggregate) Next() (*types.Batch, error) {
 		next = h.nextRow
 	}
 	out, err := next()
-	if err == nil {
-		h.Span.AddAttr("groups", int64(out.NumRows()))
+	if err != nil {
+		h.release()
+		return nil, err
 	}
-	return out, err
+	h.out = out
+	h.Span.AddAttr("groups", int64(out.NumRows()))
+	return out, nil
+}
+
+// release gives the table, states, id scratch and output aggregate
+// columns back to the list (the output's key columns are the table's).
+func (h *HashAggregate) release() {
+	if h.out != nil {
+		h.Eng.Free.PutVectors(h.out.Cols[len(h.keys):])
+		h.out = nil
+	}
+	h.table.release()
+	giveSlots(h.Eng.Free, h.states.s)
+	giveSlots(h.Eng.Free, h.gis)
+	h.states, h.gis = aggStates{}, nil
 }
 
 // evalInputs evaluates the key and argument expressions of one batch
@@ -187,9 +211,8 @@ func (h *HashAggregate) evalInputs(b *types.Batch, sel []int, keyVals, argVals, 
 // keys) hold one group and never spill.
 func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	na := len(h.aggs)
-	var table keyTable
-	states := h.newStates()
-	var gis []int32
+	h.table, h.states = keyTable{free: h.Eng.Free}, h.newStates()
+	table, states := &h.table, &h.states
 	keyVals := make([]*types.Vector, len(h.keys))
 	argVals := make([]*types.Vector, na)
 	cntVals := make([]*types.Vector, na)
@@ -210,7 +233,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		}
 	}
 	flush := func() error {
-		hd, err := writeAggRun(h.Spill, table.cols, &states, na)
+		hd, err := writeAggRun(h.Spill, table.cols, states, na)
 		if err != nil {
 			return err
 		}
@@ -238,11 +261,12 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		if err := h.evalInputs(b, sel, keyVals, argVals, cntVals); err != nil {
 			return nil, err
 		}
-		gis = growIDs(gis, m)
+		h.gis = growSlots(h.Eng.Free, h.gis, m)
+		gis := h.gis
 		if len(h.keys) == 0 {
 			clear(gis)
-			states.grow(na)
-			if err := h.accumulate(&states, gis, 0, m, argVals, cntVals); err != nil {
+			states.grow(h.Eng.Free, na)
+			if err := h.accumulate(states, gis, 0, m, argVals, cntVals); err != nil {
 				return nil, err
 			}
 			continue
@@ -250,8 +274,8 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		hs := table.hash(keyVals, nil, m)
 		for from := 0; from < m; {
 			next := table.insert(hs, keyVals, nil, from, gis, admit)
-			states.grow(table.len() * na)
-			if err := h.accumulate(&states, gis, from, next, argVals, cntVals); err != nil {
+			states.grow(h.Eng.Free, table.len()*na)
+			if err := h.accumulate(states, gis, from, next, argVals, cntVals); err != nil {
 				return nil, err
 			}
 			if next < m {
@@ -265,7 +289,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 	h.Span.AddAttr("slots", int64(len(table.ids)))
 
 	if len(runs) == 0 {
-		return h.assemble(table.cols, &states, table.len()), nil
+		return h.assemble(table.cols, states, table.len()), nil
 	}
 	if err := flush(); err != nil {
 		return nil, err
@@ -282,22 +306,26 @@ func (h *HashAggregate) newStates() (t aggStates) {
 	return t
 }
 
-// grow extends the state arrays to n zeroed entries.
-func (t *aggStates) grow(n int) {
-	t.s = growZeroed(t.s, n)
+// grow extends the state arrays to n zeroed entries, the states in
+// arrays from free.
+func (t *aggStates) grow(free *FreeList, n int) {
+	t.s = growZeroed(free, t.s, n)
 	if t.ext != nil {
-		t.ext = growZeroed(t.ext, n)
+		t.ext = growZeroed(nil, t.ext, n)
 	}
 }
 
-func growZeroed[T any](s []T, n int) []T {
+// growZeroed extends s to n zeroed elements, moving them into a larger
+// array from f when s has no room, and giving s back.
+func growZeroed[T any](f *FreeList, s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
 	if n > cap(s) {
-		grown := make([]T, n, max(n, 2*cap(s)))
+		grown := takeSlots[T](f, max(n, 2*cap(s)))
 		copy(grown, s)
-		return grown
+		giveSlots(f, s)
+		return grown[:n]
 	}
 	clear(s[len(s):n]) // storage reused after a flush
 	return s[:n]
@@ -368,7 +396,7 @@ func (h *HashAggregate) accumulate(t *aggStates, gis []int32, lo, hi int, argVal
 func (h *HashAggregate) assemble(keyCols []*types.Vector, states *aggStates, groups int) *types.Batch {
 	na := len(h.aggs)
 	if len(h.keys) == 0 {
-		states.grow(na)
+		states.grow(h.Eng.Free, na)
 		groups = 1
 	}
 	out := &types.Batch{Cols: make([]*types.Vector, 0, len(h.schema))}
@@ -383,7 +411,7 @@ func (h *HashAggregate) assemble(keyCols []*types.Vector, states *aggStates, gro
 	}
 	for ai, a := range h.aggs {
 		if h.partial && a.Kind == AggAvg {
-			sum, cnt := types.NewVector(types.Float64, groups), types.NewVector(types.Int64, groups)
+			sum, cnt := h.Eng.Free.Vector(types.Float64, groups), h.Eng.Free.Vector(types.Int64, groups)
 			for g := 0; g < groups; g++ {
 				st := &states.s[g*na+ai]
 				sum.Floats = append(sum.Floats, st.sumF)
@@ -392,7 +420,7 @@ func (h *HashAggregate) assemble(keyCols []*types.Vector, states *aggStates, gro
 			out.Cols = append(out.Cols, sum, cnt)
 			continue
 		}
-		col := types.NewVector(h.schema[len(out.Cols)].Type, groups)
+		col := h.Eng.Free.Vector(h.schema[len(out.Cols)].Type, groups)
 		for g := 0; g < groups; g++ {
 			col.Append(states.result(g*na+ai, a))
 		}
@@ -408,7 +436,8 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 	na := len(h.aggs)
 	groups := map[string]int{} // key -> group index
 	keys := types.NewBatch(h.schema[:len(h.keys)], 0)
-	states := h.newStates()
+	h.states = h.newStates()
+	states := &h.states
 	keyVals := make([]*types.Vector, len(h.keys))
 	argVals := make([]*types.Vector, na)
 	cntVals := make([]*types.Vector, na)
@@ -438,7 +467,7 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 					keys.AppendRow(keyBatch.Row(i))
 				}
 			}
-			states.grow((gi + 1) * na)
+			states.grow(h.Eng.Free, (gi+1)*na)
 			for ai, a := range h.aggs {
 				if err := states.updateAt(gi*na+ai, a.Kind, argVals[ai], cntVals[ai], i); err != nil {
 					return nil, err
@@ -447,7 +476,7 @@ func (h *HashAggregate) nextRow() (*types.Batch, error) {
 		}
 	}
 	h.Span.AddAttr("slots", int64(len(groups)))
-	return h.assemble(keys.Cols, &states, keys.NumRows()), nil
+	return h.assemble(keys.Cols, states, keys.NumRows()), nil
 }
 
 // updateAt folds row j of the argument vectors (nil for an aggregate

@@ -17,12 +17,15 @@ import (
 // pull). The build side's copies are concatenated (a single one is
 // kept as it is); the other side's are probed first, then the rest of it
 // streams. An empty input ends the join without draining the other,
-// unless the other is marked Exchanged.
+// unless the other is marked Exchanged. The copies, the concatenation,
+// the table, its chains and the output are in Eng.Free's storage, and
+// each goes back once it is dead: a copy when it is concatenated or
+// probed, the rest when the join ends.
 //
 // The output is the first input's columns then the second's, whichever
 // built, in probe-side stream order; the matches of one probe row come
 // in build-side stream order. The vectorized engine gathers it into
-// vectors the join owns and reuses on the next call. A probe batch whose
+// vectors it reuses on the next call. A probe batch whose
 // every row matches exactly once passes its columns through: like
 // Filter's, the output may share vectors with the input.
 type HashJoin struct {
@@ -55,6 +58,7 @@ type HashJoin struct {
 	build   int               // index of the build input, valid once all is set
 	buf     [2][]*types.Batch // copies of the batches pulled while choosing
 	rows    [2]int            // rows buffered per side
+	probed  *types.Batch      // the buffered probe batch last popped
 	charged int64
 
 	all   *types.Batch     // the build side, concatenated
@@ -72,9 +76,10 @@ type HashJoin struct {
 	rowKey   []byte
 
 	// The output batch and, per column, the vector it is gathered into
-	// or made a view as, reused across calls (vectorized engine).
-	out  types.Batch
-	cols []types.Vector
+	// or the view it is made as, reused across calls (vectorized engine).
+	out   types.Batch
+	cols  []*types.Vector
+	views []types.Vector
 }
 
 // NewHashJoin creates an inner hash join on first.cols == second.cols.
@@ -106,13 +111,32 @@ func (h *HashJoin) charge(n int64) {
 func (h *HashJoin) finish(err error) (*types.Batch, error) {
 	h.charge(-h.charged)
 	h.done = true
-	h.buf, h.all, h.table, h.byKey, h.first, h.next = [2][]*types.Batch{}, nil, keyTable{}, nil, nil, nil
+	h.release()
 	for side := range h.in {
 		for h.Exchanged[side] && !h.ended[side] && err == nil {
 			_, _, err = h.fetch(side)
 		}
 	}
 	return nil, err
+}
+
+// release gives back to the list all the join holds; the batch it
+// returned last is dead once its consumer pulls again.
+func (h *HashJoin) release() {
+	for _, b := range slices.Concat(h.buf[0], h.buf[1], []*types.Batch{h.all, h.probed, {Cols: h.cols}}) {
+		if b != nil {
+			h.Eng.Free.PutVectors(b.Cols)
+		}
+	}
+	h.table.release()
+	for _, s := range [][]int32{h.first, h.next, h.ids} {
+		giveSlots(h.Eng.Free, s)
+	}
+	for _, s := range [][]int{h.sel, h.buildIdx, h.probeIdx} {
+		giveSlots(h.Eng.Free, s)
+	}
+	h.buf, h.all, h.probed, h.cols, h.byKey = [2][]*types.Batch{}, nil, nil, nil, nil
+	h.first, h.next, h.ids, h.sel, h.buildIdx, h.probeIdx = nil, nil, nil, nil, nil, nil
 }
 
 // fetch returns a side's next batch that holds a live row, nil at (and
@@ -137,8 +161,7 @@ func (h *HashJoin) pull(side int) (bool, error) {
 	if b == nil {
 		return false, err
 	}
-	cp := types.NewBatch(h.in[side].Schema(), selLen(b, sel))
-	cp.AppendSel(b, sel)
+	cp := h.Eng.Free.Gather(b, sel)
 	h.charge(BatchMemBytes(cp))
 	h.buf[side] = append(h.buf[side], cp)
 	h.rows[side] += cp.NumRows()
@@ -194,10 +217,7 @@ func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int,
 	}
 	if hasNulls {
 		m := selLen(b, sel)
-		if cap(h.sel) < m {
-			h.sel = make([]int, 0, m)
-		}
-		h.sel = h.sel[:0]
+		h.sel = growSlots(h.Eng.Free, h.sel, m)[:0]
 		for j := 0; j < m; j++ {
 			if i := selRow(sel, j); !anyNull(b, i, keys) {
 				h.sel = append(h.sel, i)
@@ -206,7 +226,7 @@ func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int,
 		sel = h.sel
 	}
 	m := selLen(b, sel)
-	h.ids = growIDs(h.ids, m)
+	h.ids = growSlots(h.Eng.Free, h.ids, m)
 	if !h.Eng.Row {
 		hs := h.table.hash(h.keyCols, sel, m)
 		if add {
@@ -239,22 +259,28 @@ func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int,
 // is one batch, and indexes it, replacing the buffered batches' charge
 // with the real one.
 func (h *HashJoin) buildTable() {
-	side := h.build
+	side, free := h.build, h.Eng.Free
 	all := h.buf[side][0]
 	if len(h.buf[side]) > 1 {
-		all = types.NewBatch(h.in[side].Schema(), h.rows[side])
+		schema := h.in[side].Schema()
+		all = &types.Batch{Cols: make([]*types.Vector, len(schema))}
+		for i, c := range schema {
+			all.Cols[i] = free.Vector(c.Type, h.rows[side])
+		}
 	}
 	for len(h.buf[side]) > 0 {
 		if b := h.pop(side); b != all {
 			all.AppendBatch(b)
+			free.PutVectors(b.Cols)
 		}
 	}
 	h.all = all
+	h.table.free = free
 	sel, ids := h.keyIDs(all, nil, side, true)
 	// Chain the rows of one key in build order: walking backwards and
 	// pushing at the head leaves every chain ascending.
-	h.first = make([]int32, max(h.table.len(), len(h.byKey)))
-	h.next = make([]int32, all.NumRows())
+	h.first = takeSlots[int32](free, max(h.table.len(), len(h.byKey)))
+	h.next = takeSlots[int32](free, all.NumRows())
 	for j := len(ids) - 1; j >= 0; j-- {
 		i := selRow(sel, j)
 		h.next[i] = h.first[ids[j]]
@@ -267,10 +293,16 @@ func (h *HashJoin) buildTable() {
 }
 
 // nextProbe returns the next probe batch: the batches buffered while
-// the side was chosen go first, then the rest of the stream.
+// the side was chosen go first (the one returned before goes back),
+// then the rest of the stream.
 func (h *HashJoin) nextProbe(probe int) (*types.Batch, []int, error) {
+	if h.probed != nil {
+		h.Eng.Free.PutVectors(h.probed.Cols)
+		h.probed = nil
+	}
 	if len(h.buf[probe]) > 0 {
-		return h.pop(probe), nil, nil
+		h.probed = h.pop(probe)
+		return h.probed, nil, nil
 	}
 	return h.fetch(probe)
 }
@@ -321,10 +353,8 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 		// order. One match per probe row is the common case (a key joined
 		// to its foreign keys); duplicates grow the scratch from there.
 		sel, ids := h.keyIDs(pb, sel, probe, false)
-		if cap(h.buildIdx) < len(ids) {
-			h.buildIdx, h.probeIdx = make([]int, 0, len(ids)), make([]int, 0, len(ids))
-		}
-		h.buildIdx, h.probeIdx = h.buildIdx[:0], h.probeIdx[:0]
+		h.buildIdx = growSlots(h.Eng.Free, h.buildIdx, len(ids))[:0]
+		h.probeIdx = growSlots(h.Eng.Free, h.probeIdx, len(ids))[:0]
 		for j, id := range ids {
 			if id < 0 {
 				continue
@@ -347,13 +377,13 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 			// pass through uncopied.
 			idx[probe] = nil
 		}
-		// The output goes into vectors the join owns (vectorized engine),
+		// The output goes into vectors from the list (vectorized engine),
 		// and a match's build key, its probe key bit for bit and never
 		// NULL, is a retyped view of the probe's output key column; the
 		// row engine, the reference, gathers everything anew.
 		out := &h.out
 		if out.Cols == nil {
-			out.Cols, h.cols = make([]*types.Vector, len(h.schema)), make([]types.Vector, len(h.schema))
+			out.Cols, h.cols, h.views = make([]*types.Vector, len(h.schema)), make([]*types.Vector, len(h.schema)), make([]types.Vector, len(h.schema))
 		}
 		at := [2]int{0, len(h.in[0].Schema())}
 		for _, side := range [2]int{probe, h.build} {
@@ -361,7 +391,7 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 				o := at[side] + ci
 				switch k := slices.Index(h.keys[side], ci); {
 				case side == h.build && k >= 0 && !h.Eng.Row:
-					v := &h.cols[o] // a view, never gathered into
+					v := &h.views[o]
 					*v = *out.Cols[at[probe]+h.keys[probe][k]]
 					v.Typ, v.Nulls = c.Typ, nil
 					c = v
@@ -369,10 +399,9 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 				case h.Eng.Row:
 					c = c.Gather(idx[side])
 				default:
-					v := &h.cols[o]
-					v.Truncate(c.Typ)
-					v.AppendSel(c, idx[side])
-					c = v
+					h.cols[o] = h.Eng.Free.room(h.cols[o], c.Typ, len(idx[side]))
+					h.cols[o].AppendSel(c, idx[side])
+					c = h.cols[o]
 				}
 				out.Cols[o] = c
 			}

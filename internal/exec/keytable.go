@@ -16,9 +16,9 @@ import (
 // Layout: open addressing with linear probing over two parallel slot
 // arrays — the key's full hash and its id+1 (0 = empty) — and one typed
 // vector per key column into which a key is appended once, when its id
-// is assigned. The table starts empty and doubles; it is never sized
-// beyond the keys it has seen unless a caller reserves room for rows it
-// already holds.
+// is assigned. The table starts empty and doubles in storage from free,
+// its node's list, giving outgrown arrays back at once and the rest on
+// release, so a warm node builds it in storage an earlier query grew.
 //
 // Equality is what rowKey encodes, which the row engine keeps as the
 // reference: NULL equals NULL (callers that must not match NULLs — the
@@ -31,7 +31,8 @@ type keyTable struct {
 	ids    []int32         // per slot: id+1, 0 = empty
 	n      int
 
-	hbuf []uint64 // hash scratch, reused across calls
+	hbuf []uint64  // hash scratch, reused across calls
+	free *FreeList // nil: the table allocates
 }
 
 // strSeed keys the string hash; one seed serves every table because ids,
@@ -61,6 +62,16 @@ func (t *keyTable) reset() {
 	t.n = 0
 }
 
+// release gives the table's storage back and empties it. No one may read
+// its key vectors, or views of them, afterwards.
+func (t *keyTable) release() {
+	giveSlots(t.free, t.hashes)
+	giveSlots(t.free, t.ids)
+	giveSlots(t.free, t.hbuf)
+	t.free.PutVectors(t.cols)
+	*t = keyTable{free: t.free}
+}
+
 // memBytes is the resident size of the slot arrays and key vectors, the
 // figure the memory governor is charged.
 func (t *keyTable) memBytes() int64 {
@@ -76,7 +87,8 @@ func (t *keyTable) memBytes() int64 {
 // and valid until the next call.
 func (t *keyTable) hash(cols []*types.Vector, sel []int, m int) []uint64 {
 	if cap(t.hbuf) < m {
-		t.hbuf = make([]uint64, m)
+		giveSlots(t.free, t.hbuf)
+		t.hbuf = takeSlots[uint64](t.free, m)
 	}
 	hs := t.hbuf[:m]
 	for j := range hs {
@@ -126,14 +138,6 @@ func (t *keyTable) hash(cols []*types.Vector, sel []int, m int) []uint64 {
 		}
 	}
 	return hs
-}
-
-// growIDs resizes an operator's id scratch (insert's and find's out) to n.
-func growIDs(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // sameClasses reports whether cols have the physical classes of the
@@ -197,7 +201,7 @@ func (t *keyTable) reserve(n int) {
 // key vectors room for as many keys as those slots may hold, so slots and
 // keys grow together by doubling instead of by append's smaller steps.
 func (t *keyTable) rehash(size int) {
-	hashes, ids := make([]uint64, size), make([]int32, size)
+	hashes, ids := takeSlots[uint64](t.free, size), takeSlots[int32](t.free, size)
 	mask := uint64(size - 1)
 	for s, id := range t.ids {
 		if id == 0 {
@@ -210,11 +214,13 @@ func (t *keyTable) rehash(size int) {
 		}
 		hashes[p], ids[p] = h, id
 	}
+	giveSlots(t.free, t.hashes)
+	giveSlots(t.free, t.ids)
 	t.hashes, t.ids = hashes, ids
-	for _, c := range t.cols {
-		grown := types.NewVector(c.Typ, size/4*3)
-		grown.AppendVector(c)
-		*c = *grown
+	for i, c := range t.cols {
+		t.cols[i] = t.free.Vector(c.Typ, size/4*3)
+		t.cols[i].AppendVector(c)
+		t.free.PutVectors([]*types.Vector{c})
 	}
 }
 
@@ -245,7 +251,7 @@ func (t *keyTable) insert(hs []uint64, cols []*types.Vector, sel []int, from int
 	if t.cols == nil {
 		t.cols = make([]*types.Vector, len(cols))
 		for c, v := range cols {
-			t.cols[c] = types.NewVector(v.Typ, len(t.ids)/4*3)
+			t.cols[c] = t.free.Vector(v.Typ, len(t.ids)/4*3)
 		}
 	}
 	for j := from; j < len(hs); j++ {

@@ -18,7 +18,8 @@ var Poisoning = testing.Testing()
 const PoisonInt = math.MinInt64 + 0x5ca7
 
 // Poison overwrites every element of s up to its capacity: NaN for
-// floats, PoisonInt for integers, "☠" for strings, true for bools (and
+// floats, PoisonInt for integers (math.MinInt32 for int32s, which
+// index nothing either, and all ones for uint64s), "☠" for strings, true for bools (and
 // so for null bitmaps), and every slice of each vector a []*Vector
 // holds. Other element types are left as they are.
 func Poison[T any](s []T) {
@@ -27,6 +28,10 @@ func Poison[T any](s []T) {
 		fill(s, PoisonInt)
 	case []int:
 		fill(s, PoisonInt)
+	case []uint64:
+		fill(s, math.MaxUint64)
+	case []int32:
+		fill(s, math.MinInt32)
 	case []float64:
 		fill(s, math.NaN())
 	case []string:

@@ -115,7 +115,9 @@ fuzz:
 # leak check — all race-checked (the pipeline is goroutines connected by
 # channels) — the pipe unit tests (the one bounded edge: k producers,
 # first error, cancellation), the crunch tests (each member's hash
-# filter keeps its share of the shard), the fetch rule (a cold query's GETs all in flight
+# filter keeps its share of the shard), the reshuffle join whose build
+# side is empty on two nodes (the join drains its exchanged probe side,
+# the one exchange rule left in HashJoin), the fetch rule (a cold query's GETs all in flight
 # before one returns; a LIMIT and the fetch-ahead window bound them),
 # plus the operator and fan-out helper unit tests (the batch contract
 # among them: every operator over a source that poisons a batch once it
@@ -136,7 +138,7 @@ fuzz:
 # race detector (they skip under -race, which inflates allocation counts).
 exec:
 	$(GO) test -race -count=1 -run 'TestStreaming|TestReshuffle|TestDistinctMatrix|TestDMLMatrix|TestPointShardMatrix|TestLimitPushdown|TestQueryMemoryBudget' ./internal/experiments/
-	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestColdScanOneRoundTrip|TestLimitStopsFetching|TestPipe|TestCrunch|TestJoinReshuffleEmptyPartition' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestTypedKernels|TestWriteColumnStatsNaNBlock|TestBuildContainerGolden' ./internal/storage/
 	$(GO) test -race -count=1 ./internal/exec/ ./internal/parallel/
 	$(GO) test -count=1 -run 'TestHashOperatorsSteadyStateAllocs|TestHashOperatorsReuseTheirStorage' ./internal/exec/

@@ -139,6 +139,25 @@ func (fs *fragmentScan) list() error {
 	return nil
 }
 
+// estRows estimates the rows listed fragments emit: their containers'
+// rows, scaled by expr.RangeFraction and by a crunch hash filter's 1/Of.
+func estRows(frags ...*fragmentScan) float64 {
+	var rows float64
+	for _, fs := range frags {
+		for _, w := range fs.work {
+			r := float64(w.sc.RowCount)
+			if fs.scan.Pred != nil {
+				r *= expr.RangeFraction(fs.scan.Pred, containerStats(fs.scan, w.sc))
+			}
+			if w.hashFilter {
+				r /= float64(w.task.Of)
+			}
+			rows += r
+		}
+	}
+	return rows
+}
+
 // splitsContainers reports whether task's crunch group splits its
 // shard's containers between members rather than filtering its rows by
 // hash: under CrunchContainerSplit, or when the scan does not read every

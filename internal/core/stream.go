@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -85,7 +86,11 @@ type streamResult struct {
 	// somewhere below: a node that stopped pulling its stream would stall
 	// the exchange for every other node (see exec.HashJoin.Exchanged).
 	exchanged bool
-	schema    types.Schema
+	// est estimates the rows over all its streams (one copy if
+	// replicated), by which a join above picks its build side; only a
+	// join calls it, and nil (a system table) reads as 0.
+	est    func() float64
+	schema types.Schema
 	// sp is the producing plan node's span; consumers count the rows
 	// they pull from this result as its rows-out.
 	sp *obs.Span
@@ -592,6 +597,7 @@ func (env *queryEnv) mapResult(in *streamResult, schema types.Schema, sp *obs.Sp
 		replicated:         in.replicated,
 		needGlobalDistinct: in.needGlobalDistinct,
 		exchanged:          in.exchanged,
+		est:                in.est,
 	}
 	initiator := env.initiator.name
 	switch {
@@ -677,8 +683,9 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 	if scan.Replicated && !scan.Positions {
 		// Replicated projections are read once — preferentially on the
 		// initiator — and replayed by every consumer.
-		op := env.scanOp(&fragmentScan{env: env, node: env.initiator, scan: scan, tasks: []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}}, sp)
-		res := &streamResult{replicated: true, schema: scan.OutSchema, sp: sp}
+		fs := &fragmentScan{env: env, node: env.initiator, scan: scan, tasks: []scanTask{{Shard: catalog.ReplicaShard, Of: 1}}}
+		op := env.scanOp(fs, sp)
+		res := &streamResult{replicated: true, est: func() float64 { return estRows(fs) }, schema: scan.OutSchema, sp: sp}
 		res.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 			b, err := exec.Collect(edge(op, sp, nil))
 			if err != nil {
@@ -688,7 +695,8 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 		}}
 		return res, nil
 	}
-	res := &streamResult{perNode: map[string]exec.Operator{}, schema: scan.OutSchema, sp: sp}
+	var frags []*fragmentScan
+	res := &streamResult{perNode: map[string]exec.Operator{}, est: func() float64 { return estRows(frags...) }, schema: scan.OutSchema, sp: sp}
 	keys := env.pinnedKeys(scan)
 	for _, name := range env.nodes {
 		tasks := env.tasksFor(name, scan, keys)
@@ -709,6 +717,7 @@ func (env *queryEnv) buildScan(scan *planner.Scan, sp *obs.Span) (*streamResult,
 			fs.rec.ShardsPruned = int64(env.db.ring.Count() - len(pinned))
 		}
 		res.perNode[name] = env.scanOp(fs, sp)
+		frags = append(frags, fs)
 	}
 	return res, nil
 }
@@ -843,7 +852,7 @@ func (env *queryEnv) buildProject(p *planner.Project, sp *obs.Span) (*streamResu
 // is replicated (a shared cell every per-node join replays).
 func (env *queryEnv) broadcast(res *streamResult, sp *obs.Span) *streamResult {
 	db := env.db
-	out := &streamResult{replicated: true, schema: res.schema, sp: res.sp}
+	out := &streamResult{replicated: true, est: res.est, schema: res.schema, sp: res.sp}
 	out.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 		src := env.gatherTo(res, sp)
 		var peers []string
@@ -969,12 +978,40 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 	eng := env.eng()
 	var onInitiator [2]bool
 
+	// joinSides fixes every node's build side before any pull, and
+	// records it on the span: the input with the smaller estimate, the
+	// first on a tie. A replicated input (a scan read once, a broadcast)
+	// counts once for each of the reps nodes it is replayed on; the
+	// join's result out is estimated at its larger input.
+	build := 0
+	joinSides := func(reps int, out *streamResult) *streamResult {
+		var est [2]float64
+		for i, r := range [2]*streamResult{left, right} {
+			if r.est != nil {
+				est[i] = r.est()
+			}
+			if r.replicated {
+				est[i] *= float64(reps)
+			}
+		}
+		if est[1] < est[0] {
+			build = 1
+		}
+		sp.AddAttr("build_second", int64(build))
+		sp.AddAttr("build_est", int64(math.Round(est[build])))
+		sp.AddAttr("probe_est", int64(math.Round(est[1-build])))
+		larger := max(est[0], est[1])
+		out.est = func() float64 { return larger }
+		return out
+	}
+
 	// joinOn builds one node's join: what it holds is charged to that
 	// node's governor. exchanged says which inputs are per-node streams
 	// over a reshuffle; a join on the initiator is the one consumer of
 	// whatever it gathers, so there it is onInitiator.
 	joinOn := func(node string, lop, rop exec.Operator, exchanged [2]bool) exec.Operator {
 		op := exec.NewHashJoin(lop, rop, j.LeftKeys, j.RightKeys)
+		op.Build = build
 		op.Eng = env.engOn(node)
 		op.Mem = env.gov(node)
 		op.Span = sp
@@ -995,7 +1032,7 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 			return joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp), onInitiator)
 		}
 		if left.replicated && right.replicated {
-			res := &streamResult{replicated: true, schema: j.Schema(), sp: sp}
+			res := joinSides(1, &streamResult{replicated: true, schema: j.Schema(), sp: sp})
 			res.shared = &sharedBatches{run: func() ([]*types.Batch, error) {
 				b, err := exec.Collect(mk())
 				if err != nil {
@@ -1005,7 +1042,9 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 			}}
 			return res, nil
 		}
-		return &streamResult{single: mk(), schema: j.Schema(), sp: sp}, nil
+		out := joinSides(1, &streamResult{schema: j.Schema(), sp: sp})
+		out.single = mk()
+		return out, nil
 	}
 
 	switch j.Strategy {
@@ -1018,19 +1057,18 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		if right.gathered() && right.replicated {
 			// Join each left fragment against the full right copy.
 			if left.gathered() {
-				return &streamResult{
-					single: joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp), onInitiator),
-					schema: j.Schema(), sp: sp,
-				}, nil
+				out := joinSides(1, &streamResult{schema: j.Schema(), sp: sp})
+				out.single = joinOn(env.initiator.name, edge(left.op(), left.sp, sp), edge(right.op(), right.sp, sp), onInitiator)
+				return out, nil
 			}
-			out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: left.exchanged, schema: j.Schema(), sp: sp}
+			out := joinSides(len(left.perNode), &streamResult{perNode: map[string]exec.Operator{}, exchanged: left.exchanged, schema: j.Schema(), sp: sp})
 			for name, lop := range left.perNode {
 				out.perNode[name] = joinOn(name, edge(lop, left.sp, sp), edge(right.op(), right.sp, sp), local)
 			}
 			return out, nil
 		}
 		if left.gathered() && left.replicated {
-			out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: right.exchanged, schema: j.Schema(), sp: sp}
+			out := joinSides(len(right.perNode), &streamResult{perNode: map[string]exec.Operator{}, exchanged: right.exchanged, schema: j.Schema(), sp: sp})
 			for name, rop := range right.perNode {
 				out.perNode[name] = joinOn(name, edge(left.op(), left.sp, sp), edge(rop, right.sp, sp), local)
 			}
@@ -1039,10 +1077,9 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		// A non-replicated gathered side (e.g. after a distinct): finish
 		// the join on the initiator.
 		if left.gathered() || right.gathered() {
-			return &streamResult{
-				single: joinOn(env.initiator.name, env.gatherTo(left, sp), env.gatherTo(right, sp), onInitiator),
-				schema: j.Schema(), sp: sp,
-			}, nil
+			out := joinSides(1, &streamResult{schema: j.Schema(), sp: sp})
+			out.single = joinOn(env.initiator.name, env.gatherTo(left, sp), env.gatherTo(right, sp), onInitiator)
+			return out, nil
 		}
 		names := map[string]bool{}
 		for name := range left.perNode {
@@ -1051,10 +1088,10 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		for name := range right.perNode {
 			names[name] = true
 		}
-		out := &streamResult{
+		out := joinSides(1, &streamResult{
 			perNode: map[string]exec.Operator{}, exchanged: left.exchanged || right.exchanged,
 			schema: j.Schema(), sp: sp,
-		}
+		})
 		for name := range names {
 			lop, rop := left.perNode[name], right.perNode[name]
 			if lop == nil {
@@ -1068,9 +1105,10 @@ func (env *queryEnv) buildJoin(j *planner.Join, sp *obs.Span) (*streamResult, er
 		return out, nil
 
 	case planner.JoinReshuffleBoth:
+		// An exchanged input is every source's rows once, replicated or not.
+		out := joinSides(1, &streamResult{perNode: map[string]exec.Operator{}, exchanged: true, schema: j.Schema(), sp: sp})
 		lsh := env.exchange(left, j.Left.Schema(), j.LeftKeys)
 		rsh := env.exchange(right, j.Right.Schema(), j.RightKeys)
-		out := &streamResult{perNode: map[string]exec.Operator{}, exchanged: true, schema: j.Schema(), sp: sp}
 		for _, name := range env.nodes {
 			out.perNode[name] = joinOn(name, edge(lsh[name], left.sp, sp), edge(rsh[name], right.sp, sp), [2]bool{true, true})
 		}
@@ -1101,14 +1139,14 @@ func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 	if in.gathered() {
 		return &streamResult{
 			single: aggOn(env.initiator.name, edge(in.op(), in.sp, sp), false),
-			schema: a.Schema(), sp: sp,
+			est:    in.est, schema: a.Schema(), sp: sp,
 		}, nil
 	}
 
 	switch a.Mode {
 	case planner.AggLocalFinal:
 		// Per-node groups are disjoint; aggregate fully locally (§4).
-		out := &streamResult{perNode: map[string]exec.Operator{}, schema: a.Schema(), sp: sp}
+		out := &streamResult{perNode: map[string]exec.Operator{}, est: in.est, schema: a.Schema(), sp: sp}
 		for name, op := range in.perNode {
 			out.perNode[name] = aggOn(name, edge(op, in.sp, sp), false)
 		}
@@ -1117,7 +1155,7 @@ func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 	case planner.AggInitiatorOnly:
 		return &streamResult{
 			single: aggOn(env.initiator.name, env.gatherTo(in, sp), false),
-			schema: a.Schema(), sp: sp,
+			est:    in.est, schema: a.Schema(), sp: sp,
 		}, nil
 
 	case planner.AggTwoPhase:
@@ -1137,7 +1175,7 @@ func (env *queryEnv) buildAggregate(a *planner.Aggregate, sp *obs.Span) (*stream
 		h.Mem = env.gov(env.initiator.name)
 		h.Spill = env.spillFor(env.initiator.name)
 		h.Span = sp
-		return &streamResult{single: h, schema: a.Schema(), sp: sp}, nil
+		return &streamResult{single: h, est: in.est, schema: a.Schema(), sp: sp}, nil
 	}
 	return nil, fmt.Errorf("core: unknown aggregate mode %v", a.Mode)
 }
@@ -1219,7 +1257,7 @@ func (env *queryEnv) buildSort(s *planner.Sort, sp *obs.Span) (*streamResult, er
 	}
 	return &streamResult{
 		single: env.sortOn(env.gatherTo(in, sp), s.Keys),
-		schema: s.Schema(), sp: sp,
+		est:    in.est, schema: s.Schema(), sp: sp,
 	}, nil
 }
 
@@ -1239,7 +1277,7 @@ func (env *queryEnv) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, 
 		}
 		return &streamResult{
 			single: exec.NewLimit(env.sortOn(env.gatherTo(res, sp), srt.Keys), l.N),
-			schema: l.Schema(), sp: sp,
+			est:    in.est, schema: l.Schema(), sp: sp,
 		}, nil
 	}
 	in, err := env.build(l.Input, sp)
@@ -1249,7 +1287,7 @@ func (env *queryEnv) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, 
 	if in.gathered() {
 		return &streamResult{
 			single: exec.NewLimit(edge(in.op(), in.sp, sp), l.N),
-			schema: l.Schema(), sp: sp,
+			est:    in.est, schema: l.Schema(), sp: sp,
 		}, nil
 	}
 	// No ORDER BY: each fragment can contribute at most N rows, so cap
@@ -1264,6 +1302,6 @@ func (env *queryEnv) buildLimit(l *planner.Limit, sp *obs.Span) (*streamResult, 
 	})
 	return &streamResult{
 		single: exec.NewLimit(env.gatherTo(capped, sp), l.N),
-		schema: l.Schema(), sp: sp,
+		est:    in.est, schema: l.Schema(), sp: sp,
 	}, nil
 }

@@ -76,16 +76,18 @@ func BenchmarkHashJoin(b *testing.B) {
 	shapes := []struct {
 		name          string
 		first, second []*types.Batch
+		build         int
 	}{
-		{"big-first/small-second", fact, dim},
-		{"small-first/big-second", dim, fact},
-		{"duplicate-build-keys", fact[:4], dupDim},
+		{"big-first/small-second", fact, dim, 1},
+		{"small-first/big-second", dim, fact, 0},
+		{"duplicate-build-keys", fact[:4], dupDim, 1},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				op := NewHashJoin(NewSource(schema, sh.first...), NewSource(schema, sh.second...), []int{0}, []int{0})
+				op.Build = sh.build
 				for {
 					out, err := op.Next()
 					if err != nil {

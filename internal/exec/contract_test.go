@@ -92,10 +92,10 @@ func TestOperatorsKeepNoBatchPastItsPull(t *testing.T) {
 		}},
 		{"join second builds", func(eng Engine, src func(...*types.Batch) Operator) Operator {
 			j := NewHashJoin(src(large...), src(small...), []int{0, 2}, []int{0, 2})
-			j.Eng = eng
+			j.Eng, j.Build = eng, 1
 			return j
 		}},
-		{"join both exchanged", func(eng Engine, src func(...*types.Batch) Operator) Operator {
+		{"join both exchanged, larger builds", func(eng Engine, src func(...*types.Batch) Operator) Operator {
 			j := NewHashJoin(src(large...), src(small...), []int{2}, []int{2})
 			j.Eng, j.Exchanged = eng, [2]bool{true, true}
 			return j

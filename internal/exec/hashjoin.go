@@ -7,20 +7,17 @@ import (
 	"eon/internal/types"
 )
 
-// HashJoin is an inner equi-join that picks its build side while it runs:
-// it pulls from whichever input has fewer rows buffered (ties: the first)
-// until one ends, and hashes that one. The lesser side is always the one
-// pulled, so the larger can never end first: the input with fewer rows
-// builds (the first on a tie) whatever the batch sizes, and at most the
-// smaller input plus one batch of the other is held, each batch copied
-// once as it is buffered (Operator: a batch lives only until the next
-// pull). The build side's copies are concatenated (a single one is
-// kept as it is); the other side's are probed first, then the rest of it
-// streams. An empty input ends the join without draining the other,
-// unless the other is marked Exchanged. The copies, the concatenation,
-// the table, its chains and the output are in Eng.Free's storage, and
-// each goes back once it is dead: a copy when it is concatenated or
-// probed, the rest when the join ends.
+// HashJoin is an inner equi-join whose build side is chosen by its
+// caller before the first pull (Build; core picks the input with the
+// smaller estimate). It reads the build side to its end, copying each
+// batch (Operator: a batch lives only until the next pull) and
+// concatenating the copies (a single one is kept as it is), hashes it,
+// then streams the probe side; nothing is pulled from the probe side
+// before the build side ends. An empty build side ends the join without
+// reading the probe side, unless that is marked Exchanged. The copies,
+// the concatenation, the table, its chains and the output are in
+// Eng.Free's storage, and each goes back once it is dead: a copy when it
+// is concatenated, the rest when the join ends.
 //
 // The output is the first input's columns then the second's, whichever
 // built, in probe-side stream order; the matches of one probe row come
@@ -33,32 +30,26 @@ type HashJoin struct {
 	keys   [2][]int
 	schema types.Schema
 	Eng    Engine
+	// Build is the input that builds: 0, the first (the default), or 1.
+	Build int
 
-	// Mem, when set, is charged for every batch buffered while the side
-	// is chosen, then for the concatenated build side and its table until
-	// the probe ends. The build side does not spill (grace hash join is an
+	// Mem, when set, is charged for the build side's copies while it is
+	// read, then for the concatenated build side and its table until the
+	// probe ends. The build side does not spill (grace hash join is an
 	// open roadmap item), so the charge documents rather than bounds it.
 	Mem *MemGovernor
-	// Span, when set, receives build_rows, probe_rows, build_second (1
-	// when the second input built) and slots, its key table's size.
+	// Span, when set, receives build_rows, probe_rows and slots, its key
+	// table's size.
 	Span *obs.Span
 	// Exchanged marks an input fed through a cross-node exchange: bounded
 	// edges whose producers serve every node's join and stall all of them
-	// while one node does not pull. Such an input is never abandoned (an
-	// early end drains and discards the rest of it), and when both inputs
-	// are exchanged the first is taken whole before the second is touched,
-	// so every node pulls the two exchanges in the same order and none
-	// waits on a producer that is stuck on another node's idle edge. The
-	// side is still chosen by size; the join then holds the whole first
-	// input plus at most as many rows of the second, and one batch.
+	// while one node does not pull. Such a probe input is never abandoned:
+	// when the build side is empty it is drained and discarded.
 	Exchanged [2]bool
 
 	done    bool
-	ended   [2]bool           // the input has returned end-of-stream
-	build   int               // index of the build input, valid once all is set
-	buf     [2][]*types.Batch // copies of the batches pulled while choosing
-	rows    [2]int            // rows buffered per side
-	probed  *types.Batch      // the buffered probe batch last popped
+	ended   [2]bool        // the input has returned end-of-stream
+	buf     []*types.Batch // copies of the build side's batches
 	charged int64
 
 	all   *types.Batch     // the build side, concatenated
@@ -82,7 +73,8 @@ type HashJoin struct {
 	views []types.Vector
 }
 
-// NewHashJoin creates an inner hash join on first.cols == second.cols.
+// NewHashJoin creates an inner hash join on first.cols == second.cols;
+// the first input builds unless Build is set to 1.
 func NewHashJoin(first, second Operator, firstKeys, secondKeys []int) *HashJoin {
 	schema := append(append(types.Schema{}, first.Schema()...), second.Schema()...)
 	return &HashJoin{
@@ -123,7 +115,7 @@ func (h *HashJoin) finish(err error) (*types.Batch, error) {
 // release gives back to the list all the join holds; the batch it
 // returned last is dead once its consumer pulls again.
 func (h *HashJoin) release() {
-	for _, b := range slices.Concat(h.buf[0], h.buf[1], []*types.Batch{h.all, h.probed, {Cols: h.cols}}) {
+	for _, b := range append(h.buf, h.all, &types.Batch{Cols: h.cols}) {
 		if b != nil {
 			h.Eng.Free.PutVectors(b.Cols)
 		}
@@ -135,7 +127,7 @@ func (h *HashJoin) release() {
 	for _, s := range [][]int{h.sel, h.buildIdx, h.probeIdx} {
 		giveSlots(h.Eng.Free, s)
 	}
-	h.buf, h.all, h.probed, h.cols, h.byKey = [2][]*types.Batch{}, nil, nil, nil, nil
+	h.buf, h.all, h.cols, h.byKey = nil, nil, nil, nil
 	h.first, h.next, h.ids, h.sel, h.buildIdx, h.probeIdx = nil, nil, nil, nil, nil, nil
 }
 
@@ -153,53 +145,6 @@ func (h *HashJoin) fetch(side int) (*types.Batch, []int, error) {
 		}
 	}
 	return nil, nil, nil
-}
-
-// pull buffers a copy of a side's next batch; false is the side's end.
-func (h *HashJoin) pull(side int) (bool, error) {
-	b, sel, err := h.fetch(side)
-	if b == nil {
-		return false, err
-	}
-	cp := h.Eng.Free.Gather(b, sel)
-	h.charge(BatchMemBytes(cp))
-	h.buf[side] = append(h.buf[side], cp)
-	h.rows[side] += cp.NumRows()
-	return true, nil
-}
-
-// pop takes the oldest buffered batch of a side and stops charging for it.
-func (h *HashJoin) pop(side int) *types.Batch {
-	b := h.buf[side][0]
-	h.buf[side][0] = nil
-	h.buf[side] = h.buf[side][1:]
-	h.charge(-BatchMemBytes(b))
-	return b
-}
-
-// choose buffers both inputs, always pulling the side with fewer rows,
-// until one ends; that side builds. Two exchanged inputs are pulled first
-// to its end, then second: the second then builds if it ends with fewer
-// rows, the first as soon as the second has as many. It reports false
-// when the build side is empty.
-func (h *HashJoin) choose() (bool, error) {
-	for h.Exchanged[0] && h.Exchanged[1] && !h.ended[0] {
-		if _, err := h.pull(0); err != nil {
-			return false, err
-		}
-	}
-	for {
-		side := 0
-		if h.rows[1] < h.rows[0] {
-			side = 1
-		}
-		if more, err := h.pull(side); err != nil {
-			return false, err
-		} else if !more {
-			h.build = side
-			return h.rows[side] > 0, nil
-		}
-	}
 }
 
 // keyIDs resolves the selected rows of b to key ids by side's key
@@ -255,56 +200,54 @@ func (h *HashJoin) keyIDs(b *types.Batch, sel []int, side int, add bool) ([]int,
 	return sel, h.ids
 }
 
-// buildTable concatenates the build side at its exact size, unless it
-// is one batch, and indexes it, replacing the buffered batches' charge
-// with the real one.
-func (h *HashJoin) buildTable() {
-	side, free := h.build, h.Eng.Free
-	all := h.buf[side][0]
-	if len(h.buf[side]) > 1 {
+// buildTable reads the build side to its end, a copy of each batch
+// charged while it is held, concatenates the copies at their exact size
+// unless there is one, and indexes them, replacing the copies' charge
+// with the real one. It reports false when the build side is empty.
+func (h *HashJoin) buildTable() (bool, error) {
+	side, free := h.Build, h.Eng.Free
+	rows := 0
+	for {
+		b, sel, err := h.fetch(side)
+		if b == nil {
+			if err != nil || rows == 0 {
+				return false, err
+			}
+			break
+		}
+		cp := free.Gather(b, sel)
+		h.charge(BatchMemBytes(cp))
+		h.buf = append(h.buf, cp)
+		rows += cp.NumRows()
+	}
+	all := h.buf[0]
+	if len(h.buf) > 1 {
 		schema := h.in[side].Schema()
 		all = &types.Batch{Cols: make([]*types.Vector, len(schema))}
 		for i, c := range schema {
-			all.Cols[i] = free.Vector(c.Type, h.rows[side])
+			all.Cols[i] = free.Vector(c.Type, rows)
 		}
-	}
-	for len(h.buf[side]) > 0 {
-		if b := h.pop(side); b != all {
+		for _, b := range h.buf {
 			all.AppendBatch(b)
 			free.PutVectors(b.Cols)
 		}
 	}
-	h.all = all
+	h.buf, h.all = nil, all
 	h.table.free = free
 	sel, ids := h.keyIDs(all, nil, side, true)
 	// Chain the rows of one key in build order: walking backwards and
 	// pushing at the head leaves every chain ascending.
 	h.first = takeSlots[int32](free, max(h.table.len(), len(h.byKey)))
-	h.next = takeSlots[int32](free, all.NumRows())
+	h.next = takeSlots[int32](free, rows)
 	for j := len(ids) - 1; j >= 0; j-- {
 		i := selRow(sel, j)
 		h.next[i] = h.first[ids[j]]
 		h.first[ids[j]] = int32(i) + 1
 	}
-	h.charge(BatchMemBytes(all) + h.table.memBytes() + 4*int64(len(h.first)+len(h.next)))
-	h.Span.AddAttr("build_rows", int64(all.NumRows()))
-	h.Span.AddAttr("build_second", int64(side))
+	h.charge(BatchMemBytes(all) + h.table.memBytes() + 4*int64(len(h.first)+len(h.next)) - h.charged)
+	h.Span.AddAttr("build_rows", int64(rows))
 	h.Span.AddAttr("slots", int64(max(len(h.table.ids), len(h.byKey))))
-}
-
-// nextProbe returns the next probe batch: the batches buffered while
-// the side was chosen go first (the one returned before goes back),
-// then the rest of the stream.
-func (h *HashJoin) nextProbe(probe int) (*types.Batch, []int, error) {
-	if h.probed != nil {
-		h.Eng.Free.PutVectors(h.probed.Cols)
-		h.probed = nil
-	}
-	if len(h.buf[probe]) > 0 {
-		h.probed = h.pop(probe)
-		return h.probed, nil, nil
-	}
-	return h.fetch(probe)
+	return true, nil
 }
 
 // isIdentity reports whether idx is exactly 0..n-1.
@@ -335,15 +278,13 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 		return nil, nil
 	}
 	if h.all == nil {
-		ok, err := h.choose()
-		if err != nil || !ok {
+		if ok, err := h.buildTable(); !ok {
 			return h.finish(err)
 		}
-		h.buildTable()
 	}
-	probe := 1 - h.build
+	probe := 1 - h.Build
 	for {
-		pb, sel, err := h.nextProbe(probe)
+		pb, sel, err := h.fetch(probe)
 		if pb == nil {
 			return h.finish(err)
 		}
@@ -370,7 +311,7 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 
 		idx := [2][]int{h.probeIdx, h.probeIdx}
 		src := [2]*types.Batch{pb, pb}
-		idx[h.build], src[h.build] = h.buildIdx, h.all
+		idx[h.Build], src[h.Build] = h.buildIdx, h.all
 		if isIdentity(h.probeIdx, pb.NumRows()) {
 			// Every probe row matched exactly once, in order (an
 			// unfiltered fact table against its dimension): its columns
@@ -386,11 +327,11 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 			out.Cols, h.cols, h.views = make([]*types.Vector, len(h.schema)), make([]*types.Vector, len(h.schema)), make([]types.Vector, len(h.schema))
 		}
 		at := [2]int{0, len(h.in[0].Schema())}
-		for _, side := range [2]int{probe, h.build} {
+		for _, side := range [2]int{probe, h.Build} {
 			for ci, c := range src[side].Cols {
 				o := at[side] + ci
 				switch k := slices.Index(h.keys[side], ci); {
-				case side == h.build && k >= 0 && !h.Eng.Row:
+				case side == h.Build && k >= 0 && !h.Eng.Row:
 					v := &h.views[o]
 					*v = *out.Cols[at[probe]+h.keys[probe][k]]
 					v.Typ, v.Nulls = c.Typ, nil

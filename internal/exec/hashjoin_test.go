@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"eon/internal/types"
@@ -68,108 +70,6 @@ func nestedLoop(first, second *types.Batch) []string {
 	return out
 }
 
-// TestHashJoinBuildsOnSmallerSide pins the side-selection rule: the
-// input with fewer rows builds (ties: the first) for every way of
-// cutting the same rows into batches, on both engines; the output
-// schema is first-then-second either way, the rows are the nested-loop
-// join's, and their order does not depend on the cut.
-func TestHashJoinBuildsOnSmallerSide(t *testing.T) {
-	cases := []struct {
-		name          string
-		nFirst, nSec  int
-		wantBuildSide int
-	}{
-		{"second smaller", 11, 5, 1},
-		{"first smaller", 4, 9, 0},
-		{"tie builds first", 6, 6, 0},
-		{"one row against many", 12, 1, 1},
-	}
-	for _, tc := range cases {
-		first := joinSide(joinFirstSchema, "f", tc.nFirst, 3)
-		second := joinSide(joinSecondSchema, "s", tc.nSec, 4)
-		want := nestedLoop(first, second)
-		for _, row := range []bool{false, true} {
-			var ordered []string
-			for cf := 1; cf <= tc.nFirst; cf++ {
-				for cs := 1; cs <= tc.nSec; cs++ {
-					label := fmt.Sprintf("%s row=%v chunks=%d/%d", tc.name, row, cf, cs)
-					j := NewHashJoin(
-						NewSource(joinFirstSchema, chunked(first, cf)...),
-						NewSource(joinSecondSchema, chunked(second, cs)...),
-						[]int{0}, []int{0})
-					j.Eng.Row = row
-					var got []string
-					for {
-						b, err := j.Next()
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if b == nil {
-							break
-						}
-						if b.NumCols() != 4 || b.Cols[1].Typ != types.Varchar || b.Cols[3].Typ != types.Varchar {
-							t.Fatalf("%s: output is not first-then-second columns", label)
-						}
-						for i := 0; i < b.NumRows(); i++ {
-							r := b.Row(i)
-							if r[1].S[0] != 'f' || r[3].S[0] != 's' {
-								t.Fatalf("%s: row %v has its sides swapped", label, r)
-							}
-							got = append(got, r.String())
-						}
-					}
-					if j.build != tc.wantBuildSide {
-						t.Fatalf("%s: input %d built, want %d", label, j.build, tc.wantBuildSide)
-					}
-					if ordered == nil {
-						ordered = got
-					} else if fmt.Sprint(got) != fmt.Sprint(ordered) {
-						t.Fatalf("%s: output order depends on the batch cut\n got %v\nwant %v", label, got, ordered)
-					}
-					sorted := append([]string(nil), got...)
-					sort.Strings(sorted)
-					if fmt.Sprint(sorted) != fmt.Sprint(want) {
-						t.Fatalf("%s: rows differ from the nested-loop join\n got %v\nwant %v", label, sorted, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestHashJoinEmptySideShortCircuits: an empty input ends the join
-// without the other being drained.
-func TestHashJoinEmptySideShortCircuits(t *testing.T) {
-	big := chunked(joinSide(joinFirstSchema, "f", 40, 5), 4)
-	for _, emptyFirst := range []bool{true, false} {
-		g := NewMemGovernor(0, nil)
-		full := &countingOp{Operator: NewSource(joinFirstSchema, big...)}
-		empty := &countingOp{Operator: NewSource(joinFirstSchema)}
-		in := [2]Operator{full, empty}
-		if emptyFirst {
-			in = [2]Operator{empty, full}
-		}
-		j := NewHashJoin(in[0], in[1], []int{0}, []int{0})
-		j.Mem = g
-		for i := 0; i < 2; i++ { // a finished join stays finished
-			if b, err := j.Next(); b != nil || err != nil {
-				t.Fatalf("emptyFirst=%v: Next = (%v, %v), want end of stream", emptyFirst, b, err)
-			}
-		}
-		if full.exhausted {
-			t.Fatalf("emptyFirst=%v: the non-empty input was drained", emptyFirst)
-		}
-		// The first input is pulled first; an empty one ends the join
-		// before the second is touched, an empty second after one batch.
-		if want := map[bool]int{true: 0, false: 1}[emptyFirst]; full.pulls != want {
-			t.Fatalf("emptyFirst=%v: %d pulls from the non-empty input, want %d", emptyFirst, full.pulls, want)
-		}
-		if g.Used() != 0 {
-			t.Fatalf("emptyFirst=%v: %d bytes still charged", emptyFirst, g.Used())
-		}
-	}
-}
-
 // loggedOp appends its id to a shared log on every pull.
 type loggedOp struct {
 	countingOp
@@ -182,61 +82,181 @@ func (l *loggedOp) Next() (*types.Batch, error) {
 	return l.countingOp.Next()
 }
 
-// TestHashJoinExchangedInputs pins what Exchanged changes: such an input
-// is read to its end even when the join ends early, two of them are read
-// one after the other (all of the first before any of the second), and
-// the smaller side still builds.
+// joinLogged runs a join of first and second, cut into batches of
+// cf and cs rows, with build as its build side; it returns the join, the
+// output rows, the inputs and their shared pull log.
+func joinLogged(t *testing.T, first, second *types.Batch, cf, cs, build int, exchanged [2]bool, eng Engine) (*HashJoin, []types.Row, [2]*loggedOp, []int) {
+	t.Helper()
+	var log []int
+	in := [2]*loggedOp{
+		{countingOp: countingOp{Operator: NewSource(joinFirstSchema, chunked(first, cf)...)}, id: 0, log: &log},
+		{countingOp: countingOp{Operator: NewSource(joinSecondSchema, chunked(second, cs)...)}, id: 1, log: &log},
+	}
+	j := NewHashJoin(in[0], in[1], []int{0}, []int{0})
+	j.Build, j.Exchanged, j.Eng = build, exchanged, eng
+	var rows []types.Row
+	for {
+		b, err := j.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return j, rows, in, log
+		}
+		if b.NumCols() != 4 || b.Cols[1].Typ != types.Varchar || b.Cols[3].Typ != types.Varchar {
+			t.Fatal("output is not first-then-second columns")
+		}
+		for i := 0; i < b.NumRows(); i++ {
+			rows = append(rows, b.Row(i))
+		}
+	}
+}
+
+// buildEndsFirst reports whether log, the inputs' pulls in order, reads
+// the build input to its end (its last pull returned end-of-stream)
+// before the probe input is touched.
+func buildEndsFirst(log []int, build int, in [2]*loggedOp) bool {
+	probeAt := slices.Index(log, 1-build)
+	if probeAt < 0 {
+		probeAt = len(log)
+	}
+	return slices.Index(log[probeAt:], build) < 0 && in[build].exhausted && probeAt == in[build].pulls
+}
+
+// TestHashJoinBuildsTheSideItIsGiven pins the side rule: the input the
+// caller names builds, whatever the sizes (the smaller, the larger, a
+// tie), for every way of cutting the same rows into batches, on both
+// engines. The build input is read to its end before the probe input is
+// pulled; the output schema is first-then-second either way, the rows
+// are the nested-loop join's, they come in probe-side order, and their
+// order does not depend on the cut.
+func TestHashJoinBuildsTheSideItIsGiven(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nFirst, nSec int
+	}{
+		{"second smaller", 11, 5},
+		{"first smaller", 4, 9},
+		{"tie", 6, 6},
+		{"one row against many", 12, 1},
+	} {
+		first := joinSide(joinFirstSchema, "f", tc.nFirst, 3)
+		second := joinSide(joinSecondSchema, "s", tc.nSec, 4)
+		want := nestedLoop(first, second)
+		for build := range 2 {
+			for _, row := range []bool{false, true} {
+				var ordered []string
+				for cf := 1; cf <= tc.nFirst; cf++ {
+					for cs := 1; cs <= tc.nSec; cs++ {
+						label := fmt.Sprintf("%s build=%d row=%v chunks=%d/%d", tc.name, build, row, cf, cs)
+						_, rows, in, log := joinLogged(t, first, second, cf, cs, build, [2]bool{}, Engine{Row: row})
+						if !buildEndsFirst(log, build, in) {
+							t.Fatalf("%s: pull order %v does not read input %d to its end first", label, log, build)
+						}
+						var got []string
+						probeRow := -1
+						for _, r := range rows {
+							if r[1].S[0] != 'f' || r[3].S[0] != 's' {
+								t.Fatalf("%s: row %v has its sides swapped", label, r)
+							}
+							// The probe side's tag is f<row> or s<row>: rows come in its order.
+							i, _ := strconv.Atoi(r[3-2*build].S[1:])
+							if i < probeRow {
+								t.Fatalf("%s: row %v is out of probe-side order", label, r)
+							}
+							probeRow = i
+							got = append(got, r.String())
+						}
+						if ordered == nil {
+							ordered = got
+						} else if fmt.Sprint(got) != fmt.Sprint(ordered) {
+							t.Fatalf("%s: output order depends on the batch cut\n got %v\nwant %v", label, got, ordered)
+						}
+						sorted := append([]string(nil), got...)
+						sort.Strings(sorted)
+						if fmt.Sprint(sorted) != fmt.Sprint(want) {
+							t.Fatalf("%s: rows differ from the nested-loop join\n got %v\nwant %v", label, sorted, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHashJoinEmptySideShortCircuits: an empty build side ends the join
+// without the probe side being pulled; a non-empty build side is read
+// whole even when the probe side turns out empty. Nothing stays charged.
+func TestHashJoinEmptySideShortCircuits(t *testing.T) {
+	big := chunked(joinSide(joinFirstSchema, "f", 40, 5), 4)
+	for _, emptyFirst := range []bool{true, false} {
+		for _, buildEmpty := range []bool{true, false} {
+			label := fmt.Sprintf("emptyFirst=%v buildEmpty=%v", emptyFirst, buildEmpty)
+			g := NewMemGovernor(0, nil)
+			full := &countingOp{Operator: NewSource(joinFirstSchema, big...)}
+			empty := &countingOp{Operator: NewSource(joinFirstSchema)}
+			in, emptySide := [2]Operator{full, empty}, 1
+			if emptyFirst {
+				in, emptySide = [2]Operator{empty, full}, 0
+			}
+			j := NewHashJoin(in[0], in[1], []int{0}, []int{0})
+			j.Mem, j.Build = g, emptySide
+			if !buildEmpty {
+				j.Build = 1 - emptySide
+			}
+			for i := 0; i < 2; i++ { // a finished join stays finished
+				if b, err := j.Next(); b != nil || err != nil {
+					t.Fatalf("%s: Next = (%v, %v), want end of stream", label, b, err)
+				}
+			}
+			if want := map[bool]int{true: 0, false: len(big) + 1}[buildEmpty]; full.pulls != want {
+				t.Fatalf("%s: %d pulls from the non-empty input, want %d", label, full.pulls, want)
+			}
+			if g.Used() != 0 {
+				t.Fatalf("%s: %d bytes still charged", label, g.Used())
+			}
+		}
+	}
+}
+
+// TestHashJoinExchangedInputs pins what Exchanged changes now that the
+// build side is given: nothing is pulled from the probe side before the
+// build side ends, whichever inputs are exchanged, and an empty build
+// side drains an exchanged probe side and abandons a local one.
 func TestHashJoinExchangedInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		nFirst, nSec int
+		build        int
 		exchanged    [2]bool
-		wantBuild    int
 		wantDrained  [2]bool
 	}{
-		{"empty second, first exchanged", 40, 0, [2]bool{true, false}, 1, [2]bool{true, true}},
-		{"empty first, second exchanged", 0, 40, [2]bool{false, true}, 0, [2]bool{true, true}},
-		{"empty first, second not exchanged", 0, 40, [2]bool{true, false}, 0, [2]bool{true, false}},
-		{"both exchanged, empty first", 0, 40, [2]bool{true, true}, 0, [2]bool{true, true}},
-		{"both exchanged, empty second", 40, 0, [2]bool{true, true}, 1, [2]bool{true, true}},
-		{"both exchanged, second smaller", 40, 9, [2]bool{true, true}, 1, [2]bool{true, true}},
-		{"both exchanged, first smaller", 9, 40, [2]bool{true, true}, 0, [2]bool{true, true}},
-		{"both exchanged, tie", 12, 12, [2]bool{true, true}, 0, [2]bool{true, true}},
+		{"empty build, probe exchanged", 40, 0, 1, [2]bool{true, false}, [2]bool{true, true}},
+		{"empty build, probe exchanged (second)", 0, 40, 0, [2]bool{false, true}, [2]bool{true, true}},
+		{"empty build, probe local", 0, 40, 0, [2]bool{true, false}, [2]bool{true, false}},
+		{"empty build, probe local (first)", 40, 0, 1, [2]bool{false, true}, [2]bool{false, true}},
+		{"both exchanged, empty build", 0, 40, 0, [2]bool{true, true}, [2]bool{true, true}},
+		{"both exchanged, empty probe", 40, 0, 0, [2]bool{true, true}, [2]bool{true, true}},
+		{"both exchanged, larger builds", 40, 9, 0, [2]bool{true, true}, [2]bool{true, true}},
+		{"both exchanged, smaller builds", 40, 9, 1, [2]bool{true, true}, [2]bool{true, true}},
+		{"both exchanged, tie, second builds", 12, 12, 1, [2]bool{true, true}, [2]bool{true, true}},
 	} {
 		first := joinSide(joinFirstSchema, "f", tc.nFirst, 3)
 		second := joinSide(joinSecondSchema, "s", tc.nSec, 4)
-		var log []int
-		in := [2]*loggedOp{
-			{countingOp: countingOp{Operator: NewSource(joinFirstSchema, chunked(first, 4)...)}, id: 0, log: &log},
-			{countingOp: countingOp{Operator: NewSource(joinSecondSchema, chunked(second, 4)...)}, id: 1, log: &log},
-		}
-		g := NewMemGovernor(0, nil)
-		j := NewHashJoin(in[0], in[1], []int{0}, []int{0})
-		j.Exchanged = tc.exchanged
-		j.Mem = g
-		out, err := Collect(j)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		_, rows, in, log := joinLogged(t, first, second, 4, 4, tc.build, tc.exchanged, Engine{})
 		var got []string
-		for i := 0; i < out.NumRows(); i++ {
-			got = append(got, out.Row(i).String())
+		for _, r := range rows {
+			got = append(got, r.String())
 		}
 		sort.Strings(got)
 		if want := nestedLoop(first, second); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: rows differ from the nested-loop join\n got %v\nwant %v", tc.name, got, want)
 		}
-		if j.build != tc.wantBuild {
-			t.Errorf("%s: input %d built, want %d", tc.name, j.build, tc.wantBuild)
+		if !buildEndsFirst(log, tc.build, in) {
+			t.Errorf("%s: pull order %v touches the probe input before input %d ended", tc.name, log, tc.build)
 		}
 		if drained := [2]bool{in[0].exhausted, in[1].exhausted}; drained != tc.wantDrained {
 			t.Errorf("%s: inputs read to their end = %v, want %v", tc.name, drained, tc.wantDrained)
-		}
-		if tc.exchanged == [2]bool{true, true} && !sort.IntsAreSorted(log) {
-			t.Errorf("%s: pull order %v touches the second input before the first ended", tc.name, log)
-		}
-		if g.Used() != 0 {
-			t.Errorf("%s: %d bytes still charged", tc.name, g.Used())
 		}
 	}
 }
@@ -255,21 +275,23 @@ func (f *failingOp) Next() (*types.Batch, error) {
 	return b, err
 }
 
-// TestHashJoinChargesWhatItHolds: the governor sees the buffered batches
-// while the side is chosen, then the build side with its real table (far
-// above the 16 B/row the join used to claim), and nothing after the
-// join ends — by exhaustion or by an input's error in either phase.
+// TestHashJoinChargesWhatItHolds: the governor sees the build side's
+// copies while it is read, then the build side with its real table (far
+// above the 16 B/row the join used to claim), never more than the build
+// side, its table and one probe batch, and nothing after the join ends —
+// by exhaustion or by an input's error in either phase.
 func TestHashJoinChargesWhatItHolds(t *testing.T) {
 	small := joinSide(joinSecondSchema, "s", 200, 200)
 	big := chunked(joinSide(joinFirstSchema, "f", 4000, 200), 500)
 	g := NewMemGovernor(0, nil)
 	j := NewHashJoin(NewSource(joinFirstSchema, big...), NewSource(joinSecondSchema, small), []int{0}, []int{0})
-	j.Mem = g
+	j.Mem, j.Build = g, 1
 	if b, err := j.Next(); b == nil || err != nil {
 		t.Fatalf("Next = (%v, %v)", b, err)
 	}
 	table := j.table.memBytes() + 4*int64(len(j.first)+len(j.next))
-	if held := BatchMemBytes(j.all) + table; j.all.NumRows() != 200 || g.Used() < held {
+	held := BatchMemBytes(j.all) + table
+	if j.all.NumRows() != 200 || g.Used() < held {
 		t.Fatalf("probing with %d bytes charged, the build side and its table hold %d", g.Used(), held)
 	}
 	if table < 2*16*200 {
@@ -281,9 +303,12 @@ func TestHashJoinChargesWhatItHolds(t *testing.T) {
 	if g.Used() != 0 {
 		t.Fatalf("%d bytes charged after the probe drained", g.Used())
 	}
+	if bound := held + BatchMemBytes(big[0]); g.Peak() > bound {
+		t.Fatalf("peak charge %d bytes, above the build side, its table and one probe batch (%d)", g.Peak(), bound)
+	}
 
 	boom := fmt.Errorf("boom")
-	for _, failSecond := range []bool{true, false} { // second fails while choosing, first while probing
+	for _, failSecond := range []bool{true, false} { // second fails while building, first while probing
 		g := NewMemGovernor(0, nil)
 		var first, second Operator = NewSource(joinFirstSchema, big...), NewSource(joinSecondSchema, small)
 		if failSecond {
@@ -292,7 +317,7 @@ func TestHashJoinChargesWhatItHolds(t *testing.T) {
 			first = &failingOp{Operator: first, err: boom}
 		}
 		j := NewHashJoin(first, second, []int{0}, []int{0})
-		j.Mem = g
+		j.Mem, j.Build = g, 1
 		if _, err := Collect(j); err != boom {
 			t.Fatalf("failSecond=%v: Collect error = %v, want boom", failSecond, err)
 		}

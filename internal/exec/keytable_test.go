@@ -342,6 +342,7 @@ func TestHashOperatorsSteadyStateAllocs(t *testing.T) {
 	build := b.Slice(0, 8)
 	probe := perBatch(func(in []*types.Batch) {
 		j := NewHashJoin(NewSource(schema, in...), NewSource(schema, build), []int{0, 1}, []int{0, 1})
+		j.Build = 1
 		for {
 			out, err := j.Next()
 			if err != nil {

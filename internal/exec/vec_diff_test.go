@@ -220,9 +220,9 @@ func TestHashJoinDifferential(t *testing.T) {
 	}
 	for iter := 0; iter < 150; iter++ {
 		nullProb := []float64{0, 0.2}[r.Intn(2)]
-		// Either side may be the smaller one, and both arrive in several
-		// batches, so both build directions and the buffered-probe path
-		// are exercised on both engines.
+		// Either side may be the smaller one and either may build, and
+		// both arrive in several batches, so both build directions are
+		// exercised on both engines.
 		side := func(max int) []*types.Batch {
 			return []*types.Batch{randOpBatch(r, r.Intn(max), nullProb), trickyOpBatch(r, r.Intn(max/2)), randOpBatch(r, r.Intn(max/3), nullProb)}
 		}
@@ -234,7 +234,7 @@ func TestHashJoinDifferential(t *testing.T) {
 		label := fmt.Sprintf("iter %d keys=%v", iter, keys)
 		runBoth(t, label, func(eng Engine) Operator {
 			j := NewHashJoin(NewSource(diffOpSchema, first...), NewSource(diffOpSchema, second...), keys[0], keys[1])
-			j.Eng = eng
+			j.Eng, j.Build = eng, iter%2
 			return j
 		})
 	}

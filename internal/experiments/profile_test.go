@@ -58,10 +58,14 @@ func sumProfile(p *obs.Profile) profileTotals {
 }
 
 // TestProfileMatchesScanStats checks that the profile and the session
-// publish the same record: for every TPC-H query, the per-query execution
-// profile (span tree) must exist, be hierarchical, have no dangling
-// spans, and its summed counter attributes must equal the session's
-// ScanStats, both written at shutdown from the fragments' records.
+// publish the same record: for every TPC-H query, the dashboard query and
+// a segment_window-shaped one (orders in a three-week window joined to
+// customer), the per-query execution profile (span tree) must exist, be
+// hierarchical, have no dangling spans, and its summed counter
+// attributes must equal the session's ScanStats, both written at
+// shutdown from the fragments' records. Every join must have built the
+// input with the smaller estimate, and that input must have turned out
+// the smaller; -v lists each join's sides.
 func TestProfileMatchesScanStats(t *testing.T) {
 	db, _, err := NewEonCluster(3, 3, 2, 0, 0)
 	if err != nil {
@@ -73,8 +77,15 @@ func TestProfileMatchesScanStats(t *testing.T) {
 	s := db.NewSession()
 	s.Trace = true
 
+	queries := append(workload.TPCHQueries(),
+		workload.Query{Name: "Dashboard", SQL: workload.DashboardQuery},
+		workload.Query{Name: "segment_window", SQL: `SELECT c.c_mktsegment, COUNT(*) AS orders, SUM(o.o_totalprice) AS revenue
+			FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
+			WHERE o.o_orderdate >= DATE '1995-03-01' AND o.o_orderdate < DATE '1995-03-22'
+			GROUP BY c.c_mktsegment ORDER BY c.c_mktsegment`},
+	)
 	joins := 0
-	for _, q := range workload.TPCHQueries() {
+	for _, q := range queries {
 		if _, err := s.Query(q.SQL); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -119,13 +130,22 @@ func TestProfileMatchesScanStats(t *testing.T) {
 		}
 
 		// Hash operators report their tables: every join built on the
-		// input that turned out smaller, whichever way the query spells
-		// it, and every aggregate says how many groups it produced.
+		// input with the smaller estimate, chosen once for all its nodes,
+		// and that input turned out the smaller, whichever way the query
+		// spells it; every aggregate says how many groups it produced.
 		prof.Visit(func(n *obs.Profile) {
 			switch n.Name {
 			case "join":
 				joins++
 				build, probe := n.Attrs["build_rows"], n.Attrs["probe_rows"]
+				second, buildEst, probeEst := n.Attrs["build_second"], n.Attrs["build_est"], n.Attrs["probe_est"]
+				t.Logf("%s: build_second=%d build_est=%d probe_est=%d build_rows=%d probe_rows=%d", q.Name, second, buildEst, probeEst, build, probe)
+				if second != 0 && second != 1 {
+					t.Errorf("%s: build_second = %d, want 0 or 1 for the whole join", q.Name, second)
+				}
+				if buildEst == 0 || buildEst > probeEst {
+					t.Errorf("%s: join built on an estimate of %d rows against %d: want 0 < build_est <= probe_est", q.Name, buildEst, probeEst)
+				}
 				if build == 0 || build > probe {
 					t.Errorf("%s: join built on %d rows and probed %d: want 0 < build <= probe", q.Name, build, probe)
 				}
@@ -179,8 +199,8 @@ func TestProfileMatchesScanStats(t *testing.T) {
 			t.Errorf("%s: root span wall %v below query wall %v", q.Name, prof.Wall, st.Wall)
 		}
 	}
-	if joins != 11 {
-		t.Errorf("saw %d join spans over the workload, want the 11 join queries", joins)
+	if joins != 13 {
+		t.Errorf("saw %d join spans over the workload, want the 13 join queries", joins)
 	}
 
 }

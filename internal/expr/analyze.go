@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"slices"
 
 	"eon/internal/types"
@@ -85,6 +86,85 @@ func couldMatch(e Expr, stats StatsFunc) bool {
 		return false
 	}
 	return true
+}
+
+// RangeFraction estimates the share of a storage unit's rows that
+// satisfy the bound predicate e, from the unit's min/max, assuming
+// uniform values and independent columns. Only top-level conjuncts
+// numeric column op literal count (=, <, <=, >, >=; BETWEEN is two):
+// per column they narrow a range whose overlap with [min, max] is the
+// share, in whole values on integer-backed (INTEGER, DATE) columns (a
+// FLOAT equality covers no width). A contradictory range, a NULL
+// literal or an all-NULL column gives 0;
+// other conjuncts and unknown stats count as 1. The result is in [0, 1].
+func RangeFraction(e Expr, stats StatsFunc) float64 {
+	type span struct {
+		st     ColumnStats
+		lo, hi float64 // inclusive
+	}
+	spans, share := map[int]*span{}, 1.0
+	numeric := func(t types.Type) bool { return t.Physical() == types.Int64 || t.Physical() == types.Float64 }
+	var walk func(Expr)
+	walk = func(e Expr) {
+		n, ok := e.(*Binary)
+		if ok && n.Op == OpAnd {
+			walk(n.L)
+			walk(n.R)
+			return
+		}
+		if !ok || !n.Op.IsComparison() || n.Op == OpNe {
+			return
+		}
+		col, lit, op, ok := normalizeComparison(n)
+		if !ok || !numeric(col.Typ) {
+			return
+		}
+		st, known := stats(col.Index)
+		if known && (lit.Null || st.AllNull) {
+			share = 0
+		}
+		if !known || share == 0 || !numeric(lit.K) || !numeric(st.Min.K) {
+			return
+		}
+		s := spans[col.Index]
+		if s == nil {
+			s = &span{st: st, lo: math.Inf(-1), hi: math.Inf(1)}
+			spans[col.Index] = s
+		}
+		v := asFloat(lit)
+		lo, hi, up, down := v, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))
+		if col.Typ.Physical() == types.Int64 {
+			lo, hi = math.Ceil(v), math.Floor(v)
+			up, down = hi+1, lo-1
+		}
+		switch op {
+		case OpEq:
+			s.lo, s.hi = max(s.lo, lo), min(s.hi, hi)
+		case OpGe:
+			s.lo = max(s.lo, lo)
+		case OpGt:
+			s.lo = max(s.lo, up)
+		case OpLe:
+			s.hi = min(s.hi, hi)
+		case OpLt:
+			s.hi = min(s.hi, down)
+		}
+	}
+	walk(e)
+	for _, s := range spans {
+		cMin, cMax := asFloat(s.st.Min), asFloat(s.st.Max)
+		lo, hi, width := max(s.lo, cMin), min(s.hi, cMax), cMax-cMin
+		if s.st.Min.K.Physical() == types.Int64 {
+			hi, width = hi+1, width+1 // a whole value x covers [x, x+1)
+		}
+		switch {
+		case hi < lo:
+			share = 0
+		case width > 0 && width < math.Inf(1): // not min = max, NaN or infinite stats
+			share *= (hi - lo) / width
+		}
+	}
+	return share
 }
 
 // comparisonCouldMatch analyzes col <op> literal (or literal <op> col).

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"eon/internal/types"
@@ -400,5 +401,71 @@ func TestExprString(t *testing.T) {
 	s := e.String()
 	if s == "" {
 		t.Error("string rendering empty")
+	}
+}
+
+func TestRangeFraction(t *testing.T) {
+	stats := statsFor(map[int]ColumnStats{
+		0: {Min: types.NewInt(0), Max: types.NewInt(99)},          // id: 100 whole values
+		1: {Min: types.NewFloat(10), Max: types.NewFloat(20)},     // price
+		2: {Min: types.NewString("a"), Max: types.NewString("z")}, // name
+		4: {Min: types.NewDate(1000), Max: types.NewDate(1099)},   // sold: 100 days
+	})
+	point := statsFor(map[int]ColumnStats{
+		0: {Min: types.NewInt(7), Max: types.NewInt(7)},
+		1: {Min: types.NewFloat(2.5), Max: types.NewFloat(2.5)},
+	})
+	allNull := statsFor(map[int]ColumnStats{0: {AllNull: true}})
+	between := func(col string, lo, hi Expr) Expr {
+		return Bin(OpAnd, Bin(OpGe, Col(col), lo), Bin(OpLe, Col(col), hi))
+	}
+	date := func(d int64) Expr { return Lit(types.NewDate(d)) }
+	cases := []struct {
+		name  string
+		e     Expr
+		stats StatsFunc
+		want  float64
+	}{
+		{"int >", Bin(OpGt, Col("id"), IntLit(49)), stats, 0.5},
+		{"int >=", Bin(OpGe, Col("id"), IntLit(49)), stats, 0.51},
+		{"int <", Bin(OpLt, Col("id"), IntLit(10)), stats, 0.1},
+		{"int <= literal first", Bin(OpGe, IntLit(9), Col("id")), stats, 0.1},
+		{"int two-sided", Bin(OpAnd, Bin(OpGe, Col("id"), IntLit(10)), Bin(OpLt, Col("id"), IntLit(30))), stats, 0.2},
+		{"int between", between("id", IntLit(10), IntLit(29)), stats, 0.2},
+		{"int =", Bin(OpEq, Col("id"), IntLit(5)), stats, 0.01},
+		{"int range past max", Bin(OpGt, Col("id"), IntLit(-50)), stats, 1},
+		{"int outside", Bin(OpGt, Col("id"), IntLit(200)), stats, 0},
+		{"int float bound", Bin(OpLt, Col("id"), FloatLit(9.5)), stats, 0.1},
+		{"int contradictory", Bin(OpAnd, Bin(OpGt, Col("id"), IntLit(50)), Bin(OpLt, Col("id"), IntLit(40))), stats, 0},
+		{"int contradictory strict", Bin(OpAnd, Bin(OpGt, Col("id"), IntLit(5)), Bin(OpLt, Col("id"), IntLit(6))), stats, 0},
+		{"int min = max, in", Bin(OpEq, Col("id"), IntLit(7)), point, 1},
+		{"int min = max, out", Bin(OpGt, Col("id"), IntLit(7)), point, 0},
+		{"float >", Bin(OpGt, Col("price"), FloatLit(15)), stats, 0.5},
+		{"float between", between("price", FloatLit(12), FloatLit(14)), stats, 0.2},
+		{"float int literal", Bin(OpLe, Col("price"), IntLit(11)), stats, 0.1},
+		{"float contradictory", Bin(OpAnd, Bin(OpGt, Col("price"), FloatLit(15)), Bin(OpLt, Col("price"), FloatLit(12))), stats, 0},
+		{"float min = max, in", Bin(OpGe, Col("price"), FloatLit(2.5)), point, 1},
+		{"float min = max, out", Bin(OpLt, Col("price"), FloatLit(2.5)), point, 0},
+		{"date window", Bin(OpAnd, Bin(OpGe, Col("sold"), date(1010)), Bin(OpLt, Col("sold"), date(1035))), stats, 0.25},
+		{"date =", Bin(OpEq, Col("sold"), date(1050)), stats, 0.01},
+		{"two columns multiply", Bin(OpAnd, Bin(OpGt, Col("id"), IntLit(49)), Bin(OpGe, Col("sold"), date(1090))), stats, 0.05},
+		{"NULL literal", Bin(OpGt, Col("id"), Lit(types.NullDatum(types.Int64))), stats, 0},
+		{"all-NULL column", Bin(OpGt, Col("id"), IntLit(3)), allNull, 0},
+		{"no stats", Bin(OpGt, Col("price"), FloatLit(15)), allNull, 1},
+		{"varchar", Bin(OpLt, Col("name"), StrLit("m")), stats, 1},
+		{"<>", Bin(OpNe, Col("id"), IntLit(5)), stats, 1},
+		{"OR", Bin(OpOr, Bin(OpLt, Col("id"), IntLit(10)), Bin(OpGt, Col("id"), IntLit(89))), stats, 1},
+		{"IN", &In{E: Col("id"), List: []Expr{IntLit(1), IntLit(2)}}, stats, 1},
+		{"LIKE", &Like{E: Col("name"), Pattern: "a%"}, stats, 1},
+		{"LIKE and a range", Bin(OpAnd, &Like{E: Col("name"), Pattern: "a%"}, Bin(OpLt, Col("id"), IntLit(10))), stats, 0.1},
+	}
+	for _, c := range cases {
+		got := RangeFraction(bindPred(t, c.e), c.stats)
+		if got < 0 || got > 1 {
+			t.Errorf("%s: RangeFraction = %v, outside [0, 1]", c.name, got)
+		}
+		if math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: RangeFraction(%v) = %v, want %v", c.name, c.e, got, c.want)
+		}
 	}
 }

@@ -253,8 +253,10 @@ func sortedKeys[V any](m map[string]V) []string {
 // v_monitor.query_profiles: one row per span, with the materialized
 // path ("query/scan:lineitem/fragment:n1/fetch") identifying its place
 // in the tree. The span's counter attributes (a join's build_rows,
-// probe_rows and build_second, an aggregate's groups, a fragment's
-// cache hits, ...) render as one "k=v k=v" string in key order.
+// probe_rows, build_second — 1 when the second input built — and the
+// build_est and probe_est it chose by, an aggregate's groups, a
+// fragment's cache hits, ...) render as one "k=v k=v" string in key
+// order.
 func ProfileRows(b *types.Batch, origin string, seq int64, p *obs.Profile) {
 	var walk func(path string, depth int64, n *obs.Profile)
 	walk = func(path string, depth int64, n *obs.Profile) {

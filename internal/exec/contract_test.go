@@ -48,10 +48,10 @@ func (s *lendingSource) Next() (*types.Batch, error) {
 // contract), with a free list that poisons what is given back to it,
 // and checks it returns what it returns over plain sources without a
 // list, on both engines: whatever an operator holds past its next pull —
-// a join's buffered sides, a sort's input, the groups of an aggregate or
-// a distinct — it must have copied, and what it gives back to the list
+// a join's buffered sides, a sort's input, the groups of an aggregate, a
+// groupjoin or a distinct — it must have copied, and what it gives back to the list
 // it must no longer need. Then the other side of the contract: a
-// consumer that keeps an aggregate's or a distinct's output past the
+// consumer that keeps an aggregate's, a groupjoin's or a distinct's output past the
 // pull that returns end-of-stream reads poison, because the key table
 // those columns are views of has gone back to the list.
 func TestOperatorsKeepNoBatchPastItsPull(t *testing.T) {
@@ -111,6 +111,22 @@ func TestOperatorsKeepNoBatchPastItsPull(t *testing.T) {
 			h.Eng = eng
 			return h
 		}},
+		{"groupjoin", func(eng Engine, src func(...*types.Batch) Operator) Operator {
+			// Fused on the vectorized engine; the row engine, which never
+			// fuses, is the reference.
+			gj := func(name string) expr.Expr { return mustBind(t, expr.Col(name), gjSchema) }
+			j := NewHashJoin(src(small...), src(large...), []int{0}, []int{0})
+			j.Eng = eng
+			f := NewFilter(j, mustBind(t, expr.Bin(expr.OpLt, expr.Col("d"), expr.Col("d2")), gjSchema))
+			f.Eng = eng
+			aggs := []AggDef{{Kind: AggSum, Arg: gj("v2"), Name: "sumv"}, {Kind: AggMax, Arg: gj("s2"), Name: "maxs"}}
+			h := NewHashAggregate(f, []expr.Expr{gj("s")}, []string{"s"}, aggs, false)
+			h.Eng = eng
+			if g := NewGroupJoin(h, f); g != nil {
+				return g
+			}
+			return h
+		}},
 		{"distinct", func(eng Engine, src func(...*types.Batch) Operator) Operator {
 			d := NewDistinct(src(large...))
 			d.Eng = eng
@@ -153,7 +169,7 @@ func TestOperatorsKeepNoBatchPastItsPull(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		if c.name != "aggregate" && c.name != "distinct" {
+		if c.name != "aggregate" && c.name != "groupjoin" && c.name != "distinct" {
 			continue
 		}
 		op := c.build(Engine{Free: NewFreeList(1)}, lending)

@@ -7,15 +7,17 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"eon/internal/expr"
 	"eon/internal/types"
 )
 
 // FreeList is a node's one free list (DESIGN.md §8, "Who owns a buffer"):
-// the vectors its scans lend and its hash operators copy into, and the
-// slot arrays, id and row scratch and aggregate states of their tables,
-// reused from query to query. It keeps storage by exact class (a vector
-// by physical class and capacity, a []uint64, []int32, []int or
-// []aggState by capacity; a power of two up to 1<<maxClass): per scan
+// the vectors its scans lend and its hash operators copy into, the slot
+// arrays, id and row scratch and aggregate states of their tables, and
+// the aggregations' expression arenas, reused from query to query. It
+// keeps storage by exact class (a vector by physical class and capacity,
+// a []uint64, []int32, []int or []aggState by capacity; a power of two up
+// to 1<<maxClass; arenas in one class): per scan
 // worker, at most perWorker items a class and freeBytesPerWorker bytes
 // in all. What does not fit is left to the collector. A nil list
 // allocates. Safe for concurrent use. In test binaries (types.Poisoning)
@@ -26,6 +28,7 @@ type FreeList struct {
 	ids    classes[[]int32]
 	rows   classes[[]int]
 	states classes[[]aggState]
+	arenas classes[*expr.Arena] // all in class 0: an arena has no one size
 
 	perClass int
 	bound    int64
@@ -150,6 +153,26 @@ func growSlots[T any](f *FreeList, s []T, n int) []T {
 	}
 	giveSlots(f, s)
 	return takeSlots[T](f, n)
+}
+
+// Arena returns a reset expression arena, from f if it keeps one.
+func (f *FreeList) Arena() *expr.Arena {
+	if f != nil {
+		if a, ok := get(f, &f.arenas, 0); ok {
+			return a
+		}
+	}
+	return new(expr.Arena)
+}
+
+// PutArena resets a (which poisons it in test binaries) and gives it
+// back. No one may read what it handed out afterwards.
+func (f *FreeList) PutArena(a *expr.Arena) {
+	if f == nil {
+		return
+	}
+	a.Reset()
+	put(f, &f.arenas, 1, kept[*expr.Arena]{a, unsafe.Pointer(a), a.Bytes()})
 }
 
 // Vector returns an empty vector of type t with room for n values.

@@ -151,9 +151,10 @@ func drain(t *testing.T, op Operator) (rows int) {
 }
 
 // TestHashOperatorsReuseTheirStorage: once a node's list is warm, a
-// repeated aggregation, distinct and join find their slot arrays, key
-// vectors, aggregate states, id scratch, buffered copies, concatenated
-// build side, chains and output vectors in it. A run then allocates the
+// repeated aggregation (of a column or of an expression), groupjoin,
+// distinct and join find their slot arrays, key vectors, aggregate
+// states, id scratch, expression arenas, buffered copies, concatenated
+// build side, chains, group ids and output vectors in it. A run then allocates the
 // operator and its small per-query slices only: under 8 KiB, where its
 // 4 096-slot table alone (48 KiB) would not fit.
 func TestHashOperatorsReuseTheirStorage(t *testing.T) {
@@ -180,6 +181,22 @@ func TestHashOperatorsReuseTheirStorage(t *testing.T) {
 			h := NewHashAggregate(NewSource(schema, in...), []expr.Expr{col("k"), col("s")}, []string{"k", "s"}, aggs, false)
 			h.Eng = eng
 			return h
+		},
+		"aggregate of an expression": func() Operator {
+			arg := expr.Bin(expr.OpMul, expr.Col("v"), expr.Bin(expr.OpSub, expr.Lit(types.NewFloat(1)), expr.Col("v")))
+			aggs := []AggDef{{Kind: AggSum, Arg: mustBind(t, arg, schema), Name: "x"}}
+			h := NewHashAggregate(NewSource(schema, in...), []expr.Expr{col("k")}, []string{"k"}, aggs, false)
+			h.Eng = eng
+			return h
+		},
+		"groupjoin": func() Operator {
+			j := NewHashJoin(NewSource(schema, in...), NewSource(schema, in[2], in[0], in[1]), []int{0}, []int{0})
+			j.Eng = eng
+			joined := append(append(types.Schema{}, schema...), schema...)
+			arg := mustBind(t, expr.Bin(expr.OpMul, expr.Col("v"), expr.Lit(types.NewFloat(2))), joined)
+			h := NewHashAggregate(j, []expr.Expr{col("k"), col("s")}, []string{"k", "s"}, []AggDef{{Kind: AggSum, Arg: arg, Name: "x"}}, false)
+			h.Eng = eng
+			return NewGroupJoin(h, j)
 		},
 		"distinct": func() Operator {
 			d := NewDistinct(NewSource(schema, in...))

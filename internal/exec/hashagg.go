@@ -100,9 +100,9 @@ type HashAggregate struct {
 	Span *obs.Span
 
 	done bool
-	// arena holds one batch's key and argument vectors: keys are copied
-	// into the table and arguments folded into states before the next.
-	arena expr.Arena
+	// arena (from Eng.Free while it runs) holds one batch's key and
+	// argument vectors: copied and folded in before the next.
+	arena *expr.Arena
 	// The table, states and id scratch (from Eng.Free) and the output,
 	// whose key columns are the table's: they go back to the list on the
 	// call that returns end-of-stream.
@@ -137,16 +137,24 @@ func (h *HashAggregate) Schema() types.Schema { return h.schema }
 
 // Next implements Operator.
 func (h *HashAggregate) Next() (*types.Batch, error) {
+	next := h.nextVec
+	if h.Eng.Row {
+		next = h.nextRow
+	}
+	return h.emit(next)
+}
+
+// emit returns what next aggregates, with an arena from the list while it
+// runs, on the first call, and releases the operator on the next.
+func (h *HashAggregate) emit(next func() (*types.Batch, error)) (*types.Batch, error) {
 	if h.done {
 		h.release()
 		return nil, nil
 	}
 	h.done = true
-	next := h.nextVec
-	if h.Eng.Row {
-		next = h.nextRow
-	}
+	h.arena = h.Eng.Free.Arena()
 	out, err := next()
+	h.Eng.Free.PutArena(h.arena)
 	if err != nil {
 		h.release()
 		return nil, err

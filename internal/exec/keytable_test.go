@@ -356,4 +356,21 @@ func TestHashOperatorsSteadyStateAllocs(t *testing.T) {
 	if probe > 1 {
 		t.Errorf("probing a batch allocates %.1f times, want <= 1", probe)
 	}
+
+	// The same join fused with an aggregate by a build-side column: a
+	// probe batch gathers nothing and inserts no key, so folding it in
+	// allocates nothing.
+	fused := perBatch(func(in []*types.Batch) {
+		j := NewHashJoin(NewSource(schema, in...), NewSource(schema, build), []int{0, 1}, []int{0, 1})
+		j.Build = 1
+		key := &expr.ColumnRef{Name: "s", Index: 3, Typ: types.Varchar}
+		arg := &expr.ColumnRef{Name: "v", Index: 2, Typ: types.Float64}
+		h := NewHashAggregate(j, []expr.Expr{key}, []string{"s"}, []AggDef{{Kind: AggSum, Arg: arg, Name: "x"}}, false)
+		if _, err := Collect(NewGroupJoin(h, j)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fused > 1 {
+		t.Errorf("a groupjoin folding in a batch allocates %.1f times, want <= 1", fused)
+	}
 }

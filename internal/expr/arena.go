@@ -1,6 +1,10 @@
 package expr
 
-import "eon/internal/types"
+import (
+	"unsafe"
+
+	"eon/internal/types"
+)
 
 // Arena is one owner's scratch for vectorized evaluation: the result
 // vectors, null bitmaps and selections that (*Arena).EvalVec and
@@ -42,6 +46,12 @@ func (a *Arena) Reset() {
 	a.vecs.reset()
 }
 
+// Bytes is the capacity of the arena's slabs, what it keeps across
+// Reset.
+func (a *Arena) Bytes() int64 {
+	return a.ints.bytes() + a.floats.bytes() + a.strs.bytes() + a.bools.bytes() + a.sels.bytes() + a.vecs.bytes()
+}
+
 // slab bump-allocates zeroed runs of T. Past the end of its chunk it
 // starts a larger one, so after a round or two one chunk holds a whole
 // round. buf[len(buf):cap(buf)] is always zero outside test binaries.
@@ -68,6 +78,11 @@ func (s *slab[T]) take(n int) []T {
 		clear(out)
 	}
 	return out
+}
+
+func (s *slab[T]) bytes() int64 {
+	var zero T
+	return int64(cap(s.buf)) * int64(unsafe.Sizeof(zero))
 }
 
 func (s *slab[T]) reset() {

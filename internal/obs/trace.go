@@ -164,6 +164,21 @@ func (s *Span) AddAttr(key string, n int64) {
 	s.tr.mu.Unlock()
 }
 
+// SetAttr sets a named counter on the span, however often it is set: a
+// fact about the operator (a join ran fused) rather than a sum over the
+// nodes that run it.
+func (s *Span) SetAttr(key string, n int64) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	if s.attrs == nil {
+		s.attrs = map[string]int64{}
+	}
+	s.attrs[key] = n
+	s.tr.mu.Unlock()
+}
+
 // spanKey is the context key for the active span.
 type spanKey struct{}
 
